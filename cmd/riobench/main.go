@@ -2,7 +2,9 @@
 // the simulator's per-operation hot-path cost (host wall-clock and host
 // allocations — the simulator's own speed, not the simulated 1996 disk)
 // for create, deep-path lookup, read, write, and unlink, at a
-// configurable directory depth and fanout.
+// configurable directory depth and fanout, plus the served read/write
+// round trip and the two whole-cache paths (warm reboot, read miss on a
+// full data cache).
 //
 // Usage:
 //
@@ -126,6 +128,12 @@ func main() {
 		os.Exit(1)
 	}
 	results = append(results, served...)
+	recovery, err := runRecovery(cfg)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "riobench:", err)
+		os.Exit(1)
+	}
+	results = append(results, recovery...)
 	report.Results = results
 
 	if *baseline != "" {
@@ -413,6 +421,94 @@ func runServed(cfg benchConfig) ([]opResult, error) {
 	}
 	results = append(results, r)
 	return results, nil
+}
+
+// runRecovery measures the two paths that cross the whole cache rather
+// than one buffer of it, on a machine whose data cache is full:
+// warm-reboot is crash → warm reboot with every data frame dirty (Rio
+// never writes back, so that is a full cache's steady state: dump, parse,
+// fsck, boot, one open/write/close per page), and evict-insert is a block
+// read that misses (disk read, eviction of the LRU page, insert of the
+// new one — the cyclic scan of a file set 5/4 the cache makes every read
+// that miss).
+func runRecovery(cfg benchConfig) ([]opResult, error) {
+	const block = 8192 // the file-system block and cache page size
+	sys, err := rio.New(rio.Config{Policy: rio.Policy(cfg.Policy), Seed: cfg.Seed})
+	if err != nil {
+		return nil, err
+	}
+	cachePages := sys.Machine().Opt.DataCap
+	page := make([]byte, block)
+	fill := func(path string, pages int) (*rio.File, error) {
+		f, err := sys.Create(path)
+		if err != nil {
+			return nil, err
+		}
+		for i := 0; i < pages; i++ {
+			for j := range page {
+				page[j] = byte(i + j)
+			}
+			if _, err := f.WriteAt(page, int64(i)*block); err != nil {
+				return nil, err
+			}
+		}
+		return f, nil
+	}
+	full, err := fill("/full", cachePages)
+	if err != nil {
+		return nil, err
+	}
+	if err := full.Close(); err != nil {
+		return nil, err
+	}
+
+	var results []opResult
+	r, err := benchHost("warm-reboot", 16, func(int) error {
+		sys.Crash("riobench")
+		rep, err := sys.WarmReboot()
+		if err == nil && rep.DataRestored != cachePages {
+			err = fmt.Errorf("restored %d data pages, want %d", rep.DataRestored, cachePages)
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	results = append(results, r)
+
+	extra := cachePages / 4
+	spill, err := fill("/spill", extra)
+	if err != nil {
+		return nil, err
+	}
+	defer spill.Close()
+	if full, err = sys.Open("/full"); err != nil {
+		return nil, err
+	}
+	defer full.Close()
+	miss := func(i int) error {
+		i %= cachePages + extra
+		if i < cachePages {
+			_, err := full.ReadAt(page, int64(i)*block)
+			return err
+		}
+		_, err := spill.ReadAt(page, int64(i-cachePages)*block)
+		return err
+	}
+	for i := 0; i < cachePages+extra; i++ { // first lap: dirty victims are written back once
+		if err := miss(i); err != nil {
+			return nil, err
+		}
+	}
+	before := sys.Machine().Cache.Stats.DataMisses
+	r, err = bench("evict-insert", sys, cfg.Iters, miss)
+	if err != nil {
+		return nil, err
+	}
+	if got := sys.Machine().Cache.Stats.DataMisses - before; got != uint64(cfg.Iters) {
+		return nil, fmt.Errorf("evict-insert: %d of %d reads missed", got, cfg.Iters)
+	}
+	return append(results, r), nil
 }
 
 // gateAllocs enforces a comma list of op=max allocs/op budgets (e.g.

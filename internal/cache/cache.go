@@ -114,7 +114,6 @@ type Cache struct {
 	data    map[DataKey]*Buf
 	metaLRU *list.List // front = most recent
 	dataLRU *list.List
-	pageBuf []byte // reusable insert staging page (see insert)
 }
 
 // New returns an empty cache over k and reg.
@@ -216,16 +215,11 @@ func (c *Cache) insert(kind Kind, content []byte, size int) (*Buf, error) {
 	if frame < 0 {
 		return nil, fmt.Errorf("cache: out of physical frames")
 	}
-	// DMA-style initial fill: raw write, as a disk controller would. The
-	// staging page is reused across inserts; its tail must be re-zeroed
-	// because content may be shorter than a block (or nil for a fresh
-	// zero page).
-	if c.pageBuf == nil {
-		c.pageBuf = make([]byte, BlockSize)
-	}
-	n := copy(c.pageBuf, content)
-	clear(c.pageBuf[n:])
-	c.K.Mem.WriteAt(mem.FrameBase(frame), c.pageBuf)
+	// DMA-style initial fill: raw write, as a disk controller would,
+	// straight into the frame. Content may be shorter than a block (or nil
+	// for a fresh zero page); the rest of the frame is zeroed.
+	page := c.K.Mem.Slice(mem.FrameBase(frame), BlockSize)
+	clear(page[copy(page, content):])
 	c.K.Mem.Frame(frame).FileCache = true
 
 	var addr uint64

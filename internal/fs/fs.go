@@ -86,6 +86,11 @@ type FS struct {
 	// before issuing another read, so one buffer serves them all.
 	readBuf []byte
 
+	// dirBuf is dirBlock's scratch: the directory walkers decode (and
+	// dirInsert/dirRemove edit) one directory block at a time out of it
+	// instead of a fresh 8 KB copy per block touched.
+	dirBuf []byte
+
 	// blockPool recycles the full-block copies the asynchronous write
 	// queue makes: drainPending returns committed buffers here instead of
 	// dropping them for the collector.

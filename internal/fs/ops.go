@@ -46,6 +46,20 @@ func splitPath(path string) ([]string, error) {
 	return parts, nil
 }
 
+// dirBlock copies a cached directory block into the mount's scratch block
+// (the same trusted raw read as Cache.Contents) and returns it. The image
+// is valid until the next dirBlock call: dirents are handed on by value
+// and metaUpdate copies the image into the kernel's staging area, so no
+// caller holds it longer, and nothing a dirScan callback does reads a
+// directory block.
+func (f *FS) dirBlock(b *cache.Buf) []byte {
+	if f.dirBuf == nil {
+		f.dirBuf = make([]byte, BlockSize)
+	}
+	f.C.ContentsAt(b, 0, f.dirBuf)
+	return f.dirBuf
+}
+
 // dirScan iterates a directory's entries; fn returns true to stop. It
 // passes the block and slot of each live entry.
 func (f *FS) dirScan(dirIno uint32, dir *Inode, fn func(d Dirent, block int64, slot int) bool) error {
@@ -63,7 +77,7 @@ func (f *FS) dirScan(dirIno uint32, dir *Inode, fn func(d Dirent, block int64, s
 		if err != nil {
 			return err
 		}
-		img := f.C.Contents(b)
+		img := f.dirBlock(b)
 		for s := 0; s < DirentsPerBlock; s++ {
 			d := unmarshalDirent(img[s*DirentSize : (s+1)*DirentSize])
 			if d.Ino == 0 {
@@ -232,7 +246,7 @@ func (f *FS) dirInsert(dirIno uint32, name string, ino uint32) error {
 		if err != nil {
 			return err
 		}
-		img := f.C.Contents(b)
+		img := f.dirBlock(b)
 		for s := 0; s < DirentsPerBlock; s++ {
 			if unmarshalDirent(img[s*DirentSize:(s+1)*DirentSize]).Ino == 0 {
 				marshalDirent(Dirent{Ino: ino, Name: name}, img[s*DirentSize:(s+1)*DirentSize])
@@ -294,7 +308,7 @@ func (f *FS) dirRemove(dirIno uint32, name string) error {
 	if err != nil {
 		return err
 	}
-	img := f.C.Contents(b)
+	img := f.dirBlock(b)
 	for i := 0; i < DirentSize; i++ {
 		img[slot*DirentSize+i] = 0
 	}

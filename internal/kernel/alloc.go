@@ -66,16 +66,32 @@ func (a *Allocator) setHdr(addr uint64, magic, size uint64) {
 	}
 }
 
-func (a *Allocator) hdr(addr uint64) (magic, size uint64, err error) {
-	magic, trap := a.u.Load64(addr)
-	if trap != nil {
-		return 0, 0, trap
+// walk is the allocator's one header loop, and with it the kernel's heap
+// consistency check: every Malloc and Free crosses every header from the
+// heap base, so a flipped magic or a size that leads off the chain is
+// found by the next allocator call, whoever makes it.
+//
+// It reads each header (both words through one translation) and hands it
+// to visit, which returns the address of the header to read next —
+// normally addr+hdrSize+size; addr itself to re-read a block it has just
+// grown — and whether to go on. A header that traps, or carries neither
+// magic, ends the walk with the error Malloc and CheckConsistency report
+// and the other callers swallow. Sizes are deliberately not vetted here: a
+// corrupt size sends the walk wherever it points, as it would a real
+// first-fit allocator, and the load at that address is what trips.
+func (a *Allocator) walk(visit func(addr, magic, size uint64) (next uint64, more bool)) error {
+	end := a.base + uint64(a.size)
+	for addr, more := a.base, true; more && addr < end; {
+		magic, size, trap := a.u.Load64Pair(addr)
+		if trap != nil {
+			return fmt.Errorf("kernel: heap walk trapped at %#x: %w", addr, trap)
+		}
+		if magic != freeMagic && magic != allocMagic {
+			return fmt.Errorf("kernel: heap corruption at %#x (magic %#x)", addr, magic)
+		}
+		addr, more = visit(addr, magic, size)
 	}
-	size, trap = a.u.Load64(addr + 8)
-	if trap != nil {
-		return 0, 0, trap
-	}
-	return magic, size, nil
+	return nil
 }
 
 func align(n uint64) uint64 {
@@ -93,33 +109,24 @@ func (a *Allocator) Malloc(size int) (uint64, error) {
 	a.runPending()
 	want := align(uint64(size))
 
-	addr := a.base
-	end := a.base + uint64(a.size)
-	for addr < end {
-		magic, bsize, err := a.hdr(addr)
-		if err != nil {
-			return 0, fmt.Errorf("kernel: heap walk trapped at %#x: %w", addr, err)
+	var got uint64
+	err := a.walk(func(addr, magic, bsize uint64) (uint64, bool) {
+		if magic == freeMagic && bsize >= want {
+			a.carve(addr, bsize, want)
+			got = addr + hdrSize
+			return 0, false
 		}
-		switch magic {
-		case freeMagic:
-			if bsize >= want {
-				a.carve(addr, bsize, want)
-				if pf := a.PrematureFree; pf != nil {
-					if d := pf(); d > 0 {
-						a.pending = append(a.pending,
-							pendingFree{addr: addr + hdrSize, after: a.Allocs + uint64(d)})
-					}
-				}
-				return addr + hdrSize, nil
-			}
-		case allocMagic:
-			// occupied; skip
-		default:
-			return 0, fmt.Errorf("kernel: heap corruption at %#x (magic %#x)", addr, magic)
-		}
-		addr += hdrSize + bsize
+		return addr + hdrSize + bsize, true
+	})
+	if err != nil || got == 0 {
+		return 0, err // corrupt, or (0, nil): heap full
 	}
-	return 0, nil // heap full
+	if pf := a.PrematureFree; pf != nil {
+		if d := pf(); d > 0 {
+			a.pending = append(a.pending, pendingFree{addr: got, after: a.Allocs + uint64(d)})
+		}
+	}
+	return got, nil
 }
 
 // carve splits a free block at addr (payload capacity bsize) to hold want
@@ -140,9 +147,9 @@ func (a *Allocator) carve(addr, bsize, want uint64) {
 func (a *Allocator) Free(addr uint64) error {
 	a.Frees++
 	h := addr - hdrSize
-	magic, size, err := a.hdr(h)
-	if err != nil {
-		return fmt.Errorf("kernel: free(%#x) trapped: %w", addr, err)
+	magic, size, trap := a.u.Load64Pair(h)
+	if trap != nil {
+		return fmt.Errorf("kernel: free(%#x) trapped: %w", addr, trap)
 	}
 	if magic != allocMagic {
 		return fmt.Errorf("kernel: free(%#x) of non-allocated block (magic %#x)", addr, magic)
@@ -162,7 +169,7 @@ func (a *Allocator) runPending() {
 	for _, p := range a.pending {
 		if a.Allocs >= p.after {
 			h := p.addr - hdrSize
-			if magic, size, err := a.hdr(h); err == nil && magic == allocMagic {
+			if magic, size, trap := a.u.Load64Pair(h); trap == nil && magic == allocMagic {
 				for off := uint64(0); off+8 <= size; off += 8 {
 					if trap := a.u.Store64(p.addr+off, 0xdeadbeefdeadbeef); trap != nil {
 						break
@@ -179,81 +186,62 @@ func (a *Allocator) runPending() {
 
 // AllocatedBlocks returns the payload ranges of live allocations; fault
 // injection targets heap bit-flips at real kernel objects rather than at
-// free space.
+// free space. A corrupt heap yields the blocks before the corruption.
 func (a *Allocator) AllocatedBlocks() [][2]uint64 {
 	var out [][2]uint64
-	addr := a.base
-	end := a.base + uint64(a.size)
-	for addr < end {
-		magic, size, err := a.hdr(addr)
-		if err != nil || (magic != freeMagic && magic != allocMagic) {
-			return out
-		}
+	_ = a.walk(func(addr, magic, size uint64) (uint64, bool) {
 		if magic == allocMagic {
 			out = append(out, [2]uint64{addr + hdrSize, size})
 		}
-		addr += hdrSize + size
-	}
+		return addr + hdrSize + size, true
+	})
 	return out
 }
 
-// coalesce merges adjacent free blocks (single forward pass).
+// coalesce merges adjacent free blocks (single forward pass). It stops
+// silently at corruption; Malloc will report it.
 func (a *Allocator) coalesce() {
-	addr := a.base
 	end := a.base + uint64(a.size)
-	for addr < end {
-		magic, size, err := a.hdr(addr)
-		if err != nil || (magic != freeMagic && magic != allocMagic) {
-			return // corrupt; Malloc will report it
-		}
+	_ = a.walk(func(addr, magic, size uint64) (uint64, bool) {
 		next := addr + hdrSize + size
 		if magic == freeMagic && next < end {
-			nm, ns, err := a.hdr(next)
-			if err == nil && nm == freeMagic {
+			if nm, ns, trap := a.u.Load64Pair(next); trap == nil && nm == freeMagic {
 				a.setHdr(addr, freeMagic, size+hdrSize+ns)
-				continue // try to merge further
+				return addr, true // try to merge further
 			}
 		}
-		addr = next
-	}
+		return next, true
+	})
 }
 
 // CheckConsistency walks the heap and returns an error on any corruption —
 // the allocator's contribution to the kernel's background sanity checks.
 func (a *Allocator) CheckConsistency() error {
-	addr := a.base
 	end := a.base + uint64(a.size)
-	for addr < end {
-		magic, size, err := a.hdr(addr)
-		if err != nil {
-			return fmt.Errorf("kernel: heap walk trapped at %#x: %w", addr, err)
-		}
-		if magic != freeMagic && magic != allocMagic {
-			return fmt.Errorf("kernel: heap corruption at %#x (magic %#x)", addr, magic)
-		}
+	var bad error
+	err := a.walk(func(addr, _, size uint64) (uint64, bool) {
 		next := addr + hdrSize + size
 		if next <= addr || next > end {
-			return fmt.Errorf("kernel: heap block at %#x has impossible size %d", addr, size)
+			bad = fmt.Errorf("kernel: heap block at %#x has impossible size %d", addr, size)
+			return 0, false
 		}
-		addr = next
+		return next, true
+	})
+	if err != nil {
+		return err
 	}
-	return nil
+	return bad
 }
 
-// FreeBytes returns the total free payload capacity.
+// FreeBytes returns the total free payload capacity (up to the first
+// corruption, if any).
 func (a *Allocator) FreeBytes() int {
 	total := 0
-	addr := a.base
-	end := a.base + uint64(a.size)
-	for addr < end {
-		magic, size, err := a.hdr(addr)
-		if err != nil || (magic != freeMagic && magic != allocMagic) {
-			return total
-		}
+	_ = a.walk(func(addr, magic, size uint64) (uint64, bool) {
 		if magic == freeMagic {
 			total += int(size)
 		}
-		addr += hdrSize + size
-	}
+		return addr + hdrSize + size, true
+	})
 	return total
 }

@@ -10,7 +10,7 @@ import (
 // zero-copy serving path (ROADMAP "cache frame → wire frame with no
 // intermediate copy"). The hot path hands out views of reused storage —
 // kernel.scratchBytes returns a slice of the kernel's bulk buffer, the
-// fs block pool and readBuf recycle block-sized buffers, and
+// fs block pool, readBuf and dirBuf recycle block-sized buffers, and
 // cache.ReadInto / kernel.StageOutInto / cache.ContentsAt fill a
 // caller-owned destination — and every one of those views has a
 // sanctioned window: it is valid until the next bulk op, the next
@@ -22,7 +22,7 @@ import (
 // Rules, tracked through calls via the Program's summaries:
 //
 //   - A pooled alias (anything reaching kernel bulkBuf/bulkBuf2/zeroBuf,
-//     fs readBuf, or the fs block pool, directly or through a function
+//     fs readBuf or dirBuf, or the fs block pool, directly or through a function
 //     that returns one) must not be stored in a field, global, or other
 //     heap location, sent on a channel, or handed to a goroutine.
 //     Returning one is allowed — that propagates the window to the
@@ -52,6 +52,7 @@ var poolFields = map[string]bool{
 	"bulkBuf2":  true, // kernel second scratch (memcmp)
 	"zeroBuf":   true, // kernel zero page
 	"readBuf":   true, // fs read-path block buffer
+	"dirBuf":    true, // fs directory-block scratch
 	"blockPool": true, // fs recycled block buffers
 	"frameBufs": true, // server recycled wire-frame buffers (zero-copy reads)
 }

@@ -84,6 +84,8 @@ type Machine struct {
 	Engine *sim.Engine
 	Rng    *sim.Rand
 	Text   *kvm.Text
+
+	dumpScratch []byte // ScratchDump's image; allocated on first use
 }
 
 // New formats a fresh disk and boots a machine on it. text may be nil to
@@ -155,6 +157,21 @@ func (m *Machine) Boot(text *kvm.Text) error {
 	}
 	m.FS = fsys
 	return nil
+}
+
+// ScratchDump copies all of physical memory into the machine's reusable
+// dump image and returns it: the in-place warm reboot's "dump RAM to swap"
+// step without a fresh memory-sized allocation per reboot. The image is
+// storage of its own — booting and restoring never write to it — but it is
+// valid only until the next ScratchDump; a caller that holds a dump across
+// reboots (a campaign restarting an interrupted recovery, the UPS path)
+// takes its own copy with Mem.Dump.
+func (m *Machine) ScratchDump() []byte {
+	if m.dumpScratch == nil {
+		m.dumpScratch = make([]byte, m.Mem.Size())
+	}
+	m.Mem.ReadAt(0, m.dumpScratch)
+	return m.dumpScratch
 }
 
 // Crashed returns the kernel's crash record, if any.

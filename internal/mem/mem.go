@@ -14,7 +14,10 @@
 // hardware exposes raw DRAM to the boot firmware.
 package mem
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // PageSize is the simulated page/frame size in bytes (8 KB, as on the
 // DEC 3000/600 used in the paper).
@@ -116,20 +119,25 @@ func (m *Memory) SetByte(addr uint64, b byte) {
 	m.data[addr] = b
 }
 
-// Word64 reads a little-endian 64-bit word at addr (raw access).
+// Word64 reads a little-endian 64-bit word at addr (raw access): one range
+// check, one load.
 func (m *Memory) Word64(addr uint64) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(m.Byte(addr+uint64(i))) << (8 * i)
+	if !m.ContainsRange(addr, 8) {
+		panic(fmt.Sprintf("mem: raw word read %#x out of range", addr))
 	}
-	return v
+	return binary.LittleEndian.Uint64(m.data[addr:])
 }
 
-// SetWord64 writes a little-endian 64-bit word at addr (raw access).
+// SetWord64 writes a little-endian 64-bit word at addr (raw access). A
+// word that does not fit stores nothing before panicking (the byte-wise
+// definition stored the in-range bytes first); no caller can tell the
+// difference, since every MMU path checks Contains and alignment before
+// it gets here.
 func (m *Memory) SetWord64(addr uint64, v uint64) {
-	for i := 0; i < 8; i++ {
-		m.SetByte(addr+uint64(i), byte(v>>(8*i)))
+	if !m.ContainsRange(addr, 8) {
+		panic(fmt.Sprintf("mem: raw word write %#x out of range", addr))
 	}
+	binary.LittleEndian.PutUint64(m.data[addr:], v)
 }
 
 // FlipBit inverts a single bit of physical memory. Fault injection uses

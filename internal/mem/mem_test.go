@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -203,5 +204,59 @@ func TestSliceAliases(t *testing.T) {
 	s[0] = 0x7f
 	if m.Byte(100) != 0x7f {
 		t.Fatal("Slice must alias live memory")
+	}
+}
+
+// TestWord64IsEightBytes holds the word accessors to their byte-wise
+// definition where a slice-based implementation could go wrong: across a
+// frame boundary, unaligned, and at the last word of memory; and requires
+// the package's own panic (not a bare slice fault) for a word that does
+// not fit, with nothing stored.
+func TestWord64IsEightBytes(t *testing.T) {
+	const size = 4 * PageSize
+	m := New(size)
+	for i := 0; i < size; i++ {
+		m.SetByte(uint64(i), byte(i*7+i>>8))
+	}
+	byteWise := func(addr uint64) uint64 {
+		var v uint64
+		for i := 0; i < 8; i++ {
+			v |= uint64(m.Byte(addr+uint64(i))) << (8 * i)
+		}
+		return v
+	}
+	for _, addr := range []uint64{0, 8, PageSize - 8, PageSize - 4, PageSize - 1, PageSize, 3*PageSize - 3, size - 16, size - 9, size - 8} {
+		if got, want := m.Word64(addr), byteWise(addr); got != want {
+			t.Errorf("Word64(%#x) = %#x, byte-wise %#x", addr, got, want)
+		}
+		v := 0x0102030405060708 ^ addr<<32
+		want := m.Dump()
+		for i := 0; i < 8; i++ {
+			want[addr+uint64(i)] = byte(v >> (8 * i))
+		}
+		m.SetWord64(addr, v)
+		if !bytes.Equal(m.Dump(), want) {
+			t.Errorf("SetWord64(%#x) is not the eight byte stores", addr)
+		}
+	}
+
+	for _, addr := range []uint64{size - 7, size - 1, size, size + 8, ^uint64(0) - 3, ^uint64(0)} {
+		for name, access := range map[string]func(){
+			"word read":  func() { m.Word64(addr) },
+			"word write": func() { m.SetWord64(addr, ^uint64(0)) },
+		} {
+			tail := m.Word64(size - 8)
+			msg := func() (msg string) {
+				defer func() { msg, _ = recover().(string) }()
+				access()
+				return
+			}()
+			if want := fmt.Sprintf("mem: raw %s %#x out of range", name, addr); msg != want {
+				t.Errorf("%s at %#x: panic %q, want %q", name, addr, msg, want)
+			}
+			if m.Word64(size-8) != tail {
+				t.Errorf("%s at %#x stored bytes before panicking", name, addr)
+			}
+		}
 	}
 }

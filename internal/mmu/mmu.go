@@ -314,6 +314,36 @@ func (u *MMU) Load64(addr uint64) (uint64, *Trap) {
 	return u.Mem.Word64(phys), nil
 }
 
+// Load64Pair reads the two consecutive words at addr and addr+8 — a
+// 16-byte record such as a kernel-heap block header. It is Load64(addr)
+// followed by Load64(addr+8) in every observable respect (values, traps,
+// Stats), through one translation when both words lie in one page: the
+// second lookup would hit the TLB entry the first one used or filled, so
+// it is booked as that hit rather than performed. A misaligned or
+// page-straddling pair takes the two-load path itself.
+func (u *MMU) Load64Pair(addr uint64) (lo, hi uint64, trap *Trap) {
+	if addr%8 != 0 || addr&(mem.PageSize-1) > mem.PageSize-16 {
+		if lo, trap = u.Load64(addr); trap != nil {
+			return 0, 0, trap
+		}
+		if hi, trap = u.Load64(addr + 8); trap != nil {
+			return 0, 0, trap
+		}
+		return lo, hi, nil
+	}
+	phys, trap := u.Translate(addr, false)
+	if trap != nil {
+		return 0, 0, trap
+	}
+	if IsKSEG(addr) {
+		u.Stats.KSEGLoads += 2
+	} else {
+		u.Stats.VirtLoads += 2
+		u.Stats.TLBHits++
+	}
+	return u.Mem.Word64(phys), u.Mem.Word64(phys + 8), nil
+}
+
 // Store64 writes a little-endian 64-bit word, aligned.
 func (u *MMU) Store64(addr uint64, v uint64) *Trap {
 	if addr%8 != 0 {

@@ -287,3 +287,52 @@ func TestFlushTLB(t *testing.T) {
 		t.Fatal("FlushTLB did not invalidate entries")
 	}
 }
+
+// TestLoad64PairIsTwoLoads holds the pair load to its definition: on twin
+// MMUs, Load64Pair(a) and Load64(a) + Load64(a+8) return the same words or
+// the same trap, and leave identical Stats — in one page, straddling two,
+// misaligned, unmapped, through KSEG, and off the end of memory; with a
+// cold TLB entry and a warm one.
+func TestLoad64PairIsTwoLoads(t *testing.T) {
+	mk := func() *MMU {
+		u := newMMU(4)
+		u.Map(10, 2, true)
+		u.Map(11, 0, true)  // virtually adjacent, physically not
+		u.Map(74, 3, false) // same TLB slot as vpage 10
+		for a := uint64(0); a < 4*mem.PageSize; a += 8 {
+			u.Mem.SetWord64(a, a*0x9e3779b97f4a7c15+1)
+		}
+		return u
+	}
+	pair, twice := mk(), mk()
+	const p = mem.PageSize
+	addrs := []uint64{
+		10 * p, 10*p + 16, 10*p + 8, // in one page
+		74 * p, 10*p + 32, // evicts vpage 10's TLB entry, then refills it
+		11*p - 16, 11*p - 8, 12*p - 8, // last pair of a page; straddle; straddle into unmapped
+		10*p + 4, 10*p + 1, // misaligned
+		99 * p, 99*p - 8, // unmapped
+		PhysToKSEG(p), PhysToKSEG(2*p - 8), PhysToKSEG(4*p - 16), PhysToKSEG(4*p - 8), PhysToKSEG(4 * p),
+		^uint64(0) - 7, ^uint64(0) - 15,
+	}
+	for _, a := range addrs {
+		lo, hi, trap := pair.Load64Pair(a)
+		wlo, wtrap := twice.Load64(a)
+		var whi uint64
+		if wtrap == nil {
+			whi, wtrap = twice.Load64(a + 8)
+		}
+		if wtrap != nil {
+			wlo, whi = 0, 0
+		}
+		if (trap == nil) != (wtrap == nil) || (trap != nil && *trap != *wtrap) {
+			t.Fatalf("%#x: trap %v, two loads trap %v", a, trap, wtrap)
+		}
+		if lo != wlo || hi != whi {
+			t.Fatalf("%#x: pair = %#x,%#x, two loads = %#x,%#x", a, lo, hi, wlo, whi)
+		}
+		if pair.Stats != twice.Stats {
+			t.Fatalf("%#x: stats %+v, two loads %+v", a, pair.Stats, twice.Stats)
+		}
+	}
+}

@@ -1,7 +1,9 @@
 package warmreboot
 
 import (
+	"bytes"
 	"fmt"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -238,5 +240,98 @@ func TestTruncatedDumpHandled(t *testing.T) {
 		if frac > 1 && rep.DataRestored > 0 && rep.BadEntries == 0 && rep.SkippedInvalid == 0 {
 			t.Fatalf("frac 1/%d: truncation invisible in report: %v", frac, rep)
 		}
+	}
+}
+
+// TestWarmReusesMachineScratch pins who owns which dump. Warm dumps into
+// the machine's scratch image — allocated by the first Warm, overwritten
+// by the next — so repeated in-place reboots of one machine must each
+// restore byte-exact, and from the second on must not allocate another
+// memory-sized image. A dump a caller took with Mem.Dump is the caller's:
+// no later Warm may touch it, and recovery from it (interrupted at any
+// step, or cut short) is the same as on a machine that never warm-rebooted
+// in place.
+func TestWarmReusesMachineScratch(t *testing.T) {
+	m := rioMachine(t, true)
+	m.FS.Mkdir("/d")
+	files := map[string][]byte{}
+	var held, heldCopy, heldDisk []byte
+	heldFiles := map[string][]byte{}
+	for cycle := 1; cycle <= 3; cycle++ {
+		for i := 0; i < 8; i++ {
+			path := fmt.Sprintf("/d/f%d", (cycle*3+i)%10) // overwrites and new files both
+			data := kernel.FillBytes(1+(cycle*4099+i*8191)%(3*fs.BlockSize), uint64(cycle*100+i)|1)
+			if _, err := m.FS.Stat(path); err == nil {
+				if err := m.FS.Unlink(path); err != nil {
+					t.Fatal(err)
+				}
+			}
+			put(t, m, path, data)
+			files[path] = data
+		}
+		m.Kernel.Panic("injected test crash")
+		m.CrashFinish()
+		if cycle == 1 {
+			held, heldDisk = m.Mem.Dump(), m.Disk.Snapshot()
+			heldCopy = append([]byte(nil), held...)
+			for path, data := range files {
+				heldFiles[path] = data
+			}
+		}
+
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rep, err := Warm(m)
+		runtime.ReadMemStats(&after)
+		if err != nil || rep.VolumeLost || rep.ChecksumMismatches != 0 {
+			t.Fatalf("cycle %d: %v, %v", cycle, rep, err)
+		}
+		for path, want := range files {
+			if got := get(t, m, path); !bytes.Equal(got, want) {
+				t.Fatalf("cycle %d: %s differs after warm reboot (%d bytes, want %d)", cycle, path, len(got), len(want))
+			}
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; cycle > 1 && alloc >= 4<<20 {
+			t.Errorf("cycle %d: Warm allocated %d bytes; the %d-byte dump image should be reused", cycle, alloc, m.Mem.Size())
+		}
+		if !bytes.Equal(held, heldCopy) {
+			t.Fatalf("cycle %d: Warm wrote into a dump the caller holds", cycle)
+		}
+	}
+
+	// The held dump (with the disk of its crash) still recovers cycle 1's
+	// state, restartably, on this machine whose scratch now holds cycle
+	// 3's image.
+	m.Disk.Restore(heldDisk)
+	ref, err := FromDump(m, held)
+	if err != nil || ref.VolumeLost {
+		t.Fatalf("recovery from held dump: %v, %v", ref, err)
+	}
+	for path, want := range heldFiles {
+		if got := get(t, m, path); !bytes.Equal(got, want) {
+			t.Fatalf("held dump: %s differs after recovery", path)
+		}
+	}
+	want := logicalState(t, m.FS)
+	for k := 0; k < ref.Steps; k++ {
+		m.Disk.Restore(heldDisk)
+		opts := DefaultOptions()
+		opts.CrashAtStep = k
+		if _, err := FromDumpOpts(m, held, opts); err != ErrInterrupted {
+			t.Fatalf("crash at step %d/%d: err = %v, want ErrInterrupted", k, ref.Steps, err)
+		}
+		if _, err := FromDump(m, held); err != nil {
+			t.Fatalf("restart after crash at step %d: %v", k, err)
+		}
+		if got := logicalState(t, m.FS); got != want {
+			t.Fatalf("state after crash at step %d diverges:\ngot:\n%swant:\n%s", k, got, want)
+		}
+	}
+	m.Disk.Restore(heldDisk)
+	if rep, err := FromDump(m, held[:len(held)/2]); err != nil || rep.SkippedInvalid+rep.BadEntries == 0 {
+		t.Fatalf("truncated held dump: %v, %v", rep, err)
+	}
+	if !bytes.Equal(held, heldCopy) {
+		t.Fatal("recovery wrote into the dump")
 	}
 }

@@ -119,7 +119,9 @@ func (r *Report) String() string {
 // system reflects the pre-crash file cache.
 func Warm(m *machine.Machine) (*Report, error) {
 	// Step 1: dump all of physical memory before anything reinitialises.
-	return FromDump(m, m.Mem.Dump())
+	// The image is the machine's own scratch: nothing below writes to it,
+	// and nobody holds it past this call.
+	return FromDump(m, m.ScratchDump())
 }
 
 // FromDump performs the warm-reboot restore from an explicit memory image

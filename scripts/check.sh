@@ -36,6 +36,11 @@ go test -race -timeout 10m ./internal/server/... ./internal/wire/... ./internal/
 # in-process transport, and the coordinator's tick all run under real
 # concurrency in the campaign, so it joins the race gate.
 go test -race -timeout 10m ./internal/fleet/...
+# Double-fault campaign golden: a small fixed-seed campaign with storage
+# faults and second crashes, diffed against testdata/crash-recovery.golden
+# (10 s). Every "simulated behaviour is byte-identical" argument in DESIGN
+# §7b rests on this diff, so it is part of the gate.
+make crash-recovery
 # Transactional crash campaign smoke: a small fixed-seed torn-commit
 # hunt with storage faults and double crashes; riocrash -txn exits
 # nonzero on any torn transaction or aborted recovery. (The commitorder
