@@ -52,37 +52,43 @@ crash-recovery:
 # Server smoke benchmark: riod's shard fabric under rioload via the
 # in-process transport — 8 connections with 8 pipelined request streams
 # each for 10s against 4 shards, plus a 1-shard baseline at the same
-# load (the acceptance bar: 4 shards must beat 1, and batch draining
-# must actually coalesce: avg_batch > 1.5). The trailing -tcp-probe
-# re-serves the same server over loopback TCP so the report also
-# carries the scatter-gather writer's frames-per-writev distribution.
+# load. It measures and gates nothing; the checked-in BENCH_server.json
+# records avg_batch (requests served per queue drain) 1.16. The
+# trailing -tcp-probe re-serves the same server over loopback TCP so the
+# report also carries the scatter-gather writer's frames-per-writev
+# distribution.
 # Writes BENCH_server.json (throughput, p50/p95/p99, per-shard
 # batching, writev batch sizes).
 serve-bench:
 	go run ./cmd/rioload -net memory -shards 4 -clients 8 -pipeline 8 \
 		-duration 10s -compare 1 -tcp-probe 2s -out BENCH_server.json
 
-# Transactional campaign: the torn-commit hunt. Every multi-file commit
-# must be all-or-nothing after crash + recovery; exits nonzero if any
-# transaction tears or any recovery aborts.
+# Transactional campaign: the torn-commit hunt, full size (260 plans:
+# 10 per fault type on both Rio systems, storage faults and second
+# crashes in the warm reboot and the txn roll-forward). Every multi-file
+# commit must be all-or-nothing after crash + recovery; exits nonzero if
+# any transaction tears or any recovery aborts. `make scenarios` runs the
+# 52-plan scenarios/txn-hunt.json.
 crash-txn:
-	go run ./cmd/riocrash -txn -runs 10 -seed 1996 -disk-faults
+	go run ./cmd/rioscn scenarios/full/txn-hunt.json
 
-# Fleet campaign: machine-loss survival. 55 seed-derived plans (11 per
-# fault kind: machine kill, primary partition, backup loss, OS crash,
-# pairwise partition); exits nonzero if any acked write fails to read
-# back byte-equal or a deposed primary serves a stale read.
+# Fleet campaign: machine-loss survival, full size. 55 seed-derived plans
+# (11 per fault kind: machine kill, primary partition, backup loss, OS
+# crash, pairwise partition); exits nonzero if any acked write fails to
+# read back byte-equal or a deposed primary serves a stale read. `make
+# scenarios` runs the 10-plan scenarios/fleet-all-kinds.json.
 crash-fleet:
-	go run ./cmd/riocrash -fleet -runs 55 -seed 1996
+	go run ./cmd/rioscn scenarios/full/fleet-all-kinds.json
 
 # Scenario suite smoke: run every checked-in scenario (scenarios/*.json)
 # through rioscn twice — once at 1 worker, once at 4 — and diff the
 # canonical JSON reports byte-for-byte. Proves the tentpole guarantee
 # (any campaign cell reproduces byte-identically at any worker count)
-# on every spec the repo ships, and exits nonzero if any scenario
-# breaches its zero gates (lost acked writes, torn commits, stale
-# reads). The -workers 4 reports land in scenario-reports/, uploaded as
-# a CI artifact.
+# on every spec the repo ships — the txn hunt and the five-kind fleet
+# campaign among them — and exits nonzero if any scenario breaches its
+# zero gates (lost acked writes, torn commits, stale reads, aborted
+# recoveries). The -workers 4 reports land in scenario-reports/,
+# uploaded as a CI artifact.
 scenarios:
 	rm -rf scenario-reports scenario-reports-w1
 	go run ./cmd/rioscn -workers 1 -quiet -no-timing -json-dir scenario-reports-w1 scenarios >/dev/null

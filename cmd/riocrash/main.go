@@ -19,26 +19,9 @@
 // a second crash interrupts each warm reboot at a seed-derived step. The
 // recovery columns report how the restart protocol coped.
 //
-// -txn switches to the transactional campaign: runs hammer multi-file
-// commits through the WAL-free transaction layer instead of memTest,
-// and the report's headline column counts torn transactions — commits
-// only partially visible after recovery — which must be zero on both
-// Rio systems under every fault type. -runs then sets attempts per
-// cell (there is no crash quota).
-//
-// -scenario <file> runs one declarative scenario spec (see
-// internal/scenario and cmd/rioscn) instead of the built-in campaign:
-// the spec chooses workload, fault plan, crash schedule, and topology,
-// and the resulting report is byte-identical at any -workers value.
-//
-// -fleet switches to the fleet campaign: each run boots a replicated
-// fleet (internal/fleet), acks writes, injects one fleet-level fault —
-// machine kill, primary partition, backup loss, OS crash, or a
-// pairwise partition that strands a deposed primary with live client
-// links — and demands every acked write read back byte-equal with no
-// stale reads served. -runs sets the total plan count (kinds cycle by
-// index, so runs >= 5 covers all five); the headline Lost and Stale
-// columns must be zero.
+// The transactional torn-commit hunt, the fleet machine-loss campaign and
+// every other declarative scenario are specs under scenarios/, run by
+// cmd/rioscn on the same scheduler.
 package main
 
 import (
@@ -48,148 +31,16 @@ import (
 	"time"
 
 	"rio"
-	"rio/internal/crashtest"
-	"rio/internal/crashtest/fleetcampaign"
-	"rio/internal/scenario"
 )
-
-// scenarioMode parses and runs one scenario file, printing its
-// corruption and latency tables and gating on the zero columns.
-func scenarioMode(file string, workers int, quiet bool) {
-	data, err := os.ReadFile(file)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "riocrash:", err)
-		os.Exit(1)
-	}
-	spec, err := scenario.Parse(data)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "riocrash: %s: %v\n", file, err)
-		os.Exit(1)
-	}
-	r := &scenario.Runner{Workers: workers, Now: time.Now}
-	if !quiet {
-		r.Progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
-	}
-	res, err := r.Run(spec)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "riocrash: %s: %v\n", file, err)
-		os.Exit(1)
-	}
-	fmt.Print(res.Table())
-	if lt := res.LatencyTable(); lt != "" {
-		fmt.Println()
-		fmt.Print(lt)
-	}
-	if err := res.Gate(); err != nil {
-		fmt.Fprintln(os.Stderr, "riocrash: FAIL:", err)
-		os.Exit(1)
-	}
-	fmt.Println("scenario passed: zero acked-write loss, zero torn commits, zero stale reads")
-}
-
-// fleetMode runs the fleet campaign and prints its report.
-func fleetMode(runs int, seed uint64, workers int, quiet bool) {
-	cfg := fleetcampaign.Config{Seed: seed, Runs: runs, Workers: workers}
-	if !quiet {
-		cfg.Progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
-	}
-	fmt.Fprintf(os.Stderr, "running %d fleet crash plans (%d fault kinds, cycling)...\n",
-		runs, fleetcampaign.NumKinds)
-	rep, err := fleetcampaign.Run(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "riocrash:", err)
-		os.Exit(1)
-	}
-	fmt.Println("Fleet crash campaign (acked-write survival across machine loss)")
-	fmt.Println()
-	fmt.Print(rep.Table())
-	fmt.Println()
-	if errs := rep.Errors(); len(errs) != 0 {
-		for _, e := range errs {
-			fmt.Fprintln(os.Stderr, "riocrash: harness error:", e)
-		}
-		os.Exit(1)
-	}
-	if n := rep.TotalLost(); n != 0 {
-		fmt.Printf("FAIL: %d acked writes lost\n", n)
-		os.Exit(1)
-	}
-	if n := rep.TotalStale(); n != 0 {
-		fmt.Printf("FAIL: %d stale reads served by deposed primaries\n", n)
-		os.Exit(1)
-	}
-	fmt.Println("zero acked writes lost, zero stale reads: replication survived every machine kill, partition, and OS crash")
-}
-
-// txnCampaign runs the transactional variant and prints its report.
-func txnCampaign(runs int, seed uint64, workers int, diskFaults, quiet bool) {
-	cfg := crashtest.DefaultTxnCampaignConfig(seed)
-	cfg.AttemptsPerCell = runs
-	cfg.Workers = workers
-	cfg.Run.DiskFaults = diskFaults
-	if !quiet {
-		cfg.Progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
-	}
-	fmt.Fprintf(os.Stderr, "running %d txn runs per cell x %d faults x %d systems...\n",
-		runs, 13, len(crashtest.TxnSystems))
-	rep, err := crashtest.RunTxnCampaign(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "riocrash:", err)
-		os.Exit(1)
-	}
-	fmt.Println("Transactional crash campaign (torn/corrupted/crashes per cell)")
-	fmt.Println()
-	fmt.Print(rep.Table())
-	fmt.Println()
-	if errs := rep.Errors(); len(errs) != 0 {
-		for _, e := range errs {
-			fmt.Fprintln(os.Stderr, "riocrash: harness error:", e)
-		}
-		os.Exit(1)
-	}
-	if n := rep.TotalTorn(); n != 0 {
-		fmt.Printf("FAIL: %d torn transactions\n", n)
-		os.Exit(1)
-	}
-	if n := rep.TotalAborted(); n != 0 {
-		fmt.Printf("FAIL: %d aborted recoveries\n", n)
-		os.Exit(1)
-	}
-	fmt.Println("zero torn transactions: every commit was all-or-nothing across recovery")
-}
 
 func main() {
 	runs := flag.Int("runs", 50, "crashing runs per (fault, system) cell")
 	seed := flag.Uint64("seed", 1, "campaign seed (reproducible)")
 	workers := flag.Int("workers", 0, "worker goroutines (0 = all cores)")
 	diskFaults := flag.Bool("disk-faults", false, "inject storage faults and a second crash during recovery")
-	txnMode := flag.Bool("txn", false, "run the transactional campaign (torn-commit hunt) instead of memTest")
-	fleetFlag := flag.Bool("fleet", false, "run the fleet campaign (machine-loss survival) instead of memTest; -runs = total plans")
-	scenarioFile := flag.String("scenario", "", "run one declarative scenario spec file instead of the built-in campaign")
 	jsonPath := flag.String("json", "", "write the full report as JSON to this path")
 	quiet := flag.Bool("quiet", false, "suppress per-cell progress")
 	flag.Parse()
-
-	if *txnMode && *fleetFlag {
-		fmt.Fprintln(os.Stderr, "riocrash: -txn and -fleet are mutually exclusive")
-		os.Exit(2)
-	}
-	if *scenarioFile != "" {
-		if *txnMode || *fleetFlag {
-			fmt.Fprintln(os.Stderr, "riocrash: -scenario is exclusive with -txn and -fleet (the spec picks the campaign)")
-			os.Exit(2)
-		}
-		scenarioMode(*scenarioFile, *workers, *quiet)
-		return
-	}
-	if *fleetFlag {
-		fleetMode(*runs, *seed, *workers, *quiet)
-		return
-	}
-	if *txnMode {
-		txnCampaign(*runs, *seed, *workers, *diskFaults, *quiet)
-		return
-	}
 
 	opts := rio.CampaignOptions{RunsPerCell: *runs, Seed: *seed, Workers: *workers, DiskFaults: *diskFaults}
 	if !*quiet {

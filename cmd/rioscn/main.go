@@ -1,24 +1,28 @@
 // Command rioscn executes scenario files: declarative workload ×
-// fault × topology specs (internal/scenario) compiled onto the
-// deterministic campaign engines — single-machine crashtest, the
-// sharded riod server, or the replicated fleet.
+// fault × topology specs (internal/scenario) whose plans — single-machine
+// crash runs, crash-under-load runs against the sharded riod server, or
+// replicated-fleet runs — are issued into the one campaign scheduler
+// (internal/crashtest).
 //
 // Usage:
 //
 //	rioscn [-workers N] [-json-dir DIR] [-quiet] [-no-timing] path...
 //
 // Each path is a scenario file or a directory of *.json scenarios
-// (run in sorted name order). For every scenario rioscn prints the
-// aligned corruption table and a wall-clock latency table, and — with
-// -json-dir — writes the canonical JSON report to DIR/<name>.json.
+// (run in sorted name order; sub-directories are not entered, which is
+// where scenarios/full keeps the full-sized txn hunt and fleet campaign
+// that `make crash-txn` / `make crash-fleet` name explicitly). For every
+// scenario rioscn prints the aligned corruption table and a wall-clock
+// latency table, and — with -json-dir — writes the canonical JSON report
+// to DIR/<name>.json.
 // The JSON bytes are a pure function of the spec: identical at any
 // -workers value, which scripts/check.sh verifies by diffing -workers
 // 1 against -workers 4. Timing never enters the JSON artifact.
 //
 // Exit status is non-zero when any scenario fails its zero gates:
-// silently lost acked writes, torn commits, stale reads, or harness
-// errors. Detected corruption does not fail the gate — measuring it is
-// the experiment.
+// silently lost acked writes, torn commits, stale reads, aborted
+// recoveries, or harness errors. Detected corruption does not fail the
+// gate — measuring it is the experiment.
 package main
 
 import (
@@ -138,5 +142,5 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rioscn: %d of %d scenarios breached their zero gates\n", failed, len(files))
 		os.Exit(1)
 	}
-	fmt.Printf("%d scenarios: zero acked-write loss, zero torn commits, zero stale reads\n", len(files))
+	fmt.Printf("%d scenarios: zero acked-write loss, zero torn commits, zero stale reads, zero aborted recoveries\n", len(files))
 }

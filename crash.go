@@ -7,7 +7,6 @@ import (
 	"rio/internal/crashtest"
 	"rio/internal/disk"
 	"rio/internal/fault"
-	"rio/internal/sim"
 	"rio/internal/warmreboot"
 )
 
@@ -104,12 +103,17 @@ func (s *System) WarmReboot() (*RebootReport, error) {
 		s.m.Kernel.Panic("administrative reboot")
 		s.m.CrashFinish()
 	}
-	rep, err := warmreboot.Warm(s.m)
+	return rebootReport(warmreboot.Warm(s.m))
+}
+
+// rebootReport turns a finished restore into the public report; a lost
+// volume is an error, since the System is not usable afterwards.
+func rebootReport(rep *warmreboot.Report, err error) (*RebootReport, error) {
 	if err != nil {
 		return nil, err
 	}
 	if rep.VolumeLost {
-		return nil, fmt.Errorf("rio: volume lost during warm reboot: %s", rep.Fsck.String())
+		return nil, fmt.Errorf("rio: volume lost during recovery: %s", rep.Fsck.String())
 	}
 	return &RebootReport{
 		RegistryEntries:    rep.Entries,
@@ -152,23 +156,7 @@ func (s *System) RecoverFromUPS() (*RebootReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep, err := warmreboot.FromDump(s.m, dump)
-	if err != nil {
-		return nil, err
-	}
-	if rep.VolumeLost {
-		return nil, fmt.Errorf("rio: volume lost during recovery: %s", rep.Fsck.String())
-	}
-	return &RebootReport{
-		RegistryEntries:    rep.Entries,
-		BadEntries:         rep.BadEntries,
-		MetaRestored:       rep.MetaRestored,
-		DataRestored:       rep.DataRestored,
-		ChecksumMismatches: rep.ChecksumMismatches,
-		Changing:           rep.Changing,
-		FsckClean:          rep.Fsck.Clean(),
-		FsckSummary:        rep.Fsck.String(),
-	}, nil
+	return rebootReport(warmreboot.FromDump(s.m, dump))
 }
 
 // --- Table 1 campaign ---
@@ -222,7 +210,11 @@ func (r *CampaignResult) RecoveryTable() string { return r.rep.RecoveryTable() }
 
 // SystemNames returns the three column labels.
 func (r *CampaignResult) SystemNames() []string {
-	return []string{"disk-based", "rio-noprot", "rio-prot"}
+	names := make([]string, len(crashtest.Systems))
+	for i, sys := range crashtest.Systems {
+		names[i] = sys.String()
+	}
+	return names
 }
 
 // Totals returns (crashes, corruptions) for a column (0=disk write-through,
@@ -349,7 +341,7 @@ func CrashOnce(system int, t FaultType, seed uint64) (CrashRunResult, error) {
 		ChecksumDetected:  res.ChecksumDetected,
 		ProtectionInvoked: res.ProtectionInvoked,
 	}
-	for _, c := range res.Corruptions {
+	for _, c := range res.Verdict.Corruptions {
 		out.Details = append(out.Details, c.String())
 	}
 	if !res.Crashed {
@@ -367,6 +359,3 @@ type CrashRunResult struct {
 	ProtectionInvoked bool
 	Details           []string
 }
-
-// ensure sim is linked for the public API surface (durations).
-var _ = sim.Second

@@ -2,7 +2,6 @@ package crashtest
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,7 +33,7 @@ type CampaignConfig struct {
 	Progress func(string)
 
 	// runner stands in for RunOne in scheduler tests.
-	runner func(System, fault.Type, RunConfig) (RunResult, error)
+	runner func(System, fault.Type, RunConfig) (WorkloadResult, error)
 	// clock stands in for the host clock in timing tests.
 	clock wallClock
 }
@@ -80,152 +79,29 @@ func RunSeed(campaignSeed uint64, sys System, ft fault.Type, attempt int) uint64
 	return sim.Mix(campaignSeed, uint64(sys), uint64(ft), uint64(attempt))
 }
 
-const (
-	// Memory tripwire: a faulted simulator can, in principle, drive some
-	// path into pathological allocation; surface that rather than letting
-	// the OS OOM-kill the campaign. ReadMemStats stops the world, so it
-	// is sampled once per heapCheckEvery runs on a shared counter instead
-	// of before every one of a campaign's thousands of runs.
-	heapCheckEvery = 32
-	heapLimit      = 4 << 30
+// progressInterval throttles campaign-level progress lines.
+const progressInterval = 2 * time.Second
 
-	// progressInterval throttles campaign-level progress lines.
-	progressInterval = 2 * time.Second
-)
-
-// runTask asks a worker to execute one attempt of one cell.
-type runTask struct {
-	sys     System
-	ft      fault.Type
-	attempt int
-	reply   chan<- runOutcome
-}
-
-// runOutcome is the result of one attempt, tagged for in-order folding.
-type runOutcome struct {
-	attempt int
-	res     RunResult
-	err     error
-	elapsed time.Duration
-}
-
-// campaign is the shared state of one RunCampaign invocation.
+// campaign is the shared telemetry of one RunCampaign invocation.
 type campaign struct {
-	cfg    CampaignConfig
-	runner func(System, fault.Type, RunConfig) (RunResult, error)
-	tasks  chan runTask
-	done   chan struct{} // closed on abort (heap tripwire)
-	clock  wallClock
-	epoch  time.Time
+	cfg   CampaignConfig
+	clock wallClock
+	epoch time.Time
 
-	abortOnce sync.Once
-	abortErr  error
-
-	started   atomic.Int64 // runs handed to workers (heap sampling cadence)
 	merged    atomic.Int64 // runs folded into cells
 	crashes   atomic.Int64
-	wasted    atomic.Int64 // speculative runs executed but never folded
 	cellsDone atomic.Int64
 
 	progressMu   sync.Mutex
 	lastProgress atomic.Int64 // unix nanos of the last throttled line
 }
 
-func (c *campaign) abort(err error) {
-	c.abortOnce.Do(func() {
-		c.abortErr = err
-		close(c.done)
-	})
-}
-
-// worker executes tasks until the queue closes or the campaign aborts.
-// Every accepted task is answered: reply channels are sized to the issue
-// window, so the send cannot block even if the cell driver has moved on.
-func (c *campaign) worker() {
-	for {
-		select {
-		case <-c.done:
-			return
-		case t, ok := <-c.tasks:
-			if !ok {
-				return
-			}
-			if n := c.started.Add(1); n%heapCheckEvery == 0 {
-				var ms runtime.MemStats
-				runtime.ReadMemStats(&ms)
-				if ms.HeapAlloc > heapLimit {
-					c.abort(fmt.Errorf("crashtest: heap ballooned to %d MB during campaign (at sys=%v fault=%v attempt=%d)",
-						ms.HeapAlloc>>20, t.sys, t.ft, t.attempt))
-				}
-			}
-			run := c.cfg.Run
-			run.Seed = RunSeed(c.cfg.Seed, t.sys, t.ft, t.attempt)
-			start := c.clock.Now()
-			res, err := c.runner(t.sys, t.ft, run)
-			t.reply <- runOutcome{attempt: t.attempt, res: res, err: err, elapsed: c.clock.Now().Sub(start)}
-		}
-	}
-}
-
-// runCell drives one (system, fault) cell: it keeps up to window attempts
-// in flight on the shared worker pool and folds outcomes back strictly in
-// attempt order, so the cell is a pure function of the campaign seed no
-// matter how many workers run or in what order attempts complete. Runs
-// that finish after the cell has reached RunsPerCell crashes are
-// speculative overshoot and are dropped unmerged.
-func (c *campaign) runCell(sys System, ft fault.Type, window int) *Cell {
-	cell := &Cell{ByKind: make(map[kernel.CrashKind]int)}
-	maxAttempts := c.cfg.RunsPerCell * c.cfg.MaxAttemptsFactor
-	reply := make(chan runOutcome, window)
-	pending := make(map[int]runOutcome)
-	next, outstanding := 0, 0
-
-	for cell.Crashes < c.cfg.RunsPerCell && cell.Attempts < maxAttempts {
-		// Keep the issue window full; stop issuing on abort.
-		issuing := true
-		for issuing && outstanding < window && next < maxAttempts {
-			select {
-			case c.tasks <- runTask{sys: sys, ft: ft, attempt: next, reply: reply}:
-				next++
-				outstanding++
-			case <-c.done:
-				issuing = false
-			}
-		}
-		if outstanding == 0 {
-			break // aborted, or attempt budget exhausted
-		}
-		out := <-reply
-		outstanding--
-		pending[out.attempt] = out
-		// Fold the contiguous prefix; cell.Attempts is the fold cursor.
-		for cell.Crashes < c.cfg.RunsPerCell && cell.Attempts < maxAttempts {
-			o, ok := pending[cell.Attempts]
-			if !ok {
-				break
-			}
-			delete(pending, cell.Attempts)
-			cell.fold(o)
-			c.noteMerged(o)
-		}
-	}
-
-	// Anything still in flight or buffered out-of-order is overshoot.
-	for outstanding > 0 {
-		<-reply
-		outstanding--
-		c.wasted.Add(1)
-	}
-	c.wasted.Add(int64(len(pending)))
-	return cell
-}
-
 // noteMerged counts a folded run and emits a throttled campaign-level
 // progress line. The CAS on the timestamp keeps concurrent cell drivers
 // from double-emitting inside one interval.
-func (c *campaign) noteMerged(o runOutcome) {
+func (c *campaign) noteMerged(o Outcome[WorkloadResult]) {
 	n := c.merged.Add(1)
-	if o.err == nil && o.res.Crashed {
+	if o.Err == nil && o.Res.Crashed {
 		c.crashes.Add(1)
 	}
 	if c.cfg.Progress == nil {
@@ -251,74 +127,64 @@ func (c *campaign) emit(line string) {
 	c.cfg.Progress(line)
 }
 
-// RunCampaign executes the full crash matrix on a pool of worker
-// goroutines. Each of the 39 (system, fault) cells is driven
+// RunCampaign executes the full crash matrix on the Scheduler. Each of
+// the 39 (system, fault) cells is a quota cell — full at RunsPerCell
+// crashes, abandoned at RunsPerCell × MaxAttemptsFactor attempts — driven
 // independently — every run's seed comes from RunSeed, and outcomes fold
 // in attempt order — so the same seed and config yield identical cell
 // counts, totals, and rendered Table at any Workers value. Timing fields
 // (Cell.Elapsed, Summary.WallTime/RunsPerSec/SpeculativeRuns) reflect the
 // host and are outside that guarantee.
 func RunCampaign(cfg CampaignConfig) (*Report, error) {
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	clock := cfg.clock
 	if clock == nil {
 		clock = hostClock{}
 	}
-	c := &campaign{
-		cfg:    cfg,
-		runner: cfg.runner,
-		tasks:  make(chan runTask),
-		done:   make(chan struct{}),
-		clock:  clock,
-		epoch:  clock.Now(),
+	runner := cfg.runner
+	if runner == nil {
+		runner = RunOne
 	}
-	if c.runner == nil {
-		c.runner = RunOne
-	}
-
-	var workerWG sync.WaitGroup
-	workerWG.Add(workers)
-	for i := 0; i < workers; i++ {
-		go func() {
-			defer workerWG.Done()
-			c.worker()
-		}()
-	}
+	c := &campaign{cfg: cfg, clock: clock, epoch: clock.Now()}
+	sched := NewScheduler[WorkloadResult](cfg.Workers, clock.Now)
 
 	// Per-cell speculation window: all cells issue concurrently, so the
 	// pool stays busy even with a small window, but near the end of a
 	// campaign only a few slow cells remain — scale with the pool, capped
 	// so a cell cannot overshoot by more than one round of RunsPerCell.
-	window := workers
+	window := sched.Workers
 	if cfg.RunsPerCell > 0 && window > cfg.RunsPerCell {
 		window = cfg.RunsPerCell
-	}
-	if window < 1 {
-		window = 1
 	}
 
 	rep := &Report{
 		Config: cfg,
 		Cells:  make(map[System]map[fault.Type]*Cell, len(Systems)),
 	}
-	for _, sys := range Systems {
-		rep.Cells[sys] = make(map[fault.Type]*Cell, len(fault.AllTypes))
-	}
-	var cellMu sync.Mutex
 	var cellWG sync.WaitGroup
 	for _, sys := range Systems {
+		rep.Cells[sys] = make(map[fault.Type]*Cell, len(fault.AllTypes))
 		for _, ft := range fault.AllTypes {
 			sys, ft := sys, ft
+			cell := &Cell{ByKind: make(map[kernel.CrashKind]int)}
+			rep.Cells[sys][ft] = cell
 			cellWG.Add(1)
 			go func() {
 				defer cellWG.Done()
-				cell := c.runCell(sys, ft, window)
-				cellMu.Lock()
-				rep.Cells[sys][ft] = cell
-				cellMu.Unlock()
+				sched.RunCell(CellPlan[WorkloadResult]{
+					Label:    fmt.Sprintf("sys=%v fault=%v", sys, ft),
+					Attempts: cfg.RunsPerCell * cfg.MaxAttemptsFactor,
+					Window:   window,
+					Run: func(attempt int) (WorkloadResult, error) {
+						run := cfg.Run
+						run.Seed = RunSeed(cfg.Seed, sys, ft, attempt)
+						return runner(sys, ft, run)
+					},
+					Fold: func(o Outcome[WorkloadResult]) bool {
+						cell.fold(o)
+						c.noteMerged(o)
+						return cell.Crashes >= cfg.RunsPerCell
+					},
+				})
 				c.cellsDone.Add(1)
 				if cfg.Progress != nil {
 					c.emit(fmt.Sprintf("%-12s %-20s crashes=%d corrupted=%d discarded=%d errors=%d attempts=%d cpu=%v",
@@ -329,21 +195,20 @@ func RunCampaign(cfg CampaignConfig) (*Report, error) {
 		}
 	}
 	cellWG.Wait()
-	close(c.tasks)
-	workerWG.Wait()
+	speculative, err := sched.Close()
 
-	rep.Summary = c.summarize(rep, workers)
-	return rep, c.abortErr
+	rep.Summary = c.summarize(rep, sched.Workers, speculative)
+	return rep, err
 }
 
 // summarize fills the campaign-level summary from the merged cells.
-func (c *campaign) summarize(rep *Report, workers int) Summary {
+func (c *campaign) summarize(rep *Report, workers, speculative int) Summary {
 	s := Summary{
 		Seed:            c.cfg.Seed,
 		RunsPerCell:     c.cfg.RunsPerCell,
 		Workers:         workers,
 		WallTime:        c.clock.Now().Sub(c.epoch),
-		SpeculativeRuns: int(c.wasted.Load()),
+		SpeculativeRuns: speculative,
 	}
 	for _, bySys := range rep.Cells {
 		for _, cell := range bySys {

@@ -17,9 +17,9 @@ import (
 // fakeRunner is a fast stand-in for RunOne whose outcome is a pure
 // function of the run seed, so scheduler tests exercise the worker pool
 // and the in-order fold without paying for real simulations.
-func fakeRunner(sys System, ft fault.Type, cfg RunConfig) (RunResult, error) {
+func fakeRunner(sys System, ft fault.Type, cfg RunConfig) (WorkloadResult, error) {
 	r := sim.NewRand(cfg.Seed)
-	res := RunResult{System: sys, Fault: ft, Seed: cfg.Seed}
+	res := WorkloadResult{System: sys, Fault: ft, Seed: cfg.Seed}
 	roll := r.Float64()
 	switch {
 	case roll < 0.05:
@@ -100,7 +100,7 @@ func TestRunSeedsIndependentOfEarlierCells(t *testing.T) {
 			RunsPerCell:       runsPerCell,
 			MaxAttemptsFactor: factor,
 			Workers:           1,
-			runner: func(sys System, ft fault.Type, rc RunConfig) (RunResult, error) {
+			runner: func(sys System, ft fault.Type, rc RunConfig) (WorkloadResult, error) {
 				mu.Lock()
 				cellKey := [2]int{int(sys), int(ft)}
 				k := [3]int{int(sys), int(ft), attempt[cellKey]}

@@ -1,6 +1,9 @@
 // Package crashtest implements the paper's reliability experiment (§3):
 // crash a running system with injected faults, reboot, and measure how
-// often file data is corrupted. It reproduces Table 1's three columns:
+// often file data is corrupted. It holds the one crash run
+// (RunWorkloadOne), the one campaign engine every campaign and scenario
+// issues its runs into (Scheduler), and the Table 1 campaign over the
+// paper's three columns:
 //
 //	disk-based write-through — fsync after every write, cold reboot + fsck
 //	Rio without protection   — no reliability writes, warm reboot
@@ -53,7 +56,7 @@ type RunConfig struct {
 	WarmupOps    int // ops before injection
 	MaxOps       int // ops after injection before the run is discarded
 	FaultCount   int // faults injected per run (paper: 20)
-	MemTestBytes int // memTest file-set budget
+	MemTestBytes int // memTest file-set budget (RunOne's workload)
 	VMBudget     uint64
 
 	// DiskFaults turns the run into a double-fault experiment: recovery
@@ -61,8 +64,10 @@ type RunConfig struct {
 	// misdirected storage faults (a deterministic per-run plan), and —
 	// on the Rio systems — a second crash interrupts the warm reboot at
 	// a seed-derived step, after which recovery restarts from the same
-	// memory dump. The plan is detached before verification, so only
-	// damage recovery failed to contain counts as corruption.
+	// memory dump; a workload with a recovery protocol of its own (the
+	// txn roll-forward) has that interrupted and restarted too. The plan
+	// is detached before verification, so only damage recovery failed to
+	// contain counts as corruption.
 	DiskFaults bool
 }
 
@@ -74,10 +79,16 @@ const (
 	recoveryCrashSalt = 0x2ECC4A57
 	regNoiseSalt      = 0x4E6015E5
 	coldBootSalt      = 0xC01DB007
+	txnRecoverySalt   = 0x7872EC04
 	// recoveryCrashWindow bounds the injected second-crash step. Steps
 	// past the protocol's end leave the recovery uninterrupted, so the
 	// campaign samples both interrupted and clean recoveries.
 	recoveryCrashWindow = 48
+	// txnRecoveryWindow is the same bound for the workload's own
+	// recovery. Rolling one small txn record forward takes only a
+	// handful of steps, so a small window samples both interrupted and
+	// clean roll-forwards.
+	txnRecoveryWindow = 8
 )
 
 // DefaultRunConfig returns the standard parameters, scaled from the paper
@@ -93,8 +104,24 @@ func DefaultRunConfig(seed uint64) RunConfig {
 	}
 }
 
-// RunResult is the outcome of one crash run.
-type RunResult struct {
+// WorkloadFactory builds a fresh workload instance for one crash run.
+// The seed is the run's workload stream; writeThrough is true on the
+// disk-based write-through column, where the workload must fsync its
+// completed writes to be entitled to durability convictions.
+type WorkloadFactory func(seed uint64, writeThrough bool) workload.Workload
+
+// recoverer is a workload that layers a recovery protocol of its own on
+// the file system's (TxnTest: the txn log roll-forward). The crash run
+// calls Recover once the machine is back up and before Check, still
+// under the double-fault disk plan. crashAtStep > 0 is the second crash:
+// the protocol is interrupted at that step, restarted, and must
+// converge. quarantined counts records it refused as damaged.
+type recoverer interface {
+	Recover(fsys *fs.FS, crashAtStep int) (interrupted bool, quarantined int, err error)
+}
+
+// WorkloadResult is the outcome of one crash run.
+type WorkloadResult struct {
 	System System
 	Fault  fault.Type
 	Seed   uint64
@@ -107,10 +134,20 @@ type RunResult struct {
 	CrashReason string
 	OpsToCrash  int
 
+	// Verdict is the workload's own classification of the recovered
+	// tree. Torn/Lost convictions are downgraded to detected corruption
+	// when recovery did not certify the storage clean: damage the system
+	// itself flagged is a detected storage failure, not a silent
+	// consistency breach.
+	Verdict workload.Verdict
 	// Corrupted is true when any durable file data was wrong after
 	// recovery.
-	Corrupted   bool
-	Corruptions []workload.Corruption
+	Corrupted bool
+	// TornMasked / LostMasked count convictions downgraded by that
+	// rule, so the report still shows the raw signal.
+	TornMasked int
+	LostMasked int
+
 	// StaticCorrupted: the untouched duplicate files differed.
 	StaticCorrupted bool
 	// ChecksumDetected: the registry checksum mechanism flagged direct
@@ -121,9 +158,11 @@ type RunResult struct {
 	ProtectionInvoked bool
 
 	// Recovery-path observability (meaningful when DiskFaults is on).
-	// RecoveryInterrupted: a second crash hit mid-recovery and the warm
-	// reboot was restarted from the same dump.
-	RecoveryInterrupted bool
+	// RecoveryInterrupted / TxnRecoveryInterrupted: a second crash hit
+	// the warm reboot / the workload's own roll-forward, which was then
+	// restarted (the warm reboot from the same dump) and completed.
+	RecoveryInterrupted    bool
+	TxnRecoveryInterrupted bool
 	// RecoveryAborted: recovery returned an error instead of a report —
 	// the volume was left half-restored. The double-fault acceptance
 	// criterion is that this never happens: every run must end
@@ -134,6 +173,12 @@ type RunResult struct {
 	Quarantined int
 	// Salvaged: orphaned dirty pages preserved under /lost+found.
 	Salvaged int
+	// TxnQuarantined counts records the workload's roll-forward refused
+	// as deterministically unappliable. The txn workload only stages
+	// writes, so any refusal means storage damage recovery has already
+	// accounted for — but it still disqualifies the run from convicting
+	// the txn layer of a torn commit.
+	TxnQuarantined int
 	// VolumeLost: after the metadata restore, fsck could not certify
 	// the volume or it would not mount; the machine never booted, so
 	// the whole volume counts as corrupted but the recovery itself
@@ -244,9 +289,21 @@ func checkStatic(m *machine.Machine) bool {
 	return false
 }
 
-// RunOne executes a single crash run: boot, warm up, inject, run to crash,
-// recover, verify.
-func RunOne(sys System, ft fault.Type, cfg RunConfig) (res RunResult, err error) {
+// RunOne is the Table 1 crash run: RunWorkloadOne driving memTest.
+func RunOne(sys System, ft fault.Type, cfg RunConfig) (WorkloadResult, error) {
+	return RunWorkloadOne(sys, ft, cfg, func(seed uint64, writeThrough bool) workload.Workload {
+		mt := workload.NewMemTest(seed, cfg.MemTestBytes)
+		mt.WriteThrough = writeThrough
+		return mt
+	})
+}
+
+// RunWorkloadOne executes a single crash run: boot the chosen system,
+// warm the workload up, inject the fault, run to the crash, recover, and
+// let the workload classify what survived. Every stream derives from
+// cfg.Seed — one root stream forked in a fixed order, the recovery-path
+// salts mixed in — so a run is replayable from (sys, fault, cfg) alone.
+func RunWorkloadOne(sys System, ft fault.Type, cfg RunConfig, mk WorkloadFactory) (res WorkloadResult, err error) {
 	// Fault injection drives the simulator into states no normal workload
 	// reaches; a simulator-level panic must surface as a harness error on
 	// this one run, not kill a 2000-run campaign.
@@ -256,11 +313,15 @@ func RunOne(sys System, ft fault.Type, cfg RunConfig) (res RunResult, err error)
 				sys, ft, cfg.Seed, r)
 		}
 	}()
-	res = RunResult{System: sys, Fault: ft, Seed: cfg.Seed}
+	res = WorkloadResult{System: sys, Fault: ft, Seed: cfg.Seed}
 	root := sim.NewRand(cfg.Seed)
 	faultRng := root.Fork()
-	mtSeed := root.Uint64()
+	wlSeed := root.Uint64()
 
+	w := mk(wlSeed, sys == DiskWT)
+	if _, ok := w.(recoverer); ok && sys == DiskWT {
+		return res, fmt.Errorf("crashtest: %s recovers on top of a warm reboot (transactions commit into the protected cache); %v has none", w.Name(), sys)
+	}
 	m, err := buildMachine(sys, cfg)
 	if err != nil {
 		return res, err
@@ -268,12 +329,11 @@ func RunOne(sys System, ft fault.Type, cfg RunConfig) (res RunResult, err error)
 	if err := setupStatic(m); err != nil {
 		return res, fmt.Errorf("crashtest: static setup: %w", err)
 	}
-
-	mt := workload.NewMemTest(mtSeed, cfg.MemTestBytes)
-	mt.WriteThrough = sys == DiskWT
-
+	if err := w.Setup(m.FS); err != nil {
+		return res, fmt.Errorf("crashtest: workload setup: %w", err)
+	}
 	for i := 0; i < cfg.WarmupOps; i++ {
-		if err := mt.Step(m.FS); err != nil {
+		if err := w.Step(m.FS); err != nil {
 			return res, fmt.Errorf("crashtest: warmup step %d: %w", i, err)
 		}
 	}
@@ -283,7 +343,10 @@ func RunOne(sys System, ft fault.Type, cfg RunConfig) (res RunResult, err error)
 	}
 
 	for i := 0; i < cfg.MaxOps; i++ {
-		err := mt.Step(m.FS)
+		// An error without a kernel crash is ignored: the op failed but
+		// the system limps on, as real faulted kernels sometimes do, and
+		// the workload's state machine treats the op as un-acked.
+		_ = w.Step(m.FS)
 		if c := m.Crashed(); c != nil {
 			res.Crashed = true
 			res.CrashKind = c.Kind
@@ -291,12 +354,6 @@ func RunOne(sys System, ft fault.Type, cfg RunConfig) (res RunResult, err error)
 			res.OpsToCrash = i + 1
 			res.ProtectionInvoked = c.Kind == kernel.CrashProtection
 			break
-		}
-		if err != nil {
-			// A file-system-level error without a kernel crash: the
-			// system limps on, as real faulted kernels sometimes do.
-			mt.InFlight = nil
-			continue
 		}
 	}
 	if !res.Crashed {
@@ -313,56 +370,94 @@ func RunOne(sys System, ft fault.Type, cfg RunConfig) (res RunResult, err error)
 		plan := disk.DefaultFaultPlan(sim.Mix(cfg.Seed, diskFaultSalt))
 		m.Disk.SetFaultPlan(&plan)
 	}
+	unverifiable := recoverMachine(m, sys, cfg, w, &res)
+	m.Disk.SetFaultPlan(nil)
+	if unverifiable != "" {
+		res.Corrupted = true
+		res.Verdict.Corruptions = []workload.Corruption{{Path: "/", Detail: unverifiable}}
+		return res, nil
+	}
 
-	switch sys {
-	case DiskWT:
-		if _, err := warmreboot.Cold(m, sim.Mix(cfg.Seed, coldBootSalt)); err != nil {
-			// An unrecoverable volume (e.g. torn superblock) is the
-			// worst corruption outcome, not a harness error.
-			m.Disk.SetFaultPlan(nil)
-			res.Corrupted = true
-			res.Corruptions = []workload.Corruption{{Path: "/", Detail: "volume unrecoverable: " + err.Error()}}
-			return res, nil
-		}
-	default:
-		dump := m.Mem.Dump()
-		opts := warmreboot.DefaultOptions()
-		if cfg.DiskFaults {
-			// Second crash: interrupt the warm reboot at a seed-derived
-			// step, then restart it from the same immutable dump.
-			opts.CrashAtStep = int(sim.Mix(cfg.Seed, recoveryCrashSalt) % recoveryCrashWindow)
-		}
-		rep, err := warmreboot.FromDumpOpts(m, dump, opts)
-		if err == warmreboot.ErrInterrupted {
-			res.RecoveryInterrupted = true
-			rep, err = warmreboot.FromDump(m, dump)
-		}
-		if err != nil {
-			m.Disk.SetFaultPlan(nil)
-			res.RecoveryAborted = true
-			res.Corrupted = true
-			res.Corruptions = []workload.Corruption{{Path: "/", Detail: "warm reboot failed: " + err.Error()}}
-			return res, nil
-		}
-		res.ChecksumDetected = rep.ChecksumMismatches > 0
-		res.Quarantined = rep.MetaFailed + rep.DataFailed
-		res.Salvaged = rep.Salvaged
-		if rep.VolumeLost {
-			// The recovery protocol completed, but the volume failed
-			// fsck or would not mount and the machine never booted:
-			// there is no tree to verify — the whole volume is the
-			// corruption.
-			m.Disk.SetFaultPlan(nil)
-			res.VolumeLost = true
-			res.Corrupted = true
-			res.Corruptions = []workload.Corruption{{Path: "/", Detail: "volume lost: " + rep.Fsck.String()}}
-			return res, nil
+	res.Verdict = w.Check(m.FS)
+	res.StaticCorrupted = checkStatic(m)
+	if res.TxnQuarantined > 0 {
+		res.Verdict.Corruptions = append(res.Verdict.Corruptions, workload.Corruption{
+			Path: "/", Detail: fmt.Sprintf("%d %s records quarantined (storage damage)", res.TxnQuarantined, w.Name())})
+	}
+
+	// The recovery-clean rule: only a run whose recovery certified the
+	// storage intact can convict the stack of a silent Torn/Lost breach.
+	// When recovery itself reported damage (checksum hits, quarantined or
+	// salvaged pages, refused txn records), mixed ids or a rolled-back
+	// ack are detected storage corruption, not a torn commit.
+	recoveryClean := !res.ChecksumDetected && res.Quarantined == 0 && res.Salvaged == 0 &&
+		res.TxnQuarantined == 0
+	if !recoveryClean {
+		res.TornMasked, res.LostMasked = res.Verdict.Torn, res.Verdict.Lost
+		res.Verdict.Torn, res.Verdict.Lost = 0, 0
+		if res.TornMasked > 0 || res.LostMasked > 0 {
+			res.Verdict.Corruptions = append(res.Verdict.Corruptions, workload.Corruption{
+				Path: "/", Detail: fmt.Sprintf(
+					"recovery reported damage: %d torn / %d lost downgraded to detected corruption",
+					res.TornMasked, res.LostMasked)})
 		}
 	}
-	m.Disk.SetFaultPlan(nil)
-
-	res.Corruptions = mt.Verify(m.FS)
-	res.StaticCorrupted = checkStatic(m)
-	res.Corrupted = len(res.Corruptions) > 0 || res.StaticCorrupted
+	res.Corrupted = len(res.Verdict.Corruptions) > 0 || res.StaticCorrupted
 	return res, nil
+}
+
+// recoverMachine brings the crashed machine back: cold boot plus fsck on
+// the disk-based column; on the Rio systems a warm reboot from the
+// memory dump, then the workload's own recovery protocol if it has one.
+// In double-fault mode a second crash interrupts each of those two at a
+// seed-derived step and the interrupted phase restarts. A non-empty
+// return means recovery left no tree to verify: the whole volume is the
+// corruption — the worst outcome, not a harness error.
+func recoverMachine(m *machine.Machine, sys System, cfg RunConfig, w workload.Workload, res *WorkloadResult) (unverifiable string) {
+	if sys == DiskWT {
+		if _, err := warmreboot.Cold(m, sim.Mix(cfg.Seed, coldBootSalt)); err != nil {
+			return "volume unrecoverable: " + err.Error() // e.g. a torn superblock
+		}
+		return ""
+	}
+
+	dump := m.Mem.Dump()
+	opts := warmreboot.DefaultOptions()
+	if cfg.DiskFaults {
+		opts.CrashAtStep = int(sim.Mix(cfg.Seed, recoveryCrashSalt) % recoveryCrashWindow)
+	}
+	rep, err := warmreboot.FromDumpOpts(m, dump, opts)
+	if err == warmreboot.ErrInterrupted {
+		// Restart from the same immutable dump.
+		res.RecoveryInterrupted = true
+		rep, err = warmreboot.FromDump(m, dump)
+	}
+	if err != nil {
+		res.RecoveryAborted = true
+		return "warm reboot failed: " + err.Error()
+	}
+	res.ChecksumDetected = rep.ChecksumMismatches > 0
+	res.Quarantined = rep.MetaFailed + rep.DataFailed
+	res.Salvaged = rep.Salvaged
+	if rep.VolumeLost {
+		// The recovery protocol completed, but the volume failed fsck or
+		// would not mount and the machine never booted.
+		res.VolumeLost = true
+		return "volume lost: " + rep.Fsck.String()
+	}
+
+	rw, ok := w.(recoverer)
+	if !ok {
+		return ""
+	}
+	crashAtStep := 0
+	if cfg.DiskFaults {
+		crashAtStep = int(sim.Mix(cfg.Seed, txnRecoverySalt) % txnRecoveryWindow)
+	}
+	res.TxnRecoveryInterrupted, res.TxnQuarantined, err = rw.Recover(m.FS, crashAtStep)
+	if err != nil {
+		res.RecoveryAborted = true
+		return w.Name() + " roll-forward failed: " + err.Error()
+	}
+	return ""
 }

@@ -20,7 +20,7 @@ func TestRunOneCleanWithoutCrash(t *testing.T) {
 	if res.Crashed && res.OpsToCrash == 0 {
 		t.Fatal("crashed with zero ops")
 	}
-	if !res.Crashed && (res.Corrupted || len(res.Corruptions) > 0) {
+	if !res.Crashed && (res.Corrupted || len(res.Verdict.Corruptions) > 0) {
 		t.Fatal("non-crashing run claims corruption")
 	}
 }
@@ -95,7 +95,7 @@ func TestRunOneDoubleFaultNeverAborts(t *testing.T) {
 		}
 		crashed++
 		if res.RecoveryAborted {
-			t.Fatalf("run %d: recovery aborted: %v", i, res.Corruptions)
+			t.Fatalf("run %d: recovery aborted: %v", i, res.Verdict.Corruptions)
 		}
 		if res.RecoveryInterrupted {
 			interrupted++

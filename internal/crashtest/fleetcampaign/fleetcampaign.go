@@ -1,7 +1,7 @@
-// Package fleetcampaign is the crash campaign for the replicated
-// fleet. It answers the question the single-machine campaigns in
-// internal/crashtest cannot: does replication actually extend Rio's
-// durability promise from OS crashes to machine loss?
+// Package fleetcampaign is the crash run for the replicated fleet. It
+// answers the question the single-machine run in internal/crashtest
+// cannot: does replication actually extend Rio's durability promise from
+// OS crashes to machine loss?
 //
 // Each run boots a small replicated fleet, acknowledges a batch of
 // writes (each key half absolute write, half append — the op shape
@@ -10,33 +10,30 @@
 // loss, a plain OS crash, or a pairwise cut that leaves the primary
 // client-reachable but peer-blind — lets the coordinator converge,
 // keeps writing, and then demands every acknowledged write read back
-// byte-equal. The gate is absolute: the Lost and Stale columns must be
-// zero for every fault kind. Like the other campaigns, every plan is a
-// pure function of (campaign seed, plan index), and results fold in
-// index order, so the report is byte-identical at any worker count.
+// byte-equal. The gate is absolute: Lost and Stale must be zero for every
+// fault kind. A plan is a pure function of (campaign seed, plan index);
+// the fleet scenario kind (internal/scenario) issues plans into
+// crashtest's Scheduler and folds the results in index order.
 //
 // It lives in its own package (not crashtest proper) because the root
-// rio package imports crashtest, and this campaign needs
-// internal/fleet, which needs rio — same determinism discipline, one
-// level down the import graph.
+// rio package imports crashtest, and this run needs internal/fleet,
+// which needs rio — same determinism discipline, one level down the
+// import graph.
 package fleetcampaign
 
 import (
 	"fmt"
-	"runtime"
-	"strings"
-	"sync"
 
 	"rio/internal/fleet"
 	"rio/internal/sim"
 	"rio/internal/wire"
 )
 
-// salt namespaces the fleet campaign's derived streams.
+// salt namespaces the fleet plans' derived streams.
 const salt = 0xF1EE7CA3
 
 // FaultKind is the fault a plan injects. Plans cycle through the kinds
-// by index, so any contiguous run of N >= 4 plans covers all four.
+// by index, so any contiguous run of N >= NumKinds plans covers them all.
 type FaultKind uint8
 
 const (
@@ -347,205 +344,4 @@ func RunOne(p Plan) (res RunResult) {
 	res.Redirects = cl.Stats.Redirects
 	res.Retries = cl.Stats.Retries
 	return res
-}
-
-// Config parameterises the campaign.
-type Config struct {
-	Seed    uint64
-	Runs    int // plans executed; kinds cycle by index
-	Workers int // 0 = GOMAXPROCS
-	// Progress, when set, receives one line per folded run.
-	Progress func(string)
-
-	// Kinds, when non-empty, restricts the campaign to these fault
-	// kinds (plans cycle through the list by index). Empty means all
-	// NumKinds, exactly as PlanFor derives them — existing reports are
-	// unchanged.
-	Kinds []FaultKind
-	// Nodes/Shards/Replicas override the fleet topology when positive;
-	// zero keeps PlanFor's defaults (3/2/2).
-	Nodes    int
-	Shards   int
-	Replicas int
-}
-
-// planFor derives plan i under the config's kind set and topology
-// overrides. With a zero-value override set it is PlanFor exactly.
-func (cfg Config) planFor(i int) Plan {
-	p := PlanFor(cfg.Seed, i)
-	if len(cfg.Kinds) > 0 {
-		p.Kind = cfg.Kinds[i%len(cfg.Kinds)]
-	}
-	if cfg.Nodes > 0 {
-		p.Nodes = cfg.Nodes
-	}
-	if cfg.Shards > 0 {
-		p.Shards = cfg.Shards
-	}
-	if cfg.Replicas > 0 {
-		p.Replicas = cfg.Replicas
-	}
-	return p
-}
-
-// DefaultConfig covers all five fault kinds across a healthy sample of
-// seed-derived plans — 55 runs is 11 per kind, comfortably past the
-// acceptance bar of 50 while keeping the kind cycle exact.
-func DefaultConfig(seed uint64) Config {
-	return Config{Seed: seed, Runs: 55}
-}
-
-// KindCell aggregates one fault kind's runs.
-type KindCell struct {
-	Runs       int    `json:"runs"`
-	Acked      int    `json:"acked"`
-	Unacked    int    `json:"unacked"`
-	Lost       int    `json:"lost"`
-	Stale      int    `json:"stale"`
-	Promotions int    `json:"promotions"`
-	Reconfigs  int    `json:"reconfigs"`
-	Repairs    int    `json:"repairs"`
-	Redirects  uint64 `json:"redirects"`
-	Retries    uint64 `json:"retries"`
-	Errors     int    `json:"errors"`
-	LastError  string `json:"last_error,omitempty"`
-}
-
-func (c *KindCell) fold(res RunResult) {
-	c.Runs++
-	if res.Err != "" {
-		c.Errors++
-		c.LastError = res.Err
-		return
-	}
-	c.Acked += res.Acked
-	c.Unacked += res.Unacked
-	c.Lost += res.Lost
-	c.Stale += res.Stale
-	c.Promotions += res.Promotions
-	c.Reconfigs += res.Reconfigs
-	c.Repairs += res.Repairs
-	c.Redirects += res.Redirects
-	c.Retries += res.Retries
-}
-
-// Report is the campaign's aggregated outcome: one cell per fault kind
-// (a fixed array, not a map — the fold and the render walk it in kind
-// order, so the bytes cannot depend on scheduling).
-type Report struct {
-	Seed  uint64             `json:"seed"`
-	Runs  int                `json:"runs"`
-	Cells [NumKinds]KindCell `json:"cells"`
-}
-
-// TotalLost sums the Lost column — the number that must be zero.
-func (r *Report) TotalLost() int {
-	n := 0
-	for i := range r.Cells {
-		n += r.Cells[i].Lost
-	}
-	return n
-}
-
-// TotalStale sums the Stale column — also gated at zero: a deposed
-// primary serving bytes that miss acked writes breaks the same promise
-// as losing them.
-func (r *Report) TotalStale() int {
-	n := 0
-	for i := range r.Cells {
-		n += r.Cells[i].Stale
-	}
-	return n
-}
-
-// TotalErrors sums harness errors.
-func (r *Report) TotalErrors() int {
-	n := 0
-	for i := range r.Cells {
-		n += r.Cells[i].Errors
-	}
-	return n
-}
-
-// Table renders the campaign. Built purely from folded cells in kind
-// order — byte-identical at any worker count.
-func (r *Report) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-20s %6s %7s %8s %6s %6s %6s %7s %8s %9s %8s\n",
-		"Fault Kind", "runs", "acked", "unacked", "lost", "stale", "promo", "reconf", "repairs", "redirects", "retries")
-	var tot KindCell
-	for i := range r.Cells {
-		c := &r.Cells[i]
-		fmt.Fprintf(&b, "%-20s %6d %7d %8d %6d %6d %6d %7d %8d %9d %8d\n",
-			FaultKind(i).String(), c.Runs, c.Acked, c.Unacked, c.Lost, c.Stale,
-			c.Promotions, c.Reconfigs, c.Repairs, c.Redirects, c.Retries)
-		tot.Runs += c.Runs
-		tot.Acked += c.Acked
-		tot.Unacked += c.Unacked
-		tot.Lost += c.Lost
-		tot.Stale += c.Stale
-		tot.Promotions += c.Promotions
-		tot.Reconfigs += c.Reconfigs
-		tot.Repairs += c.Repairs
-		tot.Redirects += c.Redirects
-		tot.Retries += c.Retries
-	}
-	fmt.Fprintf(&b, "%-20s %6d %7d %8d %6d %6d %6d %7d %8d %9d %8d\n",
-		"Total", tot.Runs, tot.Acked, tot.Unacked, tot.Lost, tot.Stale,
-		tot.Promotions, tot.Reconfigs, tot.Repairs, tot.Redirects, tot.Retries)
-	return b.String()
-}
-
-// Errors returns per-kind harness errors in kind order.
-func (r *Report) Errors() []string {
-	var out []string
-	for i := range r.Cells {
-		c := &r.Cells[i]
-		if c.Errors > 0 {
-			out = append(out, fmt.Sprintf("%v: %d errors, last: %s",
-				FaultKind(i), c.Errors, c.LastError))
-		}
-	}
-	return out
-}
-
-// Run executes cfg.Runs seed-derived fleet crash plans. Workers write
-// disjoint result slots; the fold walks them in plan order after the
-// barrier, so the report is byte-identical at any worker count.
-func Run(cfg Config) (*Report, error) {
-	if cfg.Runs <= 0 {
-		return nil, fmt.Errorf("fleetcampaign: Runs must be positive")
-	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	results := make([]RunResult, cfg.Runs)
-	ch := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range ch {
-				results[i] = RunOne(cfg.planFor(i))
-			}
-		}()
-	}
-	for i := 0; i < cfg.Runs; i++ {
-		ch <- i
-	}
-	close(ch)
-	wg.Wait()
-
-	rep := &Report{Seed: cfg.Seed, Runs: cfg.Runs}
-	for i := 0; i < cfg.Runs; i++ {
-		res := results[i]
-		rep.Cells[res.Plan.Kind].fold(res)
-		if cfg.Progress != nil {
-			cfg.Progress(fmt.Sprintf("fleet %03d %v: acked=%d lost=%d stale=%d promo=%d",
-				i, res.Plan.Kind, res.Acked, res.Lost, res.Stale, res.Promotions))
-		}
-	}
-	return rep, nil
 }

@@ -67,48 +67,3 @@ func TestRunOneEachKind(t *testing.T) {
 		}
 	}
 }
-
-// TestCampaignWorkerInvariance is the determinism acceptance criterion:
-// the report — every byte of it — must not depend on the worker count.
-func TestCampaignWorkerInvariance(t *testing.T) {
-	run := func(workers int) *Report {
-		rep, err := Run(Config{Seed: 424242, Runs: 2 * NumKinds, Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return rep
-	}
-	r1 := run(1)
-	r4 := run(4)
-	if !reflect.DeepEqual(r1, r4) {
-		t.Fatalf("reports differ across worker counts:\n1 worker:\n%s\n4 workers:\n%s", r1.Table(), r4.Table())
-	}
-	if r1.Table() != r4.Table() {
-		t.Fatalf("tables differ across worker counts:\n%s\nvs\n%s", r1.Table(), r4.Table())
-	}
-	if r1.TotalLost() != 0 {
-		t.Fatalf("campaign lost %d acked writes:\n%s", r1.TotalLost(), r1.Table())
-	}
-	if r1.TotalStale() != 0 {
-		t.Fatalf("campaign served %d stale reads:\n%s", r1.TotalStale(), r1.Table())
-	}
-	if r1.TotalErrors() != 0 {
-		t.Fatalf("campaign had harness errors: %v", r1.Errors())
-	}
-	total := 0
-	for i := range r1.Cells {
-		if r1.Cells[i].Runs != 2 {
-			t.Fatalf("kind %v ran %d times, want 2 (%d runs cycling %d kinds)", FaultKind(i), r1.Cells[i].Runs, 2*NumKinds, NumKinds)
-		}
-		total += r1.Cells[i].Runs
-	}
-	if total != r1.Runs {
-		t.Fatalf("cells account for %d runs, report says %d", total, r1.Runs)
-	}
-}
-
-func TestCampaignRejectsZeroRuns(t *testing.T) {
-	if _, err := Run(Config{Seed: 1}); err == nil {
-		t.Fatal("Runs=0 accepted")
-	}
-}

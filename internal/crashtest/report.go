@@ -48,38 +48,38 @@ type Cell struct {
 // fold merges one run outcome into the cell. Outcomes must be folded in
 // attempt order: the campaign's determinism guarantee rests on every
 // worker count folding the same attempt prefix.
-func (cell *Cell) fold(o runOutcome) {
+func (cell *Cell) fold(o Outcome[WorkloadResult]) {
 	cell.Attempts++
-	cell.Elapsed += o.elapsed
-	if o.err != nil {
+	cell.Elapsed += o.Elapsed
+	if o.Err != nil {
 		cell.Errors++
-		cell.LastError = o.err.Error()
+		cell.LastError = o.Err.Error()
 		return
 	}
-	if !o.res.Crashed {
+	if !o.Res.Crashed {
 		cell.Discarded++
 		return
 	}
 	cell.Crashes++
-	cell.ByKind[o.res.CrashKind]++
-	if o.res.Corrupted {
+	cell.ByKind[o.Res.CrashKind]++
+	if o.Res.Corrupted {
 		cell.Corrupted++
 	}
-	if o.res.ChecksumDetected {
+	if o.Res.ChecksumDetected {
 		cell.Checksum++
 	}
-	if o.res.ProtectionInvoked {
+	if o.Res.ProtectionInvoked {
 		cell.Protection++
 	}
-	if o.res.RecoveryInterrupted {
+	if o.Res.RecoveryInterrupted {
 		cell.Interrupted++
 	}
-	if o.res.RecoveryAborted {
+	if o.Res.RecoveryAborted {
 		cell.Aborted++
 	}
-	cell.Quarantined += o.res.Quarantined
-	cell.Salvaged += o.res.Salvaged
-	if o.res.VolumeLost {
+	cell.Quarantined += o.Res.Quarantined
+	cell.Salvaged += o.Res.Salvaged
+	if o.Res.VolumeLost {
 		cell.VolumeLost++
 	}
 }

@@ -36,13 +36,26 @@ type Cell struct {
 	Acked   int `json:"acked,omitempty"`
 	Unacked int `json:"unacked,omitempty"`
 
-	// Recovery observability (crash kind).
-	ChecksumDetected    int `json:"checksum_detected,omitempty"`
-	ProtectionInvoked   int `json:"protection_invoked,omitempty"`
-	Quarantined         int `json:"quarantined,omitempty"`
-	Salvaged            int `json:"salvaged,omitempty"`
-	VolumeLost          int `json:"volume_lost,omitempty"`
-	RecoveryInterrupted int `json:"recovery_interrupted,omitempty"`
+	// Recovery observability (crash kind). RecoveryInterrupted and
+	// TxnRecoveryInterrupted count second crashes injected into the warm
+	// reboot and the txn roll-forward; RecoveryAborted counts recoveries
+	// that returned an error instead of finishing (a zero gate).
+	ChecksumDetected       int `json:"checksum_detected,omitempty"`
+	ProtectionInvoked      int `json:"protection_invoked,omitempty"`
+	Quarantined            int `json:"quarantined,omitempty"`
+	Salvaged               int `json:"salvaged,omitempty"`
+	VolumeLost             int `json:"volume_lost,omitempty"`
+	RecoveryInterrupted    int `json:"recovery_interrupted,omitempty"`
+	TxnRecoveryInterrupted int `json:"txn_recovery_interrupted,omitempty"`
+	RecoveryAborted        int `json:"recovery_aborted,omitempty"`
+
+	// Fleet reaction (fleet kind): the evidence that a plan's fault
+	// actually forced a promotion or repair rather than passing unnoticed.
+	Promotions int    `json:"promotions,omitempty"`
+	Reconfigs  int    `json:"reconfigs,omitempty"`
+	Repairs    int    `json:"repairs,omitempty"`
+	Redirects  uint64 `json:"redirects,omitempty"`
+	Retries    uint64 `json:"retries,omitempty"`
 
 	Errors    int    `json:"errors,omitempty"`
 	LastError string `json:"last_error,omitempty"`
@@ -64,6 +77,9 @@ type Totals struct {
 	Torn        int `json:"torn"`
 	Stale       int `json:"stale"`
 	Errors      int `json:"errors"`
+
+	TxnRecoveryInterrupted int `json:"txn_recovery_interrupted,omitempty"`
+	RecoveryAborted        int `json:"recovery_aborted,omitempty"`
 }
 
 // Result is one scenario's complete report.
@@ -94,12 +110,15 @@ func (r *Result) finish() {
 		t.Torn += c.Torn
 		t.Stale += c.Stale
 		t.Errors += c.Errors
+		t.TxnRecoveryInterrupted += c.TxnRecoveryInterrupted
+		t.RecoveryAborted += c.RecoveryAborted
 	}
 	r.Totals = t
 }
 
 // Gate returns a non-nil error when the scenario breached a zero gate:
-// silent acked loss, torn commits, stale reads, or harness errors.
+// silent acked loss, torn commits, stale reads, aborted recoveries (every
+// crash run must end restored-or-quarantined), or harness errors.
 // Detected corruption is NOT gated — measuring it is the experiment.
 func (r *Result) Gate() error {
 	var bad []string
@@ -111,6 +130,9 @@ func (r *Result) Gate() error {
 	}
 	if r.Totals.Stale > 0 {
 		bad = append(bad, fmt.Sprintf("%d stale reads", r.Totals.Stale))
+	}
+	if r.Totals.RecoveryAborted > 0 {
+		bad = append(bad, fmt.Sprintf("%d aborted recoveries", r.Totals.RecoveryAborted))
 	}
 	if r.Totals.Errors > 0 {
 		bad = append(bad, fmt.Sprintf("%d harness errors", r.Totals.Errors))

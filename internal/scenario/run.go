@@ -2,9 +2,7 @@ package scenario
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"rio/internal/crashtest"
@@ -74,32 +72,29 @@ func (r *Runner) elapsed() func() int64 {
 	return func() int64 { return int64(r.Now().Sub(start)) }
 }
 
-// forEach runs fn(i) for i in [0,n) on the worker pool. fn writes only
-// its own slot.
-func (r *Runner) forEach(n int, fn func(i int)) {
-	workers := r.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// runPlans issues the spec's plans into the campaign scheduler as one
+// cell whose fold never reports full: every plan is folded into out, in
+// plan order, whatever the worker count. It then totals out; an error is
+// the scheduler's abort (the heap tripwire).
+func runPlans[R any](r *Runner, spec *Spec, out *Result, plan func(i int) (R, error), fold func(crashtest.Outcome[R])) (*Result, error) {
+	total := r.elapsed()
+	s := crashtest.NewScheduler[R](r.Workers, r.Now)
+	s.RunCell(crashtest.CellPlan[R]{
+		Label:    "scenario " + spec.Name,
+		Attempts: spec.Runs,
+		Window:   s.Workers,
+		Run:      plan,
+		Fold: func(o crashtest.Outcome[R]) bool {
+			fold(o)
+			return false
+		},
+	})
+	if _, err := s.Close(); err != nil {
+		return nil, err
 	}
-	if workers > n {
-		workers = n
-	}
-	ch := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range ch {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		ch <- i
-	}
-	close(ch)
-	wg.Wait()
+	out.finish()
+	out.ElapsedNs = total()
+	return out, nil
 }
 
 // compileWorkload turns the workload spec into a per-run factory.
@@ -134,15 +129,6 @@ func compileWorkload(w WorkloadSpec) crashtest.WorkloadFactory {
 
 // --- crash kind ---
 
-// crashPlanOutcome is one plan's slot.
-type crashPlanOutcome struct {
-	cell      int
-	crashed   bool
-	res       crashtest.WorkloadResult
-	err       error
-	elapsedNs int64
-}
-
 func (r *Runner) runCrash(spec *Spec) (*Result, error) {
 	systems := make([]crashtest.System, len(spec.Topology.Systems))
 	for i, name := range spec.Topology.Systems {
@@ -167,18 +153,14 @@ func (r *Runner) runCrash(spec *Spec) (*Result, error) {
 	}
 	mk := compileWorkload(spec.Workload)
 
-	slots := make([]crashPlanOutcome, spec.Runs)
-	total := r.elapsed()
-	r.forEach(spec.Runs, func(i int) {
-		sysIdx := i % len(systems)
-		ftIdx := (i / len(systems)) % len(fts)
-		o := &slots[i]
-		o.cell = sysIdx*len(fts) + ftIdx
-		tick := r.elapsed()
+	// Plan i lands on cell (i mod systems, i/systems mod faults).
+	coords := func(i int) (sysIdx, ftIdx int) { return i % len(systems), (i / len(systems)) % len(fts) }
+	plan := func(i int) (res crashtest.WorkloadResult, err error) {
+		sysIdx, ftIdx := coords(i)
 		// Fault-injection attempts: first seed that actually crashes is
 		// the scored run; a plan that never crashes is discarded.
-		for a := 0; a < crashAttempts; a++ {
-			cfg := crashtest.RunConfig{
+		for a := 0; a < crashAttempts && !res.Crashed && err == nil; a++ {
+			res, err = crashtest.RunWorkloadOne(systems[sysIdx], fts[ftIdx], crashtest.RunConfig{
 				Seed:         sim.Mix(spec.Seed, crashPlanSalt, uint64(i), uint64(a)),
 				WarmupOps:    spec.Schedule.WarmupOps,
 				MaxOps:       spec.Schedule.MaxOps,
@@ -186,46 +168,31 @@ func (r *Runner) runCrash(spec *Spec) (*Result, error) {
 				MemTestBytes: spec.Workload.Bytes,
 				VMBudget:     400_000,
 				DiskFaults:   spec.Faults.DiskFaults,
-			}
-			res, err := crashtest.RunWorkloadOne(systems[sysIdx], fts[ftIdx], cfg, mk)
-			if err != nil {
-				o.err = err
-				break
-			}
-			if res.Crashed {
-				o.crashed = true
-				o.res = res
-				break
-			}
+			}, mk)
 		}
-		o.elapsedNs = tick()
-	})
-
-	// Fold in plan order.
-	for i := range slots {
-		o := &slots[i]
-		c := &out.Cells[o.cell]
+		return res, err
+	}
+	return runPlans(r, spec, out, plan, func(o crashtest.Outcome[crashtest.WorkloadResult]) {
+		sysIdx, ftIdx := coords(o.Attempt)
+		c := &out.Cells[sysIdx*len(fts)+ftIdx]
 		c.Runs++
-		c.ElapsedNs += o.elapsedNs
+		c.ElapsedNs += int64(o.Elapsed)
 		switch {
-		case o.err != nil:
+		case o.Err != nil:
 			c.Errors++
-			c.LastError = o.err.Error()
-		case !o.crashed:
+			c.LastError = o.Err.Error()
+		case !o.Res.Crashed:
 			c.Discarded++
 		default:
 			c.Crashed++
-			foldWorkloadResult(c, &o.res)
+			foldWorkloadResult(c, &o.Res)
 		}
 		if r.Progress != nil {
 			r.Progress(fmt.Sprintf("%s plan %03d %s: crashed=%v lost=%d torn=%d corruptions=%d",
-				spec.Name, i, out.Cells[o.cell].Label, o.crashed,
-				o.res.Verdict.Lost, o.res.Verdict.Torn, len(o.res.Verdict.Corruptions)))
+				spec.Name, o.Attempt, c.Label, o.Res.Crashed,
+				o.Res.Verdict.Lost, o.Res.Verdict.Torn, len(o.Res.Verdict.Corruptions)))
 		}
-	}
-	out.finish()
-	out.ElapsedNs = total()
-	return out, nil
+	})
 }
 
 // foldWorkloadResult accumulates one scored crash run into its cell.
@@ -253,19 +220,23 @@ func foldWorkloadResult(c *Cell, res *crashtest.WorkloadResult) {
 	if res.RecoveryInterrupted {
 		c.RecoveryInterrupted++
 	}
+	if res.TxnRecoveryInterrupted {
+		c.TxnRecoveryInterrupted++
+	}
+	if res.RecoveryAborted {
+		c.RecoveryAborted++
+	}
 }
 
 // --- server kind ---
 
-// serverPlanOutcome is one crash-under-load run's slot.
+// serverPlanOutcome is one crash-under-load run's tally.
 type serverPlanOutcome struct {
-	acked     int
-	unacked   int
-	lost      int
-	corrupt   int
-	checked   int
-	err       error
-	elapsedNs int64
+	acked   int
+	unacked int
+	lost    int
+	corrupt int
+	checked int
 }
 
 func (r *Runner) runServer(spec *Spec) (*Result, error) {
@@ -273,41 +244,32 @@ func (r *Runner) runServer(spec *Spec) (*Result, error) {
 		Seed: spec.Seed, Runs: spec.Runs,
 		Cells: []Cell{{Label: fmt.Sprintf("server/%d-shards/crash-under-load", spec.Topology.Shards)}}}
 
-	slots := make([]serverPlanOutcome, spec.Runs)
-	total := r.elapsed()
-	r.forEach(spec.Runs, func(i int) {
-		tick := r.elapsed()
-		slots[i] = runServerPlan(spec, sim.Mix(spec.Seed, serverPlanSalt, uint64(i)))
-		slots[i].elapsedNs = tick()
-	})
-
 	c := &out.Cells[0]
-	for i := range slots {
-		o := &slots[i]
+	plan := func(i int) (serverPlanOutcome, error) {
+		return runServerPlan(spec, sim.Mix(spec.Seed, serverPlanSalt, uint64(i)))
+	}
+	return runPlans(r, spec, out, plan, func(o crashtest.Outcome[serverPlanOutcome]) {
 		c.Runs++
 		c.Crashed++ // every server plan crashes a shard by schedule
-		c.ElapsedNs += o.elapsedNs
-		if o.err != nil {
+		c.ElapsedNs += int64(o.Elapsed)
+		if o.Err != nil {
 			c.Errors++
-			c.LastError = o.err.Error()
-			continue
+			c.LastError = o.Err.Error()
+			return
 		}
-		c.Acked += o.acked
-		c.Unacked += o.unacked
-		c.Lost += o.lost
-		c.Corruptions += o.corrupt
-		c.Checked += o.checked
-		if o.corrupt > 0 {
+		c.Acked += o.Res.acked
+		c.Unacked += o.Res.unacked
+		c.Lost += o.Res.lost
+		c.Corruptions += o.Res.corrupt
+		c.Checked += o.Res.checked
+		if o.Res.corrupt > 0 {
 			c.Corrupted++
 		}
 		if r.Progress != nil {
 			r.Progress(fmt.Sprintf("%s plan %03d: acked=%d unacked=%d lost=%d",
-				spec.Name, i, o.acked, o.unacked, o.lost))
+				spec.Name, o.Attempt, o.Res.acked, o.Res.unacked, o.Res.lost))
 		}
-	}
-	out.finish()
-	out.ElapsedNs = total()
-	return out, nil
+	})
 }
 
 // serverPayload derives the bytes of write op `op` to key `key`. The
@@ -327,10 +289,10 @@ func serverPayload(seed uint64, key, op int) []byte {
 // scored unacked and the stream moves on), a schedule-fixed op crashes
 // one shard, a later one warm-reboots it, and every acked write must
 // read back byte-equal at the end.
-func runServerPlan(spec *Spec, seed uint64) (o serverPlanOutcome) {
+func runServerPlan(spec *Spec, seed uint64) (o serverPlanOutcome, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			o.err = fmt.Errorf("server plan panic (seed=%d): %v", seed, p)
+			err = fmt.Errorf("server plan panic (seed=%d): %v", seed, p)
 		}
 	}()
 	s, err := server.New(server.Config{
@@ -340,8 +302,7 @@ func runServerPlan(spec *Spec, seed uint64) (o serverPlanOutcome) {
 		DiskMB:   8,
 	})
 	if err != nil {
-		o.err = err
-		return o
+		return o, err
 	}
 	defer s.Close()
 
@@ -357,13 +318,11 @@ func runServerPlan(spec *Spec, seed uint64) (o serverPlanOutcome) {
 		switch op {
 		case spec.Schedule.CrashAt:
 			if resp := s.Do(&wire.Request{Op: wire.OpCrash, Shard: crashShard}); resp.Status != wire.StatusOK {
-				o.err = fmt.Errorf("admin crash of shard %d: status %v", crashShard, resp.Status)
-				return o
+				return o, fmt.Errorf("admin crash of shard %d: status %v", crashShard, resp.Status)
 			}
 		case rebootAt:
 			if resp := s.Do(&wire.Request{Op: wire.OpWarmboot, Shard: crashShard}); resp.Status != wire.StatusOK {
-				o.err = fmt.Errorf("admin warmboot of shard %d: status %v", crashShard, resp.Status)
-				return o
+				return o, fmt.Errorf("admin warmboot of shard %d: status %v", crashShard, resp.Status)
 			}
 		}
 		key := cdf.Pick(rng)
@@ -380,8 +339,7 @@ func runServerPlan(spec *Spec, seed uint64) (o serverPlanOutcome) {
 			// acknowledged writes.
 			o.unacked++
 		default:
-			o.err = fmt.Errorf("write %s at op %d: status %v", path, op, resp.Status)
-			return o
+			return o, fmt.Errorf("write %s at op %d: status %v", path, op, resp.Status)
 		}
 	}
 
@@ -406,59 +364,67 @@ func runServerPlan(spec *Spec, seed uint64) (o serverPlanOutcome) {
 			o.corrupt++
 		}
 	}
-	return o
+	return o, nil
 }
 
 // --- fleet kind ---
 
 func (r *Runner) runFleet(spec *Spec) (*Result, error) {
+	// One cell per fault kind in the scenario's set, in kind order;
+	// plans cycle through the set in the order the spec lists it.
 	var kinds []fleetcampaign.FaultKind
 	for _, name := range spec.Topology.FleetFaults {
 		k, _ := fleetFaultByName(name) // Validate already resolved
 		kinds = append(kinds, k)
 	}
-	cfg := fleetcampaign.Config{
-		Seed:     spec.Seed,
-		Runs:     spec.Runs,
-		Workers:  r.Workers,
-		Kinds:    kinds,
-		Nodes:    spec.Topology.Nodes,
-		Shards:   spec.Topology.Shards,
-		Replicas: spec.Topology.Replicas,
-	}
-	if r.Progress != nil {
-		cfg.Progress = func(line string) { r.Progress(spec.Name + " " + line) }
-	}
-	total := r.elapsed()
-	rep, err := fleetcampaign.Run(cfg)
-	if err != nil {
-		return nil, err
+	if len(kinds) == 0 {
+		for k := fleetcampaign.FaultKind(0); k < fleetcampaign.NumKinds; k++ {
+			kinds = append(kinds, k)
+		}
 	}
 	out := &Result{Name: spec.Name, Kind: spec.Kind, Seed: spec.Seed, Runs: spec.Runs}
-	for i := range rep.Cells {
-		fc := &rep.Cells[i]
-		if fc.Runs == 0 {
-			continue // kind not in this scenario's set
+	var inSet [fleetcampaign.NumKinds]bool
+	for _, k := range kinds {
+		inSet[k] = true
+	}
+	var cellOf [fleetcampaign.NumKinds]int
+	for k := fleetcampaign.FaultKind(0); k < fleetcampaign.NumKinds; k++ {
+		if inSet[k] {
+			cellOf[k] = len(out.Cells)
+			out.Cells = append(out.Cells, Cell{Label: "fleet/" + k.String()})
 		}
-		out.Cells = append(out.Cells, Cell{
-			Label:     "fleet/" + fleetcampaign.FaultKind(i).String(),
-			Runs:      fc.Runs,
-			Crashed:   fc.Runs, // every fleet plan injects its fault
-			Checked:   fc.Acked,
-			Acked:     fc.Acked,
-			Unacked:   fc.Unacked,
-			Lost:      fc.Lost,
-			Stale:     fc.Stale,
-			Errors:    fc.Errors,
-			LastError: fc.LastError,
-		})
 	}
-	out.finish()
-	out.ElapsedNs = total()
-	if len(out.Cells) > 0 {
-		// Fleet timing is campaign-level; attribute it to the first
-		// cell so per-cell tables still sum to the total.
-		out.Cells[0].ElapsedNs = out.ElapsedNs
+
+	plan := func(i int) (fleetcampaign.RunResult, error) {
+		p := fleetcampaign.PlanFor(spec.Seed, i)
+		p.Kind = kinds[i%len(kinds)]
+		p.Nodes, p.Shards, p.Replicas = spec.Topology.Nodes, spec.Topology.Shards, spec.Topology.Replicas
+		return fleetcampaign.RunOne(p), nil
 	}
-	return out, nil
+	return runPlans(r, spec, out, plan, func(o crashtest.Outcome[fleetcampaign.RunResult]) {
+		res := &o.Res
+		c := &out.Cells[cellOf[res.Plan.Kind]]
+		c.Runs++
+		c.Crashed++ // every fleet plan injects its fault
+		c.ElapsedNs += int64(o.Elapsed)
+		if res.Err != "" {
+			c.Errors++
+			c.LastError = res.Err
+		} else {
+			c.Checked += res.Acked
+			c.Acked += res.Acked
+			c.Unacked += res.Unacked
+			c.Lost += res.Lost
+			c.Stale += res.Stale
+			c.Promotions += res.Promotions
+			c.Reconfigs += res.Reconfigs
+			c.Repairs += res.Repairs
+			c.Redirects += res.Redirects
+			c.Retries += res.Retries
+		}
+		if r.Progress != nil {
+			r.Progress(fmt.Sprintf("%s plan %03d %s: acked=%d lost=%d stale=%d promo=%d",
+				spec.Name, o.Attempt, c.Label, res.Acked, res.Lost, res.Stale, res.Promotions))
+		}
+	})
 }

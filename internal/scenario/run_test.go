@@ -80,14 +80,29 @@ func TestFleetScenarioWorkerInvariance(t *testing.T) {
 	res := checkWorkerInvariance(t, `{
 		"name":"fleet-inv","kind":"fleet","seed":17,"runs":4,
 		"topology":{"fleet_faults":["os-crash","kill-primary"]}}`)
-	if len(res.Cells) != 2 {
+	// Cells come out in kind order, not spec order, and the plans cycle
+	// the spec's kind list exactly: 4 plans over 2 kinds is 2 each.
+	if len(res.Cells) != 2 || res.Cells[0].Label != "fleet/kill-primary" || res.Cells[1].Label != "fleet/os-crash" {
 		t.Fatalf("cells: %+v", res.Cells)
+	}
+	for _, c := range res.Cells {
+		if c.Runs != 2 {
+			t.Fatalf("%s ran %d plans, want 2", c.Label, c.Runs)
+		}
 	}
 	if res.Totals.Checked == 0 {
 		t.Fatal("no acked writes verified")
 	}
 	if err := res.Gate(); err != nil {
 		t.Fatalf("fleet scenario breached the gate: %v", err)
+	}
+	// The fleet's reaction is carried on the cell: a machine kill forces
+	// a promotion, a warm reboot of the primary's OS does not.
+	if res.Cells[0].Promotions == 0 {
+		t.Fatalf("kill-primary: no promotion recorded: %+v", res.Cells[0])
+	}
+	if res.Cells[1].Promotions != 0 {
+		t.Fatalf("os-crash: promotions recorded: %+v", res.Cells[1])
 	}
 }
 

@@ -1,13 +1,13 @@
 // Package scenario is the declarative campaign surface: a small,
 // bounds-checked spec describing workload × fault plan × crash/kill
-// schedule × topology, compiled into one of the deterministic campaign
-// runners (single-machine crashtest, the sharded server, or the
-// replicated fleet). A spec plus a worker count fully determines the
-// report bytes: every seed in the compiled campaign derives from the
-// spec's seed via sim.Mix, results land in per-plan slots, and folds
-// walk plan order — so `rioscn -workers 1` and `-workers 8` emit
-// identical JSON, and any campaign cell is reproducible from the spec
-// file alone.
+// schedule × topology, compiled into plans of one of three kinds — a
+// single-machine crash run, a crash-under-load run against the sharded
+// server, a replicated-fleet run — that all issue into the one campaign
+// scheduler (crashtest.Scheduler). The spec alone determines the report
+// bytes: every seed in the compiled campaign derives from the spec's
+// seed via sim.Mix, and the scheduler folds results in plan order — so
+// `rioscn -workers 1` and `-workers 8` emit identical JSON, and any
+// campaign cell is reproducible from the spec file alone.
 package scenario
 
 import (
@@ -24,7 +24,7 @@ import (
 // configuration; anything larger is hostile or a mistake.
 const MaxSpecBytes = 1 << 16
 
-// Kind selects the execution engine.
+// Kind selects what one plan runs.
 const (
 	KindCrash  = "crash"  // single-machine fault-injection campaign
 	KindServer = "server" // sharded riod crash-under-load
@@ -37,7 +37,7 @@ const (
 type Spec struct {
 	// Name labels the report row; defaults to the file stem in rioscn.
 	Name string `json:"name"`
-	// Kind picks the engine: crash, server, or fleet.
+	// Kind picks the plan's run: crash, server, or fleet.
 	Kind string `json:"kind"`
 	// Seed roots every derived stream. 0 is a valid seed.
 	Seed uint64 `json:"seed"`

@@ -42,6 +42,7 @@ func TestParseRejects(t *testing.T) {
 		{"unknown fault", `{"name":"t","kind":"crash","runs":1,"faults":{"types":["lasers"]}}`},
 		{"unknown system", `{"name":"t","kind":"crash","runs":1,"topology":{"systems":["ntfs"]}}`},
 		{"trailing data", `{"name":"t","kind":"crash","runs":1}{"x":1}`},
+		{"fleet zero runs", `{"name":"t","kind":"fleet"}`},
 		{"fleet with workload", `{"name":"t","kind":"fleet","runs":1,"workload":{"name":"memtest"}}`},
 		{"fleet bad kind", `{"name":"t","kind":"fleet","runs":1,"topology":{"fleet_faults":["meteor"]}}`},
 		{"fleet replicas exceed nodes", `{"name":"t","kind":"fleet","runs":1,"topology":{"nodes":2,"replicas":3}}`},

@@ -150,6 +150,41 @@ func TestTxnTestDirtyLogRollsForwardBeforeNextCommit(t *testing.T) {
 	}
 }
 
+// Recover is the crash run's roll-forward step: a published, half-applied
+// record must converge to all-new whether or not a second crash
+// interrupts the roll-forward, and the interruption must be reported.
+func TestTxnTestRecoverRestartsAfterSecondCrash(t *testing.T) {
+	for _, crashAtStep := range []int{0, 1, 2} {
+		m := newRio(t)
+		tt := NewTxnTest(7, 3)
+		if err := tt.Setup(m.FS); err != nil {
+			t.Fatal(err)
+		}
+		tt.LastAttempt++
+		rec := tt.record(tt.LastAttempt)
+		l := txn.NewLog(m.FS)
+		if err := l.Publish([]txn.Record{rec}); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Apply(&txn.Record{ID: rec.ID, Ops: rec.Ops[:1]}); err != nil {
+			t.Fatal(err)
+		}
+		if v := tt.Check(m.FS); v.Torn != 1 {
+			t.Fatalf("half-applied record not seen as torn before recovery: %+v", v)
+		}
+		interrupted, quarantined, err := tt.Recover(m.FS, crashAtStep)
+		if err != nil || quarantined != 0 {
+			t.Fatalf("crashAtStep=%d: quarantined=%d err=%v", crashAtStep, quarantined, err)
+		}
+		if interrupted != (crashAtStep > 0) {
+			t.Fatalf("crashAtStep=%d: interrupted=%v", crashAtStep, interrupted)
+		}
+		if v := tt.Check(m.FS); !v.Clean() || v.Checked != 3 {
+			t.Fatalf("crashAtStep=%d: verdict after roll-forward: %+v", crashAtStep, v)
+		}
+	}
+}
+
 func TestTxnTestDeterministicContent(t *testing.T) {
 	a := NewTxnTest(42, 3).acctContent(9, 1)
 	b := NewTxnTest(42, 3).acctContent(9, 1)

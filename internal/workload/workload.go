@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"fmt"
-
 	"rio/internal/fs"
 	"rio/internal/txn"
 )
@@ -90,33 +88,37 @@ func (tt *TxnTest) Name() string { return "txntest" }
 // Step implements Workload: one full commit cycle.
 func (tt *TxnTest) Step(fsys *fs.FS) error { return tt.Commit(fsys) }
 
-// Check implements Workload. The transaction layer's recovery is part
-// of the workload's own contract, so Check first rolls the log forward
-// (a published-but-unapplied record is pending state, not corruption)
-// and then classifies the accounts: mixed ids are a torn commit, a
-// consistent-but-pre-ack id is a lost acked commit. When the
-// roll-forward itself quarantined a record the storage was damaged in
-// a way recovery already detected, so mixed ids are downgraded to
-// detected corruption rather than a torn-commit conviction — the same
-// rule the transactional campaign applies.
-func (tt *TxnTest) Check(fsys *fs.FS) Verdict {
-	v := Verdict{Checked: tt.Accounts}
+// Recover rolls the transaction log forward after the machine's own
+// recovery: committed records complete, torn tails are dropped (a
+// published-but-unapplied record is pending state, not corruption).
+// crashAtStep > 0 is the double-fault second crash: the roll-forward is
+// interrupted at that step and restarted, and must converge (Apply is
+// idempotent). quarantined counts records refused as deterministically
+// unappliable; the workload only stages writes, so any refusal means
+// storage damage. The crash run calls this before Check and scores what
+// it reports — Check itself no longer touches the log.
+func (tt *TxnTest) Recover(fsys *fs.FS, crashAtStep int) (interrupted bool, quarantined int, err error) {
 	l := txn.NewLog(fsys)
-	st, err := l.RecoverOpts(txn.Options{
-		Crashed: func() bool { return fsys.K.Crashed() != nil },
-	})
-	if err != nil {
-		v.Corruptions = append(v.Corruptions,
-			Corruption{txn.Dir, "txn roll-forward failed: " + err.Error()})
-		return v
+	opts := txn.Options{
+		CrashAtStep: crashAtStep,
+		Crashed:     func() bool { return fsys.K.Crashed() != nil },
 	}
+	st, err := l.RecoverOpts(opts)
+	if err == txn.ErrInterrupted {
+		interrupted = true
+		opts.CrashAtStep = 0
+		st, err = l.RecoverOpts(opts)
+	}
+	return interrupted, st.Quarantined, err
+}
+
+// Check implements Workload: classify the accounts of a recovered (and
+// rolled-forward, see Recover) tree. Mixed ids are a torn commit, a
+// consistent-but-pre-ack id is a lost acked commit; whether either
+// conviction stands is the crash run's recovery-clean rule to decide.
+func (tt *TxnTest) Check(fsys *fs.FS) Verdict {
 	tv := tt.Verify(fsys)
-	v.Corruptions = append(v.Corruptions, tv.Failures...)
-	if st.Quarantined > 0 {
-		v.Corruptions = append(v.Corruptions, Corruption{txn.Dir,
-			fmt.Sprintf("%d txn records quarantined (storage damage)", st.Quarantined)})
-		return v
-	}
+	v := Verdict{Checked: tt.Accounts, Corruptions: tv.Failures}
 	if tv.Mixed {
 		v.Torn++
 	}

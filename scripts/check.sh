@@ -41,22 +41,17 @@ go test -race -timeout 10m ./internal/fleet/...
 # (10 s). Every "simulated behaviour is byte-identical" argument in DESIGN
 # §7b rests on this diff, so it is part of the gate.
 make crash-recovery
-# Transactional crash campaign smoke: a small fixed-seed torn-commit
-# hunt with storage faults and double crashes; riocrash -txn exits
-# nonzero on any torn transaction or aborted recovery. (The commitorder
-# analyzer fixtures run in the riolint step and go test above.)
-go run ./cmd/riocrash -txn -runs 2 -seed 1996 -disk-faults -quiet
-# Fleet campaign smoke: five seed-derived plans (the kind cycle makes
-# that exactly one of each fault kind, including the pairwise partition
-# that probes for stale reads from a deposed primary); riocrash -fleet
-# exits nonzero if any acked write is lost or any stale read is served.
-go run ./cmd/riocrash -fleet -runs 5 -seed 1996 -quiet
 # Scenario suite smoke: every checked-in scenario runs at -workers 1
 # and -workers 4 and the canonical JSON reports must diff clean — the
 # scenario engine's byte-identical-at-any-worker-count guarantee,
-# enforced on real specs. rioscn exits nonzero if any scenario loses an
-# acked write, tears a commit, or serves a stale read. The -workers 4
-# reports land in scenario-reports/, uploaded as a CI artifact.
+# enforced on real specs. The specs include the torn-commit hunt
+# (txn-hunt: every fault type on both Rio systems, storage faults and
+# second crashes in the warm reboot and the txn roll-forward) and the
+# fleet campaign (fleet-all-kinds: two plans of each fault kind,
+# including the pairwise partition that probes for stale reads from a
+# deposed primary). rioscn exits nonzero if any scenario loses an acked
+# write, tears a commit, serves a stale read, or aborts a recovery. The
+# -workers 4 reports land in scenario-reports/, uploaded as a CI artifact.
 make scenarios
 # Server smoke benchmark: rioload against riod's in-process transport,
 # with a 1-shard baseline — fails if the run errors; the report lands in
