@@ -84,7 +84,7 @@ func BenchmarkTable1CampaignWorkers(b *testing.B) {
 // warm reboot, verify) on Rio with protection.
 func BenchmarkTable1Cell(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := crashtest.RunOne(crashtest.RioProt, fault.CopyOverrun,
+		res, err := crashtest.RunOne(nil, crashtest.RioProt, fault.CopyOverrun,
 			crashtest.DefaultRunConfig(uint64(7000+i)))
 		if err != nil {
 			b.Fatal(err)
@@ -222,7 +222,14 @@ func BenchmarkRioWrite(b *testing.B) { benchDurableWrite(b, PolicyRio) }
 func BenchmarkWriteThroughWrite(b *testing.B) { benchDurableWrite(b, PolicyUFSWTWrite) }
 
 // BenchmarkKVMInterpreter measures the kernel VM's raw interpretation
-// speed (simulated MIPS of the substrate).
+// speed (simulated MIPS of the substrate) on an interpreted 8 KB bcopy
+// from the staging region into the heap. Both regions start on a virtual
+// page that is 0 mod 64, as every region of the kernel's layout does, so
+// for the first half of the copy source and destination share a slot of
+// the direct-mapped TLB, each load evicts the store's entry and each store
+// the load's, and half of the copy's 2050 accesses miss. ns/step here
+// therefore includes the TLB-miss path (a page-table map lookup), as a
+// copy between two regions does in a real crash run.
 func BenchmarkKVMInterpreter(b *testing.B) {
 	m := mem.New(kernel.MinMemory)
 	u := mmu.New(m)
@@ -238,6 +245,7 @@ func BenchmarkKVMInterpreter(b *testing.B) {
 	b.StopTimer()
 	steps := k.VM.Steps - before
 	b.ReportMetric(float64(steps)/float64(b.N), "instr/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
 }
 
 // BenchmarkRegistryUpdate measures the sanctioned registry write path

@@ -3,8 +3,9 @@
 // allocations — the simulator's own speed, not the simulated 1996 disk)
 // for create, deep-path lookup, read, write, and unlink, at a
 // configurable directory depth and fanout, plus the served read/write
-// round trip and the two whole-cache paths (warm reboot, read miss on a
-// full data cache).
+// round trip, the two whole-cache paths (warm reboot, read miss on a
+// full data cache), and what a crash campaign is made of: the kernel
+// interpreter on an 8 KB bcopy and one whole crash run.
 //
 // Usage:
 //
@@ -34,7 +35,14 @@ import (
 	"time"
 
 	"rio"
+	"rio/internal/crashtest"
+	"rio/internal/fault"
+	"rio/internal/kernel"
+	"rio/internal/machine"
+	"rio/internal/mem"
+	"rio/internal/mmu"
 	"rio/internal/server"
+	"rio/internal/sim"
 	"rio/internal/wire"
 )
 
@@ -55,6 +63,9 @@ type opResult struct {
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op"`
 	SimUsPerOp  float64 `json:"sim_us_per_op"`
+	// StepsPerOp is the kernel instructions interpreted per op, on rows
+	// that time the interpreter: ns_per_op over it is host ns per step.
+	StepsPerOp float64 `json:"steps_per_op,omitempty"`
 }
 
 type baselineBlock struct {
@@ -135,6 +146,12 @@ func main() {
 		os.Exit(1)
 	}
 	results = append(results, recovery...)
+	campaign, err := runCampaignCost(cfg)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "riobench:", err)
+		os.Exit(1)
+	}
+	results = append(results, campaign...)
 	report.Results = results
 
 	if *baseline != "" {
@@ -512,6 +529,42 @@ func runRecovery(cfg benchConfig) ([]opResult, error) {
 	return append(results, r), nil
 }
 
+// runCampaignCost measures what a crash campaign spends its time on.
+// interp-bcopy8k is the kernel interpreter alone: an 8 KB bcopy from the
+// staging region into the heap on a bare kernel, as BenchmarkKVMInterpreter
+// runs it (half of its accesses miss the TLB), reported per copy with the
+// steps it took. crash-run is crashtest.RunOne whole — boot, warm-up,
+// injection, crash, recovery, verification — over the three systems and
+// four fault types, every run on the storage the run before it left, as a
+// campaign worker's runs are.
+func runCampaignCost(cfg benchConfig) ([]opResult, error) {
+	km := mem.New(kernel.MinMemory)
+	k := kernel.New(km, mmu.New(km), kernel.BuildText())
+	src := k.StageIn(make([]byte, 8192))
+	before := k.VM.Steps
+	interp, err := benchHost("interp-bcopy8k", cfg.Iters, func(int) error {
+		return k.BCopy(kernel.HeapBase+4096, src, 8192)
+	})
+	if err != nil {
+		return nil, err
+	}
+	// benchHost's 16 warm-up copies are interpreted too.
+	interp.StepsPerOp = float64(k.VM.Steps-before) / float64(cfg.Iters+16)
+
+	faults := []fault.Type{fault.TextFlip, fault.HeapFlip, fault.CopyOverrun, fault.Pointer}
+	st := new(machine.Storage)
+	run, err := benchHost("crash-run", 2*len(crashtest.Systems)*len(faults), func(i int) error {
+		sys := crashtest.Systems[i%len(crashtest.Systems)]
+		ft := faults[i/len(crashtest.Systems)%len(faults)]
+		_, err := crashtest.RunOne(st, sys, ft, crashtest.DefaultRunConfig(sim.Mix(cfg.Seed, uint64(i))))
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return []opResult{interp, run}, nil
+}
+
 // gateAllocs enforces a comma list of op=max allocs/op budgets (e.g.
 // "served-read=1,write=1") against results. A named op missing from the
 // results is an error too — a silently skipped gate is no gate. The gate
@@ -584,15 +637,18 @@ func readReport(path string) (*benchReport, error) {
 }
 
 func printReport(r *benchReport) {
-	fmt.Printf("%-12s %8s %12s %12s %12s %12s\n",
+	fmt.Printf("%-14s %8s %12s %12s %12s %12s\n",
 		"op", "ops", "ns/op", "allocs/op", "B/op", "sim-µs/op")
 	for _, res := range r.Results {
-		fmt.Printf("%-12s %8d %12.0f %12.1f %12.0f %12.2f",
+		fmt.Printf("%-14s %8d %12.0f %12.1f %12.0f %12.2f",
 			res.Name, res.Ops, res.NsPerOp, res.AllocsPerOp, res.BytesPerOp, res.SimUsPerOp)
 		if r.Baseline != nil {
 			if s, ok := r.Baseline.Speedup[res.Name]; ok {
 				fmt.Printf("   %.2fx vs baseline", s)
 			}
+		}
+		if res.StepsPerOp > 0 {
+			fmt.Printf("   %.2f ns/step, %.0f steps/op", res.NsPerOp/res.StepsPerOp, res.StepsPerOp)
 		}
 		fmt.Println()
 	}
@@ -613,15 +669,15 @@ func printDiff(oldPath, newPath string) (*benchReport, error) {
 	for _, r := range old.Results {
 		byName[r.Name] = r
 	}
-	fmt.Printf("%-12s %14s %14s %9s   %14s %14s %9s\n",
+	fmt.Printf("%-14s %14s %14s %9s   %14s %14s %9s\n",
 		"op", "old ns/op", "new ns/op", "delta", "old allocs", "new allocs", "delta")
 	for _, r := range cur.Results {
 		o, ok := byName[r.Name]
 		if !ok {
-			fmt.Printf("%-12s %14s %14.0f %9s\n", r.Name, "(new)", r.NsPerOp, "")
+			fmt.Printf("%-14s %14s %14.0f %9s\n", r.Name, "(new)", r.NsPerOp, "")
 			continue
 		}
-		fmt.Printf("%-12s %14.0f %14.0f %+8.1f%%   %14.1f %14.1f %+8.1f%%\n",
+		fmt.Printf("%-14s %14.0f %14.0f %+8.1f%%   %14.1f %14.1f %+8.1f%%\n",
 			r.Name, o.NsPerOp, r.NsPerOp, pct(o.NsPerOp, r.NsPerOp),
 			o.AllocsPerOp, r.AllocsPerOp, pct(o.AllocsPerOp, r.AllocsPerOp))
 	}
@@ -634,7 +690,7 @@ func printDiff(oldPath, newPath string) (*benchReport, error) {
 			}
 		}
 		if !found {
-			fmt.Printf("%-12s %14.0f %14s\n", o.Name, o.NsPerOp, "(removed)")
+			fmt.Printf("%-14s %14.0f %14s\n", o.Name, o.NsPerOp, "(removed)")
 		}
 	}
 	return cur, nil

@@ -329,7 +329,7 @@ func CrashOnce(system int, t FaultType, seed uint64) (CrashRunResult, error) {
 	if !ok {
 		return CrashRunResult{}, fmt.Errorf("rio: unknown fault type %q", t)
 	}
-	res, err := crashtest.RunOne(crashtest.System(system), ft,
+	res, err := crashtest.RunOne(nil, crashtest.System(system), ft,
 		crashtest.DefaultRunConfig(seed))
 	if err != nil {
 		return CrashRunResult{}, err

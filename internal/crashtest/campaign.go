@@ -8,6 +8,7 @@ import (
 
 	"rio/internal/fault"
 	"rio/internal/kernel"
+	"rio/internal/machine"
 	"rio/internal/sim"
 )
 
@@ -33,7 +34,7 @@ type CampaignConfig struct {
 	Progress func(string)
 
 	// runner stands in for RunOne in scheduler tests.
-	runner func(System, fault.Type, RunConfig) (WorkloadResult, error)
+	runner func(*machine.Storage, System, fault.Type, RunConfig) (WorkloadResult, error)
 	// clock stands in for the host clock in timing tests.
 	clock wallClock
 }
@@ -174,10 +175,10 @@ func RunCampaign(cfg CampaignConfig) (*Report, error) {
 					Label:    fmt.Sprintf("sys=%v fault=%v", sys, ft),
 					Attempts: cfg.RunsPerCell * cfg.MaxAttemptsFactor,
 					Window:   window,
-					Run: func(attempt int) (WorkloadResult, error) {
+					Run: func(attempt int, st *machine.Storage) (WorkloadResult, error) {
 						run := cfg.Run
 						run.Seed = RunSeed(cfg.Seed, sys, ft, attempt)
-						return runner(sys, ft, run)
+						return runner(st, sys, ft, run)
 					},
 					Fold: func(o Outcome[WorkloadResult]) bool {
 						cell.fold(o)

@@ -11,13 +11,14 @@ import (
 
 	"rio/internal/fault"
 	"rio/internal/kernel"
+	"rio/internal/machine"
 	"rio/internal/sim"
 )
 
 // fakeRunner is a fast stand-in for RunOne whose outcome is a pure
 // function of the run seed, so scheduler tests exercise the worker pool
 // and the in-order fold without paying for real simulations.
-func fakeRunner(sys System, ft fault.Type, cfg RunConfig) (WorkloadResult, error) {
+func fakeRunner(_ *machine.Storage, sys System, ft fault.Type, cfg RunConfig) (WorkloadResult, error) {
 	r := sim.NewRand(cfg.Seed)
 	res := WorkloadResult{System: sys, Fault: ft, Seed: cfg.Seed}
 	roll := r.Float64()
@@ -100,14 +101,14 @@ func TestRunSeedsIndependentOfEarlierCells(t *testing.T) {
 			RunsPerCell:       runsPerCell,
 			MaxAttemptsFactor: factor,
 			Workers:           1,
-			runner: func(sys System, ft fault.Type, rc RunConfig) (WorkloadResult, error) {
+			runner: func(st *machine.Storage, sys System, ft fault.Type, rc RunConfig) (WorkloadResult, error) {
 				mu.Lock()
 				cellKey := [2]int{int(sys), int(ft)}
 				k := [3]int{int(sys), int(ft), attempt[cellKey]}
 				attempt[cellKey]++
 				seeds[k] = rc.Seed
 				mu.Unlock()
-				return fakeRunner(sys, ft, rc)
+				return fakeRunner(st, sys, ft, rc)
 			},
 		}
 		if _, err := RunCampaign(cfg); err != nil {

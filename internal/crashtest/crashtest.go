@@ -200,8 +200,8 @@ func staticContent(i int) []byte {
 	return kernel.FillBytes(3000+700*i, (0x57a71c+uint64(i))|1)
 }
 
-// buildMachine assembles the system under test.
-func buildMachine(sys System, cfg RunConfig) (*machine.Machine, error) {
+// buildMachine assembles the system under test on st.
+func buildMachine(st *machine.Storage, sys System, cfg RunConfig) (*machine.Machine, error) {
 	var pol fs.Policy
 	switch sys {
 	case DiskWT:
@@ -221,7 +221,7 @@ func buildMachine(sys System, cfg RunConfig) (*machine.Machine, error) {
 	// on the paper's machines, so a wild physical address usually misses
 	// the file cache.
 	opt.MemPages = 2048
-	m, err := machine.New(opt, nil)
+	m, err := machine.NewOn(st, opt, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -290,8 +290,8 @@ func checkStatic(m *machine.Machine) bool {
 }
 
 // RunOne is the Table 1 crash run: RunWorkloadOne driving memTest.
-func RunOne(sys System, ft fault.Type, cfg RunConfig) (WorkloadResult, error) {
-	return RunWorkloadOne(sys, ft, cfg, func(seed uint64, writeThrough bool) workload.Workload {
+func RunOne(st *machine.Storage, sys System, ft fault.Type, cfg RunConfig) (WorkloadResult, error) {
+	return RunWorkloadOne(st, sys, ft, cfg, func(seed uint64, writeThrough bool) workload.Workload {
 		mt := workload.NewMemTest(seed, cfg.MemTestBytes)
 		mt.WriteThrough = writeThrough
 		return mt
@@ -303,7 +303,9 @@ func RunOne(sys System, ft fault.Type, cfg RunConfig) (WorkloadResult, error) {
 // let the workload classify what survived. Every stream derives from
 // cfg.Seed — one root stream forked in a fixed order, the recovery-path
 // salts mixed in — so a run is replayable from (sys, fault, cfg) alone.
-func RunWorkloadOne(sys System, ft fault.Type, cfg RunConfig, mk WorkloadFactory) (res WorkloadResult, err error) {
+// The machine is built on st (nil: new storage), which a campaign hands
+// from run to run; the result does not depend on what st held before.
+func RunWorkloadOne(st *machine.Storage, sys System, ft fault.Type, cfg RunConfig, mk WorkloadFactory) (res WorkloadResult, err error) {
 	// Fault injection drives the simulator into states no normal workload
 	// reaches; a simulator-level panic must surface as a harness error on
 	// this one run, not kill a 2000-run campaign.
@@ -322,7 +324,7 @@ func RunWorkloadOne(sys System, ft fault.Type, cfg RunConfig, mk WorkloadFactory
 	if _, ok := w.(recoverer); ok && sys == DiskWT {
 		return res, fmt.Errorf("crashtest: %s recovers on top of a warm reboot (transactions commit into the protected cache); %v has none", w.Name(), sys)
 	}
-	m, err := buildMachine(sys, cfg)
+	m, err := buildMachine(st, sys, cfg)
 	if err != nil {
 		return res, err
 	}
@@ -421,7 +423,9 @@ func recoverMachine(m *machine.Machine, sys System, cfg RunConfig, w workload.Wo
 		return ""
 	}
 
-	dump := m.Mem.Dump()
+	// The dump is the storage's reusable image; nothing rewrites it before
+	// the run ends, so an interrupted recovery restarts from it as it is.
+	dump := m.ScratchDump()
 	opts := warmreboot.DefaultOptions()
 	if cfg.DiskFaults {
 		opts.CrashAtStep = int(sim.Mix(cfg.Seed, recoveryCrashSalt) % recoveryCrashWindow)

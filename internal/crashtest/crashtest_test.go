@@ -13,7 +13,7 @@ func TestRunOneCleanWithoutCrash(t *testing.T) {
 	// that path must be clean (no corruption claims, no error).
 	cfg := DefaultRunConfig(12345)
 	cfg.MaxOps = 20 // short window: off-by-one unlikely to trigger
-	res, err := RunOne(RioProt, fault.Alloc, cfg)
+	res, err := RunOne(nil, RioProt, fault.Alloc, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,11 +27,11 @@ func TestRunOneCleanWithoutCrash(t *testing.T) {
 
 func TestRunOneDeterministic(t *testing.T) {
 	cfg := DefaultRunConfig(777)
-	a, err := RunOne(RioNoProt, fault.TextFlip, cfg)
+	a, err := RunOne(nil, RioNoProt, fault.TextFlip, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunOne(RioNoProt, fault.TextFlip, cfg)
+	b, err := RunOne(nil, RioNoProt, fault.TextFlip, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestRunOneAllSystemsOneFault(t *testing.T) {
 	// the crash-recover-verify cycle without harness errors.
 	for _, sys := range Systems {
 		for i := uint64(0); i < 4; i++ {
-			res, err := RunOne(sys, fault.DeleteRandom, DefaultRunConfig(9000+i))
+			res, err := RunOne(nil, sys, fault.DeleteRandom, DefaultRunConfig(9000+i))
 			if err != nil {
 				t.Fatalf("%v run %d: %v", sys, i, err)
 			}
@@ -60,7 +60,7 @@ func TestProtectionTrapsRecorded(t *testing.T) {
 	// mechanism in this kernel (every bcopy ends at a page boundary).
 	invoked := false
 	for i := uint64(0); i < 10 && !invoked; i++ {
-		res, err := RunOne(RioProt, fault.CopyOverrun, DefaultRunConfig(3000+i))
+		res, err := RunOne(nil, RioProt, fault.CopyOverrun, DefaultRunConfig(3000+i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func TestRunOneDoubleFaultNeverAborts(t *testing.T) {
 		cfg := DefaultRunConfig(4100 + i)
 		cfg.DiskFaults = true
 		cfg.MemTestBytes = 1 << 19
-		res, err := RunOne(RioProt, fault.TextFlip, cfg)
+		res, err := RunOne(nil, RioProt, fault.TextFlip, cfg)
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
@@ -116,11 +116,11 @@ func TestRunOneDoubleFaultDeterministic(t *testing.T) {
 	cfg := DefaultRunConfig(777)
 	cfg.DiskFaults = true
 	cfg.MemTestBytes = 1 << 19
-	a, err := RunOne(RioNoProt, fault.TextFlip, cfg)
+	a, err := RunOne(nil, RioNoProt, fault.TextFlip, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunOne(RioNoProt, fault.TextFlip, cfg)
+	b, err := RunOne(nil, RioNoProt, fault.TextFlip, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestSystemStrings(t *testing.T) {
 
 func TestStaticFilesDetectCorruption(t *testing.T) {
 	cfg := DefaultRunConfig(55)
-	m, err := buildMachine(RioNoProt, cfg)
+	m, err := buildMachine(nil, RioNoProt, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"rio/internal/machine"
 )
 
 const (
@@ -40,8 +42,10 @@ type CellPlan[R any] struct {
 	Attempts, Window int
 	// Run executes one attempt on a worker goroutine. Its result must be
 	// a pure function of the attempt index: everything it derives comes
-	// from that index, never from what ran before it.
-	Run func(attempt int) (R, error)
+	// from that index, never from what ran before it. st is the worker's
+	// machine storage, for an attempt that builds a machine
+	// (RunWorkloadOne) to build it on.
+	Run func(attempt int, st *machine.Storage) (R, error)
 	// Fold merges one outcome into the cell and reports whether the cell
 	// is now full. It runs on the goroutine that called RunCell, strictly
 	// in attempt order, and never again once it has returned true.
@@ -52,7 +56,7 @@ type CellPlan[R any] struct {
 type task[R any] struct {
 	label   string
 	attempt int
-	run     func(int) (R, error)
+	run     func(int, *machine.Storage) (R, error)
 	reply   chan<- Outcome[R]
 }
 
@@ -112,7 +116,11 @@ func (s *Scheduler[R]) abort(err error) {
 // worker executes tasks until the queue closes or the campaign aborts.
 // Every accepted task is answered: reply channels are sized to the issue
 // window, so the send cannot block even if the cell driver has moved on.
+// Each worker owns one machine.Storage for as long as it lives — the
+// campaign's memory is Workers machines, however many runs it makes — and
+// drops it when Close stops the pool.
 func (s *Scheduler[R]) worker() {
+	st := new(machine.Storage)
 	for {
 		select {
 		case <-s.done:
@@ -134,7 +142,7 @@ func (s *Scheduler[R]) worker() {
 			if s.now != nil {
 				start = s.now()
 			}
-			o.Res, o.Err = t.run(t.attempt)
+			o.Res, o.Err = t.run(t.attempt, st)
 			if s.now != nil {
 				o.Elapsed = s.now().Sub(start)
 			}

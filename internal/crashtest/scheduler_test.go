@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"rio/internal/machine"
 	"rio/internal/sim"
 )
 
@@ -37,7 +38,7 @@ func testCell(id, attempts, window, quota int, log *foldLog) CellPlan[uint64] {
 		Label:    fmt.Sprintf("cell %d", id),
 		Attempts: attempts,
 		Window:   window,
-		Run:      func(attempt int) (uint64, error) { return fakeAttempt(id, attempt) },
+		Run:      func(attempt int, _ *machine.Storage) (uint64, error) { return fakeAttempt(id, attempt) },
 		Fold: func(o Outcome[uint64]) bool {
 			log.Attempts = append(log.Attempts, o.Attempt)
 			log.Values = append(log.Values, o.Res)
@@ -132,9 +133,9 @@ func TestSchedulerAbortMidCampaign(t *testing.T) {
 	for id := range logs {
 		c := testCell(id, 1000, 4, 0, &logs[id])
 		run := c.Run
-		c.Run = func(attempt int) (uint64, error) {
+		c.Run = func(attempt int, st *machine.Storage) (uint64, error) {
 			ran.Add(1)
-			return run(attempt)
+			return run(attempt, st)
 		}
 		cells = append(cells, c)
 	}

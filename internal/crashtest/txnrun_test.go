@@ -23,13 +23,13 @@ func txnRunConfig(seed uint64, maxOps int) RunConfig {
 }
 
 func TestRunTxnOneRejectsDiskWT(t *testing.T) {
-	if _, err := RunWorkloadOne(DiskWT, fault.TextFlip, DefaultRunConfig(1), txnTest); err == nil {
+	if _, err := RunWorkloadOne(nil, DiskWT, fault.TextFlip, DefaultRunConfig(1), txnTest); err == nil {
 		t.Fatal("DiskWT accepted; transactions need the protected cache")
 	}
 }
 
 func TestRunTxnOneCleanWithoutCrash(t *testing.T) {
-	res, err := RunWorkloadOne(RioProt, fault.Alloc, txnRunConfig(12345, 8), txnTest)
+	res, err := RunWorkloadOne(nil, RioProt, fault.Alloc, txnRunConfig(12345, 8), txnTest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,11 +41,11 @@ func TestRunTxnOneCleanWithoutCrash(t *testing.T) {
 func TestRunTxnOneDeterministic(t *testing.T) {
 	cfg := txnRunConfig(777, 80)
 	cfg.DiskFaults = true
-	a, err := RunWorkloadOne(RioNoProt, fault.TextFlip, cfg, txnTest)
+	a, err := RunWorkloadOne(nil, RioNoProt, fault.TextFlip, cfg, txnTest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunWorkloadOne(RioNoProt, fault.TextFlip, cfg, txnTest)
+	b, err := RunWorkloadOne(nil, RioNoProt, fault.TextFlip, cfg, txnTest)
 	if err != nil {
 		t.Fatal(err)
 	}

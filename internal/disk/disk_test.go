@@ -184,6 +184,70 @@ func TestFormat(t *testing.T) {
 	}
 }
 
+// TestFormatZeroesAfterEveryKindOfStore: Format may skip its clear only on
+// a disk nothing has stored to since New, Recycle or the last Format. Each
+// way a byte can reach the platters — Write, Commit, a serviced queue, a
+// torn sector, a crash tearing the in-flight write, Restore — must make the
+// next Format zero the disk; and a blank disk must stay blank through
+// Formats, reads and queued-but-unserviced writes.
+func TestFormatZeroesAfterEveryKindOfStore(t *testing.T) {
+	blank := make([]byte, 8*SectorSize)
+	full := bytes.Repeat([]byte{7}, len(blank))
+	stores := map[string]func(d *Disk){
+		"Write":   func(d *Disk) { d.Write(3, sector(1)) },
+		"Commit":  func(d *Disk) { d.Commit(3, sector(2)) },
+		"Service": func(d *Disk) { d.Enqueue(Request{Sector: 3, Data: sector(3)}); d.Service(-1) },
+		"Tear":    func(d *Disk) { d.Tear(3, sim.NewRand(1)) },
+		"Crash":   func(d *Disk) { d.Enqueue(Request{Sector: 3, Data: sector(4)}); d.Crash(sim.NewRand(1)) },
+		"Restore": func(d *Disk) { d.Restore(full) },
+	}
+	for name, store := range stores {
+		for _, d := range []*Disk{newDisk(8), newDisk(8).Recycle(DefaultParams())} {
+			d.Format() // blank before, blank after: nothing to clear
+			d.Read(0, make([]byte, SectorSize))
+			store(d)
+			if bytes.Equal(d.Snapshot(), blank) {
+				t.Fatalf("%s stored nothing", name)
+			}
+			d.Format()
+			if !bytes.Equal(d.Snapshot(), blank) {
+				t.Fatalf("Format after %s left data on the disk", name)
+			}
+		}
+	}
+}
+
+// TestRecycleIsNew: a recycled disk keeps nothing of the disk it was made
+// from but the capacity.
+func TestRecycleIsNew(t *testing.T) {
+	old := newDisk(8)
+	plan := FaultPlan{Seed: 3, LatentRate: 1}
+	old.SetFaultPlan(&plan)
+	old.Read(2, make([]byte, SectorSize)) // plants a latent sector
+	old.Write(5, sector(0xee))
+	old.Enqueue(Request{Sector: 1, Data: sector(1)})
+	if old.LatentSectors() == 0 || old.FaultStats.Total() == 0 {
+		t.Fatal("old disk has no fault state to lose")
+	}
+
+	params := DefaultParams()
+	params.Positioning *= 2
+	d, fresh := old.Recycle(params), New(8*SectorSize, params)
+	if !bytes.Equal(d.Snapshot(), fresh.Snapshot()) {
+		t.Fatal("recycled disk is not blank")
+	}
+	if d.Stats != fresh.Stats || d.FaultStats != fresh.FaultStats || d.Params() != params ||
+		d.QueueLen() != 0 || d.LatentSectors() != 0 || d.FaultPlanActive() {
+		t.Fatalf("recycled disk carries state over: %+v %+v queue=%d latent=%d plan=%v",
+			d.Stats, d.FaultStats, d.QueueLen(), d.LatentSectors(), d.FaultPlanActive())
+	}
+	// The head position is fresh too: the first access pays what it pays
+	// on a new disk.
+	if got, want := d.AccessTime(6, SectorSize), fresh.AccessTime(6, SectorSize); got != want {
+		t.Fatalf("first access on a recycled disk takes %v, on a new one %v", got, want)
+	}
+}
+
 func TestSnapshotRestore(t *testing.T) {
 	d := newDisk(4)
 	d.Write(2, sector(0x5c))

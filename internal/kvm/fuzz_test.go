@@ -17,6 +17,64 @@ func next(x *uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
+// randomText is a procedure "fuzz" of 4..63 random instruction words.
+func randomText(seed *uint64) *Text {
+	n := 4 + int(next(seed)%60)
+	a := NewAsm()
+	a.Proc("fuzz")
+	for i := 0; i < n; i++ {
+		a.Nop()
+	}
+	a.Halt()
+	text := a.MustAssemble()
+	for pc := 0; pc < n; pc++ {
+		text.SetWord(pc, next(seed))
+	}
+	return text
+}
+
+// mutatedText is realistic text — a program "main" with calls, loops and
+// stack traffic — with one to six random bits flipped.
+func mutatedText(seed *uint64) *Text {
+	a := NewAsm()
+	a.Proc("leaf")
+	a.Add(0, 1, 2)
+	a.Ret()
+	a.Proc("main")
+	a.MovI(1, 0)
+	a.MovI(2, 64)
+	a.EndProlog()
+	loop := a.Here()
+	a.Push(1)
+	a.Call("leaf")
+	a.Pop(1)
+	a.St(15, -8, 0) // scribble near SP (legal)
+	a.AddI(1, 1, 1)
+	a.Blt(1, 2, loop)
+	a.Ret()
+	text := a.MustAssemble()
+	for k := 0; k < 1+int(next(seed)%6); k++ {
+		pc := int(next(seed)) % text.Len()
+		if pc < 0 {
+			pc = -pc
+		}
+		text.FlipBit(pc%text.Len(), uint(next(seed)%64))
+	}
+	return text
+}
+
+// fuzzVM is a VM over text with four mapped pages, the top one its stack.
+func fuzzVM(text *Text) *VM {
+	m := mem.New(16 * mem.PageSize)
+	u := mmu.New(m)
+	for p := 0; p < 4; p++ {
+		u.Map(uint64(p), p, true)
+	}
+	v := New(text, u)
+	v.SetStack(4*mem.PageSize, 3*mem.PageSize)
+	return v
+}
+
 // TestInterpreterTotalOnRandomText is the fault injector's safety net: the
 // VM must never Go-panic, hang, or escape its sandbox no matter what the
 // instruction words contain — fault injection mutates text arbitrarily,
@@ -24,25 +82,7 @@ func next(x *uint64) uint64 {
 func TestInterpreterTotalOnRandomText(t *testing.T) {
 	seed := uint64(0xF0CC)
 	for round := 0; round < 400; round++ {
-		n := 4 + int(next(&seed)%60)
-		a := NewAsm()
-		a.Proc("fuzz")
-		for i := 0; i < n; i++ {
-			a.Nop()
-		}
-		a.Halt()
-		text := a.MustAssemble()
-		for pc := 0; pc < n; pc++ {
-			text.SetWord(pc, next(&seed))
-		}
-
-		m := mem.New(16 * mem.PageSize)
-		u := mmu.New(m)
-		for p := 0; p < 4; p++ {
-			u.Map(uint64(p), p, true)
-		}
-		v := New(text, u)
-		v.SetStack(4*mem.PageSize, 3*mem.PageSize)
+		v := fuzzVM(randomText(&seed))
 		v.Budget = 50_000
 		// Poison registers so random code has lively inputs.
 		for r := range v.Reg {
@@ -56,42 +96,9 @@ func TestInterpreterTotalOnRandomText(t *testing.T) {
 // TestInterpreterTotalOnMutatedKernel fuzzes realistic text: random bit
 // flips over an assembled program with calls, loops and stack traffic.
 func TestInterpreterTotalOnMutatedKernel(t *testing.T) {
-	build := func() *Text {
-		a := NewAsm()
-		a.Proc("leaf")
-		a.Add(0, 1, 2)
-		a.Ret()
-		a.Proc("main")
-		a.MovI(1, 0)
-		a.MovI(2, 64)
-		a.EndProlog()
-		loop := a.Here()
-		a.Push(1)
-		a.Call("leaf")
-		a.Pop(1)
-		a.St(15, -8, 0) // scribble near SP (legal)
-		a.AddI(1, 1, 1)
-		a.Blt(1, 2, loop)
-		a.Ret()
-		return a.MustAssemble()
-	}
 	seed := uint64(0xBEEF)
 	for round := 0; round < 600; round++ {
-		text := build()
-		for k := 0; k < 1+int(next(&seed)%6); k++ {
-			pc := int(next(&seed)) % text.Len()
-			if pc < 0 {
-				pc = -pc
-			}
-			text.FlipBit(pc%text.Len(), uint(next(&seed)%64))
-		}
-		m := mem.New(16 * mem.PageSize)
-		u := mmu.New(m)
-		for p := 0; p < 4; p++ {
-			u.Map(uint64(p), p, true)
-		}
-		v := New(text, u)
-		v.SetStack(4*mem.PageSize, 3*mem.PageSize)
+		v := fuzzVM(mutatedText(&seed))
 		v.Budget = 100_000
 		_ = v.Exec("main")
 	}

@@ -128,13 +128,19 @@ func (i Instr) Encode() uint64 {
 // Decode unpacks an instruction word. Register fields are reduced modulo
 // NumRegs; the opcode is preserved as-is so invalid opcodes can trap.
 func Decode(w uint64) Instr {
-	return Instr{
-		Op:  Op(w & 0xff),
-		Rd:  uint8(w>>8) % NumRegs,
-		Rs1: uint8(w>>16) % NumRegs,
-		Rs2: uint8(w>>24) % NumRegs,
-		Imm: int32(uint32(w >> 32)),
-	}
+	op, rd, rs1, rs2, imm := decodeFields(w)
+	return Instr{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2, Imm: imm}
+}
+
+// decodeFields is the word layout, once: Decode wraps it in an Instr, and
+// the interpreter loop takes the five fields as they are. The loop must
+// not go through an Instr: the compiler builds that 8-byte struct on the
+// stack with four byte stores and a dword store and copies it out with one
+// 8-byte load, which cannot forward from the narrower stores and stalls
+// on every instruction interpreted.
+func decodeFields(w uint64) (op Op, rd, rs1, rs2 uint8, imm int32) {
+	return Op(w), uint8(w>>8) % NumRegs, uint8(w>>16) % NumRegs,
+		uint8(w>>24) % NumRegs, int32(w >> 32)
 }
 
 // String renders the instruction in a readable assembly-like form.

@@ -149,6 +149,15 @@ func (v *VM) PC() int { return v.pc }
 // what makes the "initialization" fault model dangerous, as in a real
 // kernel where uninitialised locals hold whatever the last frame left.
 func (v *VM) Exec(proc string, args ...uint64) *Exception {
+	if err := v.enter(proc, args); err != nil {
+		return err
+	}
+	return v.run()
+}
+
+// enter sets the machine up to run proc: arguments, register noise, stack
+// pointer, PC and the return sentinel.
+func (v *VM) enter(proc string, args []uint64) *Exception {
 	p, ok := v.Text.Proc(proc)
 	if !ok {
 		panic(fmt.Sprintf("kvm: Exec of unknown procedure %q", proc))
@@ -168,190 +177,210 @@ func (v *VM) Exec(proc string, args ...uint64) *Exception {
 	}
 	v.Reg[SP] = v.stackTop
 	v.pc = p.Entry
-	if err := v.push(retSentinel); err != nil {
-		return err
-	}
-	return v.run()
+	return v.push(v.pc, retSentinel)
 }
 
-func (v *VM) push(val uint64) *Exception {
+// push and pop take the PC to report a stack fault at: run keeps its PC in
+// a local.
+func (v *VM) push(pc int, val uint64) *Exception {
 	sp := v.Reg[SP] - 8
 	if sp < v.stackLimit {
-		return &Exception{Kind: ExcStackOverflow, PC: v.pc}
+		return &Exception{Kind: ExcStackOverflow, PC: pc}
 	}
 	if trap := v.MMU.Store64(sp, val); trap != nil {
-		return &Exception{Kind: ExcTrap, PC: v.pc, Trap: trap}
+		return &Exception{Kind: ExcTrap, PC: pc, Trap: trap}
 	}
 	v.Reg[SP] = sp
 	return nil
 }
 
-func (v *VM) pop() (uint64, *Exception) {
+func (v *VM) pop(pc int) (uint64, *Exception) {
 	val, trap := v.MMU.Load64(v.Reg[SP])
 	if trap != nil {
-		return 0, &Exception{Kind: ExcTrap, PC: v.pc, Trap: trap}
+		return 0, &Exception{Kind: ExcTrap, PC: pc, Trap: trap}
 	}
 	v.Reg[SP] += 8
 	return val, nil
 }
 
+// run is the interpreter loop, the hot path of every crash campaign. The
+// PC and the step count live in locals for the length of the loop; stop
+// writes them back on every way out, and they are written back before an
+// entry hook or an intrinsic runs — the only other code that can observe
+// them mid-run. (Tracer.record sees only the entry it is handed.)
 func (v *VM) run() *Exception {
 	budget := v.Budget
 	if budget == 0 {
 		budget = DefaultBudget
 	}
+	words, u, r := v.Text.words, v.MMU, &v.Reg
+	pc, steps := v.pc, v.Steps
 	for n := uint64(0); ; n++ {
 		if n >= budget {
-			return &Exception{Kind: ExcBudget, PC: v.pc}
+			return v.stop(pc, steps, &Exception{Kind: ExcBudget, PC: pc})
 		}
-		if v.pc < 0 || v.pc >= v.Text.Len() {
-			return &Exception{Kind: ExcIllegalInstr, PC: v.pc,
-				Reason: "pc outside kernel text"}
+		if uint(pc) >= uint(len(words)) {
+			return v.stop(pc, steps, &Exception{Kind: ExcIllegalInstr, PC: pc,
+				Reason: "pc outside kernel text"})
 		}
-		in := Decode(v.Text.Word(v.pc))
-		if !in.Op.Valid() {
-			return &Exception{Kind: ExcIllegalInstr, PC: v.pc,
-				Reason: fmt.Sprintf("opcode %d", uint8(in.Op))}
+		word := words[pc]
+		op, rd, rs1, rs2, imm := decodeFields(word)
+		if !op.Valid() {
+			return v.stop(pc, steps, &Exception{Kind: ExcIllegalInstr, PC: pc,
+				Reason: fmt.Sprintf("opcode %d", uint8(op))})
 		}
-		v.Steps++
-		next := v.pc + 1
-		r := &v.Reg
+		steps++
+		next := pc + 1
 
 		if v.Trace != nil {
-			e := TraceEntry{PC: v.pc, Word: v.Text.Word(v.pc)}
-			switch in.Op {
+			e := TraceEntry{PC: pc, Word: word}
+			switch op {
 			case OpSt:
 				e.Store = true
-				e.Addr = r[in.Rs1] + uint64(int64(in.Imm))
-				e.Val = r[in.Rs2]
+				e.Addr = r[rs1] + uint64(int64(imm))
+				e.Val = r[rs2]
 			case OpStB:
 				e.Store = true
-				e.Addr = r[in.Rs1] + uint64(int64(in.Imm))
-				e.Val = uint64(byte(r[in.Rs2]))
+				e.Addr = r[rs1] + uint64(int64(imm))
+				e.Val = uint64(byte(r[rs2]))
 			case OpPush:
 				e.Store = true
 				e.Addr = r[SP] - 8
-				e.Val = r[in.Rs1]
+				e.Val = r[rs1]
 			}
 			v.Trace.record(e)
 		}
 
-		switch in.Op {
+		switch op {
 		case OpNop:
 		case OpMovI:
-			r[in.Rd] = uint64(int64(in.Imm))
+			r[rd] = uint64(int64(imm))
 		case OpMovHi:
-			r[in.Rd] = (r[in.Rd] & 0xffffffff) | uint64(uint32(in.Imm))<<32
+			r[rd] = (r[rd] & 0xffffffff) | uint64(uint32(imm))<<32
 		case OpMov:
-			r[in.Rd] = r[in.Rs1]
+			r[rd] = r[rs1]
 		case OpAdd:
-			r[in.Rd] = r[in.Rs1] + r[in.Rs2]
+			r[rd] = r[rs1] + r[rs2]
 		case OpSub:
-			r[in.Rd] = r[in.Rs1] - r[in.Rs2]
+			r[rd] = r[rs1] - r[rs2]
 		case OpAddI:
-			r[in.Rd] = r[in.Rs1] + uint64(int64(in.Imm))
+			r[rd] = r[rs1] + uint64(int64(imm))
 		case OpAnd:
-			r[in.Rd] = r[in.Rs1] & r[in.Rs2]
+			r[rd] = r[rs1] & r[rs2]
 		case OpOr:
-			r[in.Rd] = r[in.Rs1] | r[in.Rs2]
+			r[rd] = r[rs1] | r[rs2]
 		case OpXor:
-			r[in.Rd] = r[in.Rs1] ^ r[in.Rs2]
+			r[rd] = r[rs1] ^ r[rs2]
 		case OpShlI:
-			r[in.Rd] = r[in.Rs1] << (uint32(in.Imm) & 63)
+			r[rd] = r[rs1] << (uint32(imm) & 63)
 		case OpShrI:
-			r[in.Rd] = r[in.Rs1] >> (uint32(in.Imm) & 63)
+			r[rd] = r[rs1] >> (uint32(imm) & 63)
 		case OpLd:
-			val, trap := v.MMU.Load64(r[in.Rs1] + uint64(int64(in.Imm)))
+			val, trap := u.Load64(r[rs1] + uint64(int64(imm)))
 			if trap != nil {
-				return &Exception{Kind: ExcTrap, PC: v.pc, Trap: trap}
+				return v.stop(pc, steps, &Exception{Kind: ExcTrap, PC: pc, Trap: trap})
 			}
-			r[in.Rd] = val
+			r[rd] = val
 		case OpSt:
-			if trap := v.MMU.Store64(r[in.Rs1]+uint64(int64(in.Imm)), r[in.Rs2]); trap != nil {
-				return &Exception{Kind: ExcTrap, PC: v.pc, Trap: trap}
+			if trap := u.Store64(r[rs1]+uint64(int64(imm)), r[rs2]); trap != nil {
+				return v.stop(pc, steps, &Exception{Kind: ExcTrap, PC: pc, Trap: trap})
 			}
 		case OpLdB:
-			val, trap := v.MMU.LoadByte(r[in.Rs1] + uint64(int64(in.Imm)))
+			val, trap := u.LoadByte(r[rs1] + uint64(int64(imm)))
 			if trap != nil {
-				return &Exception{Kind: ExcTrap, PC: v.pc, Trap: trap}
+				return v.stop(pc, steps, &Exception{Kind: ExcTrap, PC: pc, Trap: trap})
 			}
-			r[in.Rd] = uint64(val)
+			r[rd] = uint64(val)
 		case OpStB:
-			if trap := v.MMU.StoreByte(r[in.Rs1]+uint64(int64(in.Imm)), byte(r[in.Rs2])); trap != nil {
-				return &Exception{Kind: ExcTrap, PC: v.pc, Trap: trap}
+			if trap := u.StoreByte(r[rs1]+uint64(int64(imm)), byte(r[rs2])); trap != nil {
+				return v.stop(pc, steps, &Exception{Kind: ExcTrap, PC: pc, Trap: trap})
 			}
 		case OpBeq:
-			if r[in.Rs1] == r[in.Rs2] {
-				next = v.pc + 1 + int(in.Imm)
+			if r[rs1] == r[rs2] {
+				next = pc + 1 + int(imm)
 			}
 		case OpBne:
-			if r[in.Rs1] != r[in.Rs2] {
-				next = v.pc + 1 + int(in.Imm)
+			if r[rs1] != r[rs2] {
+				next = pc + 1 + int(imm)
 			}
 		case OpBlt:
-			if int64(r[in.Rs1]) < int64(r[in.Rs2]) {
-				next = v.pc + 1 + int(in.Imm)
+			if int64(r[rs1]) < int64(r[rs2]) {
+				next = pc + 1 + int(imm)
 			}
 		case OpBge:
-			if int64(r[in.Rs1]) >= int64(r[in.Rs2]) {
-				next = v.pc + 1 + int(in.Imm)
+			if int64(r[rs1]) >= int64(r[rs2]) {
+				next = pc + 1 + int(imm)
 			}
 		case OpBle:
-			if int64(r[in.Rs1]) <= int64(r[in.Rs2]) {
-				next = v.pc + 1 + int(in.Imm)
+			if int64(r[rs1]) <= int64(r[rs2]) {
+				next = pc + 1 + int(imm)
 			}
 		case OpBgt:
-			if int64(r[in.Rs1]) > int64(r[in.Rs2]) {
-				next = v.pc + 1 + int(in.Imm)
+			if int64(r[rs1]) > int64(r[rs2]) {
+				next = pc + 1 + int(imm)
 			}
 		case OpJmp:
-			next = v.pc + 1 + int(in.Imm)
+			next = pc + 1 + int(imm)
 		case OpCall:
-			if err := v.push(uint64(v.pc + 1)); err != nil {
-				return err
+			if err := v.push(pc, uint64(pc+1)); err != nil {
+				return v.stop(pc, steps, err)
 			}
-			next = int(in.Imm)
-			if hook := v.EntryHooks[next]; hook != nil {
-				hook(v)
+			next = int(imm)
+			// Only fault models install hooks; most runs have none.
+			if len(v.EntryHooks) != 0 {
+				if hook := v.EntryHooks[next]; hook != nil {
+					v.pc, v.Steps = pc, steps
+					hook(v)
+					words, u, steps = v.Text.words, v.MMU, v.Steps
+				}
 			}
 		case OpRet:
-			ret, err := v.pop()
+			ret, err := v.pop(pc)
 			if err != nil {
-				return err
+				return v.stop(pc, steps, err)
 			}
 			if ret == retSentinel {
-				return nil
+				return v.stop(pc, steps, nil)
 			}
 			next = int(ret)
 		case OpPush:
-			if err := v.push(r[in.Rs1]); err != nil {
-				return err
+			if err := v.push(pc, r[rs1]); err != nil {
+				return v.stop(pc, steps, err)
 			}
 		case OpPop:
-			val, err := v.pop()
+			val, err := v.pop(pc)
 			if err != nil {
-				return err
+				return v.stop(pc, steps, err)
 			}
-			r[in.Rd] = val
+			r[rd] = val
 		case OpIntr:
 			if v.Intr == nil {
-				return &Exception{Kind: ExcIllegalInstr, PC: v.pc,
-					Reason: "intrinsic with no handler"}
+				return v.stop(pc, steps, &Exception{Kind: ExcIllegalInstr, PC: pc,
+					Reason: "intrinsic with no handler"})
 			}
-			v.pc = next // intrinsics see the post-instruction PC
-			if exc := v.Intr.Intrinsic(v, in.Imm); exc != nil {
+			// Intrinsics see the post-instruction PC and may re-enter Exec;
+			// whatever they leave behind is where this run carries on.
+			v.pc, v.Steps = next, steps
+			if exc := v.Intr.Intrinsic(v, imm); exc != nil {
 				return exc
 			}
+			words, u, pc, steps = v.Text.words, v.MMU, v.pc, v.Steps
 			continue
 		case OpAssert:
-			if r[in.Rs1] != r[in.Rs2] {
-				return &Exception{Kind: ExcAssert, PC: v.pc,
+			if r[rs1] != r[rs2] {
+				return v.stop(pc, steps, &Exception{Kind: ExcAssert, PC: pc,
 					Reason: fmt.Sprintf("r%d(%#x) != r%d(%#x)",
-						in.Rs1, r[in.Rs1], in.Rs2, r[in.Rs2])}
+						rs1, r[rs1], rs2, r[rs2])})
 			}
 		case OpHalt:
-			return nil
+			return v.stop(pc, steps, nil)
 		}
-		v.pc = next
+		pc = next
 	}
+}
+
+// stop writes run's local PC and step count back and passes exc through.
+func (v *VM) stop(pc int, steps uint64, exc *Exception) *Exception {
+	v.pc, v.Steps = pc, steps
+	return exc
 }

@@ -85,24 +85,59 @@ type Machine struct {
 	Rng    *sim.Rand
 	Text   *kvm.Text
 
-	dumpScratch []byte // ScratchDump's image; allocated on first use
+	store *Storage
+}
+
+// Storage holds a machine's three big buffers — physical memory, the disk
+// and the memory image a warm reboot restores from — so that whoever builds
+// machine after machine (a crash campaign: thousands of 16 MB machines)
+// can build each on the last one's instead of paging in fresh ones. The
+// zero value is ready to use. A machine built on a Storage is the same, bit
+// for bit, as one built on a new Storage: memory and disk are recycled
+// (mem.Memory.Recycle, disk.Disk.Recycle), never carried over. A Storage
+// serves one machine at a time: building the next machine on it ends the
+// life of the previous one.
+type Storage struct {
+	mem  *mem.Memory
+	disk *disk.Disk
+	dump []byte // ScratchDump's image; allocated on first use
 }
 
 // New formats a fresh disk and boots a machine on it. text may be nil to
 // use the pristine kernel text.
 func New(opt Options, text *kvm.Text) (*Machine, error) {
+	return NewOn(nil, opt, text)
+}
+
+// NewOn is New on st's buffers, recycled where their sizes fit opt. A nil
+// st is a new Storage.
+func NewOn(st *Storage, opt Options, text *kvm.Text) (*Machine, error) {
+	if st == nil {
+		st = new(Storage)
+	}
 	if opt.Policy.Kind == fs.PolicyAdvFS && opt.JournalBlocks == 0 {
 		opt.JournalBlocks = 64
 	}
-	d := disk.New(int(opt.DiskBlocks)*fs.BlockSize, opt.DiskParams)
-	if _, err := fs.Mkfs(d, opt.NInodes, opt.JournalBlocks); err != nil {
+	memBytes, diskBytes := opt.MemPages*mem.PageSize, int(opt.DiskBlocks)*fs.BlockSize
+	if st.disk != nil && st.disk.NumSectors()*disk.SectorSize == diskBytes {
+		st.disk = st.disk.Recycle(opt.DiskParams)
+	} else {
+		st.disk = disk.New(diskBytes, opt.DiskParams)
+	}
+	if _, err := fs.Mkfs(st.disk, opt.NInodes, opt.JournalBlocks); err != nil {
 		return nil, err
 	}
+	if st.mem != nil && st.mem.Size() == memBytes {
+		st.mem = st.mem.Recycle()
+	} else {
+		st.mem = mem.New(memBytes)
+	}
 	m := &Machine{
-		Opt:  opt,
-		Mem:  mem.New(opt.MemPages * mem.PageSize),
-		Disk: d,
-		Rng:  sim.NewRand(opt.Seed),
+		Opt:   opt,
+		Mem:   st.mem,
+		Disk:  st.disk,
+		Rng:   sim.NewRand(opt.Seed),
+		store: st,
 	}
 	if err := m.Boot(text); err != nil {
 		return nil, err
@@ -159,19 +194,24 @@ func (m *Machine) Boot(text *kvm.Text) error {
 	return nil
 }
 
-// ScratchDump copies all of physical memory into the machine's reusable
-// dump image and returns it: the in-place warm reboot's "dump RAM to swap"
+// ScratchDump copies all of physical memory into the dump image of the
+// machine's Storage and returns it: the warm reboot's "dump RAM to swap"
 // step without a fresh memory-sized allocation per reboot. The image is
-// storage of its own — booting and restoring never write to it — but it is
-// valid only until the next ScratchDump; a caller that holds a dump across
-// reboots (a campaign restarting an interrupted recovery, the UPS path)
-// takes its own copy with Mem.Dump.
+// storage of its own — booting and restoring never write to it, so a
+// recovery interrupted by a second crash restarts from it — but it is valid
+// only until the next ScratchDump on the same Storage; a caller that holds
+// a dump across in-place reboots (the UPS path) takes its own copy with
+// Mem.Dump.
 func (m *Machine) ScratchDump() []byte {
-	if m.dumpScratch == nil {
-		m.dumpScratch = make([]byte, m.Mem.Size())
+	if m.store == nil {
+		m.store = new(Storage) // a machine assembled by hand, not by New
 	}
-	m.Mem.ReadAt(0, m.dumpScratch)
-	return m.dumpScratch
+	st := m.store
+	if len(st.dump) != m.Mem.Size() {
+		st.dump = make([]byte, m.Mem.Size())
+	}
+	m.Mem.ReadAt(0, st.dump)
+	return st.dump
 }
 
 // Crashed returns the kernel's crash record, if any.

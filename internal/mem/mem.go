@@ -60,6 +60,15 @@ func New(size int) *Memory {
 	}
 }
 
+// Recycle returns a new memory of m's size on m's storage, zeroed, with
+// fresh frame metadata: indistinguishable from New's. m must not be used
+// again. A crash campaign builds each run's memory from the last one's
+// instead of paging in 16 MB of fresh memory per run.
+func (m *Memory) Recycle() *Memory {
+	clear(m.data)
+	return &Memory{data: m.data, frames: make([]Frame, len(m.frames))}
+}
+
 // Size returns the memory size in bytes.
 func (m *Memory) Size() int { return len(m.data) }
 

@@ -170,6 +170,26 @@ func TestScramble(t *testing.T) {
 	}
 }
 
+// TestRecycleIsNew: a recycled memory keeps nothing of the memory it was
+// made from but the size.
+func TestRecycleIsNew(t *testing.T) {
+	old := New(4 * PageSize)
+	old.Scramble(9)
+	old.Frame(2).WriteProtected = true
+	m := old.Recycle()
+	if m.Size() != old.Size() || m.NumFrames() != old.NumFrames() {
+		t.Fatalf("recycled memory is %d bytes in %d frames", m.Size(), m.NumFrames())
+	}
+	if !bytes.Equal(m.Dump(), New(4*PageSize).Dump()) {
+		t.Fatal("recycled memory is not zeroed")
+	}
+	for f := 0; f < m.NumFrames(); f++ {
+		if *m.Frame(f) != (Frame{}) {
+			t.Fatalf("frame %d keeps flags %+v", f, *m.Frame(f))
+		}
+	}
+}
+
 func TestClearFlagsPreservesData(t *testing.T) {
 	m := New(PageSize)
 	m.WriteAt(64, []byte("survives"))

@@ -9,6 +9,7 @@ import (
 	"rio/internal/crashtest/fleetcampaign"
 	"rio/internal/fault"
 	"rio/internal/kernel"
+	"rio/internal/machine"
 	"rio/internal/server"
 	"rio/internal/sim"
 	"rio/internal/wire"
@@ -76,7 +77,7 @@ func (r *Runner) elapsed() func() int64 {
 // cell whose fold never reports full: every plan is folded into out, in
 // plan order, whatever the worker count. It then totals out; an error is
 // the scheduler's abort (the heap tripwire).
-func runPlans[R any](r *Runner, spec *Spec, out *Result, plan func(i int) (R, error), fold func(crashtest.Outcome[R])) (*Result, error) {
+func runPlans[R any](r *Runner, spec *Spec, out *Result, plan func(i int, st *machine.Storage) (R, error), fold func(crashtest.Outcome[R])) (*Result, error) {
 	total := r.elapsed()
 	s := crashtest.NewScheduler[R](r.Workers, r.Now)
 	s.RunCell(crashtest.CellPlan[R]{
@@ -155,12 +156,12 @@ func (r *Runner) runCrash(spec *Spec) (*Result, error) {
 
 	// Plan i lands on cell (i mod systems, i/systems mod faults).
 	coords := func(i int) (sysIdx, ftIdx int) { return i % len(systems), (i / len(systems)) % len(fts) }
-	plan := func(i int) (res crashtest.WorkloadResult, err error) {
+	plan := func(i int, st *machine.Storage) (res crashtest.WorkloadResult, err error) {
 		sysIdx, ftIdx := coords(i)
 		// Fault-injection attempts: first seed that actually crashes is
 		// the scored run; a plan that never crashes is discarded.
 		for a := 0; a < crashAttempts && !res.Crashed && err == nil; a++ {
-			res, err = crashtest.RunWorkloadOne(systems[sysIdx], fts[ftIdx], crashtest.RunConfig{
+			res, err = crashtest.RunWorkloadOne(st, systems[sysIdx], fts[ftIdx], crashtest.RunConfig{
 				Seed:         sim.Mix(spec.Seed, crashPlanSalt, uint64(i), uint64(a)),
 				WarmupOps:    spec.Schedule.WarmupOps,
 				MaxOps:       spec.Schedule.MaxOps,
@@ -245,7 +246,7 @@ func (r *Runner) runServer(spec *Spec) (*Result, error) {
 		Cells: []Cell{{Label: fmt.Sprintf("server/%d-shards/crash-under-load", spec.Topology.Shards)}}}
 
 	c := &out.Cells[0]
-	plan := func(i int) (serverPlanOutcome, error) {
+	plan := func(i int, _ *machine.Storage) (serverPlanOutcome, error) {
 		return runServerPlan(spec, sim.Mix(spec.Seed, serverPlanSalt, uint64(i)))
 	}
 	return runPlans(r, spec, out, plan, func(o crashtest.Outcome[serverPlanOutcome]) {
@@ -395,7 +396,7 @@ func (r *Runner) runFleet(spec *Spec) (*Result, error) {
 		}
 	}
 
-	plan := func(i int) (fleetcampaign.RunResult, error) {
+	plan := func(i int, _ *machine.Storage) (fleetcampaign.RunResult, error) {
 		p := fleetcampaign.PlanFor(spec.Seed, i)
 		p.Kind = kinds[i%len(kinds)]
 		p.Nodes, p.Shards, p.Replicas = spec.Topology.Nodes, spec.Topology.Shards, spec.Topology.Replicas

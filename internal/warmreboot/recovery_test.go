@@ -244,10 +244,10 @@ func TestTruncatedDumpHandled(t *testing.T) {
 }
 
 // TestWarmReusesMachineScratch pins who owns which dump. Warm dumps into
-// the machine's scratch image — allocated by the first Warm, overwritten
-// by the next — so repeated in-place reboots of one machine must each
-// restore byte-exact, and from the second on must not allocate another
-// memory-sized image. A dump a caller took with Mem.Dump is the caller's:
+// the image of the machine's Storage — allocated by the first Warm,
+// overwritten by the next — so repeated in-place reboots of one machine
+// must each restore byte-exact, and from the second on must not allocate
+// another memory-sized image. A dump a caller took with Mem.Dump is the caller's:
 // no later Warm may touch it, and recovery from it (interrupted at any
 // step, or cut short) is the same as on a machine that never warm-rebooted
 // in place.

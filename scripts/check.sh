@@ -24,8 +24,10 @@ go test ./...
 go test -race -timeout 60m ./internal/crashtest/...
 # The recovery path (warm reboot restart protocol, disk fault plans,
 # retrying I/O) is what the double-fault campaign leans on; race-check it
-# too — these packages are fast even under the detector.
-go test -race -timeout 10m ./internal/warmreboot/... ./internal/disk/... ./internal/ioretry/...
+# too — these packages are fast even under the detector. The machine
+# storage that campaign workers recycle from run to run, and the
+# interpreter loop every one of those runs spends its time in, ride along.
+go test -race -timeout 10m ./internal/warmreboot/... ./internal/disk/... ./internal/ioretry/... ./internal/machine/... ./internal/kvm/...
 # The serving layer is the one place real goroutines share state (shard
 # queues, metrics, close/drain); the wire codec fuzz seeds ride along.
 # The transaction layer (commit records, publish/apply/erase, the
