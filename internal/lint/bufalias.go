@@ -27,6 +27,10 @@ import (
 //     heap location, sent on a channel, or handed to a goroutine.
 //     Returning one is allowed — that propagates the window to the
 //     caller, and the caller is tracked in turn.
+//   - A request decoded in place from a pooled wire frame
+//     (wire.DecodeRequestAliased) is a pooled alias too: its Data points
+//     into the frame, so retaining it — a staged transaction op keeping
+//     req.Data — needs a copy.
 //   - putPooledBlock releases a block back to the pool; using the
 //     released value afterwards (including releasing it twice) is a
 //     use-after-free against the pool.
@@ -63,6 +67,16 @@ var releaseFuncs = map[string]bool{
 	"putPooledBlock": true,
 	"putFrameBuf":    true, // server frame pool release
 	"ReleaseFrame":   true, // exported wrapper over putFrameBuf
+}
+
+// aliasResults are the functions whose result aliases their buffer
+// arguments in a way no summary can see: wire's in-place request decoder
+// parses through a cursor's methods, which the taint walk does not
+// follow, yet the Request it returns points into the frame it was given.
+// The result carries the arguments' taint, so a request decoded from a
+// pooled frame is itself a pooled alias.
+var aliasResults = map[string]bool{
+	"DecodeRequestAliased": true,
 }
 
 // intoContracts are the Into-style functions whose destination buffers

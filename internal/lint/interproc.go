@@ -648,7 +648,10 @@ func (st *taintState) callResultTaint(call *ast.CallExpr) uint64 {
 		if _, isBuiltin := st.objOf(id).(*types.Builtin); isBuiltin {
 			if id.Name == "append" {
 				var t uint64
-				for _, a := range call.Args {
+				for i, a := range call.Args {
+					if i > 0 && call.Ellipsis.IsValid() && !sliceOfRefs(st.info.TypeOf(a)) {
+						continue // append(dst, src...) copies plain bytes out of src: no alias
+					}
 					t |= st.taintOf(a)
 				}
 				return t
@@ -660,11 +663,16 @@ func (st *taintState) callResultTaint(call *ast.CallExpr) uint64 {
 	if callee == nil {
 		return 0
 	}
+	var t uint64
+	if aliasResults[callee.Name()] {
+		for _, a := range call.Args {
+			t |= st.taintOf(a)
+		}
+	}
 	sum := st.pr.summaries[callee]
 	if sum == nil {
-		return 0
+		return t
 	}
-	var t uint64
 	if sum.ReturnsRoot {
 		t |= 1 << rootBit
 	}
@@ -680,6 +688,17 @@ func (st *taintState) callResultTaint(call *ast.CallExpr) uint64 {
 		}
 	}
 	return t
+}
+
+// sliceOfRefs reports whether t is a slice whose elements can themselves
+// alias storage (so spreading it into an append carries the aliases
+// along); a []byte or string spread only copies values.
+func sliceOfRefs(t types.Type) bool {
+	if t == nil {
+		return true
+	}
+	sl, ok := t.Underlying().(*types.Slice)
+	return ok && refLike(sl.Elem())
 }
 
 // isPoolRead reports whether sel reads one of the pooled-buffer roots

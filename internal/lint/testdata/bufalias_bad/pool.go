@@ -147,3 +147,47 @@ func (c *cacheT) ReadDirect(off int, dst []byte) { // want bufalias "ReadDirect 
 	copy(dst, c.data[off:])
 	c.last = dst
 }
+
+// requestT / DecodeRequestAliased mimic internal/wire's in-place request
+// decoder: the parse runs through a cursor's methods, which the taint
+// walk does not follow, so bufalias knows the alias by name.
+type requestT struct {
+	Path string
+	Data []byte
+}
+
+type cursorT struct {
+	buf []byte
+	off int
+}
+
+func (c *cursorT) rest() []byte { return c.buf[c.off:] }
+
+func DecodeRequestAliased(buf []byte) *requestT {
+	c := cursorT{buf: buf}
+	return &requestT{Data: c.rest()}
+}
+
+// opT / txnT mimic internal/server's transaction staging: staged ops sit
+// in ops until commit, long after the batch that carried them ended.
+type opT struct {
+	Path string
+	Data []byte
+}
+
+type txnT struct {
+	ops []opT
+}
+
+func stagedOp(req *requestT) opT { return opT{Path: req.Path, Data: req.Data} }
+
+// stageAliased is the seeded bug: a request decoded in place from a
+// pooled frame is staged without copying its payload, so the transaction
+// holds bytes the pool hands to the next request on the wire.
+func stageAliased(p *framePoolT, tx *txnT) {
+	frame := p.get()
+	req := DecodeRequestAliased(frame)
+	op := stagedOp(req)
+	tx.ops = append(tx.ops, op) // want bufalias "stored in tx.ops"
+	p.putFrameBuf(frame)
+}

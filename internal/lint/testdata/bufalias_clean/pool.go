@@ -144,3 +144,42 @@ func releaseFrameOnce(p *framePoolT, c *cacheT) {
 func (c *cacheT) ReadDirect(off int, dst []byte) {
 	copy(dst, c.data[off:])
 }
+
+// requestT / DecodeRequestAliased mimic internal/wire's in-place request
+// decoder.
+type requestT struct {
+	Path string
+	Data []byte
+}
+
+type cursorT struct {
+	buf []byte
+	off int
+}
+
+func (c *cursorT) rest() []byte { return c.buf[c.off:] }
+
+func DecodeRequestAliased(buf []byte) *requestT {
+	c := cursorT{buf: buf}
+	return &requestT{Data: c.rest()}
+}
+
+type opT struct {
+	Path string
+	Data []byte
+}
+
+type txnT struct {
+	ops []opT
+}
+
+// stageCopied is the sanctioned staging of a request decoded in place:
+// the payload is copied at the retention point, the path is a string
+// (a value, not an alias), and the frame goes back to the pool.
+func stageCopied(p *framePoolT, tx *txnT) {
+	frame := p.get()
+	req := DecodeRequestAliased(frame)
+	op := opT{Path: req.Path, Data: append([]byte(nil), req.Data...)}
+	tx.ops = append(tx.ops, op)
+	p.putFrameBuf(frame)
+}

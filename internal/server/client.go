@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bufio"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -37,6 +39,7 @@ func (c MemClient) Close() error { return nil }
 // hold one each.
 type TCPClient struct {
 	conn net.Conn
+	br   *bufio.Reader
 	buf  []byte
 }
 
@@ -46,15 +49,27 @@ func DialTCP(addr string) (*TCPClient, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &TCPClient{conn: conn, buf: make([]byte, 0, 4096)}, nil
+	return &TCPClient{conn: conn, br: bufio.NewReaderSize(conn, connReadBuf), buf: make([]byte, 0, 4096)}, nil
+}
+
+// sendRequest writes req as one frame in one Write (one syscall, one
+// segment on a raw connection), reusing buf and returning its growth.
+func sendRequest(w io.Writer, buf []byte, req *wire.Request) ([]byte, error) {
+	if wire.RequestSize(req) > wire.MaxFrame {
+		return buf, wire.ErrFrame
+	}
+	buf = wire.AppendRequestFrame(buf[:0], req)
+	_, err := w.Write(buf)
+	return buf, err
 }
 
 // Do implements Client.
 func (c *TCPClient) Do(req *wire.Request) (*wire.Response, error) {
-	if err := wire.WriteFrame(c.conn, wire.AppendRequest(c.buf[:0], req)); err != nil {
+	var err error
+	if c.buf, err = sendRequest(c.conn, c.buf, req); err != nil {
 		return nil, err
 	}
-	payload, err := wire.ReadFrame(c.conn, wire.MaxFrame)
+	payload, err := wire.ReadFrame(c.br, wire.MaxFrame)
 	if err != nil {
 		return nil, err
 	}
@@ -72,6 +87,7 @@ func (c *TCPClient) Close() error { return c.conn.Close() }
 // and response — callers never see the tags. Safe for concurrent use.
 type MuxClient struct {
 	conn net.Conn
+	br   *bufio.Reader // readLoop only
 
 	wmu  sync.Mutex // serializes frame writes
 	wbuf []byte
@@ -97,6 +113,7 @@ func DialMux(addr string) (*MuxClient, error) {
 func NewMuxClient(conn net.Conn) *MuxClient {
 	m := &MuxClient{
 		conn:    conn,
+		br:      bufio.NewReaderSize(conn, connReadBuf),
 		wbuf:    make([]byte, 0, 4096),
 		pending: make(map[uint64]chan *wire.Response),
 	}
@@ -108,7 +125,7 @@ func NewMuxClient(conn net.Conn) *MuxClient {
 // fails, then fails every outstanding and future call with the error.
 func (m *MuxClient) readLoop() {
 	for {
-		payload, err := wire.ReadFrame(m.conn, wire.MaxFrame)
+		payload, err := wire.ReadFrame(m.br, wire.MaxFrame)
 		if err != nil {
 			m.fail(err)
 			return
@@ -185,8 +202,8 @@ func (m *MuxClient) Do(req *wire.Request) (*wire.Response, error) {
 	orig := req.ID
 	req.ID = tag
 	m.wmu.Lock()
-	m.wbuf = wire.AppendRequest(m.wbuf[:0], req)
-	err := wire.WriteFrame(m.conn, m.wbuf)
+	var err error
+	m.wbuf, err = sendRequest(m.conn, m.wbuf, req)
 	m.wmu.Unlock()
 	req.ID = orig
 	if err != nil {

@@ -21,18 +21,24 @@ type reply struct {
 }
 
 // frameBufSize seeds new pool buffers with room for a block-sized read
-// frame so the common case never grows.
+// or write frame so the common case never grows.
 const frameBufSize = 4 + 64 + 8192
 
-// maxPooledFrames bounds the pool; beyond it buffers are dropped for
-// the collector rather than pinning a burst's worth of frames forever.
-const maxPooledFrames = 256
+// maxPooledFrames bounds the pool's entries and maxPooledFrameCap each
+// entry's capacity (8 MB in all); past either, a buffer is dropped for
+// the collector rather than pinning a burst's worth of frames — or a
+// whole-file read's or MaxData write's 1 MB — forever.
+const (
+	maxPooledFrames   = 256
+	maxPooledFrameCap = 4 * frameBufSize
+)
 
-// framePool recycles wire-frame buffers for the zero-copy read path.
-// Buffers cycle get -> ExecReadFrame -> reply channel -> TCP writer (or
-// DoFrame caller) -> putFrameBuf. The slice-of-slices field is the
-// shape the bufalias analyzer tracks: everything aliased from frameBufs
-// is a pooled buffer that must not outlive its serve window.
+// framePool recycles wire-frame buffers in both directions. Responses
+// cycle get -> ExecReadFrame -> reply channel -> TCP writer (or DoFrame
+// caller) -> putFrameBuf; requests cycle get -> TCP reader (decoded in
+// place) -> task -> shard serve -> putFrameBuf. The slice-of-slices
+// field is the shape the bufalias analyzer tracks: everything aliased
+// from frameBufs is a pooled buffer that must not outlive its window.
 type framePool struct {
 	mu        sync.Mutex
 	frameBufs [][]byte
@@ -52,7 +58,7 @@ func (p *framePool) get() []byte {
 }
 
 func (p *framePool) putFrameBuf(b []byte) {
-	if cap(b) == 0 {
+	if cap(b) == 0 || cap(b) > maxPooledFrameCap {
 		return
 	}
 	p.mu.Lock()
@@ -173,34 +179,41 @@ var replyChPool = sync.Pool{New: func() any { return make(chan reply, 1) }}
 // do submits one request and blocks until its reply. wantFrame selects
 // the zero-copy read path for OpRead.
 func (s *Server) do(req *wire.Request, wantFrame bool) reply {
-	sh, errResp := s.route(req)
-	if errResp != nil {
-		return reply{resp: errResp}
-	}
 	ch := replyChPool.Get().(chan reply)
-	t := task{req: req, resp: ch, enq: time.Now(), wantFrame: wantFrame}
+	defer replyChPool.Put(ch)
+	if refused := s.submit(task{req: req, resp: ch, wantFrame: wantFrame}); refused != nil {
+		return reply{resp: refused}
+	}
+	return <-ch
+}
 
+// submit is the one way into a shard queue, shared by Do and the TCP
+// readers: it routes t.req and enqueues t without blocking. nil means
+// queued — exactly one reply then arrives on t.resp; otherwise the typed
+// refusal: invalid, closed, or again (queue full).
+func (s *Server) submit(t task) *wire.Response {
+	sh, refused := s.route(t.req)
+	if refused != nil {
+		return refused
+	}
+	t.enq = time.Now()
 	// The read lock pins the closed flag across the enqueue so Close
 	// cannot close a shard channel between our check and our send.
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
-		replyChPool.Put(ch)
-		return reply{resp: &wire.Response{ID: req.ID, Status: wire.StatusClosed, Msg: "server closed"}}
+		return &wire.Response{ID: t.req.ID, Status: wire.StatusClosed, Msg: "server closed"}
 	}
 	select {
 	case sh.ch <- t:
 		s.mu.RUnlock()
+		return nil
 	default:
-		s.mu.RUnlock()
-		sh.mu.Lock()
-		sh.rejected++
-		sh.mu.Unlock()
-		replyChPool.Put(ch)
-		return reply{resp: &wire.Response{ID: req.ID, Status: wire.StatusAgain,
-			Msg: fmt.Sprintf("shard %d queue full", sh.id)}}
 	}
-	r := <-ch
-	replyChPool.Put(ch)
-	return r
+	s.mu.RUnlock()
+	sh.mu.Lock()
+	sh.rejected++
+	sh.mu.Unlock()
+	return &wire.Response{ID: t.req.ID, Status: wire.StatusAgain,
+		Msg: fmt.Sprintf("shard %d queue full", sh.id)}
 }

@@ -219,13 +219,13 @@ func TestServeConnIdleTimeout(t *testing.T) {
 	defer ln.Close()
 	go srv.Serve(ln)
 
-	conn, err := net.Dial("tcp", ln.Addr().String())
+	// A healthy request proves the connection works, then we stall.
+	cl, err := DialTCP(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	// A healthy request proves the connection works, then we stall.
-	cl := &TCPClient{conn: conn, buf: make([]byte, 0, 256)}
+	defer cl.Close()
+	conn := cl.conn
 	if resp, err := cl.Do(&wire.Request{ID: 1, Op: wire.OpOpen, Shard: -1, Path: "/alive"}); err != nil || resp.Status != wire.StatusOK {
 		t.Fatalf("healthy request: %v %+v", err, resp)
 	}

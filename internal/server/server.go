@@ -21,6 +21,7 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"runtime"
@@ -97,11 +98,14 @@ func (c Config) withDefaults() Config {
 }
 
 // task carries one request through a shard queue. The response channel
-// is buffered so the shard goroutine never blocks on a reply. wantFrame
-// asks for the zero-copy read path: an OpRead answered as a serialized
-// pooled wire frame instead of a Data slice.
+// always has room for this task's reply (Do's one-shot channel, or a
+// connection's reply channel under its in-flight tokens), so the shard
+// goroutine never blocks on a reply. wantFrame asks for the zero-copy
+// read path: an OpRead answered as a serialized pooled wire frame. frame
+// is the pooled request frame req.Data aliases, if any; serve releases it.
 type task struct {
 	req       *wire.Request
+	frame     []byte
 	resp      chan reply
 	enq       time.Time
 	wantFrame bool
@@ -452,6 +456,7 @@ func (s *Server) waitDrain() {
 				}
 				t.resp <- reply{resp: &wire.Response{ID: t.req.ID, Status: wire.StatusTimeout,
 					Msg: fmt.Sprintf("shard %d drain timed out after %v; request unserved", sh.id, s.cfg.DrainTimeout)}}
+				s.pool.putFrameBuf(t.frame)
 			}
 		}
 	}
@@ -694,10 +699,11 @@ func (sh *shard) serve(batch []task) {
 			d.t.resp <- reply{resp: d.resp, frame: d.frame}
 		}
 	}
-	// Clear the scratch before reuse: a retained frame pointer here
-	// would alias a buffer the receiver has already released back to
-	// the pool.
+	// Every payload is in simulated memory (or its transaction) and
+	// counted: the request frames go back to the pool. Clearing the
+	// scratch drops the pointers to them and to the reply frames.
 	for i := range results {
+		sh.pool.putFrameBuf(results[i].t.frame)
 		results[i] = done{}
 	}
 	sh.results = results
@@ -823,6 +829,9 @@ func (sh *shard) stage(req *wire.Request, groupBytes int) (*wire.Response, *txn.
 		return fail(wire.StatusTxnLimit, fmt.Sprintf(
 			"transaction %d over limits (%d ops, %d bytes staged)", req.Txn, len(tx.ops), tx.bytes))
 	}
+	// The one place a payload outlives serve: tx.ops holds it until
+	// commit, and req.Data may alias a pooled frame released before then.
+	op.Data = bytes.Clone(op.Data)
 	tx.ops = append(tx.ops, op)
 	tx.bytes += len(op.Data)
 	return ok(), nil

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
@@ -35,8 +36,20 @@ func FuzzDecodeRequest(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := DecodeRequest(data) // must return, never panic
+		// The in-place decoder is the same parser: same verdict, same
+		// fields, and a Data that is a view of the input, not a copy.
+		ra, erra := DecodeRequestAliased(data)
+		if (err == nil) != (erra == nil) || (err != nil && err.Error() != erra.Error()) {
+			t.Fatalf("copying decoder: %v; aliasing decoder: %v", err, erra)
+		}
 		if err != nil {
 			return
+		}
+		if !reflect.DeepEqual(r, ra) {
+			t.Fatalf("aliased decode %+v, copying decode %+v", ra, r)
+		}
+		if n := len(ra.Data); n > 0 && &ra.Data[0] != &data[len(data)-n] {
+			t.Fatal("aliased Data is not a view of the input's tail")
 		}
 		// No over-allocation: everything the decoder materialised came
 		// out of the input, so it can never exceed the input's length.

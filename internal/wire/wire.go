@@ -233,9 +233,28 @@ func AppendRequest(dst []byte, r *Request) []byte {
 	return append(dst, r.Data...)
 }
 
+// AppendRequestFrame appends a complete wire frame — u32 length prefix
+// plus r's encoding — to dst, so a client on a raw connection sends a
+// request as one write (WriteFrame issues two).
+func AppendRequestFrame(dst []byte, r *Request) []byte {
+	size := RequestSize(r)
+	dst = grow(dst, 4+size)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(size))
+	return AppendRequest(dst, r)
+}
+
 // DecodeRequest decodes exactly one request from buf. The entire buffer
-// must be consumed; trailing bytes are an error.
-func DecodeRequest(buf []byte) (*Request, error) {
+// must be consumed; trailing bytes are an error. Data is copied out of
+// buf, so the caller may reuse buf and retain the request.
+func DecodeRequest(buf []byte) (*Request, error) { return decodeRequest(buf, false) }
+
+// DecodeRequestAliased is DecodeRequest without the payload copy:
+// Request.Data is a sub-slice of buf (every other field is a value), so
+// the request is valid only until buf is reused. The TCP server decodes
+// pooled frames with it; the bufalias analyzer tracks the alias.
+func DecodeRequestAliased(buf []byte) (*Request, error) { return decodeRequest(buf, true) }
+
+func decodeRequest(buf []byte, alias bool) (*Request, error) {
 	c := cursor{buf: buf}
 	var r Request
 	r.ID = c.u64()
@@ -246,7 +265,7 @@ func DecodeRequest(buf []byte) (*Request, error) {
 	r.Txn = c.u64()
 	r.Path = c.str16(MaxPath)
 	r.Path2 = c.str16(MaxPath)
-	r.Data = c.bytes32(MaxData)
+	r.Data = c.bytes32(MaxData, alias)
 	if err := c.finish(); err != nil {
 		return nil, err
 	}
@@ -314,7 +333,7 @@ func DecodeResponse(buf []byte) (*Response, error) {
 	r.Status = Status(c.u8())
 	r.Flags = c.u8()
 	r.Size = int64(c.u64())
-	r.Data = c.bytes32(MaxData)
+	r.Data = c.bytes32(MaxData, false)
 	r.Msg = c.str16(MaxMsg)
 	if err := c.finish(); err != nil {
 		return nil, err
@@ -339,23 +358,36 @@ func WriteFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-// ReadFrame reads one length-prefixed frame. A declared length beyond
-// max is rejected before any allocation, bounding what a hostile peer
-// can make the reader hold.
-func ReadFrame(r io.Reader, max int) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// ReadFrame reads one length-prefixed frame into a fresh buffer. A
+// declared length beyond max is rejected before the payload is
+// allocated, bounding what a hostile peer can make the reader hold.
+func ReadFrame(r io.Reader, max int) ([]byte, error) { return ReadFrameInto(r, max, nil) }
+
+// ReadFrameInto is ReadFrame into dst's capacity (its length is
+// ignored): prefix, then payload, land in dst, and only a payload larger
+// than cap(dst) allocates — its declared size, after the max check. The
+// payload aliases dst unless it had to grow; on error dst stays the
+// caller's.
+func ReadFrameInto(r io.Reader, max int, dst []byte) ([]byte, error) {
+	buf := dst[:cap(dst)]
+	if len(buf) < 4 {
+		buf = make([]byte, 4)
+	}
+	if _, err := io.ReadFull(r, buf[:4]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(buf[:4])
 	if int64(n) > int64(max) {
 		return nil, ErrFrame
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	if int64(n) > int64(len(buf)) {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}
-	return payload, nil
+	return buf, nil
 }
 
 func appendString16(dst []byte, s string) []byte {
@@ -430,9 +462,10 @@ func (c *cursor) str16(max int) string {
 	return string(s)
 }
 
-// bytes32 reads a u32-prefixed byte slice of at most max bytes, copied
-// out of the frame so the caller may retain it.
-func (c *cursor) bytes32(max int) []byte {
+// bytes32 reads a u32-prefixed byte slice of at most max bytes: copied
+// out of the frame so the caller may retain it, or — alias — a view of
+// the frame itself, valid only as long as the frame is.
+func (c *cursor) bytes32(max int, alias bool) []byte {
 	b := c.take(4)
 	if b == nil {
 		return nil
@@ -450,6 +483,9 @@ func (c *cursor) bytes32(max int) []byte {
 	}
 	if n == 0 {
 		return nil
+	}
+	if alias {
+		return p
 	}
 	out := make([]byte, n)
 	copy(out, p)

@@ -29,7 +29,10 @@ go test -race -timeout 60m ./internal/crashtest/...
 # interpreter loop every one of those runs spends its time in, ride along.
 go test -race -timeout 10m ./internal/warmreboot/... ./internal/disk/... ./internal/ioretry/... ./internal/machine/... ./internal/kvm/...
 # The serving layer is the one place real goroutines share state (shard
-# queues, metrics, close/drain); the wire codec fuzz seeds ride along.
+# queues, metrics, close/drain, and pooled request frames handed from a
+# connection's reader to a shard and back to the pool —
+# TestTCPIngressOwnershipRace is the test that needs the detector); the
+# wire codec fuzz seeds ride along.
 # The transaction layer (commit records, publish/apply/erase, the
 # TxnTest torn-state oracle) joins the race gate: its campaign fans out
 # across workers and its server integration rides the shard goroutines.
@@ -56,10 +59,12 @@ make crash-recovery
 # -workers 4 reports land in scenario-reports/, uploaded as a CI artifact.
 make scenarios
 # Server smoke benchmark: rioload against riod's in-process transport,
-# with a 1-shard baseline — fails if the run errors; the report lands in
-# BENCH_server.json (uploaded as a CI artifact).
-make serve-bench
+# with a 1-shard baseline — fails if the run errors. The report lands in
+# the untracked bench-reports/ (uploaded as a CI artifact), not over the
+# tracked BENCH_server.json: a gate run leaves `git status` clean, and
+# the snapshots change only when someone runs the bare make target.
+make serve-bench SERVE_BENCH_OUT=bench-reports/BENCH_server.json
 # Core-op microbenchmarks: riobench against one simulated machine,
-# compared to the previous BENCH_core.json snapshot when one exists —
-# fails if the run errors; the report is uploaded as a CI artifact.
-make bench-core
+# compared to the checked-in BENCH_core.json snapshot — fails if the run
+# errors; the report is uploaded as a CI artifact.
+make bench-core BENCH_CORE_OUT=bench-reports/BENCH_core.json
