@@ -1,6 +1,7 @@
 # Tier-1 gate: `make check` runs the same commands CI should — build,
-# vet, tests, and the race detector over the concurrent campaign
-# scheduler (scripts/check.sh is the single source of truth).
+# vet, riolint, tests, the race gate (`make race`), the goldens and the
+# smoke benchmarks (scripts/check.sh is the single source of truth for
+# the sequence; the race package list lives here, under `race`).
 
 .PHONY: check build lint test race bench bench-core crash-recovery crash-txn crash-fleet serve-bench scenarios
 
@@ -19,8 +20,24 @@ lint:
 test:
 	go test ./...
 
+# The race gate: the one list of packages that run under the detector
+# (scripts/check.sh calls this target). crashtest's scheduler fans the
+# real mini-campaigns across goroutines and is the slow one (~4 min);
+# warmreboot, disk, ioretry, machine and kvm are what a campaign worker
+# recycles and spends its time in; server and wire are where real
+# goroutines share state (shard queues, metrics, close/drain, pooled
+# request frames — TestTCPIngressOwnershipRace needs the detector); txn
+# and workload ride the shard goroutines and the campaign workers; fleet
+# runs replica locks, the in-process transport and the coordinator's tick
+# concurrently; fs and cache own the reused image scratch and block pool
+# every one of those goroutines' mounts writes through.
+RACE_PKGS = ./internal/crashtest/... ./internal/warmreboot/... ./internal/disk/... \
+	./internal/ioretry/... ./internal/machine/... ./internal/kvm/... \
+	./internal/server/... ./internal/wire/... ./internal/txn/... \
+	./internal/workload/... ./internal/fleet/... ./internal/fs/... ./internal/cache/...
+
 race:
-	go test -race ./internal/crashtest/... ./internal/warmreboot/... ./internal/disk/... ./internal/fleet/...
+	go test -race -timeout 60m $(RACE_PKGS)
 
 bench:
 	go test -run '^$$' -bench . -benchtime 1x .
@@ -39,9 +56,12 @@ SERVE_BENCH_OUT ?= BENCH_server.json
 # BENCH_core.json is embedded as the baseline (riobench reads it before
 # it writes, so regenerating in place works), so the fresh report carries
 # its own before/after deltas. scripts/benchdiff.sh diffs any two reports.
+# The served read's allocation budget (1 object per op, the zero-copy
+# read path's whole contract) is enforced here, so the run fails — in
+# scripts/check.sh too — if a served read allocates more.
 bench-core:
 	@mkdir -p $(dir $(BENCH_CORE_OUT))
-	go run ./cmd/riobench -out $(BENCH_CORE_OUT) $(if $(wildcard BENCH_core.json),-baseline BENCH_core.json)
+	go run ./cmd/riobench -gate-allocs served-read=1 -out $(BENCH_CORE_OUT) $(if $(wildcard BENCH_core.json),-baseline BENCH_core.json)
 
 # Double-fault campaign smoke test: a small fixed-seed campaign with
 # storage faults and second crashes enabled, diffed against the golden

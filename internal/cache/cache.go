@@ -84,6 +84,11 @@ type Stats struct {
 	Evictions            uint64
 	WriteBacks           uint64
 	ShadowWrites         uint64
+	// ShadowFallbacks counts WriteShadow calls that found no spare
+	// metadata frame for the shadow and degraded to a plain Write: that
+	// update was not atomic against a crash, so anything but 0 means the
+	// frame budget is too tight for the paper's metadata guarantee.
+	ShadowFallbacks uint64
 }
 
 // Cache manages both pools.
@@ -371,7 +376,8 @@ func (c *Cache) WriteShadow(b *Buf, data []byte) error {
 	}
 	shadow := c.K.AllocFrame(kernel.FrameMeta)
 	if shadow < 0 {
-		// Degrade to a plain (non-atomic) write rather than fail.
+		// Degrade to a plain (non-atomic) write rather than fail, and say so.
+		c.Stats.ShadowFallbacks++
 		return c.Write(b, 0, data, BlockSize)
 	}
 	c.Stats.ShadowWrites++
@@ -472,15 +478,12 @@ func (c *Cache) ReadDirect(b *Buf, off int, dst []byte) error {
 	return nil
 }
 
-// Contents returns the raw page contents (trusted oracle/flush path: reads
-// physical memory directly, like a DMA engine would on write-back).
-func (c *Cache) Contents(b *Buf) []byte {
-	return c.K.Mem.Page(b.Frame)
-}
-
-// ContentsAt copies len(dst) bytes at off out of the buffer's frame —
-// the same trusted direct read as Contents, without paying a full-page
-// copy when the caller wants a few fields (e.g. one inode).
+// ContentsAt copies len(dst) bytes at off out of the buffer's frame into
+// dst — the trusted oracle/flush read: physical memory directly, like a
+// DMA engine on write-back, no staging, no LRU touch, no simulated cost.
+// It is the only way to image a cached block: the caller brings the
+// destination (a few fields on the stack, or a block-sized scratch it
+// owns), so imaging never allocates.
 func (c *Cache) ContentsAt(b *Buf, off int, dst []byte) {
 	if off < 0 || off+len(dst) > BlockSize {
 		panic(fmt.Sprintf("cache: bad contents read [%d,+%d)", off, len(dst)))

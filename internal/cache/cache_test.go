@@ -35,6 +35,13 @@ func newEnv(t *testing.T, protect bool, metaCap, dataCap int) *env {
 	return &env{k: k, r: r, c: c}
 }
 
+// contents images b's frame through the trusted raw read.
+func (e *env) contents(b *Buf) []byte {
+	img := make([]byte, BlockSize)
+	e.c.ContentsAt(b, 0, img)
+	return img
+}
+
 func TestInsertAndLookupMeta(t *testing.T) {
 	e := newEnv(t, false, 8, 8)
 	content := kernel.FillBytes(BlockSize, 7)
@@ -52,7 +59,7 @@ func TestInsertAndLookupMeta(t *testing.T) {
 		t.Fatalf("stats %+v", e.c.Stats)
 	}
 	// Content landed in the frame.
-	if !bytes.Equal(e.c.Contents(b), content) {
+	if !bytes.Equal(e.contents(b), content) {
 		t.Fatal("content mismatch")
 	}
 	// Registry entry created and consistent.
@@ -109,7 +116,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		if ent.Flags&registry.FlagChanging != 0 {
 			t.Fatal("changing flag left set after successful write")
 		}
-		if ent.Cksum != kernel.CksumBytes(e.c.Contents(b)) {
+		if ent.Cksum != kernel.CksumBytes(e.contents(b)) {
 			t.Fatal("checksum stale after write")
 		}
 		if ent.Size != uint32(100+len(payload)) {
@@ -149,7 +156,7 @@ func TestWildStoreBreaksChecksum(t *testing.T) {
 		t.Fatalf("unexpected trap: %v", trap)
 	}
 	ent, _ := e.r.Get(b.Slot)
-	if ent.Cksum == kernel.CksumBytes(e.c.Contents(b)) {
+	if ent.Cksum == kernel.CksumBytes(e.contents(b)) {
 		t.Fatal("checksum still matches after wild store")
 	}
 }
@@ -166,7 +173,7 @@ func TestShadowWrite(t *testing.T) {
 		if err := e.c.WriteShadow(b, newData); err != nil {
 			t.Fatalf("protect=%v: %v", protect, err)
 		}
-		if !bytes.Equal(e.c.Contents(b), newData) {
+		if !bytes.Equal(e.contents(b), newData) {
 			t.Fatal("shadow write lost data")
 		}
 		ent, _ := e.r.Get(b.Slot)
@@ -183,6 +190,43 @@ func TestShadowWrite(t *testing.T) {
 		if got := len(e.k.FramesOf(kernel.FrameMeta)); got != 1 {
 			t.Fatalf("leaked shadow frame: %d meta frames", got)
 		}
+	}
+}
+
+// TestShadowWriteFallbackIsCounted: with no spare frame for the shadow,
+// WriteShadow still installs the new contents — as a plain, non-atomic
+// Write — and says so in Stats.ShadowFallbacks instead of ShadowWrites.
+func TestShadowWriteFallbackIsCounted(t *testing.T) {
+	e := newEnv(t, true, 8, 8)
+	b, err := e.c.InsertMeta(9, kernel.FillBytes(BlockSize, 11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Take every free frame, so the shadow has nowhere to go.
+	var taken []int
+	for f := e.k.AllocFrame(kernel.FrameUBC); f >= 0; f = e.k.AllocFrame(kernel.FrameUBC) {
+		taken = append(taken, f)
+	}
+	newData := kernel.FillBytes(BlockSize, 22)
+	if err := e.c.WriteShadow(b, newData); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(e.contents(b), newData) {
+		t.Fatal("fallback write lost data")
+	}
+	if ent, _ := e.r.Get(b.Slot); int(ent.Frame) != b.Frame || ent.Cksum != kernel.CksumBytes(newData) || ent.Flags&registry.FlagChanging != 0 {
+		t.Fatalf("registry entry after fallback: %+v", ent)
+	}
+	if st := e.c.Stats; st.ShadowFallbacks != 1 || st.ShadowWrites != 0 {
+		t.Fatalf("fallbacks %d, shadow writes %d; want 1, 0", st.ShadowFallbacks, st.ShadowWrites)
+	}
+	// With a frame back, the next update is shadowed again.
+	e.k.FreeFrame(taken[0])
+	if err := e.c.WriteShadow(b, kernel.FillBytes(BlockSize, 33)); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.c.Stats; st.ShadowFallbacks != 1 || st.ShadowWrites != 1 {
+		t.Fatalf("fallbacks %d, shadow writes %d; want 1, 1", st.ShadowFallbacks, st.ShadowWrites)
 	}
 }
 

@@ -48,8 +48,9 @@ func ballocRefPeek(f *FS) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		img := f.C.Contents(b)
-		if img[bit/8]&(1<<(bit%8)) == 0 {
+		var cur [1]byte
+		f.C.ContentsAt(b, int(bit/8), cur[:])
+		if cur[0]&(1<<(bit%8)) == 0 {
 			return block, nil
 		}
 	}
@@ -111,7 +112,7 @@ func TestBallocMatchesBitScanReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := f.countBmFree(bi, f.C.Contents(b)); f.bmFree[bi] != want {
+		if want := f.countBmFree(bi, f.image(&f.bmBuf, b)); f.bmFree[bi] != want {
 			t.Fatalf("bmFree[%d] = %d, recount = %d", bi, f.bmFree[bi], want)
 		}
 	}

@@ -86,15 +86,36 @@ type FS struct {
 	// before issuing another read, so one buffer serves them all.
 	readBuf []byte
 
-	// dirBuf is dirBlock's scratch: the directory walkers decode (and
-	// dirInsert/dirRemove edit) one directory block at a time out of it
-	// instead of a fresh 8 KB copy per block touched.
-	dirBuf []byte
+	// The image scratch: every 8 KB image of a cache block the mount takes
+	// is borrowed from one of these (see image), allocated on first use
+	// and valid until that same scratch is next filled. One per role,
+	// because the roles nest — dirInsert holds a directory block across
+	// bmap, bmap an indirect block across balloc, and metaUpdate's
+	// write-through branch runs while its caller's image is still live —
+	// but never within a role.
+	dirBuf []byte // dirBlock: directory walkers and editors
+	inoBuf []byte // putInode: the inode block being rewritten
+	bmBuf  []byte // balloc: the bitmap block being scanned
+	indBuf []byte // bmap, freeFileBlocks: the indirect block
+	outBuf []byte // synchronous write-out: a frame on its way to the disk
 
 	// blockPool recycles the full-block copies the asynchronous write
 	// queue makes: drainPending returns committed buffers here instead of
 	// dropping them for the collector.
 	blockPool [][]byte
+}
+
+// image fills *scratch (one of the FS's per-role block buffers) with b's
+// frame and returns it — the trusted raw read a DMA engine would make,
+// and the only way the mount images a cache block. The image is valid
+// until the same scratch is next filled; riolint's bufalias checks that
+// no holder outlives that.
+func (f *FS) image(scratch *[]byte, b *cache.Buf) []byte {
+	if *scratch == nil {
+		*scratch = make([]byte, BlockSize)
+	}
+	f.C.ContentsAt(b, 0, *scratch)
+	return *scratch
 }
 
 // blockPoolCap bounds blockPool; beyond this, drained buffers are
@@ -271,9 +292,7 @@ func (f *FS) drainPending() {
 		// Commit copied the bytes into the disk image (and a failed
 		// commit abandoned them); either way the queue's copy can back a
 		// future asynchronous write.
-		if len(w.data) == BlockSize {
-			f.putPooledBlock(w.data)
-		}
+		f.putPooledBlock(w.data)
 	}
 	f.pending = f.pending[:0]
 }
@@ -314,8 +333,12 @@ func (f *FS) readBlockSync(block int64) []byte {
 	return buf
 }
 
-// writeBlockSync writes a block synchronously.
-func (f *FS) writeBlockSync(block int64, data []byte) {
+// writeBufSync writes b's current contents to block synchronously. The
+// frame goes out through the write-out scratch, which is not one of the
+// role scratches because metaUpdate's write-through branch comes here
+// while its caller still holds the image it edited; disk.Write copies.
+func (f *FS) writeBufSync(block int64, b *cache.Buf) {
+	data := f.image(&f.outBuf, b)
 	f.drainPending()
 	if err := f.checkBlock(block); err != nil {
 		return
@@ -347,19 +370,16 @@ func (f *FS) price(seq bool) sim.Duration {
 	return t
 }
 
-// writeBlockAsync queues a block write: the caller does not wait, the disk
+// writeBufAsync queues a write of b's current contents to block (its own
+// disk address, or the journal head): the caller does not wait, the disk
 // timeline absorbs the service time, and the content lands at the next
-// drain (or is lost in a crash). Runs of consecutive blocks get sequential
-// pricing — the batching advantage that makes delayed writes and journal
-// appends cheap.
-func (f *FS) writeBlockAsync(block int64, data []byte) {
-	f.writeBlockAsyncCB(block, data, nil)
-}
-
-// writeBlockAsyncCB queues an asynchronous write and runs onCommit when
-// (and only if) the content reaches the disk — a crash drops uncommitted
-// writes along with their callbacks.
-func (f *FS) writeBlockAsyncCB(block int64, data []byte, onCommit func()) {
+// drain (or is lost in a crash). The queue's pooled block is filled
+// straight from the frame — one copy, no intermediate image. Runs of
+// consecutive blocks get sequential pricing — the batching advantage that
+// makes delayed writes and journal appends cheap. onCommit, if any, runs
+// when (and only if) the content reaches the disk — a crash drops
+// uncommitted writes along with their callbacks.
+func (f *FS) writeBufAsync(block int64, b *cache.Buf, onCommit func()) {
 	if f.Pol.neverWrite() {
 		return
 	}
@@ -367,13 +387,8 @@ func (f *FS) writeBlockAsyncCB(block int64, data []byte, onCommit func()) {
 		return
 	}
 	seq := block == f.lastIO+1 || block == f.lastIO
-	var cp []byte
-	if len(data) == BlockSize {
-		cp = f.getPooledBlock()
-	} else {
-		cp = make([]byte, len(data))
-	}
-	copy(cp, data)
+	cp := f.getPooledBlock()
+	f.C.ContentsAt(b, 0, cp)
 	start := maxT(f.Clock.Now(), f.diskFree)
 	f.diskFree = start.Add(f.price(seq))
 	f.lastIO = block
@@ -417,7 +432,7 @@ func (f *FS) OnPanic() {
 		for _, b := range f.C.DirtyBufs(kind) {
 			if b.Block >= 0 {
 				// Best effort from a dying kernel: a rejected write is lost.
-				_ = f.D.Commit(blockSector(b.Block), f.C.Contents(b))
+				_ = f.D.Commit(blockSector(b.Block), f.image(&f.outBuf, b))
 			}
 		}
 	}
@@ -457,7 +472,7 @@ func (f *FS) flushAllAsync() {
 			// the clean-down if the buffer was rewritten meanwhile.
 			b := b
 			gen := b.Gen
-			f.writeBlockAsyncCB(b.Block, f.C.Contents(b), func() {
+			f.writeBufAsync(b.Block, b, func() {
 				if b.Gen == gen {
 					_ = f.C.MarkClean(b)
 				}
@@ -480,9 +495,9 @@ func (f *FS) writeBackBuf(b *cache.Buf) error {
 		return fmt.Errorf("fs: dirty buffer with no disk address")
 	}
 	if f.Pol.syncIsNoop() {
-		f.writeBlockSync(b.Block, f.C.Contents(b))
+		f.writeBufSync(b.Block, b)
 	} else {
-		f.writeBlockAsync(b.Block, f.C.Contents(b))
+		f.writeBufAsync(b.Block, b, nil)
 	}
 	return f.C.MarkClean(b)
 }
@@ -527,26 +542,25 @@ func (f *FS) metaUpdate(b *cache.Buf, img []byte, ordered bool) error {
 	switch {
 	case f.Pol.neverWrite():
 	case f.Pol.metaSync() && ordered:
-		f.writeBlockSync(b.Block, f.C.Contents(b))
+		f.writeBufSync(b.Block, b)
 		return f.C.MarkClean(b)
 	case f.Pol.metaJournal() && ordered:
-		f.journalAppend(f.C.Contents(b))
+		f.journalAppend(b)
 	}
 	return nil
 }
 
-// metaPatch applies a single-byte unordered metadata change. The caller
-// has already stored the new byte into the cached image (img aliases
-// f.C.Contents(b)); metaPatch pushes exactly that byte through the
-// sanctioned protected-write path, so a one-bit bitmap flip stops
-// paying metaUpdate's full-block copy (and, under Rio, its shadow-page
-// protocol). No shadow is needed for atomicity: a one-byte copy cannot
-// tear, and the registry's changing flag still brackets the window.
-// Bitmap state is unordered metadata (see metaUpdate), so there is no
-// synchronous write and no journal append.
-func (f *FS) metaPatch(b *cache.Buf, img []byte, off int64) error {
+// metaPatch applies a single-byte unordered metadata change: it pushes
+// val to offset off of the block through the sanctioned protected-write
+// path, so a one-bit bitmap flip does not pay metaUpdate's full-block
+// copy (and, under Rio, its shadow-page protocol). No shadow is needed
+// for atomicity: a one-byte copy cannot tear, and the registry's changing
+// flag still brackets the window. Bitmap state is unordered metadata (see
+// metaUpdate), so there is no synchronous write and no journal append.
+func (f *FS) metaPatch(b *cache.Buf, off int64, val byte) error {
 	f.Stats.MetaUpdates++
-	return f.C.Write(b, int(off), img[off:off+1], BlockSize)
+	v := [1]byte{val}
+	return f.C.Write(b, int(off), v[:], BlockSize)
 }
 
 // DropCaches flushes every dirty buffer synchronously and empties both
@@ -561,7 +575,7 @@ func (f *FS) DropCaches() error {
 	for _, kind := range []cache.Kind{cache.Meta, cache.Data} {
 		for _, b := range f.C.DirtyBufs(kind) {
 			if b.Block >= 0 {
-				f.writeBlockSync(b.Block, f.C.Contents(b))
+				f.writeBufSync(b.Block, b)
 				if err := f.C.MarkClean(b); err != nil {
 					return err
 				}
@@ -577,19 +591,19 @@ func (f *FS) DropCaches() error {
 	return nil
 }
 
-// journalAppend logs a metadata block image sequentially. Every fourth
+// journalAppend logs a metadata block's current image sequentially. Every fourth
 // append is a group commit: the caller waits for the log to reach the
 // platter, which is what bounds a journaling file system's metadata loss
 // window and what keeps it measurably slower than pure delayed writes.
-func (f *FS) journalAppend(img []byte) {
+func (f *FS) journalAppend(b *cache.Buf) {
 	if f.SB.JournalStart >= f.SB.NBlocks {
 		return // no journal region; fall back to delayed behaviour
 	}
 	f.Stats.JournalWrites++
 	if f.Stats.JournalWrites%4 == 0 {
-		f.writeBlockSync(f.journalHead, img)
+		f.writeBufSync(f.journalHead, b)
 	} else {
-		f.writeBlockAsync(f.journalHead, img)
+		f.writeBufAsync(f.journalHead, b, nil)
 	}
 	f.journalHead++
 	if f.journalHead >= f.SB.NBlocks {
@@ -627,7 +641,7 @@ func (f *FS) putInode(ino uint32, n *Inode, ordered bool) error {
 	if err != nil {
 		return err
 	}
-	img := f.C.Contents(b)
+	img := f.image(&f.inoBuf, b)
 	off := (int(ino) % InodesPerBlock) * InodeSize
 	n.marshal(img[off : off+InodeSize])
 	return f.metaUpdate(b, img, ordered)
@@ -737,7 +751,7 @@ func (f *FS) balloc() (int64, error) {
 			if err != nil {
 				return 0, err
 			}
-			img := f.C.Contents(b)
+			img := f.image(&f.bmBuf, b)
 			if bi < len(f.bmFree) && f.bmFree[bi] < 0 {
 				f.bmFree[bi] = f.countBmFree(bi, img)
 				if f.bmFree[bi] == 0 {
@@ -747,8 +761,7 @@ func (f *FS) balloc() (int64, error) {
 			}
 			if bit := firstZeroBit(img, blk-base, end-base); bit >= 0 {
 				block := base + bit
-				img[bit/8] |= 1 << (bit % 8)
-				if err := f.metaPatch(b, img, bit/8); err != nil {
+				if err := f.metaPatch(b, bit/8, img[bit/8]|1<<(bit%8)); err != nil {
 					return 0, err
 				}
 				if bi < len(f.bmFree) && f.bmFree[bi] > 0 {
@@ -773,15 +786,16 @@ func (f *FS) bfree(block int64) error {
 	if err != nil {
 		return err
 	}
-	img := f.C.Contents(b)
-	if img[bit/8]&(1<<(bit%8)) == 0 {
+	// One bit changes, so one byte is read: no block image.
+	var cur [1]byte
+	f.C.ContentsAt(b, int(bit/8), cur[:])
+	if cur[0]&(1<<(bit%8)) == 0 {
 		return fmt.Errorf("fs: double free of block %d", block)
 	}
-	img[bit/8] &^= 1 << (bit % 8)
 	if bi := int(bb - f.SB.BitmapStart); bi < len(f.bmFree) && f.bmFree[bi] >= 0 {
 		f.bmFree[bi]++
 	}
-	return f.metaPatch(b, img, bit/8)
+	return f.metaPatch(b, bit/8, cur[0]&^(1<<(bit%8)))
 }
 
 // --- file block mapping ---
@@ -827,29 +841,28 @@ func (f *FS) bmap(n *Inode, fileBlock int64, alloc bool, inodeDirty *bool) (int6
 	if err != nil {
 		return 0, err
 	}
-	img := f.C.Contents(ib)
-	idx := (fileBlock - NDirect) * 4
-	var ptr uint32
-	for i := 0; i < 4; i++ {
-		ptr |= uint32(img[idx+int64(i)]) << (8 * i)
+	// A lookup reads the one pointer; only an allocation, which rewrites
+	// the block, takes its image (held across balloc, whose scratch is the
+	// bitmap's).
+	idx := int(fileBlock-NDirect) * 4
+	var raw [4]byte
+	f.C.ContentsAt(ib, idx, raw[:])
+	if ptr := binary.LittleEndian.Uint32(raw[:]); ptr != 0 {
+		return int64(ptr), nil
 	}
-	if ptr == 0 {
-		if !alloc {
-			return 0, nil
-		}
-		blk, err := f.balloc()
-		if err != nil {
-			return 0, err
-		}
-		for i := 0; i < 4; i++ {
-			img[idx+int64(i)] = byte(uint64(blk) >> (8 * i))
-		}
-		if err := f.metaUpdate(ib, img, false); err != nil {
-			return 0, err
-		}
-		return blk, nil
+	if !alloc {
+		return 0, nil
 	}
-	return int64(ptr), nil
+	img := f.image(&f.indBuf, ib)
+	blk, err := f.balloc()
+	if err != nil {
+		return 0, err
+	}
+	binary.LittleEndian.PutUint32(img[idx:], uint32(blk))
+	if err := f.metaUpdate(ib, img, false); err != nil {
+		return 0, err
+	}
+	return blk, nil
 }
 
 // freeFileBlocks releases every block of an inode (unlink/truncate-to-0).
@@ -867,13 +880,9 @@ func (f *FS) freeFileBlocks(n *Inode) error {
 		if err != nil {
 			return err
 		}
-		img := f.C.Contents(ib)
+		img := f.image(&f.indBuf, ib)
 		for e := 0; e < PtrsPerBlock; e++ {
-			var ptr uint32
-			for i := 0; i < 4; i++ {
-				ptr |= uint32(img[e*4+i]) << (8 * i)
-			}
-			if ptr != 0 {
+			if ptr := binary.LittleEndian.Uint32(img[e*4:]); ptr != 0 {
 				if err := f.bfree(int64(ptr)); err != nil {
 					return err
 				}

@@ -46,18 +46,13 @@ func splitPath(path string) ([]string, error) {
 	return parts, nil
 }
 
-// dirBlock copies a cached directory block into the mount's scratch block
-// (the same trusted raw read as Cache.Contents) and returns it. The image
-// is valid until the next dirBlock call: dirents are handed on by value
-// and metaUpdate copies the image into the kernel's staging area, so no
-// caller holds it longer, and nothing a dirScan callback does reads a
-// directory block.
+// dirBlock images a cached directory block into the directory scratch
+// (see FS.image). The image is valid until the next dirBlock call:
+// dirents are handed on by value and metaUpdate copies the image into the
+// kernel's staging area, so no caller holds it longer, and nothing a
+// dirScan callback does reads a directory block.
 func (f *FS) dirBlock(b *cache.Buf) []byte {
-	if f.dirBuf == nil {
-		f.dirBuf = make([]byte, BlockSize)
-	}
-	f.C.ContentsAt(b, 0, f.dirBuf)
-	return f.dirBuf
+	return f.image(&f.dirBuf, b)
 }
 
 // dirScan iterates a directory's entries; fn returns true to stop. It
@@ -263,12 +258,12 @@ func (f *FS) dirInsert(dirIno uint32, name string, ino uint32) error {
 	if err != nil {
 		return err
 	}
-	img := make([]byte, BlockSize)
-	marshalDirent(Dirent{Ino: ino, Name: name}, img[:DirentSize])
 	b, err := f.C.InsertMeta(db, nil)
 	if err != nil {
 		return err
 	}
+	img := f.dirBlock(b) // the fresh frame's zeroes
+	marshalDirent(Dirent{Ino: ino, Name: name}, img[:DirentSize])
 	if err := f.metaUpdate(b, img, true); err != nil {
 		return err
 	}
@@ -952,9 +947,9 @@ func (f *FS) fsyncData(ino uint32, syncWait bool) error {
 			continue
 		}
 		if syncWait {
-			f.writeBlockSync(b.Block, f.C.Contents(b))
+			f.writeBufSync(b.Block, b)
 		} else {
-			f.writeBlockAsync(b.Block, f.C.Contents(b))
+			f.writeBufAsync(b.Block, b, nil)
 		}
 		if err := f.C.MarkClean(b); err != nil {
 			return err
@@ -964,9 +959,9 @@ func (f *FS) fsyncData(ino uint32, syncWait bool) error {
 	ib := f.C.LookupMeta(f.inodeBlock(ino))
 	if ib != nil && ib.Dirty {
 		if syncWait {
-			f.writeBlockSync(ib.Block, f.C.Contents(ib))
+			f.writeBufSync(ib.Block, ib)
 		} else {
-			f.writeBlockAsync(ib.Block, f.C.Contents(ib))
+			f.writeBufAsync(ib.Block, ib, nil)
 		}
 		if err := f.C.MarkClean(ib); err != nil {
 			return err
@@ -982,7 +977,7 @@ func (f *FS) asyncFlushData(ino uint32) {
 		if b.Ino != ino || b.Block < 0 {
 			continue
 		}
-		f.writeBlockAsync(b.Block, f.C.Contents(b))
+		f.writeBufAsync(b.Block, b, nil)
 		_ = f.C.MarkClean(b)
 	}
 }
@@ -1025,7 +1020,7 @@ func (f *FS) Unmount() {
 		for _, kind := range []cacheKind{cacheMeta, cacheData} {
 			for _, b := range f.C.DirtyBufs(kind) {
 				if b.Block >= 0 {
-					f.writeBlockSync(b.Block, f.C.Contents(b))
+					f.writeBufSync(b.Block, b)
 					_ = f.C.MarkClean(b)
 				}
 			}

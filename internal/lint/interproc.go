@@ -89,6 +89,9 @@ type Program struct {
 	summaries map[*types.Func]*Summary
 	events    map[*types.Func][]escapeEvent
 	reach     map[string]map[*types.Func]bool
+	// scratchUse: the fs scratch fields each function names (bufalias's
+	// use-after-refill rule), built on first use.
+	scratchUse map[*types.Func][]string
 }
 
 // An escapeEvent is one place a tracked value leaves its function. The
@@ -222,39 +225,53 @@ func (pr *Program) summaryOf(fn *types.Func) *Summary {
 // reachesName reports whether fn can (transitively) call any function
 // whose name is name, through static calls inside the analyzed packages.
 func (pr *Program) reachesName(fn *types.Func, name string) bool {
-	memo := pr.reach[name]
+	return pr.reaches(fn, name, func(f *types.Func) bool { return f.Name() == name })
+}
+
+// reaches reports whether fn is, or can (transitively) call through
+// static calls inside the analyzed packages, a function that hit accepts.
+// key names the predicate for the memo: the same key must always come
+// with the same hit.
+func (pr *Program) reaches(fn *types.Func, key string, hit func(*types.Func) bool) bool {
+	memo := pr.reach[key]
 	if memo == nil {
 		memo = make(map[*types.Func]bool)
-		pr.reach[name] = memo
+		pr.reach[key] = memo
 	}
-	var visit func(f *types.Func, seen map[*types.Func]bool) bool
-	visit = func(f *types.Func, seen map[*types.Func]bool) bool {
+	// A "no" below a cut cycle may turn "yes" once the node it was cut at
+	// is fully explored, so inside the walk only "yes" is memoized; when
+	// the whole walk finds nothing, nothing it visited reaches a hit.
+	seen := make(map[*types.Func]bool)
+	var visit func(f *types.Func) bool
+	visit = func(f *types.Func) bool {
 		if done, ok := memo[f]; ok {
 			return done
 		}
-		if f.Name() == name {
+		if hit(f) {
 			memo[f] = true
 			return true
 		}
 		if seen[f] {
-			return false // cycle: no memo write, resolved by another path
-		}
-		seen[f] = true
-		node := pr.funcs[f]
-		if node == nil {
-			memo[f] = false
 			return false
 		}
-		for _, c := range node.Callees {
-			if visit(c, seen) {
-				memo[f] = true
-				return true
+		seen[f] = true
+		if node := pr.funcs[f]; node != nil {
+			for _, c := range node.Callees {
+				if visit(c) {
+					memo[f] = true
+					return true
+				}
 			}
 		}
-		memo[f] = false
 		return false
 	}
-	return visit(fn, make(map[*types.Func]bool))
+	if visit(fn) {
+		return true
+	}
+	for f := range seen {
+		memo[f] = false
+	}
+	return false
 }
 
 // analyzeFunc runs the taint walk over one function body: local taints
@@ -391,10 +408,10 @@ func (st *taintState) escapeInto(pos token.Pos, flow Flow, t uint64, desc string
 func (st *taintState) isPoolTarget(lhs ast.Expr) bool {
 	switch l := unparen(lhs).(type) {
 	case *ast.SelectorExpr:
-		return poolFields[l.Sel.Name]
+		return isPoolField(l.Sel.Name)
 	case *ast.IndexExpr:
 		if sel, ok := unparen(l.X).(*ast.SelectorExpr); ok {
-			return poolFields[sel.Sel.Name]
+			return isPoolField(sel.Sel.Name)
 		}
 	}
 	return false
@@ -704,7 +721,7 @@ func sliceOfRefs(t types.Type) bool {
 // isPoolRead reports whether sel reads one of the pooled-buffer roots
 // (kernel scratch, fs block pool, fs readBuf) as a struct field.
 func (st *taintState) isPoolRead(sel *ast.SelectorExpr) bool {
-	if !poolFields[sel.Sel.Name] {
+	if !isPoolField(sel.Sel.Name) {
 		return false
 	}
 	s, ok := st.info.Selections[sel]

@@ -191,3 +191,58 @@ func stageAliased(p *framePoolT, tx *txnT) {
 	tx.ops = append(tx.ops, op) // want bufalias "stored in tx.ops"
 	p.putFrameBuf(frame)
 }
+
+// mountT mimics internal/fs's per-role image scratch: image fills the
+// scratch it is handed from the cached frame and returns it, and the
+// view is valid until the same scratch is next filled.
+type mountT struct {
+	inoBuf []byte
+	indBuf []byte
+	frame  []byte
+	kept   []byte
+}
+
+func (m *mountT) image(scratch *[]byte) []byte {
+	if *scratch == nil {
+		*scratch = make([]byte, 512)
+	}
+	copy(*scratch, m.frame)
+	return *scratch
+}
+
+func (m *mountT) metaUpdate(img []byte) { copy(m.frame, img) }
+
+// putInode is the role that owns inoBuf: take, edit, install.
+func (m *mountT) putInode(v byte) {
+	img := m.image(&m.inoBuf)
+	img[0] = v
+	m.metaUpdate(img)
+}
+
+// growFile reaches putInode two calls down.
+func (m *mountT) growFile() { m.putInode(9) }
+
+// heldAcrossPutInode reads an inode-block image after the next putInode
+// has refilled the scratch it lives in.
+func (m *mountT) heldAcrossPutInode() byte {
+	img := m.image(&m.inoBuf)
+	m.putInode(1)
+	return img[0] // want bufalias "img used after putInode refilled its buffer"
+}
+
+// heldAcrossLoop takes the image once and walks it while each iteration
+// refills the same scratch: the second iteration reads the first's bytes.
+func (m *mountT) heldAcrossLoop() int {
+	img := m.image(&m.inoBuf)
+	total := 0
+	for i := 0; i < 4; i++ {
+		total += int(img[i]) // want bufalias "img used after growFile refilled its buffer"
+		m.growFile()
+	}
+	return total
+}
+
+// keptImage parks an image in a field that outlives every refill.
+func (m *mountT) keptImage() {
+	m.kept = m.image(&m.inoBuf) // want bufalias "stored in m.kept"
+}

@@ -183,3 +183,46 @@ func stageCopied(p *framePoolT, tx *txnT) {
 	tx.ops = append(tx.ops, op)
 	p.putFrameBuf(frame)
 }
+
+// mountT mimics internal/fs's per-role image scratch.
+type mountT struct {
+	inoBuf []byte
+	indBuf []byte
+	frame  []byte
+}
+
+func (m *mountT) image(scratch *[]byte) []byte {
+	if *scratch == nil {
+		*scratch = make([]byte, 512)
+	}
+	copy(*scratch, m.frame)
+	return *scratch
+}
+
+func (m *mountT) metaUpdate(img []byte) { copy(m.frame, img) }
+
+// putInode is the take-edit-metaUpdate shape: the image is taken, edited
+// and installed before anything can fill inoBuf again.
+func (m *mountT) putInode(v byte) {
+	img := m.image(&m.inoBuf)
+	img[0] = v
+	m.metaUpdate(img)
+}
+
+// nestedRoles holds an indirect-block image across a putInode: the roles
+// nest, each on its own scratch, so the outer image stays valid.
+func (m *mountT) nestedRoles() byte {
+	img := m.image(&m.indBuf)
+	m.putInode(img[1])
+	return img[0]
+}
+
+// retake rebinds the local to a fresh image after the refill: later
+// uses are of the new view.
+func (m *mountT) retake() byte {
+	img := m.image(&m.inoBuf)
+	first := img[0]
+	m.putInode(first)
+	img = m.image(&m.inoBuf)
+	return img[0]
+}

@@ -158,13 +158,6 @@ func (m *Memory) FlipBit(addr uint64, bit uint) {
 	m.SetByte(addr, m.Byte(addr)^(1<<bit))
 }
 
-// Page returns the full contents of frame n as a fresh copy.
-func (m *Memory) Page(n int) []byte {
-	buf := make([]byte, PageSize)
-	m.ReadAt(FrameBase(n), buf)
-	return buf
-}
-
 // Slice returns a direct view of [addr, addr+n). Trusted simulator paths
 // (bulk copies in the cache, warm-reboot dump) use this to avoid double
 // copying; callers must not retain it across a Scramble.

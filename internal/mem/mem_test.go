@@ -205,19 +205,6 @@ func TestClearFlagsPreservesData(t *testing.T) {
 	}
 }
 
-func TestPageCopy(t *testing.T) {
-	m := New(2 * PageSize)
-	m.SetByte(PageSize+5, 0x42)
-	p := m.Page(1)
-	if p[5] != 0x42 {
-		t.Fatal("Page contents wrong")
-	}
-	p[5] = 0
-	if m.Byte(PageSize+5) != 0x42 {
-		t.Fatal("Page aliases live memory")
-	}
-}
-
 func TestSliceAliases(t *testing.T) {
 	m := New(PageSize)
 	s := m.Slice(100, 4)

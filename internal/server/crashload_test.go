@@ -172,6 +172,13 @@ func TestCrashUnderLoadNoAckedWriteLost(t *testing.T) {
 	if onCrashedShard == 0 {
 		t.Fatal("no acknowledged writes landed on the crashed shard; durability across the crash went unexercised")
 	}
+	// Every metadata update above was atomic: no shard ever ran out of
+	// frames for a shadow page and degraded to a plain write.
+	for _, sh := range s.shards {
+		if n := sh.sys.Machine().Cache.Stats.ShadowFallbacks; n != 0 {
+			t.Errorf("shard %d: %d metadata updates fell back to a non-atomic write", sh.id, n)
+		}
+	}
 	t.Logf("verified %d acked writes (%d on crashed shard %d); %d retries, %d exhausted, healthy-shard ops during outage %v",
 		checked, onCrashedShard, crashShard, retried, exhausted, duringOutage)
 }

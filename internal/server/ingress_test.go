@@ -683,6 +683,74 @@ func TestServeConnIdleTimeoutMidFrame(t *testing.T) {
 	}
 }
 
+// TestServeConnTricklingPeerCut: the idle bound is per frame, not per
+// socket read. A peer that sends a valid 8 KB write one byte per
+// IdleTimeout/2 never goes silent for a whole IdleTimeout, yet is cut
+// about one IdleTimeout after the frame's first byte — and with it go
+// the pooled frame buffer it was filling and both of the connection's
+// goroutines.
+func TestServeConnTricklingPeerCut(t *testing.T) {
+	const idle = 200 * time.Millisecond
+	s := newTestServer(t, Config{Shards: 1, IdleTimeout: idle})
+	addr := listenAndServe(t, s)
+	goroutines := runtime.NumGoroutine()
+	cl := dialRaw(t, addr)
+	cl.send(&wire.Request{ID: 1, Op: wire.OpOpen, Shard: -1, Path: "/alive"})
+	if r := cl.recv(); r.Status != wire.StatusOK {
+		t.Fatalf("healthy request: %+v", r)
+	}
+	// The pool started empty and this connection has taken two buffers
+	// from it: the healthy request's, which the shard releases, and the one
+	// its reader now holds for the next frame — the trickled one.
+	waitFor(t, "the first frame's release", func() bool { n, _, _ := pooled(s); return n == 1 })
+
+	frame := wire.AppendRequestFrame(nil, &wire.Request{ID: 2, Op: wire.OpWrite, Shard: -1, Path: "/trickle", Data: pattern(0, 1)})
+	hungUp := make(chan time.Time, 1)
+	go func() {
+		cl.c.SetReadDeadline(time.Now().Add(20 * time.Second))
+		if _, err := cl.br.ReadByte(); err != io.EOF {
+			t.Errorf("trickling peer: read returned %v, want the server's hang-up (EOF)", err)
+		}
+		hungUp <- time.Now()
+	}()
+	start := time.Now()
+	var cut time.Time
+	sent := 0
+trickle:
+	for ; sent < len(frame); sent++ {
+		if _, err := cl.c.Write(frame[sent : sent+1]); err != nil {
+			break // the server hung up and the reset came back
+		}
+		select {
+		case cut = <-hungUp:
+			break trickle
+		case <-time.After(idle / 2):
+		}
+		if time.Since(start) > 10*idle {
+			// Re-arming per socket read (the parent) holds on for the whole
+			// frame: 8 KB at a byte per 100 ms is 14 minutes.
+			t.Fatalf("server still holds a connection that trickled %d bytes over %v (idle timeout %v)", sent, time.Since(start), idle)
+		}
+	}
+	if cut.IsZero() {
+		select {
+		case cut = <-hungUp:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("server never hung up on a connection whose writes started failing after %d bytes", sent)
+		}
+	}
+	if held := cut.Sub(start); held < idle/2 || held > 5*idle {
+		t.Fatalf("trickling peer was cut after %v, want about one idle timeout (%v)", held, idle)
+	}
+	waitFor(t, "the connection's goroutines to exit", func() bool { return runtime.NumGoroutine() <= goroutines })
+	if n, _, _ := pooled(s); n != 2 {
+		t.Fatalf("pool holds %d frame buffers after the cut, want both the connection took: the half-filled frame was not released", n)
+	}
+	if r := s.Do(&wire.Request{ID: 3, Op: wire.OpStat, Path: "/trickle"}); r.Status != wire.StatusNotFound {
+		t.Fatalf("a trickled partial frame was executed: %+v", r)
+	}
+}
+
 // TestTCPWrite8KServerAllocBudget pins what an 8 KB write costs the
 // process in allocations when the client allocates nothing: the frame
 // lands in a pooled buffer and is decoded in place, so no request-sized

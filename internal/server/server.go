@@ -54,7 +54,8 @@ type Config struct {
 	DiskMB   int
 
 	// IdleTimeout drops a TCP connection whose peer sends nothing for
-	// this long (default 5m; negative disables). WriteTimeout bounds
+	// this long, or takes longer than this to finish a request frame it
+	// has started (default 5m; negative disables). WriteTimeout bounds
 	// each response frame write (default 30s; negative disables). Both
 	// exist so a hung or partitioned peer cannot pin a serving
 	// goroutine forever.

@@ -58,21 +58,53 @@ func (s *Server) Serve(ln net.Listener) error {
 // of block-sized frames costs one read syscall, not two per frame.
 const connReadBuf = 64 << 10
 
-// idleReader arms the idle deadline before every read that reaches the
+// idleReader arms a read deadline before every read that reaches the
 // socket — under the buffered reader, exactly when the buffer has run
-// dry and the connection is about to block. A burst pays for one
-// deadline, and a peer that sends nothing for IdleTimeout, between
-// frames or in the middle of one, is dropped.
+// dry and the connection is about to block, so a burst pays for one
+// deadline. Between frames the peer has IdleTimeout to start the next
+// one. Once a frame's first byte has arrived the rest of it must land
+// within IdleTimeout of that moment: the deadline is fixed to the frame,
+// not re-armed per read, so a peer trickling a byte every
+// IdleTimeout−ε cannot hold the connection and its pooled frame buffer
+// forever.
 type idleReader struct {
 	conn net.Conn
 	idle time.Duration
+	// arrived is when the last socket read returned bytes: the latest
+	// moment anything still in the buffered reader can have arrived.
+	arrived time.Time
+	// frameBy is the deadline of the frame being read, zero while no
+	// byte of it has arrived.
+	frameBy time.Time
 }
 
-func (r idleReader) Read(p []byte) (int, error) {
-	if r.idle > 0 {
-		r.conn.SetReadDeadline(time.Now().Add(r.idle))
+// startFrame is called before each frame is read; buffered says whether
+// its first bytes already sit in the buffered reader (they came with an
+// earlier frame's read).
+func (r *idleReader) startFrame(buffered bool) {
+	r.frameBy = time.Time{}
+	if buffered {
+		r.frameBy = r.arrived.Add(r.idle)
 	}
-	return r.conn.Read(p)
+}
+
+func (r *idleReader) Read(p []byte) (int, error) {
+	if r.idle <= 0 {
+		return r.conn.Read(p)
+	}
+	by := r.frameBy
+	if by.IsZero() {
+		by = time.Now().Add(r.idle)
+	}
+	r.conn.SetReadDeadline(by)
+	n, err := r.conn.Read(p)
+	if n > 0 {
+		r.arrived = time.Now()
+		if r.frameBy.IsZero() {
+			r.frameBy = r.arrived.Add(r.idle)
+		}
+	}
+	return n, err
 }
 
 // serveConn runs one connection on two goroutines: this one reads,
@@ -110,10 +142,12 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.connWriter(conn, out, tokens, s.cfg.WriteTimeout)
 	}()
 
-	br := bufio.NewReaderSize(idleReader{conn, s.cfg.IdleTimeout}, connReadBuf)
+	ir := &idleReader{conn: conn, idle: s.cfg.IdleTimeout}
+	br := bufio.NewReaderSize(ir, connReadBuf)
 	var bad *wire.Response // the refusal for a frame that did not decode
 	for bad == nil {
 		buf := s.pool.get()
+		ir.startFrame(br.Buffered() > 0)
 		frame, err := wire.ReadFrameInto(br, wire.MaxFrame, buf)
 		if err != nil {
 			s.pool.putFrameBuf(buf)

@@ -152,12 +152,14 @@ func TestCleanBuffersNotRestored(t *testing.T) {
 	m := rioMachine(t, false)
 	put(t, m, "/f", []byte("data"))
 	// Flush everything by hand, as if an idle write-back had completed.
+	img := make([]byte, cache.BlockSize)
 	for _, kind := range []cache.Kind{cache.Meta, cache.Data} {
 		for _, b := range m.Cache.DirtyBufs(kind) {
 			if b.Block < 0 {
 				continue
 			}
-			m.Disk.Commit(int(b.Block)*fs.SectorsPerBlock, m.Cache.Contents(b))
+			m.Cache.ContentsAt(b, 0, img)
+			m.Disk.Commit(int(b.Block)*fs.SectorsPerBlock, img)
 			if err := m.Cache.MarkClean(b); err != nil {
 				t.Fatal(err)
 			}
