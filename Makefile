@@ -56,12 +56,14 @@ SERVE_BENCH_OUT ?= BENCH_server.json
 # BENCH_core.json is embedded as the baseline (riobench reads it before
 # it writes, so regenerating in place works), so the fresh report carries
 # its own before/after deltas. scripts/benchdiff.sh diffs any two reports.
-# The served read's allocation budget (1 object per op, the zero-copy
-# read path's whole contract) is enforced here, so the run fails — in
-# scripts/check.sh too — if a served read allocates more.
+# Two allocation budgets are enforced here, so the run fails — in
+# scripts/check.sh too — if either is exceeded: a served read allocates 1
+# object per op (the zero-copy read path's whole contract), and a create
+# at most 4 (3.0 measured: it scans its directory, and at 36.5 it was
+# building a string for every dirent it walked past).
 bench-core:
 	@mkdir -p $(dir $(BENCH_CORE_OUT))
-	go run ./cmd/riobench -gate-allocs served-read=1 -out $(BENCH_CORE_OUT) $(if $(wildcard BENCH_core.json),-baseline BENCH_core.json)
+	go run ./cmd/riobench -gate-allocs served-read=1,create=4 -out $(BENCH_CORE_OUT) $(if $(wildcard BENCH_core.json),-baseline BENCH_core.json)
 
 # Double-fault campaign smoke test: a small fixed-seed campaign with
 # storage faults and second crashes enabled, diffed against the golden

@@ -423,18 +423,18 @@ func recoverMachine(m *machine.Machine, sys System, cfg RunConfig, w workload.Wo
 		return ""
 	}
 
-	// The dump is the storage's reusable image; nothing rewrites it before
+	// The image lives in the storage's dump area; nothing rewrites it before
 	// the run ends, so an interrupted recovery restarts from it as it is.
-	dump := m.ScratchDump()
+	image := warmreboot.Capture(m)
 	opts := warmreboot.DefaultOptions()
 	if cfg.DiskFaults {
 		opts.CrashAtStep = int(sim.Mix(cfg.Seed, recoveryCrashSalt) % recoveryCrashWindow)
 	}
-	rep, err := warmreboot.FromDumpOpts(m, dump, opts)
+	rep, err := warmreboot.Restore(m, image, opts)
 	if err == warmreboot.ErrInterrupted {
-		// Restart from the same immutable dump.
+		// Restart from the same immutable image.
 		res.RecoveryInterrupted = true
-		rep, err = warmreboot.FromDump(m, dump)
+		rep, err = warmreboot.Restore(m, image, warmreboot.DefaultOptions())
 	}
 	if err != nil {
 		res.RecoveryAborted = true

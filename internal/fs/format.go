@@ -9,6 +9,7 @@
 package fs
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"rio/internal/cache"
@@ -202,36 +203,43 @@ const (
 	DirentsPerBlock = BlockSize / DirentSize
 )
 
-// Dirent is a directory entry. Ino 0 marks a free slot.
-type Dirent struct {
-	Ino  uint32
-	Name string
+// direntView is one directory entry read in place: a slot's inode number
+// (0 marks a free slot) and its name bytes, which alias the block image
+// the slot was read from. A directory scan walks past every live entry of
+// every block, so it builds no string per entry: a name is compared as
+// string(d.name) == name, which does not allocate, and whoever keeps a name
+// copies it (string(d.name)) while the image is still valid.
+type direntView struct {
+	ino  uint32
+	name []byte
 }
 
-func marshalDirent(d Dirent, buf []byte) {
-	for i := 0; i < 4; i++ {
-		buf[i] = byte(d.Ino >> (8 * i))
-	}
-	n := len(d.Name)
-	buf[4] = byte(n)
-	buf[5] = byte(n >> 8)
-	buf[6], buf[7] = 0, 0
-	copy(buf[8:8+MaxNameLen], d.Name)
-	for i := 8 + n; i < DirentSize; i++ {
-		buf[i] = 0
-	}
+// direntIno reads the inode number of the directory slot at buf.
+func direntIno(buf []byte) uint32 {
+	return binary.LittleEndian.Uint32(buf)
 }
 
-func unmarshalDirent(buf []byte) Dirent {
-	var ino uint32
-	for i := 0; i < 4; i++ {
-		ino |= uint32(buf[i]) << (8 * i)
-	}
-	n := int(buf[4]) | int(buf[5])<<8
+// viewDirent reads the directory slot at buf. A name length past
+// MaxNameLen (a corrupt slot) is clamped, never trusted.
+func viewDirent(buf []byte) direntView {
+	n := int(binary.LittleEndian.Uint16(buf[4:]))
 	if n > MaxNameLen {
 		n = MaxNameLen
 	}
-	return Dirent{Ino: ino, Name: string(buf[8 : 8+n])}
+	return direntView{ino: direntIno(buf), name: buf[8 : 8+n]}
+}
+
+// marshalDirent writes the entry (ino, name) into the directory slot at buf.
+func marshalDirent(ino uint32, name string, buf []byte) {
+	binary.LittleEndian.PutUint32(buf, ino)
+	n := len(name)
+	buf[4] = byte(n)
+	buf[5] = byte(n >> 8)
+	buf[6], buf[7] = 0, 0
+	copy(buf[8:8+MaxNameLen], name)
+	for i := 8 + n; i < DirentSize; i++ {
+		buf[i] = 0
+	}
 }
 
 // Geometry computes the volume layout for a disk of nblocks with ninodes,

@@ -54,17 +54,26 @@ func Fsck(d *disk.Disk) (FsckReport, error) {
 	// treated as zeroes (its references will be repaired away), and a
 	// repair write that stays rejected is dropped. Both are counted.
 	retry := ioretry.New(ioretry.Policy{MaxRetries: 4}, nil)
-	readBlock := func(block int64) []byte {
-		buf := make([]byte, BlockSize)
+	readInto := func(buf []byte, block int64) []byte {
 		err := retry.Do(func() error {
 			_, err := d.Read(blockSector(block), buf)
 			return err
 		})
 		if err != nil {
 			rep.IOErrors++
+			clear(buf) // a failed read delivers nothing: the block is zeroes
 		}
 		return buf
 	}
+	// A directory or indirect block is dead once scanned, so the walk reads
+	// each into a scan buffer instead of a fresh 8 KB per block visited.
+	// One buffer per role, because the roles nest: a directory's indirect
+	// block is held across the scan of the directory blocks it names, and a
+	// directory block across claimBlocks of the files it lists, which reads
+	// their indirect blocks. (The inode-table images are written back at
+	// the end and keep their own.)
+	scan := make([]byte, 3*BlockSize)
+	scanDirInd, scanDir, scanInd := scan[:BlockSize], scan[BlockSize:2*BlockSize], scan[2*BlockSize:]
 	writeBlock := func(block int64, img []byte) {
 		err := retry.Do(func() error {
 			return d.Commit(blockSector(block), img)
@@ -80,7 +89,7 @@ func Fsck(d *disk.Disk) (FsckReport, error) {
 	imgs := make([][]byte, inodeBlocks)
 	imgDirty := make([]bool, inodeBlocks)
 	for b := int64(0); b < inodeBlocks; b++ {
-		imgs[b] = readBlock(sb.InodeStart + b)
+		imgs[b] = readInto(make([]byte, BlockSize), sb.InodeStart+b)
 		for s := 0; s < InodesPerBlock; s++ {
 			ino := b*InodesPerBlock + int64(s)
 			if ino >= sb.NInodes {
@@ -133,7 +142,7 @@ func Fsck(d *disk.Disk) (FsckReport, error) {
 				changed = true
 			} else {
 				blockOwner[ib] = ino
-				img := readBlock(ib)
+				img := readInto(scanInd, ib)
 				indDirty := false
 				for e := 0; e < PtrsPerBlock; e++ {
 					var ptr uint32
@@ -199,16 +208,16 @@ func Fsck(d *disk.Disk) (FsckReport, error) {
 			if db == 0 {
 				return
 			}
-			img := readBlock(db)
+			img := readInto(scanDir, db)
 			dirty := false
 			for s := 0; s < DirentsPerBlock; s++ {
-				de := unmarshalDirent(img[s*DirentSize : (s+1)*DirentSize])
-				if de.Ino == 0 {
+				ino := direntIno(img[s*DirentSize:])
+				if ino == 0 {
 					continue
 				}
-				bad := int64(de.Ino) >= sb.NInodes ||
-					inodes[de.Ino].Mode == ModeFree ||
-					reachable[de.Ino] // second link; we only support one
+				bad := int64(ino) >= sb.NInodes ||
+					inodes[ino].Mode == ModeFree ||
+					reachable[ino] // second link; we only support one
 				if bad {
 					rep.BadDirents++
 					for i := 0; i < DirentSize; i++ {
@@ -217,12 +226,12 @@ func Fsck(d *disk.Disk) (FsckReport, error) {
 					dirty = true
 					continue
 				}
-				reachable[de.Ino] = true
-				if inodes[de.Ino].Mode == ModeDir {
-					queue = append(queue, de.Ino)
+				reachable[ino] = true
+				if inodes[ino].Mode == ModeDir {
+					queue = append(queue, ino)
 				} else {
-					if claimBlocks(de.Ino, &inodes[de.Ino]) {
-						markInodeDirty(de.Ino)
+					if claimBlocks(ino, &inodes[ino]) {
+						markInodeDirty(ino)
 					}
 				}
 			}
@@ -234,7 +243,7 @@ func Fsck(d *disk.Disk) (FsckReport, error) {
 			scanBlock(int64(dir.Direct[i]))
 		}
 		if dir.Indirect != 0 {
-			img := readBlock(int64(dir.Indirect))
+			img := readInto(scanDirInd, int64(dir.Indirect))
 			for e := 0; e < PtrsPerBlock; e++ {
 				var ptr uint32
 				for i := 0; i < 4; i++ {
@@ -264,7 +273,7 @@ func Fsck(d *disk.Disk) (FsckReport, error) {
 	// Rebuild the bitmap from reachability.
 	bitmapBlocks := sb.DataStart - sb.BitmapStart
 	for bb := int64(0); bb < bitmapBlocks; bb++ {
-		img := readBlock(sb.BitmapStart + bb)
+		img := readInto(scanDir, sb.BitmapStart+bb) // the walk is over
 		fresh := make([]byte, BlockSize)
 		first := bb * BlockSize * 8
 		for i := int64(0); i < BlockSize*8; i++ {

@@ -48,16 +48,18 @@ func splitPath(path string) ([]string, error) {
 
 // dirBlock images a cached directory block into the directory scratch
 // (see FS.image). The image is valid until the next dirBlock call:
-// dirents are handed on by value and metaUpdate copies the image into the
-// kernel's staging area, so no caller holds it longer, and nothing a
-// dirScan callback does reads a directory block.
+// metaUpdate copies the image into the kernel's staging area, and the
+// dirent views dirScan hands its callback alias it, so a callback copies
+// the name it keeps (ReadDir) and reads no directory block while it still
+// looks at its view; riolint's bufalias checks both.
 func (f *FS) dirBlock(b *cache.Buf) []byte {
 	return f.image(&f.dirBuf, b)
 }
 
 // dirScan iterates a directory's entries; fn returns true to stop. It
-// passes the block and slot of each live entry.
-func (f *FS) dirScan(dirIno uint32, dir *Inode, fn func(d Dirent, block int64, slot int) bool) error {
+// passes a view of each live entry — valid for that call only — and the
+// entry's block and slot.
+func (f *FS) dirScan(dirIno uint32, dir *Inode, fn func(d direntView, block int64, slot int) bool) error {
 	blocks := dir.Blocks()
 	var dirty bool
 	for fb := int64(0); fb < blocks; fb++ {
@@ -74,11 +76,11 @@ func (f *FS) dirScan(dirIno uint32, dir *Inode, fn func(d Dirent, block int64, s
 		}
 		img := f.dirBlock(b)
 		for s := 0; s < DirentsPerBlock; s++ {
-			d := unmarshalDirent(img[s*DirentSize : (s+1)*DirentSize])
-			if d.Ino == 0 {
+			slot := img[s*DirentSize : (s+1)*DirentSize]
+			if direntIno(slot) == 0 {
 				continue
 			}
-			if fn(d, db, s) {
+			if fn(viewDirent(slot), db, s) {
 				return nil
 			}
 		}
@@ -106,9 +108,9 @@ func (f *FS) lookup(dirIno uint32, name string) (uint32, error) {
 		return 0, ErrNotDir
 	}
 	var found uint32
-	err = f.dirScan(dirIno, &dir, func(d Dirent, _ int64, _ int) bool {
-		if d.Name == name {
-			found = d.Ino
+	err = f.dirScan(dirIno, &dir, func(d direntView, _ int64, _ int) bool {
+		if string(d.name) == name {
+			found = d.ino
 			return true
 		}
 		return false
@@ -243,8 +245,8 @@ func (f *FS) dirInsert(dirIno uint32, name string, ino uint32) error {
 		}
 		img := f.dirBlock(b)
 		for s := 0; s < DirentsPerBlock; s++ {
-			if unmarshalDirent(img[s*DirentSize:(s+1)*DirentSize]).Ino == 0 {
-				marshalDirent(Dirent{Ino: ino, Name: name}, img[s*DirentSize:(s+1)*DirentSize])
+			if slot := img[s*DirentSize : (s+1)*DirentSize]; direntIno(slot) == 0 {
+				marshalDirent(ino, name, slot)
 				if err := f.metaUpdate(b, img, true); err != nil {
 					return err
 				}
@@ -263,7 +265,7 @@ func (f *FS) dirInsert(dirIno uint32, name string, ino uint32) error {
 		return err
 	}
 	img := f.dirBlock(b) // the fresh frame's zeroes
-	marshalDirent(Dirent{Ino: ino, Name: name}, img[:DirentSize])
+	marshalDirent(ino, name, img[:DirentSize])
 	if err := f.metaUpdate(b, img, true); err != nil {
 		return err
 	}
@@ -286,8 +288,8 @@ func (f *FS) dirRemove(dirIno uint32, name string) error {
 	}
 	var block int64 = -1
 	var slot int
-	err = f.dirScan(dirIno, &dir, func(d Dirent, b int64, s int) bool {
-		if d.Name == name {
+	err = f.dirScan(dirIno, &dir, func(d direntView, b int64, s int) bool {
+		if string(d.name) == name {
 			block, slot = b, s
 			return true
 		}
@@ -316,7 +318,7 @@ func (f *FS) dirEmpty(dirIno uint32) (bool, error) {
 		return false, err
 	}
 	empty := true
-	err = f.dirScan(dirIno, &dir, func(Dirent, int64, int) bool {
+	err = f.dirScan(dirIno, &dir, func(direntView, int64, int) bool {
 		empty = false
 		return true
 	})
@@ -644,13 +646,14 @@ func (f *FS) ReadDir(path string) ([]FileInfo, error) {
 		return nil, ErrNotDir
 	}
 	var out []FileInfo
-	err = f.dirScan(ino, &dir, func(d Dirent, _ int64, _ int) bool {
-		n, gerr := f.getInode(d.Ino)
+	err = f.dirScan(ino, &dir, func(d direntView, _ int64, _ int) bool {
+		name := string(d.name) // copied out of the directory image
+		n, gerr := f.getInode(d.ino)
 		if gerr != nil {
 			err = gerr
 			return true
 		}
-		out = append(out, FileInfo{Name: d.Name, Ino: d.Ino,
+		out = append(out, FileInfo{Name: name, Ino: d.ino,
 			IsDir: n.Mode == ModeDir, IsSymlink: n.Mode == ModeSymlink, Size: n.Size})
 		return false
 	})

@@ -44,6 +44,12 @@ import (
 //     is a finding. The fs roles nest (a directory image is held across
 //     bmap, an indirect image across balloc) but each on its own scratch,
 //     and this rule is what keeps it so.
+//   - A directory scan hands its callback a dirent view whose name bytes
+//     alias the directory image (viewCallbacks). The view is that call's
+//     only: storing it, or anything sliced from it, in a variable declared
+//     outside the callback keeps it past the scan's next block, and
+//     reading it after a call that can image another directory block is a
+//     use after refill like any other. string(d.name) is the copy.
 //   - The Into-style entry points (ReadInto, StageOutInto, ContentsAt)
 //     are the zero-copy contract surface: their destination parameters
 //     must not escape at all, because callers will pass pooled response
@@ -103,6 +109,47 @@ var releaseFuncs = map[string]bool{
 // pooled frame is itself a pooled alias.
 var aliasResults = map[string]bool{
 	"DecodeRequestAliased": true,
+}
+
+// viewCallbacks are the functions that call a function-literal argument
+// with a view of an fs scratch, by the scratch the view lives in: fs.dirScan
+// parses each live slot of the directory image in dirBuf into a dirent view
+// and passes it to its callback. The view reaches the callback through a
+// function value, which the taint walk does not follow, so — like
+// aliasResults — bufalias knows it by name: the reference-typed parameters
+// of a literal passed to one of these are pooled aliases of that scratch
+// for the length of one call.
+var viewCallbacks = map[string]string{
+	"dirScan": "dirBuf",
+}
+
+// viewLits lists the function literals that call passes to a viewCallbacks
+// function, with the scratch their parameters view ("" and nil otherwise).
+func viewLits(info *types.Info, call *ast.CallExpr) (string, []*ast.FuncLit) {
+	callee := staticCallee(info, call)
+	if callee == nil || viewCallbacks[callee.Name()] == "" {
+		return "", nil
+	}
+	var lits []*ast.FuncLit
+	for _, a := range call.Args {
+		if lit, ok := unparen(a).(*ast.FuncLit); ok {
+			lits = append(lits, lit)
+		}
+	}
+	return viewCallbacks[callee.Name()], lits
+}
+
+// viewParams lists the parameters of lit that can carry a view.
+func viewParams(info *types.Info, lit *ast.FuncLit) []*ast.Ident {
+	var out []*ast.Ident
+	for _, field := range lit.Type.Params.List {
+		for _, name := range field.Names {
+			if name.Name != "_" && refLike(info.TypeOf(name)) {
+				out = append(out, name)
+			}
+		}
+	}
+	return out
 }
 
 // intoContracts are the Into-style functions whose destination buffers
@@ -321,6 +368,7 @@ func checkUseAfterRefill(p *Pass, prog *Program, node *FuncNode) {
 		obj     types.Object
 		name    string
 		end     token.Pos // end of the binding statement
+		limit   token.Pos // where the local's scope ends
 		scratch []string
 	}
 	var binds []binding
@@ -329,6 +377,19 @@ func checkUseAfterRefill(p *Pass, prog *Program, node *FuncNode) {
 		switch s := n.(type) {
 		case *ast.ForStmt, *ast.RangeStmt:
 			loops = append(loops, n)
+		case *ast.CallExpr:
+			// A view callback's parameters are bound, to a view of the
+			// scratch the scan images into, from the literal's opening
+			// brace to its closing one.
+			field, lits := viewLits(info, s)
+			for _, lit := range lits {
+				for _, id := range viewParams(info, lit) {
+					if obj := info.ObjectOf(id); obj != nil {
+						binds = append(binds, binding{obj: obj, name: id.Name,
+							end: lit.Body.Lbrace, limit: lit.End(), scratch: []string{field}})
+					}
+				}
+			}
 		case *ast.AssignStmt:
 			for i, lhs := range s.Lhs {
 				id, ok := unparen(lhs).(*ast.Ident)
@@ -349,14 +410,14 @@ func checkUseAfterRefill(p *Pass, prog *Program, node *FuncNode) {
 					continue
 				}
 				if sc := scratchOf(prog, info, rhs); len(sc) > 0 {
-					binds = append(binds, binding{obj: obj, name: id.Name, end: s.End(), scratch: sc})
+					binds = append(binds, binding{obj: obj, name: id.Name, end: s.End(), limit: body.End(), scratch: sc})
 				}
 			}
 		}
 		return true
 	})
 	for _, b := range binds {
-		windowEnd := body.End()
+		windowEnd := b.limit
 		for _, pos := range assigns[b.obj] {
 			if pos >= b.end && pos < windowEnd {
 				windowEnd = pos

@@ -320,6 +320,19 @@ func (pr *Program) analyzeFunc(node *FuncNode) ([]escapeEvent, *Summary) {
 		}
 	}
 	st.bodyPos, st.bodyEnd = node.Decl.Body.Pos(), node.Decl.Body.End()
+	// The parameters of a view callback are pooled aliases from the start.
+	ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			_, lits := viewLits(info, call)
+			for _, lit := range lits {
+				st.viewLits = append(st.viewLits, lit)
+				for _, id := range viewParams(info, lit) {
+					st.setVar(st.objOf(id), 1<<rootBit)
+				}
+			}
+		}
+		return true
+	})
 	for i := 0; i < 16; i++ {
 		st.changed = false
 		st.walk(node.Decl.Body)
@@ -358,6 +371,10 @@ type taintState struct {
 	bodyPos    token.Pos
 	bodyEnd    token.Pos
 	changed    bool
+	// viewLits are the body's view callbacks (bufalias's viewCallbacks): a
+	// view stored in a variable declared outside its literal outlives the
+	// one call it is valid for.
+	viewLits []*ast.FuncLit
 }
 
 func (st *taintState) objOf(id *ast.Ident) types.Object {
@@ -501,6 +518,7 @@ func (st *taintState) assign(s *ast.AssignStmt) {
 			}
 			if st.localObj(obj) {
 				st.setVar(obj, t)
+				st.viewStore(lhs, obj, t)
 			} else {
 				st.escape(lhs.Pos(), FlowHeap, t, "stored in package-level "+l.Name)
 			}
@@ -533,6 +551,27 @@ func (st *taintState) assign(s *ast.AssignStmt) {
 				heapStore()
 			}
 		}
+	}
+}
+
+// outlivesView reports whether a store at pos into obj carries a view out
+// of the callback it was handed to: pos lies inside a view callback and
+// obj is declared outside it.
+func (st *taintState) outlivesView(pos token.Pos, obj types.Object) bool {
+	for _, lit := range st.viewLits {
+		if lit.Pos() <= pos && pos < lit.End() && (obj.Pos() < lit.Pos() || obj.Pos() >= lit.End()) {
+			return true
+		}
+	}
+	return false
+}
+
+// viewStore records a pooled alias stored, inside a view callback, in a
+// local of the enclosing function: the local stays in the frame, but the
+// view dies with the callback's return.
+func (st *taintState) viewStore(lhs ast.Expr, obj types.Object, t uint64) {
+	if t&(1<<rootBit) != 0 && st.outlivesView(lhs.Pos(), obj) {
+		st.escape(lhs.Pos(), FlowHeap, 1<<rootBit, "stored in "+types.ExprString(lhs)+", which outlives the callback it was handed to")
 	}
 }
 

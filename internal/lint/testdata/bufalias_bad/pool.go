@@ -198,6 +198,7 @@ func stageAliased(p *framePoolT, tx *txnT) {
 type mountT struct {
 	inoBuf []byte
 	indBuf []byte
+	dirBuf []byte
 	frame  []byte
 	kept   []byte
 }
@@ -245,4 +246,70 @@ func (m *mountT) heldAcrossLoop() int {
 // keptImage parks an image in a field that outlives every refill.
 func (m *mountT) keptImage() {
 	m.kept = m.image(&m.inoBuf) // want bufalias "stored in m.kept"
+}
+
+// direntViewT / dirScan mimic internal/fs's directory scan: each live slot
+// of the directory image is handed to the callback as a view whose name
+// bytes alias dirBuf, valid for that one call.
+type direntViewT struct {
+	ino  uint32
+	name []byte
+}
+
+func (m *mountT) dirBlock() []byte { return m.image(&m.dirBuf) }
+
+func (m *mountT) dirScan(fn func(d direntViewT, slot int) bool) {
+	for blk := 0; blk < 2; blk++ {
+		img := m.dirBlock()
+		for s := 0; s+64 <= len(img); s += 64 {
+			if img[s] != 0 && fn(direntViewT{ino: uint32(img[s]), name: img[s+8 : s+16]}, s) {
+				return
+			}
+		}
+	}
+}
+
+// lookup is itself a scan: calling it re-images dirBuf.
+func (m *mountT) lookup(name string) uint32 {
+	var found uint32
+	m.dirScan(func(d direntViewT, _ int) bool {
+		if string(d.name) == name {
+			found = d.ino
+		}
+		return found != 0
+	})
+	return found
+}
+
+// lastName keeps the name bytes of the last entry in a variable of the
+// enclosing function: the scan's next block overwrites them.
+func (m *mountT) lastName() string {
+	var last []byte
+	m.dirScan(func(d direntViewT, _ int) bool {
+		last = d.name // want bufalias "stored in last, which outlives the callback it was handed to"
+		return false
+	})
+	return string(last)
+}
+
+// allNames collects views where it means to collect names.
+func (m *mountT) allNames() int {
+	var names [][]byte
+	m.dirScan(func(d direntViewT, _ int) bool {
+		names = append(names, d.name) // want bufalias "stored in names, which outlives the callback it was handed to"
+		return false
+	})
+	return len(names)
+}
+
+// linkedTwice looks each entry's name up again — a nested scan that
+// re-images dirBuf — and then reads the view it was handed.
+func (m *mountT) linkedTwice() bool {
+	twice := false
+	m.dirScan(func(d direntViewT, _ int) bool {
+		other := m.lookup("alias")
+		twice = other == d.ino // want bufalias "d used after lookup refilled its buffer"
+		return twice
+	})
+	return twice
 }

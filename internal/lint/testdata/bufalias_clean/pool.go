@@ -188,6 +188,7 @@ func stageCopied(p *framePoolT, tx *txnT) {
 type mountT struct {
 	inoBuf []byte
 	indBuf []byte
+	dirBuf []byte
 	frame  []byte
 }
 
@@ -225,4 +226,51 @@ func (m *mountT) retake() byte {
 	m.putInode(first)
 	img = m.image(&m.inoBuf)
 	return img[0]
+}
+
+// direntViewT / dirScan mimic internal/fs's directory scan: the callback
+// gets a view whose name bytes alias dirBuf, valid for that one call.
+type direntViewT struct {
+	ino  uint32
+	name []byte
+}
+
+func (m *mountT) dirBlock() []byte { return m.image(&m.dirBuf) }
+
+func (m *mountT) dirScan(fn func(d direntViewT, slot int) bool) {
+	for blk := 0; blk < 2; blk++ {
+		img := m.dirBlock()
+		for s := 0; s+64 <= len(img); s += 64 {
+			if img[s] != 0 && fn(direntViewT{ino: uint32(img[s]), name: img[s+8 : s+16]}, s) {
+				return
+			}
+		}
+	}
+}
+
+// lookup compares the name in place and keeps only the inode number.
+func (m *mountT) lookup(name string) uint32 {
+	var found uint32
+	m.dirScan(func(d direntViewT, _ int) bool {
+		if string(d.name) == name {
+			found = d.ino
+		}
+		return found != 0
+	})
+	return found
+}
+
+// readDir keeps names: string(d.name) is the copy, taken before anything
+// can image another directory block, and what crosses the nested scan is
+// the copy and a number.
+func (m *mountT) readDir() []string {
+	var names []string
+	m.dirScan(func(d direntViewT, _ int) bool {
+		name, ino := string(d.name), d.ino
+		if m.lookup("alias") != ino {
+			names = append(names, name)
+		}
+		return false
+	})
+	return names
 }

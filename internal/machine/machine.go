@@ -100,7 +100,7 @@ type Machine struct {
 type Storage struct {
 	mem  *mem.Memory
 	disk *disk.Disk
-	dump []byte // ScratchDump's image; allocated on first use
+	dump []byte // DumpArea; allocated on first use
 }
 
 // New formats a fresh disk and boots a machine on it. text may be nil to
@@ -194,15 +194,13 @@ func (m *Machine) Boot(text *kvm.Text) error {
 	return nil
 }
 
-// ScratchDump copies all of physical memory into the dump image of the
-// machine's Storage and returns it: the warm reboot's "dump RAM to swap"
-// step without a fresh memory-sized allocation per reboot. The image is
-// storage of its own — booting and restoring never write to it, so a
-// recovery interrupted by a second crash restarts from it — but it is valid
-// only until the next ScratchDump on the same Storage; a caller that holds
-// a dump across in-place reboots (the UPS path) takes its own copy with
-// Mem.Dump.
-func (m *Machine) ScratchDump() []byte {
+// DumpArea returns the memory-sized area of the machine's Storage that a
+// warm reboot dumps memory into — the paper's swap partition, kept apart
+// from simulated memory so that booting and restoring never write to it and
+// a recovery interrupted by a second crash can restart from it. It is
+// allocated on first use and never cleared: what it holds is what
+// warmreboot.Capture, its one writer, last put there.
+func (m *Machine) DumpArea() []byte {
 	if m.store == nil {
 		m.store = new(Storage) // a machine assembled by hand, not by New
 	}
@@ -210,7 +208,6 @@ func (m *Machine) ScratchDump() []byte {
 	if len(st.dump) != m.Mem.Size() {
 		st.dump = make([]byte, m.Mem.Size())
 	}
-	m.Mem.ReadAt(0, st.dump)
 	return st.dump
 }
 

@@ -45,7 +45,7 @@ func sameMachine(a, b *machine.Machine) error {
 // TestRecycledStorageBootsAFreshMachine leaves a Storage as dirty as a
 // crash run can — files on disk, a fault plan with latent sectors planted,
 // writes queued and one torn by the crash, memory scrambled, frame flags
-// set, the dump image taken — and builds the next machine on it. That
+// set, the dump area full of a stale image — and builds the next machine on it. That
 // machine must be, byte for byte and counter for counter, the machine New
 // builds; and must stay so through a workload, a crash and a warm reboot,
 // whose disk access times depend on the head position and statistics a
@@ -70,7 +70,10 @@ func TestRecycledStorageBootsAFreshMachine(t *testing.T) {
 	put(t, dirty, "/queued", kernel.FillBytes(3*fs.BlockSize, 99)) // delayed writes: left in the queue
 	dirty.Kernel.Panic("dirtying the storage")
 	dirty.CrashFinish()
-	dirty.ScratchDump()
+	stale := dirty.DumpArea() // a stale image: no byte of it may reach the next machine's recovery
+	for i := range stale {
+		stale[i] = 0xA5
+	}
 	dirty.Mem.Scramble(12345)
 	dirty.Mem.Frame(100).WriteProtected = true
 	if dirty.Disk.LatentSectors() == 0 || dirty.Disk.Stats.Writes == 0 {

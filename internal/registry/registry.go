@@ -168,8 +168,9 @@ func New(k *kernel.Kernel, nframes int, protect bool) (*Registry, error) {
 			return nil, fmt.Errorf("registry: out of frames")
 		}
 		k.Mem.Frame(f).Registry = true
-		// Zero the frame so stale bytes never parse as entries.
-		k.Mem.WriteAt(mem.FrameBase(f), make([]byte, mem.PageSize))
+		// Zero the frame so stale bytes never parse as entries (a raw
+		// store, like the boot-time clear it stands for).
+		clear(k.Mem.Slice(mem.FrameBase(f), mem.PageSize))
 		if protect {
 			k.MMU.SetFrameProtection(f, true)
 		}

@@ -4,12 +4,14 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -694,22 +696,31 @@ func TestServeConnTricklingPeerCut(t *testing.T) {
 	s := newTestServer(t, Config{Shards: 1, IdleTimeout: idle})
 	addr := listenAndServe(t, s)
 	goroutines := runtime.NumGoroutine()
+	// The connection uses two buffers: the healthy request's, which the
+	// shard releases, and the one its reader then holds for the next frame
+	// — the trickled one. They are put in the pool beforehand because an
+	// empty pool makes that count a race: a reader that asks for its second
+	// buffer after the shard has released the first gets the same one back,
+	// and one buffer is all there ever is (1 run in 600 here).
+	for i := 0; i < 2; i++ {
+		s.pool.putFrameBuf(make([]byte, 0, frameBufSize))
+	}
 	cl := dialRaw(t, addr)
 	cl.send(&wire.Request{ID: 1, Op: wire.OpOpen, Shard: -1, Path: "/alive"})
 	if r := cl.recv(); r.Status != wire.StatusOK {
 		t.Fatalf("healthy request: %+v", r)
 	}
-	// The pool started empty and this connection has taken two buffers
-	// from it: the healthy request's, which the shard releases, and the one
-	// its reader now holds for the next frame — the trickled one.
 	waitFor(t, "the first frame's release", func() bool { n, _, _ := pooled(s); return n == 1 })
 
 	frame := wire.AppendRequestFrame(nil, &wire.Request{ID: 2, Op: wire.OpWrite, Shard: -1, Path: "/trickle", Data: pattern(0, 1)})
 	hungUp := make(chan time.Time, 1)
 	go func() {
 		cl.c.SetReadDeadline(time.Now().Add(20 * time.Second))
-		if _, err := cl.br.ReadByte(); err != io.EOF {
-			t.Errorf("trickling peer: read returned %v, want the server's hang-up (EOF)", err)
+		// A byte trickled after the server closed is answered with RST,
+		// and the read then sees the reset instead of EOF: either is the
+		// server's hang-up.
+		if _, err := cl.br.ReadByte(); err != io.EOF && !errors.Is(err, syscall.ECONNRESET) {
+			t.Errorf("trickling peer: read returned %v, want the server's hang-up (EOF or a reset)", err)
 		}
 		hungUp <- time.Now()
 	}()

@@ -243,9 +243,9 @@ func TestTruncatedDumpHandled(t *testing.T) {
 	}
 }
 
-// TestWarmReusesMachineScratch pins who owns which dump. Warm dumps into
-// the image of the machine's Storage — allocated by the first Warm,
-// overwritten by the next — so repeated in-place reboots of one machine
+// TestWarmReusesMachineScratch pins who owns which dump. Warm captures its
+// image in the dump area of the machine's Storage — allocated by the first
+// Warm, overwritten by the next — so repeated in-place reboots of one machine
 // must each restore byte-exact, and from the second on must not allocate
 // another memory-sized image. A dump a caller took with Mem.Dump is the caller's:
 // no later Warm may touch it, and recovery from it (interrupted at any

@@ -36,7 +36,8 @@ import (
 
 // ErrInterrupted reports that a simulated second crash (Options.
 // CrashAtStep) cut the recovery short. The machine is mid-restore; the
-// caller restarts recovery by calling FromDump again with the same dump.
+// caller restarts recovery from the same image: Restore with the same
+// Image, or FromDump with the same dump.
 var ErrInterrupted = errors.New("warmreboot: recovery interrupted by crash")
 
 // Options tunes the recovery pass. The zero value is NOT the default —
@@ -44,7 +45,7 @@ var ErrInterrupted = errors.New("warmreboot: recovery interrupted by crash")
 type Options struct {
 	// CrashAtStep, when >= 0, interrupts the recovery after that many
 	// restore steps (metadata commits, fsck, boot, and per-page data
-	// restores each count one step): FromDump returns ErrInterrupted
+	// restores each count one step): Restore returns ErrInterrupted
 	// with the volume part-restored. Use -1 to run to completion. An
 	// uninterrupted pass reports its total step count in Report.Steps,
 	// which bounds the useful range.
@@ -113,72 +114,132 @@ func (r *Report) String() string {
 		r.OrphanData, r.Salvaged)
 }
 
+// Image is the memory image one recovery restores from, with the registry
+// already parsed out of it. Recovery reads it and never writes it, so an
+// interrupted recovery (ErrInterrupted, or a fresh crash mid-restore)
+// restarts by passing the same Image to Restore again.
+type Image struct {
+	// dump holds frame f at mem.FrameBase(f). It may be shorter than
+	// memory (a truncated UPS dump), and in an Image that Capture built
+	// only the registry's frames and the frames readable entries name
+	// hold memory's bytes; see readable.
+	dump []byte
+	// entries are the registry entries that passed their CRC, in slot
+	// order; bad counts the slots that did not.
+	entries []registry.ParsedEntry
+	bad     int
+}
+
+// readable reports whether recovery may read the page entry e names: the
+// frame exists and the entry's size fits a page. It is the one test that
+// decides both which frames Capture copies and which entries Restore goes
+// on to look at (the rest are SkippedInvalid before their page is touched),
+// so Restore reads no page that Capture left out.
+func readable(e registry.ParsedEntry, nframes int) bool {
+	return int(e.Frame) < nframes && e.Size <= mem.PageSize
+}
+
+// page returns the image of the frame, or nil when the dump is too short
+// to contain it: a caller's dump is untrusted input and must never be
+// sliced past its end.
+func (im Image) page(frame uint32) []byte {
+	base := mem.FrameBase(int(frame))
+	if base+mem.PageSize > uint64(len(im.dump)) {
+		return nil
+	}
+	return im.dump[base : base+mem.PageSize]
+}
+
+// Capture is the warm reboot's "dump physical memory" step, taken before
+// anything reinitialises: it parses the registry where it lies in the
+// crashed machine's memory and copies into the machine's dump area, each at
+// its own offset, the registry's frames and the frames that readable
+// entries name — what Restore reads, not all of memory (under half of it
+// on a machine whose cache is full, far less in a campaign run). The
+// rest of the dump area keeps whatever an earlier recovery on the same
+// storage left there; see readable for why that is never read. The Image is
+// valid until the next Capture on the machine's storage; a caller that
+// holds a dump across in-place reboots (the UPS path) takes its own copy
+// with Mem.Dump and uses FromDump.
+func Capture(m *machine.Machine) Image {
+	live := m.Mem.Slice(0, m.Mem.Size())
+	regFrames := m.Reg.Frames()
+	im := Image{dump: m.DumpArea()}
+	im.entries, im.bad = registry.Parse(live, regFrames)
+	nframes := m.Mem.NumFrames()
+	keep := func(frame int) {
+		base := mem.FrameBase(frame)
+		copy(im.dump[base:base+mem.PageSize], live[base:])
+	}
+	for _, f := range regFrames {
+		keep(f)
+	}
+	for _, e := range im.entries {
+		if readable(e, nframes) {
+			keep(int(e.Frame))
+		}
+	}
+	return im
+}
+
 // Warm performs a warm reboot of a crashed machine in place: dump memory,
 // restore metadata to disk, fsck, boot a fresh kernel, and restore the UBC
 // through system calls. On return the machine is booted and its file
 // system reflects the pre-crash file cache.
 func Warm(m *machine.Machine) (*Report, error) {
-	// Step 1: dump all of physical memory before anything reinitialises.
-	// The image is the machine's own scratch: nothing below writes to it,
-	// and nobody holds it past this call.
-	return FromDump(m, m.ScratchDump())
+	return Restore(m, Capture(m), DefaultOptions())
 }
 
 // FromDump performs the warm-reboot restore from an explicit memory image
-// — either the in-place dump Warm takes at boot, or a dump a UPS wrote to
-// the swap disk as the power failed (the paper's §1 power-outage story) —
-// with default options.
+// — a dump the caller took with Mem.Dump, or one a UPS wrote to the swap
+// disk as the power failed (the paper's §1 power-outage story) — with
+// default options.
 func FromDump(m *machine.Machine, dump []byte) (*Report, error) {
 	return FromDumpOpts(m, dump, DefaultOptions())
 }
 
-// FromDumpOpts is FromDump with explicit Options.
+// FromDumpOpts is FromDump with explicit Options. The dump is the
+// caller's, full or truncated, and is only read.
+func FromDumpOpts(m *machine.Machine, dump []byte, opts Options) (*Report, error) {
+	im := Image{dump: dump}
+	// The registry lives at a machine-fixed location.
+	im.entries, im.bad = registry.Parse(dump, m.Reg.Frames())
+	return Restore(m, im, opts)
+}
+
+// Restore is the warm-reboot restore itself, from an Image.
 //
-// The protocol is idempotent over the dump: every metadata commit writes
+// The protocol is idempotent over the image: every metadata commit writes
 // the same bytes to the same blocks, fsck converges, and every data-page
 // write lands the same bytes at the same file offsets, so calling it
 // again after an ErrInterrupted return (or after a fresh crash mid-
 // recovery) completes the restore with the same final state an
 // uninterrupted pass produces.
-func FromDumpOpts(m *machine.Machine, dump []byte, opts Options) (*Report, error) {
-	rep := &Report{}
+func Restore(m *machine.Machine, im Image, opts Options) (*Report, error) {
+	rep := &Report{Entries: len(im.entries), BadEntries: im.bad}
 
 	// step bookkeeping for the injected-second-crash protocol.
 	interrupted := func() bool {
 		return opts.CrashAtStep >= 0 && rep.Steps >= opts.CrashAtStep
 	}
 
-	// The registry lives at a machine-fixed location; take its frame
-	// list before tearing the old kernel's state down.
-	regFrames := m.Reg.Frames()
-
-	entries, bad := registry.Parse(dump, regFrames)
-	rep.Entries = len(entries)
-	rep.BadEntries = bad
-
 	nframes := m.Mem.NumFrames()
-	// pageOf returns the frame's page image, or nil when the dump is too
-	// short to contain it (e.g. a truncated UPS dump): the dump is
-	// untrusted input and must never be sliced past its end.
-	pageOf := func(frame uint32) []byte {
-		base := mem.FrameBase(int(frame))
-		if base+mem.PageSize > uint64(len(dump)) {
-			return nil
-		}
-		return dump[base : base+mem.PageSize]
-	}
 
 	// Classify and verify every entry first.
 	var metaDirty, dataDirty []registry.ParsedEntry
-	for _, e := range entries {
-		if int(e.Frame) >= nframes || e.Size > mem.PageSize || pageOf(e.Frame) == nil {
+	for _, e := range im.entries {
+		var page []byte
+		if readable(e, nframes) {
+			page = im.page(e.Frame)
+		}
+		if page == nil {
 			rep.SkippedInvalid++
 			continue
 		}
 		if e.Flags&registry.FlagChanging != 0 {
 			rep.Changing++
 		} else if e.Cksum != 0 {
-			if kernel.CksumBytes(pageOf(e.Frame)) != e.Cksum {
+			if kernel.CksumBytes(page) != e.Cksum {
 				rep.ChecksumMismatches++
 			}
 		}
@@ -211,7 +272,7 @@ func FromDumpOpts(m *machine.Machine, dump []byte, opts Options) (*Report, error
 		}
 		e := e
 		err := retry.Do(func() error {
-			return m.Disk.Commit(int(e.Block)*fs.SectorsPerBlock, pageOf(e.Frame))
+			return m.Disk.Commit(int(e.Block)*fs.SectorsPerBlock, im.page(e.Frame))
 		})
 		if err != nil {
 			rep.MetaFailed++
@@ -237,7 +298,7 @@ func FromDumpOpts(m *machine.Machine, dump []byte, opts Options) (*Report, error
 	rep.Steps++
 
 	// Step 4: boot a fresh kernel. Pool frame contents are irrelevant now
-	// — everything needed is in the dump.
+	// — everything needed is in the image.
 	if interrupted() {
 		return rep, ErrInterrupted
 	}
@@ -260,7 +321,7 @@ func FromDumpOpts(m *machine.Machine, dump []byte, opts Options) (*Report, error
 		if interrupted() {
 			return rep, ErrInterrupted
 		}
-		page := pageOf(e.Frame)
+		page := im.page(e.Frame)
 		n := int(e.Size)
 		if n > mem.PageSize {
 			n = mem.PageSize

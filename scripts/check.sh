@@ -47,7 +47,7 @@ make scenarios
 make serve-bench SERVE_BENCH_OUT=bench-reports/BENCH_server.json
 # Core-op microbenchmarks: riobench against one simulated machine,
 # compared to the checked-in BENCH_core.json snapshot — fails if the run
-# errors or a served read allocates more than one object (the target
-# passes riobench -gate-allocs served-read=1); the report is uploaded as
-# a CI artifact.
+# errors, a served read allocates more than one object or a create more
+# than four (the target passes riobench -gate-allocs
+# served-read=1,create=4); the report is uploaded as a CI artifact.
 make bench-core BENCH_CORE_OUT=bench-reports/BENCH_core.json
