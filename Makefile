@@ -78,11 +78,9 @@ crash-recovery:
 # Server smoke benchmark: riod's shard fabric under rioload via the
 # in-process transport — 8 connections with 8 pipelined request streams
 # each for 10s against 4 shards, plus a 1-shard baseline at the same
-# load. It measures and gates nothing; the checked-in BENCH_server.json
-# records avg_batch (requests served per queue drain) 2.46. The
-# trailing -tcp-probe re-serves the same server over loopback TCP so the
-# report also carries the scatter-gather writer's frames-per-writev
-# distribution.
+# load. The trailing -tcp-probe re-serves the same server over loopback
+# TCP so the report also carries the scatter-gather writer's
+# frames-per-writev distribution.
 # Writes $(SERVE_BENCH_OUT) (throughput, p50/p95/p99, per-shard
 # batching, writev batch sizes).
 serve-bench:

@@ -114,17 +114,8 @@ func (s *System) ReadFile(path string) ([]byte, error) {
 // Mkdir creates a directory.
 func (s *System) Mkdir(path string) error { return s.m.FS.Mkdir(path) }
 
-// Remove unlinks a file or removes an empty directory.
-func (s *System) Remove(path string) error {
-	st, err := s.m.FS.Stat(path)
-	if err != nil {
-		return err
-	}
-	if st.IsDir {
-		return s.m.FS.Rmdir(path)
-	}
-	return s.m.FS.Unlink(path)
-}
+// Remove unlinks a file or symbolic link, or removes an empty directory.
+func (s *System) Remove(path string) error { return s.m.FS.Remove(path) }
 
 // Rename moves a file, replacing any regular file at the destination.
 func (s *System) Rename(oldPath, newPath string) error {

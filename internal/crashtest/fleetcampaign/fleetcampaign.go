@@ -25,6 +25,7 @@ import (
 	"fmt"
 
 	"rio/internal/fleet"
+	"rio/internal/server"
 	"rio/internal/sim"
 	"rio/internal/wire"
 )
@@ -272,7 +273,7 @@ func RunOne(p Plan) (res RunResult) {
 		// an OK carrying the old bytes is a stale read.
 		probe := -1
 		for i := range acked {
-			if !acked[i].prefix && fleet.ShardOf(acked[i].path, p.Shards) == route0.Shard {
+			if !acked[i].prefix && server.ShardOf(acked[i].path, p.Shards) == route0.Shard {
 				probe = i
 				break
 			}

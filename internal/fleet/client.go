@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"rio/internal/server"
 	"rio/internal/txn"
 	"rio/internal/wire"
 )
@@ -90,7 +91,7 @@ func (c *Client) Do(req *wire.Request) (*wire.Response, error) {
 			return st, nil
 		}
 	}
-	shard := ShardOf(p, c.shards)
+	shard := server.ShardOf(p, c.shards)
 	var last *wire.Response
 	var lastErr error
 	for attempt := 0; attempt < c.MaxAttempts; attempt++ {

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"rio/internal/server"
 	"rio/internal/wire"
 )
 
@@ -296,7 +297,7 @@ func TestFleetPartitionFencesOldPrimary(t *testing.T) {
 	var pathOnShard0 string
 	for i := 0; ; i++ {
 		p := fmt.Sprintf("/fence/k%02d", i)
-		if ShardOf(p, 2) == 0 {
+		if server.ShardOf(p, 2) == 0 {
 			pathOnShard0 = p
 			break
 		}
@@ -338,7 +339,7 @@ func TestFleetSurvivesBackupKill(t *testing.T) {
 	var p0 string
 	for i := 0; ; i++ {
 		p := fmt.Sprintf("/deg/k%02d", i)
-		if ShardOf(p, 2) == 0 {
+		if server.ShardOf(p, 2) == 0 {
 			p0 = p
 			break
 		}
@@ -629,5 +630,114 @@ func TestFleetReservedPath(t *testing.T) {
 	// check: it is refused as malformed at routing time.
 	if _, err := cl.Do(&wire.Request{Op: wire.OpWrite, Shard: -1, Path: "//.fleet//seq", Data: []byte("x")}); err == nil {
 		t.Fatal("malformed alias of the reserved path was routed")
+	}
+}
+
+// snapshotsOf returns the snapshot of shard's replica on every node of
+// its route, primary first.
+func snapshotsOf(t *testing.T, f *Fleet, rt Route) [][]byte {
+	t.Helper()
+	var out [][]byte
+	for _, id := range append([]string{rt.Primary}, rt.Backups...) {
+		r := f.Node(id).replicaFor(rt.Shard)
+		r.mu.Lock()
+		snap, err := buildSnapshot(r)
+		r.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, snap)
+	}
+	return out
+}
+
+// A write that is legal on the wire but cannot ride a replication frame
+// (MaxData bytes plus the batch header) is refused before anything
+// mutates. It used to execute, bump and persist seq, and only then fail
+// to encode: the primary held a file its backup never got, no tail entry
+// existed for the seq, and every later write answered "backup
+// unreachable" until the coordinator repaired by snapshot.
+func TestFleetRefusesUnreplicableWriteBeforeExec(t *testing.T) {
+	f := testFleet(t, 3, 1, 2)
+	rt := f.Table().Routes[0]
+	prim := f.Node(rt.Primary)
+	mustWrite(t, f.Client(nil), "/data/small", fill(100, 1))
+	before := snapshotsOf(t, f, rt)
+	seq := prim.replicaFor(0).seq
+
+	big := &wire.Request{Op: wire.OpWrite, Shard: -1, Path: "/data/big", Data: make([]byte, wire.MaxData)}
+	if resp := prim.Serve(ClientName, big); resp.Status != wire.StatusInvalid {
+		t.Fatalf("unreplicable write: got %v (%s), want StatusInvalid", resp.Status, resp.Msg)
+	}
+	after := snapshotsOf(t, f, rt)
+	for i := range after {
+		if !bytes.Equal(after[i], before[i]) || !bytes.Equal(after[i], after[0]) {
+			t.Fatalf("replica %d of the route changed or diverged across a refused write", i)
+		}
+	}
+	if got := prim.replicaFor(0).seq; got != seq {
+		t.Fatalf("refused write moved seq %d -> %d", seq, got)
+	}
+	next := &wire.Request{Op: wire.OpWrite, Shard: -1, Path: "/data/next", Data: fill(64, 2)}
+	if resp := prim.Serve(ClientName, next); resp.Status != wire.StatusOK {
+		t.Fatalf("write after the refusal: got %v (%s), want an ack first try", resp.Status, resp.Msg)
+	}
+	if m := f.NodeMetrics(); m.Degraded != 0 {
+		t.Fatalf("replication degraded after a refused write: %+v", m)
+	}
+
+	// The bounds Server.route enforces hold at this front door too.
+	for _, req := range []*wire.Request{
+		{Op: wire.OpWrite, Shard: -1, Path: "/data/over", Data: make([]byte, wire.MaxData+1)},
+		{Op: wire.OpStat, Shard: -1, Path: "/" + strings.Repeat("p", wire.MaxPath)},
+		{Op: wire.OpMv, Shard: -1, Path: "/data/small"},
+	} {
+		if resp := prim.Serve(ClientName, req); resp.Status != wire.StatusInvalid {
+			t.Fatalf("%v with %d data bytes, %d-byte path: got %v, want StatusInvalid",
+				req.Op, len(req.Data), len(req.Path), resp.Status)
+		}
+	}
+}
+
+// Every op a client can send a node obeys its row in wire's op table: a
+// mutating op is replicated before it is acknowledged, anything else is
+// served behind the read fence, and transaction control is refused.
+func TestFleetObeysOpTable(t *testing.T) {
+	f := testFleet(t, 2, 1, 2)
+	prim := f.Node(f.Table().Routes[0].Primary)
+	samples := map[wire.Op]*wire.Request{
+		wire.OpOpen:  {Path: "/t/f"},
+		wire.OpWrite: {Path: "/t/f", Data: []byte("x")},
+		wire.OpMkdir: {Path: "/t/d"},
+		wire.OpRm:    {Path: "/t/d"},
+		wire.OpMv:    {Path: "/t/f", Path2: "/t/g"},
+	}
+	for op := wire.OpInvalid + 1; op.Valid(); op++ {
+		if op.Admin() {
+			continue // Node.Serve hands these to serveAdmin
+		}
+		req := &wire.Request{Op: op, Shard: -1, Path: "/t/x"}
+		if sample := samples[op]; sample != nil {
+			req.Path, req.Path2, req.Data = sample.Path, sample.Path2, sample.Data
+		}
+		before := f.NodeMetrics()
+		resp := prim.serveClient(req)
+		after := f.NodeMetrics()
+		sent, fences := after.ReplSent-before.ReplSent, after.ReadFences-before.ReadFences
+		switch {
+		case op.TxnControl():
+			if resp.Status != wire.StatusInvalid || sent != 0 || fences != 0 {
+				t.Fatalf("%v: got %v, %d frames, %d fences; want refused untouched", op, resp.Status, sent, fences)
+			}
+		case op.Mutates():
+			if resp.Status != wire.StatusOK || sent != 1 || fences != 0 {
+				t.Fatalf("%v: got %v (%s), %d frames, %d fences; want acked after one replicated frame",
+					op, resp.Status, resp.Msg, sent, fences)
+			}
+		default:
+			if sent != 0 || fences != 1 {
+				t.Fatalf("%v: %d frames, %d fences; want served behind one read fence", op, sent, fences)
+			}
+		}
 	}
 }

@@ -4,14 +4,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"rio"
 	"rio/internal/server"
 	"rio/internal/sim"
-	"rio/internal/txn"
 	"rio/internal/wire"
 )
 
@@ -363,13 +361,7 @@ func (n *Node) movedTo(req *wire.Request, shard int) *wire.Response {
 
 // mutating reports whether op changes filesystem state and must be
 // replicated before the client may be acknowledged.
-func mutating(op wire.Op) bool {
-	switch op {
-	case wire.OpOpen, wire.OpWrite, wire.OpMkdir, wire.OpRm, wire.OpMv:
-		return true
-	}
-	return false
-}
+func mutating(op wire.Op) bool { return op.Mutates() }
 
 // serveClient runs one client op against the local primary replica for
 // its path's shard: execute locally, replicate the executed op to every
@@ -379,34 +371,18 @@ func (n *Node) serveClient(req *wire.Request) *wire.Response {
 	fail := func(st wire.Status, msg string) *wire.Response {
 		return &wire.Response{ID: req.ID, Status: st, Msg: msg}
 	}
-	switch req.Op {
-	case wire.OpTxnBegin, wire.OpTxnCommit, wire.OpTxnAbort:
+	if req.Op.TxnControl() || req.Txn != 0 {
 		return fail(wire.StatusInvalid, "fleet nodes do not serve transactions (single-node riod does)")
 	}
-	if req.Txn != 0 {
-		return fail(wire.StatusInvalid, "fleet nodes do not serve transactions (single-node riod does)")
+	if msg := server.Validate(req, fleetDir); msg != "" {
+		return fail(wire.StatusInvalid, msg)
 	}
 	if req.Path == "" {
 		return fail(wire.StatusInvalid, fmt.Sprintf("%v needs a path", req.Op))
 	}
-	p, ok := txn.CanonicalPath(req.Path)
-	if !ok {
-		return fail(wire.StatusInvalid, fmt.Sprintf("malformed path %q", req.Path))
-	}
-	req.Path = p
-	if req.Path2 != "" {
-		p2, ok := txn.CanonicalPath(req.Path2)
-		if !ok {
-			return fail(wire.StatusInvalid, fmt.Sprintf("malformed path %q", req.Path2))
-		}
-		req.Path2 = p2
-	}
-	if reservedFleetPath(req.Path) || reservedFleetPath(req.Path2) {
-		return fail(wire.StatusInvalid, fleetDir+" is reserved for replication metadata")
-	}
-	shard := ShardOf(req.Path, n.cfg.Shards)
-	if req.Op == wire.OpMv && ShardOf(req.Path2, n.cfg.Shards) != shard {
-		return fail(wire.StatusCrossShard, "mv across shards is not supported")
+	shard := server.ShardOf(req.Path, n.cfg.Shards)
+	if req.Op.TwoPaths() && server.ShardOf(req.Path2, n.cfg.Shards) != shard {
+		return fail(wire.StatusCrossShard, fmt.Sprintf("%v across shards is not supported", req.Op))
 	}
 
 	// Append offsets are the client's to resolve: an op whose effect
@@ -439,6 +415,14 @@ func (n *Node) serveClient(req *wire.Request) *wire.Response {
 		return server.Exec(r.sys, req)
 	}
 
+	// The frame is built before anything mutates: an op legal on the wire
+	// can still be too large to replicate (a MaxData write plus the batch
+	// header), and executing one would leave the primary a seq ahead of a
+	// tail entry that does not exist.
+	frame, err := EncodeBatch(&Batch{Epoch: r.epoch, Seq: r.seq + 1, Ops: []*wire.Request{req}})
+	if err != nil {
+		return fail(wire.StatusInvalid, "cannot be replicated: "+err.Error())
+	}
 	resp := server.Exec(r.sys, req)
 	if crashed, why := r.sys.Crashed(); crashed {
 		r.down = true
@@ -451,10 +435,6 @@ func (n *Node) serveClient(req *wire.Request) *wire.Response {
 	r.seq++
 	if err := r.persistSeq(); err != nil {
 		return fail(wire.StatusIO, "persist seq: "+err.Error())
-	}
-	frame, err := EncodeBatch(&Batch{Epoch: r.epoch, Seq: r.seq, Ops: []*wire.Request{req}})
-	if err != nil {
-		return fail(wire.StatusIO, err.Error())
 	}
 	r.tailAppend(r.seq, frame, n.cfg.TailLen)
 
@@ -757,10 +737,4 @@ func (n *Node) WarmbootNode() error {
 		}
 	}
 	return nil
-}
-
-// reservedFleetPath reports whether p is under the fleet metadata
-// prefix (p is canonical).
-func reservedFleetPath(p string) bool {
-	return p == fleetDir || strings.HasPrefix(p, fleetDir+"/")
 }

@@ -15,23 +15,6 @@ import (
 // break toward the lexically lowest node id so the placement is a total
 // order, never an iteration-order accident.
 
-// ShardOf routes a path to a global shard: the same stable FNV-1a 64
-// the single-node server uses, reduced mod the shard count. Fleet and
-// server must agree — campaign seeds and redirect tests key on routing
-// never drifting between the two layers.
-func ShardOf(path string, shards int) int {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(path); i++ {
-		h ^= uint64(path[i])
-		h *= prime64
-	}
-	return int(h % uint64(shards))
-}
-
 // Place returns shard's replica set drawn from nodes: the r nodes with
 // the highest rendezvous weight, best first (the first entry is the
 // natural primary). nodes may arrive in any order; the result is a pure

@@ -6,7 +6,7 @@ import (
 	"hash/fnv"
 	"sort"
 
-	"rio"
+	"rio/internal/fs"
 	"rio/internal/server"
 	"rio/internal/wire"
 )
@@ -49,7 +49,7 @@ func buildSnapshot(r *replica) ([]byte, error) {
 			if dir == "/" {
 				p = "/" + e.Name
 			}
-			if reservedFleetPath(p) {
+			if p == fleetDir {
 				continue
 			}
 			if e.IsDir {
@@ -167,7 +167,11 @@ func (n *Node) InstallSnapshot(shard int, blob []byte) error {
 				return fmt.Errorf("fleet: snapshot mkdir %s: %w", path, err)
 			}
 		case snapFile:
-			if err := writeWhole(sys, path, data); err != nil {
+			err := server.MkdirAll(sys, fs.ParentDir(path))
+			if err == nil {
+				err = sys.WriteFile(path, data)
+			}
+			if err != nil {
 				return fmt.Errorf("fleet: snapshot write %s: %w", path, err)
 			}
 		default:
@@ -189,22 +193,4 @@ func (n *Node) InstallSnapshot(shard int, blob []byte) error {
 	n.reps[shard] = r
 	n.mu.Unlock()
 	return nil
-}
-
-// writeWhole creates path (parents included) with exactly data.
-func writeWhole(sys *rio.System, path string, data []byte) error {
-	if err := server.MkdirAll(sys, parentOf(path)); err != nil {
-		return err
-	}
-	return sys.WriteFile(path, data)
-}
-
-// parentOf returns path's parent directory ("/a/b" -> "/a").
-func parentOf(path string) string {
-	for i := len(path) - 1; i > 0; i-- {
-		if path[i] == '/' {
-			return path[:i]
-		}
-	}
-	return "/"
 }

@@ -550,6 +550,67 @@ func (f *FS) Rmdir(path string) error {
 	return f.putInode(ino, &n, true)
 }
 
+// ParentDir returns path's parent ("/a/b" -> "/a", "/a" -> "/").
+func ParentDir(path string) string {
+	for i := len(path) - 1; i > 0; i-- {
+		if path[i] == '/' {
+			return path[:i]
+		}
+	}
+	return "/"
+}
+
+// MkdirAll creates path and any missing parents (mkdir -p); a directory
+// already there is success. Like Remove it is a sequence of the syscalls
+// above, not one of its own: the server's executor, the transaction
+// apply and the fleet's snapshot install share it and each is charged
+// exactly what issuing the sequence itself would cost.
+func (f *FS) MkdirAll(path string) error {
+	if path == "" || path == "/" {
+		return nil
+	}
+	if st, err := f.Stat(path); err == nil {
+		if st.IsDir {
+			return nil
+		}
+		return ErrNotDir
+	}
+	if err := f.MkdirAll(ParentDir(path)); err != nil {
+		return err
+	}
+	if err := f.Mkdir(path); err != nil && err != ErrExists {
+		return err
+	}
+	return nil
+}
+
+// StatEntry describes the directory entry path names, a link as the link:
+// where Stat followed one to a directory, or to nothing it could resolve,
+// Lstat is asked about the link itself. Stat stays first because a plain
+// file has always been Stat-ed before its removal, and the simulated
+// counters of every workload that removes files are held to that.
+func (f *FS) StatEntry(path string) (FileInfo, error) {
+	st, err := f.Stat(path)
+	if err != nil || st.IsDir {
+		return f.Lstat(path)
+	}
+	return st, nil
+}
+
+// Remove unlinks a file or symbolic link, or removes an empty directory.
+// The entry named is the one removed: a link goes, whatever it points at
+// stays.
+func (f *FS) Remove(path string) error {
+	st, err := f.StatEntry(path)
+	if err != nil {
+		return err
+	}
+	if st.IsDir {
+		return f.Rmdir(path)
+	}
+	return f.Unlink(path)
+}
+
 // Rename moves oldPath to newPath, replacing a regular file at newPath.
 func (f *FS) Rename(oldPath, newPath string) error {
 	f.beginOp()

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"rio"
 	"rio/internal/wire"
 )
 
@@ -82,93 +81,7 @@ func (s *Server) DoFrame(req *wire.Request) ([]byte, *wire.Response) {
 
 // ReleaseFrame returns a frame obtained from DoFrame to the pool. Safe
 // on nil.
-func (s *Server) ReleaseFrame(frame []byte) {
-	if frame != nil {
-		s.pool.putFrameBuf(frame)
-	}
-}
-
-// handleReadFrame is handle() for a frame-path read: same health
-// checks, but a successful read comes back as a serialized frame in a
-// pooled buffer instead of a Data slice. Runs only on the shard
-// goroutine.
-func (sh *shard) handleReadFrame(req *wire.Request) ([]byte, *wire.Response, int) {
-	if sh.isDown() {
-		return nil, &wire.Response{ID: req.ID, Status: wire.StatusAgain,
-			Msg: fmt.Sprintf("shard %d down (crashed; awaiting warmboot)", sh.id)}, -1
-	}
-	buf, resp, dataLen := ExecReadFrame(sh.sys, req, sh.pool.get())
-	if crashed, why := sh.sys.Crashed(); crashed {
-		sh.setDown(true)
-		sh.txns = nil
-		resp = &wire.Response{ID: req.ID, Status: wire.StatusAgain,
-			Msg: fmt.Sprintf("shard %d crashed serving request: %s", sh.id, why)}
-		dataLen = -1
-	}
-	if dataLen >= 0 {
-		return buf, resp, dataLen
-	}
-	sh.pool.putFrameBuf(buf)
-	return nil, resp, -1
-}
-
-// ExecReadFrame is Exec's zero-copy variant for wire.OpRead. Instead of
-// allocating a Data slice and letting the transport serialize it into
-// yet another buffer, it reserves the response's data region inside dst
-// (wire.ReserveResponseFrame) and reads cache frames directly into that
-// reservation — one copy, frame to wire. On success the returned buf
-// holds the complete response frame and dataLen is the payload size
-// (>= 0). On any failure dataLen is -1, resp carries the typed status,
-// and buf holds no frame (the caller should re-pool it). The caller
-// owns the single-goroutine discipline for sys.
-func ExecReadFrame(sys *rio.System, req *wire.Request, dst []byte) (buf []byte, resp *wire.Response, dataLen int) {
-	resp = &wire.Response{ID: req.ID}
-	fail := func(err error) ([]byte, *wire.Response, int) {
-		resp.Status, resp.Msg = statusOf(err)
-		return dst, resp, -1
-	}
-	ino, size, isDir, err := sys.Lookup(req.Path)
-	if err != nil {
-		return fail(err)
-	}
-	if isDir {
-		return fail(rio.ErrIsDir)
-	}
-	if req.Offset < 0 {
-		resp.Status, resp.Msg = wire.StatusInvalid, "negative read offset"
-		return dst, resp, -1
-	}
-	resp.Size = size
-	want := int64(req.Len)
-	if want == 0 || want > wire.MaxData {
-		want = wire.MaxData
-	}
-	if remain := size - req.Offset; remain < want {
-		want = remain
-	}
-	if want < 0 {
-		want = 0
-	}
-	frame, off := wire.ReserveResponseFrame(dst, resp, int(want))
-	if want > 0 {
-		n, err := sys.ReadInoAt(ino, frame[off:off+int(want)], req.Offset)
-		if err != nil {
-			// The reservation holds partial bytes; drop the frame and
-			// answer the error on the plain path.
-			resp.Status, resp.Msg = statusOf(err)
-			return frame[:0], resp, -1
-		}
-		if int64(n) != want {
-			// The shard goroutine is the only writer, so the size cannot
-			// have moved between Lookup and the read; a short read here
-			// means the simulation refused mid-loop.
-			resp.Status = wire.StatusIO
-			resp.Msg = fmt.Sprintf("short read: %d of %d bytes", n, want)
-			return frame[:0], resp, -1
-		}
-	}
-	return frame, resp, int(want)
-}
+func (s *Server) ReleaseFrame(frame []byte) { s.pool.putFrameBuf(frame) }
 
 // replyChPool recycles the one-shot buffered channels do() blocks on.
 // Every task is answered exactly once (by its shard goroutine or by

@@ -7,67 +7,129 @@ import (
 	"net"
 	"testing"
 
+	"rio"
 	"rio/internal/wire"
 )
 
-// TestDoFrameRoundTrip: a frame-path read returns one complete,
-// decodable wire frame whose payload is byte-identical to what the
-// plain path returns, with resp.Data left nil (the payload lives only
-// in the frame). Non-read ops and failed reads come back frameless,
-// exactly as Do would answer them.
-func TestDoFrameRoundTrip(t *testing.T) {
-	s := newTestServer(t, Config{Shards: 2, Seed: 11})
-	payload := bytes.Repeat([]byte{0xAB, 0x5A, 0x01}, 3000)
-	if r := s.Do(&wire.Request{ID: 1, Op: wire.OpWrite, Path: "/ff/data", Data: payload}); r.Status != wire.StatusOK {
-		t.Fatalf("write: %+v", r)
-	}
-
-	frame, resp := s.DoFrame(&wire.Request{ID: 2, Op: wire.OpRead, Path: "/ff/data"})
-	if resp.Status != wire.StatusOK {
-		t.Fatalf("frame read: %+v", resp)
-	}
-	if frame == nil {
-		t.Fatal("successful frame read returned no frame")
-	}
-	if resp.Data != nil {
-		t.Fatalf("frame read also carried %d bytes of resp.Data", len(resp.Data))
-	}
-	if n := binary.BigEndian.Uint32(frame[:4]); int(n) != len(frame)-4 {
-		t.Fatalf("frame prefix %d, payload %d", n, len(frame)-4)
-	}
-	dec, err := wire.DecodeResponse(frame[4:])
+// TestReadDestinationsAgree: Exec and ExecReadFrame are one read with two
+// destinations. Over every file size around a block boundary, every
+// offset around EOF and every length the clamp treats differently — plus
+// a directory and a missing path — both return the same Status, Size, Msg
+// and payload bytes (the frame's decoded with wire.DecodeResponse, its
+// resp.Data left nil: the payload lives only in the frame), a failure
+// hands back a frameless buffer that can be re-pooled, and Server.Do /
+// DoFrame — the same exec behind the one handle — answer as the bare
+// calls do, with non-reads and failed reads frameless.
+func TestReadDestinationsAgree(t *testing.T) {
+	sys, err := rio.New(rio.Config{Seed: 11, MemoryMB: 4, DiskMB: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.ID != 2 || dec.Status != wire.StatusOK || dec.Size != int64(len(payload)) {
-		t.Fatalf("decoded header: %+v", dec)
+	s := newTestServer(t, Config{Shards: 1, Seed: 11})
+	content := func(size int) []byte {
+		b := make([]byte, size)
+		for i := range b {
+			b[i] = byte(i*7 + size)
+		}
+		return b
 	}
-	if !bytes.Equal(dec.Data, payload) {
-		t.Fatal("frame payload differs from written data")
+	sizes := []int{0, 1, 8191, 8192, 8193, 3 * 8192}
+	for _, size := range sizes {
+		w := &wire.Request{Op: wire.OpWrite, Path: fmt.Sprintf("/grid/f%d", size), Data: content(size)}
+		if size == 0 {
+			w.Op = wire.OpOpen
+		}
+		if r := Exec(sys, w); r.Status != wire.StatusOK {
+			t.Fatalf("seed %s on the bare system: %+v", w.Path, r)
+		}
+		if r := do(t, s, w); r.Status != wire.StatusOK {
+			t.Fatalf("seed %s on the server: %+v", w.Path, r)
+		}
 	}
-	s.ReleaseFrame(frame)
 
-	// Ranged read: offset+len honoured through the frame path.
-	frame, resp = s.DoFrame(&wire.Request{ID: 3, Op: wire.OpRead, Path: "/ff/data", Offset: 100, Len: 37})
-	if resp.Status != wire.StatusOK || frame == nil {
-		t.Fatalf("ranged frame read: %+v", resp)
-	}
-	dec, err = wire.DecodeResponse(frame[4:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(dec.Data, payload[100:137]) {
-		t.Fatal("ranged frame payload mismatch")
-	}
-	s.ReleaseFrame(frame)
+	pool := make([]byte, 0, frameBufSize)
+	check := func(req *wire.Request, want []byte, wantStatus wire.Status) {
+		t.Helper()
+		heap := Exec(sys, req)
+		var buf []byte
+		buf, framed, n := ExecReadFrame(sys, req, pool[:0])
+		viaDo := do(t, s, req)
+		frame, viaFrame := s.DoFrame(req)
+		defer s.ReleaseFrame(frame)
 
-	// Failures and non-reads are frameless.
-	if f, r := s.DoFrame(&wire.Request{ID: 4, Op: wire.OpRead, Path: "/ff/missing"}); f != nil || r.Status != wire.StatusNotFound {
-		t.Fatalf("missing-file frame read: frame=%v resp=%+v", f != nil, r)
+		if heap.Status != wantStatus || !bytes.Equal(heap.Data, want) {
+			t.Fatalf("%+v: Exec answered %v with %d bytes, want %v with %d", req, heap.Status, len(heap.Data), wantStatus, len(want))
+		}
+		for name, r := range map[string]*wire.Response{"ExecReadFrame": framed, "Do": viaDo, "DoFrame": viaFrame} {
+			if r.Status != heap.Status || r.Size != heap.Size || r.Msg != heap.Msg {
+				t.Fatalf("%+v: %s answered (%v, %d, %q), Exec (%v, %d, %q)", req, name,
+					r.Status, r.Size, r.Msg, heap.Status, heap.Size, heap.Msg)
+			}
+		}
+		if !bytes.Equal(viaDo.Data, heap.Data) {
+			t.Fatalf("%+v: Do's payload differs from Exec's", req)
+		}
+		if framed.Data != nil || viaFrame.Data != nil {
+			t.Fatalf("%+v: a frame-destination response also carries resp.Data", req)
+		}
+		if heap.Status != wire.StatusOK || req.Op != wire.OpRead {
+			if n != -1 || len(buf) != 0 || cap(buf) == 0 {
+				t.Fatalf("%+v: failed ExecReadFrame returned dataLen %d and a buffer of len %d cap %d, want -1 and an empty re-poolable one",
+					req, n, len(buf), cap(buf))
+			}
+			if frame != nil {
+				t.Fatalf("%+v: DoFrame returned a frame with status %v", req, viaFrame.Status)
+			}
+			pool = buf
+			return
+		}
+		if frame == nil {
+			t.Fatalf("%+v: successful DoFrame read returned no frame", req)
+		}
+		for name, f := range map[string][]byte{"ExecReadFrame": buf, "DoFrame": frame} {
+			if n != len(heap.Data) || int(binary.BigEndian.Uint32(f[:4])) != len(f)-4 {
+				t.Fatalf("%+v: %s: dataLen %d (Exec read %d), prefix %d for a %d-byte frame", req, name,
+					n, len(heap.Data), binary.BigEndian.Uint32(f[:4]), len(f)-4)
+			}
+			dec, err := wire.DecodeResponse(f[4:])
+			if err != nil {
+				t.Fatalf("%+v: %s frame does not decode: %v", req, name, err)
+			}
+			if dec.ID != req.ID || dec.Status != heap.Status || dec.Size != heap.Size || !bytes.Equal(dec.Data, heap.Data) {
+				t.Fatalf("%+v: %s frame decodes to (%d, %v, %d, %d bytes), Exec (%d, %v, %d, %d bytes)", req, name,
+					dec.ID, dec.Status, dec.Size, len(dec.Data), req.ID, heap.Status, heap.Size, len(heap.Data))
+			}
+		}
+		if cap(buf) <= maxPooledFrameCap {
+			pool = buf
+		}
 	}
-	if f, r := s.DoFrame(&wire.Request{ID: 5, Op: wire.OpStat, Path: "/ff/data"}); f != nil || r.Status != wire.StatusOK {
-		t.Fatalf("stat via DoFrame: frame=%v resp=%+v", f != nil, r)
+
+	id := uint64(100)
+	for _, size := range sizes {
+		data := content(size)
+		for _, off := range []int64{0, 4096, int64(size) - 1, int64(size), int64(size) + 1, -1} {
+			for _, length := range []uint32{0, 1, 8192, wire.MaxData + 1} {
+				id++
+				req := &wire.Request{ID: id, Op: wire.OpRead, Path: fmt.Sprintf("/grid/f%d", size), Offset: off, Len: length}
+				if off < 0 {
+					check(req, nil, wire.StatusInvalid)
+					continue
+				}
+				var want []byte
+				if off < int64(size) {
+					want = data[off:]
+					if length != 0 && length <= wire.MaxData && int64(length) < int64(len(want)) {
+						want = want[:length]
+					}
+				}
+				check(req, want, wire.StatusOK)
+			}
+		}
 	}
+	check(&wire.Request{ID: 1, Op: wire.OpRead, Path: "/grid"}, nil, wire.StatusIsDir)
+	check(&wire.Request{ID: 2, Op: wire.OpRead, Path: "/grid/missing"}, nil, wire.StatusNotFound)
+	check(&wire.Request{ID: 3, Op: wire.OpStat, Path: "/grid/f1"}, nil, wire.StatusOK)
 }
 
 // TestServedReadAllocs pins the zero-copy read path's allocation

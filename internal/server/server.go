@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"rio"
+	"rio/internal/fs"
 	"rio/internal/txn"
 	"rio/internal/wire"
 )
@@ -257,11 +258,12 @@ func New(cfg Config) (*Server, error) {
 // NumShards returns the shard count.
 func (s *Server) NumShards() int { return len(s.shards) }
 
-// ShardOf returns the shard a path routes to: FNV-1a 64 of the path,
-// reduced mod the shard count. The hash is stable across processes and
-// versions — campaign seeds and golden transcripts depend on routing
-// never drifting.
-func (s *Server) ShardOf(path string) int {
+// ShardOf returns the shard a path routes to among shards: FNV-1a 64 of
+// the path, reduced mod the shard count. The hash is stable across
+// processes and versions — campaign seeds and golden transcripts depend
+// on routing never drifting — and the fleet routes with this same
+// function, so the two layers cannot disagree.
+func ShardOf(path string, shards int) int {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -271,8 +273,11 @@ func (s *Server) ShardOf(path string) int {
 		h ^= uint64(path[i])
 		h *= prime64
 	}
-	return int(h % uint64(len(s.shards)))
+	return int(h % uint64(shards))
 }
+
+// ShardOf returns the shard of this server a path routes to.
+func (s *Server) ShardOf(path string) int { return ShardOf(path, len(s.shards)) }
 
 // Do submits one request and blocks until its response. It never
 // returns nil. Overload and outages surface as typed statuses:
@@ -283,7 +288,48 @@ func (s *Server) Do(req *wire.Request) *wire.Response {
 	return s.do(req, false).resp
 }
 
-// route validates the request and picks its shard.
+// Validate bounds req's variable-length fields and rewrites both paths to
+// the one spelling the fs resolves them as, refusing anything under the
+// caller's reserved metadata prefix. It returns the refusal's message
+// (the status is always wire.StatusInvalid), "" for a request that may go
+// on. Server.route and the fleet's serveClient both start here, so a
+// bound one front door enforces cannot be missing from the other.
+//
+// Paths are canonicalized before anything keys on their spelling: the fs
+// trims outer slashes, so "a", "//a", and "/a/" all reach "/a", and an
+// alias would slip past routing, the reservation, or staging if they
+// compared the raw spelling (a write to ".txn/log" must not forge the
+// commit log). Length is checked first, on what the client actually sent.
+func Validate(req *wire.Request, reserved string) string {
+	if len(req.Path) > wire.MaxPath || len(req.Path2) > wire.MaxPath {
+		return "path too long"
+	}
+	if len(req.Data) > wire.MaxData {
+		return "data too large"
+	}
+	for _, p := range [...]*string{&req.Path, &req.Path2} {
+		if *p == "" {
+			continue
+		}
+		canon, ok := txn.CanonicalPath(*p)
+		if !ok {
+			return fmt.Sprintf("malformed path %q", *p)
+		}
+		if strings.HasPrefix(canon, reserved) && (len(canon) == len(reserved) || canon[len(reserved)] == '/') {
+			return reserved + " is reserved"
+		}
+		*p = canon
+	}
+	if req.Op.TwoPaths() && (req.Path == "" || req.Path2 == "") {
+		return fmt.Sprintf("%v needs two paths", req.Op)
+	}
+	return ""
+}
+
+// route validates the request and picks its shard. Client ops are
+// refused under txn.Dir, which is what lets the group publish reorder
+// freely against the rest of its batch: no client request can observe or
+// disturb the log file.
 func (s *Server) route(req *wire.Request) (*shard, *wire.Response) {
 	failWith := func(st wire.Status, msg string) (*shard, *wire.Response) {
 		return nil, &wire.Response{ID: req.ID, Status: st, Msg: msg}
@@ -291,122 +337,71 @@ func (s *Server) route(req *wire.Request) (*shard, *wire.Response) {
 	fail := func(msg string) (*shard, *wire.Response) {
 		return failWith(wire.StatusInvalid, msg)
 	}
-	if !req.Op.Valid() {
-		return fail(fmt.Sprintf("unknown op %d", uint8(req.Op)))
+	op := req.Op
+	if !op.Valid() {
+		return fail(fmt.Sprintf("unknown op %d", uint8(op)))
 	}
-	// Canonicalize paths before anything keys on their spelling. The fs
-	// trims outer slashes, so "a", "//a", and "/a/" all reach "/a" — if
-	// routing, the /.txn reservation, or transaction staging compared the
-	// raw spelling, an alias would slip past them (a write to ".txn/log"
-	// must not forge the commit log). Length is checked before the
-	// rewrite so the bound applies to what the client actually sent.
-	if len(req.Path) > wire.MaxPath || len(req.Path2) > wire.MaxPath {
-		return fail("path too long")
+	if msg := Validate(req, txn.Dir); msg != "" {
+		return fail(msg)
 	}
-	if req.Path != "" {
-		p, ok := txn.CanonicalPath(req.Path)
-		if !ok {
-			return fail(fmt.Sprintf("malformed path %q", req.Path))
-		}
-		req.Path = p
-	}
-	if req.Path2 != "" {
-		p, ok := txn.CanonicalPath(req.Path2)
-		if !ok {
-			return fail(fmt.Sprintf("malformed path %q", req.Path2))
-		}
-		req.Path2 = p
-	}
-	switch req.Op {
-	case wire.OpCrash, wire.OpWarmboot:
+	switch {
+	case op.Admin():
 		if req.Shard < 0 || int(req.Shard) >= len(s.shards) {
 			return fail(fmt.Sprintf("admin op %v: shard %d out of range [0,%d)",
-				req.Op, req.Shard, len(s.shards)))
+				op, req.Shard, len(s.shards)))
 		}
 		return s.shards[req.Shard], nil
-	case wire.OpSync:
-		if req.Txn != 0 {
-			return fail("sync is not transactional")
-		}
+	case op == wire.OpSync && req.Path == "" && req.Txn == 0:
 		// Sync with a path routes like a data op. With an empty path it
 		// targets Request.Shard (clients wanting every shard issue one
 		// per shard), defaulting to shard 0.
-		if req.Path == "" {
-			if req.Shard >= 0 && int(req.Shard) < len(s.shards) {
-				return s.shards[req.Shard], nil
-			}
-			return s.shards[0], nil
+		if req.Shard >= 0 && int(req.Shard) < len(s.shards) {
+			return s.shards[req.Shard], nil
 		}
-	case wire.OpTxnBegin:
+		return s.shards[0], nil
+	case op == wire.OpTxnBegin:
 		if req.Txn != 0 {
 			return fail("txn-begin inside a transaction")
 		}
 		if req.Path == "" {
 			return fail("txn-begin needs a path (it pins the transaction's shard)")
 		}
-	case wire.OpTxnCommit, wire.OpTxnAbort:
+	case op.TxnControl(): // commit, abort
 		if req.Txn == 0 {
-			return fail(fmt.Sprintf("%v needs a transaction handle", req.Op))
+			return fail(fmt.Sprintf("%v needs a transaction handle", op))
 		}
-	case wire.OpMv:
-		if req.Path == "" || req.Path2 == "" {
-			return fail("mv needs two paths")
-		}
-		if s.ShardOf(req.Path) != s.ShardOf(req.Path2) {
-			// Typed so clients and tests can tell "unsupported cross-shard
-			// op" from a real failure — the seam a future two-phase
-			// distributed mv plugs into, and the same status transactions
-			// use for a staged op whose path lives off the txn's shard.
-			return failWith(wire.StatusCrossShard, fmt.Sprintf(
-				"mv across shards (%d -> %d) is not supported",
-				s.ShardOf(req.Path), s.ShardOf(req.Path2)))
-		}
-	default:
-		if req.Path == "" {
-			return fail(fmt.Sprintf("%v needs a path", req.Op))
-		}
+	case req.Path == "":
+		return fail(fmt.Sprintf("%v needs a path", op))
+	case op.TwoPaths() && s.ShardOf(req.Path) != s.ShardOf(req.Path2):
+		// Typed so clients and tests can tell "unsupported cross-shard
+		// op" from a real failure — the seam a future two-phase
+		// distributed mv plugs into, and the same status transactions
+		// use for a staged op whose path lives off the txn's shard.
+		return failWith(wire.StatusCrossShard, fmt.Sprintf(
+			"%v across shards (%d -> %d) is not supported",
+			op, s.ShardOf(req.Path), s.ShardOf(req.Path2)))
 	}
-	if reservedPath(req.Path) || reservedPath(req.Path2) {
-		return fail(txn.Dir + " is reserved for the transaction log")
+	if req.Txn == 0 {
+		return s.shards[s.ShardOf(req.Path)], nil
 	}
-	if len(req.Data) > wire.MaxData {
-		return fail("data too large")
+	// A transaction lives on one shard: the handle's high 32 bits name
+	// it, and every staged path must hash there too — the commit record
+	// is published to that shard's log and must be appliable entirely
+	// within it.
+	owner := int(req.Txn >> 32)
+	switch {
+	case owner >= len(s.shards):
+		return fail(fmt.Sprintf("txn handle names shard %d, out of range [0,%d)",
+			owner, len(s.shards)))
+	case op.TxnControl():
+	case !op.Stageable():
+		return fail(fmt.Sprintf("%v cannot run inside a transaction", op))
+	case s.ShardOf(req.Path) != owner:
+		return failWith(wire.StatusCrossShard, fmt.Sprintf(
+			"path routes to shard %d but the transaction lives on shard %d",
+			s.ShardOf(req.Path), owner))
 	}
-	if req.Txn != 0 {
-		// A transaction lives on one shard: the handle's high 32 bits
-		// name it, and every staged path must hash there too — the
-		// commit record is published to that shard's log and must be
-		// appliable entirely within it.
-		owner := int(req.Txn >> 32)
-		if owner >= len(s.shards) {
-			return fail(fmt.Sprintf("txn handle names shard %d, out of range [0,%d)",
-				owner, len(s.shards)))
-		}
-		switch req.Op {
-		case wire.OpTxnCommit, wire.OpTxnAbort:
-			return s.shards[owner], nil
-		case wire.OpWrite, wire.OpMkdir, wire.OpRm, wire.OpMv:
-			if s.ShardOf(req.Path) != owner {
-				return failWith(wire.StatusCrossShard, fmt.Sprintf(
-					"path routes to shard %d but the transaction lives on shard %d",
-					s.ShardOf(req.Path), owner))
-			}
-			return s.shards[owner], nil
-		default:
-			return fail(fmt.Sprintf("%v cannot run inside a transaction", req.Op))
-		}
-	}
-	return s.shards[s.ShardOf(req.Path)], nil
-}
-
-// reservedPath reports whether p is under the transaction log's
-// reserved prefix. Client ops are refused there, which is what lets the
-// group publish reorder freely against the rest of its batch: no client
-// request can observe or disturb the log file. The prefix match is
-// sound only because route canonicalizes paths first — the fs would
-// resolve aliases like ".txn/log" or "//.txn/log" to the same file.
-func reservedPath(p string) bool {
-	return p == txn.Dir || strings.HasPrefix(p, txn.Dir+"/")
+	return s.shards[owner], nil
 }
 
 // Close drains and stops the server: new requests are refused with
@@ -606,10 +601,7 @@ func (sh *shard) serve(batch []task) {
 	if len(sealed) > 0 && sh.logDirty && !sh.isDown() {
 		if _, err := sh.txnLog().RecoverOpts(sh.recoverOpts()); err != nil {
 			pubErr = err
-			if crashed, _ := sh.sys.Crashed(); crashed {
-				sh.setDown(true)
-				sh.txns = nil
-			}
+			sh.crashed()
 		} else {
 			sh.logDirty = false
 		}
@@ -618,9 +610,8 @@ func (sh *shard) serve(batch []task) {
 		if pubErr = sh.txnLog().Publish(sealed); pubErr == nil {
 			published = true
 			sh.logDirty = true
-		} else if crashed, _ := sh.sys.Crashed(); crashed {
-			sh.setDown(true)
-			sh.txns = nil
+		} else {
+			sh.crashed()
 		}
 	}
 
@@ -641,11 +632,7 @@ func (sh *shard) serve(batch []task) {
 				resolved++
 			}
 		default:
-			if d.t.wantFrame && d.t.req.Op == wire.OpRead {
-				d.frame, d.resp, d.dataLen = sh.handleReadFrame(d.t.req)
-			} else {
-				d.resp = sh.handle(d.t.req)
-			}
+			d.frame, d.resp, d.dataLen = sh.handle(d.t.req, d.t.wantFrame)
 		}
 	}
 
@@ -655,9 +642,8 @@ func (sh *shard) serve(batch []task) {
 	if published && resolved == len(sealed) && !sh.isDown() {
 		if err := sh.txnLog().Erase(); err == nil {
 			sh.logDirty = false
-		} else if crashed, _ := sh.sys.Crashed(); crashed {
-			sh.setDown(true)
-			sh.txns = nil
+		} else {
+			sh.crashed()
 		}
 	}
 
@@ -670,12 +656,9 @@ func (sh *shard) serve(batch []task) {
 	}
 	for i := range results {
 		d := &results[i]
-		dataBytes := len(d.resp.Data)
-		if d.dataLen > 0 {
-			dataBytes = d.dataLen
-		}
 		sh.ops++
-		sh.bytes += uint64(len(d.t.req.Data) + dataBytes)
+		// A read's payload is in resp.Data or in the frame, never both.
+		sh.bytes += uint64(len(d.t.req.Data) + max(len(d.resp.Data), d.dataLen))
 		switch {
 		case d.resp.Status == wire.StatusOK:
 			switch d.t.req.Op {
@@ -721,13 +704,7 @@ func (sh *shard) ackCommit(t task, resp *wire.Response) {
 // isTxnOp reports whether req is handled by the staging path rather
 // than handle(): the three transaction control ops, plus any data op
 // carrying a transaction handle.
-func isTxnOp(req *wire.Request) bool {
-	switch req.Op {
-	case wire.OpTxnBegin, wire.OpTxnCommit, wire.OpTxnAbort:
-		return true
-	}
-	return req.Txn != 0
-}
+func isTxnOp(req *wire.Request) bool { return req.Op.TxnControl() || req.Txn != 0 }
 
 // txnLog returns the shard's commit log. Fetched per use rather than
 // cached: a reboot can rebuild the machine's FS, and a cached handle
@@ -739,10 +716,7 @@ func (sh *shard) txnLog() *txn.Log { return txn.NewLog(sh.sys.Machine().FS) }
 // from a deterministic refusal (quarantine the record and move on)
 // before it classifies an apply failure.
 func (sh *shard) recoverOpts() txn.Options {
-	return txn.Options{Crashed: func() bool {
-		crashed, _ := sh.sys.Crashed()
-		return crashed
-	}}
+	return txn.Options{Crashed: func() bool { return sh.sys.Machine().Crashed() != nil }}
 }
 
 // stage executes one transaction op's staging phase on the shard
@@ -759,10 +733,9 @@ func (sh *shard) stage(req *wire.Request, groupBytes int) (*wire.Response, *txn.
 		return &wire.Response{ID: req.ID, Status: st, Msg: msg}, nil
 	}
 	if sh.isDown() {
-		return fail(wire.StatusAgain, fmt.Sprintf("shard %d down (crashed; awaiting warmboot)", sh.id))
+		return sh.refuseDown(req), nil
 	}
-	switch req.Op {
-	case wire.OpTxnBegin:
+	if req.Op == wire.OpTxnBegin {
 		if len(sh.txns) >= maxOpenTxns {
 			return fail(wire.StatusTxnLimit,
 				fmt.Sprintf("shard %d has %d transactions open", sh.id, len(sh.txns)))
@@ -785,21 +758,20 @@ func (sh *shard) stage(req *wire.Request, groupBytes int) (*wire.Response, *txn.
 		r := ok()
 		r.Size = int64(uint64(sh.id)<<32 | uint64(sh.txnSeq))
 		return r, nil
+	}
 
+	// Everything else names an open transaction.
+	tx, live := sh.txns[uint32(req.Txn)]
+	if !live {
+		return fail(wire.StatusNoTxn,
+			fmt.Sprintf("no open transaction %d on shard %d", req.Txn, sh.id))
+	}
+	switch req.Op {
 	case wire.OpTxnAbort:
-		if _, live := sh.txns[uint32(req.Txn)]; !live {
-			return fail(wire.StatusNoTxn,
-				fmt.Sprintf("no open transaction %d on shard %d", req.Txn, sh.id))
-		}
 		delete(sh.txns, uint32(req.Txn))
 		return ok(), nil
 
 	case wire.OpTxnCommit:
-		tx, live := sh.txns[uint32(req.Txn)]
-		if !live {
-			return fail(wire.StatusNoTxn,
-				fmt.Sprintf("no open transaction %d on shard %d", req.Txn, sh.id))
-		}
 		if len(tx.ops) == 0 {
 			delete(sh.txns, uint32(req.Txn))
 			return ok(), nil // nothing staged: commit is a no-op
@@ -816,15 +788,18 @@ func (sh *shard) stage(req *wire.Request, groupBytes int) (*wire.Response, *txn.
 		return nil, rec
 	}
 
-	// A staged data op.
-	tx, live := sh.txns[uint32(req.Txn)]
-	if !live {
-		return fail(wire.StatusNoTxn,
-			fmt.Sprintf("no open transaction %d on shard %d", req.Txn, sh.id))
+	// A staged data op: route let only a stageable op carry a handle, and
+	// stagedKind names the txn.Op it becomes.
+	op := txn.Op{Kind: stagedKind[req.Op], Path: req.Path}
+	if req.Op.TwoPaths() {
+		op.Path2 = req.Path2
 	}
-	op, errMsg := stagedOp(req)
-	if errMsg != "" {
-		return fail(wire.StatusInvalid, errMsg)
+	if req.Op == wire.OpWrite {
+		if req.Offset < 0 {
+			return fail(wire.StatusInvalid,
+				"append writes are not transactional (the final offset is unknowable at stage time)")
+		}
+		op.Off, op.Data = req.Offset, req.Data
 	}
 	if len(tx.ops) >= maxTxnOps || tx.bytes+len(op.Data) > maxTxnBytes {
 		return fail(wire.StatusTxnLimit, fmt.Sprintf(
@@ -838,22 +813,11 @@ func (sh *shard) stage(req *wire.Request, groupBytes int) (*wire.Response, *txn.
 	return ok(), nil
 }
 
-// stagedOp converts a wire request into the txn.Op it stages.
-func stagedOp(req *wire.Request) (txn.Op, string) {
-	switch req.Op {
-	case wire.OpWrite:
-		if req.Offset < 0 {
-			return txn.Op{}, "append writes are not transactional (the final offset is unknowable at stage time)"
-		}
-		return txn.Op{Kind: txn.OpWrite, Path: req.Path, Off: req.Offset, Data: req.Data}, ""
-	case wire.OpMkdir:
-		return txn.Op{Kind: txn.OpMkdir, Path: req.Path}, ""
-	case wire.OpRm:
-		return txn.Op{Kind: txn.OpRemove, Path: req.Path}, ""
-	case wire.OpMv:
-		return txn.Op{Kind: txn.OpRename, Path: req.Path, Path2: req.Path2}, ""
-	}
-	return txn.Op{}, fmt.Sprintf("%v cannot run inside a transaction", req.Op)
+// stagedKind maps each stageable wire op (wire.Op.Stageable) onto the
+// txn.Op kind it is staged as.
+var stagedKind = [...]txn.OpKind{
+	wire.OpWrite: txn.OpWrite, wire.OpMkdir: txn.OpMkdir,
+	wire.OpRm: txn.OpRemove, wire.OpMv: txn.OpRename,
 }
 
 // commitOutcome is applyCommit's verdict on one published record, which
@@ -895,13 +859,12 @@ func (sh *shard) applyCommit(req *wire.Request, rec *txn.Record, published bool,
 		return fail(wire.StatusAgain, fmt.Sprintf(
 			"shard %d down; commit %d rolls forward at warmboot", sh.id, rec.ID)), commitPending
 	}
-	if err := sh.txnLog().Apply(rec); err != nil {
-		if crashed, why := sh.sys.Crashed(); crashed {
-			sh.setDown(true)
-			sh.txns = nil
-			return fail(wire.StatusAgain, fmt.Sprintf(
-				"shard %d crashed applying commit: %s", sh.id, why)), commitPending
-		}
+	err := sh.txnLog().Apply(rec)
+	if crashed, why := sh.crashed(); crashed {
+		return fail(wire.StatusAgain, fmt.Sprintf(
+			"shard %d crashed applying commit: %s", sh.id, why)), commitPending
+	}
+	if err != nil {
 		var ce *txn.CheckError
 		if errors.As(err, &ce) {
 			// Refused before anything mutated: atomic failure, typed
@@ -927,12 +890,6 @@ func (sh *shard) applyCommit(req *wire.Request, rec *txn.Record, published bool,
 		return fail(wire.StatusAgain, fmt.Sprintf(
 			"shard %d commit %d deferred to recovery: %s", sh.id, rec.ID, msg)), commitPending
 	}
-	if crashed, why := sh.sys.Crashed(); crashed {
-		sh.setDown(true)
-		sh.txns = nil
-		return fail(wire.StatusAgain, fmt.Sprintf(
-			"shard %d crashed applying commit: %s", sh.id, why)), commitPending
-	}
 	resp := &wire.Response{ID: req.ID, Status: wire.StatusOK}
 	resp.Size = int64(len(rec.Ops))
 	return resp, commitApplied
@@ -951,12 +908,30 @@ func (sh *shard) isDown() bool {
 	return sh.down
 }
 
-// handle executes one request against the shard's System. Runs only on
-// the shard goroutine.
-func (sh *shard) handle(req *wire.Request) *wire.Response {
-	ok := func() *wire.Response { return &wire.Response{ID: req.ID, Status: wire.StatusOK} }
-	fail := func(st wire.Status, msg string) *wire.Response {
-		return &wire.Response{ID: req.ID, Status: st, Msg: msg}
+// crashed reports whether the shard's kernel has panicked, and why. A
+// crash takes the shard down — later requests get the retryable status
+// instead of nonsense — and its volatile staged transactions with it.
+func (sh *shard) crashed() (crashed bool, why string) {
+	if crashed, why = sh.sys.Crashed(); crashed {
+		sh.setDown(true)
+		sh.txns = nil
+	}
+	return crashed, why
+}
+
+// refuseDown is the answer to anything asked of a shard that is down.
+func (sh *shard) refuseDown(req *wire.Request) *wire.Response {
+	return &wire.Response{ID: req.ID, Status: wire.StatusAgain,
+		Msg: fmt.Sprintf("shard %d down (crashed; awaiting warmboot)", sh.id)}
+}
+
+// handle executes one request against the shard's System: the two admin
+// ops here, everything else through exec. wantFrame selects where a read
+// lands — a pooled wire frame (returned with its payload length) instead
+// of resp.Data — and nothing else. Runs only on the shard goroutine.
+func (sh *shard) handle(req *wire.Request, wantFrame bool) ([]byte, *wire.Response, int) {
+	fail := func(st wire.Status, msg string) ([]byte, *wire.Response, int) {
+		return nil, &wire.Response{ID: req.ID, Status: st, Msg: msg}, -1
 	}
 
 	switch req.Op {
@@ -965,12 +940,11 @@ func (sh *shard) handle(req *wire.Request) *wire.Response {
 			return fail(wire.StatusInvalid, fmt.Sprintf("shard %d already down", sh.id))
 		}
 		sh.sys.Crash("riod: administrative crash op")
-		sh.setDown(true)
-		sh.txns = nil // staged transactions are volatile: they die with the shard
+		sh.crashed()
 		sh.mu.Lock()
 		sh.crashes++
 		sh.mu.Unlock()
-		return ok()
+		return nil, &wire.Response{ID: req.ID, Status: wire.StatusOK}, -1
 
 	case wire.OpWarmboot:
 		// Legal on a healthy shard too: Rio supports a clean
@@ -997,49 +971,74 @@ func (sh *shard) handle(req *wire.Request) *wire.Response {
 		sh.mu.Lock()
 		sh.warmboots++
 		sh.mu.Unlock()
-		r := ok()
-		r.Size = int64(rep.MetaRestored + rep.DataRestored)
-		return r
+		return nil, &wire.Response{ID: req.ID, Status: wire.StatusOK,
+			Size: int64(rep.MetaRestored + rep.DataRestored)}, -1
 	}
 
 	if sh.isDown() {
-		return fail(wire.StatusAgain, fmt.Sprintf("shard %d down (crashed; awaiting warmboot)", sh.id))
+		return nil, sh.refuseDown(req), -1
 	}
-
-	resp := sh.data(req)
+	var dst []byte
+	if wantFrame && req.Op == wire.OpRead {
+		dst = sh.pool.get()
+	}
+	frame, resp, dataLen := exec(sh.sys, req, dst)
 	// A shard that crashed organically mid-request (it cannot inject
-	// its own faults, but belt and braces) flips to the outage path so
-	// later requests get the retryable status instead of nonsense.
-	if crashed, why := sh.sys.Crashed(); crashed {
-		sh.setDown(true)
-		sh.txns = nil
-		return fail(wire.StatusAgain, fmt.Sprintf("shard %d crashed serving request: %s", sh.id, why))
+	// its own faults, but belt and braces) answers retryable, whatever
+	// exec made of the wreckage.
+	if crashed, why := sh.crashed(); crashed {
+		resp, dataLen = &wire.Response{ID: req.ID, Status: wire.StatusAgain,
+			Msg: fmt.Sprintf("shard %d crashed serving request: %s", sh.id, why)}, -1
 	}
-	return resp
+	if dataLen < 0 {
+		sh.pool.putFrameBuf(frame)
+		frame = nil
+	}
+	return frame, resp, dataLen
 }
-
-// data executes a data op. Runs only on the shard goroutine, only on a
-// healthy shard.
-func (sh *shard) data(req *wire.Request) *wire.Response { return Exec(sh.sys, req) }
 
 // Exec executes one data op against sys and returns its response. It is
 // the single op-to-filesystem translation both serving layers share: a
-// Server's shard goroutine calls it for client requests, and a fleet
+// Server's shard goroutine runs it for client requests, and a fleet
 // replica calls it both when a primary serves a request and when a
 // backup applies a replicated batch — the same function on the same op
 // sequence is what makes a backup byte-identical to its primary. The
 // caller owns the single-goroutine discipline for sys.
 func Exec(sys *rio.System, req *wire.Request) *wire.Response {
+	_, resp, _ := exec(sys, req, nil)
+	return resp
+}
+
+// ExecReadFrame is Exec with a read's other destination: instead of
+// allocating a Data slice for the transport to serialize into yet another
+// buffer, the response's data region is reserved inside dst
+// (wire.ReserveResponseFrame) and cache frames are read straight into it
+// — one copy, frame to wire. On success buf holds the complete response
+// frame and dataLen is the payload size (>= 0). On any failure, and for
+// any op but a read, dataLen is -1, resp is the whole answer and buf holds
+// no frame (the caller should re-pool it).
+func ExecReadFrame(sys *rio.System, req *wire.Request, dst []byte) (buf []byte, resp *wire.Response, dataLen int) {
+	if dst == nil {
+		dst = []byte{} // exec reads nil as "no frame wanted"
+	}
+	return exec(sys, req, dst)
+}
+
+// exec is the one body behind Exec and ExecReadFrame. dst selects a
+// read's destination and nothing else — nil: a fresh resp.Data; non-nil:
+// a response frame built in dst, returned with its payload length.
+// Whenever that length is -1, the buffer returned is dst emptied.
+func exec(sys *rio.System, req *wire.Request, dst []byte) ([]byte, *wire.Response, int) {
 	resp := &wire.Response{ID: req.ID}
-	fail := func(err error) *wire.Response {
+	fail := func(err error) ([]byte, *wire.Response, int) {
 		resp.Status, resp.Msg = statusOf(err)
-		return resp
+		return dst[:0], resp, -1
 	}
 
 	switch req.Op {
 	case wire.OpOpen:
 		if _, err := sys.Stat(req.Path); err == nil {
-			return resp
+			break
 		} else if !rio.IsNotExist(err) {
 			return fail(err)
 		}
@@ -1054,7 +1053,7 @@ func Exec(sys *rio.System, req *wire.Request) *wire.Response {
 	case wire.OpRead:
 		// Lookup+ReadInoAt instead of Stat+Open+ReadAt+Close: one path
 		// resolution instead of three, no handle allocation, and the
-		// read copies cache frames directly into buf (Cache.ReadDirect)
+		// read copies cache frames directly into p (Cache.ReadDirect)
 		// rather than bouncing through the kernel staging area.
 		ino, size, isDir, err := sys.Lookup(req.Path)
 		if err != nil {
@@ -1065,7 +1064,7 @@ func Exec(sys *rio.System, req *wire.Request) *wire.Response {
 		}
 		if req.Offset < 0 {
 			resp.Status, resp.Msg = wire.StatusInvalid, "negative read offset"
-			return resp
+			return dst[:0], resp, -1
 		}
 		resp.Size = size
 		want := int64(req.Len)
@@ -1073,20 +1072,40 @@ func Exec(sys *rio.System, req *wire.Request) *wire.Response {
 			want = wire.MaxData
 		}
 		if remain := size - req.Offset; remain < want {
-			want = remain
+			want = max(remain, 0)
 		}
-		if want <= 0 {
-			return resp
+		var p []byte
+		if dst != nil {
+			var off int
+			dst, off = wire.ReserveResponseFrame(dst[:0], resp, int(want))
+			p = dst[off : off+int(want)]
+		} else if want > 0 {
+			resp.Data = make([]byte, want)
+			p = resp.Data
 		}
-		buf := make([]byte, want)
-		n, err := sys.ReadInoAt(ino, buf, req.Offset)
-		if err != nil {
-			return fail(err)
+		if want > 0 {
+			n, err := sys.ReadInoAt(ino, p, req.Offset)
+			if err == nil && int64(n) != want {
+				// The caller is sys's only writer, so the size cannot have
+				// moved between Lookup and the read; a short read here
+				// means the simulation refused mid-loop.
+				err = fmt.Errorf("short read: %d of %d bytes", n, want)
+			}
+			if err != nil {
+				resp.Data = nil // the destination holds partial bytes: answer without it
+				return fail(err)
+			}
 		}
-		resp.Data = buf[:n]
+		if dst != nil {
+			return dst, resp, int(want)
+		}
 
 	case wire.OpWrite:
 		ino, size, isDir, err := sys.Lookup(req.Path)
+		off := req.Offset
+		if off < 0 {
+			off = size // append; zero for a file about to be created
+		}
 		switch {
 		case err == nil:
 			// Hot path: the file exists, so the write needs no handle —
@@ -1094,10 +1113,6 @@ func Exec(sys *rio.System, req *wire.Request) *wire.Response {
 			// one walk.
 			if isDir {
 				return fail(rio.ErrIsDir)
-			}
-			off := req.Offset
-			if off < 0 {
-				off = size
 			}
 			n, werr := sys.WriteInoAt(ino, req.Data, off)
 			resp.Size = int64(n)
@@ -1108,10 +1123,6 @@ func Exec(sys *rio.System, req *wire.Request) *wire.Response {
 			f, err := execCreate(sys, req.Path)
 			if err != nil {
 				return fail(err)
-			}
-			off := req.Offset
-			if off < 0 {
-				off = 0 // a just-created file is empty
 			}
 			n, werr := f.WriteAt(req.Data, off)
 			cerr := f.Close()
@@ -1161,7 +1172,7 @@ func Exec(sys *rio.System, req *wire.Request) *wire.Response {
 		resp.Status = wire.StatusInvalid
 		resp.Msg = fmt.Sprintf("op %v not servable", req.Op)
 	}
-	return resp
+	return dst[:0], resp, -1
 }
 
 // execCreate makes path, materialising missing parent directories
@@ -1174,41 +1185,14 @@ func execCreate(sys *rio.System, path string) (*rio.File, error) {
 	if err != rio.ErrNotFound {
 		return f, err
 	}
-	if err := MkdirAll(sys, parentDir(path)); err != nil {
+	if err := MkdirAll(sys, fs.ParentDir(path)); err != nil {
 		return nil, err
 	}
 	return sys.Create(path)
 }
 
 // MkdirAll creates path and any missing parents (mkdir -p).
-func MkdirAll(sys *rio.System, path string) error {
-	if path == "" || path == "/" {
-		return nil
-	}
-	if st, err := sys.Stat(path); err == nil {
-		if st.IsDir {
-			return nil
-		}
-		return rio.ErrNotDir
-	}
-	if err := MkdirAll(sys, parentDir(path)); err != nil {
-		return err
-	}
-	if err := sys.Mkdir(path); err != nil && err != rio.ErrExists {
-		return err
-	}
-	return nil
-}
-
-// parentDir returns path's parent ("/a/b" -> "/a", "/a" -> "/").
-func parentDir(path string) string {
-	for i := len(path) - 1; i > 0; i-- {
-		if path[i] == '/' {
-			return path[:i]
-		}
-	}
-	return "/"
-}
+func MkdirAll(sys *rio.System, path string) error { return sys.Machine().FS.MkdirAll(path) }
 
 // statusOf maps the public rio error codes onto wire statuses. It
 // unwraps, because txn apply errors arrive wrapped with their record

@@ -449,10 +449,8 @@ func (l *Log) Publish(recs []Record) error {
 	for i := range recs {
 		buf = AppendRecord(buf, &recs[i])
 	}
-	if _, err := l.fs.Stat(Dir); err != nil {
-		if err := l.fs.Mkdir(Dir); err != nil && err != fs.ErrExists {
-			return fmt.Errorf("txn: publish: %w", err)
-		}
+	if err := l.fs.MkdirAll(Dir); err != nil {
+		return fmt.Errorf("txn: publish: %w", err)
 	}
 	// A fresh file per publish: the FS has no truncate, and a stale tail
 	// from a longer previous log would replay dropped transactions.
@@ -553,14 +551,20 @@ func (c *checker) set(path string, k entKind) {
 }
 
 // stat resolves path through the overlay first, then the live fs.
-func (c *checker) stat(path string) (entKind, error) {
+func (c *checker) stat(path string) (entKind, error) { return c.look(path, c.l.fs.Stat) }
+
+// look is stat with the live fs asked through fsStat: Stat where apply
+// will follow a link (open, mkdir -p, rename's source), StatEntry where
+// it will not (remove) — a link is then a non-directory entry, whatever
+// it points at.
+func (c *checker) look(path string, fsStat func(string) (fs.FileInfo, error)) (entKind, error) {
 	if k, ok := c.ov[path]; ok {
 		if k == entGone {
 			return 0, fs.ErrNotFound
 		}
 		return k, nil
 	}
-	st, err := c.l.fs.Stat(path)
+	st, err := fsStat(path)
 	if err != nil {
 		return 0, err
 	}
@@ -580,7 +584,7 @@ func (c *checker) write(op *Op) error {
 	k, err := c.stat(op.Path)
 	switch {
 	case err == fs.ErrNotFound:
-		if err := c.mkdirAll(parentDir(op.Path)); err != nil {
+		if err := c.mkdirAll(fs.ParentDir(op.Path)); err != nil {
 			return err
 		}
 		c.set(op.Path, entFile)
@@ -599,7 +603,7 @@ func (c *checker) mkdirAll(path string) error {
 	k, err := c.stat(path)
 	switch {
 	case err == fs.ErrNotFound:
-		if err := c.mkdirAll(parentDir(path)); err != nil {
+		if err := c.mkdirAll(fs.ParentDir(path)); err != nil {
 			return err
 		}
 		c.set(path, entDir)
@@ -612,7 +616,7 @@ func (c *checker) mkdirAll(path string) error {
 }
 
 func (c *checker) remove(path string) error {
-	k, err := c.stat(path)
+	k, err := c.look(path, c.l.fs.StatEntry)
 	if err == fs.ErrNotFound {
 		return nil // already removed: replay success
 	}
@@ -640,7 +644,7 @@ func (c *checker) rename(op *Op) error {
 	if err != nil {
 		return err
 	}
-	if err := c.mkdirAll(parentDir(op.Path2)); err != nil {
+	if err := c.mkdirAll(fs.ParentDir(op.Path2)); err != nil {
 		return err
 	}
 	dstKind, err := c.stat(op.Path2)
@@ -761,9 +765,11 @@ func (l *Log) Apply(rec *Record) error {
 		case OpWrite:
 			err = l.applyWrite(op)
 		case OpMkdir:
-			err = l.mkdirAll(op.Path)
+			err = l.fs.MkdirAll(op.Path)
 		case OpRemove:
-			err = l.applyRemove(op.Path)
+			if err = l.fs.Remove(op.Path); err == fs.ErrNotFound {
+				err = nil // already removed
+			}
 		case OpRename:
 			err = l.applyRename(op)
 		default:
@@ -782,7 +788,7 @@ func (l *Log) applyWrite(op *Op) error {
 	}
 	f, err := l.fs.Open(op.Path)
 	if err == fs.ErrNotFound {
-		if err := l.mkdirAll(parentDir(op.Path)); err != nil {
+		if err := l.fs.MkdirAll(fs.ParentDir(op.Path)); err != nil {
 			return err
 		}
 		f, err = l.fs.Create(op.Path)
@@ -797,25 +803,6 @@ func (l *Log) applyWrite(op *Op) error {
 	return f.Close()
 }
 
-func (l *Log) applyRemove(path string) error {
-	st, err := l.fs.Stat(path)
-	if err == fs.ErrNotFound {
-		return nil // already removed
-	}
-	if err != nil {
-		return err
-	}
-	if st.IsDir {
-		err = l.fs.Rmdir(path)
-	} else {
-		err = l.fs.Unlink(path)
-	}
-	if err == fs.ErrNotFound {
-		return nil
-	}
-	return err
-}
-
 func (l *Log) applyRename(op *Op) error {
 	if _, err := l.fs.Stat(op.Path); err == fs.ErrNotFound {
 		// Source gone: on replay this means the rename already ran.
@@ -823,38 +810,10 @@ func (l *Log) applyRename(op *Op) error {
 	} else if err != nil {
 		return err
 	}
-	if err := l.mkdirAll(parentDir(op.Path2)); err != nil {
+	if err := l.fs.MkdirAll(fs.ParentDir(op.Path2)); err != nil {
 		return err
 	}
 	return l.fs.Rename(op.Path, op.Path2)
-}
-
-func (l *Log) mkdirAll(path string) error {
-	if path == "" || path == "/" {
-		return nil
-	}
-	if st, err := l.fs.Stat(path); err == nil {
-		if st.IsDir {
-			return nil
-		}
-		return fs.ErrNotDir
-	}
-	if err := l.mkdirAll(parentDir(path)); err != nil {
-		return err
-	}
-	if err := l.fs.Mkdir(path); err != nil && err != fs.ErrExists {
-		return err
-	}
-	return nil
-}
-
-func parentDir(path string) string {
-	for i := len(path) - 1; i > 0; i-- {
-		if path[i] == '/' {
-			return path[:i]
-		}
-	}
-	return "/"
 }
 
 // Erase unlinks the log. Unlink drops the file's dirty pages from the
@@ -876,10 +835,8 @@ func (l *Log) Erase() error {
 // operator, and duplicates (a crash between quarantine and erase) are
 // harmless.
 func (l *Log) Quarantine(rec *Record) error {
-	if _, err := l.fs.Stat(Dir); err != nil {
-		if err := l.fs.Mkdir(Dir); err != nil && err != fs.ErrExists {
-			return fmt.Errorf("txn: quarantine: %w", err)
-		}
+	if err := l.fs.MkdirAll(Dir); err != nil {
+		return fmt.Errorf("txn: quarantine: %w", err)
 	}
 	off := int64(0)
 	if st, err := l.fs.Stat(QuarantinePath); err == nil && !st.IsDir {

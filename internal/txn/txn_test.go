@@ -576,3 +576,46 @@ func TestRecoverCrashProbeSuppressesQuarantine(t *testing.T) {
 		t.Fatalf("log erased under a reported crash: stat err %v", err)
 	}
 }
+
+// A transactional remove takes the link, not what it points at, and
+// precheck agrees with apply about it: a link to a non-empty directory
+// is not "directory not empty", a dangling link is not "already gone".
+// Applying the record twice — the replay after a crash — converges.
+func TestApplyRemoveTakesTheLink(t *testing.T) {
+	m := rioMachine(t)
+	fsys, l := m.FS, NewLog(m.FS)
+	if err := fsys.MkdirAll("/full/sub"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fsys.Mkdir("/empty"); err != nil {
+		t.Fatal(err)
+	}
+	rec := Record{ID: 7}
+	for _, lt := range [][2]string{{"/l-full", "/full"}, {"/l-empty", "/empty"}, {"/l-dangling", "/nowhere"}} {
+		link, target := lt[0], lt[1]
+		if err := fsys.Symlink(target, link); err != nil {
+			t.Fatal(err)
+		}
+		rec.Ops = append(rec.Ops, Op{Kind: OpRemove, Path: link})
+	}
+	// The link's name is free again within the same record.
+	rec.Ops = append(rec.Ops, Op{Kind: OpWrite, Path: "/l-full", Data: []byte("now a file")})
+	for round := 1; round <= 2; round++ {
+		if err := l.Apply(&rec); err != nil {
+			t.Fatalf("apply %d: %v", round, err)
+		}
+		for _, link := range []string{"/l-empty", "/l-dangling"} {
+			if _, err := fsys.Lstat(link); err != fs.ErrNotFound {
+				t.Fatalf("apply %d: %s still there: %v", round, link, err)
+			}
+		}
+		if st, err := fsys.Lstat("/l-full"); err != nil || st.IsSymlink || st.IsDir {
+			t.Fatalf("apply %d: /l-full should be the record's file: %+v %v", round, st, err)
+		}
+		for _, dir := range []string{"/full/sub", "/empty"} {
+			if st, err := fsys.Stat(dir); err != nil || !st.IsDir {
+				t.Fatalf("apply %d: %s, which a removed link pointed at: %+v %v", round, dir, st, err)
+			}
+		}
+	}
+}

@@ -55,21 +55,51 @@ const (
 	opMax
 )
 
-var opNames = [...]string{
-	OpInvalid: "invalid", OpOpen: "open", OpRead: "read", OpWrite: "write",
-	OpMkdir: "mkdir", OpRm: "rm", OpMv: "mv", OpStat: "stat",
-	OpSync: "sync", OpCrash: "crash", OpWarmboot: "warmboot",
-	OpTxnBegin: "txn-begin", OpTxnCommit: "txn-commit", OpTxnAbort: "txn-abort",
-	OpReplBatch: "repl-batch", OpReplPull: "repl-pull",
-	OpSnapshot: "snapshot", OpHeartbeat: "heartbeat",
+// opTable is the one place an op's facts live: its name, and what every
+// layer that validates, routes, stages or replicates a request needs to
+// know about it. An op without a row has no name, and the servers refuse
+// what the table does not describe (TestOpTable* in wire, server, fleet).
+var opTable = [opMax]struct {
+	name      string
+	admin     bool // targets Request.Shard, not a path
+	txnCtl    bool // transaction control: resolved by the staging path, never executed
+	mutates   bool // changes filesystem state (a fleet primary replicates it before the ack)
+	twoPaths  bool // needs Path and Path2, on one shard
+	stageable bool // may carry Request.Txn: staged until commit instead of executed
+}{
+	OpInvalid:   {name: "invalid"},
+	OpOpen:      {name: "open", mutates: true},
+	OpRead:      {name: "read"},
+	OpWrite:     {name: "write", mutates: true, stageable: true},
+	OpMkdir:     {name: "mkdir", mutates: true, stageable: true},
+	OpRm:        {name: "rm", mutates: true, stageable: true},
+	OpMv:        {name: "mv", mutates: true, stageable: true, twoPaths: true},
+	OpStat:      {name: "stat"},
+	OpSync:      {name: "sync"},
+	OpCrash:     {name: "crash", admin: true},
+	OpWarmboot:  {name: "warmboot", admin: true},
+	OpTxnBegin:  {name: "txn-begin", txnCtl: true},
+	OpTxnCommit: {name: "txn-commit", txnCtl: true},
+	OpTxnAbort:  {name: "txn-abort", txnCtl: true},
+	OpReplBatch: {name: "repl-batch"},
+	OpReplPull:  {name: "repl-pull"},
+	OpSnapshot:  {name: "snapshot"},
+	OpHeartbeat: {name: "heartbeat"},
 }
 
 func (o Op) String() string {
-	if int(o) < len(opNames) {
-		return opNames[o]
+	if o < opMax {
+		return opTable[o].name
 	}
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
+
+// The op facts, false for an undefined op.
+func (o Op) Admin() bool      { return o < opMax && opTable[o].admin }
+func (o Op) TxnControl() bool { return o < opMax && opTable[o].txnCtl }
+func (o Op) Mutates() bool    { return o < opMax && opTable[o].mutates }
+func (o Op) TwoPaths() bool   { return o < opMax && opTable[o].twoPaths }
+func (o Op) Stageable() bool  { return o < opMax && opTable[o].stageable }
 
 // Valid reports whether o is a defined operation.
 func (o Op) Valid() bool { return o > OpInvalid && o < opMax }

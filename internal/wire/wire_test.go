@@ -179,11 +179,31 @@ func TestStatusMovedRoundTrip(t *testing.T) {
 }
 
 // Every defined op and status must have a name: a missing table entry
-// would render as the numeric fallback and break log greppability.
+// would render as the numeric fallback and break log greppability. For an
+// op the name is also the proof that opTable has a row for it, and the
+// row must be one a server can act on: the facts about data ops do not
+// apply to admin or transaction-control ops, only a mutation is staged,
+// and nothing is true of an undefined op.
 func TestNamesComplete(t *testing.T) {
 	for o := OpInvalid; o < opMax; o++ {
-		if int(o) >= len(opNames) || opNames[o] == "" {
-			t.Fatalf("op %d has no name", uint8(o))
+		row := opTable[o]
+		if row.name == "" || o.String() != row.name {
+			t.Fatalf("op %d has no row in opTable", uint8(o))
+		}
+		if (row.admin || row.txnCtl) && (row.mutates || row.twoPaths || row.stageable) || row.admin && row.txnCtl {
+			t.Errorf("%v: admin / txn-control rows carry no data-op facts: %+v", o, row)
+		}
+		if (row.stageable || row.twoPaths) && !row.mutates {
+			t.Errorf("%v: staged or two-path but not a mutation: %+v", o, row)
+		}
+		if o.Admin() != row.admin || o.TxnControl() != row.txnCtl || o.Mutates() != row.mutates ||
+			o.TwoPaths() != row.twoPaths || o.Stageable() != row.stageable {
+			t.Errorf("%v: accessors disagree with the row %+v", o, row)
+		}
+	}
+	for _, o := range []Op{OpInvalid, opMax, 255} {
+		if o.Valid() || o.Admin() || o.TxnControl() || o.Mutates() || o.TwoPaths() || o.Stageable() {
+			t.Errorf("op %d is undefined but the table says something of it", uint8(o))
 		}
 	}
 	for s := StatusOK; s < statusMax; s++ {

@@ -415,3 +415,45 @@ func TestPowerFailWithoutUPS(t *testing.T) {
 		t.Fatalf("data survived without UPS: %v", err)
 	}
 }
+
+// Remove removes the entry it names. It used to Stat — which follows a
+// link — and then Rmdir or give up on the link itself, so a link to a
+// directory ("fs: not a directory") and a dangling link ("no such file
+// or directory") could not be removed at all.
+func TestRemoveRemovesTheLinkNotItsTarget(t *testing.T) {
+	sys, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Mkdir("/full")
+	sys.WriteFile("/full/f", []byte("kept"))
+	sys.Mkdir("/empty")
+	for _, lt := range [][2]string{{"/l-full", "/full"}, {"/l-empty", "/empty"}, {"/l-dangling", "/nowhere"}} {
+		link, target := lt[0], lt[1]
+		if err := sys.Symlink(target, link); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Remove(link); err != nil {
+			t.Fatalf("remove %s -> %s: %v", link, target, err)
+		}
+		if _, err := sys.Lstat(link); !IsNotExist(err) {
+			t.Fatalf("%s still there after Remove: %v", link, err)
+		}
+	}
+	if got, err := sys.ReadFile("/full/f"); err != nil || string(got) != "kept" {
+		t.Fatalf("the non-empty directory a link pointed at: %q %v", got, err)
+	}
+	if st, err := sys.Stat("/empty"); err != nil || !st.IsDir {
+		t.Fatalf("the empty directory a link pointed at did not survive: %+v %v", st, err)
+	}
+	// Directories themselves: empty goes, non-empty is refused, gone is gone.
+	if err := sys.Remove("/full"); err != ErrNotEmpty {
+		t.Fatalf("remove of a non-empty directory: %v", err)
+	}
+	if err := sys.Remove("/empty"); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Remove("/empty"); !IsNotExist(err) {
+		t.Fatalf("second remove: %v", err)
+	}
+}
