@@ -1,9 +1,9 @@
 # Tier-1 gate: `make check` runs the same commands CI should — build,
 # vet, riolint, tests, the race gate (`make race`), the goldens and the
-# smoke benchmarks (scripts/check.sh is the single source of truth for
-# the sequence; the race package list lives here, under `race`).
+# scenario suite (scripts/check.sh is the single source of truth for the
+# sequence; the race package list lives here, under `race`).
 
-.PHONY: check build lint test race bench bench-core crash-recovery crash-txn crash-fleet serve-bench scenarios
+.PHONY: check build lint test race bench crash-recovery crash-recovery-golden cost-ledger-golden crash-txn crash-fleet scenarios
 
 check:
 	sh scripts/check.sh
@@ -42,29 +42,6 @@ race:
 bench:
 	go test -run '^$$' -bench . -benchtime 1x .
 
-# Where the two smoke benchmarks below write their reports. The defaults
-# are the tracked snapshots, so a bare `make serve-bench` / `make
-# bench-core` regenerates them on purpose; scripts/check.sh points both
-# into the untracked bench-reports/, so a gate run leaves `git status`
-# clean.
-BENCH_CORE_OUT ?= BENCH_core.json
-SERVE_BENCH_OUT ?= BENCH_server.json
-
-# Core-op microbenchmarks: riobench measures create/unlink/lookup-deep/
-# read/write against one simulated machine (host ns/op, allocs/op, and
-# simulated µs/op) and writes $(BENCH_CORE_OUT). The checked-in
-# BENCH_core.json is embedded as the baseline (riobench reads it before
-# it writes, so regenerating in place works), so the fresh report carries
-# its own before/after deltas. scripts/benchdiff.sh diffs any two reports.
-# Two allocation budgets are enforced here, so the run fails — in
-# scripts/check.sh too — if either is exceeded: a served read allocates 1
-# object per op (the zero-copy read path's whole contract), and a create
-# at most 4 (3.0 measured: it scans its directory, and at 36.5 it was
-# building a string for every dirent it walked past).
-bench-core:
-	@mkdir -p $(dir $(BENCH_CORE_OUT))
-	go run ./cmd/riobench -gate-allocs served-read=1,create=4 -out $(BENCH_CORE_OUT) $(if $(wildcard BENCH_core.json),-baseline BENCH_core.json)
-
 # Double-fault campaign smoke test: a small fixed-seed campaign with
 # storage faults and second crashes enabled, diffed against the golden
 # report in testdata (the campaign: summary line carries wall time and
@@ -74,19 +51,6 @@ crash-recovery:
 	go run ./cmd/riocrash -runs 2 -seed 1996 -workers 4 -disk-faults -quiet 2>/dev/null \
 		| grep -v '^campaign:' | diff -u testdata/crash-recovery.golden -
 	@echo "crash-recovery: output matches golden"
-
-# Server smoke benchmark: riod's shard fabric under rioload via the
-# in-process transport — 8 connections with 8 pipelined request streams
-# each for 10s against 4 shards, plus a 1-shard baseline at the same
-# load. The trailing -tcp-probe re-serves the same server over loopback
-# TCP so the report also carries the scatter-gather writer's
-# frames-per-writev distribution.
-# Writes $(SERVE_BENCH_OUT) (throughput, p50/p95/p99, per-shard
-# batching, writev batch sizes).
-serve-bench:
-	@mkdir -p $(dir $(SERVE_BENCH_OUT))
-	go run ./cmd/rioload -net memory -shards 4 -clients 8 -pipeline 8 \
-		-duration 10s -compare 1 -tcp-probe 2s -out $(SERVE_BENCH_OUT)
 
 # Transactional campaign: the torn-commit hunt, full size (260 plans:
 # 10 per fault type on both Rio systems, storage faults and second
@@ -126,3 +90,9 @@ crash-recovery-golden:
 	mkdir -p testdata
 	go run ./cmd/riocrash -runs 2 -seed 1996 -workers 4 -disk-faults -quiet 2>/dev/null \
 		| grep -v '^campaign:' > testdata/crash-recovery.golden
+
+# The simulated-cost golden TestCostLedger compares exactly: regenerate
+# after an intended change to the cost model (fs.Costs, the disk model,
+# the kernel routines' step counts), never after a host-side speed-up.
+cost-ledger-golden:
+	go test -run '^TestCostLedger$$' -v . | grep '^[a-z0-9-]*: ops=' > testdata/cost-ledger.golden

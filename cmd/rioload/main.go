@@ -16,41 +16,35 @@
 //
 //	rioload [-net memory|tcp] [-addr host:7979] [-clients 8]
 //	        [-pipeline 1] [-duration 10s] [-writes 0.5] [-keys 900]
-//	        [-size 8192] [-skew 0] [-seed 1] [-out BENCH_server.json]
+//	        [-size 8192] [-skew 0] [-seed 1]
 //	        [-shards 4] [-mem 16] [-disk 32]        (memory mode sizing)
-//	        [-compare N]                            (memory mode: baseline at N shards)
 //	        [-crash-shard K -crash-at D -crash-down D]
 //	        [-fleet -peers 3 -replicas 2]           (replicated fleet, machine kill mid-run)
 //
-// The run prints a throughput/latency table and writes a JSON report.
-// -compare N first runs the identical load against an N-shard server
-// and reports the aggregate speedup — the serving-path scaling
-// trajectory (more shards = more independent file caches and shorter
-// per-shard directory scans, so a 4-shard server outruns a 1-shard
-// server even on one core).
+// The run prints a throughput/latency table and writes no file; it is a
+// demonstration and a smoke, not the instrument (bench/ measures). Every
+// run ends with a verification sweep — each key read back and compared
+// byte for byte with what was written — and exits nonzero on any loss.
 //
 // -crash-shard K crashes shard K at -crash-at into the measured run
 // and warm-reboots it -crash-down later, demonstrating crash-under-
 // load recovery: acknowledged writes survive, the other shards never
-// stall, and the report counts how many requests the retry loop
-// absorbed.
+// stall, and the table counts how many requests the retry loop
+// absorbed. A crash or warm reboot the server refuses fails the run.
 //
 // -fleet runs the load against an in-process replicated fleet
 // (internal/fleet) instead of a single server: -peers nodes, each
 // shard on -replicas of them, a coordinator ticking in the background.
 // At -crash-at the primary of shard 0 is killed outright — the machine,
-// not just its OS — and revived -crash-down later; the run ends with a
-// verification pass that every key reads back byte-equal, and exits
-// nonzero on any loss. This is machine-loss-under-live-load: the
-// promotion, the client redirects, and the snapshot repair all happen
-// while the load is running.
+// not just its OS — and revived -crash-down later. This is
+// machine-loss-under-live-load: the promotion, the client redirects,
+// and the snapshot repair all happen while the load is running.
 package main
 
 import (
-	"encoding/json"
+	"bytes"
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"runtime/pprof"
 	"sync"
@@ -65,71 +59,66 @@ import (
 )
 
 type loadConfig struct {
-	Net      string        `json:"net"`
-	Addr     string        `json:"addr,omitempty"`
-	Shards   int           `json:"shards"`
-	Clients  int           `json:"clients"`
-	Pipeline int           `json:"pipeline"`
-	Duration time.Duration `json:"-"`
-	Writes   float64       `json:"write_fraction"`
-	Keys     int           `json:"keys"`
-	Size     int           `json:"value_bytes"`
-	Skew     float64       `json:"skew"`
-	Seed     uint64        `json:"seed"`
-	Policy   string        `json:"policy"`
-	MemMB    int           `json:"mem_mb"`
-	DiskMB   int           `json:"disk_mb"`
-	Queue    int           `json:"queue_depth"`
-	Batch    int           `json:"max_batch"`
+	Net      string
+	Addr     string
+	Shards   int
+	Clients  int
+	Pipeline int
+	Duration time.Duration
+	Writes   float64
+	Keys     int
+	Size     int
+	Skew     float64
+	Seed     uint64
+	Policy   string
+	MemMB    int
+	DiskMB   int
+	Queue    int
+	Batch    int
 
-	CrashShard int           `json:"crash_shard,omitempty"`
-	CrashAt    time.Duration `json:"-"`
-	CrashDown  time.Duration `json:"-"`
+	CrashShard int
+	CrashAt    time.Duration
+	CrashDown  time.Duration
 
-	TCPProbe    time.Duration `json:"-"`
-	TCPProbeSec float64       `json:"tcp_probe_sec,omitempty"`
+	Fleet    bool
+	Peers    int
+	Replicas int
 }
 
-type latencyJSON struct {
-	P50us float64 `json:"p50_us"`
-	P95us float64 `json:"p95_us"`
-	P99us float64 `json:"p99_us"`
+// validate refuses what no run can honour, before anything is populated.
+func (cfg loadConfig) validate() error {
+	switch {
+	case cfg.Writes < 0 || cfg.Writes > 1:
+		return fmt.Errorf("-writes must be in [0,1]")
+	case cfg.Net != "tcp" && cfg.Net != "memory":
+		return fmt.Errorf("unknown -net %q (want tcp or memory)", cfg.Net)
+	case cfg.Pipeline < 1:
+		return fmt.Errorf("-pipeline must be >= 1")
+	case !cfg.Fleet && cfg.Net == "memory" && cfg.CrashShard >= cfg.Shards:
+		return fmt.Errorf("-crash-shard %d: the server has shards 0..%d", cfg.CrashShard, cfg.Shards-1)
+	}
+	return nil
 }
 
+// runResult is what one run did, merged over its workers.
 type runResult struct {
-	WallSeconds float64     `json:"wall_seconds"`
-	Ops         uint64      `json:"ops"`
-	OpsPerSec   float64     `json:"ops_per_sec"`
-	Bytes       uint64      `json:"bytes"`
-	MBPerSec    float64     `json:"mb_per_sec"`
-	Reads       uint64      `json:"reads"`
-	Writes      uint64      `json:"writes"`
-	AckedWrites uint64      `json:"acked_writes"`
-	Errors      uint64      `json:"errors"`
-	Retries     uint64      `json:"retries"`
-	Exhausted   uint64      `json:"exhausted"`
-	Latency     latencyJSON `json:"latency_us"`
+	Wall        time.Duration
+	Ops         uint64
+	Bytes       uint64
+	Errors      uint64 // responses with a non-retryable failure status
+	Unreachable uint64 // requests the transport gave up on
+	Exhausted   uint64 // responses still retryable after the stream's whole retry budget
+	Retries     uint64
+	Redirects   uint64
+	Verified    int // keys the end-of-run sweep read back byte-equal
+	Lost        int // keys it did not
 
 	hist server.Histogram
 }
 
-type benchReport struct {
-	Bench    string          `json:"bench"`
-	Config   loadConfig      `json:"config"`
-	Duration float64         `json:"duration_sec"`
-	Result   runResult       `json:"result"`
-	Shards   *server.Metrics `json:"server_metrics,omitempty"`
-	Baseline *baselineReport `json:"baseline,omitempty"`
-	Fleet    *fleetReport    `json:"fleet,omitempty"`
-}
+func main() { os.Exit(run()) }
 
-type baselineReport struct {
-	Shards    int     `json:"shards"`
-	OpsPerSec float64 `json:"ops_per_sec"`
-	Speedup   float64 `json:"speedup"` // main ops/s over baseline ops/s
-}
-
-func main() {
+func run() int {
 	var cfg loadConfig
 	flag.StringVar(&cfg.Net, "net", "tcp", "transport: tcp or memory (in-process server)")
 	flag.StringVar(&cfg.Addr, "addr", "localhost:7979", "riod address (tcp mode)")
@@ -137,10 +126,6 @@ func main() {
 	flag.IntVar(&cfg.Pipeline, "pipeline", 1, "request streams in flight per connection (1 = closed loop)")
 	flag.DurationVar(&cfg.Duration, "duration", 10*time.Second, "measured run length")
 	flag.Float64Var(&cfg.Writes, "writes", 0.5, "write fraction of the op mix [0,1]")
-	// 900 keys fit one machine's 1024-entry inode table, so a -compare 1
-	// baseline can hold the whole key set on a single shard; at 8 KB each
-	// they still overflow one shard's data cache, which is where the
-	// multi-shard capacity win comes from.
 	flag.IntVar(&cfg.Keys, "keys", 900, "distinct keys (flat files; each shard holds at most 1024 inodes)")
 	flag.IntVar(&cfg.Size, "size", 8192, "bytes per write")
 	flag.Float64Var(&cfg.Skew, "skew", 0, "key-space skew exponent (0 = uniform; 1 ≈ zipf)")
@@ -151,127 +136,62 @@ func main() {
 	flag.IntVar(&cfg.DiskMB, "disk", 32, "disk per shard, MB (memory mode)")
 	flag.IntVar(&cfg.Queue, "queue", 128, "per-shard queue depth (memory mode)")
 	flag.IntVar(&cfg.Batch, "batch", 32, "max batch per drain (memory mode)")
-	compare := flag.Int("compare", 0, "also run a baseline at this shard count (memory mode) and report speedup")
 	flag.IntVar(&cfg.CrashShard, "crash-shard", -1, "crash this shard mid-run (-1 = no crash)")
 	flag.DurationVar(&cfg.CrashAt, "crash-at", 2*time.Second, "when to crash, measured from run start")
 	flag.DurationVar(&cfg.CrashDown, "crash-down", 500*time.Millisecond, "outage length before the warm reboot")
-	flag.DurationVar(&cfg.TCPProbe, "tcp-probe", 0, "memory mode: after the measured run, serve the same server over loopback TCP for this long with pipelined reads to sample the writev batch distribution (0 = off)")
-	fleetFlag := flag.Bool("fleet", false, "load an in-process replicated fleet; kill shard 0's primary at -crash-at, revive -crash-down later")
-	peers := flag.Int("peers", 3, "fleet mode: node count")
-	replicas := flag.Int("replicas", 2, "fleet mode: replicas per shard")
-	out := flag.String("out", "BENCH_server.json", "JSON report path (empty = skip)")
+	flag.BoolVar(&cfg.Fleet, "fleet", false, "load an in-process replicated fleet; kill shard 0's primary at -crash-at, revive -crash-down later")
+	flag.IntVar(&cfg.Peers, "peers", 3, "fleet mode: node count")
+	flag.IntVar(&cfg.Replicas, "replicas", 2, "fleet mode: replicas per shard")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the measured run")
 	flag.Parse()
 
+	if err := cfg.validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "rioload:", err)
+		return 2
+	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "rioload:", err)
-			os.Exit(1)
+			return 1
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fmt.Fprintln(os.Stderr, "rioload:", err)
-			os.Exit(1)
+			return 1
 		}
 		defer pprof.StopCPUProfile()
 	}
 
-	if cfg.Writes < 0 || cfg.Writes > 1 {
-		fmt.Fprintln(os.Stderr, "rioload: -writes must be in [0,1]")
-		os.Exit(2)
+	mode := runServer
+	if cfg.Fleet {
+		mode = runFleet
 	}
-	if cfg.Net != "tcp" && cfg.Net != "memory" {
-		fmt.Fprintf(os.Stderr, "rioload: unknown -net %q (want tcp or memory)\n", cfg.Net)
-		os.Exit(2)
-	}
-	if cfg.Pipeline < 1 {
-		fmt.Fprintln(os.Stderr, "rioload: -pipeline must be >= 1")
-		os.Exit(2)
-	}
-
-	cfg.TCPProbeSec = cfg.TCPProbe.Seconds()
-	report := benchReport{Bench: "riod-load", Config: cfg, Duration: cfg.Duration.Seconds()}
-
-	if *fleetFlag {
-		runFleetMain(cfg, *peers, *replicas, *out)
-		return
-	}
-
-	if *compare > 0 {
-		if cfg.Net != "memory" {
-			fmt.Fprintln(os.Stderr, "rioload: -compare needs -net memory")
-			os.Exit(2)
-		}
-		base := cfg
-		base.Shards = *compare
-		base.CrashShard = -1
-		fmt.Printf("rioload: baseline run, %d shard(s)...\n", base.Shards)
-		baseRes, _, err := runLoad(base)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rioload:", err)
-			os.Exit(1)
-		}
-		report.Baseline = &baselineReport{Shards: base.Shards, OpsPerSec: baseRes.OpsPerSec}
-		printRun(fmt.Sprintf("baseline (%d shard)", base.Shards), baseRes)
-	}
-
-	res, metrics, err := runLoad(cfg)
+	res, err := mode(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rioload:", err)
-		os.Exit(1)
+		return 1
 	}
-	report.Result = *res
-	report.Shards = metrics
-	printRun(fmt.Sprintf("run (%d shard)", cfg.Shards), res)
-	if metrics != nil {
-		fmt.Println("\nper-shard server metrics:")
-		fmt.Print(metrics.Table())
-		fmt.Printf("aggregate avg_batch: %.2f requests per drain (pipeline depth %d)\n",
-			metrics.AvgBatch, cfg.Pipeline)
+	if res.Lost != 0 {
+		fmt.Fprintln(os.Stderr, "rioload: acknowledged writes lost")
+		return 1
 	}
-	if report.Baseline != nil && report.Baseline.OpsPerSec > 0 {
-		report.Baseline.Speedup = res.OpsPerSec / report.Baseline.OpsPerSec
-		fmt.Printf("\nshard scaling: %d shards at %.0f ops/s vs %d at %.0f ops/s -> %.2fx\n",
-			cfg.Shards, res.OpsPerSec, report.Baseline.Shards,
-			report.Baseline.OpsPerSec, report.Baseline.Speedup)
-	}
-
-	if *out != "" {
-		data, err := json.MarshalIndent(&report, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*out, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rioload: write report:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *out)
-	}
+	return 0
 }
 
+// printRun prints the table row and the sweep's verdict, the two lines
+// both modes end with.
 func printRun(name string, r *runResult) {
-	fmt.Printf("%-20s %9d ops  %9.0f ops/s  %7.1f MB/s  errors %d  retries %d  p50 %.0fµs  p95 %.0fµs  p99 %.0fµs\n",
-		name, r.Ops, r.OpsPerSec, r.MBPerSec, r.Errors, r.Retries,
-		r.Latency.P50us, r.Latency.P95us, r.Latency.P99us)
+	fmt.Printf("%-20s %9d ops  %9.0f ops/s  %7.1f MB/s  errors %d  unreachable %d  retries %d  exhausted %d  p50 %.0fµs  p95 %.0fµs  p99 %.0fµs\n",
+		name, r.Ops, float64(r.Ops)/r.Wall.Seconds(), float64(r.Bytes)/1e6/r.Wall.Seconds(),
+		r.Errors, r.Unreachable, r.Retries, r.Exhausted,
+		r.hist.Quantile(0.50), r.hist.Quantile(0.95), r.hist.Quantile(0.99))
+	fmt.Printf("verification: %d keys byte-equal, %d lost\n", r.Verified, r.Lost)
 }
 
-// dial returns one client connection for the given transport. With
-// -pipeline > 1 a TCP connection must multiplex concurrent callers, so
-// it gets a MuxClient; MemClient is already safe to share.
-func dial(cfg loadConfig, srv *server.Server) (server.Client, error) {
-	if srv != nil {
-		return server.MemClient{S: srv}, nil
-	}
-	if cfg.Pipeline > 1 {
-		return server.DialMux(cfg.Addr)
-	}
-	return server.DialTCP(cfg.Addr)
-}
-
-// runLoad executes populate + measured phases and returns the merged
-// result (plus server metrics in memory mode).
-func runLoad(cfg loadConfig) (*runResult, *server.Metrics, error) {
+// runServer loads one riod — in-process or over TCP — and, with
+// -crash-shard, crashes and warm-reboots a shard under the load.
+func runServer(cfg loadConfig) (*runResult, error) {
 	var srv *server.Server
 	if cfg.Net == "memory" {
 		var err error
@@ -281,551 +201,340 @@ func runLoad(cfg loadConfig) (*runResult, *server.Metrics, error) {
 			MemoryMB: cfg.MemMB, DiskMB: cfg.DiskMB,
 		})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		defer srv.Close()
 	}
-
-	keys := make([]string, cfg.Keys)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("/bench-k%05d", i)
+	// With -pipeline > 1 a TCP connection must multiplex concurrent
+	// callers, so it gets a MuxClient; MemClient is already safe to share.
+	dial := func() (server.Client, error) {
+		switch {
+		case srv != nil:
+			return server.MemClient{S: srv}, nil
+		case cfg.Pipeline > 1:
+			return server.DialMux(cfg.Addr)
+		}
+		return server.DialTCP(cfg.Addr)
 	}
-	cdf := workload.NewKeyCDF(cfg.Keys, cfg.Skew)
-	payload := make([]byte, cfg.Size)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-
-	// Populate: every key written once so measured reads mostly hit.
-	if err := populate(cfg, srv, keys, payload); err != nil {
-		return nil, nil, err
-	}
-
-	// Measured phase: cfg.Clients connections, each shared by
-	// cfg.Pipeline worker streams (so total concurrency is their
-	// product). Every worker keeps one request in flight; on a
-	// pipelined connection the workers' requests overlap on the wire.
-	workers := cfg.Clients * cfg.Pipeline
-	results := make([]runResult, workers)
-	errs := make([]error, workers)
-	start := time.Now()
-	deadline := start.Add(cfg.Duration)
-	var wg sync.WaitGroup
-	for c := 0; c < cfg.Clients; c++ {
-		cl, err := dial(cfg, srv)
+	conns := make([]server.Client, cfg.Clients)
+	for c := range conns {
+		cl, err := dial()
 		if err != nil {
-			return nil, nil, fmt.Errorf("dial connection %d: %w", c, err)
+			return nil, fmt.Errorf("dial connection %d: %w", c, err)
 		}
-		conn := cl
-		streams := make([]int, 0, cfg.Pipeline)
-		for p := 0; p < cfg.Pipeline; p++ {
-			streams = append(streams, c*cfg.Pipeline+p)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer conn.Close()
-			var cwg sync.WaitGroup
-			for _, w := range streams {
-				cwg.Add(1)
-				go func() {
-					defer cwg.Done()
-					errs[w] = worker(cfg, conn, w, keys, cdf, payload, deadline, &results[w])
-				}()
-			}
-			cwg.Wait()
-		}()
+		defer cl.Close()
+		conns[c] = cl
 	}
+	// Stream w is one of the cfg.Pipeline that share connection
+	// w/cfg.Pipeline, each behind its own RetryClient (whose stats are
+	// not synchronized).
+	open := func(w int) stream {
+		return &server.RetryClient{C: conns[w/cfg.Pipeline], Pol: server.DefaultRetryPolicy()}
+	}
+	var fault func(start time.Time) error
 	if cfg.CrashShard >= 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			crashController(cfg, srv, start)
-		}()
-	}
-	wg.Wait()
-	wall := time.Since(start)
-
-	merged := &runResult{WallSeconds: wall.Seconds()}
-	for c := range results {
-		if errs[c] != nil {
-			return nil, nil, fmt.Errorf("worker %d: %w", c, errs[c])
-		}
-		r := &results[c]
-		merged.Ops += r.Ops
-		merged.Bytes += r.Bytes
-		merged.Reads += r.Reads
-		merged.Writes += r.Writes
-		merged.AckedWrites += r.AckedWrites
-		merged.Errors += r.Errors
-		merged.Retries += r.Retries
-		merged.Exhausted += r.Exhausted
-		merged.hist.Merge(&r.hist)
-	}
-	merged.OpsPerSec = float64(merged.Ops) / wall.Seconds()
-	merged.MBPerSec = float64(merged.Bytes) / 1e6 / wall.Seconds()
-	merged.Latency = latencyJSON{
-		P50us: merged.hist.Quantile(0.50),
-		P95us: merged.hist.Quantile(0.95),
-		P99us: merged.hist.Quantile(0.99),
-	}
-	var metrics *server.Metrics
-	if srv != nil {
-		m := srv.Metrics()
-		metrics = &m
-	}
-	if srv != nil && cfg.TCPProbe > 0 {
-		// The probe runs after the metrics snapshot so the measured
-		// run's per-shard table stays pure; only the writev counters
-		// (which exist solely because of the probe's TCP traffic) are
-		// merged back in.
-		probeOps, err := tcpProbe(cfg, srv, keys)
-		if err != nil {
-			return nil, nil, fmt.Errorf("tcp probe: %w", err)
-		}
-		m2 := srv.Metrics()
-		metrics.Writev = m2.Writev
-		fmt.Printf("tcp probe: %d pipelined reads over loopback TCP in %v\n", probeOps, cfg.TCPProbe)
-	}
-	return merged, metrics, nil
-}
-
-// tcpProbe re-serves the in-process server over loopback TCP and drives
-// cfg.Clients pipelined connections of read-only load at it, so a
-// memory-mode benchmark run can still report the scatter-gather writer's
-// frames-per-writev distribution from real socket traffic.
-func tcpProbe(cfg loadConfig, srv *server.Server, keys []string) (uint64, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return 0, err
-	}
-	defer ln.Close()
-	go srv.Serve(ln)
-	addr := ln.Addr().String()
-
-	cdf := workload.NewKeyCDF(len(keys), cfg.Skew)
-	deadline := time.Now().Add(cfg.TCPProbe)
-	var wg sync.WaitGroup
-	var opsMu sync.Mutex
-	var ops uint64
-	errs := make([]error, cfg.Clients)
-	for c := 0; c < cfg.Clients; c++ {
-		mux, err := server.DialMux(addr)
-		if err != nil {
-			errs[c] = err
-			break
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer mux.Close()
-			var pwg sync.WaitGroup
-			for p := 0; p < cfg.Pipeline; p++ {
-				w := c*cfg.Pipeline + p
-				pwg.Add(1)
-				go func() {
-					defer pwg.Done()
-					rc := &server.RetryClient{C: mux, Pol: server.DefaultRetryPolicy()}
-					rng := sim.NewRand(sim.Mix(cfg.Seed, uint64(w), 0x7C9))
-					var n uint64
-					id := uint64(w)<<32 | 1<<31
-					for time.Now().Before(deadline) {
-						id++
-						resp, err := rc.Do(&wire.Request{ID: id, Op: wire.OpRead,
-							Shard: -1, Path: keys[cdf.Pick(rng)]})
-						if err != nil || resp.Status != wire.StatusOK {
-							errs[c] = fmt.Errorf("probe read: %v %+v", err, resp)
-							return
-						}
-						n++
-					}
-					opsMu.Lock()
-					ops += n
-					opsMu.Unlock()
-				}()
-			}
-			pwg.Wait()
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return ops, err
-		}
-	}
-	return ops, nil
-}
-
-// populate writes every key once, split across the client count.
-func populate(cfg loadConfig, srv *server.Server, keys []string, payload []byte) error {
-	var wg sync.WaitGroup
-	errs := make([]error, cfg.Clients)
-	for c := 0; c < cfg.Clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cl, err := dial(cfg, srv)
+		fault = func(start time.Time) error {
+			cl, err := dial()
 			if err != nil {
-				errs[c] = err
-				return
+				return fmt.Errorf("crash controller: %w", err)
 			}
 			defer cl.Close()
-			rc := &server.RetryClient{C: cl, Pol: server.DefaultRetryPolicy()}
-			for i := c; i < len(keys); i += cfg.Clients {
-				resp, err := rc.Do(&wire.Request{ID: uint64(i), Op: wire.OpWrite,
-					Shard: -1, Path: keys[i], Data: payload})
-				if err != nil {
-					errs[c] = err
-					return
-				}
-				if resp.Status != wire.StatusOK {
-					errs[c] = fmt.Errorf("populate %s: %v %s", keys[i], resp.Status, resp.Msg)
-					return
-				}
+			time.Sleep(time.Until(start.Add(cfg.CrashAt)))
+			if err := control(cl, wire.OpCrash, cfg.CrashShard); err != nil {
+				return err
 			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+			fmt.Fprintf(os.Stderr, "rioload: crashed shard %d at +%v\n", cfg.CrashShard, cfg.CrashAt)
+			time.Sleep(cfg.CrashDown)
+			if err := control(cl, wire.OpWarmboot, cfg.CrashShard); err != nil {
+				return err
+			}
+			fmt.Fprintf(os.Stderr, "rioload: warm-rebooted shard %d after %v down\n", cfg.CrashShard, cfg.CrashDown)
+			return nil
 		}
+	}
+
+	ks := newKeySet(cfg)
+	res, err := load(cfg, ks, open, fault)
+	if err != nil {
+		return nil, err
+	}
+	verify(open(0), ks, res)
+	printRun(fmt.Sprintf("run (%d shard)", cfg.Shards), res)
+	if srv != nil {
+		m := srv.Metrics()
+		fmt.Println("\nper-shard server metrics:")
+		fmt.Print(m.Table())
+		fmt.Printf("aggregate avg_batch: %.2f requests per drain (pipeline depth %d)\n", m.AvgBatch, cfg.Pipeline)
+	}
+	return res, nil
+}
+
+// control sends one crash or warmboot op and turns anything but OK into
+// an error: a fault that did not happen must not pass for one survived.
+func control(cl server.Client, op wire.Op, shard int) error {
+	resp, err := cl.Do(&wire.Request{ID: 1, Op: op, Shard: int32(shard)})
+	if err != nil {
+		return fmt.Errorf("%v shard %d: %w", op, shard, err)
+	}
+	if resp.Status != wire.StatusOK {
+		return fmt.Errorf("%v shard %d: %v %s", op, shard, resp.Status, resp.Msg)
 	}
 	return nil
 }
 
-// worker is one load stream: a closed loop over a client connection it
-// may share with other workers. Each worker gets its own RetryClient
-// (RetryClient's stats are not synchronized) around the shared,
-// concurrency-safe transport.
-func worker(cfg loadConfig, cl server.Client, idx int, keys []string,
-	cdf workload.KeyCDF, payload []byte, deadline time.Time, out *runResult) error {
-	rc := &server.RetryClient{C: cl, Pol: server.DefaultRetryPolicy()}
-	rng := sim.NewRand(sim.Mix(cfg.Seed, uint64(idx), 0x10ad))
-
-	id := uint64(idx) << 32
-	for time.Now().Before(deadline) {
-		key := keys[cdf.Pick(rng)]
-		id++
-		req := &wire.Request{ID: id, Shard: -1, Path: key}
-		isWrite := rng.Float64() < cfg.Writes
-		if isWrite {
-			req.Op = wire.OpWrite
-			req.Data = payload
-		} else {
-			req.Op = wire.OpRead
-		}
-		begin := time.Now()
-		resp, err := rc.Do(req)
-		if err != nil {
-			return err
-		}
-		out.hist.Observe(time.Since(begin))
-		out.Ops++
-		out.Bytes += uint64(len(req.Data) + len(resp.Data))
-		if isWrite {
-			out.Writes++
-			if resp.Status == wire.StatusOK {
-				out.AckedWrites++
-			}
-		} else {
-			out.Reads++
-		}
-		if resp.Status != wire.StatusOK && !resp.Status.Retryable() {
-			out.Errors++
-		}
-	}
-	out.Retries = rc.Stats.Retries
-	out.Exhausted = rc.Stats.Exhausted
-	out.Latency = latencyJSON{
-		P50us: out.hist.Quantile(0.50),
-		P95us: out.hist.Quantile(0.95),
-		P99us: out.hist.Quantile(0.99),
-	}
-	return nil
-}
-
-// crashController crashes cfg.CrashShard at cfg.CrashAt into the run
-// and warm-reboots it cfg.CrashDown later.
-func crashController(cfg loadConfig, srv *server.Server, start time.Time) {
-	cl, err := dial(cfg, srv)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rioload: crash controller:", err)
-		return
-	}
-	defer cl.Close()
-	time.Sleep(time.Until(start.Add(cfg.CrashAt)))
-	if resp, err := cl.Do(&wire.Request{ID: 1, Op: wire.OpCrash, Shard: int32(cfg.CrashShard)}); err != nil || resp.Status != wire.StatusOK {
-		fmt.Fprintf(os.Stderr, "rioload: crash op: %v %+v\n", err, resp)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "rioload: crashed shard %d at +%v\n", cfg.CrashShard, cfg.CrashAt)
-	time.Sleep(cfg.CrashDown)
-	if resp, err := cl.Do(&wire.Request{ID: 2, Op: wire.OpWarmboot, Shard: int32(cfg.CrashShard)}); err != nil || resp.Status != wire.StatusOK {
-		fmt.Fprintf(os.Stderr, "rioload: warmboot op: %v %+v\n", err, resp)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "rioload: warm-rebooted shard %d after %v down\n", cfg.CrashShard, cfg.CrashDown)
-}
-
-// fleetReport is the fleet-mode section of the JSON report.
-type fleetReport struct {
-	Peers       int    `json:"peers"`
-	Replicas    int    `json:"replicas"`
-	Killed      string `json:"killed"`
-	Promotions  uint64 `json:"promotions"`
-	Reconfigs   uint64 `json:"reconfigs"`
-	Repairs     uint64 `json:"repairs"`
-	ReplSent    uint64 `json:"repl_sent"`
-	ReplApplied uint64 `json:"repl_applied"`
-	Replays     uint64 `json:"replays"`
-	Fenced      uint64 `json:"fenced"`
-	Snapshots   uint64 `json:"snapshots"`
-	Redirects   uint64 `json:"redirects"`
-	Verified    int    `json:"verified_keys"`
-	Lost        int    `json:"lost_keys"`
-}
-
-// runFleetMain is the -fleet entry point: machine loss under live load.
-func runFleetMain(cfg loadConfig, peers, replicas int, out string) {
-	res, fr, err := runFleetLoad(cfg, peers, replicas)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rioload:", err)
-		os.Exit(1)
-	}
-	printRun(fmt.Sprintf("fleet (%d nodes xR%d)", peers, replicas), res)
-	fmt.Printf("\nfleet: killed %s mid-run; promotions %d, reconfigs %d, repairs %d, snapshots %d\n",
-		fr.Killed, fr.Promotions, fr.Reconfigs, fr.Repairs, fr.Snapshots)
-	fmt.Printf("replication: sent %d, applied %d, replays %d, fenced %d; client redirects %d\n",
-		fr.ReplSent, fr.ReplApplied, fr.Replays, fr.Fenced, fr.Redirects)
-	fmt.Printf("verification: %d keys byte-equal, %d lost\n", fr.Verified, fr.Lost)
-
-	if out != "" {
-		report := benchReport{Bench: "riod-fleet-load", Config: cfg,
-			Duration: cfg.Duration.Seconds(), Result: *res, Fleet: fr}
-		data, err := json.MarshalIndent(&report, "", "  ")
-		if err == nil {
-			err = os.WriteFile(out, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rioload: write report:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", out)
-	}
-	if fr.Lost != 0 {
-		fmt.Fprintln(os.Stderr, "rioload: acked writes lost across machine loss")
-		os.Exit(1)
-	}
-}
-
-// runFleetLoad drives cfg.Clients concurrent load streams against a
-// replicated fleet while a coordinator goroutine ticks, a controller
-// kills and later revives shard 0's primary, and a final pass verifies
-// every populated key reads back byte-equal.
-func runFleetLoad(cfg loadConfig, peers, replicas int) (*runResult, *fleetReport, error) {
+// runFleet loads an in-process replicated fleet while a coordinator
+// goroutine ticks and the fault kills, then revives, shard 0's primary.
+func runFleet(cfg loadConfig) (*runResult, error) {
 	f, err := fleet.New(fleet.Config{
-		Nodes: peers, Replicas: replicas, Shards: cfg.Shards, Seed: cfg.Seed,
+		Nodes: cfg.Peers, Replicas: cfg.Replicas, Shards: cfg.Shards, Seed: cfg.Seed,
 		Policy: rio.Policy(cfg.Policy), MemoryMB: cfg.MemMB, DiskMB: cfg.DiskMB,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-
-	keys := make([]string, cfg.Keys)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("/bench-k%05d", i)
-	}
-	cdf := workload.NewKeyCDF(cfg.Keys, cfg.Skew)
-	payload := make([]byte, cfg.Size)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-
-	newClient := func() *fleet.Client {
+	// A fleet client routes for itself and is not safe to share, so
+	// every stream is its own client and -pipeline only multiplies them.
+	open := func(int) stream {
 		cl := f.Client(time.Sleep)
 		cl.RetryDelay = time.Millisecond
 		return cl
 	}
 
-	// Populate every key once, pre-fault, so the verify pass has a
-	// known acked byte-equal expectation for the whole key space.
-	{
-		var wg sync.WaitGroup
-		errs := make([]error, cfg.Clients)
-		for c := 0; c < cfg.Clients; c++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				cl := newClient()
-				for i := c; i < len(keys); i += cfg.Clients {
-					resp, err := cl.Do(&wire.Request{ID: uint64(i), Op: wire.OpWrite,
-						Shard: -1, Path: keys[i], Data: payload})
-					if err != nil {
-						errs[c] = err
-						return
-					}
-					if resp.Status != wire.StatusOK {
-						errs[c] = fmt.Errorf("populate %s: %v %s", keys[i], resp.Status, resp.Msg)
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-
-	// Coordinator heartbeat loop: ~20ms ticks, the fleet's failure
-	// detector under live load.
+	// Coordinator heartbeat loop: the fleet's failure detector under
+	// live load. round excludes the kill below from a round in flight.
+	const tick = 20 * time.Millisecond
+	var round sync.Mutex
 	stopTick := make(chan struct{})
 	var tickWG sync.WaitGroup
 	tickWG.Add(1)
 	go func() {
 		defer tickWG.Done()
-		tk := time.NewTicker(20 * time.Millisecond)
+		tk := time.NewTicker(tick)
 		defer tk.Stop()
 		for {
 			select {
 			case <-stopTick:
 				return
 			case <-tk.C:
+				round.Lock()
 				f.Tick()
+				round.Unlock()
 			}
 		}
 	}()
 
+	// The fault is machine loss as the fleet models it: whole, and
+	// noticed. Two things a real death can do are outside that model
+	// (ROADMAP item 8e), and the controller keeps clear of both:
+	//   - die halfway through a heartbeat round: the primary's last
+	//     status names its backup suspect (its links went first), the
+	//     coordinator evicts the one good copy on a dead machine's word,
+	//     and nobody is left to promote — so the kill waits out a round
+	//     in flight;
+	//   - reboot inside the failure detector's window: revived empty
+	//     while the table still names it primary, it serves an empty
+	//     shard. Detection counts rounds, not wall time, and a starved
+	//     host's ticker can fall behind -crash-down — so the rounds still
+	//     missing (three declare it dead and promote) run before Revive.
 	victim := f.Table().Routes[0].Primary
+	kill := func(start time.Time) error {
+		time.Sleep(time.Until(start.Add(cfg.CrashAt)))
+		round.Lock()
+		f.Kill(victim)
+		round.Unlock()
+		fmt.Fprintf(os.Stderr, "rioload: killed %s at +%v\n", victim, cfg.CrashAt)
+		time.Sleep(cfg.CrashDown)
+		for i := 0; i < 4 && f.Table().Routes[0].Primary == victim; i++ {
+			f.Tick()
+		}
+		f.Revive(victim)
+		fmt.Fprintf(os.Stderr, "rioload: revived %s after %v down\n", victim, cfg.CrashDown)
+		return nil
+	}
+
+	ks := newKeySet(cfg)
+	res, err := load(cfg, ks, open, kill)
+	close(stopTick)
+	tickWG.Wait()
+	if err != nil {
+		return nil, err
+	}
+	// Let the coordinator finish what the run left half done (the
+	// revived machine's snapshot repair) before the sweep judges it.
+	for i := 0; i < 8; i++ {
+		f.Tick()
+	}
+	verify(open(0), ks, res)
+	printRun(fmt.Sprintf("fleet (%d nodes xR%d)", cfg.Peers, cfg.Replicas), res)
+	m, nm := f.Metrics(), f.NodeMetrics()
+	fmt.Printf("\nfleet: killed %s mid-run; promotions %d, reconfigs %d, repairs %d, snapshots %d\n",
+		victim, m.Promotions, m.Reconfigs, m.Repairs, nm.SnapshotsSent)
+	fmt.Printf("replication: sent %d, applied %d, replays %d, fenced %d; client redirects %d\n",
+		nm.ReplSent, nm.ReplApplied, nm.Replays, nm.Fenced, res.Redirects)
+	return res, nil
+}
+
+// stream is one worker's request path: a client with its retry
+// discipline applied (*server.RetryClient, *fleet.Client). Neither is
+// safe for concurrent use, so every worker opens its own.
+type stream interface {
+	Do(*wire.Request) (*wire.Response, error)
+}
+
+// keySet is what a run writes and reads: flat files, one payload.
+type keySet struct {
+	keys    []string
+	cdf     workload.KeyCDF
+	payload []byte
+}
+
+func newKeySet(cfg loadConfig) *keySet {
+	ks := &keySet{
+		keys:    make([]string, cfg.Keys),
+		cdf:     workload.NewKeyCDF(cfg.Keys, cfg.Skew),
+		payload: make([]byte, cfg.Size),
+	}
+	for i := range ks.keys {
+		ks.keys[i] = fmt.Sprintf("/bench-k%05d", i)
+	}
+	for i := range ks.payload {
+		ks.payload[i] = byte(i)
+	}
+	return ks
+}
+
+// load populates every key, then runs the measured phase: cfg.Clients ×
+// cfg.Pipeline closed-loop workers, each on its own stream, until the
+// deadline, while fault (if any) does its damage. It returns the
+// workers' merged result, or the fault's error: a run whose fault did
+// not happen demonstrated nothing.
+func load(cfg loadConfig, ks *keySet, open func(w int) stream, fault func(start time.Time) error) (*runResult, error) {
+	if err := populate(cfg, ks, open); err != nil {
+		return nil, err
+	}
+	results := make([]runResult, cfg.Clients*cfg.Pipeline)
 	start := time.Now()
 	deadline := start.Add(cfg.Duration)
 	var wg sync.WaitGroup
-
-	// Fault controller: machine loss at -crash-at, revival (and
-	// snapshot repair) -crash-down later.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		time.Sleep(time.Until(start.Add(cfg.CrashAt)))
-		f.Kill(victim)
-		fmt.Fprintf(os.Stderr, "rioload: killed %s at +%v\n", victim, cfg.CrashAt)
-		time.Sleep(cfg.CrashDown)
-		f.Revive(victim)
-		fmt.Fprintf(os.Stderr, "rioload: revived %s after %v down\n", victim, cfg.CrashDown)
-	}()
-
-	results := make([]runResult, cfg.Clients)
-	var redirects uint64
-	var redirMu sync.Mutex
-	for c := 0; c < cfg.Clients; c++ {
+	for w := range results {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cl := newClient()
-			out := &results[c]
-			rng := sim.NewRand(sim.Mix(cfg.Seed, uint64(c), 0xF1EE7))
-			id := uint64(c) << 32
-			for time.Now().Before(deadline) {
-				key := keys[cdf.Pick(rng)]
-				id++
-				req := &wire.Request{ID: id, Shard: -1, Path: key}
-				isWrite := rng.Float64() < cfg.Writes
-				if isWrite {
-					req.Op = wire.OpWrite
-					req.Data = payload
-				} else {
-					req.Op = wire.OpRead
-				}
-				begin := time.Now()
-				resp, err := cl.Do(req)
-				out.hist.Observe(time.Since(begin))
-				out.Ops++
-				if err != nil {
-					// Unreachable across the whole retry budget — the
-					// mid-kill window. Count it and keep loading.
-					out.Errors++
-					continue
-				}
-				out.Bytes += uint64(len(req.Data) + len(resp.Data))
-				if isWrite {
-					out.Writes++
-					if resp.Status == wire.StatusOK {
-						out.AckedWrites++
-					}
-				} else {
-					out.Reads++
-				}
-				if resp.Status != wire.StatusOK && !resp.Status.Retryable() {
-					out.Errors++
-				}
-			}
-			out.Retries = cl.Stats.Retries
-			redirMu.Lock()
-			redirects += cl.Stats.Redirects
-			redirMu.Unlock()
+			worker(cfg, open(w), w, ks, deadline, &results[w])
+		}()
+	}
+	var faultErr error
+	if fault != nil {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			faultErr = fault(start)
 		}()
 	}
 	wg.Wait()
-	wall := time.Since(start)
-	close(stopTick)
-	tickWG.Wait()
-
-	// Post-run convergence, then the gate: every populated (acked) key
-	// reads back byte-equal. Measured-phase writes reuse the same
-	// payload, so one expectation covers both phases.
-	for i := 0; i < 4; i++ {
-		f.Tick()
-	}
-	verified, lost := 0, 0
-	vcl := newClient()
-	for _, key := range keys {
-		ok := false
-		for round := 0; round < 8; round++ {
-			resp, err := vcl.Do(&wire.Request{Op: wire.OpRead, Shard: -1, Path: key})
-			if err == nil && resp.Status == wire.StatusOK && string(resp.Data) == string(payload) {
-				ok = true
-				break
-			}
-			f.Tick()
-		}
-		if ok {
-			verified++
-		} else {
-			lost++
-		}
+	if faultErr != nil {
+		return nil, faultErr
 	}
 
-	merged := &runResult{WallSeconds: wall.Seconds()}
-	for c := range results {
-		r := &results[c]
+	merged := &runResult{Wall: time.Since(start)}
+	for w := range results {
+		r := &results[w]
 		merged.Ops += r.Ops
 		merged.Bytes += r.Bytes
-		merged.Reads += r.Reads
-		merged.Writes += r.Writes
-		merged.AckedWrites += r.AckedWrites
 		merged.Errors += r.Errors
+		merged.Unreachable += r.Unreachable
+		merged.Exhausted += r.Exhausted
 		merged.Retries += r.Retries
+		merged.Redirects += r.Redirects
 		merged.hist.Merge(&r.hist)
 	}
-	merged.OpsPerSec = float64(merged.Ops) / wall.Seconds()
-	merged.MBPerSec = float64(merged.Bytes) / 1e6 / wall.Seconds()
-	merged.Latency = latencyJSON{
-		P50us: merged.hist.Quantile(0.50),
-		P95us: merged.hist.Quantile(0.95),
-		P99us: merged.hist.Quantile(0.99),
-	}
+	return merged, nil
+}
 
-	m := f.Metrics()
-	nm := f.NodeMetrics()
-	fr := &fleetReport{
-		Peers: peers, Replicas: replicas, Killed: victim,
-		Promotions: m.Promotions, Reconfigs: m.Reconfigs, Repairs: m.Repairs,
-		ReplSent: nm.ReplSent, ReplApplied: nm.ReplApplied, Replays: nm.Replays,
-		Fenced: nm.Fenced, Snapshots: nm.SnapshotsSent, Redirects: redirects,
-		Verified: verified, Lost: lost,
+// populate writes every key once, split across one stream per
+// connection, so measured reads mostly hit and the sweep has a known
+// acknowledged value for the whole key space.
+func populate(cfg loadConfig, ks *keySet, open func(w int) stream) error {
+	var wg sync.WaitGroup
+	errs := make([]error, cfg.Clients)
+	for c := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := open(c * cfg.Pipeline)
+			for i := c; i < len(ks.keys); i += cfg.Clients {
+				resp, err := s.Do(&wire.Request{ID: uint64(i), Op: wire.OpWrite,
+					Shard: -1, Path: ks.keys[i], Data: ks.payload})
+				if err != nil {
+					errs[c] = fmt.Errorf("populate %s: %w", ks.keys[i], err)
+					return
+				}
+				if resp.Status != wire.StatusOK {
+					errs[c] = fmt.Errorf("populate %s: %v %s", ks.keys[i], resp.Status, resp.Msg)
+					return
+				}
+			}
+		}()
 	}
-	return merged, fr, nil
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// worker is one load stream: a closed loop of reads and overwrites on
+// skew-picked keys until the deadline.
+func worker(cfg loadConfig, s stream, idx int, ks *keySet, deadline time.Time, out *runResult) {
+	rng := sim.NewRand(sim.Mix(cfg.Seed, uint64(idx), 0x10ad))
+	id := uint64(idx) << 32
+	for time.Now().Before(deadline) {
+		id++
+		req := &wire.Request{ID: id, Op: wire.OpRead, Shard: -1, Path: ks.keys[ks.cdf.Pick(rng)]}
+		if rng.Float64() < cfg.Writes {
+			req.Op = wire.OpWrite
+			req.Data = ks.payload
+		}
+		begin := time.Now()
+		resp, err := s.Do(req)
+		out.hist.Observe(time.Since(begin))
+		out.Ops++
+		if err != nil {
+			// The stream's whole retry budget found nobody to talk to: a
+			// fleet's kill window, or a connection that is gone for good
+			// and fails at once — so do not spin on it.
+			out.Unreachable++
+			time.Sleep(time.Millisecond)
+			continue
+		}
+		out.Bytes += uint64(len(req.Data) + len(resp.Data))
+		switch {
+		case resp.Status.Retryable():
+			out.Exhausted++
+		case resp.Status != wire.StatusOK:
+			out.Errors++
+		}
+	}
+	switch c := s.(type) {
+	case *server.RetryClient:
+		out.Retries, out.Redirects = c.Stats.Retries, c.Stats.Redirects
+	case *fleet.Client:
+		out.Retries, out.Redirects = c.Stats.Retries, c.Stats.Redirects
+	}
+}
+
+// verify is the end-of-run sweep: every key was acknowledged at
+// populate, and every later write reuses the payload, so each must read
+// back byte-equal whatever crashed in between.
+func verify(s stream, ks *keySet, res *runResult) {
+	for _, key := range ks.keys {
+		resp, err := s.Do(&wire.Request{Op: wire.OpRead, Shard: -1, Path: key})
+		if err == nil && resp.Status == wire.StatusOK && bytes.Equal(resp.Data, ks.payload) {
+			res.Verified++
+		} else {
+			res.Lost++
+		}
+	}
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"rio"
@@ -138,24 +140,46 @@ func TestReadDestinationsAgree(t *testing.T) {
 // shard goroutines combined. This is the regression guard for the
 // whole chain — pooled frame buffers, pooled reply channels, the
 // shard's reusable serve scratch, and the split-free path resolver.
+// It counts runtime.MemStats.Mallocs itself: testing.AllocsPerRun
+// returns the integer mallocs/runs, which forgives an extra allocation
+// on every other op; the 0.005 leaves room for a stray runtime
+// allocation or ten in the sample and none for one per op. Under the
+// race detector sync.Pool drops a quarter of its Puts on purpose, and
+// the count would measure that.
 func TestServedReadAllocs(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, set := range bi.Settings {
+			if set.Key == "-race" && set.Value == "true" {
+				t.Skip("sync.Pool sheds objects under -race")
+			}
+		}
+	}
 	s := newTestServer(t, Config{Shards: 1, Seed: 13})
 	if r := s.Do(&wire.Request{ID: 1, Op: wire.OpWrite, Path: "/a/blk", Data: bytes.Repeat([]byte{7}, 8192)}); r.Status != wire.StatusOK {
 		t.Fatalf("write: %+v", r)
 	}
 	req := &wire.Request{ID: 2, Op: wire.OpRead, Path: "/a/blk"}
-	read := func() {
-		frame, resp := s.DoFrame(req)
-		if resp.Status != wire.StatusOK || frame == nil {
-			t.Fatalf("frame read: %+v", resp)
+	read := func(n int) {
+		for i := 0; i < n; i++ {
+			frame, resp := s.DoFrame(req)
+			if resp.Status != wire.StatusOK || frame == nil {
+				t.Fatalf("frame read: %+v", resp)
+			}
+			s.ReleaseFrame(frame)
 		}
-		s.ReleaseFrame(frame)
 	}
-	for i := 0; i < 64; i++ {
-		read() // warm the pools and the dcache
-	}
-	if allocs := testing.AllocsPerRun(200, read); allocs > 1 {
-		t.Fatalf("served frame read allocates %.1f objects/op, want <= 1", allocs)
+	read(64) // warm the pools and the dcache
+	runtime.GC()
+	read(16) // the GC emptied the sync.Pools; their refill is not the ops' cost
+	const ops = 10000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	read(ops)
+	runtime.ReadMemStats(&after)
+	per := float64(after.Mallocs-before.Mallocs) / ops
+	t.Logf("%.4f objects per served frame read", per)
+	if per > 1.005 {
+		t.Fatalf("served frame read allocates %.4f objects/op, budget 1", per)
 	}
 }
 

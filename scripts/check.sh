@@ -1,6 +1,6 @@
 #!/bin/sh
 # Tier-1 gate: build, vet, riolint, full test suite, the race gate, the
-# goldens and the smoke benchmarks. Run via `make check` or directly.
+# goldens and the scenario suite. Run via `make check` or directly.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -39,15 +39,3 @@ make crash-recovery
 # write, tears a commit, serves a stale read, or aborts a recovery. The
 # -workers 4 reports land in scenario-reports/, uploaded as a CI artifact.
 make scenarios
-# Server smoke benchmark: rioload against riod's in-process transport,
-# with a 1-shard baseline — fails if the run errors. The report lands in
-# the untracked bench-reports/ (uploaded as a CI artifact), not over the
-# tracked BENCH_server.json: a gate run leaves `git status` clean, and
-# the snapshots change only when someone runs the bare make target.
-make serve-bench SERVE_BENCH_OUT=bench-reports/BENCH_server.json
-# Core-op microbenchmarks: riobench against one simulated machine,
-# compared to the checked-in BENCH_core.json snapshot — fails if the run
-# errors, a served read allocates more than one object or a create more
-# than four (the target passes riobench -gate-allocs
-# served-read=1,create=4); the report is uploaded as a CI artifact.
-make bench-core BENCH_CORE_OUT=bench-reports/BENCH_core.json
