@@ -3,7 +3,7 @@
 # scenario suite (scripts/check.sh is the single source of truth for the
 # sequence; the race package list lives here, under `race`).
 
-.PHONY: check build lint test race bench crash-recovery crash-recovery-golden cost-ledger-golden crash-txn crash-fleet scenarios
+.PHONY: check build lint test race bench crash-recovery crash-recovery-golden cost-ledger-golden crash-txn crash-fleet scenarios loc
 
 check:
 	sh scripts/check.sh
@@ -23,6 +23,8 @@ test:
 # The race gate: the one list of packages that run under the detector
 # (scripts/check.sh calls this target). crashtest's scheduler fans the
 # real mini-campaigns across goroutines and is the slow one (~4 min);
+# scenario runs its three plan kinds — the fleet crash run among them,
+# which came here from crashtest/fleetcampaign — on that scheduler;
 # warmreboot, disk, ioretry, machine and kvm are what a campaign worker
 # recycles and spends its time in; server and wire are where real
 # goroutines share state (shard queues, metrics, close/drain, pooled
@@ -31,7 +33,7 @@ test:
 # runs replica locks, the in-process transport and the coordinator's tick
 # concurrently; fs and cache own the reused image scratch and block pool
 # every one of those goroutines' mounts writes through.
-RACE_PKGS = ./internal/crashtest/... ./internal/warmreboot/... ./internal/disk/... \
+RACE_PKGS = ./internal/crashtest/... ./internal/scenario/... ./internal/warmreboot/... ./internal/disk/... \
 	./internal/ioretry/... ./internal/machine/... ./internal/kvm/... \
 	./internal/server/... ./internal/wire/... ./internal/txn/... \
 	./internal/workload/... ./internal/fleet/... ./internal/fs/... ./internal/cache/...
@@ -96,3 +98,10 @@ crash-recovery-golden:
 # the kernel routines' step counts), never after a host-side speed-up.
 cost-ledger-golden:
 	go test -run '^TestCostLedger$$' -v . | grep '^[a-z0-9-]*: ops=' > testdata/cost-ledger.golden
+
+# The size every deletion PR reports: non-test Go lines outside bench/ and
+# testdata/, per top-level directory (. is the root package) and in total.
+loc:
+	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^bench/' -e 'testdata/' | xargs wc -l \
+		| awk '$$2 != "total" { d = $$2; if (!sub("/.*", "", d)) d = "."; n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'

@@ -9,8 +9,7 @@
 // Usage:
 //
 //	riod [-addr :7979] [-shards 4] [-policy rio] [-seed 1]
-//	     [-queue 128] [-batch 32] [-mem MB] [-disk MB] [-net tcp|memory]
-//	     [-peers N] [-replicas R] [-pprof host:port]
+//	     [-queue 128] [-batch 32] [-mem MB] [-disk MB] [-pprof host:port]
 //
 // -pprof serves net/http/pprof on the given address (loopback
 // recommended) for profiling the serving path under live load:
@@ -18,31 +17,18 @@
 //	riod -pprof localhost:6060 &
 //	go tool pprof http://localhost:6060/debug/pprof/profile?seconds=10
 //
-// With -net tcp (the default) riod listens until SIGINT/SIGTERM, then
-// drains: queued requests are answered, new ones refused, and the
-// per-shard metrics table is printed on the way out.
-//
-// With -net memory riod runs a fixed, serialized workload against the
-// in-process transport — including a crash and warm reboot of shard 0
-// — and prints a transcript digest plus the metrics table. Because the
-// load is serialized and the simulation is deterministic, the digest
-// is byte-stable for a given seed and shard count: two runs printing
-// the same line are running the same server.
-//
-// With -peers N (N > 0) riod boots a replicated fleet instead of a
-// single server: N nodes, each shard placed on -replicas of them via
-// rendezvous hashing, a primary acking writes only after its backups
-// confirm (internal/fleet). The fleet runs a deterministic smoke — a
-// write/read workload, then a machine kill of shard 0's primary, a
-// promotion, and a byte-equality check on every acked write — and
-// prints the digest plus fleet metrics. Exit status is nonzero if any
-// acked write fails to read back.
+// riod listens until SIGINT/SIGTERM, then drains: queued requests are
+// answered, new ones refused, and the per-shard metrics table is printed
+// on the way out. It serves and does nothing else: the deterministic
+// in-process drills (a serialized transcript across a crash and warm
+// reboot, a fleet's machine loss) are tests in internal/server and
+// internal/fleet and the specs scenarios/server-hotkey.json and
+// scenarios/fleet-machine-loss.json.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"hash/fnv"
 	"net"
 	"net/http"
 	_ "net/http/pprof"
@@ -51,14 +37,11 @@ import (
 	"syscall"
 
 	"rio"
-	"rio/internal/fleet"
 	"rio/internal/server"
-	"rio/internal/wire"
 )
 
 func main() {
 	addr := flag.String("addr", ":7979", "TCP listen address")
-	netMode := flag.String("net", "tcp", "transport: tcp or memory (in-process deterministic smoke)")
 	shards := flag.Int("shards", 4, "independent Rio machines")
 	policy := flag.String("policy", "rio", "file-system policy per shard")
 	seed := flag.Uint64("seed", 1, "base seed (shard i boots with sim.Mix(seed, i))")
@@ -66,19 +49,8 @@ func main() {
 	batch := flag.Int("batch", 32, "max requests per shard drain cycle")
 	memMB := flag.Int("mem", 16, "memory per shard, MB")
 	diskMB := flag.Int("disk", 32, "disk per shard, MB")
-	peers := flag.Int("peers", 0, "fleet mode: boot this many replicated nodes (0 = single server)")
-	replicas := flag.Int("replicas", 2, "replicas per shard in fleet mode (primary + R-1 backups)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (empty = off)")
 	flag.Parse()
-
-	if *peers > 0 {
-		runFleetSmoke(fleet.Config{
-			Nodes: *peers, Replicas: *replicas, Shards: *shards,
-			Seed: *seed, Policy: rio.Policy(*policy),
-			MemoryMB: *memMB, DiskMB: *diskMB,
-		})
-		return
-	}
 
 	if *pprofAddr != "" {
 		go func() {
@@ -104,20 +76,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "riod:", err)
 		os.Exit(1)
 	}
-
-	switch *netMode {
-	case "tcp":
-		runTCP(srv, *addr)
-	case "memory":
-		runMemorySmoke(srv, *shards)
-	default:
-		fmt.Fprintf(os.Stderr, "riod: unknown -net %q (want tcp or memory)\n", *netMode)
-		os.Exit(2)
-	}
-}
-
-func runTCP(srv *server.Server, addr string) {
-	ln, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "riod:", err)
 		os.Exit(1)
@@ -138,144 +97,4 @@ func runTCP(srv *server.Server, addr string) {
 	srv.Close()
 	fmt.Println("riod: drained")
 	fmt.Print(srv.Metrics().Table())
-}
-
-// runMemorySmoke drives a fixed workload through the in-process
-// transport and prints a deterministic digest of every response.
-func runMemorySmoke(srv *server.Server, shards int) {
-	defer srv.Close()
-	digest := fnv.New64a()
-	var statuses [16]int
-	id := uint64(0)
-	do := func(req *wire.Request) *wire.Response {
-		id++
-		req.ID = id
-		resp := srv.Do(req)
-		digest.Write(wire.AppendResponse(nil, resp))
-		if int(resp.Status) < len(statuses) {
-			statuses[resp.Status]++
-		}
-		return resp
-	}
-
-	const files = 64
-	for i := 0; i < files; i++ {
-		do(&wire.Request{Op: wire.OpWrite, Shard: -1,
-			Path: fmt.Sprintf("/smoke/f%02d", i),
-			Data: []byte(fmt.Sprintf("rio smoke payload %02d", i))})
-	}
-	for i := 0; i < files; i++ {
-		p := fmt.Sprintf("/smoke/f%02d", i)
-		do(&wire.Request{Op: wire.OpStat, Shard: -1, Path: p})
-		do(&wire.Request{Op: wire.OpRead, Shard: -1, Path: p})
-	}
-	// Crash shard 0 and show the EAGAIN surface: requests for shard 0
-	// bounce, others keep serving, then a warm reboot restores every
-	// acknowledged write.
-	do(&wire.Request{Op: wire.OpCrash, Shard: 0})
-	for i := 0; i < files; i++ {
-		do(&wire.Request{Op: wire.OpStat, Shard: -1, Path: fmt.Sprintf("/smoke/f%02d", i)})
-	}
-	do(&wire.Request{Op: wire.OpWarmboot, Shard: 0})
-	lost := 0
-	for i := 0; i < files; i++ {
-		r := do(&wire.Request{Op: wire.OpRead, Shard: -1, Path: fmt.Sprintf("/smoke/f%02d", i)})
-		if r.Status != wire.StatusOK {
-			lost++
-		}
-	}
-	for i := 0; i < shards; i++ {
-		do(&wire.Request{Op: wire.OpSync, Shard: int32(i)})
-	}
-
-	fmt.Printf("riod memory smoke: %d ops, transcript digest %016x\n", id, digest.Sum64())
-	fmt.Printf("  statuses: ok %d, again %d (shard-0 outage), other %d; files lost after warmboot: %d\n",
-		statuses[wire.StatusOK], statuses[wire.StatusAgain],
-		int(id)-statuses[wire.StatusOK]-statuses[wire.StatusAgain], lost)
-	fmt.Print(srv.Metrics().Table())
-	if lost != 0 {
-		fmt.Fprintln(os.Stderr, "riod: acknowledged writes lost across warm reboot")
-		os.Exit(1)
-	}
-}
-
-// runFleetSmoke boots a replicated fleet and runs a deterministic
-// machine-loss drill: write, kill shard 0's primary, let the
-// coordinator promote, and verify every acked write reads back
-// byte-equal from the survivors. Serialized traffic + deterministic
-// simulation means the digest is byte-stable per (seed, peers,
-// replicas, shards).
-func runFleetSmoke(cfg fleet.Config) {
-	f, err := fleet.New(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "riod:", err)
-		os.Exit(1)
-	}
-	cl := f.Client(nil)
-	digest := fnv.New64a()
-	ops := 0
-	do := func(req *wire.Request) *wire.Response {
-		ops++
-		resp, err := cl.Do(req)
-		if err != nil {
-			// An unreachable node mid-failover; fold the miss into the
-			// digest as a zero-status marker and let the caller retry.
-			digest.Write([]byte{0xFF})
-			return nil
-		}
-		digest.Write([]byte{byte(resp.Status)})
-		digest.Write(resp.Data)
-		return resp
-	}
-
-	const files = 64
-	payload := func(i int) []byte { return []byte(fmt.Sprintf("rio fleet payload %02d", i)) }
-	acked := 0
-	for i := 0; i < files; i++ {
-		r := do(&wire.Request{Op: wire.OpWrite, Shard: -1,
-			Path: fmt.Sprintf("/smoke/f%02d", i), Data: payload(i)})
-		if r != nil && r.Status == wire.StatusOK {
-			acked++
-		}
-	}
-
-	// Machine loss: shard 0's primary dies outright — memory, protected
-	// cache and all. The coordinator notices via missed heartbeats and
-	// promotes the most-advanced backup.
-	victim := f.Table().Routes[0].Primary
-	f.Kill(victim)
-	for i := 0; i < 4; i++ {
-		f.Tick()
-	}
-
-	lost := 0
-	for i := 0; i < files; i++ {
-		want := payload(i)
-		ok := false
-		for round := 0; round < 8 && !ok; round++ {
-			r := do(&wire.Request{Op: wire.OpRead, Shard: -1, Path: fmt.Sprintf("/smoke/f%02d", i)})
-			if r != nil && r.Status == wire.StatusOK && string(r.Data) == string(want) {
-				ok = true
-				break
-			}
-			f.Tick()
-		}
-		if !ok {
-			lost++
-		}
-	}
-
-	m := f.Metrics()
-	nm := f.NodeMetrics()
-	fmt.Printf("riod fleet smoke: %d nodes x %d replicas, %d ops, transcript digest %016x\n",
-		cfg.Nodes, cfg.Replicas, ops, digest.Sum64())
-	fmt.Printf("  killed %s; promotions %d, reconfigs %d, repairs %d; acked %d/%d, lost after machine loss: %d\n",
-		victim, m.Promotions, m.Reconfigs, m.Repairs, acked, files, lost)
-	fmt.Printf("  replication: sent %d, applied %d, dups %d, replays %d, fenced %d, snapshots %d; client redirects %d, retries %d\n",
-		nm.ReplSent, nm.ReplApplied, nm.ReplDups, nm.Replays, nm.Fenced,
-		nm.SnapshotsSent, cl.Stats.Redirects, cl.Stats.Retries)
-	if acked != files || lost != 0 {
-		fmt.Fprintln(os.Stderr, "riod: acknowledged writes lost across machine loss")
-		os.Exit(1)
-	}
 }

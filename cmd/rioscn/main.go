@@ -22,7 +22,8 @@
 // Exit status is non-zero when any scenario fails its zero gates:
 // silently lost acked writes, torn commits, stale reads, aborted
 // recoveries, or harness errors. Detected corruption does not fail the
-// gate — measuring it is the experiment.
+// gate — measuring it is the experiment. Two scenarios with one name
+// would write one report file: rioscn exits 2 before running either.
 package main
 
 import (
@@ -97,18 +98,31 @@ func main() {
 		r.Progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
 	}
 
-	failed := 0
-	for _, file := range files {
+	// Parse everything before running anything: a bad spec, or two specs
+	// that would write one report file, should cost no campaign time.
+	specs := make([]*scenario.Spec, len(files))
+	fileOf := make(map[string]string, len(files))
+	for i, file := range files {
 		data, err := os.ReadFile(file)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "rioscn:", err)
 			os.Exit(1)
 		}
-		spec, err := scenario.Parse(data)
-		if err != nil {
+		if specs[i], err = scenario.Parse(data); err != nil {
 			fmt.Fprintf(os.Stderr, "rioscn: %s: %v\n", file, err)
 			os.Exit(1)
 		}
+		if prev, dup := fileOf[specs[i].Name]; dup {
+			fmt.Fprintf(os.Stderr, "rioscn: %s and %s are both named %q: one report would overwrite the other\n",
+				prev, file, specs[i].Name)
+			os.Exit(2)
+		}
+		fileOf[specs[i].Name] = file
+	}
+
+	failed := 0
+	for i, spec := range specs {
+		file := files[i]
 		res, err := r.Run(spec)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "rioscn: %s: %v\n", file, err)

@@ -237,52 +237,13 @@ func (r *CampaignResult) CrashKindBreakdown(system int) string {
 // CampaignSummary is campaign-level observability: totals, rates, and
 // throughput. Counting fields are deterministic for a given seed and
 // config; WallTime, RunsPerSec, and SpeculativeRuns depend on the host
-// and worker count.
-type CampaignSummary struct {
-	Runs        int // runs merged into the table (crashes + discards + errors)
-	Crashes     int
-	Discarded   int
-	Errors      int
-	Corrupted   int
-	Workers     int
-	DiscardRate float64 // fraction of runs that did not crash
-	ErrorRate   float64 // fraction of runs that hit harness errors
-	WallTime    time.Duration
-	RunsPerSec  float64
-	// SpeculativeRuns is parallel overshoot: runs executed but dropped
-	// because their cell reached RunsPerCell first. Zero at Workers=1.
-	SpeculativeRuns int
-	// Double-fault recovery totals (zero unless DiskFaults was on).
-	RecoveryInterrupted int // recoveries a second crash interrupted
-	RecoveryAborted     int // recoveries that errored out (should be zero)
-	QuarantinedPages    int // pages recovery could not restore
-	SalvagedPages       int // orphaned pages preserved under /lost+found
-	VolumesLost         int // runs whose volume fsck could not certify
-}
+// and worker count. The double-fault recovery totals (Interrupted,
+// Aborted, Quarantined, Salvaged, VolumeLost) are zero unless
+// CampaignOptions.DiskFaults was on.
+type CampaignSummary = crashtest.Summary
 
 // Summary returns the campaign's aggregate statistics.
-func (r *CampaignResult) Summary() CampaignSummary {
-	s := r.rep.Summary
-	return CampaignSummary{
-		Runs:            s.Runs,
-		Crashes:         s.Crashes,
-		Discarded:       s.Discarded,
-		Errors:          s.Errors,
-		Corrupted:       s.Corrupted,
-		Workers:         s.Workers,
-		DiscardRate:     s.DiscardRate,
-		ErrorRate:       s.ErrorRate,
-		WallTime:        s.WallTime,
-		RunsPerSec:      s.RunsPerSec,
-		SpeculativeRuns: s.SpeculativeRuns,
-
-		RecoveryInterrupted: s.Interrupted,
-		RecoveryAborted:     s.Aborted,
-		QuarantinedPages:    s.Quarantined,
-		SalvagedPages:       s.Salvaged,
-		VolumesLost:         s.VolumeLost,
-	}
-}
+func (r *CampaignResult) Summary() CampaignSummary { return r.rep.Summary }
 
 // JSON renders the full report — summary, every cell (in Table 1 order,
 // with per-cell attempt counts and CPU time), and the rendered table —

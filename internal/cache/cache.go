@@ -431,18 +431,8 @@ func (c *Cache) WriteShadow(b *Buf, data []byte) error {
 	return nil
 }
 
-// Read copies n bytes at off out of the buffer through the sanctioned read
-// path and returns them.
-func (c *Cache) Read(b *Buf, off, n int) ([]byte, error) {
-	buf := make([]byte, n)
-	if err := c.ReadInto(b, off, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// ReadInto is Read into a caller-supplied buffer (len(dst) bytes from
-// off), sparing the hot read path one allocation and one copy per block.
+// ReadInto copies len(dst) bytes at off out of the buffer, through the
+// sanctioned read path, into a caller-supplied buffer.
 func (c *Cache) ReadInto(b *Buf, off int, dst []byte) error {
 	n := len(dst)
 	if off < 0 || off+n > BlockSize {

@@ -99,8 +99,8 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		if err := e.c.Write(b, 100, payload, 100+len(payload)); err != nil {
 			t.Fatalf("protect=%v: %v", protect, err)
 		}
-		got, err := e.c.Read(b, 100, len(payload))
-		if err != nil {
+		got := make([]byte, len(payload))
+		if err := e.c.ReadInto(b, 100, got); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, payload) {

@@ -166,7 +166,7 @@ func RunCampaign(cfg CampaignConfig) (*Report, error) {
 		rep.Cells[sys] = make(map[fault.Type]*Cell, len(fault.AllTypes))
 		for _, ft := range fault.AllTypes {
 			sys, ft := sys, ft
-			cell := &Cell{ByKind: make(map[kernel.CrashKind]int)}
+			cell := &Cell{System: sys, Fault: ft, ByKind: make(map[kernel.CrashKind]int)}
 			rep.Cells[sys][ft] = cell
 			cellWG.Add(1)
 			go func() {
@@ -190,7 +190,7 @@ func RunCampaign(cfg CampaignConfig) (*Report, error) {
 				if cfg.Progress != nil {
 					c.emit(fmt.Sprintf("%-12s %-20s crashes=%d corrupted=%d discarded=%d errors=%d attempts=%d cpu=%v",
 						sys, ft, cell.Crashes, cell.Corrupted, cell.Discarded,
-						cell.Errors, cell.Attempts, cell.Elapsed.Round(time.Millisecond)))
+						cell.Errors, cell.Attempts, time.Duration(cell.Elapsed).Round(time.Millisecond)))
 				}
 			}()
 		}

@@ -238,7 +238,15 @@ func TestReportJSONExport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back ReportExport
+	var back struct {
+		Summary Summary `json:"summary"`
+		Cells   []struct {
+			System, Fault string
+			Crashes       int
+			ByKind        map[string]int `json:"by_kind"`
+		} `json:"cells"`
+		Table string `json:"table"`
+	}
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatalf("export does not round-trip: %v", err)
 	}
@@ -425,7 +433,7 @@ func TestSummaryTimingUsesInjectedClock(t *testing.T) {
 	// Each folded run contributes at least one clock step of CPU time.
 	for _, bySys := range rep.Cells {
 		for _, c := range bySys {
-			if c.Elapsed < time.Duration(c.Attempts)*clk.step {
+			if time.Duration(c.Elapsed) < time.Duration(c.Attempts)*clk.step {
 				t.Errorf("cell Elapsed = %v for %d attempts, want >= %v",
 					c.Elapsed, c.Attempts, time.Duration(c.Attempts)*clk.step)
 			}

@@ -47,6 +47,9 @@ func (s System) String() string {
 	return fmt.Sprintf("System(%d)", int(s))
 }
 
+// MarshalText makes a System its name in JSON.
+func (s System) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
 // Systems lists the three columns in Table 1 order.
 var Systems = []System{DiskWT, RioNoProt, RioProt}
 
@@ -57,7 +60,6 @@ type RunConfig struct {
 	MaxOps       int // ops after injection before the run is discarded
 	FaultCount   int // faults injected per run (paper: 20)
 	MemTestBytes int // memTest file-set budget (RunOne's workload)
-	VMBudget     uint64
 
 	// DiskFaults turns the run into a double-fault experiment: recovery
 	// executes against a disk injecting transient, latent, and
@@ -89,6 +91,9 @@ const (
 	// handful of steps, so a small window samples both interrupted and
 	// clean roll-forwards.
 	txnRecoveryWindow = 8
+	// vmBudget is the instruction budget of one interpreted kernel entry
+	// in a crash run: a faulted kernel that retires this many is hung.
+	vmBudget = 400_000
 )
 
 // DefaultRunConfig returns the standard parameters, scaled from the paper
@@ -100,7 +105,6 @@ func DefaultRunConfig(seed uint64) RunConfig {
 		MaxOps:       250,
 		FaultCount:   fault.DefaultCount,
 		MemTestBytes: 1 << 21, // 2 MB file set
-		VMBudget:     400_000,
 	}
 }
 
@@ -225,7 +229,7 @@ func buildMachine(st *machine.Storage, sys System, cfg RunConfig) (*machine.Mach
 	if err != nil {
 		return nil, err
 	}
-	m.Kernel.VM.Budget = cfg.VMBudget
+	m.Kernel.VM.Budget = vmBudget
 	// Register noise: between kernel entries the register file has been
 	// churned by unrelated kernel code, so stale registers rarely still
 	// hold live file-cache pointers.

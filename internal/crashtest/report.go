@@ -11,38 +11,49 @@ import (
 	"rio/internal/kernel"
 )
 
-// Cell aggregates one (system, fault) cell of Table 1.
+// Cell aggregates one (system, fault) cell of Table 1. Its JSON form is
+// the report's: self-describing (names, not enum ordinals) so downstream
+// tooling survives reordering.
 //
 // Counting fields are deterministic for a given campaign seed and config;
 // Elapsed is host wall time and is excluded from that guarantee.
 type Cell struct {
-	Crashes   int // runs that crashed (counted toward RunsPerCell)
-	Discarded int // runs that survived MaxOps (discarded, as in paper)
-	Corrupted int // crashing runs with corrupted durable data
+	System    System     `json:"system"`
+	Fault     fault.Type `json:"fault"`
+	Crashes   int        `json:"crashes"`   // runs that crashed (counted toward RunsPerCell)
+	Discarded int        `json:"discarded"` // runs that survived MaxOps (discarded, as in paper)
+	Corrupted int        `json:"corrupted"` // crashing runs with corrupted durable data
 	// Checksum counts crashing runs where warm reboot's registry checksum
 	// sweep flagged direct corruption of a file-cache buffer (Rio systems
 	// only). It counts detections, not outcomes — the two detectors
 	// overlap but differ, as in the paper: a flagged run need not end in
 	// Corrupted (recovery can still restore good data), and a corrupted
 	// run need not be flagged (indirect corruption bypasses checksums).
-	Checksum   int
-	Protection int // crashes where Rio protection trapped the store
-	ByKind     map[kernel.CrashKind]int
+	Checksum   int `json:"checksum_flagged"`
+	Protection int `json:"protection_trapped"` // crashes where Rio protection trapped the store
 	// Double-fault recovery columns (populated when Run.DiskFaults is
-	// on; all zero otherwise).
-	Interrupted int // recoveries a second crash interrupted (then restarted)
-	Aborted     int // recoveries that returned an error (must stay zero)
-	Quarantined int // dirty pages recovery could not restore, summed over runs
-	Salvaged    int // orphaned pages preserved under /lost+found
-	VolumeLost  int // runs whose volume fsck could not certify
-	Errors      int // harness errors (should be zero)
-	LastError   string
+	// on; all zero otherwise, and then omitted from the JSON).
+	Interrupted int    `json:"recovery_interrupted,omitempty"` // recoveries a second crash interrupted (then restarted)
+	Aborted     int    `json:"recovery_aborted,omitempty"`     // recoveries that returned an error (must stay zero)
+	Quarantined int    `json:"quarantined_pages,omitempty"`    // dirty pages recovery could not restore, summed over runs
+	Salvaged    int    `json:"salvaged_pages,omitempty"`       // orphaned pages preserved under /lost+found
+	VolumeLost  int    `json:"volume_lost,omitempty"`          // runs whose volume fsck could not certify
+	Errors      int    `json:"errors"`                         // harness errors (should be zero)
+	LastError   string `json:"last_error,omitempty"`
 	// Attempts is how many runs were merged into this cell
 	// (Crashes + Discarded + Errors).
-	Attempts int
+	Attempts int `json:"attempts"`
 	// Elapsed sums the execution time of the merged runs. Under parallel
 	// execution this is the cell's CPU cost, not campaign wall time.
-	Elapsed time.Duration
+	Elapsed Millis                   `json:"elapsed_ms"`
+	ByKind  map[kernel.CrashKind]int `json:"by_kind,omitempty"`
+}
+
+// Millis is a duration whose JSON form is fractional milliseconds.
+type Millis time.Duration
+
+func (d Millis) MarshalJSON() ([]byte, error) {
+	return json.Marshal(float64(d) / float64(time.Millisecond))
 }
 
 // fold merges one run outcome into the cell. Outcomes must be folded in
@@ -50,7 +61,7 @@ type Cell struct {
 // worker count folding the same attempt prefix.
 func (cell *Cell) fold(o Outcome[WorkloadResult]) {
 	cell.Attempts++
-	cell.Elapsed += o.Elapsed
+	cell.Elapsed += Millis(o.Elapsed)
 	if o.Err != nil {
 		cell.Errors++
 		cell.LastError = o.Err.Error()
@@ -227,81 +238,23 @@ func (r *Report) CrashKindBreakdown(sys System) string {
 	return b.String()
 }
 
-// CellExport is one cell of the structured JSON export, self-describing
-// (names, not enum ordinals) so downstream tooling survives reordering.
-type CellExport struct {
-	System     string `json:"system"`
-	Fault      string `json:"fault"`
-	Crashes    int    `json:"crashes"`
-	Discarded  int    `json:"discarded"`
-	Corrupted  int    `json:"corrupted"`
-	Checksum   int    `json:"checksum_flagged"`
-	Protection int    `json:"protection_trapped"`
-	// Double-fault recovery columns, omitted when zero so baseline
-	// exports are unchanged.
-	Interrupted int            `json:"recovery_interrupted,omitempty"`
-	Aborted     int            `json:"recovery_aborted,omitempty"`
-	Quarantined int            `json:"quarantined_pages,omitempty"`
-	Salvaged    int            `json:"salvaged_pages,omitempty"`
-	VolumeLost  int            `json:"volume_lost,omitempty"`
-	Errors      int            `json:"errors"`
-	LastError   string         `json:"last_error,omitempty"`
-	Attempts    int            `json:"attempts"`
-	ElapsedMS   float64        `json:"elapsed_ms"`
-	ByKind      map[string]int `json:"by_kind,omitempty"`
-}
-
-// ReportExport is the JSON form of a Report: the campaign summary, every
-// cell in Table 1 order, and the rendered table.
-type ReportExport struct {
-	Summary Summary      `json:"summary"`
-	Cells   []CellExport `json:"cells"`
-	Table   string       `json:"table"`
-}
-
-// Export flattens the report into its JSON form, cells in Systems ×
-// fault.AllTypes order.
-func (r *Report) Export() ReportExport {
-	out := ReportExport{Summary: r.Summary, Table: r.Table()}
+// JSON renders the full report as indented JSON: the campaign summary,
+// every cell in Table 1 (Systems × fault.AllTypes) order, and the
+// rendered table.
+func (r *Report) JSON() ([]byte, error) {
+	out := struct {
+		Summary Summary `json:"summary"`
+		Cells   []*Cell `json:"cells"`
+		Table   string  `json:"table"`
+	}{Summary: r.Summary, Table: r.Table()}
 	for _, sys := range Systems {
 		for _, ft := range fault.AllTypes {
-			c := r.Cells[sys][ft]
-			if c == nil {
-				continue
+			if c := r.Cells[sys][ft]; c != nil {
+				out.Cells = append(out.Cells, c)
 			}
-			ce := CellExport{
-				System:      sys.String(),
-				Fault:       ft.String(),
-				Crashes:     c.Crashes,
-				Discarded:   c.Discarded,
-				Corrupted:   c.Corrupted,
-				Checksum:    c.Checksum,
-				Protection:  c.Protection,
-				Interrupted: c.Interrupted,
-				Aborted:     c.Aborted,
-				Quarantined: c.Quarantined,
-				Salvaged:    c.Salvaged,
-				VolumeLost:  c.VolumeLost,
-				Errors:      c.Errors,
-				LastError:   c.LastError,
-				Attempts:    c.Attempts,
-				ElapsedMS:   float64(c.Elapsed) / float64(time.Millisecond),
-			}
-			if len(c.ByKind) > 0 {
-				ce.ByKind = make(map[string]int, len(c.ByKind))
-				for k, n := range c.ByKind {
-					ce.ByKind[k.String()] = n
-				}
-			}
-			out.Cells = append(out.Cells, ce)
 		}
 	}
-	return out
-}
-
-// JSON renders the full report as indented JSON.
-func (r *Report) JSON() ([]byte, error) {
-	return json.MarshalIndent(r.Export(), "", "  ")
+	return json.MarshalIndent(out, "", "  ")
 }
 
 // MTTFYears converts a corruption rate into the paper's §3.3 illustration:

@@ -68,6 +68,9 @@ func (t Type) String() string {
 	return fmt.Sprintf("Type(%d)", int(t))
 }
 
+// MarshalText makes a Type its name in JSON.
+func (t Type) MarshalText() ([]byte, error) { return []byte(t.String()), nil }
+
 // DefaultCount is how many faults one run injects (the paper injects 20
 // per run to raise the odds that one is triggered).
 const DefaultCount = 20

@@ -20,8 +20,8 @@ package fleet
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 
+	"rio/internal/sim"
 	"rio/internal/wire"
 )
 
@@ -67,9 +67,7 @@ func EncodeBatch(b *Batch) ([]byte, error) {
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(enc)))
 		buf = append(buf, enc...)
 	}
-	h := fnv.New64a()
-	h.Write(buf)
-	buf = binary.BigEndian.AppendUint64(buf, h.Sum64())
+	buf = binary.BigEndian.AppendUint64(buf, sim.FNV1a64(buf))
 	if len(buf) > wire.MaxData {
 		return nil, fmt.Errorf("fleet: frame of %d bytes exceeds wire.MaxData", len(buf))
 	}
@@ -80,49 +78,38 @@ func EncodeBatch(b *Batch) ([]byte, error) {
 // short buffer, bad magic, bad checksum, an op that does not decode —
 // is an error; a backup never applies a frame it cannot fully verify.
 func DecodeBatch(buf []byte) (*Batch, error) {
-	const head = 4 + 8 + 8 + 4
-	if len(buf) < head+8 {
+	if len(buf) < 8 {
 		return nil, fmt.Errorf("fleet: frame truncated (%d bytes)", len(buf))
 	}
 	body, sum := buf[:len(buf)-8], binary.BigEndian.Uint64(buf[len(buf)-8:])
-	h := fnv.New64a()
-	h.Write(body)
-	if h.Sum64() != sum {
+	if sim.FNV1a64(body) != sum {
 		return nil, fmt.Errorf("fleet: frame checksum mismatch")
 	}
-	if m := binary.BigEndian.Uint32(body); m != frameMagic {
+	c := wire.Cursor{Buf: body}
+	if m := c.U32(); m != frameMagic {
 		return nil, fmt.Errorf("fleet: bad frame magic %#x", m)
 	}
-	b := &Batch{
-		Epoch: binary.BigEndian.Uint64(body[4:]),
-		Seq:   binary.BigEndian.Uint64(body[12:]),
+	b := &Batch{Epoch: c.U64(), Seq: c.U64()}
+	nops := c.U32()
+	if c.Err != nil {
+		return nil, fmt.Errorf("fleet: frame header: %w", c.Err)
 	}
-	nops := binary.BigEndian.Uint32(body[20:])
 	if nops > maxFrameOps {
 		return nil, fmt.Errorf("fleet: frame declares %d ops", nops)
 	}
-	rest := body[head:]
 	for i := uint32(0); i < nops; i++ {
-		if len(rest) < 4 {
-			return nil, fmt.Errorf("fleet: frame truncated in op %d", i)
+		enc := c.Bytes32(wire.MaxData, true)
+		if c.Err != nil {
+			return nil, fmt.Errorf("fleet: frame op %d declares a length it cannot have: %w", i, c.Err)
 		}
-		n := binary.BigEndian.Uint32(rest)
-		if n > wire.MaxData {
-			return nil, fmt.Errorf("fleet: frame op %d declares %d bytes (max %d)", i, n, wire.MaxData)
-		}
-		rest = rest[4:]
-		if uint32(len(rest)) < n {
-			return nil, fmt.Errorf("fleet: frame truncated in op %d body", i)
-		}
-		op, err := wire.DecodeRequest(rest[:n])
+		op, err := wire.DecodeRequest(enc)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: frame op %d: %w", i, err)
 		}
 		b.Ops = append(b.Ops, op)
-		rest = rest[n:]
 	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("fleet: %d trailing bytes after frame ops", len(rest))
+	if err := c.Finish(); err != nil {
+		return nil, fmt.Errorf("fleet: frame: %w", err)
 	}
 	return b, nil
 }
@@ -160,25 +147,21 @@ func EncodeTable(t *Table) []byte {
 
 // DecodeTable parses a heartbeat routing table.
 func DecodeTable(buf []byte) (*Table, error) {
-	d := dec{buf: buf}
-	n := d.u32()
+	c := wire.Cursor{Buf: buf}
+	n := c.U32()
 	if n > 1<<16 {
 		return nil, fmt.Errorf("fleet: table declares %d routes", n)
 	}
 	t := &Table{}
-	for i := uint32(0); i < n; i++ {
-		r := Route{Shard: int(d.u32()), Epoch: d.u64(), Primary: d.str()}
-		nb := d.u16()
-		for j := uint16(0); j < nb; j++ {
-			r.Backups = append(r.Backups, d.str())
+	for i := uint32(0); i < n && c.Err == nil; i++ {
+		r := Route{Shard: int(c.U32()), Epoch: c.U64(), Primary: c.Str16(maxStr)}
+		for nb := c.U16(); nb > 0 && c.Err == nil; nb-- {
+			r.Backups = append(r.Backups, c.Str16(maxStr))
 		}
 		t.Routes = append(t.Routes, r)
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("fleet: %d trailing bytes after table", len(d.buf))
+	if err := c.Finish(); err != nil {
+		return nil, fmt.Errorf("fleet: table: %w", err)
 	}
 	return t, nil
 }
@@ -236,87 +219,30 @@ func EncodeStatus(sts []ReplicaStatus) []byte {
 
 // DecodeStatus parses a heartbeat response's status blob.
 func DecodeStatus(buf []byte) ([]ReplicaStatus, error) {
-	d := dec{buf: buf}
-	n := d.u32()
+	c := wire.Cursor{Buf: buf}
+	n := c.U32()
 	if n > 1<<16 {
 		return nil, fmt.Errorf("fleet: status declares %d replicas", n)
 	}
 	var sts []ReplicaStatus
-	for i := uint32(0); i < n; i++ {
-		st := ReplicaStatus{Shard: int(d.u32()), Role: Role(d.u8()), Epoch: d.u64(), Seq: d.u64()}
-		ns := d.u16()
-		for j := uint16(0); j < ns; j++ {
-			st.Suspect = append(st.Suspect, d.str())
+	for i := uint32(0); i < n && c.Err == nil; i++ {
+		st := ReplicaStatus{Shard: int(c.U32()), Role: Role(c.U8()), Epoch: c.U64(), Seq: c.U64()}
+		for ns := c.U16(); ns > 0 && c.Err == nil; ns-- {
+			st.Suspect = append(st.Suspect, c.Str16(maxStr))
 		}
 		sts = append(sts, st)
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("fleet: %d trailing bytes after status", len(d.buf))
+	if err := c.Finish(); err != nil {
+		return nil, fmt.Errorf("fleet: status: %w", err)
 	}
 	return sts, nil
 }
 
+// maxStr is the bound of a u16-prefixed string whose only limit is its
+// prefix's width (node ids, snapshot paths).
+const maxStr = 1<<16 - 1
+
 func appendStr(buf []byte, s string) []byte {
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(s)))
 	return append(buf, s...)
-}
-
-// dec is a sticky-error big-endian reader for the fleet's small blobs.
-type dec struct {
-	buf []byte
-	err error
-}
-
-func (d *dec) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if len(d.buf) < n {
-		d.err = fmt.Errorf("fleet: blob truncated (want %d bytes, have %d)", n, len(d.buf))
-		return nil
-	}
-	b := d.buf[:n]
-	d.buf = d.buf[n:]
-	return b
-}
-
-func (d *dec) u8() uint8 {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *dec) u16() uint16 {
-	b := d.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint16(b)
-}
-
-func (d *dec) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-
-func (d *dec) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-
-func (d *dec) str() string {
-	n := d.u16()
-	b := d.take(int(n))
-	return string(b)
 }

@@ -490,15 +490,11 @@ installed:
 		if uint64(pull.Size) <= at || len(pull.Data) == 0 {
 			return nil // caught up
 		}
-		d := dec{buf: pull.Data}
-		for len(d.buf) > 0 && d.err == nil {
-			n := int(d.u32())
-			if n > wire.MaxData {
-				return fmt.Errorf("fleet: tail frame declares %d bytes (max %d)", n, wire.MaxData)
-			}
-			frame := d.take(n)
-			if d.err != nil {
-				break
+		c := wire.Cursor{Buf: pull.Data}
+		for c.Off < len(c.Buf) {
+			frame := c.Bytes32(wire.MaxData, true)
+			if c.Err != nil {
+				return fmt.Errorf("fleet: tail pull: %w", c.Err)
 			}
 			resp, err := f.tr.Send(CoordName, cand,
 				&wire.Request{Op: wire.OpReplBatch, Shard: shard, Data: frame})
@@ -509,9 +505,6 @@ installed:
 				return fmt.Errorf("fleet: tail replay: %s", resp.Msg)
 			}
 			at = uint64(resp.Size)
-		}
-		if d.err != nil {
-			return d.err
 		}
 	}
 }

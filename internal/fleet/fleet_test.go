@@ -741,3 +741,104 @@ func TestFleetObeysOpTable(t *testing.T) {
 		}
 	}
 }
+
+// seal appends the FNV-1a 64 the batch and snapshot frames end with, so a
+// damaged body reaches the decoder behind the checksum.
+func seal(body []byte) []byte {
+	h := fnv.New64a()
+	h.Write(body)
+	return binary.BigEndian.AppendUint64(append([]byte(nil), body...), h.Sum64())
+}
+
+// TestDecodersRefuseHostileInput runs every fleet decoder over input a
+// peer could forge — each truncation point, a trailing byte, a count far
+// past what the bytes hold — behind a valid checksum where the format has
+// one. All must be refused with an error: no panic, and no allocation
+// sized by a count nothing backs.
+func TestDecodersRefuseHostileInput(t *testing.T) {
+	frame, err := EncodeBatch(&Batch{Epoch: 3, Seq: 41, Ops: []*wire.Request{
+		{ID: 1, Op: wire.OpWrite, Shard: -1, Path: "/a/b", Data: []byte("payload")},
+		{ID: 2, Op: wire.OpMkdir, Shard: -1, Path: "/dir"},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := EncodeTable(&Table{Routes: []Route{
+		{Shard: 0, Epoch: 7, Primary: "node2", Backups: []string{"node0", "node1"}},
+		{Shard: 1, Epoch: 1, Primary: "node0"},
+	}})
+	status := EncodeStatus([]ReplicaStatus{
+		{Shard: 0, Role: RolePrimary, Epoch: 7, Seq: 99, Suspect: []string{"node1"}},
+		{Shard: 1, Role: RoleBackup, Epoch: 1, Seq: 3},
+	})
+
+	f := testFleet(t, 2, 1, 2)
+	mustWrite(t, f.Client(nil), "/d/file", []byte("snap"))
+	route := f.Table().Routes[0]
+	src := f.Node(route.Primary).replicaFor(0)
+	src.mu.Lock()
+	snap, err := buildSnapshot(src)
+	src.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := f.Node(route.Backups[0])
+	if err := dst.InstallSnapshot(0, snap); err != nil {
+		t.Fatalf("intact snapshot refused: %v", err)
+	}
+
+	decoders := []struct {
+		name   string
+		good   []byte
+		sealed bool
+		decode func([]byte) error
+	}{
+		{"batch", frame[:len(frame)-8], true, func(b []byte) error { _, err := DecodeBatch(b); return err }},
+		{"snapshot", snap[:len(snap)-8], true, func(b []byte) error { return dst.InstallSnapshot(0, b) }},
+		{"table", table, false, func(b []byte) error { _, err := DecodeTable(b); return err }},
+		{"status", status, false, func(b []byte) error { _, err := DecodeStatus(b); return err }},
+	}
+	for _, d := range decoders {
+		wrap := func(b []byte) []byte {
+			if d.sealed {
+				return seal(b)
+			}
+			return b
+		}
+		if err := d.decode(wrap(d.good)); err != nil {
+			t.Fatalf("%s: intact input refused: %v", d.name, err)
+		}
+		for n := 0; n < len(d.good); n++ {
+			if err := d.decode(wrap(d.good[:n])); err == nil {
+				t.Fatalf("%s: truncation to %d of %d bytes decoded", d.name, n, len(d.good))
+			}
+		}
+		if err := d.decode(wrap(append(append([]byte(nil), d.good...), 0))); err == nil {
+			t.Fatalf("%s: trailing byte decoded", d.name)
+		}
+	}
+
+	// A count with nothing behind it: the largest the decoder admits, and
+	// one past it. Both refused; the first without building 65 536 entries.
+	for _, d := range decoders[2:] {
+		lying := binary.BigEndian.AppendUint32(nil, 1<<16)
+		if err := d.decode(lying); err == nil {
+			t.Fatalf("%s: %d entries decoded from 4 bytes", d.name, 1<<16)
+		}
+		if n := testing.AllocsPerRun(10, func() { d.decode(lying) }); n > 8 {
+			t.Fatalf("%s: %.0f allocations refusing a 4-byte blob", d.name, n)
+		}
+		if err := d.decode(binary.BigEndian.AppendUint32(nil, 1<<16+1)); err == nil || !strings.Contains(err.Error(), "declares") {
+			t.Fatalf("%s: over-long count: %v", d.name, err)
+		}
+	}
+	// A snapshot record whose declared length overruns the blob.
+	over := append([]byte(nil), snap[:24]...)
+	over = append(over, snapFile)
+	over = appendStr(over, "/x")
+	over = binary.BigEndian.AppendUint32(over, 1<<31)
+	binary.BigEndian.PutUint32(over[20:], 1)
+	if err := dst.InstallSnapshot(0, seal(over)); err == nil {
+		t.Fatal("snapshot record declaring 2 GB decoded")
+	}
+}

@@ -145,7 +145,7 @@ func (n *Node) replicaFor(shard int) *replica {
 func (n *Node) newSystem(shard int) (*rio.System, error) {
 	return rio.New(rio.Config{
 		Policy:   n.cfg.Policy,
-		Seed:     sim.Mix(n.cfg.Seed, uint64(shard), strHash(n.cfg.ID)),
+		Seed:     sim.Mix(n.cfg.Seed, uint64(shard), sim.FNV1a64(n.cfg.ID)),
 		MemoryMB: n.cfg.MemoryMB,
 		DiskMB:   n.cfg.DiskMB,
 	})
@@ -277,6 +277,7 @@ func (n *Node) applyView(t *Table) {
 				r.backups = append(r.backups[:0], route.Backups...)
 				sort.Strings(r.backups)
 				// Peers evicted from the route are no longer owed acks.
+				//riolint:ordered each key is kept or deleted on its own membership in r.backups; the surviving set is the same in any order
 				for s := range r.suspect {
 					if !contains(r.backups, s) {
 						delete(r.suspect, s)

@@ -29,7 +29,7 @@ func Place(seed uint64, nodes []string, shard, r int) []string {
 	}
 	cands := make([]cand, 0, len(nodes))
 	for _, n := range nodes {
-		cands = append(cands, cand{n, sim.Mix(seed, uint64(shard), strHash(n))})
+		cands = append(cands, cand{n, sim.Mix(seed, uint64(shard), sim.FNV1a64(n))})
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].weight != cands[j].weight {
@@ -42,18 +42,4 @@ func Place(seed uint64, nodes []string, shard, r int) []string {
 		out[i] = cands[i].node
 	}
 	return out
-}
-
-// strHash folds a node id into the weight mix (FNV-1a 64).
-func strHash(s string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime64
-	}
-	return h
 }

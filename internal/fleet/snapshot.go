@@ -3,11 +3,11 @@ package fleet
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"sort"
 
 	"rio/internal/fs"
 	"rio/internal/server"
+	"rio/internal/sim"
 	"rio/internal/wire"
 )
 
@@ -78,9 +78,7 @@ func buildSnapshot(r *replica) ([]byte, error) {
 		return nil, err
 	}
 	binary.BigEndian.PutUint32(buf[nrecAt:], nrec)
-	h := fnv.New64a()
-	h.Write(buf)
-	return binary.BigEndian.AppendUint64(buf, h.Sum64()), nil
+	return binary.BigEndian.AppendUint64(buf, sim.FNV1a64(buf)), nil
 }
 
 // serveSnapshot returns one chunk of the replica's snapshot:
@@ -138,9 +136,7 @@ func (n *Node) InstallSnapshot(shard int, blob []byte) error {
 		return fmt.Errorf("fleet: snapshot truncated (%d bytes)", len(blob))
 	}
 	body, sum := blob[:len(blob)-8], binary.BigEndian.Uint64(blob[len(blob)-8:])
-	h := fnv.New64a()
-	h.Write(body)
-	if h.Sum64() != sum {
+	if sim.FNV1a64(body) != sum {
 		return fmt.Errorf("fleet: snapshot checksum mismatch")
 	}
 	epoch, seq, err := snapHeader(blob)
@@ -152,14 +148,14 @@ func (n *Node) InstallSnapshot(shard int, blob []byte) error {
 		return err
 	}
 	nrec := binary.BigEndian.Uint32(body[20:])
-	d := dec{buf: body[24:]}
+	c := wire.Cursor{Buf: body, Off: 24}
 	for i := uint32(0); i < nrec; i++ {
-		kind := d.u8()
-		path := d.str()
-		//riolint:wirebounds a record is a whole file with no protocol maximum of its own; take bounds it by the checksummed blob's remaining bytes, themselves ≤ wire.MaxData
-		data := d.take(int(d.u32()))
-		if d.err != nil {
-			return d.err
+		kind := c.U8()
+		path := c.Str16(maxStr)
+		//riolint:wirebounds a record is a whole file with no protocol maximum of its own; Take bounds it by the checksummed blob's remaining bytes, themselves ≤ wire.MaxData
+		data := c.Take(int(c.U32()))
+		if c.Err != nil {
+			return fmt.Errorf("fleet: snapshot record %d: %w", i, c.Err)
 		}
 		switch kind {
 		case snapDir:
@@ -178,11 +174,8 @@ func (n *Node) InstallSnapshot(shard int, blob []byte) error {
 			return fmt.Errorf("fleet: snapshot record %d has kind %d", i, kind)
 		}
 	}
-	if d.err != nil {
-		return d.err
-	}
-	if len(d.buf) != 0 {
-		return fmt.Errorf("fleet: %d trailing bytes after snapshot records", len(d.buf))
+	if err := c.Finish(); err != nil {
+		return fmt.Errorf("fleet: snapshot records: %w", err)
 	}
 	r := &replica{shard: shard, sys: sys, role: RoleBackup, epoch: epoch, seq: seq,
 		suspect: make(map[string]bool)}

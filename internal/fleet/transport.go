@@ -91,18 +91,11 @@ func (t *MemTransport) cutLocked(a, b string) {
 	t.cut[b][a] = true
 }
 
-// Heal restores the link between a and b.
-func (t *MemTransport) Heal(a, b string) {
-	t.mu.Lock()
-	delete(t.cut[a], b)
-	delete(t.cut[b], a)
-	t.mu.Unlock()
-}
-
 // Isolate cuts node off from every other participant, the coordinator
 // and clients included — a full network partition of one machine.
 func (t *MemTransport) Isolate(node string) {
 	t.mu.Lock()
+	//riolint:ordered cutLocked inserts the pair into a set; the cut set is the same in any order
 	for id := range t.nodes {
 		if id != node {
 			t.cutLocked(node, id)

@@ -900,8 +900,5 @@ func (f *FS) freeFileBlocks(n *Inode) error {
 	return nil
 }
 
-// DiskFree exposes the disk timeline (perf harness reporting).
-func (f *FS) DiskFree() sim.Time { return f.diskFree }
-
 // PendingWrites returns the number of queued asynchronous writes.
 func (f *FS) PendingWrites() int { return len(f.pending) }

@@ -974,9 +974,6 @@ func (fl *File) Read(buf []byte) (int, error) {
 	return n, err
 }
 
-// SetPos sets the file position for Read/Write.
-func (fl *File) SetPos(pos int64) { fl.pos = pos }
-
 // Pos returns the current file position.
 func (fl *File) Pos() int64 { return fl.pos }
 

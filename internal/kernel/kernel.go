@@ -56,6 +56,9 @@ func (k CrashKind) String() string {
 	}
 }
 
+// MarshalText makes a CrashKind its name in JSON, map keys included.
+func (k CrashKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
 // Crash records the kernel's death.
 type Crash struct {
 	Kind   CrashKind
@@ -98,12 +101,11 @@ type Kernel struct {
 
 	// Reusable bulk-op scratch space. The kernel models a single CPU, so
 	// every bulk operation completes its copy before the next one starts
-	// and one buffer (two for Memcmp's second operand) serves them all —
-	// the steady-state read/write path stops allocating per block. The
-	// zero buffer backs BZero and must never be written.
-	bulkBuf  []byte
-	bulkBuf2 []byte
-	zeroBuf  []byte
+	// and one buffer serves them all — the steady-state read/write path
+	// stops allocating per block. The zero buffer backs BZero and must
+	// never be written.
+	bulkBuf []byte
+	zeroBuf []byte
 }
 
 // scratchBytes returns a reusable n-byte scratch slice (contents
@@ -113,14 +115,6 @@ func (k *Kernel) scratchBytes(n int) []byte {
 		k.bulkBuf = make([]byte, n)
 	}
 	return k.bulkBuf[:n]
-}
-
-// scratchBytes2 is a second, independent scratch slice (Memcmp).
-func (k *Kernel) scratchBytes2(n int) []byte {
-	if cap(k.bulkBuf2) < n {
-		k.bulkBuf2 = make([]byte, n)
-	}
-	return k.bulkBuf2[:n]
 }
 
 // zeroBytes returns n zero bytes. Callers must treat the slice as
@@ -374,16 +368,9 @@ func (k *Kernel) StageIn(data []byte) uint64 {
 	return StagingBase
 }
 
-// StageOut copies n bytes out of the staging region (copyout), charged
-// like StageIn.
-func (k *Kernel) StageOut(n int) []byte {
-	buf := make([]byte, n)
-	k.StageOutInto(buf)
-	return buf
-}
-
-// StageOutInto is StageOut into a caller-supplied buffer, so a hot read
-// path can drain the staging area without allocating.
+// StageOutInto copies len(buf) bytes out of the staging region (copyout)
+// into a caller-supplied buffer, charged like StageIn, so a hot read path
+// can drain the staging area without allocating.
 func (k *Kernel) StageOutInto(buf []byte) {
 	if len(buf) > StagingSize {
 		panic("kernel: staging overflow")
@@ -600,34 +587,6 @@ func FillBytes(n int, seed uint64) []byte {
 	return out
 }
 
-// Memcmp compares two kernel ranges; it returns true when equal.
-func (k *Kernel) Memcmp(a, b uint64, n int) (bool, error) {
-	if k.crash != nil {
-		return false, ErrCrashed
-	}
-	if k.FastPath {
-		k.SyntheticSteps += 14 + 10*uint64(n)
-		ba := k.scratchBytes(n)
-		bb := k.scratchBytes2(n)
-		if trap := k.MMU.ReadBytes(a, ba); trap != nil {
-			return false, k.crashFromException(&kvm.Exception{Kind: kvm.ExcTrap, Trap: trap})
-		}
-		if trap := k.MMU.ReadBytes(b, bb); trap != nil {
-			return false, k.crashFromException(&kvm.Exception{Kind: kvm.ExcTrap, Trap: trap})
-		}
-		for i := range ba {
-			if ba[i] != bb[i] {
-				return false, nil
-			}
-		}
-		return true, nil
-	}
-	if err := k.Exec("memcmp", a, b, uint64(n)); err != nil {
-		return false, err
-	}
-	return k.VM.Reg[0] == 0, nil
-}
-
 // WriteBlockArgs populates a buffer header in the kernel heap for
 // write_block/read_block. Returns the header's virtual address; the caller
 // frees it with FreeBufHdr.
@@ -683,14 +642,6 @@ func (k *Kernel) SetBufHdrOp(hdr uint64, size int, src uint64, dstOff int) error
 		if trap := k.MMU.Store64(hdr+uint64(s.off), s.val); trap != nil {
 			return k.crashFromException(&kvm.Exception{Kind: kvm.ExcTrap, Trap: trap})
 		}
-	}
-	return nil
-}
-
-// SetBufHdrData repoints a header's buffer-data address (shadow paging).
-func (k *Kernel) SetBufHdrData(hdr, data uint64) error {
-	if trap := k.MMU.Store64(hdr+bufHdrOffData, data); trap != nil {
-		return k.crashFromException(&kvm.Exception{Kind: kvm.ExcTrap, Trap: trap})
 	}
 	return nil
 }

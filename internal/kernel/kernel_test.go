@@ -175,24 +175,6 @@ func TestFillBytesProperty(t *testing.T) {
 	}
 }
 
-func TestMemcmp(t *testing.T) {
-	for _, fast := range []bool{false, true} {
-		k := boot(t)
-		k.FastPath = fast
-		k.Mem.WriteAt(HeapPhys(HeapBase+100), []byte("abcdef"))
-		k.Mem.WriteAt(HeapPhys(HeapBase+200), []byte("abcdef"))
-		eq, err := k.Memcmp(HeapBase+100, HeapBase+200, 6)
-		if err != nil || !eq {
-			t.Fatalf("fast=%v: equal ranges: %v %v", fast, eq, err)
-		}
-		k.Mem.SetByte(HeapPhys(HeapBase+203), 'X')
-		eq, err = k.Memcmp(HeapBase+100, HeapBase+200, 6)
-		if err != nil || eq {
-			t.Fatalf("fast=%v: unequal ranges reported equal", fast)
-		}
-	}
-}
-
 func TestWriteAndReadBlock(t *testing.T) {
 	for _, fast := range []bool{false, true} {
 		k := boot(t)
@@ -228,7 +210,9 @@ func TestWriteAndReadBlock(t *testing.T) {
 			t.Fatal(err)
 		}
 		k.FreeBufHdr(hdr)
-		if !bytes.Equal(k.StageOut(len(payload)), payload) {
+		clear(got)
+		k.StageOutInto(got)
+		if !bytes.Equal(got, payload) {
 			t.Fatalf("fast=%v: read_block mismatch", fast)
 		}
 		// Lock must be free afterwards.
@@ -350,8 +334,9 @@ func TestStaging(t *testing.T) {
 	if addr != StagingBase {
 		t.Fatalf("addr = %#x", addr)
 	}
-	if got := k.StageOut(len(data)); !bytes.Equal(got, data) {
-		t.Fatalf("StageOut = %q", got)
+	got := make([]byte, len(data))
+	if k.StageOutInto(got); !bytes.Equal(got, data) {
+		t.Fatalf("StageOutInto = %q", got)
 	}
 }
 

@@ -215,13 +215,6 @@ func (pr *Program) build() {
 	}
 }
 
-// summaryOf returns fn's computed summary, or nil for functions outside
-// the analyzed packages (stdlib, interface methods): those are assumed
-// non-retaining, a documented limitation.
-func (pr *Program) summaryOf(fn *types.Func) *Summary {
-	return pr.summaries[fn]
-}
-
 // reachesName reports whether fn can (transitively) call any function
 // whose name is name, through static calls inside the analyzed packages.
 func (pr *Program) reachesName(fn *types.Func, name string) bool {

@@ -229,9 +229,11 @@ func (s *suppressions) covers(a *Analyzer, pos token.Position) bool {
 // suppress anything (only for analyzers that actually ran).
 func lintDirectives(supp *suppressions, ran []*Analyzer, diags *[]Diagnostic) {
 	known := make(map[string]*Analyzer)
+	var directives []string
 	for _, a := range All() {
 		known[a.Name] = a
 		known[a.Directive] = a
+		directives = append(directives, a.Directive)
 	}
 	ranSet := make(map[*Analyzer]bool)
 	for _, a := range ran {
@@ -242,7 +244,7 @@ func lintDirectives(supp *suppressions, ran []*Analyzer, diags *[]Diagnostic) {
 		switch {
 		case a == nil:
 			*diags = append(*diags, Diagnostic{Pos: sup.pos, Analyzer: "riolint",
-				Message: fmt.Sprintf("unknown suppression directive %q (known: ordered, walltime, protpair, seedflow, commitorder, bufalias, replorder, wirebounds)", sup.directive)})
+				Message: fmt.Sprintf("unknown suppression directive %q (known: %s)", sup.directive, strings.Join(directives, ", "))})
 		case sup.reason == "":
 			*diags = append(*diags, Diagnostic{Pos: sup.pos, Analyzer: "riolint",
 				Message: fmt.Sprintf("suppression %q needs a reason: //riolint:%s <why this is safe>", sup.directive, sup.directive)})
@@ -307,11 +309,14 @@ func RunTimed(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) ([]Di
 // detPackages are the determinism-critical package names: simulation
 // state, the storage stack, and everything a crash campaign's byte-
 // identical-report guarantee flows through. maporder and walltime apply
-// only here; protpair and seedflow apply module-wide.
+// only here; protpair and seedflow apply module-wide. fleet, txn and wire
+// are here because their bytes reach the scenario reports `make
+// scenarios` diffs across worker counts; server is not: it owns real
+// deadlines.
 var detPackages = map[string]bool{
 	"sim": true, "disk": true, "fs": true, "cache": true,
 	"kernel": true, "mmu": true, "machine": true, "warmreboot": true,
-	"ioretry": true, "crashtest": true, "fleetcampaign": true,
+	"ioretry": true, "crashtest": true, "fleet": true, "txn": true, "wire": true,
 	"registry": true, "workload": true, "fault": true, "scenario": true,
 }
 

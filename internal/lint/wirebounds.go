@@ -18,7 +18,7 @@ import (
 //
 // Mechanics: a value is tainted when it comes from encoding/binary's
 // Uint16/Uint32/Uint64 or from the module's own u8/u16/u32/u64 reader
-// methods, and the decoded width follows it through conversions and
+// methods (wire.Cursor's U8…U64), and the decoded width follows it through conversions and
 // assignments. Before a tainted value may appear in a slice bound it
 // needs a prior comparison against len(...); before a ≥32-bit one may
 // size a make() it needs a prior comparison against a constant, a
@@ -74,13 +74,13 @@ func decodeWidth(info *types.Info, call *ast.CallExpr) int {
 		return 0
 	}
 	switch name {
-	case "u8":
+	case "u8", "U8":
 		return 8
-	case "u16":
+	case "u16", "U16":
 		return 16
-	case "u32":
+	case "u32", "U32":
 		return 32
-	case "u64":
+	case "u64", "U64":
 		return 64
 	}
 	return 0

@@ -163,9 +163,6 @@ func (u *MMU) Lookup(vpage uint64) (PTE, bool) {
 	return p, ok
 }
 
-// MappedPages returns the number of installed PTEs.
-func (u *MMU) MappedPages() int { return len(u.ptes) }
-
 // SetFrameProtection sets or clears Rio write protection on a physical
 // frame and performs the TLB shootdown a real kernel would need. This is
 // the "open/close write permission" primitive file-cache procedures call

@@ -1,25 +1,4 @@
-// Package fleetcampaign is the crash run for the replicated fleet. It
-// answers the question the single-machine run in internal/crashtest
-// cannot: does replication actually extend Rio's durability promise from
-// OS crashes to machine loss?
-//
-// Each run boots a small replicated fleet, acknowledges a batch of
-// writes (each key half absolute write, half append — the op shape
-// whose retries must stay idempotent), injects one fleet-level fault —
-// a machine kill, a full network partition of the primary, a backup
-// loss, a plain OS crash, or a pairwise cut that leaves the primary
-// client-reachable but peer-blind — lets the coordinator converge,
-// keeps writing, and then demands every acknowledged write read back
-// byte-equal. The gate is absolute: Lost and Stale must be zero for every
-// fault kind. A plan is a pure function of (campaign seed, plan index);
-// the fleet scenario kind (internal/scenario) issues plans into
-// crashtest's Scheduler and folds the results in index order.
-//
-// It lives in its own package (not crashtest proper) because the root
-// rio package imports crashtest, and this run needs internal/fleet,
-// which needs rio — same determinism discipline, one level down the
-// import graph.
-package fleetcampaign
+package scenario
 
 import (
 	"fmt"
@@ -30,60 +9,65 @@ import (
 	"rio/internal/wire"
 )
 
-// salt namespaces the fleet plans' derived streams.
-const salt = 0xF1EE7CA3
+// fleetPlanSalt namespaces the fleet plans' derived streams.
+const fleetPlanSalt = 0xF1EE7CA3
 
-// FaultKind is the fault a plan injects. Plans cycle through the kinds
-// by index, so any contiguous run of N >= NumKinds plans covers them all.
-type FaultKind uint8
+// fleetFault is the fault a fleet plan injects. Plans cycle through the
+// kinds by index, so any contiguous run of N >= len(fleetFaultNames)
+// plans covers them all.
+type fleetFault uint8
 
 const (
-	// KillPrimary: the primary's machine dies — memory, protected cache
+	// killPrimary: the primary's machine dies — memory, protected cache
 	// and all. Promotion must recover every acked write from a backup.
-	KillPrimary FaultKind = iota
-	// PartitionPrimary: the primary is unreachable but intact; it is
+	killPrimary fleetFault = iota
+	// partitionPrimary: the primary is unreachable but intact; it is
 	// promoted over, then healed, and must end up fenced.
-	PartitionPrimary
-	// KillBackup: a backup dies. Writes must refuse to ack until the
+	partitionPrimary
+	// killBackup: a backup dies. Writes must refuse to ack until the
 	// coordinator evicts the dead peer and repairs onto a spare.
-	KillBackup
-	// OSCrash: the primary's OS crashes and warm-reboots — the paper's
+	killBackup
+	// osCrash: the primary's OS crashes and warm-reboots — the paper's
 	// own case. No promotion, no snapshot, nothing lost.
-	OSCrash
-	// PartitionPair: pairwise cuts sever the primary from its peers and
+	osCrash
+	// partitionPair: pairwise cuts sever the primary from its peers and
 	// the coordinator while clients can still reach it. Promotion
 	// happens behind its back; the deposed-but-ignorant primary must
 	// refuse reads (the read fence) instead of serving stale bytes.
-	PartitionPair
-
-	NumKinds = 5
+	partitionPair
 )
 
-func (k FaultKind) String() string {
-	switch k {
-	case KillPrimary:
-		return "kill-primary"
-	case PartitionPrimary:
-		return "partition-primary"
-	case KillBackup:
-		return "kill-backup"
-	case OSCrash:
-		return "os-crash"
-	case PartitionPair:
-		return "partition-pair"
-	}
-	return fmt.Sprintf("fleet-fault(%d)", uint8(k))
+// fleetFaultNames is the one table of fault kinds: the index is the
+// kind, the entry is its name in a spec's topology.fleet_faults and,
+// behind "fleet/", its report cell's label; cells come out in this order.
+var fleetFaultNames = [...]string{
+	killPrimary:      "kill-primary",
+	partitionPrimary: "partition-primary",
+	killBackup:       "kill-backup",
+	osCrash:          "os-crash",
+	partitionPair:    "partition-pair",
 }
 
-// Plan is one run's complete script — fault kind, write counts, seed —
-// derived from (campaign seed, index) alone.
-type Plan struct {
-	Index    int
+func (k fleetFault) String() string { return fleetFaultNames[k] }
+
+// fleetFaultByName resolves a fleet fault-kind name.
+func fleetFaultByName(name string) (fleetFault, error) {
+	for k, n := range fleetFaultNames {
+		if n == name {
+			return fleetFault(k), nil
+		}
+	}
+	return 0, fmt.Errorf("scenario: unknown fleet fault kind %q", name)
+}
+
+// fleetPlan is one run's complete script — fault kind, write counts,
+// seed — derived from (campaign seed, index) alone.
+type fleetPlan struct {
 	Seed     uint64
 	Nodes    int
 	Shards   int
 	Replicas int
-	Kind     FaultKind
+	Kind     fleetFault
 	// PreWrites writes are acked before the fault; PostWrites after the
 	// coordinator converges. Every acked write from both phases must
 	// read back byte-equal at the end.
@@ -91,24 +75,23 @@ type Plan struct {
 	PostWrites int
 }
 
-// PlanFor derives plan i of a campaign. Pure function: same seed and
-// index, same plan, on any worker at any time.
-func PlanFor(campaignSeed uint64, i int) Plan {
-	s := sim.Mix(campaignSeed, salt, uint64(i))
-	return Plan{
-		Index:      i,
+// fleetPlanFor derives plan i of a campaign. Pure function: same seed
+// and index, same plan, on any worker at any time.
+func fleetPlanFor(campaignSeed uint64, i int) fleetPlan {
+	s := sim.Mix(campaignSeed, fleetPlanSalt, uint64(i))
+	return fleetPlan{
 		Seed:       s,
 		Nodes:      3,
 		Shards:     2,
 		Replicas:   2,
-		Kind:       FaultKind(i % NumKinds),
+		Kind:       fleetFault(i % len(fleetFaultNames)),
 		PreWrites:  4 + int(sim.Mix(s, 1)%5),
 		PostWrites: 4 + int(sim.Mix(s, 2)%5),
 	}
 }
 
-// payload derives write k's bytes.
-func payload(seed uint64, k int) []byte {
+// fleetPayload derives write k's bytes.
+func fleetPayload(seed uint64, k int) []byte {
 	n := 16 + int(sim.Mix(seed, 0xDA7A, uint64(k))%48)
 	b := make([]byte, n)
 	for i := range b {
@@ -117,9 +100,9 @@ func payload(seed uint64, k int) []byte {
 	return b
 }
 
-// RunResult is one run's outcome.
-type RunResult struct {
-	Plan Plan
+// fleetResult is one run's outcome.
+type fleetResult struct {
+	Plan fleetPlan
 
 	Acked   int // writes acknowledged
 	Unacked int // writes that never acked within the retry budget
@@ -139,17 +122,23 @@ type RunResult struct {
 	Err        string
 }
 
-// retryRounds bounds how many tick-and-retry rounds one write (or
+// fleetRetryRounds bounds how many tick-and-retry rounds one write (or
 // verify read) gets before it is scored unacked/lost. Each round is a
 // full client attempt budget plus one coordinator tick, so the budget
 // covers detection (MissThreshold ticks) and repair with slack.
-const retryRounds = 8
+const fleetRetryRounds = 8
 
-// RunOne executes one fleet crash plan. Traffic is serialized and
-// coordinator ticks are explicit, so the run is a deterministic
-// function of the plan.
-func RunOne(p Plan) (res RunResult) {
-	res = RunResult{Plan: p}
+// runFleetPlan executes one fleet crash plan. It answers the question
+// the single-machine run in internal/crashtest cannot: does replication
+// extend Rio's durability promise from OS crashes to machine loss? It
+// boots a small replicated fleet, acknowledges a batch of writes, injects
+// the plan's fault, lets the coordinator converge, keeps writing, and then
+// demands every acknowledged write read back byte-equal: Lost and Stale
+// must be zero for every fault kind. Traffic is serialized and
+// coordinator ticks are explicit, so the run is a deterministic function
+// of the plan.
+func runFleetPlan(p fleetPlan) (res fleetResult) {
+	res = fleetResult{Plan: p}
 	defer func() {
 		if r := recover(); r != nil {
 			res.Err = fmt.Sprintf("fleet run panic (seed=%d kind=%v): %v", p.Seed, p.Kind, r)
@@ -179,7 +168,7 @@ func RunOne(p Plan) (res RunResult) {
 	// into it, so every retry — including ours across rounds — rewrites
 	// the same bytes at the same offset instead of appending again.
 	do := func(req *wire.Request) bool {
-		for round := 0; round < retryRounds; round++ {
+		for round := 0; round < fleetRetryRounds; round++ {
 			resp, err := cl.Do(req)
 			if err == nil && resp.Status == wire.StatusOK {
 				return true
@@ -197,8 +186,8 @@ func RunOne(p Plan) (res RunResult) {
 	// without its tail is verified as a prefix.
 	write := func(k int) {
 		path := fmt.Sprintf("/w/k%03d", k)
-		head := payload(p.Seed, k)
-		tail := payload(sim.Mix(p.Seed, 0xA99E), k)
+		head := fleetPayload(p.Seed, k)
+		tail := fleetPayload(sim.Mix(p.Seed, 0xA99E), k)
 		if !do(&wire.Request{Op: wire.OpWrite, Shard: -1, Path: path, Data: head}) {
 			res.Unacked++
 			return
@@ -229,21 +218,21 @@ func RunOne(p Plan) (res RunResult) {
 	route0 := f.Table().Routes[0]
 	healAfter := -1
 	switch p.Kind {
-	case KillPrimary:
+	case killPrimary:
 		f.Kill(route0.Primary)
 		ticks(4)
-	case PartitionPrimary:
+	case partitionPrimary:
 		f.Isolate(route0.Primary)
 		ticks(4)
 		// Heal mid-way through the post writes so the deposed primary's
 		// fencing runs under live traffic.
 		healAfter = p.PostWrites / 2
-	case KillBackup:
+	case killBackup:
 		if len(route0.Backups) > 0 {
 			f.Kill(route0.Backups[0])
 			ticks(2)
 		}
-	case OSCrash:
+	case osCrash:
 		n := f.Node(route0.Primary)
 		n.CrashNode()
 		if err := n.WarmbootNode(); err != nil {
@@ -251,7 +240,7 @@ func RunOne(p Plan) (res RunResult) {
 			return res
 		}
 		ticks(1)
-	case PartitionPair:
+	case partitionPair:
 		// Pairwise cuts: the primary loses its peers and the coordinator
 		// but keeps its client links — the stale-read window.
 		tr := f.Transport()
@@ -265,7 +254,7 @@ func RunOne(p Plan) (res RunResult) {
 		healAfter = p.PostWrites / 2
 	}
 
-	if p.Kind == PartitionPair {
+	if p.Kind == partitionPair {
 		// The stale-read probe: rewrite an acked key on the partitioned
 		// shard through the new primary (a fresh client routes straight
 		// there), then read it from the old primary — still reachable by
@@ -285,7 +274,7 @@ func RunOne(p Plan) (res RunResult) {
 			}
 			fresh := f.Client(nil)
 			rewACK := false
-			for round := 0; round < retryRounds; round++ {
+			for round := 0; round < fleetRetryRounds; round++ {
 				resp, err := fresh.Do(&wire.Request{Op: wire.OpWrite, Shard: -1, Path: acked[probe].path, Data: rew})
 				if err == nil && resp.Status == wire.StatusOK {
 					rewACK = true
@@ -319,7 +308,7 @@ func RunOne(p Plan) (res RunResult) {
 	// to the fleet.
 	for _, aw := range acked {
 		ok := false
-		for round := 0; round < retryRounds; round++ {
+		for round := 0; round < fleetRetryRounds; round++ {
 			resp, err := cl.Do(&wire.Request{Op: wire.OpRead, Shard: -1, Path: aw.path})
 			if err == nil && resp.Status == wire.StatusOK {
 				if aw.prefix {

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"path/filepath"
 	"testing"
 )
 
@@ -14,6 +15,8 @@ func FuzzParseScenario(f *testing.F) {
 	f.Add([]byte(`{"name":"f","kind":"fleet","runs":5,"topology":{"nodes":3,"shards":2,"replicas":2,"fleet_faults":["os-crash"]}}`))
 	f.Add([]byte(`{"name":"d","kind":"crash","runs":6,"workload":{"name":"scan","segments":2,"batches_per_seg":4},"faults":{"disk_faults":true,"count":10}}`))
 	f.Add([]byte(`{"name":"x","kind":"crash","runs":1,"workload":{"name":"metacache","files":8,"skew":0.9},"schedule":{"warmup_ops":10,"max_ops":50}}`))
+	f.Add([]byte(`{"name":"../../x","kind":"crash","runs":1}`))
+	f.Add([]byte(`{"name":".x","kind":"fleet","runs":1}`))
 	f.Add([]byte(`{`))
 	f.Add([]byte(`[1,2,3]`))
 	f.Add([]byte(`{"name":"t","kind":"crash","runs":1e9}`))
@@ -26,6 +29,9 @@ func FuzzParseScenario(f *testing.F) {
 		}
 		// Parsed specs are validated: spot-check the bounds that guard
 		// allocation downstream.
+		if s.Name != filepath.Base(s.Name) || s.Name[0] == '.' {
+			t.Fatalf("validated spec has a name that is not a plain file name: %q", s.Name)
+		}
 		if s.Runs <= 0 || s.Runs > maxRuns {
 			t.Fatalf("validated spec has runs out of bounds: %d", s.Runs)
 		}

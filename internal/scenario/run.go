@@ -2,11 +2,11 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
 	"rio/internal/crashtest"
-	"rio/internal/crashtest/fleetcampaign"
 	"rio/internal/fault"
 	"rio/internal/kernel"
 	"rio/internal/machine"
@@ -167,7 +167,6 @@ func (r *Runner) runCrash(spec *Spec) (*Result, error) {
 				MaxOps:       spec.Schedule.MaxOps,
 				FaultCount:   spec.Faults.Count,
 				MemTestBytes: spec.Workload.Bytes,
-				VMBudget:     400_000,
 				DiskFaults:   spec.Faults.DiskFaults,
 			}, mk)
 		}
@@ -371,38 +370,35 @@ func runServerPlan(spec *Spec, seed uint64) (o serverPlanOutcome, err error) {
 // --- fleet kind ---
 
 func (r *Runner) runFleet(spec *Spec) (*Result, error) {
-	// One cell per fault kind in the scenario's set, in kind order;
-	// plans cycle through the set in the order the spec lists it.
-	var kinds []fleetcampaign.FaultKind
+	// Plans cycle through the scenario's kind set in the order the spec
+	// lists it; the report has one cell per kind in the set, in table
+	// order.
+	var kinds []fleetFault
 	for _, name := range spec.Topology.FleetFaults {
 		k, _ := fleetFaultByName(name) // Validate already resolved
 		kinds = append(kinds, k)
 	}
 	if len(kinds) == 0 {
-		for k := fleetcampaign.FaultKind(0); k < fleetcampaign.NumKinds; k++ {
-			kinds = append(kinds, k)
+		for k := range fleetFaultNames {
+			kinds = append(kinds, fleetFault(k))
 		}
 	}
 	out := &Result{Name: spec.Name, Kind: spec.Kind, Seed: spec.Seed, Runs: spec.Runs}
-	var inSet [fleetcampaign.NumKinds]bool
-	for _, k := range kinds {
-		inSet[k] = true
-	}
-	var cellOf [fleetcampaign.NumKinds]int
-	for k := fleetcampaign.FaultKind(0); k < fleetcampaign.NumKinds; k++ {
-		if inSet[k] {
+	var cellOf [len(fleetFaultNames)]int
+	for k, name := range fleetFaultNames {
+		if slices.Contains(kinds, fleetFault(k)) {
 			cellOf[k] = len(out.Cells)
-			out.Cells = append(out.Cells, Cell{Label: "fleet/" + k.String()})
+			out.Cells = append(out.Cells, Cell{Label: "fleet/" + name})
 		}
 	}
 
-	plan := func(i int, _ *machine.Storage) (fleetcampaign.RunResult, error) {
-		p := fleetcampaign.PlanFor(spec.Seed, i)
+	plan := func(i int, _ *machine.Storage) (fleetResult, error) {
+		p := fleetPlanFor(spec.Seed, i)
 		p.Kind = kinds[i%len(kinds)]
 		p.Nodes, p.Shards, p.Replicas = spec.Topology.Nodes, spec.Topology.Shards, spec.Topology.Replicas
-		return fleetcampaign.RunOne(p), nil
+		return runFleetPlan(p), nil
 	}
-	return runPlans(r, spec, out, plan, func(o crashtest.Outcome[fleetcampaign.RunResult]) {
+	return runPlans(r, spec, out, plan, func(o crashtest.Outcome[fleetResult]) {
 		res := &o.Res
 		c := &out.Cells[cellOf[res.Plan.Kind]]
 		c.Runs++

@@ -14,9 +14,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strings"
 
 	"rio/internal/crashtest"
-	"rio/internal/crashtest/fleetcampaign"
 	"rio/internal/fault"
 )
 
@@ -35,7 +35,9 @@ const (
 // "engine default"; Validate fills defaults in place so a validated
 // spec is also the canonical one.
 type Spec struct {
-	// Name labels the report row; defaults to the file stem in rioscn.
+	// Name labels the report row and names the report file rioscn writes
+	// (-json-dir DIR/<name>.json), so it is required and restricted to
+	// [A-Za-z0-9._-] with no leading dot.
 	Name string `json:"name"`
 	// Kind picks the plan's run: crash, server, or fleet.
 	Kind string `json:"kind"`
@@ -118,6 +120,9 @@ type TopologySpec struct {
 	FleetFaults []string `json:"fleet_faults,omitempty"`
 }
 
+// nameChars is what a scenario's name may consist of.
+const nameChars = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789._-"
+
 // bounds for hand-written configuration; anything past these is a typo
 // or an attack, not a bigger experiment.
 const (
@@ -173,6 +178,9 @@ func (s *Spec) Validate() error {
 	}
 	if len(s.Name) > 128 {
 		return fmt.Errorf("scenario: name longer than 128 bytes")
+	}
+	if strings.Trim(s.Name, nameChars) != "" || s.Name[0] == '.' {
+		return fmt.Errorf("scenario: name %q is a file name: only [A-Za-z0-9._-], no leading dot", s.Name)
 	}
 	switch s.Kind {
 	case KindCrash, KindServer, KindFleet:
@@ -365,9 +373,9 @@ func (t *TopologySpec) validate(kind, wl string) error {
 		if t.Replicas > t.Nodes {
 			return fmt.Errorf("scenario: replicas %d exceed nodes %d", t.Replicas, t.Nodes)
 		}
-		if len(t.FleetFaults) > int(fleetcampaign.NumKinds) {
+		if len(t.FleetFaults) > len(fleetFaultNames) {
 			return fmt.Errorf("scenario: topology.fleet_faults lists %d entries, only %d exist",
-				len(t.FleetFaults), fleetcampaign.NumKinds)
+				len(t.FleetFaults), len(fleetFaultNames))
 		}
 		for _, name := range t.FleetFaults {
 			if _, err := fleetFaultByName(name); err != nil {
@@ -396,14 +404,4 @@ func systemByName(name string) (crashtest.System, error) {
 		}
 	}
 	return 0, fmt.Errorf("scenario: unknown system %q", name)
-}
-
-// fleetFaultByName resolves a fleet fault-kind name.
-func fleetFaultByName(name string) (fleetcampaign.FaultKind, error) {
-	for k := fleetcampaign.FaultKind(0); k < fleetcampaign.NumKinds; k++ {
-		if k.String() == name {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("scenario: unknown fleet fault kind %q", name)
 }

@@ -56,6 +56,8 @@ func TestParseRejects(t *testing.T) {
 		{"negative bytes", `{"name":"t","kind":"crash","runs":1,"workload":{"bytes":-5}}`},
 		{"faults on fleet", `{"name":"t","kind":"fleet","runs":1,"faults":{"count":5}}`},
 		{"long name", `{"name":"` + strings.Repeat("x", 200) + `","kind":"crash","runs":1}`},
+		{"name escapes the report dir", `{"name":"../../x","kind":"crash","runs":1}`},
+		{"hidden name", `{"name":".x","kind":"crash","runs":1}`},
 	}
 	for _, tc := range cases {
 		if _, err := Parse([]byte(tc.in)); err == nil {

@@ -320,16 +320,7 @@ type RetryClient struct {
 	// old client is closed and replaced. Works over any transport —
 	// DialTCP, DialMux, or an in-process resolver.
 	Redial func(addr string) (Client, error)
-
-	// sleep is the backoff seam; tests and deterministic harnesses
-	// replace it. nil means time.Sleep.
-	sleep func(time.Duration)
 }
-
-// SetSleep replaces the backoff sleep (nil restores time.Sleep). The
-// fleet campaign injects a no-op so retry schedules stay bounded by
-// attempt count, not wall time.
-func (r *RetryClient) SetSleep(fn func(time.Duration)) { r.sleep = fn }
 
 // Do implements Client.
 func (r *RetryClient) Do(req *wire.Request) (*wire.Response, error) {
@@ -340,11 +331,7 @@ func (r *RetryClient) Do(req *wire.Request) (*wire.Response, error) {
 	for n := 0; n < r.Pol.MaxRetries && resp.Status.Retryable(); n++ {
 		if d := r.Pol.Delay(n); d > 0 {
 			r.Stats.Backoff += d
-			if r.sleep != nil {
-				r.sleep(d)
-			} else {
-				time.Sleep(d)
-			}
+			time.Sleep(d)
 		}
 		r.Stats.Retries++
 		if resp, err = r.doMoved(req); err != nil {

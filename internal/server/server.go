@@ -31,6 +31,7 @@ import (
 
 	"rio"
 	"rio/internal/fs"
+	"rio/internal/sim"
 	"rio/internal/txn"
 	"rio/internal/wire"
 )
@@ -264,16 +265,7 @@ func (s *Server) NumShards() int { return len(s.shards) }
 // on routing never drifting — and the fleet routes with this same
 // function, so the two layers cannot disagree.
 func ShardOf(path string, shards int) int {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(path); i++ {
-		h ^= uint64(path[i])
-		h *= prime64
-	}
-	return int(h % uint64(shards))
+	return int(sim.FNV1a64(path) % uint64(shards))
 }
 
 // ShardOf returns the shard of this server a path routes to.

@@ -30,3 +30,16 @@ func Mix(parts ...uint64) uint64 {
 	}
 	return x
 }
+
+// FNV1a64 is FNV-1a 64 over b: the module's one frame checksum and path
+// hash (txn commit records, the workloads' framed files, the fleet's
+// frames, shard routing). Like Mix its output is stable forever — it is
+// hash/fnv's New64a, which a test holds it to.
+func FNV1a64[T ~string | ~[]byte](b T) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(b); i++ {
+		h ^= uint64(b[i])
+		h *= 1099511628211
+	}
+	return h
+}

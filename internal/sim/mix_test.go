@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"hash/fnv"
+	"testing"
+)
 
 func TestMixDeterministic(t *testing.T) {
 	if Mix(1, 2, 3) != Mix(1, 2, 3) {
@@ -55,5 +58,15 @@ func TestMixFeedsIndependentStreams(t *testing.T) {
 	}
 	if same < 16 || same > 48 {
 		t.Fatalf("adjacent-coordinate streams look correlated: %d/64 agree", same)
+	}
+}
+
+func TestFNV1a64IsHashFNV(t *testing.T) {
+	for _, in := range []string{"", "a", "/spool/d03/m-17", string(make([]byte, 300))} {
+		h := fnv.New64a()
+		h.Write([]byte(in))
+		if got := FNV1a64(in); got != h.Sum64() || got != FNV1a64([]byte(in)) {
+			t.Fatalf("FNV1a64(%q) = %#x / %#x, hash/fnv says %#x", in, got, FNV1a64([]byte(in)), h.Sum64())
+		}
 	}
 }

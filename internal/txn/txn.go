@@ -41,12 +41,15 @@
 package txn
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
 	"strings"
 
 	"rio/internal/fs"
+	"rio/internal/sim"
+	"rio/internal/wire"
 )
 
 // OpKind identifies one transactional operation.
@@ -173,52 +176,28 @@ func isCanonical(path string) bool {
 	return true
 }
 
-// fnv1a64 is FNV-1a over b (the registry's checksum, reimplemented here
-// so the frame format is self-contained).
-func fnv1a64(b []byte) uint64 {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= prime64
-	}
-	return h
-}
-
-func appendU16(dst []byte, v uint16) []byte { return append(dst, byte(v>>8), byte(v)) }
-func appendU32(dst []byte, v uint32) []byte {
-	return append(dst, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-func appendU64(dst []byte, v uint64) []byte {
-	return append(dst, byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
-		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
 // AppendRecord appends rec's frame to dst: magic, checksum, then the
 // checksummed body (id, op count, ops). The checksum covers everything
 // after itself, so a frame torn at any byte fails verification.
 func AppendRecord(dst []byte, rec *Record) []byte {
-	dst = appendU64(dst, frameMagic)
+	dst = binary.BigEndian.AppendUint64(dst, frameMagic)
 	cksumAt := len(dst)
-	dst = appendU64(dst, 0) // checksum placeholder
+	dst = binary.BigEndian.AppendUint64(dst, 0) // checksum placeholder
 	bodyAt := len(dst)
-	dst = appendU64(dst, rec.ID)
-	dst = appendU32(dst, uint32(len(rec.Ops)))
+	dst = binary.BigEndian.AppendUint64(dst, rec.ID)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(rec.Ops)))
 	for i := range rec.Ops {
 		op := &rec.Ops[i]
 		dst = append(dst, byte(op.Kind))
-		dst = appendU64(dst, uint64(op.Off))
-		dst = appendU16(dst, uint16(len(op.Path)))
+		dst = binary.BigEndian.AppendUint64(dst, uint64(op.Off))
+		dst = binary.BigEndian.AppendUint16(dst, uint16(len(op.Path)))
 		dst = append(dst, op.Path...)
-		dst = appendU16(dst, uint16(len(op.Path2)))
+		dst = binary.BigEndian.AppendUint16(dst, uint16(len(op.Path2)))
 		dst = append(dst, op.Path2...)
-		dst = appendU32(dst, uint32(len(op.Data)))
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(op.Data)))
 		dst = append(dst, op.Data...)
 	}
-	ck := fnv1a64(dst[bodyAt:])
-	for i := 0; i < 8; i++ {
-		dst[cksumAt+i] = byte(ck >> (56 - 8*i))
-	}
+	binary.BigEndian.PutUint64(dst[cksumAt:], sim.FNV1a64(dst[bodyAt:]))
 	return dst
 }
 
@@ -233,118 +212,39 @@ func (r *Record) EncodedSize() int {
 	return n
 }
 
-// recCursor is a bounds-checked reader over one frame body. The first
-// failure sticks, as in the wire codec.
-type recCursor struct {
-	buf []byte
-	off int
-	bad bool
-}
-
-func (c *recCursor) take(n int) []byte {
-	if c.bad || n < 0 || c.off+n > len(c.buf) || c.off+n < c.off {
-		c.bad = true
-		return nil
-	}
-	b := c.buf[c.off : c.off+n]
-	c.off += n
-	return b
-}
-
-func (c *recCursor) u16() uint16 {
-	b := c.take(2)
-	if b == nil {
-		return 0
-	}
-	return uint16(b[0])<<8 | uint16(b[1])
-}
-
-func (c *recCursor) u32() uint32 {
-	b := c.take(4)
-	if b == nil {
-		return 0
-	}
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
-}
-
-func (c *recCursor) u64() uint64 {
-	b := c.take(8)
-	if b == nil {
-		return 0
-	}
-	var v uint64
-	for _, x := range b {
-		v = v<<8 | uint64(x)
-	}
-	return v
-}
-
 // parseRecord decodes one frame from the front of buf, returning the
 // record and the bytes consumed. ok is false for anything malformed —
 // wrong magic, truncation, over-limit length, checksum mismatch — which
 // Recover treats as the torn tail: discard it and everything after.
 func parseRecord(buf []byte) (rec Record, n int, ok bool) {
-	c := &recCursor{buf: buf}
-	if c.u64() != frameMagic {
+	c := wire.Cursor{Buf: buf}
+	if c.U64() != frameMagic {
 		return rec, 0, false
 	}
-	declared := c.u64()
-	bodyAt := c.off
-	rec.ID = c.u64()
-	nops := c.u32()
-	if c.bad || nops > MaxOps {
+	declared := c.U64()
+	bodyAt := c.Off
+	rec.ID = c.U64()
+	nops := c.U32()
+	if c.Err != nil || nops > MaxOps {
 		return rec, 0, false
 	}
 	rec.Ops = make([]Op, 0, nops)
 	for i := uint32(0); i < nops; i++ {
 		var op Op
-		kb := c.take(1)
-		if kb == nil {
+		op.Kind = OpKind(c.U8())
+		op.Off = int64(c.U64())
+		op.Path = c.Str16(MaxPathLen)
+		op.Path2 = c.Str16(MaxPathLen)
+		op.Data = c.Bytes32(MaxDataLen, false)
+		if c.Err != nil || op.Kind < OpWrite || op.Kind > OpRename {
 			return rec, 0, false
-		}
-		op.Kind = OpKind(kb[0])
-		if op.Kind < OpWrite || op.Kind > OpRename {
-			return rec, 0, false
-		}
-		op.Off = int64(c.u64())
-		pl := int(c.u16())
-		if pl > MaxPathLen {
-			return rec, 0, false
-		}
-		p := c.take(pl)
-		if p == nil {
-			return rec, 0, false
-		}
-		op.Path = string(p)
-		p2l := int(c.u16())
-		if p2l > MaxPathLen {
-			return rec, 0, false
-		}
-		p2 := c.take(p2l)
-		if p2 == nil {
-			return rec, 0, false
-		}
-		op.Path2 = string(p2)
-		dl := int(c.u32())
-		if dl > MaxDataLen {
-			return rec, 0, false
-		}
-		d := c.take(dl)
-		if d == nil {
-			return rec, 0, false
-		}
-		if dl > 0 {
-			op.Data = append([]byte(nil), d...)
 		}
 		rec.Ops = append(rec.Ops, op)
 	}
-	if c.bad {
+	if sim.FNV1a64(buf[bodyAt:c.Off]) != declared {
 		return rec, 0, false
 	}
-	if fnv1a64(buf[bodyAt:c.off]) != declared {
-		return rec, 0, false
-	}
-	return rec, c.off, true
+	return rec, c.Off, true
 }
 
 // ParseAll decodes the contiguous valid record prefix of data. The first
@@ -844,7 +744,7 @@ func (l *Log) Quarantine(rec *Record) error {
 	}
 	var buf []byte
 	if off == 0 {
-		buf = appendU64(buf, quarantineMagic)
+		buf = binary.BigEndian.AppendUint64(buf, quarantineMagic)
 	}
 	buf = AppendRecord(buf, rec)
 	f, err := l.fs.Open(QuarantinePath)

@@ -311,15 +311,38 @@ func TestRecoverFromSalvage(t *testing.T) {
 	}
 }
 
-// Oversize declared lengths must be rejected before allocation.
+// Oversize declared lengths must be rejected before allocation, and
+// bytes after the last sealed frame are a torn tail, not a record.
 func TestParseRejectsOversize(t *testing.T) {
 	rec := Record{ID: 9, Ops: []Op{{Kind: OpWrite, Path: "/x", Data: []byte("d")}}}
 	buf := AppendRecord(nil, &rec)
-	// nops sits after magic(8)+cksum(8)+id(8) = offset 24.
-	mut := append([]byte(nil), buf...)
-	mut[24], mut[25], mut[26], mut[27] = 0xff, 0xff, 0xff, 0xff
-	if got := ParseAll(mut); len(got) != 0 {
-		t.Fatalf("oversize nops parsed: %+v", got)
+	// The body starts after magic(8)+cksum(8): id(8), nops(4), then the
+	// op's kind(1), off(8), path length(2), path(2), path2 length(2),
+	// data length(4).
+	for _, c := range []struct {
+		name string
+		at   int
+		put  []byte
+	}{
+		{"nops", 24, []byte{0xff, 0xff, 0xff, 0xff}},
+		{"path length", 37, []byte{0xff, 0xff}},
+		{"path2 length", 41, []byte{0xff, 0xff}},
+		{"data length", 43, []byte{0xff, 0xff, 0xff, 0xff}},
+	} {
+		mut := append([]byte(nil), buf...)
+		copy(mut[c.at:], c.put)
+		if got := ParseAll(mut); len(got) != 0 {
+			t.Fatalf("oversize %s parsed: %+v", c.name, got)
+		}
+		if n := testing.AllocsPerRun(10, func() { ParseAll(mut) }); n > 4 {
+			t.Fatalf("oversize %s: %.0f allocations before the refusal", c.name, n)
+		}
+	}
+	for _, tail := range [][]byte{{0}, buf[:8], bytes.Repeat([]byte{0xff}, 64)} {
+		got := ParseAll(append(append([]byte(nil), buf...), tail...))
+		if len(got) != 1 || got[0].ID != 9 {
+			t.Fatalf("%d trailing bytes: parsed %+v, want the one sealed record", len(tail), got)
+		}
 	}
 }
 

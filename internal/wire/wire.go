@@ -285,18 +285,18 @@ func DecodeRequest(buf []byte) (*Request, error) { return decodeRequest(buf, fal
 func DecodeRequestAliased(buf []byte) (*Request, error) { return decodeRequest(buf, true) }
 
 func decodeRequest(buf []byte, alias bool) (*Request, error) {
-	c := cursor{buf: buf}
+	c := Cursor{Buf: buf}
 	var r Request
-	r.ID = c.u64()
-	r.Op = Op(c.u8())
-	r.Shard = int32(c.u32())
-	r.Offset = int64(c.u64())
-	r.Len = c.u32()
-	r.Txn = c.u64()
-	r.Path = c.str16(MaxPath)
-	r.Path2 = c.str16(MaxPath)
-	r.Data = c.bytes32(MaxData, alias)
-	if err := c.finish(); err != nil {
+	r.ID = c.U64()
+	r.Op = Op(c.U8())
+	r.Shard = int32(c.U32())
+	r.Offset = int64(c.U64())
+	r.Len = c.U32()
+	r.Txn = c.U64()
+	r.Path = c.Str16(MaxPath)
+	r.Path2 = c.Str16(MaxPath)
+	r.Data = c.Bytes32(MaxData, alias)
+	if err := c.Finish(); err != nil {
 		return nil, err
 	}
 	if !r.Op.Valid() {
@@ -357,15 +357,15 @@ func ReserveResponseFrame(dst []byte, r *Response, dataLen int) (buf []byte, off
 
 // DecodeResponse decodes exactly one response from buf.
 func DecodeResponse(buf []byte) (*Response, error) {
-	c := cursor{buf: buf}
+	c := Cursor{Buf: buf}
 	var r Response
-	r.ID = c.u64()
-	r.Status = Status(c.u8())
-	r.Flags = c.u8()
-	r.Size = int64(c.u64())
-	r.Data = c.bytes32(MaxData, false)
-	r.Msg = c.str16(MaxMsg)
-	if err := c.finish(); err != nil {
+	r.ID = c.U64()
+	r.Status = Status(c.U8())
+	r.Flags = c.U8()
+	r.Size = int64(c.U64())
+	r.Data = c.Bytes32(MaxData, false)
+	r.Msg = c.Str16(MaxMsg)
+	if err := c.Finish(); err != nil {
 		return nil, err
 	}
 	if r.Status >= statusMax {
@@ -425,89 +425,101 @@ func appendString16(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// cursor is a bounds-checked sequential reader. The first failure
-// sticks; every later read returns zero values.
-type cursor struct {
-	buf []byte
-	off int
-	err error
+// Cursor is a bounds-checked sequential reader over Buf, the one decoder
+// of this module's big-endian formats (wire messages, txn commit records,
+// the fleet's frames). The first failure sticks in Err; every later read
+// returns zero values.
+type Cursor struct {
+	Buf []byte
+	Off int
+	Err error
 }
 
-func (c *cursor) take(n int) []byte {
-	if c.err != nil {
+// Take returns the next n bytes as a view of Buf, or nil (and a sticky
+// ErrTruncated) when fewer remain.
+func (c *Cursor) Take(n int) []byte {
+	if c.Err != nil {
 		return nil
 	}
-	if n < 0 || c.off+n > len(c.buf) || c.off+n < c.off {
-		c.err = ErrTruncated
+	if n < 0 || c.Off+n > len(c.Buf) || c.Off+n < c.Off {
+		c.Err = ErrTruncated
 		return nil
 	}
-	b := c.buf[c.off : c.off+n]
-	c.off += n
+	b := c.Buf[c.Off : c.Off+n]
+	c.Off += n
 	return b
 }
 
-func (c *cursor) u8() uint8 {
-	b := c.take(1)
+func (c *Cursor) U8() uint8 {
+	b := c.Take(1)
 	if b == nil {
 		return 0
 	}
 	return b[0]
 }
 
-func (c *cursor) u32() uint32 {
-	b := c.take(4)
+func (c *Cursor) U16() uint16 {
+	b := c.Take(2)
+	if b == nil {
+		return 0
+	}
+	return binary.BigEndian.Uint16(b)
+}
+
+func (c *Cursor) U32() uint32 {
+	b := c.Take(4)
 	if b == nil {
 		return 0
 	}
 	return binary.BigEndian.Uint32(b)
 }
 
-func (c *cursor) u64() uint64 {
-	b := c.take(8)
+func (c *Cursor) U64() uint64 {
+	b := c.Take(8)
 	if b == nil {
 		return 0
 	}
 	return binary.BigEndian.Uint64(b)
 }
 
-// str16 reads a u16-prefixed string of at most max bytes. The length is
+// Str16 reads a u16-prefixed string of at most max bytes. The length is
 // validated against the remaining buffer before the string is
 // materialised, so a lying prefix cannot over-allocate.
-func (c *cursor) str16(max int) string {
-	b := c.take(2)
+func (c *Cursor) Str16(max int) string {
+	b := c.Take(2)
 	if b == nil {
 		return ""
 	}
 	n := int(binary.BigEndian.Uint16(b))
 	if n > max {
-		if c.err == nil {
-			c.err = ErrTooLong
+		if c.Err == nil {
+			c.Err = ErrTooLong
 		}
 		return ""
 	}
-	s := c.take(n)
+	s := c.Take(n)
 	if s == nil {
 		return ""
 	}
 	return string(s)
 }
 
-// bytes32 reads a u32-prefixed byte slice of at most max bytes: copied
+// Bytes32 reads a u32-prefixed byte slice of at most max bytes: copied
 // out of the frame so the caller may retain it, or — alias — a view of
 // the frame itself, valid only as long as the frame is.
-func (c *cursor) bytes32(max int, alias bool) []byte {
-	b := c.take(4)
+func (c *Cursor) Bytes32(max int, alias bool) []byte {
+	b := c.Take(4)
 	if b == nil {
 		return nil
 	}
 	n := int64(binary.BigEndian.Uint32(b))
 	if n > int64(max) {
-		if c.err == nil {
-			c.err = ErrTooLong
+		if c.Err == nil {
+			c.Err = ErrTooLong
 		}
 		return nil
 	}
-	p := c.take(int(n))
+	p := c.Take(int(n))
 	if p == nil {
 		return nil
 	}
@@ -522,11 +534,12 @@ func (c *cursor) bytes32(max int, alias bool) []byte {
 	return out
 }
 
-func (c *cursor) finish() error {
-	if c.err != nil {
-		return c.err
+// Finish reports the sticky error, or ErrTrailing when bytes remain.
+func (c *Cursor) Finish() error {
+	if c.Err != nil {
+		return c.Err
 	}
-	if c.off != len(c.buf) {
+	if c.Off != len(c.Buf) {
 		return ErrTrailing
 	}
 	return nil

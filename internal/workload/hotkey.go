@@ -103,7 +103,7 @@ func (hk *HotKey) frame(k int, ver uint64) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, ver)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(p)))
 	buf = append(buf, p...)
-	return binary.BigEndian.AppendUint64(buf, fnv64(buf[8:]))
+	return binary.BigEndian.AppendUint64(buf, sim.FNV1a64(buf[8:]))
 }
 
 // Setup creates /hot.
@@ -238,7 +238,7 @@ func (hk *HotKey) readKey(fsys *fs.FS, k int) (uint64, string) {
 	}
 	if binary.BigEndian.Uint64(b) != hkMagic ||
 		binary.BigEndian.Uint64(b[8:]) != uint64(k) ||
-		binary.BigEndian.Uint64(b[want-8:]) != fnv64(b[8:want-8]) {
+		binary.BigEndian.Uint64(b[want-8:]) != sim.FNV1a64(b[8:want-8]) {
 		return 0, "half-written frame"
 	}
 	ver := binary.BigEndian.Uint64(b[16:])

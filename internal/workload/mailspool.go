@@ -97,7 +97,7 @@ func (ms *MailSpool) frame(id uint64) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, id)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(p)))
 	buf = append(buf, p...)
-	return binary.BigEndian.AppendUint64(buf, fnv64(buf[8:]))
+	return binary.BigEndian.AppendUint64(buf, sim.FNV1a64(buf[8:]))
 }
 
 // Setup creates the spool directories.

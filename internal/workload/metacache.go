@@ -118,7 +118,7 @@ func (mc *MetaCache) srcFrame(i int, ver uint64) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, ver)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(p)))
 	buf = append(buf, p...)
-	return binary.BigEndian.AppendUint64(buf, fnv64(buf[8:]))
+	return binary.BigEndian.AppendUint64(buf, sim.FNV1a64(buf[8:]))
 }
 
 // entryFrame builds the cache entry recording (ver, size, digest) for
@@ -129,8 +129,8 @@ func (mc *MetaCache) entryFrame(i int, ver uint64) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, mcCacheMagic)
 	buf = binary.BigEndian.AppendUint64(buf, ver)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(p)))
-	buf = binary.BigEndian.AppendUint64(buf, fnv64(p))
-	return binary.BigEndian.AppendUint64(buf, fnv64(buf[8:]))
+	buf = binary.BigEndian.AppendUint64(buf, sim.FNV1a64(p))
+	return binary.BigEndian.AppendUint64(buf, sim.FNV1a64(buf[8:]))
 }
 
 // writeFile rewrites path with img in place (fixed-size frames) and
@@ -233,7 +233,7 @@ func (mc *MetaCache) doLookup(fsys *fs.FS, i int) error {
 	}
 	// Hit: the recorded digest must match the bytes we just read.
 	plen := int(binary.BigEndian.Uint32(src[16:]))
-	if fnv64(src[mcSrcHeader:mcSrcHeader+plen]) != binary.BigEndian.Uint64(ent[20:]) {
+	if sim.FNV1a64(src[mcSrcHeader:mcSrcHeader+plen]) != binary.BigEndian.Uint64(ent[20:]) {
 		mc.ReadMismatches++
 	}
 	return nil
@@ -350,7 +350,7 @@ func (mc *MetaCache) Check(fsys *fs.FS) Verdict {
 		if ever == curVer {
 			// A hit after recovery: the derived metadata must be true.
 			p := mc.payload(i, curVer)
-			if int(size) != len(p) || digest != fnv64(p) {
+			if int(size) != len(p) || digest != sim.FNV1a64(p) {
 				v.Corruptions = append(v.Corruptions, Corruption{mc.cachePath(i),
 					fmt.Sprintf("lying hit: entry keys v%d but digest disagrees", ever)})
 			}
@@ -360,7 +360,7 @@ func (mc *MetaCache) Check(fsys *fs.FS) Verdict {
 		// could have written (internally consistent with some real
 		// version), else its bytes were smashed.
 		p := mc.payload(i, ever)
-		if ever > mc.srcVer[i]+1 || int(size) != len(p) || digest != fnv64(p) {
+		if ever > mc.srcVer[i]+1 || int(size) != len(p) || digest != sim.FNV1a64(p) {
 			v.Corruptions = append(v.Corruptions, Corruption{mc.cachePath(i),
 				fmt.Sprintf("smashed entry at v%d", ever)})
 		}
@@ -378,7 +378,7 @@ func (mc *MetaCache) decodeSrc(i int, b []byte) (uint64, string) {
 	if binary.BigEndian.Uint64(b) != mcSrcMagic {
 		return 0, "bad magic"
 	}
-	if binary.BigEndian.Uint64(b[want-8:]) != fnv64(b[8:want-8]) {
+	if binary.BigEndian.Uint64(b[want-8:]) != sim.FNV1a64(b[8:want-8]) {
 		return 0, "checksum mismatch"
 	}
 	ver := binary.BigEndian.Uint64(b[8:])
@@ -403,7 +403,7 @@ func (mc *MetaCache) decodeEntry(b []byte) (uint64, uint32, uint64, string) {
 	if binary.BigEndian.Uint64(b) != mcCacheMagic {
 		return 0, 0, 0, "bad entry magic"
 	}
-	if binary.BigEndian.Uint64(b[mcEntryLen-8:]) != fnv64(b[8:mcEntryLen-8]) {
+	if binary.BigEndian.Uint64(b[mcEntryLen-8:]) != sim.FNV1a64(b[8:mcEntryLen-8]) {
 		return 0, 0, 0, "entry checksum mismatch"
 	}
 	return binary.BigEndian.Uint64(b[8:]), binary.BigEndian.Uint32(b[16:]),

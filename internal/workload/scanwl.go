@@ -99,7 +99,7 @@ func (sc *Scan) headerFrame(seg int, gen uint64) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, scanMagic)
 	buf = binary.BigEndian.AppendUint64(buf, uint64(seg))
 	buf = binary.BigEndian.AppendUint64(buf, gen)
-	return binary.BigEndian.AppendUint64(buf, fnv64(buf[8:24]))
+	return binary.BigEndian.AppendUint64(buf, sim.FNV1a64(buf[8:24]))
 }
 
 // batchFrame builds batch frame b of (seg, gen).
@@ -108,7 +108,7 @@ func (sc *Scan) batchFrame(seg int, gen uint64, b int) []byte {
 	buf := make([]byte, 0, n)
 	buf = binary.BigEndian.AppendUint64(buf, uint64(b))
 	buf = append(buf, kernel.FillBytes(n-16, sim.Mix(sc.seed, uint64(seg), gen, uint64(b))|1)...)
-	return binary.BigEndian.AppendUint64(buf, fnv64(buf[:n-8]))
+	return binary.BigEndian.AppendUint64(buf, sim.FNV1a64(buf[:n-8]))
 }
 
 // Setup creates /scan and generation-1 headers for every segment.
@@ -314,7 +314,7 @@ func (sc *Scan) decodeHeader(seg int, b []byte) (uint64, string) {
 	}
 	if binary.BigEndian.Uint64(b) != scanMagic ||
 		binary.BigEndian.Uint64(b[8:]) != uint64(seg) ||
-		binary.BigEndian.Uint64(b[24:]) != fnv64(b[8:24]) {
+		binary.BigEndian.Uint64(b[24:]) != sim.FNV1a64(b[8:24]) {
 		return 0, "smashed header"
 	}
 	return binary.BigEndian.Uint64(b[16:]), ""

@@ -88,18 +88,7 @@ func (tt *TxnTest) acctContent(id uint64, acct int) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(acct))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(plen))
 	buf = append(buf, kernel.FillBytes(plen, sim.Mix(tt.seed, id, uint64(acct)))...)
-	sum := acctCksum(buf[8:])
-	return binary.BigEndian.AppendUint64(buf, sum)
-}
-
-// acctCksum is FNV-1a-64 over everything after the magic.
-func acctCksum(b []byte) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 0x100000001b3
-	}
-	return h
+	return binary.BigEndian.AppendUint64(buf, sim.FNV1a64(buf[8:]))
 }
 
 // record builds the commit record rewriting every account to id.
@@ -252,7 +241,7 @@ func (tt *TxnTest) decodeAcct(fsys *fs.FS, acct int) (uint64, string) {
 	if got := binary.BigEndian.Uint32(data[20:]); got != uint32(tt.payloadLen(acct)) {
 		return 0, fmt.Sprintf("payload length field %d, want %d", got, tt.payloadLen(acct))
 	}
-	if got := binary.BigEndian.Uint64(data[want-acctFooter:]); got != acctCksum(data[8:want-acctFooter]) {
+	if got := binary.BigEndian.Uint64(data[want-acctFooter:]); got != sim.FNV1a64(data[8:want-acctFooter]) {
 		return 0, "checksum mismatch"
 	}
 	// The frame is internally consistent; it must also match the oracle

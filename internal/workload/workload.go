@@ -51,17 +51,6 @@ func (v *Verdict) Merge(o Verdict) {
 	v.Corruptions = append(v.Corruptions, o.Corruptions...)
 }
 
-// fnv64 is FNV-1a-64, the frame checksum shared by the framed
-// workloads (hotkey, mailspool, metacache, scan).
-func fnv64(b []byte) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 0x100000001b3
-	}
-	return h
-}
-
 // --- MemTest as a Workload ---
 
 // Name implements Workload.

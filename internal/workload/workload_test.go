@@ -177,7 +177,7 @@ func TestMetaCacheGoldenLyingHit(t *testing.T) {
 	// Flip a digest bit, then re-seal the frame checksum so only the
 	// lie remains detectable.
 	forged[20] ^= 0x1
-	seal := fnv64(forged[8 : mcEntryLen-8])
+	seal := sim.FNV1a64(forged[8 : mcEntryLen-8])
 	for j := 0; j < 8; j++ {
 		forged[mcEntryLen-8+j] = byte(seal >> (56 - 8*j))
 	}

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"rio/internal/perf"
-	"rio/internal/sim"
 )
 
 // PerfOptions configures a Table 2 reproduction.
@@ -40,26 +39,12 @@ func (r *PerfResult) Table() string { return perf.Format(r.rows) }
 
 // Speedups summarises the paper's headline comparisons: how many times
 // faster Rio (with protection) runs than each baseline, per workload
-// (cp+rm, Sdet, Andrew).
-type Speedups struct {
-	VsWriteThroughWrite [3]float64 // paper: 4-22x
-	VsWriteThroughClose [3]float64
-	VsUFS               [3]float64 // paper: 2-14x
-	VsDelayed           [3]float64 // paper: 1-3x
-	VsMFS               [3]float64 // paper: ~1x
-}
+// (cp+rm, Sdet, Andrew). The paper's bands: write-through 4-22x, UFS
+// 2-14x, delayed 1-3x, MFS ~1x.
+type Speedups = perf.Ratios
 
 // Speedups computes the headline ratios.
-func (r *PerfResult) Speedups() Speedups {
-	ratios := perf.ComputeRatios(r.rows)
-	return Speedups{
-		VsWriteThroughWrite: ratios.VsWriteThroughWrite,
-		VsWriteThroughClose: ratios.VsWriteThroughClose,
-		VsUFS:               ratios.VsUFS,
-		VsDelayed:           ratios.VsDelayed,
-		VsMFS:               ratios.VsMFS,
-	}
-}
+func (r *PerfResult) Speedups() Speedups { return perf.ComputeRatios(r.rows) }
 
 func perfConfig(opts PerfOptions) perf.Config {
 	cfg := perf.DefaultConfig()
@@ -114,5 +99,3 @@ func CodePatchingOverhead(opts PerfOptions) (tlb, patched time.Duration, err err
 	a, b, err := cfg.CodePatchingOverhead()
 	return time.Duration(a), time.Duration(b), err
 }
-
-var _ = sim.Second

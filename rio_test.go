@@ -281,7 +281,7 @@ func TestMiniCrashCampaign(t *testing.T) {
 	if rt := res.RecoveryTable(); !strings.Contains(rt, "volume-lost") {
 		t.Fatalf("recovery table malformed:\n%s", rt)
 	}
-	if sum := res.Summary(); sum.RecoveryInterrupted != 0 {
+	if sum := res.Summary(); sum.Interrupted != 0 {
 		t.Fatalf("second crash injected without DiskFaults: %+v", sum)
 	}
 	if res.CrashKindBreakdown(SystemRioProt) == "" {
