@@ -23,8 +23,8 @@ test:
 # The race gate: the one list of packages that run under the detector
 # (scripts/check.sh calls this target). crashtest's scheduler fans the
 # real mini-campaigns across goroutines and is the slow one (~4 min);
-# scenario runs its three plan kinds — the fleet crash run among them,
-# which came here from crashtest/fleetcampaign — on that scheduler;
+# scenario runs its three plan kinds — the fleet crash run among them —
+# on that scheduler;
 # warmreboot, disk, ioretry, machine and kvm are what a campaign worker
 # recycles and spends its time in; server and wire are where real
 # goroutines share state (shard queues, metrics, close/drain, pooled

@@ -2,9 +2,11 @@
 // enforcing the determinism, protection-discipline, commit-ordering,
 // buffer-aliasing, replication-ordering, and wire-bounds invariants the
 // compiler cannot see (see internal/lint and DESIGN.md "Enforced
-// invariants"). The interprocedural analyzers (bufalias, replorder,
-// wirebounds) share a module-wide call graph and per-function dataflow
-// summaries built once per run.
+// invariants"). The three ordering analyzers (protpair, commitorder,
+// replorder) are rows of one typestate table; they and bufalias and
+// wirebounds share a call graph and per-function dataflow summaries built
+// once per run from the whole module, whatever the patterns select: the
+// patterns choose which packages are reported on, not what a call reaches.
 //
 // Usage:
 //
@@ -19,7 +21,6 @@
 // Flags:
 //
 //	-json        emit findings plus per-analyzer wall time as JSON
-//	-tests       include in-package _test.go files
 //	-maporder, -walltime, -protpair, -seedflow, -commitorder,
 //	-bufalias, -replorder, -wirebounds
 //	             enable/disable individual analyzers (all default true)
@@ -33,6 +34,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"rio/internal/lint"
@@ -44,7 +46,6 @@ func main() {
 
 func run() int {
 	jsonOut := flag.Bool("json", false, "emit diagnostics as JSON")
-	tests := flag.Bool("tests", false, "include in-package _test.go files")
 	enabled := map[string]*bool{}
 	for _, a := range lint.All() {
 		enabled[a.Name] = flag.Bool(a.Name, true, "run the "+a.Name+" analyzer ("+a.Doc+")")
@@ -73,7 +74,6 @@ func run() int {
 	}
 
 	loader := lint.NewLoader()
-	loader.IncludeTests = *tests
 	pkgs, err := loader.LoadModule(root)
 	if err != nil {
 		return fail(err)
@@ -84,7 +84,15 @@ func run() int {
 		return fail(err)
 	}
 
-	diags, times := lint.RunTimed(loader.Fset, selected, analyzers)
+	// The program is everything loaded: the module, plus any fixture
+	// directory a pattern named.
+	program := slices.Clone(pkgs)
+	for _, p := range selected {
+		if !slices.Contains(pkgs, p) {
+			program = append(program, p)
+		}
+	}
+	diags, times := lint.RunTimed(loader.Fset, program, selected, analyzers)
 	// Print file paths relative to the working directory, as go vet does.
 	for i := range diags {
 		if rel, err := filepath.Rel(cwd, diags[i].Pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {

@@ -225,7 +225,10 @@ func checkUseAfterRelease(p *Pass, node *FuncNode) {
 	var rels []release
 	ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
-		if !ok || !releaseFuncs[calleeName(call)] || len(call.Args) != 1 {
+		if !ok || len(call.Args) != 1 {
+			return true
+		}
+		if callee := staticCallee(node.Pkg.Info, call); callee == nil || !releaseFuncs[callee.Name()] {
 			return true
 		}
 		switch unparen(call.Args[0]).(type) {
@@ -306,13 +309,13 @@ func (pr *Program) fillsScratch(fn *types.Func, field string) bool {
 			pr.scratchUse[node.Obj] = scratchNamed(node.Pkg.Info, node.Decl.Body)
 		}
 	}
-	return pr.reaches(fn, "scratch:"+field, func(f *types.Func) bool {
+	return pr.reaches(fn, "scratch:"+field, func(f *types.Func) (hit, stop bool) {
 		for _, name := range pr.scratchUse[f] {
 			if name == field {
-				return true
+				return true, false
 			}
 		}
-		return false
+		return false, false
 	})
 }
 

@@ -10,8 +10,8 @@ import (
 
 // This file is riolint's interprocedural layer: a module-wide call graph
 // over the already-type-checked packages plus per-function dataflow
-// summaries. The per-function analyzers (maporder, protpair, ...) see one
-// body at a time; the summaries let bufalias and replorder reason about
+// summaries. The per-function analyzers (maporder, seedflow, ...) see one
+// body at a time; the summaries let bufalias reason about
 // what happens to a value after it is passed somewhere else — which
 // parameters escape to the heap, a channel, or a goroutine, which returns
 // alias which parameters, and whether a function hands back a pooled
@@ -215,17 +215,12 @@ func (pr *Program) build() {
 	}
 }
 
-// reachesName reports whether fn can (transitively) call any function
-// whose name is name, through static calls inside the analyzed packages.
-func (pr *Program) reachesName(fn *types.Func, name string) bool {
-	return pr.reaches(fn, name, func(f *types.Func) bool { return f.Name() == name })
-}
-
 // reaches reports whether fn is, or can (transitively) call through
-// static calls inside the analyzed packages, a function that hit accepts.
+// static calls inside the analyzed packages, a function that class calls
+// a hit; the walk does not look inside a function class says to stop at.
 // key names the predicate for the memo: the same key must always come
-// with the same hit.
-func (pr *Program) reaches(fn *types.Func, key string, hit func(*types.Func) bool) bool {
+// with the same class.
+func (pr *Program) reaches(fn *types.Func, key string, class func(*types.Func) (hit, stop bool)) bool {
 	memo := pr.reach[key]
 	if memo == nil {
 		memo = make(map[*types.Func]bool)
@@ -240,7 +235,8 @@ func (pr *Program) reaches(fn *types.Func, key string, hit func(*types.Func) boo
 		if done, ok := memo[f]; ok {
 			return done
 		}
-		if hit(f) {
+		hit, stop := class(f)
+		if hit {
 			memo[f] = true
 			return true
 		}
@@ -248,7 +244,7 @@ func (pr *Program) reaches(fn *types.Func, key string, hit func(*types.Func) boo
 			return false
 		}
 		seen[f] = true
-		if node := pr.funcs[f]; node != nil {
+		if node := pr.funcs[f]; node != nil && !stop {
 			for _, c := range node.Callees {
 				if visit(c) {
 					memo[f] = true

@@ -9,12 +9,14 @@
 // that the fleet replicates before acking — so riolint enforces them as
 // a tier-1 gate instead of leaving them to reviewer vigilance.
 //
-// The engine runs in two tiers. The per-function analyzers walk one body
-// at a time; the interprocedural ones (bufalias, replorder, wirebounds)
-// additionally consult a module-wide Program — a call graph plus
-// per-function dataflow summaries (interproc.go) — so a pooled buffer
-// leaked three calls away from the pool, or an epoch persisted via a
-// helper, is still seen.
+// Three kinds of analyzer share the engine. maporder, walltime and
+// seedflow pattern-match one body at a time. protpair, commitorder and
+// replorder are rows of one typestate table (typestate.go): verbs, the
+// rules that order them, one event walk and one evaluator. bufalias and
+// wirebounds follow values. The last two kinds consult a Program — the
+// call graph of every package loaded plus per-function dataflow summaries
+// (interproc.go) — so a pooled buffer leaked three calls from the pool is
+// still seen, and a helper that reaches one verb is that verb at its call.
 //
 // Analyzers (see their files for the precise rules):
 //
@@ -31,14 +33,14 @@
 //     (seed++, seed+i) instead of sim.Mix (the PR-1 bug class).
 //   - commitorder: the transaction layer's publish -> apply -> erase ->
 //     ack protocol; acking a commit before its record is published and
-//     applied is a torn-commit window.
+//     applied — directly or through a helper — is a torn-commit window.
 //   - bufalias: pooled and frame-aliased buffers (kernel scratch, the fs
 //     block pool, Into-style destinations) must not escape their
 //     sanctioned window — no heap stores, channel sends, goroutine
 //     hand-offs, or use after release, tracked interprocedurally.
 //   - replorder: the fleet's exec -> persist -> replicate -> ack
-//     ordering, fenced reads, and persisted epoch adoption (the PR-7
-//     review bug class).
+//     ordering on the write path, fenced reads, and persisted epoch
+//     adoption (the PR-7 review bug class).
 //   - wirebounds: every decoded wire/RFL1/RSN1 length is checked against
 //     its protocol maximum and the remaining buffer before any
 //     allocation or slice.
@@ -102,8 +104,9 @@ type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
 	Pkg      *Package
-	// Prog is the interprocedural view over every package in this Run
-	// (call graph + summaries), shared across analyzers and packages.
+	// Prog is the interprocedural view over every package loaded for this
+	// Run, reported on or not (call graph + summaries), shared across
+	// analyzers and packages.
 	Prog *Program
 
 	diags *[]Diagnostic
@@ -114,12 +117,7 @@ type Pass struct {
 func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.Pkg.Info.TypeOf(e) }
 
 // ObjectOf returns the object an identifier denotes (use or def), or nil.
-func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
-	if o := p.Pkg.Info.ObjectOf(id); o != nil {
-		return o
-	}
-	return nil
-}
+func (p *Pass) ObjectOf(id *ast.Ident) types.Object { return p.Pkg.Info.ObjectOf(id) }
 
 // Reportf records a diagnostic at pos unless a suppression comment for
 // this analyzer covers that line.
@@ -255,10 +253,10 @@ func lintDirectives(supp *suppressions, ran []*Analyzer, diags *[]Diagnostic) {
 	}
 }
 
-// Run executes the given analyzers over the packages and returns all
-// diagnostics sorted by position.
+// Run executes the given analyzers over the packages, which are also the
+// whole program, and returns all diagnostics sorted by position.
 func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	diags, _ := RunTimed(fset, pkgs, analyzers)
+	diags, _ := RunTimed(fset, pkgs, pkgs, analyzers)
 	return diags
 }
 
@@ -271,10 +269,12 @@ type AnalyzerTime struct {
 
 // RunTimed is Run plus per-analyzer wall time, in the order the
 // analyzers were given (the interprocedural Program build is charged to
-// the first analyzer that forces it).
-func RunTimed(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []AnalyzerTime) {
+// the first analyzer that forces it). It reports on pkgs only, but builds
+// the Program from program — every package loaded — so what a call reaches
+// does not depend on which packages were asked about.
+func RunTimed(fset *token.FileSet, program, pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []AnalyzerTime) {
 	var diags []Diagnostic
-	prog := buildProgram(fset, pkgs)
+	prog := buildProgram(fset, program)
 	elapsed := make(map[string]time.Duration, len(analyzers))
 	for _, pkg := range pkgs {
 		supp := parseSuppressions(fset, pkg)

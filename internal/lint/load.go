@@ -36,9 +36,6 @@ type Package struct {
 // go command).
 type Loader struct {
 	Fset *token.FileSet
-	// IncludeTests adds in-package _test.go files (external foo_test
-	// packages are always skipped).
-	IncludeTests bool
 
 	std    types.Importer
 	byPath map[string]*Package
@@ -47,6 +44,9 @@ type Loader struct {
 	// package loader — parse and type-check each package once.
 	modCache map[string][]*Package
 	dirCache map[string]*Package
+	// overlay maps absolute file names to contents that stand in for the
+	// file on disk (the seeded-bug test edits guarded functions in memory).
+	overlay map[string]string
 }
 
 // NewLoader returns a Loader with an empty package cache.
@@ -59,14 +59,6 @@ func NewLoader() *Loader {
 		modCache: make(map[string][]*Package),
 		dirCache: make(map[string]*Package),
 	}
-}
-
-// cacheKey distinguishes loads whose file sets differ.
-func (l *Loader) cacheKey(path string) string {
-	if l.IncludeTests {
-		return path + "|tests"
-	}
-	return path
 }
 
 // modImporter resolves module-internal imports from the loader's cache
@@ -97,7 +89,7 @@ func (l *Loader) LoadModule(root string) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cached, ok := l.modCache[l.cacheKey(root)]; ok {
+	if cached, ok := l.modCache[root]; ok {
 		return cached, nil
 	}
 	modulePath, err := modulePathOf(root)
@@ -139,7 +131,7 @@ func (l *Loader) LoadModule(root string) ([]*Package, error) {
 			return nil, err
 		}
 	}
-	l.modCache[l.cacheKey(root)] = ordered
+	l.modCache[root] = ordered
 	return ordered, nil
 }
 
@@ -152,7 +144,7 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cached, ok := l.dirCache[l.cacheKey(dir)]; ok {
+	if cached, ok := l.dirCache[dir]; ok {
 		return cached, nil
 	}
 	pkg, err := l.parseDir(dir, "fixture/"+filepath.Base(dir))
@@ -165,13 +157,12 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 	if err := l.check(pkg, "\x00no-module"); err != nil {
 		return nil, err
 	}
-	l.dirCache[l.cacheKey(dir)] = pkg
+	l.dirCache[dir] = pkg
 	return pkg, nil
 }
 
-// parseDir parses the Go files of one directory, or returns (nil, nil)
-// if it holds none. Mixed package names (excluding external test
-// packages) are an error.
+// parseDir parses the non-test Go files of one directory, or returns
+// (nil, nil) if it holds none. Mixed package names are an error.
 func (l *Loader) parseDir(dir, importPath string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -184,29 +175,30 @@ func (l *Loader) parseDir(dir, importPath string) (*Package, error) {
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
 			continue
 		}
-		if strings.HasSuffix(name, "_test.go") && !l.IncludeTests {
-			continue
+		if strings.HasSuffix(name, "_test.go") {
+			continue // tests are out of scope: no gate lints them
 		}
 		full := filepath.Join(dir, name)
-		src, err := os.ReadFile(full)
-		if err != nil {
-			return nil, err
+		src, ok := l.overlay[full]
+		if !ok {
+			data, err := os.ReadFile(full)
+			if err != nil {
+				return nil, err
+			}
+			src = string(data)
 		}
 		f, err := parser.ParseFile(l.Fset, full, src, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
-		if pkg.Name == "" && !strings.HasSuffix(f.Name.Name, "_test") {
+		if pkg.Name == "" {
 			pkg.Name = f.Name.Name
 		}
 		if f.Name.Name != pkg.Name {
-			if strings.HasSuffix(f.Name.Name, "_test") {
-				continue // external test package: out of scope
-			}
 			return nil, fmt.Errorf("lint: %s: mixed package names %q and %q", dir, pkg.Name, f.Name.Name)
 		}
 		pkg.Files = append(pkg.Files, f)
-		pkg.Sources[l.Fset.Position(f.Pos()).Filename] = strings.Split(string(src), "\n")
+		pkg.Sources[l.Fset.Position(f.Pos()).Filename] = strings.Split(src, "\n")
 		for _, imp := range f.Imports {
 			importSet[strings.Trim(imp.Path.Value, `"`)] = true
 		}

@@ -72,3 +72,28 @@ func (sh *shard) eraseThenPublish(recs []Record) {
 		sh.log.Apply(&recs[i])
 	}
 }
+
+// applyOne is a one-verb helper: it reaches Apply and nothing else of
+// the protocol, so a call to it is an apply wherever it is made.
+func (sh *shard) applyOne(rec *Record) error { return sh.log.Apply(rec) }
+
+// ackBeforeHelperApply is ackBetween with the apply moved into a helper
+// (server.serve's real shape): the ack is just as early.
+func (sh *shard) ackBeforeHelperApply(t task, recs []Record) {
+	sh.log.Publish(recs)
+	sh.ackCommit(t, &response{}) // want commitorder "acked before its record was applied"
+	for i := range recs {
+		sh.applyOne(&recs[i])
+	}
+	sh.log.Erase()
+}
+
+// eraseBeforeHelperApply is eraseEarly with the apply in the helper.
+func (sh *shard) eraseBeforeHelperApply(t task, recs []Record) {
+	sh.log.Publish(recs)
+	sh.log.Erase() // want commitorder "erased before its record was applied"
+	for i := range recs {
+		sh.applyOne(&recs[i])
+	}
+	sh.ackCommit(t, &response{})
+}

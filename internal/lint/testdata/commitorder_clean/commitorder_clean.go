@@ -62,3 +62,43 @@ func resetForTest(l *Log, recs []Record) {
 		l.Apply(&recs[i])
 	}
 }
+
+// recoverLog is the roll-forward: it applies and erases, a whole
+// sub-protocol checked here in its own body. A call to it is no single
+// verb, so it contributes nothing to its caller's ordering.
+func (sh *shard) recoverLog(recs []Record) {
+	for i := range recs {
+		sh.log.Apply(&recs[i])
+	}
+	sh.log.Erase()
+}
+
+// applyCommit is the one-verb helper serveGroup applies through.
+func (sh *shard) applyCommit(rec *Record) error { return sh.log.Apply(rec) }
+
+// handle answers a non-commit op; a warmboot op rolls the log forward.
+func (sh *shard) handle(warmboot bool, recs []Record) {
+	if warmboot {
+		sh.recoverLog(recs)
+	}
+}
+
+// serveGroup is server.serve's real shape: a record an earlier batch left
+// behind is rolled forward before Publish replaces the log — that is not
+// "applied before published" — commits apply through a helper, and a
+// non-commit op in the same loop can itself roll forward.
+func (sh *shard) serveGroup(t task, recs []Record, dirty bool) {
+	if dirty {
+		sh.recoverLog(recs)
+	}
+	sh.log.Publish(recs)
+	for i := range recs {
+		if i%2 == 0 {
+			sh.applyCommit(&recs[i])
+		} else {
+			sh.handle(i == 1, recs)
+		}
+	}
+	sh.log.Erase()
+	sh.ackCommit(t, &response{})
+}

@@ -90,3 +90,47 @@ func (n *node) promote(e uint64) {
 		n.epoch = e // want replorder "adopted epoch is never persisted"
 	}
 }
+
+// serveEarlyAck is serveClient's real shape — the fence and the read's
+// Exec live inside the !mutating branch, the write path follows it — with
+// a fast path that acks before replication. The fence comes first in the
+// source but belongs to the read branch: it excuses nothing here.
+func (n *node) serveEarlyAck(fast bool, op int) *resp {
+	if !n.mutating(op) {
+		if f := n.readFence(); f != nil {
+			return f
+		}
+		return Exec(op)
+	}
+	r := Exec(op)
+	if r.Status != 0 {
+		return r
+	}
+	n.seq++
+	_ = n.persistSeq()
+	if fast {
+		return r // want replorder "acked before every active backup confirmed"
+	}
+	n.confirmPeers(r)
+	return r
+}
+
+// serveEarlyPersist is the same shape with the sequence number advanced
+// and persisted above the write path's Exec. The read branch's Exec comes
+// first in the source and is not the op being sequenced.
+func (n *node) serveEarlyPersist(op int) *resp {
+	if !n.mutating(op) {
+		if f := n.readFence(); f != nil {
+			return f
+		}
+		return Exec(op)
+	}
+	n.seq++
+	_ = n.persistSeq() // want replorder "persisted before the op executed"
+	r := Exec(op)
+	if r.Status != 0 {
+		return r
+	}
+	n.confirmPeers(r)
+	return r
+}

@@ -83,3 +83,22 @@ func (n *node) replBatch(e uint64, ops []int) *resp {
 	_ = n.persistSeq()
 	return &resp{}
 }
+
+// serveBranched is fleet.Node.serveClient's real shape: the fence and the
+// read's Exec inside the !mutating branch, the write path after it.
+func (n *node) serveBranched(op int) *resp {
+	if !n.mutating(op) {
+		if f := n.readFence(); f != nil {
+			return f
+		}
+		return Exec(op)
+	}
+	r := Exec(op)
+	if r.Status != 0 {
+		return r
+	}
+	n.seq++
+	_ = n.persistSeq()
+	n.confirmPeers(r)
+	return r
+}

@@ -558,7 +558,10 @@ func (sh *shard) run(cfg Config) {
 // applied (Erase), and only then are responses delivered (ackCommit).
 // That order is the whole crash-safety argument — a commit acked
 // before its record was durable would be a torn-commit window — and
-// the commitorder analyzer (internal/lint) checks it statically.
+// the commitorder analyzer (internal/lint) checks it in this body:
+// applyCommit reaches Apply and no other verb, so its call is the apply;
+// RecoverOpts and handle reach Apply and Erase — a roll-forward, checked
+// in their own bodies — and count for nothing here.
 func (sh *shard) serve(batch []task) {
 	results := sh.results[:0]
 	var sealed []txn.Record
@@ -687,8 +690,9 @@ func (sh *shard) serve(batch []task) {
 
 // ackCommit delivers a commit's response to its waiting client. It
 // exists as a named seam for the commitorder analyzer: in any function
-// that touches commit records, the first ackCommit must come after the
-// first Publish and the first Apply — never ack-before-publish.
+// body that touches commit records, every ackCommit must come after the
+// first Publish and the first Apply (direct, or through a helper that
+// reaches only that verb) — never ack-before-publish.
 func (sh *shard) ackCommit(t task, resp *wire.Response) {
 	t.resp <- reply{resp: resp}
 }
