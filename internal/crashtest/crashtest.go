@@ -64,12 +64,12 @@ type RunConfig struct {
 	// DiskFaults turns the run into a double-fault experiment: recovery
 	// executes against a disk injecting transient, latent, and
 	// misdirected storage faults (a deterministic per-run plan), and —
-	// on the Rio systems — a second crash interrupts the warm reboot at
-	// a seed-derived step, after which recovery restarts from the same
-	// memory dump; a workload with a recovery protocol of its own (the
-	// txn roll-forward) has that interrupted and restarted too. The plan
-	// is detached before verification, so only damage recovery failed to
-	// contain counts as corruption.
+	// on the Rio systems — a second crash halts the warm reboot at a
+	// seed-derived boundary of the machine's crash point, after which
+	// recovery restarts from the same memory dump; a workload with a
+	// recovery protocol of its own (the txn roll-forward) has that halted
+	// and restarted too. The plan is detached before verification, so
+	// only damage recovery failed to contain counts as corruption.
 	DiskFaults bool
 }
 
@@ -82,14 +82,15 @@ const (
 	regNoiseSalt      = 0x4E6015E5
 	coldBootSalt      = 0xC01DB007
 	txnRecoverySalt   = 0x7872EC04
-	// recoveryCrashWindow bounds the injected second-crash step. Steps
-	// past the protocol's end leave the recovery uninterrupted, so the
-	// campaign samples both interrupted and clean recoveries.
+	// recoveryCrashWindow bounds the crash point armed in the warm
+	// reboot. Points past the protocol's end leave the recovery
+	// uninterrupted, so the campaign samples both interrupted and clean
+	// recoveries.
 	recoveryCrashWindow = 48
 	// txnRecoveryWindow is the same bound for the workload's own
-	// recovery. Rolling one small txn record forward takes only a
-	// handful of steps, so a small window samples both interrupted and
-	// clean roll-forwards.
+	// recovery, where a draw of 0 arms nothing. Rolling one small txn
+	// record forward passes only a handful of points, so a small window
+	// samples both interrupted and clean roll-forwards.
 	txnRecoveryWindow = 8
 	// vmBudget is the instruction budget of one interpreted kernel entry
 	// in a crash run: a faulted kernel that retires this many is hung.
@@ -117,11 +118,12 @@ type WorkloadFactory func(seed uint64, writeThrough bool) workload.Workload
 // recoverer is a workload that layers a recovery protocol of its own on
 // the file system's (TxnTest: the txn log roll-forward). The crash run
 // calls Recover once the machine is back up and before Check, still
-// under the double-fault disk plan. crashAtStep > 0 is the second crash:
-// the protocol is interrupted at that step, restarted, and must
-// converge. quarantined counts records it refused as damaged.
+// under the double-fault disk plan. A Recover the machine's crash point
+// halts (kernel.ErrCrashPoint) is the second crash: the crash run calls it
+// again, and it must converge. quarantined counts records it refused as
+// damaged.
 type recoverer interface {
-	Recover(fsys *fs.FS, crashAtStep int) (interrupted bool, quarantined int, err error)
+	Recover(fsys *fs.FS) (quarantined int, err error)
 }
 
 // WorkloadResult is the outcome of one crash run.
@@ -415,8 +417,8 @@ func RunWorkloadOne(st *machine.Storage, sys System, ft fault.Type, cfg RunConfi
 // recoverMachine brings the crashed machine back: cold boot plus fsck on
 // the disk-based column; on the Rio systems a warm reboot from the
 // memory dump, then the workload's own recovery protocol if it has one.
-// In double-fault mode a second crash interrupts each of those two at a
-// seed-derived step and the interrupted phase restarts. A non-empty
+// In double-fault mode a second crash halts each of those two at a
+// seed-derived crash point and the halted phase restarts. A non-empty
 // return means recovery left no tree to verify: the whole volume is the
 // corruption — the worst outcome, not a harness error.
 func recoverMachine(m *machine.Machine, sys System, cfg RunConfig, w workload.Workload, res *WorkloadResult) (unverifiable string) {
@@ -430,16 +432,17 @@ func recoverMachine(m *machine.Machine, sys System, cfg RunConfig, w workload.Wo
 	// The image lives in the storage's dump area; nothing rewrites it before
 	// the run ends, so an interrupted recovery restarts from it as it is.
 	image := warmreboot.Capture(m)
-	opts := warmreboot.DefaultOptions()
+	warmAt, txnAt := -1, -1
 	if cfg.DiskFaults {
-		opts.CrashAtStep = int(sim.Mix(cfg.Seed, recoveryCrashSalt) % recoveryCrashWindow)
+		warmAt = int(sim.Mix(cfg.Seed, recoveryCrashSalt) % recoveryCrashWindow)
+		txnAt = int(sim.Mix(cfg.Seed, txnRecoverySalt)%txnRecoveryWindow) - 1
 	}
-	rep, err := warmreboot.Restore(m, image, opts)
-	if err == warmreboot.ErrInterrupted {
-		// Restart from the same immutable image.
-		res.RecoveryInterrupted = true
-		rep, err = warmreboot.Restore(m, image, warmreboot.DefaultOptions())
-	}
+	var rep *warmreboot.Report
+	var err error
+	res.RecoveryInterrupted, err = restart(m, warmAt, func() (err error) {
+		rep, err = warmreboot.Restore(m, image)
+		return err
+	})
 	if err != nil {
 		res.RecoveryAborted = true
 		return "warm reboot failed: " + err.Error()
@@ -458,14 +461,27 @@ func recoverMachine(m *machine.Machine, sys System, cfg RunConfig, w workload.Wo
 	if !ok {
 		return ""
 	}
-	crashAtStep := 0
-	if cfg.DiskFaults {
-		crashAtStep = int(sim.Mix(cfg.Seed, txnRecoverySalt) % txnRecoveryWindow)
-	}
-	res.TxnRecoveryInterrupted, res.TxnQuarantined, err = rw.Recover(m.FS, crashAtStep)
+	res.TxnRecoveryInterrupted, err = restart(m, txnAt, func() (err error) {
+		res.TxnQuarantined, err = rw.Recover(m.FS)
+		return err
+	})
 	if err != nil {
 		res.RecoveryAborted = true
 		return w.Name() + " roll-forward failed: " + err.Error()
 	}
 	return ""
+}
+
+// restart runs one recovery phase with the machine's crash point armed at
+// boundary at (at < 0: disarmed). A phase the crash point halts is the
+// second crash: it runs again, disarmed, from the state it started from,
+// and must complete.
+func restart(m *machine.Machine, at int, phase func() error) (interrupted bool, err error) {
+	cp := m.Kernel.CrashPoint
+	cp.Arm(at)
+	if err = phase(); err != kernel.ErrCrashPoint {
+		return false, err
+	}
+	cp.Disarm()
+	return true, phase()
 }

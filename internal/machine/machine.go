@@ -96,11 +96,13 @@ type Machine struct {
 // for bit, as one built on a new Storage: memory and disk are recycled
 // (mem.Memory.Recycle, disk.Disk.Recycle), never carried over. A Storage
 // serves one machine at a time: building the next machine on it ends the
-// life of the previous one.
+// life of the previous one. It owns the crash point too: that outlives Boot,
+// which a warm reboot calls in the middle of the protocol it counts.
 type Storage struct {
-	mem  *mem.Memory
-	disk *disk.Disk
-	dump []byte // DumpArea; allocated on first use
+	mem   *mem.Memory
+	disk  *disk.Disk
+	dump  []byte // DumpArea; allocated on first use
+	crash kernel.CrashPoint
 }
 
 // New formats a fresh disk and boots a machine on it. text may be nil to
@@ -132,6 +134,7 @@ func NewOn(st *Storage, opt Options, text *kvm.Text) (*Machine, error) {
 	} else {
 		st.mem = mem.New(memBytes)
 	}
+	st.crash.Disarm()
 	m := &Machine{
 		Opt:   opt,
 		Mem:   st.mem,
@@ -173,6 +176,7 @@ func (m *Machine) Boot(text *kvm.Text) error {
 	m.MMU = u
 	m.Kernel = kernel.New(m.Mem, u, text)
 	m.Kernel.FastPath = m.Opt.FastPath
+	m.Kernel.CrashPoint = &m.storage().crash
 
 	reg, err := registry.New(m.Kernel, m.Opt.RegistryFrames, m.Opt.protectionOn())
 	if err != nil {
@@ -201,14 +205,19 @@ func (m *Machine) Boot(text *kvm.Text) error {
 // allocated on first use and never cleared: what it holds is what
 // warmreboot.Capture, its one writer, last put there.
 func (m *Machine) DumpArea() []byte {
-	if m.store == nil {
-		m.store = new(Storage) // a machine assembled by hand, not by New
-	}
-	st := m.store
+	st := m.storage()
 	if len(st.dump) != m.Mem.Size() {
 		st.dump = make([]byte, m.Mem.Size())
 	}
 	return st.dump
+}
+
+// storage returns the machine's Storage; one assembled by hand gets a new one.
+func (m *Machine) storage() *Storage {
+	if m.store == nil {
+		m.store = new(Storage)
+	}
+	return m.store
 }
 
 // Crashed returns the kernel's crash record, if any.

@@ -128,3 +128,33 @@ func TestRecycledStorageBootsAFreshMachine(t *testing.T) {
 		t.Fatalf("resized machine: %v", err)
 	}
 }
+
+// TestRecycledStorageDisarmsTheCrashPoint: the crash point is the
+// Storage's, so it outlives the machine a run halted with it. The next
+// machine built on that Storage must start with it disarmed and its count
+// zero.
+func TestRecycledStorageDisarmsTheCrashPoint(t *testing.T) {
+	opt := machine.DefaultOptions(fs.DefaultPolicy(fs.PolicyRio))
+	st := new(machine.Storage)
+	for run := 0; run < 2; run++ {
+		m, err := machine.NewOn(st, opt, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp := m.Kernel.CrashPoint
+		if cp.Count() != 0 {
+			t.Fatalf("run %d: the new machine's crash point has counted %d", run, cp.Count())
+		}
+		put(t, m, "/f", kernel.FillBytes(3*fs.BlockSize, 7))
+		m.Kernel.Panic("injected test crash")
+		m.CrashFinish()
+		if run == 0 {
+			cp.Arm(1)
+			if _, err := warmreboot.Warm(m); err != kernel.ErrCrashPoint {
+				t.Fatalf("armed warm reboot: err = %v, want ErrCrashPoint", err)
+			}
+		} else if _, err := warmreboot.Warm(m); err != nil {
+			t.Fatalf("warm reboot on the recycled storage: %v", err)
+		}
+	}
+}

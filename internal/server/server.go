@@ -560,7 +560,7 @@ func (sh *shard) run(cfg Config) {
 // before its record was durable would be a torn-commit window — and
 // the commitorder analyzer (internal/lint) checks it in this body:
 // applyCommit reaches Apply and no other verb, so its call is the apply;
-// RecoverOpts and handle reach Apply and Erase — a roll-forward, checked
+// Recover and handle reach Apply and Erase — a roll-forward, checked
 // in their own bodies — and count for nothing here.
 func (sh *shard) serve(batch []task) {
 	results := sh.results[:0]
@@ -594,7 +594,7 @@ func (sh *shard) serve(batch []task) {
 	var pubErr error
 	published := false
 	if len(sealed) > 0 && sh.logDirty && !sh.isDown() {
-		if _, err := sh.txnLog().RecoverOpts(sh.recoverOpts()); err != nil {
+		if _, err := sh.txnLog().Recover(); err != nil {
 			pubErr = err
 			sh.crashed()
 		} else {
@@ -706,14 +706,6 @@ func isTxnOp(req *wire.Request) bool { return req.Op.TxnControl() || req.Txn != 
 // cached: a reboot can rebuild the machine's FS, and a cached handle
 // would go stale.
 func (sh *shard) txnLog() *txn.Log { return txn.NewLog(sh.sys.Machine().FS) }
-
-// recoverOpts returns the Options a live shard recovers with: the crash
-// probe lets recovery tell crash fallout (retryable, shard goes down)
-// from a deterministic refusal (quarantine the record and move on)
-// before it classifies an apply failure.
-func (sh *shard) recoverOpts() txn.Options {
-	return txn.Options{Crashed: func() bool { return sh.sys.Machine().Crashed() != nil }}
-}
 
 // stage executes one transaction op's staging phase on the shard
 // goroutine. It answers begin/abort/staged-op immediately (they touch
@@ -958,7 +950,7 @@ func (sh *shard) handle(req *wire.Request, wantFrame bool) ([]byte, *wire.Respon
 		// acked, and retrying them forever would wedge the shard), torn
 		// tails are discarded — no partially applied transaction is ever
 		// visible and no single record can poison warmboot.
-		if _, err := sh.txnLog().RecoverOpts(sh.recoverOpts()); err != nil {
+		if _, err := sh.txnLog().Recover(); err != nil {
 			sh.setDown(true)
 			return fail(wire.StatusIO, "txn roll-forward failed: "+err.Error())
 		}

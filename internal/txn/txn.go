@@ -48,6 +48,7 @@ import (
 	"strings"
 
 	"rio/internal/fs"
+	"rio/internal/kernel"
 	"rio/internal/sim"
 	"rio/internal/wire"
 )
@@ -123,10 +124,6 @@ const frameMagic = 0x52696f54786e310a
 // It differs from frameMagic so neither ParseAll nor lost+found salvage
 // can ever mistake quarantined records for a replayable log.
 const quarantineMagic = 0x52696f54786e510a
-
-// ErrInterrupted is returned by RecoverOpts when Options.CrashAtStep
-// interrupts the roll-forward, mirroring warmreboot's restart protocol.
-var ErrInterrupted = errors.New("txn: recovery interrupted (simulated crash)")
 
 // CanonicalPath normalizes path to the single spelling the fs resolves
 // it as: a leading "/", components joined by single slashes, no trailing
@@ -768,22 +765,6 @@ func (l *Log) Quarantine(rec *Record) error {
 	return nil
 }
 
-// Options parameterises Recover, mirroring warmreboot.Options:
-// CrashAtStep > 0 interrupts the roll-forward with ErrInterrupted before
-// that step executes. Recovery restarts from scratch; every step is
-// idempotent, so the restart converges.
-type Options struct {
-	CrashAtStep int
-
-	// Crashed reports whether the machine under the fs has crashed.
-	// After a kernel panic the fs serves zeroes and unwinds with
-	// arbitrary-looking errors, so recovery must not classify an apply
-	// failure as deterministic (and quarantine the record) without
-	// consulting it. Nil means "cannot crash mid-call" — fine for tests
-	// and offline tools, wrong for a live shard.
-	Crashed func() bool
-}
-
 // RecoverStats reports what a recovery found and did.
 type RecoverStats struct {
 	Records     int // valid records found (log + salvage)
@@ -800,18 +781,12 @@ type RecoverStats struct {
 // them — and rolls those forward too. Anything in either place is
 // unacked-or-mid-apply, so replaying is always safe and dropping a
 // torn tail never loses a promised commit.
+// Each apply, salvage unlink and the erase is a crash point of the fs's
+// kernel; recovery halted at one restarts from scratch and, every step
+// being idempotent, converges.
 func (l *Log) Recover() (RecoverStats, error) {
-	return l.RecoverOpts(Options{})
-}
-
-// RecoverOpts is Recover with crash-injection options.
-func (l *Log) RecoverOpts(opts Options) (RecoverStats, error) {
 	var st RecoverStats
-	step := 0
-	tick := func() bool {
-		step++
-		return opts.CrashAtStep > 0 && step >= opts.CrashAtStep
-	}
+	cp := l.fs.K.CrashPoint
 
 	data, err := l.readFile(LogPath)
 	if err != nil {
@@ -829,11 +804,14 @@ func (l *Log) RecoverOpts(opts Options) (RecoverStats, error) {
 	st.Records = len(recs)
 
 	for i := range recs {
-		if tick() {
-			return st, ErrInterrupted
+		if cp.Point() {
+			return st, kernel.ErrCrashPoint
 		}
 		if err := l.Apply(&recs[i]); err != nil {
-			if opts.Crashed != nil && opts.Crashed() {
+			// After a kernel panic the fs serves zeroes and unwinds with
+			// arbitrary-looking errors: crash fallout is never classified
+			// as a deterministic refusal.
+			if l.fs.K.Crashed() != nil {
 				return st, err
 			}
 			var ce *CheckError
@@ -854,15 +832,15 @@ func (l *Log) RecoverOpts(opts Options) (RecoverStats, error) {
 		st.Applied++
 	}
 	for _, sv := range salvage {
-		if tick() {
-			return st, ErrInterrupted
+		if cp.Point() {
+			return st, kernel.ErrCrashPoint
 		}
 		if err := l.fs.Unlink(sv.path); err != nil && err != fs.ErrNotFound {
 			return st, fmt.Errorf("txn: recover: %w", err)
 		}
 	}
-	if tick() {
-		return st, ErrInterrupted
+	if cp.Point() {
+		return st, kernel.ErrCrashPoint
 	}
 	if err := l.Erase(); err != nil {
 		return st, err

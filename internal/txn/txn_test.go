@@ -9,7 +9,9 @@ import (
 	"testing"
 
 	"rio/internal/fs"
+	"rio/internal/kernel"
 	"rio/internal/machine"
+	"rio/internal/warmreboot"
 )
 
 func rioMachine(t *testing.T) *machine.Machine {
@@ -241,31 +243,44 @@ func TestRecoverTornLogAtEveryOffset(t *testing.T) {
 	}
 }
 
-// Recovery interrupted before every step and then restarted from
-// scratch must converge to the same final state — the crash-at-every-
-// step idempotency test, mirroring warmreboot's restart protocol.
+// Recovery halted at every crash point and then restarted from scratch
+// must converge to the same final state — the crash-at-every-point
+// idempotency test, mirroring warmreboot's restart protocol. The points
+// run 0..N, N counted by an uninterrupted pass; armed at N, recovery
+// completes without halting.
 func TestRecoverCrashAtEveryStep(t *testing.T) {
-	for step := 1; step <= 8; step++ {
+	published := func() (*machine.Machine, *Log) {
 		m := rioMachine(t)
 		l := NewLog(m.FS)
 		if err := l.Publish(sampleRecords()); err != nil {
 			t.Fatal(err)
 		}
-		_, err := l.RecoverOpts(Options{CrashAtStep: step})
-		if err != nil && err != ErrInterrupted {
-			t.Fatalf("step %d: %v", step, err)
+		return m, l
+	}
+	m, l := published()
+	if _, err := l.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	n := m.Kernel.CrashPoint.Count()
+	for k := 0; k <= n; k++ {
+		m, l := published()
+		cp := m.Kernel.CrashPoint
+		cp.Arm(k)
+		_, err := l.Recover()
+		if k < n {
+			if err != kernel.ErrCrashPoint {
+				t.Fatalf("armed at point %d of %d: err = %v, want ErrCrashPoint", k, n, err)
+			}
+			// Restart: the full recovery must complete and converge.
+			cp.Disarm()
+			_, err = l.Recover()
 		}
-		interrupted := err == ErrInterrupted
-		// Restart: the full recovery must complete and converge.
-		if _, err := l.Recover(); err != nil {
-			t.Fatalf("step %d: restarted recovery: %v", step, err)
+		if err != nil {
+			t.Fatalf("point %d of %d: %v", k, n, err)
 		}
 		checkFinal(t, m.FS)
 		if _, err := m.FS.Stat(LogPath); err != fs.ErrNotFound {
-			t.Fatalf("step %d: log not erased", step)
-		}
-		if step > 8 && interrupted {
-			t.Fatalf("step %d still interrupts; widen the loop", step)
+			t.Fatalf("point %d of %d: log not erased", k, n)
 		}
 	}
 }
@@ -577,8 +592,13 @@ func TestRecoverRefusesUnreadableLog(t *testing.T) {
 	})
 }
 
-// A crash probe reporting true must keep recovery from quarantining:
-// crash fallout can look exactly like a deterministic refusal.
+// A crashed kernel must keep recovery from quarantining: crash fallout
+// can look exactly like a deterministic refusal. The kernel panics after
+// the log is read and before its record applies — reading a salvage
+// candidate whose buffer header is smashed — so the record's precheck
+// sees the fallout. Recovery must return that refusal without trying to
+// quarantine, and the published record must survive for warm reboot to
+// roll forward.
 func TestRecoverCrashProbeSuppressesQuarantine(t *testing.T) {
 	m := rioMachine(t)
 	l := NewLog(m.FS)
@@ -588,15 +608,30 @@ func TestRecoverCrashProbeSuppressesQuarantine(t *testing.T) {
 	if err := l.Publish([]Record{{ID: 2, Ops: []Op{{Kind: OpRemove, Path: "/d"}}}}); err != nil {
 		t.Fatal(err)
 	}
-	st, err := l.RecoverOpts(Options{Crashed: func() bool { return true }})
-	if err == nil {
-		t.Fatal("Recover succeeded though the crash probe fired")
+	if err := l.Apply(&Record{ID: 3, Ops: []Op{{Kind: OpWrite, Path: "/lost+found/x", Data: []byte("y")}}}); err != nil {
+		t.Fatal(err)
 	}
-	if st.Quarantined != 0 {
-		t.Fatalf("quarantined %d records under a reported crash", st.Quarantined)
+	st, err := m.FS.Stat("/lost+found/x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if trap := m.MMU.Store64(m.Cache.LookupData(st.Ino, 0).Hdr, 0); trap != nil {
+		t.Fatal(trap)
+	}
+	rs, err := l.Recover()
+	var ce *CheckError
+	if m.Crashed() == nil || !errors.As(err, &ce) {
+		t.Fatalf("crashed %v, err = %v; want the record's refusal on a crashed kernel", m.Crashed(), err)
+	}
+	if rs.Quarantined != 0 {
+		t.Fatalf("quarantined %d records on a crashed kernel", rs.Quarantined)
+	}
+	m.CrashFinish()
+	if _, err := warmreboot.Warm(m); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := m.FS.Stat(LogPath); err != nil {
-		t.Fatalf("log erased under a reported crash: stat err %v", err)
+		t.Fatalf("log lost under a crash: stat err %v", err)
 	}
 }
 

@@ -80,14 +80,48 @@ func crashedRioMachine(t *testing.T, seed uint64) (*machine.Machine, []byte, []b
 	return m, dump, m.Disk.Snapshot()
 }
 
+// haltEveryPoint runs pass once uninterrupted to count its crash points N
+// and take the tree it recovers, then arms each point 0..N in turn: a pass
+// halted there must restart, disarmed, to that same tree, and the pass
+// armed at N must complete without halting. reset puts back the disk of
+// the crash before each pass. It returns N.
+func haltEveryPoint(t *testing.T, m *machine.Machine, reset func(), pass func() error) int {
+	t.Helper()
+	cp := m.Kernel.CrashPoint
+	defer cp.Disarm()
+	reset()
+	cp.Disarm()
+	if err := pass(); err != nil {
+		t.Fatalf("uninterrupted pass: %v", err)
+	}
+	n, want := cp.Count(), logicalState(t, m.FS)
+	for k := 0; k <= n; k++ {
+		reset()
+		cp.Arm(k)
+		err := pass()
+		if k < n {
+			if err != kernel.ErrCrashPoint {
+				t.Fatalf("armed at point %d of %d: err = %v, want ErrCrashPoint", k, n, err)
+			}
+			cp.Disarm()
+			err = pass() // restart from the same image: the idempotent second pass
+		}
+		if err != nil {
+			t.Fatalf("point %d of %d: %v", k, n, err)
+		}
+		if got := logicalState(t, m.FS); got != want {
+			t.Fatalf("halted at point %d of %d, the restart diverges from the uninterrupted pass:\ngot:\n%swant:\n%s", k, n, got, want)
+		}
+	}
+	return n
+}
+
 // TestRecoveryIdempotentAfterInterruption is the satellite's contract:
-// crash the warm reboot at every step (and a few past the end), rerun it
-// from the same dump, and require the final file-system state to be
-// byte-identical to an uninterrupted pass.
+// crash the warm reboot at every crash point, rerun it from the same dump,
+// and require the final file-system state to be byte-identical to an
+// uninterrupted pass.
 func TestRecoveryIdempotentAfterInterruption(t *testing.T) {
 	m, dump, diskSnap := crashedRioMachine(t, 1996)
-
-	// Reference: uninterrupted recovery.
 	rep, err := FromDump(m, dump)
 	if err != nil {
 		t.Fatal(err)
@@ -95,32 +129,12 @@ func TestRecoveryIdempotentAfterInterruption(t *testing.T) {
 	if rep.VolumeLost || rep.DataRestored == 0 {
 		t.Fatalf("reference recovery degenerate: %v", rep)
 	}
-	want := logicalState(t, m.FS)
-	steps := rep.Steps
-	if steps < 3 {
-		t.Fatalf("too few steps (%d) to exercise interruption", steps)
-	}
-
-	for k := 0; k <= steps+1; k++ {
-		m.Disk.Restore(diskSnap)
-		opts := DefaultOptions()
-		opts.CrashAtStep = k
-		_, err := FromDumpOpts(m, dump, opts)
-		if k < steps {
-			if err != ErrInterrupted {
-				t.Fatalf("crash at step %d/%d: err = %v, want ErrInterrupted", k, steps, err)
-			}
-			// Restart from the same dump — the idempotent second pass.
-			if _, err := FromDump(m, dump); err != nil {
-				t.Fatalf("restart after crash at step %d: %v", k, err)
-			}
-		} else if err != nil {
-			// Crash point past the protocol's end: completes normally.
-			t.Fatalf("crash at step %d >= %d steps: %v", k, steps, err)
-		}
-		if got := logicalState(t, m.FS); got != want {
-			t.Errorf("state after crash at step %d diverges from uninterrupted run:\ngot:\n%swant:\n%s", k, got, want)
-		}
+	n := haltEveryPoint(t, m, func() { m.Disk.Restore(diskSnap) }, func() error {
+		_, err := FromDump(m, dump)
+		return err
+	})
+	if n < 3 {
+		t.Fatalf("too few crash points (%d) to exercise interruption", n)
 	}
 }
 
@@ -206,13 +220,13 @@ func TestRecoverySurvivesDoubleFault(t *testing.T) {
 		m, dump, _ := crashedRioMachine(t, seed+100)
 		plan := disk.DefaultFaultPlan(seed * 1373)
 		m.Disk.SetFaultPlan(&plan)
-		opts := DefaultOptions()
-		opts.CrashAtStep = int(seed) // early interruption
-		_, err := FromDumpOpts(m, dump, opts)
-		if err != nil && err != ErrInterrupted {
+		m.Kernel.CrashPoint.Arm(int(seed)) // early interruption
+		_, err := FromDump(m, dump)
+		if err != nil && err != kernel.ErrCrashPoint {
 			t.Fatalf("seed %d: first attempt: %v", seed, err)
 		}
-		if err == ErrInterrupted {
+		if err == kernel.ErrCrashPoint {
+			m.Kernel.CrashPoint.Disarm()
 			rep, err := FromDump(m, dump)
 			if err != nil {
 				t.Fatalf("seed %d: restart aborted: %v", seed, err)
@@ -312,21 +326,10 @@ func TestWarmReusesMachineScratch(t *testing.T) {
 			t.Fatalf("held dump: %s differs after recovery", path)
 		}
 	}
-	want := logicalState(t, m.FS)
-	for k := 0; k < ref.Steps; k++ {
-		m.Disk.Restore(heldDisk)
-		opts := DefaultOptions()
-		opts.CrashAtStep = k
-		if _, err := FromDumpOpts(m, held, opts); err != ErrInterrupted {
-			t.Fatalf("crash at step %d/%d: err = %v, want ErrInterrupted", k, ref.Steps, err)
-		}
-		if _, err := FromDump(m, held); err != nil {
-			t.Fatalf("restart after crash at step %d: %v", k, err)
-		}
-		if got := logicalState(t, m.FS); got != want {
-			t.Fatalf("state after crash at step %d diverges:\ngot:\n%swant:\n%s", k, got, want)
-		}
-	}
+	haltEveryPoint(t, m, func() { m.Disk.Restore(heldDisk) }, func() error {
+		_, err := FromDump(m, held)
+		return err
+	})
 	m.Disk.Restore(heldDisk)
 	if rep, err := FromDump(m, held[:len(held)/2]); err != nil || rep.SkippedInvalid+rep.BadEntries == 0 {
 		t.Fatalf("truncated held dump: %v, %v", rep, err)

@@ -14,7 +14,7 @@ import (
 )
 
 // smallMachine is a Rio machine small enough that a test can fill its file
-// cache and then crash recovery at every step: 64 data pages, 48 metadata
+// cache and then crash recovery at every crash point: 64 data pages, 48 metadata
 // buffers, a two-frame registry.
 func smallMachine(t *testing.T) *machine.Machine {
 	t.Helper()
@@ -168,8 +168,8 @@ func fileBytes(t *testing.T, m *machine.Machine) map[string][]byte {
 // TestSparseImageIsAFullDump holds Warm's sparse image to a full dump: on
 // twin crashed machines, Warm over a dump area full of stale bytes and
 // FromDump over Mem.Dump give equal reports, equal disks, equal memory and
-// equal files; and a recovery from the sparse image crashed at every step
-// and restarted from the same image converges to the same volume.
+// equal files; and a recovery from the sparse image crashed at every crash
+// point and restarted from the same image converges to the same volume.
 func TestSparseImageIsAFullDump(t *testing.T) {
 	for _, c := range sparseCorpus {
 		t.Run(c.name, func(t *testing.T) {
@@ -235,32 +235,16 @@ func TestSparseImageIsAFullDump(t *testing.T) {
 				t.Fatalf("%d frames copied; registry frames + entries = %d", copied, limit)
 			}
 
-			// Crash recovery at every step; restart from the same image.
+			// Crash recovery at every crash point; restart from the same image.
 			diskAtCrash := stepped.Disk.Snapshot()
-			ref, err := Restore(stepped, im, DefaultOptions())
+			ref, err := Restore(stepped, im)
 			if err != nil || *ref != *want {
 				t.Fatalf("Restore from the captured image: %v\n got %+v\nwant %+v", err, ref, want)
 			}
-			state := logicalState(t, stepped.FS)
-			for k := 0; k <= ref.Steps; k++ {
-				stepped.Disk.Restore(diskAtCrash)
-				opts := DefaultOptions()
-				opts.CrashAtStep = k
-				_, err := Restore(stepped, im, opts)
-				if k < ref.Steps {
-					if err != ErrInterrupted {
-						t.Fatalf("crash at step %d/%d: err = %v, want ErrInterrupted", k, ref.Steps, err)
-					}
-					if _, err := Restore(stepped, im, DefaultOptions()); err != nil {
-						t.Fatalf("restart after crash at step %d: %v", k, err)
-					}
-				} else if err != nil {
-					t.Fatalf("crash at step %d of %d: %v", k, ref.Steps, err)
-				}
-				if got := logicalState(t, stepped.FS); got != state {
-					t.Fatalf("crash at step %d/%d then restart diverges:\ngot:\n%swant:\n%s", k, ref.Steps, got, state)
-				}
-			}
+			haltEveryPoint(t, stepped, func() { stepped.Disk.Restore(diskAtCrash) }, func() error {
+				_, err := Restore(stepped, im)
+				return err
+			})
 		})
 	}
 }

@@ -23,7 +23,6 @@
 package warmreboot
 
 import (
-	"errors"
 	"fmt"
 
 	"rio/internal/fs"
@@ -33,37 +32,6 @@ import (
 	"rio/internal/mem"
 	"rio/internal/registry"
 )
-
-// ErrInterrupted reports that a simulated second crash (Options.
-// CrashAtStep) cut the recovery short. The machine is mid-restore; the
-// caller restarts recovery from the same image: Restore with the same
-// Image, or FromDump with the same dump.
-var ErrInterrupted = errors.New("warmreboot: recovery interrupted by crash")
-
-// Options tunes the recovery pass. The zero value is NOT the default —
-// use DefaultOptions.
-type Options struct {
-	// CrashAtStep, when >= 0, interrupts the recovery after that many
-	// restore steps (metadata commits, fsck, boot, and per-page data
-	// restores each count one step): Restore returns ErrInterrupted
-	// with the volume part-restored. Use -1 to run to completion. An
-	// uninterrupted pass reports its total step count in Report.Steps,
-	// which bounds the useful range.
-	CrashAtStep int
-	// Salvage directs orphaned dirty data pages — pages whose file no
-	// longer exists after the metadata restore — into /lost+found
-	// instead of dropping them.
-	Salvage bool
-	// Retry is the policy for recovery-path disk I/O (metadata commits;
-	// the post-boot data restore inherits the mount's own retry layer).
-	Retry ioretry.Policy
-}
-
-// DefaultOptions returns the production recovery configuration:
-// uninterrupted, salvaging, with the standard retry policy.
-func DefaultOptions() Options {
-	return Options{CrashAtStep: -1, Salvage: true, Retry: ioretry.DefaultPolicy()}
-}
 
 // Report describes what a warm reboot found and restored.
 type Report struct {
@@ -94,9 +62,6 @@ type Report struct {
 	SkippedInvalid int
 	// CloseErrors counts restore file handles whose Close failed.
 	CloseErrors int
-	// Steps is the number of restore steps the pass executed (see
-	// Options.CrashAtStep).
-	Steps int
 	// VolumeLost means the volume could not even be checked (superblock
 	// unreadable or implausible after the metadata restore): recovery
 	// stopped before booting, and the machine is not running. This is a
@@ -116,7 +81,7 @@ func (r *Report) String() string {
 
 // Image is the memory image one recovery restores from, with the registry
 // already parsed out of it. Recovery reads it and never writes it, so an
-// interrupted recovery (ErrInterrupted, or a fresh crash mid-restore)
+// interrupted recovery (kernel.ErrCrashPoint, or a fresh crash mid-restore)
 // restarts by passing the same Image to Restore again.
 type Image struct {
 	// dump holds frame f at mem.FrameBase(f). It may be shorter than
@@ -187,24 +152,18 @@ func Capture(m *machine.Machine) Image {
 // through system calls. On return the machine is booted and its file
 // system reflects the pre-crash file cache.
 func Warm(m *machine.Machine) (*Report, error) {
-	return Restore(m, Capture(m), DefaultOptions())
+	return Restore(m, Capture(m))
 }
 
 // FromDump performs the warm-reboot restore from an explicit memory image
 // — a dump the caller took with Mem.Dump, or one a UPS wrote to the swap
-// disk as the power failed (the paper's §1 power-outage story) — with
-// default options.
+// disk as the power failed (the paper's §1 power-outage story). The dump is
+// the caller's, full or truncated, and is only read.
 func FromDump(m *machine.Machine, dump []byte) (*Report, error) {
-	return FromDumpOpts(m, dump, DefaultOptions())
-}
-
-// FromDumpOpts is FromDump with explicit Options. The dump is the
-// caller's, full or truncated, and is only read.
-func FromDumpOpts(m *machine.Machine, dump []byte, opts Options) (*Report, error) {
 	im := Image{dump: dump}
 	// The registry lives at a machine-fixed location.
 	im.entries, im.bad = registry.Parse(dump, m.Reg.Frames())
-	return Restore(m, im, opts)
+	return Restore(m, im)
 }
 
 // Restore is the warm-reboot restore itself, from an Image.
@@ -212,17 +171,14 @@ func FromDumpOpts(m *machine.Machine, dump []byte, opts Options) (*Report, error
 // The protocol is idempotent over the image: every metadata commit writes
 // the same bytes to the same blocks, fsck converges, and every data-page
 // write lands the same bytes at the same file offsets, so calling it
-// again after an ErrInterrupted return (or after a fresh crash mid-
+// again after a kernel.ErrCrashPoint return (or after a fresh crash mid-
 // recovery) completes the restore with the same final state an
-// uninterrupted pass produces.
-func Restore(m *machine.Machine, im Image, opts Options) (*Report, error) {
+// uninterrupted pass produces. Each metadata commit, the fsck, the boot
+// and each data-page restore is one boundary of the machine's crash point;
+// a skipped invalid entry is none.
+func Restore(m *machine.Machine, im Image) (*Report, error) {
 	rep := &Report{Entries: len(im.entries), BadEntries: im.bad}
-
-	// step bookkeeping for the injected-second-crash protocol.
-	interrupted := func() bool {
-		return opts.CrashAtStep >= 0 && rep.Steps >= opts.CrashAtStep
-	}
-
+	cp := m.Kernel.CrashPoint
 	nframes := m.Mem.NumFrames()
 
 	// Classify and verify every entry first.
@@ -258,17 +214,17 @@ func Restore(m *machine.Machine, im Image, opts Options) (*Report, error) {
 	// commit retries transient device errors; a block that stays
 	// unwritable is quarantined (MetaFailed) and the pass continues —
 	// fsck repairs whatever inconsistency the missing block leaves.
-	retry := ioretry.New(opts.Retry, m.Engine.Clock)
+	retry := ioretry.New(ioretry.DefaultPolicy(), m.Engine.Clock)
 	for _, e := range metaDirty {
-		if interrupted() {
-			return rep, ErrInterrupted
-		}
 		// Block 0 is the superblock, which is never cached: a registry
 		// entry claiming it is corrupt, and restoring it would destroy
 		// the volume.
 		if e.Block < 1 || e.Block*fs.SectorsPerBlock >= int64(m.Disk.NumSectors()) {
 			rep.SkippedInvalid++
 			continue
+		}
+		if cp.Point() {
+			return rep, kernel.ErrCrashPoint
 		}
 		e := e
 		err := retry.Do(func() error {
@@ -279,15 +235,14 @@ func Restore(m *machine.Machine, im Image, opts Options) (*Report, error) {
 		} else {
 			rep.MetaRestored++
 		}
-		rep.Steps++
 	}
 
 	// Step 3: fsck the (now metadata-complete) volume. An unreadable or
 	// implausible superblock means there is no volume to check: report
 	// VolumeLost rather than aborting with an error, so campaign callers
 	// can score it as the corruption outcome it is.
-	if interrupted() {
-		return rep, ErrInterrupted
+	if cp.Point() {
+		return rep, kernel.ErrCrashPoint
 	}
 	fsckRep, err := fs.Fsck(m.Disk)
 	if err != nil {
@@ -295,12 +250,11 @@ func Restore(m *machine.Machine, im Image, opts Options) (*Report, error) {
 		return rep, nil
 	}
 	rep.Fsck = fsckRep
-	rep.Steps++
 
 	// Step 4: boot a fresh kernel. Pool frame contents are irrelevant now
 	// — everything needed is in the image.
-	if interrupted() {
-		return rep, ErrInterrupted
+	if cp.Point() {
+		return rep, kernel.ErrCrashPoint
 	}
 	if err := m.Boot(nil); err != nil {
 		// The volume passed fsck but still won't mount — e.g. a
@@ -310,7 +264,6 @@ func Restore(m *machine.Machine, im Image, opts Options) (*Report, error) {
 		rep.VolumeLost = true
 		return rep, nil
 	}
-	rep.Steps++
 
 	// Step 5: user-level restore of UBC pages via normal system calls.
 	// Every page is restored or accounted (DataFailed / OrphanData /
@@ -318,34 +271,29 @@ func Restore(m *machine.Machine, im Image, opts Options) (*Report, error) {
 	// to abandon the remaining pages unreported.
 	paths := inodePaths(m.FS)
 	for _, e := range dataDirty {
-		if interrupted() {
-			return rep, ErrInterrupted
+		if cp.Point() {
+			return rep, kernel.ErrCrashPoint
 		}
 		page := im.page(e.Frame)
 		n := int(e.Size)
 		if n > mem.PageSize {
 			n = mem.PageSize
 		}
+		// A file that is gone (its metadata never reached the disk, or fsck
+		// removed it) or will not open: salvage the bytes rather than drop
+		// them.
 		path, ok := paths[e.Ino]
-		if !ok {
-			// The file is gone (its metadata never reached the disk, or
-			// fsck removed it): salvage the bytes rather than drop them.
-			if opts.Salvage && salvagePage(m.FS, e, page[:n], rep) {
-				rep.Salvaged++
-			} else {
-				rep.OrphanData++
-			}
-			rep.Steps++
-			continue
+		var f *fs.File
+		var err error
+		if ok {
+			f, err = m.FS.Open(path)
 		}
-		f, err := m.FS.Open(path)
-		if err != nil {
-			if opts.Salvage && salvagePage(m.FS, e, page[:n], rep) {
+		if !ok || err != nil {
+			if salvagePage(m.FS, e, page[:n], rep) {
 				rep.Salvaged++
 			} else {
 				rep.OrphanData++
 			}
-			rep.Steps++
 			continue
 		}
 		restored := true
@@ -362,7 +310,6 @@ func Restore(m *machine.Machine, im Image, opts Options) (*Report, error) {
 		} else {
 			rep.DataFailed++
 		}
-		rep.Steps++
 	}
 	return rep, nil
 }
@@ -403,7 +350,8 @@ func salvagePage(fsys *fs.FS, e registry.ParsedEntry, page []byte, rep *Report) 
 // inodePaths walks the mounted tree building an inode -> path index for the
 // user-level UBC restorer. The /lost+found subtree is excluded: salvage
 // files from an earlier interrupted attempt must never capture a dirty
-// page that happens to share their (fresh) inode number.
+// page that happens to share their (fresh) inode number. A regular file
+// that holds the name is an ordinary file, restored like any other.
 //
 // The walk never fails: a subtree whose ReadDir errors (a faulted kernel
 // can leave a dirent typed as a directory pointing at a file, and fsck
@@ -424,11 +372,8 @@ func inodePaths(fsys *fs.FS) map[uint32]string {
 			if dir == "/" {
 				p = "/" + e.Name
 			}
-			if p == salvageDir {
-				continue
-			}
 			if e.IsDir {
-				if !seen[e.Ino] {
+				if p != salvageDir && !seen[e.Ino] {
 					seen[e.Ino] = true
 					walk(p)
 				}

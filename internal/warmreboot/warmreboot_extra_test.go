@@ -55,28 +55,48 @@ func TestWarmRebootOrphanData(t *testing.T) {
 	}
 }
 
-func TestWarmRebootOrphanDroppedWithoutSalvage(t *testing.T) {
-	// With salvage disabled the same page is counted as an orphan — the
-	// pre-salvage accounting contract still holds.
+func TestWarmRebootOrphanCountedWhenSalvageFails(t *testing.T) {
+	// Salvage needs a /lost+found directory. When the name is taken by a
+	// regular file the orphaned page cannot be salvaged: it is counted as
+	// an orphan, the pass does not fail, and every other page is restored.
 	m := rioMachine(t, false)
+	files := []struct {
+		path string
+		data []byte
+	}{
+		{"/lost+found", kernel.FillBytes(300, 3)},
+		{"/a", kernel.FillBytes(2*fs.BlockSize, 7)},
+		{"/b", kernel.FillBytes(fs.BlockSize/2, 8)},
+	}
+	for _, f := range files {
+		put(t, m, f.path, f.data)
+	}
 	put(t, m, "/doomed", kernel.FillBytes(fs.BlockSize, 5))
+	st, err := m.FS.Stat("/doomed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Point /doomed's page at an inode no file has.
 	for slot := 0; slot < m.Reg.Cap(); slot++ {
-		if e, ok := m.Reg.Get(slot); ok && e.Kind == registry.KindMeta {
-			if err := m.Reg.Free(slot); err != nil {
+		if e, ok := m.Reg.Get(slot); ok && e.Kind == registry.KindData && e.Ino == st.Ino {
+			if err := m.Reg.Mutate(slot, func(e *registry.Entry) { e.Ino = 1 << 20 }); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	m.Kernel.Panic("crash")
 	m.CrashFinish()
-	opts := DefaultOptions()
-	opts.Salvage = false
-	rep, err := FromDumpOpts(m, m.Mem.Dump(), opts)
+	rep, err := Warm(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.OrphanData == 0 || rep.Salvaged != 0 {
-		t.Fatalf("orphan not counted with salvage off: %v", rep)
+	if rep.OrphanData != 1 || rep.Salvaged != 0 || rep.DataRestored != 4 {
+		t.Fatalf("want 1 orphan, 0 salvaged, 4 pages restored: %v", rep)
+	}
+	for _, f := range files {
+		if !bytes.Equal(get(t, m, f.path), f.data) {
+			t.Fatalf("%s not restored beside the orphan", f.path)
+		}
 	}
 }
 

@@ -122,11 +122,10 @@ func (tt *TxnTest) Setup(fsys *fs.FS) error {
 func (tt *TxnTest) Commit(fsys *fs.FS) error {
 	l := txn.NewLog(fsys)
 	if tt.dirty {
-		// The crash probe keeps recovery from mistaking crash fallout
-		// (the fs serves zeroes mid-panic) for a deterministic refusal
-		// and quarantining a record that would replay fine at warmboot.
-		opts := txn.Options{Crashed: func() bool { return fsys.K.Crashed() != nil }}
-		if _, err := l.RecoverOpts(opts); err != nil {
+		// Recovery consults the kernel's crash record, so crash fallout
+		// (the fs serves zeroes mid-panic) never quarantines a record
+		// that would replay fine at warmboot.
+		if _, err := l.Recover(); err != nil {
 			return err
 		}
 		tt.dirty = false

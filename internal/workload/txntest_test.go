@@ -3,6 +3,8 @@ package workload
 import (
 	"testing"
 
+	"rio/internal/kernel"
+	"rio/internal/machine"
 	"rio/internal/txn"
 )
 
@@ -151,10 +153,11 @@ func TestTxnTestDirtyLogRollsForwardBeforeNextCommit(t *testing.T) {
 }
 
 // Recover is the crash run's roll-forward step: a published, half-applied
-// record must converge to all-new whether or not a second crash
-// interrupts the roll-forward, and the interruption must be reported.
+// record must converge to all-new whether or not a second crash halts the
+// roll-forward at one of its crash points 0..N (N counted by an
+// uninterrupted pass; armed at N, it completes without halting).
 func TestTxnTestRecoverRestartsAfterSecondCrash(t *testing.T) {
-	for _, crashAtStep := range []int{0, 1, 2} {
+	halfApplied := func() (*machine.Machine, *TxnTest) {
 		m := newRio(t)
 		tt := NewTxnTest(7, 3)
 		if err := tt.Setup(m.FS); err != nil {
@@ -172,15 +175,31 @@ func TestTxnTestRecoverRestartsAfterSecondCrash(t *testing.T) {
 		if v := tt.Check(m.FS); v.Torn != 1 {
 			t.Fatalf("half-applied record not seen as torn before recovery: %+v", v)
 		}
-		interrupted, quarantined, err := tt.Recover(m.FS, crashAtStep)
-		if err != nil || quarantined != 0 {
-			t.Fatalf("crashAtStep=%d: quarantined=%d err=%v", crashAtStep, quarantined, err)
+		return m, tt
+	}
+	m, tt := halfApplied()
+	m.Kernel.CrashPoint.Disarm()
+	if _, err := tt.Recover(m.FS); err != nil {
+		t.Fatal(err)
+	}
+	n := m.Kernel.CrashPoint.Count()
+	for k := 0; k <= n; k++ {
+		m, tt := halfApplied()
+		cp := m.Kernel.CrashPoint
+		cp.Arm(k)
+		quarantined, err := tt.Recover(m.FS)
+		if k < n {
+			if err != kernel.ErrCrashPoint {
+				t.Fatalf("armed at point %d of %d: err = %v, want ErrCrashPoint", k, n, err)
+			}
+			cp.Disarm()
+			quarantined, err = tt.Recover(m.FS)
 		}
-		if interrupted != (crashAtStep > 0) {
-			t.Fatalf("crashAtStep=%d: interrupted=%v", crashAtStep, interrupted)
+		if err != nil || quarantined != 0 {
+			t.Fatalf("point %d of %d: quarantined=%d err=%v", k, n, quarantined, err)
 		}
 		if v := tt.Check(m.FS); !v.Clean() || v.Checked != 3 {
-			t.Fatalf("crashAtStep=%d: verdict after roll-forward: %+v", crashAtStep, v)
+			t.Fatalf("point %d of %d: verdict after roll-forward: %+v", k, n, v)
 		}
 	}
 }

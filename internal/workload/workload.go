@@ -80,25 +80,14 @@ func (tt *TxnTest) Step(fsys *fs.FS) error { return tt.Commit(fsys) }
 // Recover rolls the transaction log forward after the machine's own
 // recovery: committed records complete, torn tails are dropped (a
 // published-but-unapplied record is pending state, not corruption).
-// crashAtStep > 0 is the double-fault second crash: the roll-forward is
-// interrupted at that step and restarted, and must converge (Apply is
-// idempotent). quarantined counts records refused as deterministically
-// unappliable; the workload only stages writes, so any refusal means
-// storage damage. The crash run calls this before Check and scores what
-// it reports — Check itself no longer touches the log.
-func (tt *TxnTest) Recover(fsys *fs.FS, crashAtStep int) (interrupted bool, quarantined int, err error) {
-	l := txn.NewLog(fsys)
-	opts := txn.Options{
-		CrashAtStep: crashAtStep,
-		Crashed:     func() bool { return fsys.K.Crashed() != nil },
-	}
-	st, err := l.RecoverOpts(opts)
-	if err == txn.ErrInterrupted {
-		interrupted = true
-		opts.CrashAtStep = 0
-		st, err = l.RecoverOpts(opts)
-	}
-	return interrupted, st.Quarantined, err
+// quarantined counts records refused as deterministically unappliable; the
+// workload only stages writes, so any refusal means storage damage. The
+// crash run calls this before Check — restarting it when the machine's
+// crash point halts it — and scores what it reports; Check itself no
+// longer touches the log.
+func (tt *TxnTest) Recover(fsys *fs.FS) (quarantined int, err error) {
+	st, err := txn.NewLog(fsys).Recover()
+	return st.Quarantined, err
 }
 
 // Check implements Workload: classify the accounts of a recovered (and
