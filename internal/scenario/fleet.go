@@ -35,6 +35,15 @@ const (
 	// happens behind its back; the deposed-but-ignorant primary must
 	// refuse reads (the read fence) instead of serving stale bytes.
 	partitionPair
+	// killAfterCut: one write degrades across a cut primary↔backup link,
+	// the link heals, a round passes, and then the primary's machine
+	// dies. The backup must be promoted, not evicted on the word of the
+	// primary that could not reach it.
+	killAfterCut
+	// reviveEmpty: the primary's machine dies and comes back empty
+	// before the coordinator declares it dead. Its own report shows no
+	// replica, so the backup must be promoted over it.
+	reviveEmpty
 )
 
 // fleetFaultNames is the one table of fault kinds: the index is the
@@ -46,6 +55,8 @@ var fleetFaultNames = [...]string{
 	killBackup:       "kill-backup",
 	osCrash:          "os-crash",
 	partitionPair:    "partition-pair",
+	killAfterCut:     "kill-after-cut",
+	reviveEmpty:      "revive-empty",
 }
 
 func (k fleetFault) String() string { return fleetFaultNames[k] }
@@ -216,6 +227,15 @@ func runFleetPlan(p fleetPlan) (res fleetResult) {
 	}
 
 	route0 := f.Table().Routes[0]
+	// onShard0 is the first fully acked key on route0's shard, or -1.
+	onShard0 := func() int {
+		for i := range acked {
+			if !acked[i].prefix && server.ShardOf(acked[i].path, p.Shards) == route0.Shard {
+				return i
+			}
+		}
+		return -1
+	}
 	healAfter := -1
 	switch p.Kind {
 	case killPrimary:
@@ -252,6 +272,26 @@ func runFleetPlan(p fleetPlan) (res fleetResult) {
 		tr.Cut(route0.Primary, fleet.CoordName)
 		ticks(4)
 		healAfter = p.PostWrites / 2
+	case killAfterCut:
+		if len(route0.Backups) > 0 {
+			f.Transport().Cut(route0.Primary, route0.Backups[0])
+			// One attempt, no tick: an acked key rewritten with its own
+			// bytes degrades (applied on the primary, unacked).
+			if i := onShard0(); i >= 0 {
+				one := f.Client(nil)
+				one.MaxAttempts = 1
+				one.Do(&wire.Request{Op: wire.OpWrite, Shard: -1, Path: acked[i].path, Data: acked[i].data})
+			}
+			f.Rejoin(route0.Primary)
+			ticks(1)
+		}
+		f.Kill(route0.Primary)
+		ticks(4)
+	case reviveEmpty:
+		f.Kill(route0.Primary)
+		ticks(2) // one short of the default MissThreshold
+		f.Revive(route0.Primary)
+		ticks(4)
 	}
 
 	if p.Kind == partitionPair {
@@ -260,14 +300,7 @@ func runFleetPlan(p fleetPlan) (res fleetResult) {
 		// there), then read it from the old primary — still reachable by
 		// clients, ignorant of its deposition. The read fence must refuse;
 		// an OK carrying the old bytes is a stale read.
-		probe := -1
-		for i := range acked {
-			if !acked[i].prefix && server.ShardOf(acked[i].path, p.Shards) == route0.Shard {
-				probe = i
-				break
-			}
-		}
-		if probe >= 0 {
+		if probe := onShard0(); probe >= 0 {
 			rew := append([]byte(nil), acked[probe].data...)
 			for i := range rew {
 				rew[i] ^= 0x5A

@@ -25,7 +25,8 @@ func TestFleetPlanDeterministic(t *testing.T) {
 }
 
 func TestFleetFaultKindStrings(t *testing.T) {
-	want := []string{"kill-primary", "partition-primary", "kill-backup", "os-crash", "partition-pair"}
+	want := []string{"kill-primary", "partition-primary", "kill-backup", "os-crash", "partition-pair",
+		"kill-after-cut", "revive-empty"}
 	if len(fleetFaultNames) != len(want) {
 		t.Fatalf("%d fault kinds, want %d", len(fleetFaultNames), len(want))
 	}
@@ -91,9 +92,9 @@ func TestFleetRunOneEachKind(t *testing.T) {
 			if res.Promotions != 0 {
 				t.Fatalf("os-crash: warm reboot should not trigger promotion, got %d", res.Promotions)
 			}
-		case partitionPair:
+		case partitionPair, killAfterCut, reviveEmpty:
 			if res.Promotions == 0 {
-				t.Fatalf("partition-pair: no promotion happened (reconfigs=%d)", res.Reconfigs)
+				t.Fatalf("%v: no promotion happened (reconfigs=%d)", p.Kind, res.Reconfigs)
 			}
 		}
 	}

@@ -293,38 +293,23 @@ func (p RetryPolicy) Delay(n int) time.Duration {
 type RetryStats struct {
 	Retries   uint64 // re-submissions issued
 	Exhausted uint64 // requests that stayed retryable after MaxRetries
-	Redirects uint64 // StatusMoved hops followed
 	Backoff   time.Duration
 }
 
-// maxRedirects bounds how many StatusMoved hops one Do will follow. A
-// correct coordinator converges in one hop; the bound exists so a
-// routing loop (two nodes each pointing at the other mid-promotion)
-// costs a typed error, not a hang.
-const maxRedirects = 4
-
 // RetryClient wraps a Client with the EAGAIN discipline: responses
 // whose status is Retryable are re-submitted with exponential backoff
-// (jittered and capped per Pol). All other responses, and transport
-// errors, pass through — except StatusMoved when Redial is set, which
-// is followed transparently: the client re-dials the address the
-// redirect names and re-sends there. Not safe for concurrent use
-// (wraps a single-connection client).
+// (jittered and capped per Pol). All other responses — StatusMoved
+// included — and transport errors pass through. Not safe for concurrent
+// use (wraps a single-connection client).
 type RetryClient struct {
 	C     Client
 	Pol   RetryPolicy
 	Stats RetryStats
-
-	// Redial, when set, follows StatusMoved redirects: it dials the
-	// address carried in Response.Msg and returns a client for it; the
-	// old client is closed and replaced. Works over any transport —
-	// DialTCP, DialMux, or an in-process resolver.
-	Redial func(addr string) (Client, error)
 }
 
 // Do implements Client.
 func (r *RetryClient) Do(req *wire.Request) (*wire.Response, error) {
-	resp, err := r.doMoved(req)
+	resp, err := r.C.Do(req)
 	if err != nil {
 		return resp, err
 	}
@@ -334,7 +319,7 @@ func (r *RetryClient) Do(req *wire.Request) (*wire.Response, error) {
 			time.Sleep(d)
 		}
 		r.Stats.Retries++
-		if resp, err = r.doMoved(req); err != nil {
+		if resp, err = r.C.Do(req); err != nil {
 			return resp, err
 		}
 	}
@@ -342,26 +327,6 @@ func (r *RetryClient) Do(req *wire.Request) (*wire.Response, error) {
 		r.Stats.Exhausted++
 	}
 	return resp, nil
-}
-
-// doMoved issues one attempt, following a bounded chain of StatusMoved
-// redirects when a Redial hook is present.
-func (r *RetryClient) doMoved(req *wire.Request) (*wire.Response, error) {
-	resp, err := r.C.Do(req)
-	for hops := 0; err == nil && resp.Status == wire.StatusMoved && r.Redial != nil; hops++ {
-		if hops >= maxRedirects {
-			return resp, fmt.Errorf("server: %d redirects without converging (last: %q)", hops, resp.Msg)
-		}
-		next, derr := r.Redial(resp.Msg)
-		if derr != nil {
-			return resp, fmt.Errorf("server: following redirect to %q: %w", resp.Msg, derr)
-		}
-		r.C.Close()
-		r.C = next
-		r.Stats.Redirects++
-		resp, err = r.C.Do(req)
-	}
-	return resp, err
 }
 
 // Close implements Client.

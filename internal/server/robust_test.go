@@ -63,75 +63,30 @@ func TestRetryPolicyDelayDeterministicAndCapped(t *testing.T) {
 	}
 }
 
-// movedClient answers StatusMoved(addr) until the caller "dials" the
-// right address, then serves OK — the shape of a fleet promotion.
+// movedClient answers every request StatusMoved naming primary.
 type movedClient struct {
-	addr    string
 	primary string
-	calls   *int
+	calls   int
 }
 
 func (m *movedClient) Do(req *wire.Request) (*wire.Response, error) {
-	*m.calls++
-	if m.addr != m.primary {
-		return &wire.Response{ID: req.ID, Status: wire.StatusMoved, Msg: m.primary}, nil
-	}
-	return &wire.Response{ID: req.ID, Status: wire.StatusOK, Size: 7}, nil
+	m.calls++
+	return &wire.Response{ID: req.ID, Status: wire.StatusMoved, Msg: m.primary}, nil
 }
 func (m *movedClient) Close() error { return nil }
 
-func TestRetryClientFollowsMoved(t *testing.T) {
-	calls := 0
-	rc := &RetryClient{
-		C: &movedClient{addr: "old", primary: "new", calls: &calls},
-		Redial: func(addr string) (Client, error) {
-			return &movedClient{addr: addr, primary: "new", calls: &calls}, nil
-		},
-	}
-	resp, err := rc.Do(&wire.Request{ID: 9, Op: wire.OpStat, Shard: -1, Path: "/x"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Status != wire.StatusOK || resp.Size != 7 {
-		t.Fatalf("redirect not followed: %+v", resp)
-	}
-	if rc.Stats.Redirects != 1 {
-		t.Fatalf("Redirects = %d, want 1", rc.Stats.Redirects)
-	}
-	if calls != 2 {
-		t.Fatalf("calls = %d, want 2 (one moved, one ok)", calls)
-	}
-}
-
-func TestRetryClientBoundsRedirectLoop(t *testing.T) {
-	calls := 0
-	// Every hop answers Moved: a routing loop. Do must fail with a
-	// typed error after maxRedirects hops, not spin.
-	rc := &RetryClient{
-		C: &movedClient{addr: "a", primary: "never", calls: &calls},
-		Redial: func(addr string) (Client, error) {
-			return &movedClient{addr: "b", primary: "never", calls: &calls}, nil
-		},
-	}
-	if _, err := rc.Do(&wire.Request{ID: 1, Op: wire.OpStat, Shard: -1, Path: "/x"}); err == nil {
-		t.Fatal("unbounded redirect loop did not error")
-	}
-	if calls > maxRedirects+1 {
-		t.Fatalf("%d attempts for a %d-hop bound", calls, maxRedirects)
-	}
-}
-
-// Without a Redial hook, StatusMoved passes through untouched — a
-// plain client treats it like any terminal status.
+// StatusMoved passes through untouched, in one attempt — RetryClient
+// treats it like any terminal status; following redirects is
+// fleet.Client's job.
 func TestRetryClientMovedPassthrough(t *testing.T) {
-	calls := 0
-	rc := &RetryClient{C: &movedClient{addr: "old", primary: "new", calls: &calls}}
+	moved := &movedClient{primary: "new"}
+	rc := &RetryClient{C: moved, Pol: DefaultRetryPolicy()}
 	resp, err := rc.Do(&wire.Request{ID: 1, Op: wire.OpStat, Shard: -1, Path: "/x"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Status != wire.StatusMoved || resp.Msg != "new" {
-		t.Fatalf("got %+v, want moved passthrough", resp)
+	if resp.Status != wire.StatusMoved || resp.Msg != "new" || moved.calls != 1 {
+		t.Fatalf("got %+v after %d attempts, want one moved passthrough", resp, moved.calls)
 	}
 }
 
