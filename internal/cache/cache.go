@@ -17,9 +17,9 @@
 package cache
 
 import (
-	"container/list"
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"rio/internal/kernel"
 	"rio/internal/mem"
@@ -71,7 +71,7 @@ type Buf struct {
 	// to avoid marking a since-redirtied buffer clean.
 	Gen uint64
 
-	elem *list.Element
+	prev, next *Buf // LRU neighbours in the pool (toward front, toward back)
 }
 
 // Off returns the byte offset of a data buffer within its file.
@@ -117,8 +117,63 @@ type Cache struct {
 
 	meta    map[int64]*Buf
 	data    map[DataKey]*Buf
-	metaLRU *list.List // front = most recent
-	dataLRU *list.List
+	metaLRU lru
+	dataLRU lru
+
+	victims []*Buf // DropFileData's reusable scratch
+}
+
+// lru is one pool's recency order, threaded through the Bufs themselves
+// (Buf.prev/next, as the fs dcache threads its node slab), so caching a
+// block allocates no list element. front is the most recently used
+// buffer, back the next eviction victim.
+type lru struct {
+	front, back *Buf
+	n           int
+}
+
+// has reports whether b is on l: every member but the front has a prev.
+func (l *lru) has(b *Buf) bool { return b.prev != nil || l.front == b }
+
+func (l *lru) pushFront(b *Buf) {
+	b.prev, b.next = nil, l.front
+	if l.front != nil {
+		l.front.prev = b
+	} else {
+		l.back = b
+	}
+	l.front = b
+	l.n++
+}
+
+// remove unlinks b; like container/list's Remove, a no-op for a buffer
+// not on l.
+func (l *lru) remove(b *Buf) {
+	if !l.has(b) {
+		return
+	}
+	if b.prev != nil {
+		b.prev.next = b.next
+	} else {
+		l.front = b.next
+	}
+	if b.next != nil {
+		b.next.prev = b.prev
+	} else {
+		l.back = b.prev
+	}
+	b.prev, b.next = nil, nil
+	l.n--
+}
+
+// moveToFront makes b the most recently used; like container/list's
+// MoveToFront, a no-op for a buffer not on l (a stale handle to a
+// removed buffer stays out).
+func (l *lru) moveToFront(b *Buf) {
+	if b.prev != nil { // on l, and not already its front
+		l.remove(b)
+		l.pushFront(b)
+	}
 }
 
 // New returns an empty cache over k and reg.
@@ -129,10 +184,8 @@ func New(k *kernel.Kernel, reg *registry.Registry, metaCap, dataCap int) *Cache 
 	return &Cache{
 		K: k, Reg: reg,
 		MetaCap: metaCap, DataCap: dataCap,
-		meta:    make(map[int64]*Buf),
-		data:    make(map[DataKey]*Buf),
-		metaLRU: list.New(),
-		dataLRU: list.New(),
+		meta: make(map[int64]*Buf),
+		data: make(map[DataKey]*Buf),
 	}
 }
 
@@ -160,16 +213,13 @@ func (c *Cache) LookupData(ino uint32, fileBlock int64) *Buf {
 	return b
 }
 
-func (c *Cache) touch(b *Buf) {
-	lru := c.lruOf(b.Kind)
-	lru.MoveToFront(b.elem)
-}
+func (c *Cache) touch(b *Buf) { c.lruOf(b.Kind).moveToFront(b) }
 
-func (c *Cache) lruOf(k Kind) *list.List {
+func (c *Cache) lruOf(k Kind) *lru {
 	if k == Meta {
-		return c.metaLRU
+		return &c.metaLRU
 	}
-	return c.dataLRU
+	return &c.dataLRU
 }
 
 func (c *Cache) capOf(k Kind) int {
@@ -180,17 +230,16 @@ func (c *Cache) capOf(k Kind) int {
 }
 
 // Len returns the number of buffers in a pool.
-func (c *Cache) Len(k Kind) int { return c.lruOf(k).Len() }
+func (c *Cache) Len(k Kind) int { return c.lruOf(k).n }
 
 // evictFor makes room in the pool for one more buffer.
 func (c *Cache) evictFor(k Kind) error {
-	lru := c.lruOf(k)
-	for lru.Len() >= c.capOf(k) {
-		victimElem := lru.Back()
-		if victimElem == nil {
+	l := c.lruOf(k)
+	for l.n >= c.capOf(k) {
+		victim := l.back
+		if victim == nil {
 			return fmt.Errorf("cache: %s pool empty but over cap", k)
 		}
-		victim := victimElem.Value.(*Buf)
 		if victim.Dirty {
 			if c.WriteBack == nil {
 				return fmt.Errorf("cache: dirty eviction with no WriteBack")
@@ -278,7 +327,7 @@ func (c *Cache) InsertMeta(block int64, content []byte) (*Buf, error) {
 	}
 	b.Slot = slot
 	c.meta[block] = b
-	b.elem = c.metaLRU.PushFront(b)
+	c.metaLRU.pushFront(b)
 	return b, nil
 }
 
@@ -309,7 +358,7 @@ func (c *Cache) InsertData(ino uint32, fileBlock int64, diskBlock int64, content
 	}
 	b.Slot = slot
 	c.data[key] = b
-	b.elem = c.dataLRU.PushFront(b)
+	c.dataLRU.pushFront(b)
 	return b, nil
 }
 
@@ -506,7 +555,7 @@ func (c *Cache) Remove(b *Buf) error {
 	case Data:
 		delete(c.data, DataKey{b.Ino, b.FileBlock})
 	}
-	c.lruOf(b.Kind).Remove(b.elem)
+	c.lruOf(b.Kind).remove(b)
 	if err := c.Reg.Free(b.Slot); err != nil {
 		return err
 	}
@@ -525,29 +574,32 @@ func (c *Cache) Remove(b *Buf) error {
 // allocations get — and with that, the order warm reboot restores pages
 // and the order recovery I/O hits the disk's fault stream. Map-order
 // removal made double-fault campaigns diverge between identical runs.
+// The victims are gathered in a scratch the cache keeps, so an unlink
+// allocates nothing here.
 func (c *Cache) DropFileData(ino uint32, fromBlock int64) error {
-	var victims []*Buf
+	victims := c.victims[:0]
 	for key, b := range c.data {
 		if key.Ino == ino && key.FileBlock >= fromBlock {
 			victims = append(victims, b)
 		}
 	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].FileBlock < victims[j].FileBlock })
+	slices.SortFunc(victims, func(a, b *Buf) int { return cmp.Compare(a.FileBlock, b.FileBlock) })
+	var err error
 	for _, b := range victims {
-		if err := c.Remove(b); err != nil {
-			return err
+		if err = c.Remove(b); err != nil {
+			break
 		}
 	}
-	return nil
+	clear(victims) // the scratch must not keep removed buffers alive
+	c.victims = victims[:0]
+	return err
 }
 
 // DirtyBufs returns the dirty buffers of a pool, least recently used first
 // (a natural flush order).
 func (c *Cache) DirtyBufs(kind Kind) []*Buf {
 	var out []*Buf
-	lru := c.lruOf(kind)
-	for e := lru.Back(); e != nil; e = e.Prev() {
-		b := e.Value.(*Buf)
+	for b := c.lruOf(kind).back; b != nil; b = b.prev {
 		if b.Dirty {
 			out = append(out, b)
 		}
@@ -558,9 +610,8 @@ func (c *Cache) DirtyBufs(kind Kind) []*Buf {
 // All returns every buffer in a pool (tests, verification).
 func (c *Cache) All(kind Kind) []*Buf {
 	var out []*Buf
-	lru := c.lruOf(kind)
-	for e := lru.Front(); e != nil; e = e.Next() {
-		out = append(out, e.Value.(*Buf))
+	for b := c.lruOf(kind).front; b != nil; b = b.next {
+		out = append(out, b)
 	}
 	return out
 }

@@ -234,8 +234,9 @@ func TestDcacheEvictsLeastRecentlyUsedInOrder(t *testing.T) {
 }
 
 // TestCreateAllocBudget: creating the 64th..128th file of one directory
-// costs at most 4 heap objects each. Measured 2.08: the *File, splitPath's
-// component slice, and now and then a bucket of the dcache's map. The
+// costs at most 4 heap objects each. Measured 1.08: the *File, and now
+// and then a bucket of the dcache's map (2.08 while resolveParent split
+// the path into a component slice). The
 // lookup that precedes the insert scans every live entry of the directory,
 // so a string per dirent walked past (36.5 objects per create when dirScan
 // built a Dirent for each) cannot hide in it.

@@ -116,12 +116,14 @@ func TestImageRolesNest(t *testing.T) {
 // cycle on a warmed Rio mount allocates no block-sized object. Every
 // image the cycle takes — three inode blocks, three directory blocks, a
 // bitmap block — is borrowed from the mount's scratch, so what is left is
-// the handle, the split paths and the dcache's entries: measured 557 B
-// and 16 objects per cycle, against 41 517 B and 21 at the parent, where
-// three putInode calls, balloc and bfree each had Cache.Contents build a
-// fresh 8 KB image. The budget is 2 KB: one heap image put back in
-// putInode (img := append([]byte(nil), img...)) reads 25 133 B and fails
-// it by an order of magnitude. (A bare make([]byte, BlockSize) there does
+// chiefly the handle and the new data page's cache.Buf: measured 259 B
+// and 5 objects per cycle (387 B and 9 while paths were
+// split into component slices and the cache's LRU allocated a list
+// element per page and DropFileData a victim slice per unlink), against
+// 41 517 B and 21 when three putInode calls, balloc and bfree each had
+// Cache.Contents build a fresh 8 KB image. The budget is 2 KB: one heap
+// image put back in putInode (img := append([]byte(nil), img...)) reads
+// 25 133 B and fails it by an order of magnitude. (A bare make([]byte, BlockSize) there does
 // not: it does not escape, so the compiler keeps it on the stack, and
 // this test counts the heap.)
 func TestMessageCycleAllocBudget(t *testing.T) {

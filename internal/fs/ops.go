@@ -28,22 +28,22 @@ type File struct {
 }
 
 // --- path resolution ---
+//
+// Every walk iterates a path's components in place — component slices
+// them out of the trimmed path — rather than splitting it into a
+// []string: resolution is on every served request's path, and the split
+// was a heap object per walk. Before the first lookup runs, every
+// component is validated (checkPathComponents), so a bad name anywhere in
+// the path is refused without touching a directory.
 
-func splitPath(path string) ([]string, error) {
-	path = strings.Trim(path, "/")
-	if path == "" {
-		return nil, nil
+// component returns the name in the trimmed path p that starts at start,
+// and the index just past it (len(p) for the last one).
+func component(p string, start int) (name string, stop int) {
+	stop = len(p)
+	if i := strings.IndexByte(p[start:], '/'); i >= 0 {
+		stop = start + i
 	}
-	parts := strings.Split(path, "/")
-	for _, p := range parts {
-		if p == "" || p == "." || p == ".." {
-			return nil, fmt.Errorf("fs: unsupported path component %q", p)
-		}
-		if len(p) > MaxNameLen {
-			return nil, ErrNameTooLong
-		}
-	}
-	return parts, nil
+	return p[start:stop], stop
 }
 
 // dirBlock images a cached directory block into the directory scratch
@@ -137,11 +137,6 @@ func (f *FS) resolveDepth(path string, depth int) (uint32, error) {
 	if depth > maxSymlinkDepth {
 		return 0, ErrSymlinkLoop
 	}
-	// The walk iterates components in place rather than splitting into a
-	// []string: resolve is on every served request's path, and the split
-	// was the read path's last unavoidable allocation. The validation
-	// prepass keeps splitPath's semantics — every component is checked
-	// before the first lookup runs.
 	p := strings.Trim(path, "/")
 	if p == "" {
 		return f.SB.RootIno, nil
@@ -151,12 +146,9 @@ func (f *FS) resolveDepth(path string, depth int) (uint32, error) {
 	}
 	ino := f.SB.RootIno
 	for start := 0; start < len(p); {
-		stop := len(p)
-		if i := strings.IndexByte(p[start:], '/'); i >= 0 {
-			stop = start + i
-		}
+		name, stop := component(p, start)
 		var err error
-		ino, err = f.lookup(ino, p[start:stop])
+		ino, err = f.lookup(ino, name)
 		if err != nil {
 			return 0, err
 		}
@@ -183,15 +175,11 @@ func (f *FS) resolveDepth(path string, depth int) (uint32, error) {
 	return ino, nil
 }
 
-// checkPathComponents applies splitPath's per-component validation to an
-// already-trimmed, non-empty path without allocating the component slice.
+// checkPathComponents validates every component of an already-trimmed,
+// non-empty path: no empty, "." or ".." name, none over MaxNameLen.
 func checkPathComponents(p string) error {
 	for start := 0; start < len(p); {
-		stop := len(p)
-		if i := strings.IndexByte(p[start:], '/'); i >= 0 {
-			stop = start + i
-		}
-		name := p[start:stop]
+		name, stop := component(p, start)
 		if name == "" || name == "." || name == ".." {
 			return fmt.Errorf("fs: unsupported path component %q", name)
 		}
@@ -203,23 +191,27 @@ func checkPathComponents(p string) error {
 	return nil
 }
 
-// resolveParent returns the parent directory inode and the final name.
+// resolveParent returns the parent directory inode and the final name
+// (symbolic links in the parent chain are not followed).
 func (f *FS) resolveParent(path string) (uint32, string, error) {
-	parts, err := splitPath(path)
-	if err != nil {
-		return 0, "", err
-	}
-	if len(parts) == 0 {
+	p := strings.Trim(path, "/")
+	if p == "" {
 		return 0, "", fmt.Errorf("fs: %q has no parent", path)
 	}
+	if err := checkPathComponents(p); err != nil {
+		return 0, "", err
+	}
+	last := strings.LastIndexByte(p, '/') + 1 // start of the final name
 	ino := f.SB.RootIno
-	for _, p := range parts[:len(parts)-1] {
-		ino, err = f.lookup(ino, p)
-		if err != nil {
+	for start := 0; start < last; {
+		name, stop := component(p, start)
+		var err error
+		if ino, err = f.lookup(ino, name); err != nil {
 			return 0, "", err
 		}
+		start = stop + 1
 	}
-	return ino, parts[len(parts)-1], nil
+	return ino, p[last:], nil
 }
 
 // dirInsert adds (name, ino) to the directory, extending it if needed.
@@ -683,11 +675,8 @@ func (f *FS) Stat(path string) (FileInfo, error) {
 	if err != nil {
 		return FileInfo{}, err
 	}
-	parts, _ := splitPath(path)
-	name := ""
-	if len(parts) > 0 {
-		name = parts[len(parts)-1]
-	}
+	p := strings.Trim(path, "/") // resolve validated it: "" is the root
+	name := p[strings.LastIndexByte(p, '/')+1:]
 	return FileInfo{Name: name, Ino: ino, IsDir: n.Mode == ModeDir, Size: n.Size}, nil
 }
 

@@ -25,15 +25,15 @@ const (
 	for i := range results {
 		d := &results[i]
 		switch {
-		case d.resp != nil: // answered at stage time
+		case d.staged: // answered at stage time
 		case d.commit >= 0:
 			var outcome commitOutcome
-			d.resp, outcome = sh.applyCommit(d.t.req, &sealed[d.commit], published, pubErr)
+			d.resp, outcome = sh.applyCommit(&d.t.req, &sealed[d.commit], published, pubErr)
 			if outcome != commitPending {
 				resolved++
 			}
 		default:
-			d.frame, d.resp, d.dataLen = sh.handle(d.t.req, d.t.wantFrame)
+			d.frame, d.resp, d.dataLen = sh.handle(&d.t.req, d.t.wantFrame)
 		}
 	}
 `
@@ -77,11 +77,11 @@ var seeds = []seed{
 	{name: "2 ack before publish",
 		file: "internal/server/server.go", function: "serve", analyzer: "commitorder", substring: "acked before its record was published",
 		old: "\tif len(sealed) > 0 && pubErr == nil {\n",
-		new: "\tsh.ackCommit(batch[0], nil)\n\tif len(sealed) > 0 && pubErr == nil {\n"},
+		new: "\tsh.ackCommit(&batch[0], wire.Response{})\n\tif len(sealed) > 0 && pubErr == nil {\n"},
 	{name: "3 ack between publish and apply",
 		file: "internal/server/server.go", function: "serve", analyzer: "commitorder", substring: "acked before its record was applied",
 		old: "\tresolved := 0\n",
-		new: "\tsh.ackCommit(batch[0], nil)\n\tresolved := 0\n"},
+		new: "\tsh.ackCommit(&batch[0], wire.Response{})\n\tresolved := 0\n"},
 	{name: "4 erase above the apply loop",
 		file: "internal/server/server.go", function: "serve", analyzer: "commitorder", substring: "erased before its record was applied",
 		old: serveApplyLoop + serveEraseComment + serveEraseBlock,

@@ -149,8 +149,9 @@ func (c *cacheT) ReadDirect(off int, dst []byte) { // want bufalias "ReadDirect 
 }
 
 // requestT / DecodeRequestAliased mimic internal/wire's in-place request
-// decoder: the parse runs through a cursor's methods, which the taint
-// walk does not follow, so bufalias knows the alias by name.
+// decoder, which returns the request by value: the parse runs through a
+// cursor's methods, which the taint walk does not follow, so bufalias
+// knows the alias by name.
 type requestT struct {
 	Path string
 	Data []byte
@@ -163,9 +164,9 @@ type cursorT struct {
 
 func (c *cursorT) rest() []byte { return c.buf[c.off:] }
 
-func DecodeRequestAliased(buf []byte) *requestT {
+func DecodeRequestAliased(buf []byte) requestT {
 	c := cursorT{buf: buf}
-	return &requestT{Data: c.rest()}
+	return requestT{Data: c.rest()}
 }
 
 // opT / txnT mimic internal/server's transaction staging: staged ops sit
@@ -187,7 +188,7 @@ func stagedOp(req *requestT) opT { return opT{Path: req.Path, Data: req.Data} }
 func stageAliased(p *framePoolT, tx *txnT) {
 	frame := p.get()
 	req := DecodeRequestAliased(frame)
-	op := stagedOp(req)
+	op := stagedOp(&req)
 	tx.ops = append(tx.ops, op) // want bufalias "stored in tx.ops"
 	p.putFrameBuf(frame)
 }

@@ -146,7 +146,7 @@ func (c *cacheT) ReadDirect(off int, dst []byte) {
 }
 
 // requestT / DecodeRequestAliased mimic internal/wire's in-place request
-// decoder.
+// decoder, which returns the request by value.
 type requestT struct {
 	Path string
 	Data []byte
@@ -159,9 +159,9 @@ type cursorT struct {
 
 func (c *cursorT) rest() []byte { return c.buf[c.off:] }
 
-func DecodeRequestAliased(buf []byte) *requestT {
+func DecodeRequestAliased(buf []byte) requestT {
 	c := cursorT{buf: buf}
-	return &requestT{Data: c.rest()}
+	return requestT{Data: c.rest()}
 }
 
 type opT struct {

@@ -38,9 +38,9 @@ func (c MemClient) Close() error { return nil }
 // connection. Not safe for concurrent use; closed-loop load clients
 // hold one each.
 type TCPClient struct {
-	conn net.Conn
-	br   *bufio.Reader
-	buf  []byte
+	conn    net.Conn
+	replies replyReader
+	buf     []byte
 }
 
 // DialTCP connects to a riod server.
@@ -49,7 +49,7 @@ func DialTCP(addr string) (*TCPClient, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &TCPClient{conn: conn, br: bufio.NewReaderSize(conn, connReadBuf), buf: make([]byte, 0, 4096)}, nil
+	return &TCPClient{conn: conn, replies: newReplyReader(conn), buf: make([]byte, 0, 4096)}, nil
 }
 
 // sendRequest writes req as one frame in one Write (one syscall, one
@@ -69,11 +69,37 @@ func (c *TCPClient) Do(req *wire.Request) (*wire.Response, error) {
 	if c.buf, err = sendRequest(c.conn, c.buf, req); err != nil {
 		return nil, err
 	}
-	payload, err := wire.ReadFrame(c.br, wire.MaxFrame)
+	payload, err := c.replies.next()
 	if err != nil {
 		return nil, err
 	}
 	return wire.DecodeResponse(payload)
+}
+
+// replyReader reads a connection's reply frames, each into the one
+// buffer it keeps. wire.DecodeResponse copies Data and Msg out of the
+// frame, so a client pays for the decoded response and not for the frame
+// it came in.
+type replyReader struct {
+	br  *bufio.Reader
+	buf []byte
+}
+
+// maxReplyBuf caps the buffer a replyReader keeps: a larger reply (a
+// whole-file read, up to MaxData) gets a buffer of its own, not kept.
+const maxReplyBuf = connReadBuf
+
+func newReplyReader(conn net.Conn) replyReader {
+	return replyReader{br: bufio.NewReaderSize(conn, connReadBuf)}
+}
+
+// next returns the next reply frame's payload, valid until the next call.
+func (r *replyReader) next() ([]byte, error) {
+	payload, err := wire.ReadFrameInto(r.br, wire.MaxFrame, r.buf)
+	if err == nil && cap(payload) > cap(r.buf) && cap(payload) <= maxReplyBuf {
+		r.buf = payload[:0]
+	}
+	return payload, err
 }
 
 // Close implements Client.
@@ -86,8 +112,8 @@ func (c *TCPClient) Close() error { return c.conn.Close() }
 // in completion order), then restores the caller's ID on both request
 // and response — callers never see the tags. Safe for concurrent use.
 type MuxClient struct {
-	conn net.Conn
-	br   *bufio.Reader // readLoop only
+	conn    net.Conn
+	replies replyReader // readLoop only
 
 	wmu  sync.Mutex // serializes frame writes
 	wbuf []byte
@@ -113,7 +139,7 @@ func DialMux(addr string) (*MuxClient, error) {
 func NewMuxClient(conn net.Conn) *MuxClient {
 	m := &MuxClient{
 		conn:    conn,
-		br:      bufio.NewReaderSize(conn, connReadBuf),
+		replies: newReplyReader(conn),
 		wbuf:    make([]byte, 0, 4096),
 		pending: make(map[uint64]chan *wire.Response),
 	}
@@ -125,7 +151,7 @@ func NewMuxClient(conn net.Conn) *MuxClient {
 // fails, then fails every outstanding and future call with the error.
 func (m *MuxClient) readLoop() {
 	for {
-		payload, err := wire.ReadFrame(m.br, wire.MaxFrame)
+		payload, err := m.replies.next()
 		if err != nil {
 			m.fail(err)
 			return

@@ -8,14 +8,14 @@ import (
 	"rio/internal/wire"
 )
 
-// reply is what a task's channel carries back: the response, plus — on
-// the zero-copy read path — the fully serialized wire frame (length
-// prefix included) whose data region was filled straight from cache
-// frames. When frame is non-nil it is backed by a pooled buffer and the
-// receiver owns it until ReleaseFrame; resp.Data is nil in that case
+// reply is what a task's channel carries back: the response, by value,
+// plus — on the zero-copy read path — the fully serialized wire frame
+// (length prefix included) whose data region was filled straight from
+// cache frames. When frame is non-nil it is backed by a pooled buffer and
+// the receiver owns it until ReleaseFrame; resp.Data is nil in that case
 // (the payload lives only in the frame).
 type reply struct {
-	resp  *wire.Response
+	resp  wire.Response
 	frame []byte
 }
 
@@ -76,7 +76,7 @@ func (p *framePool) putFrameBuf(b []byte) {
 // Do would.
 func (s *Server) DoFrame(req *wire.Request) ([]byte, *wire.Response) {
 	r := s.do(req, true)
-	return r.frame, r.resp
+	return r.frame, &r.resp
 }
 
 // ReleaseFrame returns a frame obtained from DoFrame to the pool. Safe
@@ -89,13 +89,13 @@ func (s *Server) ReleaseFrame(frame []byte) { s.pool.putFrameBuf(frame) }
 // to reuse.
 var replyChPool = sync.Pool{New: func() any { return make(chan reply, 1) }}
 
-// do submits one request and blocks until its reply. wantFrame selects
-// the zero-copy read path for OpRead.
+// do submits a copy of one request and blocks until its reply. wantFrame
+// selects the zero-copy read path for OpRead.
 func (s *Server) do(req *wire.Request, wantFrame bool) reply {
 	ch := replyChPool.Get().(chan reply)
 	defer replyChPool.Put(ch)
-	if refused := s.submit(task{req: req, resp: ch, wantFrame: wantFrame}); refused != nil {
-		return reply{resp: refused}
+	if refused := s.submit(task{req: *req, resp: ch, wantFrame: wantFrame}); refused != nil {
+		return reply{resp: *refused}
 	}
 	return <-ch
 }
@@ -105,7 +105,7 @@ func (s *Server) do(req *wire.Request, wantFrame bool) reply {
 // queued — exactly one reply then arrives on t.resp; otherwise the typed
 // refusal: invalid, closed, or again (queue full).
 func (s *Server) submit(t task) *wire.Response {
-	sh, refused := s.route(t.req)
+	sh, refused := s.route(&t.req)
 	if refused != nil {
 		return refused
 	}

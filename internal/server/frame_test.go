@@ -192,7 +192,7 @@ func TestServedReadAllocs(t *testing.T) {
 func TestWriterEncodeReuse(t *testing.T) {
 	batch := make([]reply, 8)
 	for i := range batch {
-		batch[i] = reply{resp: &wire.Response{ID: uint64(i), Status: wire.StatusOK,
+		batch[i] = reply{resp: wire.Response{ID: uint64(i), Status: wire.StatusOK,
 			Data: bytes.Repeat([]byte{byte(i)}, 8192)}}
 	}
 	var encBuf []byte
@@ -216,19 +216,19 @@ func TestWriterEncodeReuse(t *testing.T) {
 // order, and the concatenation of all entries is exactly the frames the
 // client must see, in order.
 func TestBuildIovCoalesces(t *testing.T) {
-	mk := func(id uint64, data []byte) *wire.Response {
-		return &wire.Response{ID: id, Status: wire.StatusOK, Data: data}
+	mk := func(id uint64, data []byte) wire.Response {
+		return wire.Response{ID: id, Status: wire.StatusOK, Data: data}
 	}
-	frameFor := func(r *wire.Response) []byte { return wire.AppendResponseFrame(nil, r) }
+	frameFor := func(r wire.Response) []byte { return wire.AppendResponseFrame(nil, &r) }
 
 	// enc, enc, FRAME, enc, FRAME, FRAME, enc
 	batch := []reply{
 		{resp: mk(0, []byte("aa"))},
 		{resp: mk(1, nil)},
-		{frame: frameFor(mk(2, []byte("frame-2"))), resp: &wire.Response{ID: 2, Status: wire.StatusOK}},
+		{frame: frameFor(mk(2, []byte("frame-2"))), resp: wire.Response{ID: 2, Status: wire.StatusOK}},
 		{resp: mk(3, []byte("ccc"))},
-		{frame: frameFor(mk(4, nil)), resp: &wire.Response{ID: 4, Status: wire.StatusOK}},
-		{frame: frameFor(mk(5, []byte("frame-5"))), resp: &wire.Response{ID: 5, Status: wire.StatusOK}},
+		{frame: frameFor(mk(4, nil)), resp: wire.Response{ID: 4, Status: wire.StatusOK}},
+		{frame: frameFor(mk(5, []byte("frame-5"))), resp: wire.Response{ID: 5, Status: wire.StatusOK}},
 		{resp: mk(6, []byte("d"))},
 	}
 	encBuf, spans := encodeBatch(nil, nil, batch)

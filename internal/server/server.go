@@ -100,14 +100,16 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// task carries one request through a shard queue. The response channel
-// always has room for this task's reply (Do's one-shot channel, or a
-// connection's reply channel under its in-flight tokens), so the shard
-// goroutine never blocks on a reply. wantFrame asks for the zero-copy
-// read path: an OpRead answered as a serialized pooled wire frame. frame
-// is the pooled request frame req.Data aliases, if any; serve releases it.
+// task carries one request through a shard queue, by value: the request
+// rides in the task, so a served request costs no heap object of its own.
+// The response channel always has room for this task's reply (Do's
+// one-shot channel, or a connection's reply channel under its in-flight
+// tokens), so the shard goroutine never blocks on a reply. wantFrame asks
+// for the zero-copy read path: an OpRead answered as a serialized pooled
+// wire frame. frame is the pooled request frame req.Data aliases, if any;
+// serve releases it.
 type task struct {
-	req       *wire.Request
+	req       wire.Request
 	frame     []byte
 	resp      chan reply
 	enq       time.Time
@@ -165,7 +167,8 @@ type shard struct {
 // one per drain cycle.
 type done struct {
 	t       task
-	resp    *wire.Response
+	resp    wire.Response
+	staged  bool   // resp was answered at stage time
 	frame   []byte // pooled wire frame carrying resp's payload, or nil
 	dataLen int    // payload bytes inside frame (frame != nil only)
 	commit  int    // index into sealed, or -1
@@ -277,7 +280,8 @@ func (s *Server) ShardOf(path string) int { return ShardOf(path, len(s.shards)) 
 // is full or the shard is down, wire.StatusClosed once the server is
 // draining or stopped.
 func (s *Server) Do(req *wire.Request) *wire.Response {
-	return s.do(req, false).resp
+	r := s.do(req, false)
+	return &r.resp
 }
 
 // Validate bounds req's variable-length fields and rewrites both paths to
@@ -442,7 +446,7 @@ func (s *Server) waitDrain() {
 				if !ok {
 					break
 				}
-				t.resp <- reply{resp: &wire.Response{ID: t.req.ID, Status: wire.StatusTimeout,
+				t.resp <- reply{resp: wire.Response{ID: t.req.ID, Status: wire.StatusTimeout,
 					Msg: fmt.Sprintf("shard %d drain timed out after %v; request unserved", sh.id, s.cfg.DrainTimeout)}}
 				s.pool.putFrameBuf(t.frame)
 			}
@@ -574,10 +578,10 @@ func (sh *shard) serve(batch []task) {
 	groupBytes := 0
 	for _, t := range batch {
 		d := done{t: t, commit: -1, dataLen: -1}
-		if isTxnOp(t.req) {
+		if isTxnOp(&t.req) {
 			var rec *txn.Record
-			d.resp, rec = sh.stage(t.req, groupBytes)
-			if rec != nil {
+			d.resp, rec = sh.stage(&t.req, groupBytes)
+			if d.staged = rec == nil; !d.staged {
 				groupBytes += rec.EncodedSize()
 				d.commit = len(sealed)
 				sealed = append(sealed, *rec)
@@ -619,15 +623,15 @@ func (sh *shard) serve(batch []task) {
 	for i := range results {
 		d := &results[i]
 		switch {
-		case d.resp != nil: // answered at stage time
+		case d.staged: // answered at stage time
 		case d.commit >= 0:
 			var outcome commitOutcome
-			d.resp, outcome = sh.applyCommit(d.t.req, &sealed[d.commit], published, pubErr)
+			d.resp, outcome = sh.applyCommit(&d.t.req, &sealed[d.commit], published, pubErr)
 			if outcome != commitPending {
 				resolved++
 			}
 		default:
-			d.frame, d.resp, d.dataLen = sh.handle(d.t.req, d.t.wantFrame)
+			d.frame, d.resp, d.dataLen = sh.handle(&d.t.req, d.t.wantFrame)
 		}
 	}
 
@@ -673,7 +677,7 @@ func (sh *shard) serve(batch []task) {
 	for i := range results {
 		d := &results[i]
 		if d.commit >= 0 {
-			sh.ackCommit(d.t, d.resp)
+			sh.ackCommit(&d.t, d.resp)
 		} else {
 			d.t.resp <- reply{resp: d.resp, frame: d.frame}
 		}
@@ -693,7 +697,7 @@ func (sh *shard) serve(batch []task) {
 // body that touches commit records, every ackCommit must come after the
 // first Publish and the first Apply (direct, or through a helper that
 // reaches only that verb) — never ack-before-publish.
-func (sh *shard) ackCommit(t task, resp *wire.Response) {
+func (sh *shard) ackCommit(t *task, resp wire.Response) {
 	t.resp <- reply{resp: resp}
 }
 
@@ -709,16 +713,16 @@ func (sh *shard) txnLog() *txn.Log { return txn.NewLog(sh.sys.Machine().FS) }
 
 // stage executes one transaction op's staging phase on the shard
 // goroutine. It answers begin/abort/staged-op immediately (they touch
-// only volatile server state) and returns a sealed record — with a nil
+// only volatile server state) and returns a sealed record — with a zero
 // response — for a non-empty commit, which serve() publishes and
 // applies in its group-commit phases. groupBytes is the encoded size of
 // records already sealed for this batch: a commit that would push the
 // group past txn.MaxPublishBytes is deferred with wire.StatusAgain and
 // its transaction stays open for a later, smaller batch.
-func (sh *shard) stage(req *wire.Request, groupBytes int) (*wire.Response, *txn.Record) {
-	ok := func() *wire.Response { return &wire.Response{ID: req.ID, Status: wire.StatusOK} }
-	fail := func(st wire.Status, msg string) (*wire.Response, *txn.Record) {
-		return &wire.Response{ID: req.ID, Status: st, Msg: msg}, nil
+func (sh *shard) stage(req *wire.Request, groupBytes int) (wire.Response, *txn.Record) {
+	ok := func() wire.Response { return wire.Response{ID: req.ID, Status: wire.StatusOK} }
+	fail := func(st wire.Status, msg string) (wire.Response, *txn.Record) {
+		return wire.Response{ID: req.ID, Status: st, Msg: msg}, nil
 	}
 	if sh.isDown() {
 		return sh.refuseDown(req), nil
@@ -773,7 +777,7 @@ func (sh *shard) stage(req *wire.Request, groupBytes int) (*wire.Response, *txn.
 				"shard %d txn log group full (%d bytes staged); retry commit", sh.id, groupBytes))
 		}
 		delete(sh.txns, uint32(req.Txn))
-		return nil, rec
+		return wire.Response{}, rec
 	}
 
 	// A staged data op: route let only a stageable op carry a handle, and
@@ -830,9 +834,9 @@ const (
 // now, and the record must leave the log — retrying it forever would
 // wedge the shard, and replaying it after the obstruction clears would
 // apply a commit the client was told failed.
-func (sh *shard) applyCommit(req *wire.Request, rec *txn.Record, published bool, pubErr error) (*wire.Response, commitOutcome) {
-	fail := func(st wire.Status, msg string) *wire.Response {
-		return &wire.Response{ID: req.ID, Status: st, Msg: msg}
+func (sh *shard) applyCommit(req *wire.Request, rec *txn.Record, published bool, pubErr error) (wire.Response, commitOutcome) {
+	fail := func(st wire.Status, msg string) wire.Response {
+		return wire.Response{ID: req.ID, Status: st, Msg: msg}
 	}
 	if !published {
 		if pubErr == nil {
@@ -878,9 +882,7 @@ func (sh *shard) applyCommit(req *wire.Request, rec *txn.Record, published bool,
 		return fail(wire.StatusAgain, fmt.Sprintf(
 			"shard %d commit %d deferred to recovery: %s", sh.id, rec.ID, msg)), commitPending
 	}
-	resp := &wire.Response{ID: req.ID, Status: wire.StatusOK}
-	resp.Size = int64(len(rec.Ops))
-	return resp, commitApplied
+	return wire.Response{ID: req.ID, Status: wire.StatusOK, Size: int64(len(rec.Ops))}, commitApplied
 }
 
 // setDown flips the shard's outage flag (shard goroutine only).
@@ -908,8 +910,8 @@ func (sh *shard) crashed() (crashed bool, why string) {
 }
 
 // refuseDown is the answer to anything asked of a shard that is down.
-func (sh *shard) refuseDown(req *wire.Request) *wire.Response {
-	return &wire.Response{ID: req.ID, Status: wire.StatusAgain,
+func (sh *shard) refuseDown(req *wire.Request) wire.Response {
+	return wire.Response{ID: req.ID, Status: wire.StatusAgain,
 		Msg: fmt.Sprintf("shard %d down (crashed; awaiting warmboot)", sh.id)}
 }
 
@@ -917,9 +919,9 @@ func (sh *shard) refuseDown(req *wire.Request) *wire.Response {
 // ops here, everything else through exec. wantFrame selects where a read
 // lands — a pooled wire frame (returned with its payload length) instead
 // of resp.Data — and nothing else. Runs only on the shard goroutine.
-func (sh *shard) handle(req *wire.Request, wantFrame bool) ([]byte, *wire.Response, int) {
-	fail := func(st wire.Status, msg string) ([]byte, *wire.Response, int) {
-		return nil, &wire.Response{ID: req.ID, Status: st, Msg: msg}, -1
+func (sh *shard) handle(req *wire.Request, wantFrame bool) ([]byte, wire.Response, int) {
+	fail := func(st wire.Status, msg string) ([]byte, wire.Response, int) {
+		return nil, wire.Response{ID: req.ID, Status: st, Msg: msg}, -1
 	}
 
 	switch req.Op {
@@ -932,7 +934,7 @@ func (sh *shard) handle(req *wire.Request, wantFrame bool) ([]byte, *wire.Respon
 		sh.mu.Lock()
 		sh.crashes++
 		sh.mu.Unlock()
-		return nil, &wire.Response{ID: req.ID, Status: wire.StatusOK}, -1
+		return nil, wire.Response{ID: req.ID, Status: wire.StatusOK}, -1
 
 	case wire.OpWarmboot:
 		// Legal on a healthy shard too: Rio supports a clean
@@ -959,7 +961,7 @@ func (sh *shard) handle(req *wire.Request, wantFrame bool) ([]byte, *wire.Respon
 		sh.mu.Lock()
 		sh.warmboots++
 		sh.mu.Unlock()
-		return nil, &wire.Response{ID: req.ID, Status: wire.StatusOK,
+		return nil, wire.Response{ID: req.ID, Status: wire.StatusOK,
 			Size: int64(rep.MetaRestored + rep.DataRestored)}, -1
 	}
 
@@ -975,7 +977,7 @@ func (sh *shard) handle(req *wire.Request, wantFrame bool) ([]byte, *wire.Respon
 	// its own faults, but belt and braces) answers retryable, whatever
 	// exec made of the wreckage.
 	if crashed, why := sh.crashed(); crashed {
-		resp, dataLen = &wire.Response{ID: req.ID, Status: wire.StatusAgain,
+		resp, dataLen = wire.Response{ID: req.ID, Status: wire.StatusAgain,
 			Msg: fmt.Sprintf("shard %d crashed serving request: %s", sh.id, why)}, -1
 	}
 	if dataLen < 0 {
@@ -994,7 +996,7 @@ func (sh *shard) handle(req *wire.Request, wantFrame bool) ([]byte, *wire.Respon
 // caller owns the single-goroutine discipline for sys.
 func Exec(sys *rio.System, req *wire.Request) *wire.Response {
 	_, resp, _ := exec(sys, req, nil)
-	return resp
+	return &resp
 }
 
 // ExecReadFrame is Exec with a read's other destination: instead of
@@ -1009,16 +1011,19 @@ func ExecReadFrame(sys *rio.System, req *wire.Request, dst []byte) (buf []byte, 
 	if dst == nil {
 		dst = []byte{} // exec reads nil as "no frame wanted"
 	}
-	return exec(sys, req, dst)
+	buf, r, dataLen := exec(sys, req, dst)
+	return buf, &r, dataLen
 }
 
 // exec is the one body behind Exec and ExecReadFrame. dst selects a
 // read's destination and nothing else — nil: a fresh resp.Data; non-nil:
 // a response frame built in dst, returned with its payload length.
-// Whenever that length is -1, the buffer returned is dst emptied.
-func exec(sys *rio.System, req *wire.Request, dst []byte) ([]byte, *wire.Response, int) {
-	resp := &wire.Response{ID: req.ID}
-	fail := func(err error) ([]byte, *wire.Response, int) {
+// Whenever that length is -1, the buffer returned is dst emptied. The
+// response is a value: a shard hands it to its reply channel as one, and
+// only the exported wrappers put it on the heap.
+func exec(sys *rio.System, req *wire.Request, dst []byte) ([]byte, wire.Response, int) {
+	resp := wire.Response{ID: req.ID}
+	fail := func(err error) ([]byte, wire.Response, int) {
 		resp.Status, resp.Msg = statusOf(err)
 		return dst[:0], resp, -1
 	}
@@ -1065,7 +1070,7 @@ func exec(sys *rio.System, req *wire.Request, dst []byte) ([]byte, *wire.Respons
 		var p []byte
 		if dst != nil {
 			var off int
-			dst, off = wire.ReserveResponseFrame(dst[:0], resp, int(want))
+			dst, off = wire.ReserveResponseFrame(dst[:0], &resp, int(want))
 			p = dst[off : off+int(want)]
 		} else if want > 0 {
 			resp.Data = make([]byte, want)

@@ -168,7 +168,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			s.pool.putFrameBuf(frame)
 		}
 		if refused != nil {
-			out <- reply{resp: refused}
+			out <- reply{resp: *refused}
 		}
 	}
 	// Holding every token means nothing of this connection's is queued,
@@ -182,7 +182,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		tokens <- struct{}{}
 	}
 	if bad != nil {
-		out <- reply{resp: bad}
+		out <- reply{resp: *bad}
 	}
 	close(out)
 	<-writerDone
@@ -206,6 +206,12 @@ func (s *Server) connWriter(conn net.Conn, out <-chan reply, tokens <-chan struc
 		spans  []int  // encBuf offset after each batch entry (parallel to batch)
 		iov    net.Buffers
 	)
+	// WriteTo consumes the header it is called on (that is how it resumes
+	// partial writes) and, being a pointer method behind an interface,
+	// makes that header escape: one per connection, refilled from iov
+	// for every flush, keeps iov the reusable scratch without a heap
+	// header per write.
+	toWrite := new(net.Buffers)
 	broken := false
 	for first := range out {
 		// One scheduler pass before draining: the shard goroutine that
@@ -242,10 +248,7 @@ func (s *Server) connWriter(conn net.Conn, out <-chan reply, tokens <-chan struc
 		if write > 0 {
 			conn.SetWriteDeadline(time.Now().Add(write))
 		}
-		// WriteTo consumes the header it is called on (that is how it
-		// resumes partial writes), so hand it a copy and keep iov as
-		// the reusable scratch.
-		toWrite := iov
+		*toWrite = iov
 		if _, err := toWrite.WriteTo(conn); err != nil {
 			broken = true
 			conn.Close()
@@ -258,6 +261,7 @@ func (s *Server) connWriter(conn net.Conn, out <-chan reply, tokens <-chan struc
 		for i := range iov {
 			iov[i] = nil
 		}
+		*toWrite = nil
 	}
 }
 
@@ -278,9 +282,9 @@ func (s *Server) releaseBatch(batch []reply) {
 func encodeBatch(encBuf []byte, spans []int, batch []reply) ([]byte, []int) {
 	encBuf = encBuf[:0]
 	spans = spans[:0]
-	for _, r := range batch {
-		if r.frame == nil {
-			encBuf = wire.AppendResponseFrame(encBuf, r.resp)
+	for i := range batch {
+		if batch[i].frame == nil {
+			encBuf = wire.AppendResponseFrame(encBuf, &batch[i].resp)
 		}
 		spans = append(spans, len(encBuf))
 	}

@@ -129,7 +129,7 @@ const quarantineMagic = 0x52696f54786e510a
 // it as: a leading "/", components joined by single slashes, no trailing
 // slash ("/" itself for the root). It returns ok=false for paths the fs
 // would refuse — the empty string or any ".", "..", or empty component.
-// The fs trims outer slashes before splitting (splitPath), so "a",
+// The fs trims outer slashes before walking components, so "a",
 // "//a", and "/a/" all reach the same file; every layer that compares
 // path strings — shard routing, the /.txn reservation, the precheck
 // overlay — must compare canonical spellings or an alias slips past it.
@@ -595,11 +595,11 @@ func checkPath(p string) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("malformed path %q", p)
 	}
-	if cp != "/" {
-		for _, comp := range strings.Split(cp[1:], "/") {
-			if len(comp) > fs.MaxNameLen {
-				return "", fs.ErrNameTooLong
-			}
+	for rest := cp[1:]; rest != ""; {
+		var comp string
+		comp, rest, _ = strings.Cut(rest, "/")
+		if len(comp) > fs.MaxNameLen {
+			return "", fs.ErrNameTooLong
 		}
 	}
 	return cp, nil

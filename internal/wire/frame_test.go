@@ -24,7 +24,7 @@ func TestDecodeRequestAliasedMatchesCopy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(copied, aliased) {
+		if !reflect.DeepEqual(*copied, aliased) {
 			t.Fatalf("aliased decode %+v, copying decode %+v", aliased, copied)
 		}
 		if len(want.Data) > 0 {
@@ -146,6 +146,101 @@ func TestReadFrameOneBytePerRead(t *testing.T) {
 			}
 			if _, err := DecodeRequestAliased(got); err != nil {
 				t.Fatalf("%s frame %d: %v", name, i, err)
+			}
+		}
+	}
+}
+
+// TestFrameHeadersAllocateNothing: the u32 prefix is never a heap object
+// on a buffered stream — ReadFrame over a *bufio.Reader peeks it in the
+// reader's buffer, so a fresh frame costs exactly its payload, and
+// WriteFrame into a *bufio.Writer builds it in the writer's free space,
+// so framing costs nothing (the writer's 64-byte buffer makes most
+// frames straddle a flush).
+func TestFrameHeadersAllocateNothing(t *testing.T) {
+	stream, payloads := frames(sampleRequests()[:1])
+	r := bytes.NewReader(stream)
+	br := bufio.NewReaderSize(r, 4096)
+	if allocs := testing.AllocsPerRun(100, func() {
+		r.Reset(stream)
+		br.Reset(r)
+		got, err := ReadFrame(br, MaxFrame)
+		if err != nil || !bytes.Equal(got, payloads[0]) {
+			t.Fatalf("ReadFrame = %x, %v", got, err)
+		}
+	}); allocs != 1 {
+		t.Fatalf("ReadFrame over a bufio.Reader allocates %.1f objects, want 1 (the payload)", allocs)
+	}
+
+	var out bytes.Buffer
+	bw := bufio.NewWriterSize(&out, 64)
+	payload := payloads[0]
+	if allocs := testing.AllocsPerRun(100, func() {
+		out.Reset()
+		if err := WriteFrame(bw, payload); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("WriteFrame into a bufio.Writer allocates %.1f objects, want 0", allocs)
+	}
+	// Every frame written above, split across flushes or not, reads back.
+	out.Reset()
+	bw.Reset(&out)
+	for i := 0; i < 5; i++ {
+		if err := WriteFrame(bw, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	rd := bytes.NewReader(out.Bytes())
+	for i := 0; i < 5; i++ {
+		if got, err := ReadFrame(rd, MaxFrame); err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("frame %d written through the bufio.Writer reads back as %x, %v", i, got, err)
+		}
+	}
+}
+
+// TestReadFrameErrors: the buffered and the unbuffered reader answer a
+// broken stream alike, and allocate nothing to do it — a clean close
+// before a frame is io.EOF, a stream that ends inside the prefix or the
+// payload is io.ErrUnexpectedEOF, and a declared length over max is
+// ErrFrame before any payload buffer exists.
+func TestReadFrameErrors(t *testing.T) {
+	cases := []struct {
+		name   string
+		stream []byte
+		want   error
+	}{
+		{"clean close", nil, io.EOF},
+		{"1 header byte", []byte{0}, io.ErrUnexpectedEOF},
+		{"2 header bytes", []byte{0, 0}, io.ErrUnexpectedEOF},
+		{"3 header bytes", []byte{0, 0, 0}, io.ErrUnexpectedEOF},
+		{"header, no payload", []byte{0, 0, 0, 8}, io.ErrUnexpectedEOF},
+		{"payload cut short", []byte{0, 0, 0, 8, 1, 2, 3}, io.ErrUnexpectedEOF},
+		{"declared length over max", []byte{0, 0, 2, 1}, ErrFrame},
+		{"4 GB - 1 declared", []byte{0xff, 0xff, 0xff, 0xff}, ErrFrame},
+	}
+	dst := make([]byte, 0, 64)
+	for _, c := range cases {
+		r := bytes.NewReader(c.stream)
+		br := bufio.NewReaderSize(r, 16)
+		for _, path := range []struct {
+			name  string
+			src   io.Reader
+			reset func()
+		}{
+			{"unbuffered", r, func() { r.Reset(c.stream) }},
+			{"buffered", br, func() { r.Reset(c.stream); br.Reset(r) }},
+		} {
+			if allocs := testing.AllocsPerRun(10, func() {
+				path.reset()
+				if _, err := ReadFrameInto(path.src, 512, dst); err != c.want {
+					t.Fatalf("%s, %s: got %v, want %v", c.name, path.name, err, c.want)
+				}
+			}); allocs != 0 {
+				t.Fatalf("%s, %s: answered after %.1f allocations, want 0", c.name, path.name, allocs)
 			}
 		}
 	}

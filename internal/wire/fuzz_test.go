@@ -45,7 +45,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if !reflect.DeepEqual(r, ra) {
+		if !reflect.DeepEqual(*r, ra) {
 			t.Fatalf("aliased decode %+v, copying decode %+v", ra, r)
 		}
 		if n := len(ra.Data); n > 0 && &ra.Data[0] != &data[len(data)-n] {

@@ -17,6 +17,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -276,15 +277,23 @@ func AppendRequestFrame(dst []byte, r *Request) []byte {
 // DecodeRequest decodes exactly one request from buf. The entire buffer
 // must be consumed; trailing bytes are an error. Data is copied out of
 // buf, so the caller may reuse buf and retain the request.
-func DecodeRequest(buf []byte) (*Request, error) { return decodeRequest(buf, false) }
+func DecodeRequest(buf []byte) (*Request, error) {
+	r, err := decodeRequest(buf, false)
+	if err != nil {
+		return nil, err
+	}
+	return &r, nil
+}
 
-// DecodeRequestAliased is DecodeRequest without the payload copy:
-// Request.Data is a sub-slice of buf (every other field is a value), so
-// the request is valid only until buf is reused. The TCP server decodes
-// pooled frames with it; the bufalias analyzer tracks the alias.
-func DecodeRequestAliased(buf []byte) (*Request, error) { return decodeRequest(buf, true) }
+// DecodeRequestAliased is DecodeRequest without the payload copy and
+// without the heap: the Request is returned by value, and its Data is a
+// sub-slice of buf (every other field is a value), so the request is
+// valid only until buf is reused. The TCP server decodes pooled frames
+// with it and hands the value to its shard inside the task; the bufalias
+// analyzer tracks the alias.
+func DecodeRequestAliased(buf []byte) (Request, error) { return decodeRequest(buf, true) }
 
-func decodeRequest(buf []byte, alias bool) (*Request, error) {
+func decodeRequest(buf []byte, alias bool) (Request, error) {
 	c := Cursor{Buf: buf}
 	var r Request
 	r.ID = c.U64()
@@ -297,15 +306,15 @@ func decodeRequest(buf []byte, alias bool) (*Request, error) {
 	r.Path2 = c.Str16(MaxPath)
 	r.Data = c.Bytes32(MaxData, alias)
 	if err := c.Finish(); err != nil {
-		return nil, err
+		return Request{}, err
 	}
 	if !r.Op.Valid() {
-		return nil, fmt.Errorf("wire: unknown op %d", uint8(r.Op))
+		return Request{}, fmt.Errorf("wire: unknown op %d", uint8(r.Op))
 	}
 	if r.Len > MaxData {
-		return nil, fmt.Errorf("wire: read length %d exceeds %d: %w", r.Len, MaxData, ErrTooLong)
+		return Request{}, fmt.Errorf("wire: read length %d exceeds %d: %w", r.Len, MaxData, ErrTooLong)
 	}
-	return &r, nil
+	return r, nil
 }
 
 // AppendResponse appends r's encoding to dst and returns the result.
@@ -374,12 +383,30 @@ func DecodeResponse(buf []byte) (*Response, error) {
 	return &r, nil
 }
 
-// WriteFrame writes a u32 length prefix followed by payload.
+// frameHdr is the size of a frame's u32 length prefix.
+const frameHdr = 4
+
+// WriteFrame writes a u32 length prefix followed by payload. Into a
+// *bufio.Writer the prefix is built in the writer's own free space
+// (AvailableBuffer), so framing allocates nothing; any other writer gets
+// the prefix from a heap array, since an interface call makes it escape.
 func WriteFrame(w io.Writer, payload []byte) error {
 	if len(payload) > MaxFrame {
 		return ErrFrame
 	}
-	var hdr [4]byte
+	if bw, ok := w.(*bufio.Writer); ok && bw.Size() >= frameHdr {
+		if bw.Available() < frameHdr {
+			if err := bw.Flush(); err != nil {
+				return err
+			}
+		}
+		if _, err := bw.Write(binary.BigEndian.AppendUint32(bw.AvailableBuffer(), uint32(len(payload)))); err != nil {
+			return err
+		}
+		_, err := bw.Write(payload)
+		return err
+	}
+	var hdr [frameHdr]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
@@ -394,19 +421,37 @@ func WriteFrame(w io.Writer, payload []byte) error {
 func ReadFrame(r io.Reader, max int) ([]byte, error) { return ReadFrameInto(r, max, nil) }
 
 // ReadFrameInto is ReadFrame into dst's capacity (its length is
-// ignored): prefix, then payload, land in dst, and only a payload larger
-// than cap(dst) allocates — its declared size, after the max check. The
+// ignored): the payload lands in dst, and only a payload larger than
+// cap(dst) allocates — its declared size, after the max check. The
 // payload aliases dst unless it had to grow; on error dst stays the
-// caller's.
+// caller's. From a *bufio.Reader the prefix is peeked in the reader's
+// buffer; from any other reader it is read into dst, or into a 4-byte
+// heap header when dst has no room for one. Either way a stream that
+// ends before the first prefix byte answers io.EOF, and one that ends
+// inside the prefix or the payload io.ErrUnexpectedEOF.
 func ReadFrameInto(r io.Reader, max int, dst []byte) ([]byte, error) {
 	buf := dst[:cap(dst)]
-	if len(buf) < 4 {
-		buf = make([]byte, 4)
+	var n uint32
+	if br, ok := r.(*bufio.Reader); ok {
+		hdr, err := br.Peek(frameHdr)
+		if err != nil {
+			if err == io.EOF && len(hdr) > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		n = binary.BigEndian.Uint32(hdr)
+		br.Discard(frameHdr)
+	} else {
+		hdr := buf
+		if len(hdr) < frameHdr {
+			hdr = make([]byte, frameHdr)
+		}
+		if _, err := io.ReadFull(r, hdr[:frameHdr]); err != nil {
+			return nil, err
+		}
+		n = binary.BigEndian.Uint32(hdr)
 	}
-	if _, err := io.ReadFull(r, buf[:4]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(buf[:4])
 	if int64(n) > int64(max) {
 		return nil, ErrFrame
 	}
@@ -415,6 +460,9 @@ func ReadFrameInto(r io.Reader, max int, dst []byte) ([]byte, error) {
 	}
 	buf = buf[:n]
 	if _, err := io.ReadFull(r, buf); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, err
 	}
 	return buf, nil
