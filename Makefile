@@ -3,7 +3,7 @@
 # scenario suite (scripts/check.sh is the single source of truth for the
 # sequence; the race package list lives here, under `race`).
 
-.PHONY: check build lint test race bench crash-recovery crash-recovery-golden cost-ledger-golden crash-txn crash-fleet scenarios loc
+.PHONY: check build lint test race bench crash-recovery crash-recovery-golden cost-ledger-golden crash-table1 crash-txn crash-fleet scenarios loc
 
 check:
 	sh scripts/check.sh
@@ -23,8 +23,8 @@ test:
 # The race gate: the one list of packages that run under the detector
 # (scripts/check.sh calls this target). crashtest's scheduler fans the
 # real mini-campaigns across goroutines and is the slow one (~4 min);
-# scenario runs its three plan kinds — the fleet crash run among them —
-# on that scheduler;
+# scenario runs its three kinds on it — the crash kind as a crashtest
+# campaign, the fleet crash run among the others;
 # warmreboot, disk, ioretry, machine and kvm are what a campaign worker
 # recycles and spends its time in; server and wire are where real
 # goroutines share state (shard queues, metrics, close/drain, pooled
@@ -47,22 +47,31 @@ race:
 bench:
 	go test -run '^$$' -bench . -benchtime 1x .
 
-# Double-fault campaign smoke test: a small fixed-seed campaign with
-# storage faults and second crashes enabled, diffed against the golden
-# report in testdata (the campaign: summary line carries wall time and
-# is filtered). Regenerate the golden with `make crash-recovery-golden`
-# after an intentional behaviour change.
+# Double-fault campaign smoke test: a small fixed-seed Table 1 campaign
+# with storage faults and second crashes enabled (the spec
+# testdata/crash-recovery.json), its rioscn output diffed against the
+# golden report in testdata (-no-timing leaves out the wall-time lines).
+# Regenerate the golden with `make crash-recovery-golden` after an
+# intentional behaviour change.
+CRASH_RECOVERY = go run ./cmd/rioscn -workers 4 -quiet -no-timing testdata/crash-recovery.json
+
 crash-recovery:
-	go run ./cmd/riocrash -runs 2 -seed 1996 -workers 4 -disk-faults -quiet 2>/dev/null \
-		| grep -v '^campaign:' | diff -u testdata/crash-recovery.golden -
+	$(CRASH_RECOVERY) | diff -u testdata/crash-recovery.golden -
 	@echo "crash-recovery: output matches golden"
 
-# Transactional campaign: the torn-commit hunt, full size (260 plans:
-# 10 per fault type on both Rio systems, storage faults and second
+# Table 1, full size: 50 crashing runs per (fault type, system) cell,
+# 39 cells, seed 1996 (≈ 4 min on one core). The double-fault table is
+# the same campaign with storage faults and second crashes:
+# `go run ./cmd/rioscn scenarios/full/table1-diskfaults.json`.
+crash-table1:
+	go run ./cmd/rioscn scenarios/full/table1.json
+
+# Transactional campaign: the torn-commit hunt, full size (10 crashing
+# runs per fault type on both Rio systems, storage faults and second
 # crashes in the warm reboot and the txn roll-forward). Every multi-file
 # commit must be all-or-nothing after crash + recovery; exits nonzero if
-# any transaction tears or any recovery aborts. `make scenarios` runs the
-# 52-plan scenarios/txn-hunt.json.
+# any transaction tears or any recovery aborts. `make scenarios` runs
+# scenarios/txn-hunt.json, 2 crashing runs per cell.
 crash-txn:
 	go run ./cmd/rioscn scenarios/full/txn-hunt.json
 
@@ -94,9 +103,7 @@ scenarios:
 	@echo "scenarios: reports byte-identical at -workers 1 and -workers 4"
 
 crash-recovery-golden:
-	mkdir -p testdata
-	go run ./cmd/riocrash -runs 2 -seed 1996 -workers 4 -disk-faults -quiet 2>/dev/null \
-		| grep -v '^campaign:' > testdata/crash-recovery.golden
+	$(CRASH_RECOVERY) > testdata/crash-recovery.golden
 
 # The simulated-cost golden TestCostLedger compares exactly: regenerate
 # after an intended change to the cost model (fs.Costs, the disk model,

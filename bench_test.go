@@ -26,7 +26,7 @@ import (
 func BenchmarkTable1Campaign(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := crashtest.DefaultCampaignConfig(uint64(1996 + i))
-		cfg.RunsPerCell = 3 // full 50-run campaign lives in cmd/riocrash
+		cfg.RunsPerCell = 3 // the full 50-run campaign is scenarios/full/table1.json
 		rep, err := crashtest.RunCampaign(cfg)
 		if err != nil {
 			b.Fatal(err)

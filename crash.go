@@ -161,15 +161,6 @@ func (s *System) RecoverFromUPS() (*RebootReport, error) {
 
 // --- Table 1 campaign ---
 
-// System column indices for CampaignResult accessors, in Table 1 order.
-// Use these instead of literal 0/1/2 so call sites cannot silently point
-// at the wrong column if system order ever changes.
-const (
-	SystemDiskWT    = int(crashtest.DiskWT)    // disk-based write-through
-	SystemRioNoProt = int(crashtest.RioNoProt) // Rio without protection
-	SystemRioProt   = int(crashtest.RioProt)   // Rio with protection
-)
-
 // CampaignOptions configures a crash-test campaign.
 type CampaignOptions struct {
 	// RunsPerCell is the number of crashing runs per (system, fault)
@@ -182,16 +173,6 @@ type CampaignOptions struct {
 	// seed is derived purely from (Seed, system, fault, attempt), so the
 	// result is the same at any worker count.
 	Workers int
-	// Progress, if non-nil, receives one line per completed cell plus
-	// throttled campaign-level updates; calls are serialised.
-	Progress func(string)
-	// DiskFaults turns the campaign into a double-fault experiment:
-	// recovery runs against a disk injecting transient, latent, and
-	// misdirected storage faults, and a second crash interrupts the warm
-	// reboot at a seed-derived step (the recovery then restarts from the
-	// same memory dump). See CampaignResult.RecoveryTable for the extra
-	// columns this populates.
-	DiskFaults bool
 }
 
 // CampaignResult is a completed Table 1 reproduction.
@@ -202,44 +183,12 @@ type CampaignResult struct {
 // Table renders the result in the paper's Table 1 layout.
 func (r *CampaignResult) Table() string { return r.rep.Table() }
 
-// RecoveryTable renders the double-fault recovery columns: per system,
-// how many recoveries were interrupted by a second crash, aborted,
-// quarantined pages, salvaged pages, and volumes lost. All zeros unless
-// the campaign ran with CampaignOptions.DiskFaults.
-func (r *CampaignResult) RecoveryTable() string { return r.rep.RecoveryTable() }
-
-// SystemNames returns the three column labels.
-func (r *CampaignResult) SystemNames() []string {
-	names := make([]string, len(crashtest.Systems))
-	for i, sys := range crashtest.Systems {
-		names[i] = sys.String()
-	}
-	return names
-}
-
-// Totals returns (crashes, corruptions) for a column (0=disk write-through,
-// 1=Rio without protection, 2=Rio with protection).
-func (r *CampaignResult) Totals(system int) (crashes, corrupted int) {
-	return r.rep.Totals(crashtest.System(system))
-}
-
-// ProtectionInvocations counts crashes where Rio's protection trapped an
-// illegal file-cache store (the paper observed 8).
-func (r *CampaignResult) ProtectionInvocations() int {
-	return r.rep.ProtectionInvocations(crashtest.RioProt)
-}
-
-// CrashKindBreakdown summarises how a system's crashes manifested.
-func (r *CampaignResult) CrashKindBreakdown(system int) string {
-	return r.rep.CrashKindBreakdown(crashtest.System(system))
-}
-
 // CampaignSummary is campaign-level observability: totals, rates, and
 // throughput. Counting fields are deterministic for a given seed and
 // config; WallTime, RunsPerSec, and SpeculativeRuns depend on the host
 // and worker count. The double-fault recovery totals (Interrupted,
-// Aborted, Quarantined, Salvaged, VolumeLost) are zero unless
-// CampaignOptions.DiskFaults was on.
+// Aborted, Quarantined, Salvaged, VolumeLost) stay zero here: double-fault
+// campaigns run as scenario specs.
 type CampaignSummary = crashtest.Summary
 
 // Summary returns the campaign's aggregate statistics.
@@ -249,14 +198,6 @@ func (r *CampaignResult) Summary() CampaignSummary { return r.rep.Summary }
 // with per-cell attempt counts and CPU time), and the rendered table —
 // as indented JSON for downstream tooling.
 func (r *CampaignResult) JSON() ([]byte, error) { return r.rep.JSON() }
-
-// MTTFYears converts a column's corruption rate into the paper's §3.3
-// mean-time-to-failure illustration (one crash every two months). A
-// negative result means no corruption was observed at this sample size.
-func (r *CampaignResult) MTTFYears(system int) float64 {
-	crashes, corrupted := r.Totals(system)
-	return crashtest.MTTFYears(corrupted, crashes)
-}
 
 // RunCrashCampaign reproduces Table 1: for each of the thirteen fault
 // types and each of the three systems, crash the machine repeatedly and
@@ -272,8 +213,6 @@ func RunCrashCampaign(opts CampaignOptions) (*CampaignResult, error) {
 		cfg.RunsPerCell = opts.RunsPerCell
 	}
 	cfg.Workers = opts.Workers
-	cfg.Progress = opts.Progress
-	cfg.Run.DiskFaults = opts.DiskFaults
 	rep, err := crashtest.RunCampaign(cfg)
 	if err != nil {
 		return nil, err

@@ -12,7 +12,8 @@ import (
 	"rio/internal/sim"
 )
 
-// CampaignConfig parameterises a full Table 1 campaign.
+// CampaignConfig parameterises a crash campaign: Table 1, or any cut
+// of it a crash scenario compiles to.
 type CampaignConfig struct {
 	// Seed drives the whole campaign; the same seed reproduces the same
 	// table at any worker count.
@@ -20,9 +21,14 @@ type CampaignConfig struct {
 	// RunsPerCell is the number of *crashing* runs per (system, fault)
 	// cell. The paper used 50, discarding runs that did not crash.
 	RunsPerCell int
-	// MaxAttemptsFactor bounds attempts per cell at RunsPerCell × factor
-	// (some fault types crash rarely).
-	MaxAttemptsFactor int
+	// Systems and Faults name the campaign's cells, one per (system,
+	// fault) pair; empty means Table 1's: all three systems, all 13
+	// fault types.
+	Systems []System
+	Faults  []fault.Type
+	// WorkloadFactory builds each crash run's workload; nil is Table 1's
+	// memTest, sized by Run.MemTestBytes.
+	WorkloadFactory WorkloadFactory
 	// Workers is the number of goroutines executing crash runs; 0 uses
 	// runtime.GOMAXPROCS(0). The report's counts do not depend on it.
 	Workers int
@@ -57,13 +63,17 @@ func (hostClock) Now() time.Time {
 	return time.Now()
 }
 
+// maxAttemptsFactor bounds a cell's attempts at RunsPerCell × factor:
+// some fault types crash rarely, and a cell that cannot fill is
+// abandoned rather than run forever.
+const maxAttemptsFactor = 6
+
 // DefaultCampaignConfig mirrors the paper's protocol at 50 runs/cell.
 func DefaultCampaignConfig(seed uint64) CampaignConfig {
 	return CampaignConfig{
-		Seed:              seed,
-		RunsPerCell:       50,
-		MaxAttemptsFactor: 6,
-		Run:               DefaultRunConfig(0),
+		Seed:        seed,
+		RunsPerCell: 50,
+		Run:         DefaultRunConfig(0),
 	}
 }
 
@@ -71,9 +81,9 @@ func DefaultCampaignConfig(seed uint64) CampaignConfig {
 // campaign seed and the run's coordinates: system, fault type, and
 // attempt index within its cell. No shared counter is involved, so a
 // cell's seeds are independent of how many attempts every other cell
-// consumed — changing RunsPerCell, MaxAttemptsFactor, or the fault list
-// leaves all remaining cells' runs bit-identical, and cells can execute
-// concurrently in any order. (An earlier version advanced one seed
+// consumed — changing RunsPerCell or the cell list leaves all remaining
+// cells' runs bit-identical, and cells can execute concurrently in any
+// order. (An earlier version advanced one seed
 // counter across the whole campaign, which silently resampled every
 // later cell whenever an earlier cell's attempt count changed.)
 func RunSeed(campaignSeed uint64, sys System, ft fault.Type, attempt int) uint64 {
@@ -118,7 +128,7 @@ func (c *campaign) noteMerged(o Outcome[WorkloadResult]) {
 		rate = float64(n) / s
 	}
 	c.emit(fmt.Sprintf("campaign: %d/%d cells, %d runs (%d crashes), %.1f runs/s",
-		c.cellsDone.Load(), len(Systems)*len(fault.AllTypes), n, c.crashes.Load(), rate))
+		c.cellsDone.Load(), len(c.cfg.Systems)*len(c.cfg.Faults), n, c.crashes.Load(), rate))
 }
 
 // emit serialises Progress callbacks across cell drivers.
@@ -128,22 +138,35 @@ func (c *campaign) emit(line string) {
 	c.cfg.Progress(line)
 }
 
-// RunCampaign executes the full crash matrix on the Scheduler. Each of
-// the 39 (system, fault) cells is a quota cell — full at RunsPerCell
-// crashes, abandoned at RunsPerCell × MaxAttemptsFactor attempts — driven
-// independently — every run's seed comes from RunSeed, and outcomes fold
-// in attempt order — so the same seed and config yield identical cell
-// counts, totals, and rendered Table at any Workers value. Timing fields
-// (Cell.Elapsed, Summary.WallTime/RunsPerSec/SpeculativeRuns) reflect the
-// host and are outside that guarantee.
+// RunCampaign executes the crash matrix on the Scheduler; it is the one
+// crash-campaign driver. Each (system, fault) cell — 39 for Table 1 — is
+// a quota cell: full at RunsPerCell crashes, abandoned at RunsPerCell ×
+// maxAttemptsFactor attempts. Cells are driven independently — every
+// run's seed comes from RunSeed, and outcomes fold in attempt order — so
+// the same seed and config yield identical cell counts, totals, and
+// rendered Table at any Workers value. Timing fields (Cell.Elapsed,
+// Summary.WallTime/RunsPerSec/SpeculativeRuns) reflect the host and are
+// outside that guarantee.
 func RunCampaign(cfg CampaignConfig) (*Report, error) {
+	if len(cfg.Systems) == 0 {
+		cfg.Systems = Systems
+	}
+	if len(cfg.Faults) == 0 {
+		cfg.Faults = fault.AllTypes
+	}
 	clock := cfg.clock
 	if clock == nil {
 		clock = hostClock{}
 	}
 	runner := cfg.runner
 	if runner == nil {
-		runner = RunOne
+		mk := cfg.WorkloadFactory
+		if mk == nil {
+			mk = memTest(cfg.Run.MemTestBytes)
+		}
+		runner = func(st *machine.Storage, sys System, ft fault.Type, run RunConfig) (WorkloadResult, error) {
+			return RunWorkloadOne(st, sys, ft, run, mk)
+		}
 	}
 	c := &campaign{cfg: cfg, clock: clock, epoch: clock.Now()}
 	sched := NewScheduler[WorkloadResult](cfg.Workers, clock.Now)
@@ -159,12 +182,12 @@ func RunCampaign(cfg CampaignConfig) (*Report, error) {
 
 	rep := &Report{
 		Config: cfg,
-		Cells:  make(map[System]map[fault.Type]*Cell, len(Systems)),
+		Cells:  make(map[System]map[fault.Type]*Cell, len(cfg.Systems)),
 	}
 	var cellWG sync.WaitGroup
-	for _, sys := range Systems {
-		rep.Cells[sys] = make(map[fault.Type]*Cell, len(fault.AllTypes))
-		for _, ft := range fault.AllTypes {
+	for _, sys := range cfg.Systems {
+		rep.Cells[sys] = make(map[fault.Type]*Cell, len(cfg.Faults))
+		for _, ft := range cfg.Faults {
 			sys, ft := sys, ft
 			cell := &Cell{System: sys, Fault: ft, ByKind: make(map[kernel.CrashKind]int)}
 			rep.Cells[sys][ft] = cell
@@ -173,7 +196,7 @@ func RunCampaign(cfg CampaignConfig) (*Report, error) {
 				defer cellWG.Done()
 				sched.RunCell(CellPlan[WorkloadResult]{
 					Label:    fmt.Sprintf("sys=%v fault=%v", sys, ft),
-					Attempts: cfg.RunsPerCell * cfg.MaxAttemptsFactor,
+					Attempts: cfg.RunsPerCell * maxAttemptsFactor,
 					Window:   window,
 					Run: func(attempt int, st *machine.Storage) (WorkloadResult, error) {
 						run := cfg.Run
@@ -185,6 +208,7 @@ func RunCampaign(cfg CampaignConfig) (*Report, error) {
 						c.noteMerged(o)
 						return cell.Crashes >= cfg.RunsPerCell
 					},
+					Need: func() int { return cfg.RunsPerCell - cell.Crashes },
 				})
 				c.cellsDone.Add(1)
 				if cfg.Progress != nil {

@@ -57,11 +57,10 @@ func normalize(rep *Report) {
 
 func TestCampaignSchedulerDeterministicAcrossWorkers(t *testing.T) {
 	base := CampaignConfig{
-		Seed:              1996,
-		RunsPerCell:       10,
-		MaxAttemptsFactor: 4,
-		Run:               RunConfig{DiskFaults: true}, // recovery columns fold too
-		runner:            fakeRunner,
+		Seed:        1996,
+		RunsPerCell: 10,
+		Run:         RunConfig{DiskFaults: true}, // recovery columns fold too
+		runner:      fakeRunner,
 	}
 	run := func(workers int) (*Report, string) {
 		cfg := base
@@ -89,18 +88,21 @@ func TestCampaignSchedulerDeterministicAcrossWorkers(t *testing.T) {
 
 func TestRunSeedsIndependentOfEarlierCells(t *testing.T) {
 	// Record the seed every (system, fault, attempt) coordinate actually
-	// receives, under two configs that consume very different attempt
-	// counts in earlier cells. With the old shared seed counter the
-	// later cells resampled; with coordinate seeding they must not.
-	record := func(runsPerCell, factor int) map[[3]int]uint64 {
+	// receives under three configs: the full cell list, the same list
+	// without its first three fault types, and the full list at three
+	// times the runs per cell. With the old shared seed counter the later
+	// cells resampled; with coordinate seeding no shared coordinate may,
+	// and every cell the two equal-sized campaigns share must fold to the
+	// same counts.
+	record := func(runsPerCell int, faults []fault.Type) (map[[3]int]uint64, *Report) {
 		seeds := make(map[[3]int]uint64)
 		var mu sync.Mutex
 		attempt := make(map[[2]int]int) // per-cell issue order is attempt order at Workers=1
-		cfg := CampaignConfig{
-			Seed:              7,
-			RunsPerCell:       runsPerCell,
-			MaxAttemptsFactor: factor,
-			Workers:           1,
+		rep, err := RunCampaign(CampaignConfig{
+			Seed:        7,
+			RunsPerCell: runsPerCell,
+			Faults:      faults,
+			Workers:     1,
 			runner: func(st *machine.Storage, sys System, ft fault.Type, rc RunConfig) (WorkloadResult, error) {
 				mu.Lock()
 				cellKey := [2]int{int(sys), int(ft)}
@@ -110,25 +112,38 @@ func TestRunSeedsIndependentOfEarlierCells(t *testing.T) {
 				mu.Unlock()
 				return fakeRunner(st, sys, ft, rc)
 			},
-		}
-		if _, err := RunCampaign(cfg); err != nil {
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-		return seeds
+		normalize(rep)
+		return seeds, rep
 	}
-	a := record(3, 2)
-	b := record(9, 5)
-	shared := 0
-	for k, seedA := range a {
-		if seedB, ok := b[k]; ok {
-			shared++
-			if seedA != seedB {
-				t.Fatalf("coordinate %v resampled: %d vs %d", k, seedA, seedB)
+	later := fault.AllTypes[3:]
+	allSeeds, all := record(3, nil)
+	laterSeeds, rest := record(3, later)
+	moreSeeds, _ := record(9, nil)
+	for name, seeds := range map[string]map[[3]int]uint64{"fewer faults": laterSeeds, "more runs": moreSeeds} {
+		shared := 0
+		for k, seed := range seeds {
+			if ref, ok := allSeeds[k]; ok {
+				shared++
+				if ref != seed {
+					t.Fatalf("%s: coordinate %v resampled: %d vs %d", name, k, ref, seed)
+				}
 			}
 		}
+		if shared == 0 {
+			t.Fatalf("%s: no coordinate shared with the full campaign; test is vacuous", name)
+		}
 	}
-	if shared == 0 {
-		t.Fatal("configs shared no coordinates; test is vacuous")
+	for _, sys := range Systems {
+		for _, ft := range later {
+			if !reflect.DeepEqual(all.Cells[sys][ft], rest.Cells[sys][ft]) {
+				t.Fatalf("%v/%v folded differently without the earlier faults:\n%+v\nvs\n%+v",
+					sys, ft, all.Cells[sys][ft], rest.Cells[sys][ft])
+			}
+		}
 	}
 	// And the derivation itself is pure: no config field feeds RunSeed.
 	if RunSeed(7, RioProt, fault.Sync, 5) != RunSeed(7, RioProt, fault.Sync, 5) {
@@ -158,11 +173,10 @@ func TestCampaignProgressSerialisedUnderConcurrency(t *testing.T) {
 	lines := 0
 	cellLines := 0
 	cfg := CampaignConfig{
-		Seed:              3,
-		RunsPerCell:       6,
-		MaxAttemptsFactor: 4,
-		Workers:           8,
-		runner:            fakeRunner,
+		Seed:        3,
+		RunsPerCell: 6,
+		Workers:     8,
+		runner:      fakeRunner,
 		Progress: func(s string) {
 			lines++
 			if strings.Contains(s, "crashes=") {
@@ -184,11 +198,10 @@ func TestCampaignProgressSerialisedUnderConcurrency(t *testing.T) {
 
 func TestCampaignSummaryAccounting(t *testing.T) {
 	cfg := CampaignConfig{
-		Seed:              11,
-		RunsPerCell:       8,
-		MaxAttemptsFactor: 3,
-		Workers:           4,
-		runner:            fakeRunner,
+		Seed:        11,
+		RunsPerCell: 8,
+		Workers:     4,
+		runner:      fakeRunner,
 	}
 	rep, err := RunCampaign(cfg)
 	if err != nil {
@@ -224,11 +237,10 @@ func TestCampaignSummaryAccounting(t *testing.T) {
 
 func TestReportJSONExport(t *testing.T) {
 	cfg := CampaignConfig{
-		Seed:              5,
-		RunsPerCell:       4,
-		MaxAttemptsFactor: 3,
-		Workers:           2,
-		runner:            fakeRunner,
+		Seed:        5,
+		RunsPerCell: 4,
+		Workers:     2,
+		runner:      fakeRunner,
 	}
 	rep, err := RunCampaign(cfg)
 	if err != nil {
@@ -272,11 +284,10 @@ func TestReportJSONExport(t *testing.T) {
 
 func TestTableColumnsAligned(t *testing.T) {
 	cfg := CampaignConfig{
-		Seed:              2,
-		RunsPerCell:       30, // large enough for 2-digit totals and corruption cells
-		MaxAttemptsFactor: 3,
-		Workers:           4,
-		runner:            fakeRunner,
+		Seed:        2,
+		RunsPerCell: 30, // large enough for 2-digit totals and corruption cells
+		Workers:     4,
+		runner:      fakeRunner,
 	}
 	rep, err := RunCampaign(cfg)
 	if err != nil {
@@ -308,7 +319,6 @@ func TestCampaignRealDeterministicAcrossWorkers(t *testing.T) {
 	}
 	base := DefaultCampaignConfig(42)
 	base.RunsPerCell = 1
-	base.MaxAttemptsFactor = 2
 	base.Run.WarmupOps = 10
 	base.Run.MaxOps = 80
 	base.Run.MemTestBytes = 1 << 19
@@ -343,7 +353,6 @@ func TestCampaignRealDoubleFaultDeterministic(t *testing.T) {
 	}
 	base := DefaultCampaignConfig(1996)
 	base.RunsPerCell = 1
-	base.MaxAttemptsFactor = 2
 	base.Run.WarmupOps = 10
 	base.Run.MaxOps = 80
 	base.Run.MemTestBytes = 1 << 19
@@ -408,12 +417,11 @@ func (c *fakeClock) Calls() int {
 func TestSummaryTimingUsesInjectedClock(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1000, 0), step: time.Millisecond}
 	cfg := CampaignConfig{
-		Seed:              7,
-		RunsPerCell:       3,
-		MaxAttemptsFactor: 4,
-		Workers:           2,
-		runner:            fakeRunner,
-		clock:             clk,
+		Seed:        7,
+		RunsPerCell: 3,
+		Workers:     2,
+		runner:      fakeRunner,
+		clock:       clk,
 	}
 	rep, err := RunCampaign(cfg)
 	if err != nil {

@@ -295,13 +295,19 @@ func checkStatic(m *machine.Machine) bool {
 	return false
 }
 
-// RunOne is the Table 1 crash run: RunWorkloadOne driving memTest.
-func RunOne(st *machine.Storage, sys System, ft fault.Type, cfg RunConfig) (WorkloadResult, error) {
-	return RunWorkloadOne(st, sys, ft, cfg, func(seed uint64, writeThrough bool) workload.Workload {
-		mt := workload.NewMemTest(seed, cfg.MemTestBytes)
+// memTest is Table 1's workload factory: memTest over a file set of
+// the given size.
+func memTest(bytes int) WorkloadFactory {
+	return func(seed uint64, writeThrough bool) workload.Workload {
+		mt := workload.NewMemTest(seed, bytes)
 		mt.WriteThrough = writeThrough
 		return mt
-	})
+	}
+}
+
+// RunOne is the Table 1 crash run: RunWorkloadOne driving memTest.
+func RunOne(st *machine.Storage, sys System, ft fault.Type, cfg RunConfig) (WorkloadResult, error) {
+	return RunWorkloadOne(st, sys, ft, cfg, memTest(cfg.MemTestBytes))
 }
 
 // RunWorkloadOne executes a single crash run: boot the chosen system,

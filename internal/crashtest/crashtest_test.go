@@ -138,7 +138,6 @@ func TestMiniCampaign(t *testing.T) {
 	}
 	cfg := DefaultCampaignConfig(2026)
 	cfg.RunsPerCell = 2
-	cfg.MaxAttemptsFactor = 8
 	rep, err := RunCampaign(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -11,18 +11,14 @@ import (
 	"rio/internal/kernel"
 )
 
-// Cell aggregates one (system, fault) cell of Table 1. Its JSON form is
-// the report's: self-describing (names, not enum ordinals) so downstream
-// tooling survives reordering.
-//
-// Counting fields are deterministic for a given campaign seed and config;
-// Elapsed is host wall time and is excluded from that guarantee.
-type Cell struct {
-	System    System     `json:"system"`
-	Fault     fault.Type `json:"fault"`
-	Crashes   int        `json:"crashes"`   // runs that crashed (counted toward RunsPerCell)
-	Discarded int        `json:"discarded"` // runs that survived MaxOps (discarded, as in paper)
-	Corrupted int        `json:"corrupted"` // crashing runs with corrupted durable data
+// Tally is the crash-run counters of one campaign cell, the one
+// declaration of them: Table 1's Cell and every scenario report's cell
+// embed it, and only Cell.fold folds a crash run into it. Its counts are
+// deterministic for a given campaign seed and config.
+type Tally struct {
+	Crashes   int `json:"crashes"`   // runs that crashed (counted toward RunsPerCell)
+	Discarded int `json:"discarded"` // runs that survived MaxOps (discarded, as in paper)
+	Corrupted int `json:"corrupted"` // crashing runs with corrupted durable data
 	// Checksum counts crashing runs where warm reboot's registry checksum
 	// sweep flagged direct corruption of a file-cache buffer (Rio systems
 	// only). It counts detections, not outcomes — the two detectors
@@ -33,16 +29,40 @@ type Cell struct {
 	Protection int `json:"protection_trapped"` // crashes where Rio protection trapped the store
 	// Double-fault recovery columns (populated when Run.DiskFaults is
 	// on; all zero otherwise, and then omitted from the JSON).
-	Interrupted int    `json:"recovery_interrupted,omitempty"` // recoveries a second crash interrupted (then restarted)
-	Aborted     int    `json:"recovery_aborted,omitempty"`     // recoveries that returned an error (must stay zero)
-	Quarantined int    `json:"quarantined_pages,omitempty"`    // dirty pages recovery could not restore, summed over runs
-	Salvaged    int    `json:"salvaged_pages,omitempty"`       // orphaned pages preserved under /lost+found
-	VolumeLost  int    `json:"volume_lost,omitempty"`          // runs whose volume fsck could not certify
-	Errors      int    `json:"errors"`                         // harness errors (should be zero)
-	LastError   string `json:"last_error,omitempty"`
+	// Interrupted and TxnInterrupted count second crashes injected into
+	// the warm reboot and the workload's own roll-forward.
+	Interrupted    int `json:"recovery_interrupted,omitempty"`     // recoveries a second crash interrupted (then restarted)
+	TxnInterrupted int `json:"txn_recovery_interrupted,omitempty"` // roll-forwards a second crash interrupted
+	Aborted        int `json:"recovery_aborted,omitempty"`         // recoveries that returned an error (must stay zero)
+	Quarantined    int `json:"quarantined_pages,omitempty"`        // dirty pages recovery could not restore, summed over runs
+	Salvaged       int `json:"salvaged_pages,omitempty"`           // orphaned pages preserved under /lost+found
+	VolumeLost     int `json:"volume_lost,omitempty"`              // runs whose volume fsck could not certify
+	// The workload's verdicts, summed over crashing runs: files checked,
+	// corruption entries, and the two zero gates — silent acked-state
+	// loss and half-applied multi-step ops — plus the convictions the
+	// recovery-clean rule downgraded to detected corruption.
+	Checked     int `json:"checked"`
+	Corruptions int `json:"corruptions"`
+	Lost        int `json:"lost"`
+	Torn        int `json:"torn"`
+	TornMasked  int `json:"torn_masked,omitempty"`
+	LostMasked  int `json:"lost_masked,omitempty"`
+
+	Errors    int    `json:"errors"` // harness errors (should be zero)
+	LastError string `json:"last_error,omitempty"`
 	// Attempts is how many runs were merged into this cell
 	// (Crashes + Discarded + Errors).
 	Attempts int `json:"attempts"`
+}
+
+// Cell aggregates one (system, fault) cell of Table 1. Its JSON form is
+// the report's: self-describing (names, not enum ordinals) so downstream
+// tooling survives reordering. Elapsed is host wall time and is excluded
+// from the determinism guarantee.
+type Cell struct {
+	System System     `json:"system"`
+	Fault  fault.Type `json:"fault"`
+	Tally
 	// Elapsed sums the execution time of the merged runs. Under parallel
 	// execution this is the cell's CPU cost, not campaign wall time.
 	Elapsed Millis                   `json:"elapsed_ms"`
@@ -67,32 +87,33 @@ func (cell *Cell) fold(o Outcome[WorkloadResult]) {
 		cell.LastError = o.Err.Error()
 		return
 	}
-	if !o.Res.Crashed {
+	res := &o.Res
+	if !res.Crashed {
 		cell.Discarded++
 		return
 	}
 	cell.Crashes++
-	cell.ByKind[o.Res.CrashKind]++
-	if o.Res.Corrupted {
-		cell.Corrupted++
+	cell.ByKind[res.CrashKind]++
+	count := func(n *int, b bool) {
+		if b {
+			*n++
+		}
 	}
-	if o.Res.ChecksumDetected {
-		cell.Checksum++
-	}
-	if o.Res.ProtectionInvoked {
-		cell.Protection++
-	}
-	if o.Res.RecoveryInterrupted {
-		cell.Interrupted++
-	}
-	if o.Res.RecoveryAborted {
-		cell.Aborted++
-	}
-	cell.Quarantined += o.Res.Quarantined
-	cell.Salvaged += o.Res.Salvaged
-	if o.Res.VolumeLost {
-		cell.VolumeLost++
-	}
+	count(&cell.Corrupted, res.Corrupted)
+	count(&cell.Checksum, res.ChecksumDetected)
+	count(&cell.Protection, res.ProtectionInvoked)
+	count(&cell.Interrupted, res.RecoveryInterrupted)
+	count(&cell.TxnInterrupted, res.TxnRecoveryInterrupted)
+	count(&cell.Aborted, res.RecoveryAborted)
+	count(&cell.VolumeLost, res.VolumeLost)
+	cell.Quarantined += res.Quarantined
+	cell.Salvaged += res.Salvaged
+	cell.Checked += res.Verdict.Checked
+	cell.Corruptions += len(res.Verdict.Corruptions)
+	cell.Lost += res.Verdict.Lost
+	cell.Torn += res.Verdict.Torn
+	cell.TornMasked += res.TornMasked
+	cell.LostMasked += res.LostMasked
 }
 
 // Summary is campaign-level observability. Counting fields are
@@ -154,15 +175,15 @@ func (r *Report) ProtectionInvocations(sys System) int {
 // tableColWidth fits the widest entry, the totals-row "NN of NNN (NN.N%)".
 const tableColWidth = 18
 
-// Table renders the report in the layout of the paper's Table 1. The
-// rendering is byte-identical for a given seed and config at any worker
-// count.
+// Table renders the report in the layout of the paper's Table 1, one
+// row per fault type the campaign ran. The rendering is byte-identical
+// for a given seed and config at any worker count.
 func (r *Report) Table() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-22s %*s %*s %*s\n", "Fault Type",
 		tableColWidth, "Disk-Based", tableColWidth, "Rio w/o Prot",
 		tableColWidth, "Rio w/ Prot")
-	for _, ft := range fault.AllTypes {
+	for _, ft := range r.Config.Faults {
 		fmt.Fprintf(&b, "%-22s", ft)
 		for _, sys := range Systems {
 			c := r.Cells[sys][ft]

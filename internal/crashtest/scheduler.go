@@ -33,7 +33,7 @@ type Outcome[R any] struct {
 // CellPlan is everything the scheduler knows about a cell: an attempt
 // budget, a run function and a fold that says when the cell is full.
 // Table 1 is 39 such cells whose fold reports full at the crash quota;
-// a scenario is one cell of plans whose fold never does.
+// a server or fleet scenario is one cell of plans whose fold never does.
 type CellPlan[R any] struct {
 	// Label names the cell in an abort message.
 	Label string
@@ -50,6 +50,12 @@ type CellPlan[R any] struct {
 	// is now full. It runs on the goroutine that called RunCell, strictly
 	// in attempt order, and never again once it has returned true.
 	Fold func(Outcome[R]) (full bool)
+	// Need, if set, reports how many more outcomes the cell must fold
+	// before it can be full; the cell then keeps no more attempts in
+	// flight or waiting to fold than that, so a cell one crash short runs
+	// one attempt at a time, not a window of them. It runs on the
+	// goroutine that called RunCell.
+	Need func() int
 }
 
 // task asks a worker to execute one attempt of one cell.
@@ -152,9 +158,10 @@ func (s *Scheduler[R]) worker() {
 }
 
 // RunCell drives one cell to completion: it keeps up to p.Window attempts
-// in flight on the shared pool and folds outcomes back strictly in
-// attempt order, so the cell is a pure function of its plan no matter how
-// many workers run or in what order attempts complete. Attempts that
+// (fewer when p.Need says so) in flight on the shared pool and folds
+// outcomes back strictly in attempt order, so the cell is a pure function
+// of its plan no matter how many workers run or in what order attempts
+// complete. Attempts that
 // finish after the fold has reported the cell full are speculative
 // overshoot and are dropped unfolded. Cells may be driven concurrently.
 func (s *Scheduler[R]) RunCell(p CellPlan[R]) {
@@ -165,8 +172,12 @@ func (s *Scheduler[R]) RunCell(p CellPlan[R]) {
 
 	for !full && folded < p.Attempts {
 		// Keep the issue window full; stop issuing on abort.
+		window := p.Window
+		if p.Need != nil {
+			window = min(window, p.Need()-len(pending))
+		}
 		issuing := true
-		for issuing && outstanding < p.Window && next < p.Attempts {
+		for issuing && outstanding < window && next < p.Attempts {
 			select {
 			case s.tasks <- task[R]{label: p.Label, attempt: next, run: p.Run, reply: reply}:
 				next++

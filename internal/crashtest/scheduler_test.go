@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"rio/internal/machine"
 	"rio/internal/sim"
@@ -160,5 +161,35 @@ func TestSchedulerAbortMidCampaign(t *testing.T) {
 	if int(ran.Load()) != folded+speculative {
 		t.Fatalf("%d attempts ran but %d folded + %d overshoot: a task went unanswered",
 			ran.Load(), folded, speculative)
+	}
+}
+
+// TestSchedulerNeedShrinksWindow: a cell one success short keeps one
+// attempt in flight however wide its window, so a cell whose every
+// attempt succeeds runs exactly its quota and wastes nothing — also when
+// its first attempt finishes last and the others wait to fold.
+func TestSchedulerNeedShrinksWindow(t *testing.T) {
+	for _, quota := range []int{1, 3} {
+		s := NewScheduler[uint64](8, nil)
+		var ran atomic.Int64
+		var log foldLog
+		c := testCell(0, 60, 8, quota, &log)
+		c.Run = func(attempt int, _ *machine.Storage) (uint64, error) {
+			ran.Add(1)
+			if attempt == 0 {
+				time.Sleep(5 * time.Millisecond)
+			}
+			return 0, nil // even: every attempt counts toward the quota
+		}
+		c.Need = func() int { return quota - log.Crashes }
+		s.RunCell(c)
+		speculative, err := s.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ran.Load() != int64(quota) || speculative != 0 || log.Crashes != quota {
+			t.Fatalf("quota %d: %d attempts ran, %d overshoot, %d folded crashes",
+				quota, ran.Load(), speculative, log.Crashes)
+		}
 	}
 }

@@ -59,8 +59,8 @@ func TestTxnCampaignZeroTorn(t *testing.T) {
 	}
 	crashes, interrupted := 0, 0
 	for _, c := range res.Cells {
-		crashes += c.Crashed
-		interrupted += c.RecoveryInterrupted
+		crashes += c.Crashes
+		interrupted += c.Interrupted
 	}
 	if crashes == 0 {
 		t.Fatal("no run crashed; campaign is vacuous")
@@ -77,15 +77,16 @@ func TestTxnCampaignZeroTorn(t *testing.T) {
 	}
 }
 
-// The report must be byte-identical at any worker count: plan seeds are
-// pure functions of (spec seed, plan, attempt) and the fold walks plans
-// in order.
+// The report must be byte-identical at any worker count: the spec
+// compiles to a crash campaign whose run seeds are pure functions of
+// (spec seed, system, fault, attempt), and each cell folds its runs in
+// attempt order.
 func TestTxnCampaignWorkerCountInvariant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign is slow")
 	}
 	spec := []byte(`{
-		"name":"txn-inv","kind":"crash","seed":99,"runs":12,
+		"name":"txn-inv","kind":"crash","seed":99,"runs":2,
 		"workload":{"name":"txntest","accounts":3},
 		"faults":{"types":["kernel text","copy overrun","pointer"],"disk_faults":true},
 		"schedule":{"warmup_ops":11,"max_ops":60}}`)

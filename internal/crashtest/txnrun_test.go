@@ -57,3 +57,20 @@ func TestRunTxnOneDeterministic(t *testing.T) {
 		t.Fatalf("same seed diverged:\n%+v\n%+v", a, b)
 	}
 }
+
+// TestRootClobberedAfterFsckIsVolumeLost pins one double-fault run whose
+// storage faults leave the root inode a non-directory after fsck passed:
+// the volume mounts, nothing in it is reachable, and the txn roll-forward
+// cannot read its log. That is a lost volume — the run is corrupted — not
+// an aborted recovery.
+func TestRootClobberedAfterFsckIsVolumeLost(t *testing.T) {
+	cfg := txnRunConfig(RunSeed(110, RioProt, fault.HeapFlip, 1), 120)
+	cfg.DiskFaults = true
+	res, err := RunWorkloadOne(nil, RioProt, fault.HeapFlip, cfg, txnTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Crashed || !res.VolumeLost || res.RecoveryAborted || !res.Corrupted {
+		t.Fatalf("want a crashed, corrupted run with its volume lost and no abort: %+v", res)
+	}
+}

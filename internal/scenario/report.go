@@ -4,50 +4,27 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+
+	"rio/internal/crashtest"
 )
 
 // Cell is one aggregated row of a scenario report: a (system × fault)
 // pair for crash scenarios, the one crash-under-load row for server
-// scenarios, a fleet fault kind for fleet scenarios. Cells are built
-// by folding per-plan slots in plan order, so their bytes are
-// independent of the worker count. Wall-clock timing deliberately
-// lives in json-excluded fields: the JSON report is the determinism
-// artifact (diffed across worker counts), the latency table is not.
+// scenarios, a fleet fault kind for fleet scenarios. Its counters are
+// crashtest's Tally — for the crash kind, the campaign's own cell tally —
+// plus the server and fleet kinds' traffic and reaction columns. Cells
+// are folded in attempt order, so their bytes are independent of the
+// worker count. Wall-clock timing deliberately lives in a json-excluded field:
+// the JSON report is the determinism artifact (diffed across worker
+// counts), the latency table is not.
 type Cell struct {
 	Label string `json:"label"`
-	// Runs = plans folded; Crashed = plans whose fault actually took
-	// the system down (crash kind); Discarded = plans that never
-	// crashed within the attempt budget, as in the paper.
-	Runs      int `json:"runs"`
-	Crashed   int `json:"crashed,omitempty"`
-	Discarded int `json:"discarded,omitempty"`
-
-	// Verdict columns.
-	Checked     int `json:"checked"`
-	Corrupted   int `json:"corrupted"`             // runs with any corruption
-	Corruptions int `json:"corruptions"`           // total corruption entries
-	Lost        int `json:"lost"`                  // silent acked-state loss (the zero gate)
-	Torn        int `json:"torn"`                  // half-applied multi-step ops (the zero gate)
-	Stale       int `json:"stale"`                 // fleet: deposed-primary stale reads (zero gate)
-	TornMasked  int `json:"torn_masked,omitempty"` // convictions downgraded by recovery-reported damage
-	LostMasked  int `json:"lost_masked,omitempty"`
+	crashtest.Tally
+	Stale int `json:"stale"` // fleet: deposed-primary stale reads (zero gate)
 
 	// Traffic columns (server/fleet kinds).
 	Acked   int `json:"acked,omitempty"`
 	Unacked int `json:"unacked,omitempty"`
-
-	// Recovery observability (crash kind). RecoveryInterrupted and
-	// TxnRecoveryInterrupted count second crashes injected into the warm
-	// reboot and the txn roll-forward; RecoveryAborted counts recoveries
-	// that returned an error instead of finishing (a zero gate).
-	ChecksumDetected       int `json:"checksum_detected,omitempty"`
-	ProtectionInvoked      int `json:"protection_invoked,omitempty"`
-	Quarantined            int `json:"quarantined,omitempty"`
-	Salvaged               int `json:"salvaged,omitempty"`
-	VolumeLost             int `json:"volume_lost,omitempty"`
-	RecoveryInterrupted    int `json:"recovery_interrupted,omitempty"`
-	TxnRecoveryInterrupted int `json:"txn_recovery_interrupted,omitempty"`
-	RecoveryAborted        int `json:"recovery_aborted,omitempty"`
 
 	// Fleet reaction (fleet kind): the evidence that a plan's fault
 	// actually forced a promotion or repair rather than passing unnoticed.
@@ -57,13 +34,9 @@ type Cell struct {
 	Redirects  uint64 `json:"redirects,omitempty"`
 	Retries    uint64 `json:"retries,omitempty"`
 
-	Errors    int    `json:"errors,omitempty"`
-	LastError string `json:"last_error,omitempty"`
-
 	// ElapsedNs is wall-clock time spent on this cell's plans, summed
-	// in fold order; zero when the runner has no clock. Excluded from
-	// the JSON artifact: timing may differ across worker counts, the
-	// report may not.
+	// in fold order. Excluded from the JSON artifact: timing may differ
+	// across worker counts, the report may not.
 	ElapsedNs int64 `json:"-"`
 }
 
@@ -92,6 +65,10 @@ type Result struct {
 	Cells    []Cell `json:"cells"`
 	Totals   Totals `json:"totals"`
 
+	// Campaign is the crash kind's campaign report, for renderers of
+	// Table 1's own layout; nil for the other kinds.
+	Campaign *crashtest.Report `json:"-"`
+
 	// ElapsedNs is the scenario's total wall time (json-excluded, see
 	// Cell.ElapsedNs).
 	ElapsedNs int64 `json:"-"`
@@ -102,7 +79,7 @@ func (r *Result) finish() {
 	t := Totals{}
 	for i := range r.Cells {
 		c := &r.Cells[i]
-		t.Runs += c.Runs
+		t.Runs += c.Attempts
 		t.Checked += c.Checked
 		t.Corrupted += c.Corrupted
 		t.Corruptions += c.Corruptions
@@ -110,8 +87,8 @@ func (r *Result) finish() {
 		t.Torn += c.Torn
 		t.Stale += c.Stale
 		t.Errors += c.Errors
-		t.TxnRecoveryInterrupted += c.TxnRecoveryInterrupted
-		t.RecoveryAborted += c.RecoveryAborted
+		t.TxnRecoveryInterrupted += c.TxnInterrupted
+		t.RecoveryAborted += c.Aborted
 	}
 	r.Totals = t
 }
@@ -166,17 +143,15 @@ func (r *Result) Table() string {
 		"cell", "runs", "crash", "disc", "checked", "corru", "lost", "torn", "stale", "errors")
 	row := func(label string, c *Cell) {
 		fmt.Fprintf(&b, "%-34s %5d %6d %5d %8d %6d %5d %5d %6d %7d\n",
-			label, c.Runs, c.Crashed, c.Discarded, c.Checked, c.Corruptions,
+			label, c.Attempts, c.Crashes, c.Discarded, c.Checked, c.Corruptions,
 			c.Lost, c.Torn, c.Stale, c.Errors)
 	}
+	tot := Cell{Stale: r.Totals.Stale}
+	tot.Attempts, tot.Checked, tot.Corruptions = r.Totals.Runs, r.Totals.Checked, r.Totals.Corruptions
+	tot.Lost, tot.Torn, tot.Errors = r.Totals.Lost, r.Totals.Torn, r.Totals.Errors
 	for i := range r.Cells {
 		row(r.Cells[i].Label, &r.Cells[i])
-	}
-	tot := Cell{Runs: r.Totals.Runs, Checked: r.Totals.Checked,
-		Corruptions: r.Totals.Corruptions, Lost: r.Totals.Lost,
-		Torn: r.Totals.Torn, Stale: r.Totals.Stale, Errors: r.Totals.Errors}
-	for i := range r.Cells {
-		tot.Crashed += r.Cells[i].Crashed
+		tot.Crashes += r.Cells[i].Crashes
 		tot.Discarded += r.Cells[i].Discarded
 	}
 	row("total", &tot)
@@ -196,11 +171,11 @@ func (r *Result) LatencyTable() string {
 	for i := range r.Cells {
 		c := &r.Cells[i]
 		per := int64(0)
-		if c.Runs > 0 {
-			per = c.ElapsedNs / int64(c.Runs)
+		if c.Attempts > 0 {
+			per = c.ElapsedNs / int64(c.Attempts)
 		}
 		fmt.Fprintf(&b, "%-34s %5d %10.3fms %12.3fms\n",
-			c.Label, c.Runs, float64(c.ElapsedNs)/1e6, float64(per)/1e6)
+			c.Label, c.Attempts, float64(c.ElapsedNs)/1e6, float64(per)/1e6)
 	}
 	fmt.Fprintf(&b, "%-34s %5d %10.3fms\n", "total", r.Totals.Runs, float64(r.ElapsedNs)/1e6)
 	return b.String()

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"rio/internal/crashtest"
-	"rio/internal/fault"
 	"rio/internal/kernel"
 	"rio/internal/machine"
 	"rio/internal/server"
@@ -16,21 +15,16 @@ import (
 	"rio/internal/workload"
 )
 
-// Salts namespacing the scenario engine's derived seed streams. Every
-// plan seed is sim.Mix(spec.Seed, salt, coordinates...) — no stream is
-// ever shared between plans, so plans parallelise freely.
+// Salts namespacing the server kind's derived seed streams. Every plan
+// seed is sim.Mix(spec.Seed, salt, coordinates...) — no stream is ever
+// shared between plans, so plans parallelise freely. (A crash spec's
+// runs draw crashtest.RunSeed's seeds; the fleet kind has its own.)
 const (
-	crashPlanSalt  = 0x5CECA5F7
 	serverPlanSalt = 0x5CE5E44E
 	serverKeySalt  = 0xC0FFEE42
 	serverShard    = 0xC7A54D0
 	serverDataSalt = 0xDA7AB10B
 )
-
-// crashAttempts bounds fault-injection retries per crash plan: a plan
-// whose faults never take the system down within this many derived
-// seeds is scored discarded, as in the paper (about half their runs).
-const crashAttempts = 6
 
 // Runner executes scenarios. The zero value runs at GOMAXPROCS with no
 // clock: byte-identical reports, empty latency tables. cmd/rioscn
@@ -98,8 +92,13 @@ func runPlans[R any](r *Runner, spec *Spec, out *Result, plan func(i int, st *ma
 	return out, nil
 }
 
-// compileWorkload turns the workload spec into a per-run factory.
+// compileWorkload turns the workload spec into a per-run factory; nil
+// for memtest, Table 1's own workload, which the campaign sizes from
+// RunConfig.MemTestBytes.
 func compileWorkload(w WorkloadSpec) crashtest.WorkloadFactory {
+	if w.Name == "memtest" {
+		return nil
+	}
 	return func(seed uint64, writeThrough bool) workload.Workload {
 		switch w.Name {
 		case "txntest":
@@ -116,116 +115,59 @@ func compileWorkload(w WorkloadSpec) crashtest.WorkloadFactory {
 			hk := workload.NewHotKey(seed, w.Keys, w.Skew, w.EpochLen)
 			hk.WriteThrough = writeThrough
 			return hk
-		case "scan":
+		default: // scan (Validate guarantees the name set)
 			sc := workload.NewScan(seed, w.Segments, w.BatchesPerSeg)
 			sc.WriteThrough = writeThrough
 			return sc
-		default: // memtest (Validate guarantees the name set)
-			mt := workload.NewMemTest(seed, w.Bytes)
-			mt.WriteThrough = writeThrough
-			return mt
 		}
 	}
 }
 
 // --- crash kind ---
 
+// runCrash compiles the spec into a crash campaign — its systems × fault
+// types are the cells, runs the crashing runs each wants — and runs it on
+// crashtest.RunCampaign, the driver Table 1 runs on.
 func (r *Runner) runCrash(spec *Spec) (*Result, error) {
-	systems := make([]crashtest.System, len(spec.Topology.Systems))
-	for i, name := range spec.Topology.Systems {
-		systems[i], _ = systemByName(name) // Validate already resolved
+	total := r.elapsed()
+	cfg := crashtest.CampaignConfig{
+		Seed:        spec.Seed,
+		RunsPerCell: spec.Runs,
+		Workers:     r.Workers,
+		Progress:    r.Progress,
+		Run: crashtest.RunConfig{
+			WarmupOps:    spec.Schedule.WarmupOps,
+			MaxOps:       spec.Schedule.MaxOps,
+			FaultCount:   spec.Faults.Count,
+			MemTestBytes: spec.Workload.Bytes,
+			DiskFaults:   spec.Faults.DiskFaults,
+		},
+		WorkloadFactory: compileWorkload(spec.Workload),
 	}
-	var fts []fault.Type
-	if len(spec.Faults.Types) == 0 {
-		fts = append(fts, fault.AllTypes...)
-	} else {
-		for _, name := range spec.Faults.Types {
-			ft, _ := faultByName(name)
-			fts = append(fts, ft)
-		}
+	for _, name := range spec.Topology.Systems {
+		sys, _ := systemByName(name) // Validate already resolved
+		cfg.Systems = append(cfg.Systems, sys)
 	}
-
+	for _, name := range spec.Faults.Types {
+		ft, _ := faultByName(name)
+		cfg.Faults = append(cfg.Faults, ft)
+	}
+	rep, err := crashtest.RunCampaign(cfg)
+	if err != nil {
+		return nil, err
+	}
 	out := &Result{Name: spec.Name, Kind: spec.Kind, Workload: spec.Workload.Name,
-		Seed: spec.Seed, Runs: spec.Runs}
-	for _, sys := range systems {
-		for _, ft := range fts {
-			out.Cells = append(out.Cells, Cell{Label: sys.String() + "/" + ft.String()})
+		Seed: spec.Seed, Runs: spec.Runs, Campaign: rep}
+	for _, sys := range rep.Config.Systems {
+		for _, ft := range rep.Config.Faults {
+			c := rep.Cells[sys][ft]
+			out.Cells = append(out.Cells, Cell{Label: sys.String() + "/" + ft.String(),
+				Tally: c.Tally, ElapsedNs: int64(c.Elapsed)})
 		}
 	}
-	mk := compileWorkload(spec.Workload)
-
-	// Plan i lands on cell (i mod systems, i/systems mod faults).
-	coords := func(i int) (sysIdx, ftIdx int) { return i % len(systems), (i / len(systems)) % len(fts) }
-	plan := func(i int, st *machine.Storage) (res crashtest.WorkloadResult, err error) {
-		sysIdx, ftIdx := coords(i)
-		// Fault-injection attempts: first seed that actually crashes is
-		// the scored run; a plan that never crashes is discarded.
-		for a := 0; a < crashAttempts && !res.Crashed && err == nil; a++ {
-			res, err = crashtest.RunWorkloadOne(st, systems[sysIdx], fts[ftIdx], crashtest.RunConfig{
-				Seed:         sim.Mix(spec.Seed, crashPlanSalt, uint64(i), uint64(a)),
-				WarmupOps:    spec.Schedule.WarmupOps,
-				MaxOps:       spec.Schedule.MaxOps,
-				FaultCount:   spec.Faults.Count,
-				MemTestBytes: spec.Workload.Bytes,
-				DiskFaults:   spec.Faults.DiskFaults,
-			}, mk)
-		}
-		return res, err
-	}
-	return runPlans(r, spec, out, plan, func(o crashtest.Outcome[crashtest.WorkloadResult]) {
-		sysIdx, ftIdx := coords(o.Attempt)
-		c := &out.Cells[sysIdx*len(fts)+ftIdx]
-		c.Runs++
-		c.ElapsedNs += int64(o.Elapsed)
-		switch {
-		case o.Err != nil:
-			c.Errors++
-			c.LastError = o.Err.Error()
-		case !o.Res.Crashed:
-			c.Discarded++
-		default:
-			c.Crashed++
-			foldWorkloadResult(c, &o.Res)
-		}
-		if r.Progress != nil {
-			r.Progress(fmt.Sprintf("%s plan %03d %s: crashed=%v lost=%d torn=%d corruptions=%d",
-				spec.Name, o.Attempt, c.Label, o.Res.Crashed,
-				o.Res.Verdict.Lost, o.Res.Verdict.Torn, len(o.Res.Verdict.Corruptions)))
-		}
-	})
-}
-
-// foldWorkloadResult accumulates one scored crash run into its cell.
-func foldWorkloadResult(c *Cell, res *crashtest.WorkloadResult) {
-	c.Checked += res.Verdict.Checked
-	c.Corruptions += len(res.Verdict.Corruptions)
-	if res.Corrupted {
-		c.Corrupted++
-	}
-	c.Lost += res.Verdict.Lost
-	c.Torn += res.Verdict.Torn
-	c.TornMasked += res.TornMasked
-	c.LostMasked += res.LostMasked
-	if res.ChecksumDetected {
-		c.ChecksumDetected++
-	}
-	if res.ProtectionInvoked {
-		c.ProtectionInvoked++
-	}
-	c.Quarantined += res.Quarantined
-	c.Salvaged += res.Salvaged
-	if res.VolumeLost {
-		c.VolumeLost++
-	}
-	if res.RecoveryInterrupted {
-		c.RecoveryInterrupted++
-	}
-	if res.TxnRecoveryInterrupted {
-		c.TxnRecoveryInterrupted++
-	}
-	if res.RecoveryAborted {
-		c.RecoveryAborted++
-	}
+	out.finish()
+	out.ElapsedNs = total()
+	return out, nil
 }
 
 // --- server kind ---
@@ -249,8 +191,8 @@ func (r *Runner) runServer(spec *Spec) (*Result, error) {
 		return runServerPlan(spec, sim.Mix(spec.Seed, serverPlanSalt, uint64(i)))
 	}
 	return runPlans(r, spec, out, plan, func(o crashtest.Outcome[serverPlanOutcome]) {
-		c.Runs++
-		c.Crashed++ // every server plan crashes a shard by schedule
+		c.Attempts++
+		c.Crashes++ // every server plan crashes a shard by schedule
 		c.ElapsedNs += int64(o.Elapsed)
 		if o.Err != nil {
 			c.Errors++
@@ -401,8 +343,8 @@ func (r *Runner) runFleet(spec *Spec) (*Result, error) {
 	return runPlans(r, spec, out, plan, func(o crashtest.Outcome[fleetResult]) {
 		res := &o.Res
 		c := &out.Cells[cellOf[res.Plan.Kind]]
-		c.Runs++
-		c.Crashed++ // every fleet plan injects its fault
+		c.Attempts++
+		c.Crashes++ // every fleet plan injects its fault
 		c.ElapsedNs += int64(o.Elapsed)
 		if res.Err != "" {
 			c.Errors++

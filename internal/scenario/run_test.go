@@ -2,7 +2,11 @@ package scenario
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
+
+	"rio/internal/crashtest"
+	"rio/internal/fault"
 )
 
 // mustRun parses, runs at the given worker count, and returns the
@@ -44,17 +48,55 @@ func TestCrashScenarioWorkerInvariance(t *testing.T) {
 		"faults":{"types":["kernel text"]},
 		"schedule":{"warmup_ops":10,"max_ops":120},
 		"topology":{"systems":["rio-prot"]}}`)
-	if res.Totals.Runs != 4 {
-		t.Fatalf("runs folded: %d", res.Totals.Runs)
-	}
 	if len(res.Cells) != 1 || res.Cells[0].Label != "rio-prot/kernel text" {
 		t.Fatalf("cells: %+v", res.Cells)
 	}
-	if res.Cells[0].Crashed+res.Cells[0].Discarded+res.Cells[0].Errors != 4 {
-		t.Fatalf("cell accounting: %+v", res.Cells[0])
+	c := res.Cells[0]
+	if c.Crashes == 0 || c.Crashes > 4 || c.Crashes+c.Discarded+c.Errors != c.Attempts || res.Totals.Runs != c.Attempts {
+		t.Fatalf("cell accounting (runs 4 wants at most 4 crashes): %+v", c)
 	}
 	if err := res.Gate(); err != nil {
 		t.Fatalf("rio-prot scenario breached the gate: %v", err)
+	}
+}
+
+// TestCrashSpecCompilesToTable1Campaign pins the crash kind's compile: a
+// memtest spec is Table 1's campaign cut to its cells, so it folds the
+// same counts and renders the same Table as crashtest.RunCampaign at the
+// same seed.
+func TestCrashSpecCompilesToTable1Campaign(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign is slow")
+	}
+	_, res := mustRun(t, `{"name":"t1","kind":"crash","seed":7,"runs":1,
+		"faults":{"types":["kernel text","pointer"]}}`, 2)
+	cfg := crashtest.DefaultCampaignConfig(7)
+	cfg.RunsPerCell = 1
+	cfg.Faults = []fault.Type{fault.TextFlip, fault.Pointer}
+	cfg.Workers = 2
+	want, err := crashtest.RunCampaign(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Campaign.Table(); got != want.Table() {
+		t.Fatalf("Table differs:\n%s\nvs RunCampaign:\n%s", got, want.Table())
+	}
+	i := 0
+	for _, sys := range crashtest.Systems {
+		for _, ft := range cfg.Faults {
+			w, c := want.Cells[sys][ft], &res.Cells[i]
+			i++
+			if c.Label != sys.String()+"/"+ft.String() {
+				t.Fatalf("cell %d is %s", i, c.Label)
+			}
+			if c.Crashes != w.Crashes || c.Discarded != w.Discarded || c.Corrupted != w.Corrupted ||
+				!reflect.DeepEqual(res.Campaign.Cells[sys][ft].ByKind, w.ByKind) {
+				t.Fatalf("%s: scenario %+v vs RunCampaign %+v", c.Label, c.Tally, w.Tally)
+			}
+		}
+	}
+	if i != len(res.Cells) || want.Summary.Crashes == 0 {
+		t.Fatalf("%d scenario cells, %d crashes: vacuous", len(res.Cells), want.Summary.Crashes)
 	}
 }
 
@@ -86,8 +128,8 @@ func TestFleetScenarioWorkerInvariance(t *testing.T) {
 		t.Fatalf("cells: %+v", res.Cells)
 	}
 	for _, c := range res.Cells {
-		if c.Runs != 2 {
-			t.Fatalf("%s ran %d plans, want 2", c.Label, c.Runs)
+		if c.Attempts != 2 {
+			t.Fatalf("%s ran %d plans, want 2", c.Label, c.Attempts)
 		}
 	}
 	if res.Totals.Checked == 0 {
@@ -108,7 +150,7 @@ func TestFleetScenarioWorkerInvariance(t *testing.T) {
 
 func TestTxnScenarioRuns(t *testing.T) {
 	js1, res := mustRun(t, `{
-		"name":"txn","kind":"crash","seed":19,"runs":2,
+		"name":"txn","kind":"crash","seed":19,"runs":1,
 		"workload":{"name":"txntest","accounts":4},
 		"faults":{"types":["kernel heap"]},
 		"schedule":{"warmup_ops":4,"max_ops":60}}`, 2)

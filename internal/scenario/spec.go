@@ -1,11 +1,12 @@
 // Package scenario is the declarative campaign surface: a small,
 // bounds-checked spec describing workload × fault plan × crash/kill
-// schedule × topology, compiled into plans of one of three kinds — a
-// single-machine crash run, a crash-under-load run against the sharded
-// server, a replicated-fleet run — that all issue into the one campaign
+// schedule × topology, compiled into runs of one of three kinds — a
+// single-machine crash campaign (crashtest.RunCampaign, Table 1's
+// driver), crash-under-load runs against the sharded server,
+// replicated-fleet runs — that all issue into the one campaign
 // scheduler (crashtest.Scheduler). The spec alone determines the report
 // bytes: every seed in the compiled campaign derives from the spec's
-// seed via sim.Mix, and the scheduler folds results in plan order — so
+// seed via sim.Mix, and the scheduler folds results in attempt order — so
 // `rioscn -workers 1` and `-workers 8` emit identical JSON, and any
 // campaign cell is reproducible from the spec file alone.
 package scenario
@@ -14,6 +15,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 
 	"rio/internal/crashtest"
@@ -43,8 +45,8 @@ type Spec struct {
 	Kind string `json:"kind"`
 	// Seed roots every derived stream. 0 is a valid seed.
 	Seed uint64 `json:"seed"`
-	// Runs is the number of campaign plans (cells × attempts are
-	// derived from it per kind).
+	// Runs is the crash kind's crashing runs per (system, fault) cell,
+	// as in Table 1, and the server and fleet kinds' number of plans.
 	Runs int `json:"runs"`
 
 	Workload WorkloadSpec `json:"workload"`
@@ -82,7 +84,7 @@ type FaultSpec struct {
 	// Types restricts the injected fault types (crashtest names, e.g.
 	// "kernel text"). Empty = all of fault.AllTypes.
 	Types []string `json:"types,omitempty"`
-	// Count is faults injected per run (default fault.DefaultCount).
+	// Count is faults injected per run (default: crashtest.DefaultRunConfig's).
 	Count int `json:"count,omitempty"`
 	// DiskFaults turns on double-fault mode: recovery runs against a
 	// faulty disk and a second crash interrupts the warm reboot.
@@ -148,8 +150,9 @@ func Parse(data []byte) (*Spec, error) {
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("scenario: %v", err)
 	}
-	// Trailing garbage after the spec object is an error, not ignored.
-	if dec.More() {
+	// Trailing data after the spec object is an error, not ignored —
+	// a stray closing bracket included, which dec.More would not see.
+	if _, err := dec.Token(); err != io.EOF {
 		return nil, fmt.Errorf("scenario: trailing data after spec object")
 	}
 	if err := s.Validate(); err != nil {
@@ -202,7 +205,27 @@ func (s *Spec) Validate() error {
 	if err := s.Schedule.validate(s.Kind); err != nil {
 		return err
 	}
-	return s.Topology.validate(s.Kind, s.Workload.Name)
+	if err := s.Topology.validate(s.Kind, s.Workload.Name); err != nil {
+		return err
+	}
+	// A crash spec's runs are per cell: the cap bounds the whole campaign.
+	if cells := s.crashCells(); s.Runs*cells > maxRuns {
+		return fmt.Errorf("scenario: runs %d × %d cells exceeds %d", s.Runs, cells, maxRuns)
+	}
+	return nil
+}
+
+// crashCells is how many (system, fault) cells a validated crash spec
+// runs; 1 for the other kinds.
+func (s *Spec) crashCells() int {
+	if s.Kind != KindCrash {
+		return 1
+	}
+	faults := len(s.Faults.Types)
+	if faults == 0 {
+		faults = len(fault.AllTypes)
+	}
+	return len(s.Topology.Systems) * faults
 }
 
 func boundObj(name string, v *int, def, max int) error {
@@ -232,7 +255,7 @@ func (w *WorkloadSpec) validate(kind string) error {
 	if kind == KindServer && w.Name != "memtest" && w.Name != "hotkey" {
 		return fmt.Errorf("scenario: server scenarios drive a key stream; workload must be hotkey (or memtest for defaults), not %q", w.Name)
 	}
-	if err := boundObj("workload.bytes", &w.Bytes, 1<<21, maxBytes); err != nil {
+	if err := boundObj("workload.bytes", &w.Bytes, crashtest.DefaultRunConfig(0).MemTestBytes, maxBytes); err != nil {
 		return err
 	}
 	if err := boundObj("workload.accounts", &w.Accounts, 8, maxObjects); err != nil {
@@ -273,7 +296,7 @@ func (f *FaultSpec) validate(kind string) error {
 		return nil
 	}
 	if f.Count == 0 {
-		f.Count = fault.DefaultCount
+		f.Count = crashtest.DefaultRunConfig(0).FaultCount
 	}
 	if f.Count < 0 || f.Count > 10_000 {
 		return fmt.Errorf("scenario: faults.count %d out of bounds [1,10000]", f.Count)
@@ -281,10 +304,16 @@ func (f *FaultSpec) validate(kind string) error {
 	if len(f.Types) > len(fault.AllTypes) {
 		return fmt.Errorf("scenario: faults.types lists %d entries, only %d exist", len(f.Types), len(fault.AllTypes))
 	}
+	seen := make(map[fault.Type]bool)
 	for _, name := range f.Types {
-		if _, err := faultByName(name); err != nil {
+		ft, err := faultByName(name)
+		if err != nil {
 			return err
 		}
+		if seen[ft] {
+			return fmt.Errorf("scenario: faults.types lists %q twice", name)
+		}
+		seen[ft] = true
 	}
 	return nil
 }
@@ -295,10 +324,11 @@ func (sc *ScheduleSpec) validate(kind string) error {
 		if sc.CrashAt != 0 || sc.OutageOps != 0 {
 			return fmt.Errorf("scenario: schedule.crash_at/outage_ops apply only to server scenarios")
 		}
-		if err := boundObj("schedule.warmup_ops", &sc.WarmupOps, 30, maxOps); err != nil {
+		def := crashtest.DefaultRunConfig(0)
+		if err := boundObj("schedule.warmup_ops", &sc.WarmupOps, def.WarmupOps, maxOps); err != nil {
 			return err
 		}
-		return boundObj("schedule.max_ops", &sc.MaxOps, 250, maxOps)
+		return boundObj("schedule.max_ops", &sc.MaxOps, def.MaxOps, maxOps)
 	case KindServer:
 		if sc.WarmupOps != 0 {
 			return fmt.Errorf("scenario: schedule.warmup_ops applies only to crash scenarios")
@@ -342,11 +372,16 @@ func (t *TopologySpec) validate(kind, wl string) error {
 			return fmt.Errorf("scenario: topology.systems lists %d entries, only %d exist",
 				len(t.Systems), len(crashtest.Systems))
 		}
+		seen := make(map[crashtest.System]bool)
 		for _, name := range t.Systems {
 			sys, err := systemByName(name)
 			if err != nil {
 				return err
 			}
+			if seen[sys] {
+				return fmt.Errorf("scenario: topology.systems lists %q twice", name)
+			}
+			seen[sys] = true
 			if wl == "txntest" && sys == crashtest.DiskWT {
 				return fmt.Errorf("scenario: txntest runs on the rio systems only (transactions live in the protected cache)")
 			}

@@ -41,7 +41,12 @@ func TestParseRejects(t *testing.T) {
 		{"unknown workload", `{"name":"t","kind":"crash","runs":1,"workload":{"name":"forkbomb"}}`},
 		{"unknown fault", `{"name":"t","kind":"crash","runs":1,"faults":{"types":["lasers"]}}`},
 		{"unknown system", `{"name":"t","kind":"crash","runs":1,"topology":{"systems":["ntfs"]}}`},
+		{"duplicate fault", `{"name":"t","kind":"crash","runs":1,"faults":{"types":["pointer","pointer"]}}`},
+		{"duplicate system", `{"name":"t","kind":"crash","runs":1,"topology":{"systems":["rio-prot","rio-prot"]}}`},
 		{"trailing data", `{"name":"t","kind":"crash","runs":1}{"x":1}`},
+		{"trailing brace", `{"name":"t","kind":"crash","runs":1}}`},
+		{"trailing bracket", `{"name":"t","kind":"crash","runs":1}]`},
+		{"runs times cells over the cap", `{"name":"t","kind":"crash","runs":5000}`},
 		{"fleet zero runs", `{"name":"t","kind":"fleet"}`},
 		{"fleet with workload", `{"name":"t","kind":"fleet","runs":1,"workload":{"name":"memtest"}}`},
 		{"fleet bad kind", `{"name":"t","kind":"fleet","runs":1,"topology":{"fleet_faults":["meteor"]}}`},

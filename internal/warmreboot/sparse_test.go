@@ -154,7 +154,11 @@ func staleDumpArea(m *machine.Machine) {
 func fileBytes(t *testing.T, m *machine.Machine) map[string][]byte {
 	t.Helper()
 	out := make(map[string][]byte)
-	for _, path := range inodePaths(m.FS) {
+	paths, err := inodePaths(m.FS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range paths {
 		out[path] = get(t, m, path)
 	}
 	if ents, err := m.FS.ReadDir(salvageDir); err == nil {

@@ -269,7 +269,15 @@ func Restore(m *machine.Machine, im Image) (*Report, error) {
 	// Every page is restored or accounted (DataFailed / OrphanData /
 	// Salvaged); no failure aborts the loop — the early-return here used
 	// to abandon the remaining pages unreported.
-	paths := inodePaths(m.FS)
+	paths, err := inodePaths(m.FS)
+	if err != nil {
+		// The volume mounted, but its root is not a directory — a write
+		// after fsck, misdirected from the restore or from fsck's own
+		// repairs, landed on the root inode — so nothing in it is
+		// reachable. Same outcome as a superblock that will not mount.
+		rep.VolumeLost = true
+		return rep, nil
+	}
 	for _, e := range dataDirty {
 		if cp.Point() {
 			return rep, kernel.ErrCrashPoint
@@ -353,17 +361,22 @@ func salvagePage(fsys *fs.FS, e registry.ParsedEntry, page []byte, rep *Report) 
 // page that happens to share their (fresh) inode number. A regular file
 // that holds the name is an ordinary file, restored like any other.
 //
-// The walk never fails: a subtree whose ReadDir errors (a faulted kernel
-// can leave a dirent typed as a directory pointing at a file, and fsck
-// does not cross-check dirent type bits) is simply skipped. Pages whose
-// files live under it lose their path and fall through to the orphan
-// salvage — quarantined, not an aborted recovery.
-func inodePaths(fsys *fs.FS) map[uint32]string {
+// The walk fails only when the root is not a directory (fs.ErrNotDir).
+// A subtree whose ReadDir errors (a faulted kernel can leave a dirent
+// typed as a directory pointing at a file, and fsck does not cross-check
+// dirent type bits) is simply skipped. Pages whose files live under it
+// lose their path and fall through to the orphan salvage — quarantined,
+// not an aborted recovery.
+func inodePaths(fsys *fs.FS) (map[uint32]string, error) {
 	out := make(map[uint32]string)
 	seen := make(map[uint32]bool) // dir inodes visited: corrupt trees can cycle
+	var rootErr error
 	var walk func(dir string)
 	walk = func(dir string) {
 		ents, err := fsys.ReadDir(dir)
+		if err == fs.ErrNotDir && dir == "/" {
+			rootErr = err
+		}
 		if err != nil {
 			return
 		}
@@ -383,7 +396,7 @@ func inodePaths(fsys *fs.FS) map[uint32]string {
 		}
 	}
 	walk("/")
-	return out
+	return out, rootErr
 }
 
 // Cold performs a cold reboot: memory is lost (scrambled), the volume is

@@ -2,6 +2,7 @@ package rio
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -266,27 +267,6 @@ func TestMiniCrashCampaign(t *testing.T) {
 	if !strings.Contains(tbl, "Total") {
 		t.Fatalf("table:\n%s", tbl)
 	}
-	for _, sysIdx := range []int{SystemDiskWT, SystemRioNoProt, SystemRioProt} {
-		crashes, corrupted := res.Totals(sysIdx)
-		if crashes == 0 {
-			t.Fatalf("system %d: no crashes", sysIdx)
-		}
-		if corrupted > crashes {
-			t.Fatal("impossible corruption count")
-		}
-	}
-	_ = res.ProtectionInvocations()
-	_ = res.MTTFYears(SystemDiskWT)
-	// Without DiskFaults the recovery columns render but stay zero.
-	if rt := res.RecoveryTable(); !strings.Contains(rt, "volume-lost") {
-		t.Fatalf("recovery table malformed:\n%s", rt)
-	}
-	if sum := res.Summary(); sum.Interrupted != 0 {
-		t.Fatalf("second crash injected without DiskFaults: %+v", sum)
-	}
-	if res.CrashKindBreakdown(SystemRioProt) == "" {
-		t.Fatal("empty breakdown")
-	}
 	sum := res.Summary()
 	if sum.Runs == 0 || sum.Crashes == 0 || sum.Workers != 4 {
 		t.Fatalf("summary not populated: %+v", sum)
@@ -294,12 +274,37 @@ func TestMiniCrashCampaign(t *testing.T) {
 	if sum.Runs != sum.Crashes+sum.Discarded+sum.Errors {
 		t.Fatalf("summary accounting broken: %+v", sum)
 	}
+	if sum.Interrupted != 0 {
+		t.Fatalf("second crash injected without disk faults: %+v", sum)
+	}
 	data, err := res.JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), `"cells"`) || !strings.Contains(string(data), `"summary"`) {
-		t.Fatalf("JSON export malformed:\n%.200s", data)
+	var out struct {
+		Cells []struct {
+			System    string `json:"system"`
+			Crashes   int    `json:"crashes"`
+			Corrupted int    `json:"corrupted"`
+		} `json:"cells"`
+	}
+	if err := json.Unmarshal(data, &out); err != nil || !strings.Contains(string(data), `"summary"`) {
+		t.Fatalf("JSON export malformed (%v):\n%.200s", err, data)
+	}
+	crashes := make(map[string]int)
+	for _, c := range out.Cells {
+		if c.Corrupted > c.Crashes {
+			t.Fatalf("impossible corruption count: %+v", c)
+		}
+		crashes[c.System] += c.Crashes
+	}
+	if len(crashes) != 3 {
+		t.Fatalf("cells cover %d systems, want 3: %v", len(crashes), crashes)
+	}
+	for sys, n := range crashes {
+		if n == 0 {
+			t.Fatalf("%s: no crashes", sys)
+		}
 	}
 }
 

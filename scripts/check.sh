@@ -22,10 +22,11 @@ go test ./...
 # Makefile's `race` target. It re-runs the real mini-campaigns under
 # -race, so it is the slowest step (~4 min for crashtest alone).
 make race
-# Double-fault campaign golden: a small fixed-seed campaign with storage
-# faults and second crashes, diffed against testdata/crash-recovery.golden
-# (10 s). Every "simulated behaviour is byte-identical" argument in DESIGN
-# §7b rests on this diff, so it is part of the gate.
+# Double-fault campaign golden: a small fixed-seed Table 1 campaign with
+# storage faults and second crashes (the spec testdata/crash-recovery.json,
+# run by rioscn), diffed against testdata/crash-recovery.golden (10 s).
+# Every "simulated behaviour is byte-identical" argument in DESIGN §7b
+# rests on this diff, so it is part of the gate.
 make crash-recovery
 # Scenario suite smoke: every checked-in scenario runs at -workers 1
 # and -workers 4 and the canonical JSON reports must diff clean — the
