@@ -5,6 +5,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestCostLedger pins what an op costs in *simulated* terms: for each op
@@ -50,14 +51,7 @@ func TestCostLedger(t *testing.T) {
 		name, _, _ := strings.Cut(line, ":")
 		want[name] = line
 	}
-	measure := func(name string, n int, fn func(i int) error) {
-		before, t0 := sys.Stats(), sys.Elapsed()
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				t.Fatalf("%s %d: %v", name, i, err)
-			}
-		}
-		d, after := sys.Elapsed()-t0, sys.Stats()
+	record := func(name string, n int, d time.Duration, before, after Stats) {
 		got := fmt.Sprintf("%s: ops=%d elapsed_ns=%d syscalls=%d kernel_steps=%d disk_reads=%d disk_writes=%d",
 			name, n, d.Nanoseconds(), after.Syscalls-before.Syscalls, after.KernelSteps-before.KernelSteps,
 			after.DiskReads-before.DiskReads, after.DiskWrites-before.DiskWrites)
@@ -68,6 +62,15 @@ func TestCostLedger(t *testing.T) {
 			t.Errorf("simulated cost of %s moved:\n got  %s\n want %s", name, got, want[name])
 		}
 		delete(want, name)
+	}
+	measure := func(name string, n int, fn func(i int) error) {
+		before, t0 := sys.Stats(), sys.Elapsed()
+		for i := 0; i < n; i++ {
+			if err := fn(i); err != nil {
+				t.Fatalf("%s %d: %v", name, i, err)
+			}
+		}
+		record(name, n, sys.Elapsed()-t0, before, sys.Stats())
 	}
 	readRW := func(i int) error { _, err := rw.ReadAt(block, int64(i)*8192); return err }
 	measure("mkdir", 1, func(int) error { return sys.Mkdir("/churn") })
@@ -92,6 +95,28 @@ func TestCostLedger(t *testing.T) {
 		check(err)
 	}
 	measure("read8k-miss", 32, readRW)
+
+	// One warm reboot of a fresh machine with D dirty one-page files, over
+	// crash → WarmReboot. The reboot mounts a new kernel and file system
+	// whose clock, syscall and step counters start at zero, so those
+	// columns are the rebooted system's totals; the disk outlives the
+	// reboot, and its columns are deltas.
+	for _, dirty := range []int{32, 512} {
+		ws, err := New(Config{Policy: PolicyRio, Seed: 1})
+		check(err)
+		for i := 0; i < dirty; i++ {
+			check(ws.WriteFile(fmt.Sprintf("/k%04d", i), block))
+		}
+		ws.Crash("cost ledger")
+		before := ws.Stats()
+		rep, err := ws.WarmReboot()
+		check(err)
+		if rep.DataRestored != dirty {
+			t.Fatalf("warm reboot of %d dirty files restored %d pages", dirty, rep.DataRestored)
+		}
+		before.Syscalls, before.KernelSteps = 0, 0
+		record(fmt.Sprintf("warm-reboot-d%d", dirty), 1, ws.Elapsed(), before, ws.Stats())
+	}
 
 	for name := range want {
 		t.Errorf("testdata/cost-ledger.golden has a row this test does not measure: %s", name)
