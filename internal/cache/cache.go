@@ -67,8 +67,9 @@ type Buf struct {
 	Slot      int // registry slot
 	Dirty     bool
 	Size      int // valid bytes (≤ BlockSize)
-	// Gen counts content updates; write-back completion callbacks use it
-	// to avoid marking a since-redirtied buffer clean.
+	// Gen counts content updates and the removal; write-back completion
+	// callbacks use it to avoid marking a since-redirtied or removed
+	// buffer clean.
 	Gen uint64
 
 	prev, next *Buf // LRU neighbours in the pool (toward front, toward back)
@@ -121,7 +122,15 @@ type Cache struct {
 	dataLRU lru
 
 	victims []*Buf // DropFileData's reusable scratch
+
+	// bufs is the unused rest of the chunk insert carves Bufs from. A
+	// removed Buf is never reused: a write-back completion may still
+	// hold it, and must see its own stale Gen, not the next occupant's.
+	bufs []Buf
 }
+
+// bufChunk is how many Bufs insert allocates at a time.
+const bufChunk = 32
 
 // lru is one pool's recency order, threaded through the Bufs themselves
 // (Buf.prev/next, as the fs dcache threads its node slab), so caching a
@@ -287,7 +296,12 @@ func (c *Cache) insert(kind Kind, content []byte, size int) (*Buf, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &Buf{
+	if len(c.bufs) == 0 {
+		c.bufs = make([]Buf, bufChunk)
+	}
+	b := &c.bufs[0]
+	c.bufs = c.bufs[1:]
+	*b = Buf{
 		Kind: kind, Frame: frame, Addr: addr, Hdr: hdr, Lock: lock,
 		Size: size, Block: -1,
 	}
@@ -547,8 +561,11 @@ func (c *Cache) SetDiskBlock(b *Buf, block int64) error {
 }
 
 // Remove drops a buffer from the cache without writing it back. The caller
-// is responsible for any required flush.
+// is responsible for any required flush. It bumps b.Gen, so a write-back
+// completion queued before the removal finds its generation stale and
+// leaves alone the registry slot the next buffer gets.
 func (c *Cache) Remove(b *Buf) error {
+	b.Gen++
 	switch b.Kind {
 	case Meta:
 		delete(c.meta, b.Block)

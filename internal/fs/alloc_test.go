@@ -1,6 +1,7 @@
 package fs
 
 import (
+	"strconv"
 	"testing"
 
 	"rio/internal/cache"
@@ -200,4 +201,67 @@ func TestDcacheLRU(t *testing.T) {
 
 func name(i int) string {
 	return "n" + string(rune('a'+i%26)) + string(rune('a'+(i/26)%26)) + string(rune('a'+(i/676)%26))
+}
+
+// TestReadDirAllocBudget pins that a listing's object count does not grow
+// with its length: one string holds every name, one slice every entry,
+// and the scan's scratch is the mount's, reused.
+func TestReadDirAllocBudget(t *testing.T) {
+	f := newAllocFS(t)
+	per := map[int]float64{}
+	for _, n := range []int{128, 4} {
+		dir := "/d" + strconv.Itoa(n)
+		if err := f.Mkdir(dir); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			fl, err := f.Create(dir + "/file-" + strconv.Itoa(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fl.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		per[n] = testing.AllocsPerRun(20, func() {
+			if ents, err := f.ReadDir(dir); err != nil || len(ents) != n {
+				t.Fatalf("ReadDir(%s): %d entries, %v", dir, len(ents), err)
+			}
+		})
+	}
+	t.Logf("objects per ReadDir: %v at 4 entries, %v at 128", per[4], per[128])
+	if per[128] != per[4] || per[4] > 2 {
+		t.Fatalf("ReadDir allocates %v objects at 4 entries and %v at 128, budget 2 at any length", per[4], per[128])
+	}
+}
+
+// TestOpenWriteCloseAllocs pins that Open inlines: a handle that does not
+// escape its caller stays on the caller's stack, so reopening a cached
+// file to rewrite a page — the warm reboot's restore, page by page —
+// allocates nothing.
+func TestOpenWriteCloseAllocs(t *testing.T) {
+	f := newAllocFS(t)
+	page := make([]byte, BlockSize)
+	fl, err := f.Create("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fl.WriteAt(page, 0); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		fl, err := f.Open("/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fl.WriteAt(page, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := fl.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Open → WriteAt → Close allocates %v objects, budget 0: the handle escapes (Open no longer inlines, or File grew)", allocs)
+	}
 }

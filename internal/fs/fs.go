@@ -99,6 +99,12 @@ type FS struct {
 	indBuf []byte // bmap, freeFileBlocks: the indirect block
 	outBuf []byte // synchronous write-out: a frame on its way to the disk
 
+	// lsNames and lsEnts are ReadDir's reusable scratch: the listed
+	// directory's names back to back, and its entries. ReadDir copies both
+	// into what it returns, so a listing costs two objects however long.
+	lsNames []byte
+	lsEnts  []listEnt
+
 	// blockPool recycles the full-block copies the asynchronous write
 	// queue makes: drainPending returns committed buffers here instead of
 	// dropping them for the collector.

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"testing"
 
+	"rio/internal/cache"
 	"rio/internal/fs"
 	"rio/internal/kernel"
 	"rio/internal/machine"
+	"rio/internal/registry"
 	"rio/internal/sim"
 )
 
@@ -234,5 +236,37 @@ func TestPendingDrainOnSyncRead(t *testing.T) {
 	}
 	if got := readFile(t, m, "/f"); !bytes.Equal(got, data) {
 		t.Fatal("sync read missed queued content")
+	}
+}
+
+// TestDirtyFlagMatchesRegistry checks that every cached buffer's Dirty
+// agrees with its registry entry's FlagDirty — the bit warm reboot
+// trusts — after write-backs that complete once their buffer has been
+// evicted. The update daemon queues every dirty buffer; new files then
+// evict some of them, and their registry slots go to the next buffers;
+// Sync drains the queue. A stale completion must not clean the slot its
+// buffer no longer holds.
+func TestDirtyFlagMatchesRegistry(t *testing.T) {
+	for _, kind := range []fs.PolicyKind{fs.PolicyUFS, fs.PolicyUFSDelayed, fs.PolicyAdvFS} {
+		m := bootOpt(t, kind, func(o *machine.Options) { o.DataCap = 8 })
+		data := kernel.FillBytes(fs.BlockSize, 3)
+		for i := 0; i < 8; i++ {
+			writeFile(t, m, "/a"+itoa(i), data)
+		}
+		m.Engine.Clock.Advance(31 * sim.Second)
+		m.Engine.RunUntil(m.Engine.Clock.Now())
+		for i := 0; i < 4; i++ {
+			writeFile(t, m, "/b"+itoa(i), data)
+		}
+		m.FS.Sync()
+		for _, ck := range []cache.Kind{cache.Meta, cache.Data} {
+			for _, b := range m.Cache.All(ck) {
+				e, ok := m.Reg.Get(b.Slot)
+				if !ok || (e.Flags&registry.FlagDirty != 0) != b.Dirty {
+					t.Errorf("%v: %v buffer ino %d block %d: Dirty %v, registry slot %d flags %#x (live %v)",
+						kind, ck, b.Ino, b.FileBlock, b.Dirty, b.Slot, e.Flags, ok)
+				}
+			}
+		}
 	}
 }

@@ -17,9 +17,8 @@ const (
 
 // File is an open file handle.
 type File struct {
-	fs   *FS
-	Ino  uint32
-	Path string
+	fs  *FS
+	Ino uint32
 
 	pos     int64
 	closed  bool
@@ -343,25 +342,35 @@ func (f *FS) Create(path string) (*File, error) {
 	if err := f.dirInsert(parent, name, ino); err != nil {
 		return nil, err
 	}
-	return &File{fs: f, Ino: ino, Path: path}, nil
+	return &File{fs: f, Ino: ino}, nil
 }
 
-// Open opens an existing regular file.
-func (f *FS) Open(path string) (*File, error) {
+// Open opens an existing regular file. It is kept small enough to inline,
+// so a caller whose handle does not escape holds the File on its stack.
+func (f *FS) Open(path string) (fl *File, err error) {
+	ino, err := f.open(path)
+	if err == nil {
+		fl = &File{fs: f, Ino: ino}
+	}
+	return fl, err
+}
+
+// open is Open's syscall: it resolves path to a regular file's inode.
+func (f *FS) open(path string) (uint32, error) {
 	f.beginOp()
 	defer f.endOp()
 	ino, err := f.resolve(path)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	n, err := f.getInode(ino)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	if n.Mode == ModeDir {
-		return nil, ErrIsDir
+		return 0, ErrIsDir
 	}
-	return &File{fs: f, Ino: ino, Path: path}, nil
+	return ino, nil
 }
 
 // Mkdir creates a directory.
@@ -695,19 +704,37 @@ func (f *FS) ReadDir(path string) ([]FileInfo, error) {
 	if dir.Mode != ModeDir {
 		return nil, ErrNotDir
 	}
-	var out []FileInfo
+	names, ents := f.lsNames[:0], f.lsEnts[:0]
 	err = f.dirScan(ino, &dir, func(d direntView, _ int64, _ int) bool {
-		name := string(d.name) // copied out of the directory image
+		names = append(names, d.name...) // copied out of the directory image
 		n, gerr := f.getInode(d.ino)
 		if gerr != nil {
 			err = gerr
 			return true
 		}
-		out = append(out, FileInfo{Name: name, Ino: d.ino,
-			IsDir: n.Mode == ModeDir, IsSymlink: n.Mode == ModeSymlink, Size: n.Size})
+		ents = append(ents, listEnt{end: len(names), fi: FileInfo{Ino: d.ino,
+			IsDir: n.Mode == ModeDir, IsSymlink: n.Mode == ModeSymlink, Size: n.Size}})
 		return false
 	})
+	f.lsNames, f.lsEnts = names, ents
+	if len(ents) == 0 {
+		return nil, err
+	}
+	// One string holds every name; each FileInfo.Name is a substring.
+	all, start := string(names), 0
+	out := make([]FileInfo, len(ents))
+	for i, e := range ents {
+		out[i] = e.fi
+		out[i].Name, start = all[start:e.end], e.end
+	}
 	return out, err
+}
+
+// listEnt is one entry of ReadDir's scratch: the entry without its name,
+// and the end of the name in the scratch's names.
+type listEnt struct {
+	fi  FileInfo
+	end int
 }
 
 // --- file I/O ---

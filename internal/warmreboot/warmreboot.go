@@ -371,6 +371,7 @@ func inodePaths(fsys *fs.FS) (map[uint32]string, error) {
 	out := make(map[uint32]string)
 	seen := make(map[uint32]bool) // dir inodes visited: corrupt trees can cycle
 	var rootErr error
+	var buf []byte // one directory's paths, back to back
 	var walk func(dir string)
 	walk = func(dir string) {
 		ents, err := fsys.ReadDir(dir)
@@ -380,11 +381,22 @@ func inodePaths(fsys *fs.FS) (map[uint32]string, error) {
 		if err != nil {
 			return
 		}
+		prefix := dir
+		if dir == "/" {
+			prefix = ""
+		}
+		// One string holds every path in the directory; each is a
+		// substring. buf is free again once it is copied, before any
+		// recursion refills it.
+		buf = buf[:0]
 		for _, e := range ents {
-			p := dir + "/" + e.Name
-			if dir == "/" {
-				p = "/" + e.Name
-			}
+			buf = append(append(append(buf, prefix...), '/'), e.Name...)
+		}
+		paths, start := string(buf), 0
+		for _, e := range ents {
+			end := start + len(prefix) + 1 + len(e.Name)
+			p := paths[start:end]
+			start = end
 			if e.IsDir {
 				if p != salvageDir && !seen[e.Ino] {
 					seen[e.Ino] = true
