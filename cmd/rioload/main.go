@@ -205,16 +205,13 @@ func runServer(cfg loadConfig) (*runResult, error) {
 		}
 		defer srv.Close()
 	}
-	// With -pipeline > 1 a TCP connection must multiplex concurrent
-	// callers, so it gets a MuxClient; MemClient is already safe to share.
+	// A TCP connection is a MuxClient, which multiplexes the -pipeline
+	// streams that share it; MemClient is already safe to share.
 	dial := func() (server.Client, error) {
-		switch {
-		case srv != nil:
+		if srv != nil {
 			return server.MemClient{S: srv}, nil
-		case cfg.Pipeline > 1:
-			return server.DialMux(cfg.Addr)
 		}
-		return server.DialTCP(cfg.Addr)
+		return server.DialMux(cfg.Addr)
 	}
 	conns := make([]server.Client, cfg.Clients)
 	for c := range conns {

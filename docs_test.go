@@ -61,6 +61,26 @@ func TestDocsNameRealCommands(t *testing.T) {
 	}
 }
 
+// docsLineCeiling bounds the lines of DESIGN.md, EXPERIMENTS.md and
+// README.md together. Like the allocation budgets it only ever goes down:
+// a change that adds doc lines deletes as many elsewhere.
+const docsLineCeiling = 2179
+
+// TestDocsLineCeiling fails when the three docs grow past docsLineCeiling.
+func TestDocsLineCeiling(t *testing.T) {
+	total := 0
+	for _, doc := range []string{"DESIGN.md", "EXPERIMENTS.md", "README.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += strings.Count(string(text), "\n")
+	}
+	if total > docsLineCeiling {
+		t.Fatalf("DESIGN + EXPERIMENTS + README are %d lines, over the ceiling of %d", total, docsLineCeiling)
+	}
+}
+
 // TestDocsNameRealIdentifiers keeps the docs' Go names honest: every
 // backticked pkg.Name or pkg.Name.Member in README.md, DESIGN.md,
 // EXPERIMENTS.md or the verify skill, where pkg is rio or a package under

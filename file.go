@@ -94,22 +94,7 @@ func (s *System) WriteFile(path string, data []byte) error {
 }
 
 // ReadFile returns the full contents of path.
-func (s *System) ReadFile(path string) ([]byte, error) {
-	st, err := s.m.FS.Stat(path)
-	if err != nil {
-		return nil, err
-	}
-	f, err := s.m.FS.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	buf := make([]byte, st.Size)
-	if _, err := f.ReadAt(buf, 0); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
+func (s *System) ReadFile(path string) ([]byte, error) { return s.m.FS.ReadFile(path) }
 
 // Mkdir creates a directory.
 func (s *System) Mkdir(path string) error { return s.m.FS.Mkdir(path) }

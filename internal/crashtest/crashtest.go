@@ -256,10 +256,7 @@ func setupStatic(m *machine.Machine) error {
 			if err != nil {
 				return err
 			}
-			if _, err := f.Write(staticContent(i)); err != nil {
-				return err
-			}
-			if err := f.Close(); err != nil {
+			if err := workload.WriteClose(m.FS, f, staticContent(i), 0, false); err != nil {
 				return err
 			}
 		}
@@ -268,28 +265,12 @@ func setupStatic(m *machine.Machine) error {
 }
 
 func checkStatic(m *machine.Machine) bool {
-	read := func(p string) []byte {
-		f, err := m.FS.Open(p)
-		if err != nil {
-			return nil
-		}
-		defer f.Close()
-		st, err := m.FS.Stat(p)
-		if err != nil || st.Size > 1<<20 {
-			return nil // a corrupt inode size is corruption too
-		}
-		buf := make([]byte, st.Size)
-		if _, err := f.ReadAt(buf, 0); err != nil {
-			return nil
-		}
-		return buf
-	}
 	for i := 0; i < nStatic; i++ {
 		want := staticContent(i)
-		a := read(staticPath(i, false))
-		b := read(staticPath(i, true))
+		a, _ := m.FS.ReadFile(staticPath(i, false))
+		b, _ := m.FS.ReadFile(staticPath(i, true))
 		if !bytes.Equal(a, want) || !bytes.Equal(b, want) {
-			return true // corrupted
+			return true // corrupted, unreadable, or a smashed size
 		}
 	}
 	return false

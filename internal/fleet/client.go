@@ -21,8 +21,7 @@ type ClientStats struct {
 // primaries and StatusAgain trigger a routing refresh and a bounded
 // retry. The zero value is unusable; Fleet.Client builds one.
 //
-// Not safe for concurrent use — one client per load goroutine, like the
-// server-side TCPClient.
+// Not safe for concurrent use — one client per load goroutine.
 type Client struct {
 	tr      Transport
 	shards  int

@@ -115,6 +115,9 @@ const PtrsPerBlock = BlockSize / 4
 // MaxFileBlocks is the largest file in blocks.
 const MaxFileBlocks = NDirect + PtrsPerBlock
 
+// MaxFileBytes is the largest file in bytes.
+const MaxFileBytes = int64(MaxFileBlocks) * BlockSize
+
 // MaxTargetLen bounds a symbolic link's target: symlinks are "fast" —
 // stored inline in the inode's spare bytes, never in data blocks. The
 // paper notes symbolic links live in the buffer cache alongside inodes;

@@ -2,6 +2,8 @@ package fs_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -38,19 +40,10 @@ func writeFile(t *testing.T, m *machine.Machine, path string, data []byte) {
 
 func readFile(t *testing.T, m *machine.Machine, path string) []byte {
 	t.Helper()
-	f, err := m.FS.Open(path)
+	buf, err := m.FS.ReadFile(path)
 	if err != nil {
-		t.Fatalf("open %s: %v", path, err)
-	}
-	st, err := m.FS.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, st.Size)
-	if _, err := f.ReadAt(buf, 0); err != nil {
 		t.Fatalf("read %s: %v", path, err)
 	}
-	f.Close()
 	return buf
 }
 
@@ -619,4 +612,36 @@ func TestWriteReadProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
+}
+
+// ReadFile refuses an inode size no file can have — negative, or one
+// byte past MaxFileBytes — with a *SizeError, before sizing a buffer from
+// it. The size is smashed in the on-disk inode and the volume remounted.
+func TestReadFileRefusesImplausibleSize(t *testing.T) {
+	for _, size := range []int64{-1, fs.MaxFileBytes + 1} {
+		m := boot(t, fs.PolicyUFS)
+		writeFile(t, m, "/victim", []byte("data"))
+		st, err := m.FS.Stat("/victim")
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.FS.Unmount()
+		sb, _ := fs.ReadSuperblock(m.Disk)
+		sector := int(sb.InodeStart+int64(st.Ino)/fs.InodesPerBlock) * fs.SectorsPerBlock
+		blk := make([]byte, fs.BlockSize)
+		m.Disk.Read(sector, blk)
+		off := int(st.Ino)%fs.InodesPerBlock*fs.InodeSize + 8 // Inode.Size
+		binary.LittleEndian.PutUint64(blk[off:], uint64(size))
+		m.Disk.Commit(sector, blk)
+		m.Mem.Scramble(7)
+		if err := m.Boot(nil); err != nil {
+			t.Fatal(err)
+		}
+
+		_, err = m.FS.ReadFile("/victim")
+		var se *fs.SizeError
+		if !errors.As(err, &se) || se.Size != size || se.Path != "/victim" {
+			t.Fatalf("size %d: ReadFile error %v, want a *fs.SizeError", size, err)
+		}
+	}
 }

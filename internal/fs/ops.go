@@ -787,7 +787,7 @@ func (f *FS) writeBlocks(ino uint32, data []byte, off int64) (int, error) {
 	if off+int64(len(data)) > newSize {
 		newSize = off + int64(len(data))
 	}
-	if newSize > int64(MaxFileBlocks)*BlockSize {
+	if newSize > MaxFileBytes {
 		return 0, ErrTooBig
 	}
 	inodeDirty := newSize != n.Size
@@ -893,6 +893,41 @@ func (fl *File) ReadAt(buf []byte, off int64) (int, error) {
 	f.beginOp()
 	defer f.endOp()
 	return f.readInoAt(fl.Ino, buf, off, false)
+}
+
+// SizeError is ReadFile's refusal of an inode whose size field no file
+// can have: negative, or past MaxFileBytes.
+type SizeError struct {
+	Path string
+	Size int64
+}
+
+func (e *SizeError) Error() string {
+	return fmt.Sprintf("fs: %s: implausible size %d (max %d)", e.Path, e.Size, MaxFileBytes)
+}
+
+// ReadFile returns the whole contents of path: Open, Stat, ReadAt, Close.
+// It is the one place a buffer is sized from an inode's size field, so
+// the field is checked first — a smashed size recovered from memory or
+// disk is a *SizeError, never an allocation or a panic.
+func (f *FS) ReadFile(path string) ([]byte, error) {
+	fl, err := f.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer fl.Close()
+	st, err := f.Stat(path)
+	if err != nil {
+		return nil, err
+	}
+	if st.Size < 0 || st.Size > MaxFileBytes {
+		return nil, &SizeError{Path: path, Size: st.Size}
+	}
+	buf := make([]byte, st.Size)
+	if _, err := fl.ReadAt(buf, 0); err != nil {
+		return nil, err
+	}
+	return buf, nil
 }
 
 // Lookup resolves a path in one walk and returns the fields the serving

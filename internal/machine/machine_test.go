@@ -40,17 +40,8 @@ func put(t *testing.T, m *machine.Machine, path string, data []byte) {
 
 func get(t *testing.T, m *machine.Machine, path string) []byte {
 	t.Helper()
-	st, err := m.FS.Stat(path)
+	buf, err := m.FS.ReadFile(path)
 	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := m.FS.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	buf := make([]byte, st.Size)
-	if _, err := f.ReadAt(buf, 0); err != nil {
 		t.Fatal(err)
 	}
 	return buf
@@ -178,7 +169,7 @@ func TestCrashRecoveryPropertyAllPolicies(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if bad := mt.Verify(m.FS); len(bad) != 0 {
+			if bad := mt.Check(m.FS).Corruptions; len(bad) != 0 {
 				t.Fatalf("seed %d rio=%v: corruption without faults: %v", seed, rioSys, bad)
 			}
 		}
@@ -201,7 +192,7 @@ func TestRepeatedCrashRebootCycles(t *testing.T) {
 		if _, err := warmreboot.Warm(m); err != nil {
 			t.Fatal(err)
 		}
-		if bad := mt.Verify(m.FS); len(bad) != 0 {
+		if bad := mt.Check(m.FS).Corruptions; len(bad) != 0 {
 			t.Fatalf("cycle %d: %v", cycle, bad)
 		}
 	}

@@ -34,24 +34,6 @@ func (c MemClient) Do(req *wire.Request) (*wire.Response, error) { return c.S.Do
 // Close implements Client (the server's lifecycle is the caller's).
 func (c MemClient) Close() error { return nil }
 
-// TCPClient is a synchronous wire-protocol client over one TCP
-// connection. Not safe for concurrent use; closed-loop load clients
-// hold one each.
-type TCPClient struct {
-	conn    net.Conn
-	replies replyReader
-	buf     []byte
-}
-
-// DialTCP connects to a riod server.
-func DialTCP(addr string) (*TCPClient, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return &TCPClient{conn: conn, replies: newReplyReader(conn), buf: make([]byte, 0, 4096)}, nil
-}
-
 // sendRequest writes req as one frame in one Write (one syscall, one
 // segment on a raw connection), reusing buf and returning its growth.
 func sendRequest(w io.Writer, buf []byte, req *wire.Request) ([]byte, error) {
@@ -61,19 +43,6 @@ func sendRequest(w io.Writer, buf []byte, req *wire.Request) ([]byte, error) {
 	buf = wire.AppendRequestFrame(buf[:0], req)
 	_, err := w.Write(buf)
 	return buf, err
-}
-
-// Do implements Client.
-func (c *TCPClient) Do(req *wire.Request) (*wire.Response, error) {
-	var err error
-	if c.buf, err = sendRequest(c.conn, c.buf, req); err != nil {
-		return nil, err
-	}
-	payload, err := c.replies.next()
-	if err != nil {
-		return nil, err
-	}
-	return wire.DecodeResponse(payload)
 }
 
 // replyReader reads a connection's reply frames, each into the one
@@ -101,9 +70,6 @@ func (r *replyReader) next() ([]byte, error) {
 	}
 	return payload, err
 }
-
-// Close implements Client.
-func (c *TCPClient) Close() error { return c.conn.Close() }
 
 // MuxClient is a pipelined wire-protocol client: many goroutines share
 // one TCP connection, each with its own request in flight. Do rewrites

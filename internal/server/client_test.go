@@ -20,7 +20,7 @@ func TestTCPTransport(t *testing.T) {
 	t.Cleanup(func() { ln.Close() })
 	go s.Serve(ln)
 
-	cl, err := DialTCP(ln.Addr().String())
+	cl, err := DialMux(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestTCPTransport(t *testing.T) {
 	}
 
 	// A second connection works concurrently with the first.
-	cl2, err := DialTCP(ln.Addr().String())
+	cl2, err := DialMux(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -175,13 +175,20 @@ func TestServeConnIdleTimeout(t *testing.T) {
 	go srv.Serve(ln)
 
 	// A healthy request proves the connection works, then we stall.
-	cl, err := DialTCP(ln.Addr().String())
+	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
-	conn := cl.conn
-	if resp, err := cl.Do(&wire.Request{ID: 1, Op: wire.OpOpen, Shard: -1, Path: "/alive"}); err != nil || resp.Status != wire.StatusOK {
+	defer conn.Close()
+	req := &wire.Request{ID: 1, Op: wire.OpOpen, Shard: -1, Path: "/alive"}
+	if _, err := conn.Write(wire.AppendRequestFrame(nil, req)); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := wire.ReadFrame(conn, wire.MaxFrame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := wire.DecodeResponse(payload); err != nil || resp.Status != wire.StatusOK {
 		t.Fatalf("healthy request: %v %+v", err, resp)
 	}
 	// Stall: send nothing. The server must hang up within the idle

@@ -54,7 +54,7 @@ func (s *Server) Serve(ln net.Listener) error {
 }
 
 // connReadBuf sizes the buffered reader on each end of a connection
-// (requests here, replies in TCPClient and MuxClient): a pipelined burst
+// (requests here, replies in MuxClient): a pipelined burst
 // of block-sized frames costs one read syscall, not two per frame.
 const connReadBuf = 64 << 10
 

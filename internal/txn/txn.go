@@ -101,20 +101,11 @@ const (
 	MaxDataLen = 1 << 20
 )
 
-// maxFileBytes is the largest file the fs can hold; the log is one file,
-// so it also bounds a publish.
-const maxFileBytes = int64(fs.MaxFileBlocks) * fs.BlockSize
-
 // MaxPublishBytes bounds one group publish: the encoded frames of every
 // record in the group must fit a single fs file. Publish refuses larger
 // groups before touching the log; group-commit callers budget batches
 // against it with Record.EncodedSize and defer commits that do not fit.
-const MaxPublishBytes = maxFileBytes
-
-// maxLogBytes bounds how large a log readFile will load. No legitimate
-// log can exceed MaxPublishBytes (Publish enforces it, and the fs cannot
-// hold a larger file anyway); a var only so tests can shrink it.
-var maxLogBytes = MaxPublishBytes
+const MaxPublishBytes = fs.MaxFileBytes
 
 // frameMagic opens every record frame ("RioTxn1\n" big-endian). A frame
 // whose first 8 bytes differ is a torn tail and parsing stops.
@@ -475,7 +466,7 @@ func (c *checker) write(op *Op) error {
 	if op.Off < 0 {
 		return fmt.Errorf("negative offset %d", op.Off)
 	}
-	if op.Off+int64(len(op.Data)) > maxFileBytes {
+	if op.Off+int64(len(op.Data)) > fs.MaxFileBytes {
 		return fs.ErrTooBig
 	}
 	k, err := c.stat(op.Path)
@@ -854,29 +845,14 @@ func (l *Log) Recover() (RecoverStats, error) {
 // read" for "nothing there" would erase a log whose published records
 // may be mid-apply.
 func (l *Log) readFile(path string) ([]byte, error) {
-	st, err := l.fs.Stat(path)
+	b, err := l.fs.ReadFile(path)
 	if err == fs.ErrNotFound {
 		return nil, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("txn: read %s: %w", path, err)
 	}
-	if st.IsDir {
-		return nil, fmt.Errorf("txn: read %s: %w", path, fs.ErrIsDir)
-	}
-	if st.Size < 0 || st.Size > maxLogBytes {
-		return nil, fmt.Errorf("txn: read %s: implausible size %d (max %d)", path, st.Size, maxLogBytes)
-	}
-	f, err := l.fs.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("txn: read %s: %w", path, err)
-	}
-	defer f.Close()
-	buf := make([]byte, st.Size)
-	if _, err := f.ReadAt(buf, 0); err != nil {
-		return nil, fmt.Errorf("txn: read %s: %w", path, err)
-	}
-	return buf, nil
+	return b, nil
 }
 
 type salvagedLog struct {

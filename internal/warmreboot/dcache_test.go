@@ -36,7 +36,7 @@ func TestWarmRebootDropsNameCache(t *testing.T) {
 		// come from that restore pass, on entries the restore itself
 		// inserted — never from pre-crash state, whose FS (and cache) was
 		// discarded with the old mount.
-		if bad := mt.Verify(m.FS); len(bad) != 0 {
+		if bad := mt.Check(m.FS).Corruptions; len(bad) != 0 {
 			t.Fatalf("protect=%v: oracle found corruption after reboot: %v",
 				protect, bad)
 		}

@@ -38,14 +38,10 @@ func put(t *testing.T, m *machine.Machine, path string, data []byte) {
 
 func get(t *testing.T, m *machine.Machine, path string) []byte {
 	t.Helper()
-	f, err := m.FS.Open(path)
+	buf, err := m.FS.ReadFile(path)
 	if err != nil {
-		t.Fatalf("open %s: %v", path, err)
+		t.Fatalf("read %s: %v", path, err)
 	}
-	st, _ := m.FS.Stat(path)
-	buf := make([]byte, st.Size)
-	f.ReadAt(buf, 0)
-	f.Close()
 	return buf
 }
 

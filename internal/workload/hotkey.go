@@ -2,6 +2,7 @@ package workload
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"rio/internal/fs"
@@ -135,15 +136,7 @@ func (hk *HotKey) doUpdate(fsys *fs.FS, k int) error {
 	if err != nil {
 		return err
 	}
-	if _, err := f.WriteAt(hk.frame(k, ver), 0); err != nil {
-		return err
-	}
-	if hk.WriteThrough {
-		if err := fsys.Fsync(f); err != nil {
-			return err
-		}
-	}
-	if err := f.Close(); err != nil {
+	if err := WriteClose(fsys, f, hk.frame(k, ver), 0, hk.WriteThrough); err != nil {
 		return err
 	}
 	hk.ver[k] = ver
@@ -155,15 +148,8 @@ func (hk *HotKey) doUpdate(fsys *fs.FS, k int) error {
 func (hk *HotKey) doRead(fsys *fs.FS, k int) error {
 	hk.inFlight = nil
 	want := hk.frame(k, hk.ver[k])
-	f, err := fsys.Open(hk.path(k))
+	got, err := readN(fsys, hk.path(k), len(want))
 	if err != nil {
-		return err
-	}
-	got := make([]byte, len(want))
-	if _, err := f.ReadAt(got, 0); err != nil {
-		return err
-	}
-	if err := f.Close(); err != nil {
 		return err
 	}
 	for j := range want {
@@ -220,23 +206,16 @@ func (hk *HotKey) Check(fsys *fs.FS) Verdict {
 // frame that is internally consistent at no version, etc).
 func (hk *HotKey) readKey(fsys *fs.FS, k int) (uint64, string) {
 	want := hkHeader + hk.plen(k) + 8
-	f, err := fsys.Open(hk.path(k))
-	if err == fs.ErrNotFound {
+	b, err := fsys.ReadFile(hk.path(k))
+	switch {
+	case err == fs.ErrNotFound:
 		return 0, "missing"
-	}
-	if err != nil {
-		return 0, "unreadable"
-	}
-	defer f.Close()
-	st, err := fsys.Stat(hk.path(k))
-	if err != nil || st.Size != int64(want) {
+	case errors.As(err, new(*fs.SizeError)):
 		return 0, "half-written frame"
-	}
-	b := make([]byte, want)
-	if _, err := f.ReadAt(b, 0); err != nil {
+	case err != nil:
 		return 0, "unreadable"
 	}
-	if binary.BigEndian.Uint64(b) != hkMagic ||
+	if len(b) != want || binary.BigEndian.Uint64(b) != hkMagic ||
 		binary.BigEndian.Uint64(b[8:]) != uint64(k) ||
 		binary.BigEndian.Uint64(b[want-8:]) != sim.FNV1a64(b[8:want-8]) {
 		return 0, "half-written frame"

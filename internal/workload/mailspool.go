@@ -132,15 +132,7 @@ func (ms *MailSpool) doDeliver(fsys *fs.FS) error {
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(ms.frame(id)); err != nil {
-		return err
-	}
-	if ms.WriteThrough {
-		if err := fsys.Fsync(f); err != nil {
-			return err
-		}
-	}
-	if err := f.Close(); err != nil {
+	if err := WriteClose(fsys, f, ms.frame(id), 0, ms.WriteThrough); err != nil {
 		return err
 	}
 	ms.inFlight.phase = spRename
@@ -162,16 +154,9 @@ func (ms *MailSpool) doConsume(fsys *fs.FS) error {
 	i := ms.rng.Intn(len(ms.live))
 	id := ms.live[i]
 	ms.inFlight = &spoolOp{id: id, phase: spUnlink}
-	f, err := fsys.Open(ms.newPath(id))
-	if err != nil {
-		return err
-	}
 	want := ms.frame(id)
-	got := make([]byte, len(want))
-	if _, err := f.ReadAt(got, 0); err != nil {
-		return err
-	}
-	if err := f.Close(); err != nil {
+	got, err := readN(fsys, ms.newPath(id), len(want))
+	if err != nil {
 		return err
 	}
 	for j := range want {
@@ -314,21 +299,12 @@ func sortedIDs(set map[uint64]bool) []uint64 {
 // oracle frame for id; returns a non-empty detail on mismatch.
 func (ms *MailSpool) checkFrame(fsys *fs.FS, path string, id uint64) string {
 	want := ms.frame(id)
-	f, err := fsys.Open(path)
+	got, err := fsys.ReadFile(path)
 	if err != nil {
 		return "unreadable: " + err.Error()
 	}
-	defer f.Close()
-	st, err := fsys.Stat(path)
-	if err != nil {
-		return "stat failed: " + err.Error()
-	}
-	if st.Size != int64(len(want)) {
-		return fmt.Sprintf("size %d, want %d", st.Size, len(want))
-	}
-	got := make([]byte, len(want))
-	if _, err := f.ReadAt(got, 0); err != nil {
-		return "read failed: " + err.Error()
+	if len(got) != len(want) {
+		return fmt.Sprintf("size %d, want %d", len(got), len(want))
 	}
 	for j := range want {
 		if got[j] != want[j] {

@@ -51,7 +51,7 @@ func (k OpKind) String() string {
 }
 
 // OpRecord describes one memTest operation; the record of the op in flight
-// when a crash hits tells Verify which byte range is indeterminate.
+// when a crash hits tells Check which byte range is indeterminate.
 type OpRecord struct {
 	Kind OpKind
 	Path string
@@ -186,15 +186,7 @@ func (mt *MemTest) doCreate(fsys *fs.FS) error {
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		return err
-	}
-	if mt.WriteThrough {
-		if err := fsys.Fsync(f); err != nil {
-			return err
-		}
-	}
-	if err := f.Close(); err != nil {
+	if err := WriteClose(fsys, f, data, 0, mt.WriteThrough); err != nil {
 		return err
 	}
 	mt.oracle[name] = data
@@ -230,15 +222,7 @@ func (mt *MemTest) doAppend(fsys *fs.FS) error {
 	if err != nil {
 		return err
 	}
-	if _, err := f.WriteAt(data, int64(len(old))); err != nil {
-		return err
-	}
-	if mt.WriteThrough {
-		if err := fsys.Fsync(f); err != nil {
-			return err
-		}
-	}
-	if err := f.Close(); err != nil {
+	if err := WriteClose(fsys, f, data, int64(len(old)), mt.WriteThrough); err != nil {
 		return err
 	}
 	mt.oracle[path] = append(append([]byte{}, old...), data...)
@@ -265,15 +249,7 @@ func (mt *MemTest) doOverwrite(fsys *fs.FS) error {
 	if err != nil {
 		return err
 	}
-	if _, err := f.WriteAt(data, off); err != nil {
-		return err
-	}
-	if mt.WriteThrough {
-		if err := fsys.Fsync(f); err != nil {
-			return err
-		}
-	}
-	if err := f.Close(); err != nil {
+	if err := WriteClose(fsys, f, data, off, mt.WriteThrough); err != nil {
 		return err
 	}
 	fresh := append([]byte{}, old...)
@@ -290,15 +266,8 @@ func (mt *MemTest) doRead(fsys *fs.FS) error {
 	}
 	want := mt.oracle[path]
 	mt.InFlight = &OpRecord{Kind: OpRead, Path: path}
-	f, err := fsys.Open(path)
+	buf, err := readN(fsys, path, len(want))
 	if err != nil {
-		return err
-	}
-	buf := make([]byte, len(want))
-	if _, err := f.ReadAt(buf, 0); err != nil {
-		return err
-	}
-	if err := f.Close(); err != nil {
 		return err
 	}
 	if !bytes.Equal(buf, want) {
@@ -372,16 +341,9 @@ func (mt *MemTest) doSymlink(fsys *fs.FS) error {
 	mt.linkNames = append(mt.linkNames, name)
 	mt.InFlight = nil
 	// Online check: read through the link and compare to the oracle.
-	f, err := fsys.Open(name)
-	if err != nil {
-		return err
-	}
 	want := mt.oracle[target]
-	buf := make([]byte, len(want))
-	if _, err := f.ReadAt(buf, 0); err != nil {
-		return err
-	}
-	if err := f.Close(); err != nil {
+	buf, err := readN(fsys, name, len(want))
+	if err != nil {
 		return err
 	}
 	if !bytes.Equal(buf, want) {
@@ -407,11 +369,12 @@ func (mt *MemTest) doStat(fsys *fs.FS) error {
 	return nil
 }
 
-// Verify compares the recovered file system against the oracle, excluding
-// the byte range (and existence) touched by the in-flight op. It mirrors
-// the paper's procedure of replaying memTest to the crash point and
-// diffing the reconstructed directory against the restored one.
-func (mt *MemTest) Verify(fsys *fs.FS) []Corruption {
+// Check implements Workload: it compares the recovered file system
+// against the oracle, excluding the byte range (and existence) touched by
+// the in-flight op. It mirrors the paper's procedure of replaying memTest
+// to the crash point and diffing the reconstructed directory against the
+// restored one. Every mismatch is a detected corruption.
+func (mt *MemTest) Check(fsys *fs.FS) Verdict {
 	var out []Corruption
 	inflight := func(path string) *OpRecord {
 		if mt.InFlight != nil && mt.InFlight.Path == path {
@@ -434,43 +397,27 @@ func (mt *MemTest) Verify(fsys *fs.FS) []Corruption {
 		if fl != nil && fl.Kind == OpDelete {
 			continue // may be gone or present; both fine
 		}
-		f, err := fsys.Open(path)
+		got, err := fsys.ReadFile(path)
 		if err != nil {
-			out = append(out, Corruption{path, "missing: " + err.Error()})
-			continue
-		}
-		st, err := fsys.Stat(path)
-		if err != nil {
-			out = append(out, Corruption{path, "stat failed: " + err.Error()})
-			f.Close()
+			out = append(out, Corruption{path, "unreadable: " + err.Error()})
 			continue
 		}
 		// Size check.
-		okSize := st.Size == int64(len(want))
+		size := int64(len(got))
+		okSize := size == int64(len(want))
 		if fl != nil && (fl.Kind == OpAppend || fl.Kind == OpOverwrite) {
 			lo, hi := fl.PrevSize, int64(len(want))
 			if fl.Off+fl.Len > hi {
 				hi = fl.Off + fl.Len
 			}
-			okSize = st.Size >= lo && st.Size <= hi
+			okSize = size >= lo && size <= hi
 		}
 		if !okSize {
 			out = append(out, Corruption{path,
-				fmt.Sprintf("size %d, want %d", st.Size, len(want))})
-			f.Close()
+				fmt.Sprintf("size %d, want %d", size, len(want))})
 			continue
 		}
-		n := st.Size
-		if int64(len(want)) < n {
-			n = int64(len(want))
-		}
-		got := make([]byte, n)
-		if _, err := f.ReadAt(got, 0); err != nil {
-			out = append(out, Corruption{path, "read failed: " + err.Error()})
-			f.Close()
-			continue
-		}
-		f.Close()
+		n := min(size, int64(len(want)))
 		// Byte compare, masking the in-flight range.
 		var lo, hi int64 = -1, -1
 		if fl != nil && (fl.Kind == OpAppend || fl.Kind == OpOverwrite) {
@@ -555,7 +502,7 @@ func (mt *MemTest) Verify(fsys *fs.FS) []Corruption {
 		}
 	}
 	walk("/")
-	return out
+	return Verdict{Checked: len(mt.oracle) + len(mt.links), Corruptions: out}
 }
 
 // isMemTestPath reports whether memTest owns the path.

@@ -38,7 +38,7 @@ func TestMemTestRunsClean(t *testing.T) {
 	if mt.InFlight != nil {
 		t.Fatal("in-flight op after clean steps")
 	}
-	if bad := mt.Verify(m.FS); len(bad) != 0 {
+	if bad := mt.Check(m.FS).Corruptions; len(bad) != 0 {
 		t.Fatalf("verify on healthy system: %v", bad)
 	}
 }
@@ -97,7 +97,7 @@ func TestMemTestDetectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	bad := mt.Verify(m.FS)
+	bad := mt.Check(m.FS).Corruptions
 	if len(bad) == 0 {
 		t.Fatal("corruption not detected")
 	}
@@ -126,7 +126,7 @@ func TestMemTestDetectsMissingFile(t *testing.T) {
 	if err := m.FS.Unlink(victim); err != nil {
 		t.Fatal(err)
 	}
-	bad := mt.Verify(m.FS)
+	bad := mt.Check(m.FS).Corruptions
 	if len(bad) == 0 {
 		t.Fatal("missing file not detected")
 	}
@@ -155,14 +155,14 @@ func TestMemTestInFlightMasking(t *testing.T) {
 	f, _ := m.FS.Open(victim)
 	f.WriteAt([]byte("partialpar"), int64(len(old))) // 10 of 20 bytes
 	f.Close()
-	if bad := mt.Verify(m.FS); len(bad) != 0 {
+	if bad := mt.Check(m.FS).Corruptions; len(bad) != 0 {
 		t.Fatalf("in-flight append flagged as corruption: %v", bad)
 	}
 	// But damage OUTSIDE the in-flight range is still caught.
 	f, _ = m.FS.Open(victim)
 	f.WriteAt([]byte{old[0] ^ 0x55}, 0)
 	f.Close()
-	if bad := mt.Verify(m.FS); len(bad) == 0 {
+	if bad := mt.Check(m.FS).Corruptions; len(bad) == 0 {
 		t.Fatal("corruption outside in-flight range missed")
 	}
 }
@@ -180,11 +180,11 @@ func TestMemTestInFlightDelete(t *testing.T) {
 	}
 	mt.InFlight = &OpRecord{Kind: OpDelete, Path: victim}
 	// Deleted or not — both acceptable.
-	if bad := mt.Verify(m.FS); len(bad) != 0 {
+	if bad := mt.Check(m.FS).Corruptions; len(bad) != 0 {
 		t.Fatalf("in-flight delete (still present): %v", bad)
 	}
 	m.FS.Unlink(victim)
-	if bad := mt.Verify(m.FS); len(bad) != 0 {
+	if bad := mt.Check(m.FS).Corruptions; len(bad) != 0 {
 		t.Fatalf("in-flight delete (gone): %v", bad)
 	}
 }
@@ -201,14 +201,14 @@ func TestMemTestUnexpectedFileDetected(t *testing.T) {
 	}
 	f.Write([]byte("ghost"))
 	f.Close()
-	bad := mt.Verify(m.FS)
+	bad := mt.Check(m.FS).Corruptions
 	if len(bad) == 0 {
 		t.Fatal("unexpected mt file not detected")
 	}
 	// Non-memTest files are ignored.
 	f, _ = m.FS.Create("/otherfile")
 	f.Close()
-	bad2 := mt.Verify(m.FS)
+	bad2 := mt.Check(m.FS).Corruptions
 	if len(bad2) != len(bad) {
 		t.Fatal("non-memTest file flagged")
 	}
@@ -244,7 +244,7 @@ func TestMemTestWriteThroughMode(t *testing.T) {
 	if m.FS.Stats.Fsyncs == 0 {
 		t.Fatal("write-through memTest never fsynced")
 	}
-	if bad := mt.Verify(m.FS); len(bad) != 0 {
+	if bad := mt.Check(m.FS).Corruptions; len(bad) != 0 {
 		t.Fatalf("verify: %v", bad)
 	}
 }

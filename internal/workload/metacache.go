@@ -2,6 +2,7 @@ package workload
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"rio/internal/fs"
@@ -144,15 +145,7 @@ func (mc *MetaCache) writeFile(fsys *fs.FS, path string, img []byte) error {
 	if err != nil {
 		return err
 	}
-	if _, err := f.WriteAt(img, 0); err != nil {
-		return err
-	}
-	if mc.WriteThrough {
-		if err := fsys.Fsync(f); err != nil {
-			return err
-		}
-	}
-	return f.Close()
+	return WriteClose(fsys, f, img, 0, mc.WriteThrough)
 }
 
 // Setup creates the two directories. Files appear on first update.
@@ -253,25 +246,14 @@ func (mc *MetaCache) doEvict(fsys *fs.FS, i int) error {
 	return nil
 }
 
-// readFrame reads a whole file; the caller decodes it.
+// readFrame reads a whole file; the caller decodes it. An empty file
+// holds no frame and is unreadable, like a missing one.
 func (mc *MetaCache) readFrame(fsys *fs.FS, path string) ([]byte, error) {
-	f, err := fsys.Open(path)
-	if err != nil {
-		return nil, err
+	b, err := fsys.ReadFile(path)
+	if err == nil && len(b) == 0 {
+		err = errors.New("empty file")
 	}
-	defer f.Close()
-	st, err := fsys.Stat(path)
-	if err != nil {
-		return nil, err
-	}
-	if st.Size <= 0 || st.Size > 1<<20 {
-		return nil, fmt.Errorf("implausible size %d", st.Size)
-	}
-	buf := make([]byte, st.Size)
-	if _, err := f.ReadAt(buf, 0); err != nil {
-		return nil, err
-	}
-	return buf, nil
+	return b, err
 }
 
 // Check implements Workload: every source must decode at its acked (or

@@ -21,39 +21,6 @@ import (
 // memory-resident configurations from looking infinitely fast and sets the
 // floor that Table 2's MFS row represents.
 
-// writeAll writes data to a file in 8 KB chunks, as cp(1) does — chunked
-// writing is what separates write-through-on-write (sync per chunk) from
-// write-through-on-close (one batched flush).
-func writeAll(f *fs.File, data []byte) error {
-	for off := 0; off < len(data); off += fs.BlockSize {
-		end := off + fs.BlockSize
-		if end > len(data) {
-			end = len(data)
-		}
-		if _, err := f.WriteAt(data[off:end], int64(off)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func readAll(fsys *fs.FS, path string) ([]byte, error) {
-	f, err := fsys.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	st, err := fsys.Stat(path)
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, st.Size)
-	if _, err := f.ReadAt(buf, 0); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
 // Tree describes a synthetic source tree.
 type Tree struct {
 	Dirs  []string
@@ -120,7 +87,7 @@ func BuildTree(fsys *fs.FS, t *Tree) error {
 		if err != nil {
 			return err
 		}
-		if err := writeAll(f, kernel.FillBytes(tf.Size, tf.Seed)); err != nil {
+		if err := writeChunked(f, kernel.FillBytes(tf.Size, tf.Seed), fs.BlockSize); err != nil {
 			return err
 		}
 		if err := f.Close(); err != nil {
@@ -195,7 +162,7 @@ func (w *CpRm) Run(m *machine.Machine) (cp, rm sim.Duration, err error) {
 		}
 	}
 	for _, tf := range walk {
-		data, err := readAll(m.FS, tf.Path)
+		data, err := m.FS.ReadFile(tf.Path)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -204,7 +171,7 @@ func (w *CpRm) Run(m *machine.Machine) (cp, rm sim.Duration, err error) {
 		if err != nil {
 			return 0, 0, err
 		}
-		if err := writeAll(f, data); err != nil {
+		if err := writeChunked(f, data, fs.BlockSize); err != nil {
 			return 0, 0, err
 		}
 		if err := f.Close(); err != nil {
@@ -300,7 +267,7 @@ func (w *Sdet) step(m *machine.Machine, rng *sim.Rand, dir string, files *[]stri
 		if err != nil {
 			return err
 		}
-		if err := writeAll(f, kernel.FillBytes(rng.Range(500, 12000), rng.Uint64()|1)); err != nil {
+		if err := writeChunked(f, kernel.FillBytes(rng.Range(500, 12000), rng.Uint64()|1), fs.BlockSize); err != nil {
 			return err
 		}
 		if err := f.Close(); err != nil {
@@ -325,7 +292,7 @@ func (w *Sdet) step(m *machine.Machine, rng *sim.Rand, dir string, files *[]stri
 		}
 	case p < 0.70: // read a file
 		name := (*files)[rng.Intn(len(*files))]
-		if _, err := readAll(m.FS, name); err != nil {
+		if _, err := m.FS.ReadFile(name); err != nil {
 			return err
 		}
 	case p < 0.85: // scan the directory (ls -l)
@@ -372,9 +339,11 @@ func DefaultAndrew() *Andrew {
 	}
 }
 
-// writeChunked writes data in small chunks, as compilers and assemblers
-// emit output — the many small write(2) calls are what make the "sync"
-// mount so painful on Andrew.
+// writeChunked writes data chunk bytes at a time: fs.BlockSize as cp(1)
+// does — chunked writing is what separates write-through-on-write (sync
+// per chunk) from write-through-on-close (one batched flush) — or small
+// chunks as compilers and assemblers emit output, the many small
+// write(2) calls that make the "sync" mount so painful on Andrew.
 func writeChunked(f *fs.File, data []byte, chunk int) error {
 	for off := 0; off < len(data); off += chunk {
 		end := off + chunk
@@ -413,7 +382,7 @@ func (w *Andrew) Run(m *machine.Machine) (sim.Duration, error) {
 	}
 	// Phase 2: copy.
 	for _, tf := range tree.Files {
-		data, err := readAll(m.FS, tf.Path)
+		data, err := m.FS.ReadFile(tf.Path)
 		if err != nil {
 			return 0, err
 		}
@@ -422,7 +391,7 @@ func (w *Andrew) Run(m *machine.Machine) (sim.Duration, error) {
 		if err != nil {
 			return 0, err
 		}
-		if err := writeAll(f, data); err != nil {
+		if err := writeChunked(f, data, fs.BlockSize); err != nil {
 			return 0, err
 		}
 		if err := f.Close(); err != nil {
@@ -441,7 +410,7 @@ func (w *Andrew) Run(m *machine.Machine) (sim.Duration, error) {
 	}
 	// Phase 4: read everything (grep/wc).
 	for _, tf := range tree.Files {
-		if _, err := readAll(m.FS, "/andrew"+tf.Path[len("/andrew-src"):]); err != nil {
+		if _, err := m.FS.ReadFile("/andrew" + tf.Path[len("/andrew-src"):]); err != nil {
 			return 0, err
 		}
 		m.Engine.Clock.Advance(w.UserCPUPerFile / 2)
@@ -453,7 +422,7 @@ func (w *Andrew) Run(m *machine.Machine) (sim.Duration, error) {
 	var objs []string
 	for i, tf := range tree.Files {
 		src := "/andrew" + tf.Path[len("/andrew-src"):]
-		data, err := readAll(m.FS, src)
+		data, err := m.FS.ReadFile(src)
 		if err != nil {
 			return 0, err
 		}
@@ -502,7 +471,7 @@ func (w *Andrew) Run(m *machine.Machine) (sim.Duration, error) {
 	// Link.
 	totalObj := 0
 	for _, o := range objs {
-		data, err := readAll(m.FS, o)
+		data, err := m.FS.ReadFile(o)
 		if err != nil {
 			return 0, err
 		}
@@ -513,7 +482,7 @@ func (w *Andrew) Run(m *machine.Machine) (sim.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := writeAll(f, kernel.FillBytes(totalObj/2, 0xa0a7)); err != nil {
+	if err := writeChunked(f, kernel.FillBytes(totalObj/2, 0xa0a7), fs.BlockSize); err != nil {
 		return 0, err
 	}
 	if err := f.Close(); err != nil {

@@ -54,7 +54,7 @@ func TestCpRmCopiesFaithfully(t *testing.T) {
 	if err := BuildTree(m.FS, tree); err != nil {
 		t.Fatal(err)
 	}
-	src, err := readAll(m.FS, tree.Files[0].Path)
+	src, err := m.FS.ReadFile(tree.Files[0].Path)
 	if err != nil {
 		t.Fatal(err)
 	}

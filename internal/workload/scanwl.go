@@ -121,13 +121,7 @@ func (sc *Scan) Setup(fsys *fs.FS) error {
 		if err != nil {
 			return err
 		}
-		if _, err := f.Write(sc.headerFrame(seg, 1)); err != nil {
-			return err
-		}
-		if err := fsys.Fsync(f); err != nil {
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := WriteClose(fsys, f, sc.headerFrame(seg, 1), 0, true); err != nil {
 			return err
 		}
 		sc.gen[seg] = 1
@@ -158,15 +152,7 @@ func (sc *Scan) doAppend(fsys *fs.FS, seg int) error {
 	if err != nil {
 		return err
 	}
-	if _, err := f.WriteAt(sc.batchFrame(seg, sc.gen[seg], b), off); err != nil {
-		return err
-	}
-	if sc.WriteThrough {
-		if err := fsys.Fsync(f); err != nil {
-			return err
-		}
-	}
-	if err := f.Close(); err != nil {
+	if err := WriteClose(fsys, f, sc.batchFrame(seg, sc.gen[seg], b), off, sc.WriteThrough); err != nil {
 		return err
 	}
 	sc.batches[seg] = b + 1
@@ -177,16 +163,8 @@ func (sc *Scan) doAppend(fsys *fs.FS, seg int) error {
 // doScan reads the whole segment sequentially and validates every
 // frame online.
 func (sc *Scan) doScan(fsys *fs.FS, seg int) error {
-	f, err := fsys.Open(sc.path(seg))
+	buf, err := readN(fsys, sc.path(seg), scanHeader+sc.batches[seg]*sc.blen(seg))
 	if err != nil {
-		return err
-	}
-	size := int64(scanHeader + sc.batches[seg]*sc.blen(seg))
-	buf := make([]byte, size)
-	if _, err := f.ReadAt(buf, 0); err != nil {
-		return err
-	}
-	if err := f.Close(); err != nil {
 		return err
 	}
 	if d := sc.decodeSegment(seg, buf, sc.gen[seg], sc.batches[seg], -1); d != "" {
@@ -207,15 +185,7 @@ func (sc *Scan) doCompact(fsys *fs.FS, seg int) error {
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(sc.headerFrame(seg, gen)); err != nil {
-		return err
-	}
-	if sc.WriteThrough {
-		if err := fsys.Fsync(f); err != nil {
-			return err
-		}
-	}
-	if err := f.Close(); err != nil {
+	if err := WriteClose(fsys, f, sc.headerFrame(seg, gen), 0, sc.WriteThrough); err != nil {
 		return err
 	}
 	sc.gen[seg] = gen
@@ -235,8 +205,8 @@ func (sc *Scan) Check(fsys *fs.FS) Verdict {
 		appendHere := fl != nil && fl.seg == seg && fl.phase == scAppend
 		compactHere := fl != nil && fl.seg == seg && fl.phase == scCompact
 
-		f, err := fsys.Open(sc.path(seg))
-		if err != nil {
+		buf, err := fsys.ReadFile(sc.path(seg))
+		if err == fs.ErrNotFound {
 			if compactHere {
 				continue // caught between unlink and new header
 			}
@@ -245,21 +215,11 @@ func (sc *Scan) Check(fsys *fs.FS) Verdict {
 				"segment missing: " + err.Error()})
 			continue
 		}
-		st, err := fsys.Stat(sc.path(seg))
 		if err != nil {
-			f.Close()
 			v.Corruptions = append(v.Corruptions, Corruption{sc.path(seg),
-				"stat failed: " + err.Error()})
+				"unreadable: " + err.Error()})
 			continue
 		}
-		buf := make([]byte, st.Size)
-		if _, err := f.ReadAt(buf, 0); err != nil {
-			f.Close()
-			v.Corruptions = append(v.Corruptions, Corruption{sc.path(seg),
-				"read failed: " + err.Error()})
-			continue
-		}
-		f.Close()
 
 		gen, derr := sc.decodeHeader(seg, buf)
 		if derr != "" {

@@ -24,7 +24,7 @@ import (
 //
 //	magic u64 | id u64 | acct u32 | plen u32 | payload | cksum u64
 //
-// whose payload is a pure function of (seed, id, acct), so Verify can
+// whose payload is a pure function of (seed, id, acct), so Check can
 // decode an id with confidence and distinguish "old but intact" from
 // "smashed": a frame either checks out byte-for-byte against the oracle
 // or counts as detected corruption, never as a plausible stale state.
@@ -105,7 +105,7 @@ func (tt *TxnTest) record(id uint64) txn.Record {
 }
 
 // Setup creates the account directory and commits the baseline id so
-// Verify always has a floor to check against.
+// Check always has a floor to check against.
 func (tt *TxnTest) Setup(fsys *fs.FS) error {
 	if err := fsys.Mkdir(txnAcctDir); err != nil && err != fs.ErrExists {
 		return err
@@ -148,61 +148,44 @@ func (tt *TxnTest) Commit(fsys *fs.FS) error {
 	return nil
 }
 
-// TxnVerdict is Verify's judgement of the recovered accounts.
-type TxnVerdict struct {
-	// IDs holds the decoded id per account, valid entries only, in
-	// account order (len < Accounts means some account was undecodable).
-	IDs []uint64
-	// Mixed: every account decoded but the ids disagree — a torn
-	// transaction if recovery reported the storage itself clean.
-	Mixed bool
-	// LostAcked: a consistent state older than LastAcked — an acked
-	// commit was un-done, a durability violation.
-	LostAcked bool
-	// Future: a consistent state newer than LastAttempt — a commit
-	// nobody issued, which would mean the oracle itself is broken.
-	Future bool
-	// Failures lists every defect found, one entry per account at most
-	// plus one for a mixed/ordering violation.
-	Failures []Corruption
-}
-
-// Verify decodes every account and classifies the recovered state.
+// Check implements Workload: it decodes every account of a recovered
+// (and rolled-forward, see Recover) tree and classifies the state.
 // Decode failures are detected corruption (the storage lost data and
 // said so, in effect); only a set of fully valid frames with differing
-// ids counts toward the torn-transaction verdict.
-func (tt *TxnTest) Verify(fsys *fs.FS) TxnVerdict {
-	var v TxnVerdict
-	allValid := true
+// ids is Torn, and a consistent id older than LastAcked is Lost —
+// whether either conviction stands is the crash run's recovery-clean
+// rule to decide. A consistent id newer than LastAttempt (a commit
+// nobody issued: the oracle itself is broken) is a corruption.
+func (tt *TxnTest) Check(fsys *fs.FS) Verdict {
+	v := Verdict{Checked: tt.Accounts}
+	ids := make([]uint64, 0, tt.Accounts)
 	for j := 0; j < tt.Accounts; j++ {
 		id, detail := tt.decodeAcct(fsys, j)
 		if detail != "" {
-			allValid = false
-			v.Failures = append(v.Failures, Corruption{tt.path(j), detail})
+			v.Corruptions = append(v.Corruptions, Corruption{tt.path(j), detail})
 			continue
 		}
-		v.IDs = append(v.IDs, id)
+		ids = append(ids, id)
 	}
-	if !allValid {
+	if len(v.Corruptions) > 0 {
 		return v
 	}
-	for _, id := range v.IDs[1:] {
-		if id != v.IDs[0] {
-			v.Mixed = true
-			v.Failures = append(v.Failures, Corruption{txnAcctDir,
-				fmt.Sprintf("accounts tore across commits: ids %v", v.IDs)})
+	for _, id := range ids[1:] {
+		if id != ids[0] {
+			v.Torn++
+			v.Corruptions = append(v.Corruptions, Corruption{txnAcctDir,
+				fmt.Sprintf("accounts tore across commits: ids %v", ids)})
 			return v
 		}
 	}
-	id := v.IDs[0]
+	id := ids[0]
 	if id < tt.LastAcked {
-		v.LostAcked = true
-		v.Failures = append(v.Failures, Corruption{txnAcctDir,
+		v.Lost++
+		v.Corruptions = append(v.Corruptions, Corruption{txnAcctDir,
 			fmt.Sprintf("acked commit lost: accounts at id %d, acked through %d", id, tt.LastAcked)})
 	}
 	if id > tt.LastAttempt {
-		v.Future = true
-		v.Failures = append(v.Failures, Corruption{txnAcctDir,
+		v.Corruptions = append(v.Corruptions, Corruption{txnAcctDir,
 			fmt.Sprintf("phantom commit: accounts at id %d, newest attempt %d", id, tt.LastAttempt)})
 	}
 	return v
@@ -212,23 +195,13 @@ func (tt *TxnTest) Verify(fsys *fs.FS) TxnVerdict {
 // end against the oracle. Returns the decoded id, or a non-empty
 // detail describing why the frame is invalid.
 func (tt *TxnTest) decodeAcct(fsys *fs.FS, acct int) (uint64, string) {
-	p := tt.path(acct)
-	f, err := fsys.Open(p)
+	data, err := fsys.ReadFile(tt.path(acct))
 	if err != nil {
-		return 0, "missing: " + err.Error()
-	}
-	defer f.Close()
-	st, err := fsys.Stat(p)
-	if err != nil {
-		return 0, "stat failed: " + err.Error()
+		return 0, "unreadable: " + err.Error()
 	}
 	want := acctHeader + tt.payloadLen(acct) + acctFooter
-	if st.Size != int64(want) {
-		return 0, fmt.Sprintf("size %d, want %d", st.Size, want)
-	}
-	data := make([]byte, want)
-	if _, err := f.ReadAt(data, 0); err != nil {
-		return 0, "read failed: " + err.Error()
+	if len(data) != want {
+		return 0, fmt.Sprintf("size %d, want %d", len(data), want)
 	}
 	if binary.BigEndian.Uint64(data) != acctMagic<<8|1 {
 		return 0, "bad magic"

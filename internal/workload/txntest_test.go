@@ -8,9 +8,12 @@ import (
 	"rio/internal/txn"
 )
 
-func cleanVerdict(t *testing.T, v TxnVerdict) {
+// cleanVerdict requires a clean verdict over every account: with no
+// corruption, no torn and no lost commit, every account decoded at one id
+// in [LastAcked, LastAttempt].
+func cleanVerdict(t *testing.T, tt *TxnTest, v Verdict) {
 	t.Helper()
-	if len(v.Failures) != 0 || v.Mixed || v.LostAcked || v.Future {
+	if !v.Clean() || v.Checked != tt.Accounts {
 		t.Fatalf("verdict not clean: %+v", v)
 	}
 }
@@ -29,11 +32,7 @@ func TestTxnTestCommitsAreConsistent(t *testing.T) {
 	if tt.LastAcked != 21 || tt.LastAttempt != 21 {
 		t.Fatalf("acked %d attempt %d, want 21/21", tt.LastAcked, tt.LastAttempt)
 	}
-	v := tt.Verify(m.FS)
-	cleanVerdict(t, v)
-	if len(v.IDs) != 3 || v.IDs[0] != 21 {
-		t.Fatalf("ids = %v, want three 21s", v.IDs)
-	}
+	cleanVerdict(t, tt, tt.Check(m.FS))
 }
 
 func TestTxnTestDetectsTornState(t *testing.T) {
@@ -55,12 +54,12 @@ func TestTxnTestDetectsTornState(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	v := tt.Verify(m.FS)
-	if !v.Mixed {
-		t.Fatalf("mixed ids not flagged: %+v", v)
+	v := tt.Check(m.FS)
+	if v.Torn != 1 {
+		t.Fatalf("mixed ids not flagged torn: %+v", v)
 	}
-	if len(v.Failures) == 0 {
-		t.Fatal("mixed state produced no failure entry")
+	if len(v.Corruptions) == 0 {
+		t.Fatal("mixed state produced no corruption entry")
 	}
 }
 
@@ -78,15 +77,12 @@ func TestTxnTestDetectsSmashedFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	v := tt.Verify(m.FS)
-	if v.Mixed {
-		t.Fatal("a smashed frame must not count as torn")
+	v := tt.Check(m.FS)
+	if v.Torn != 0 || v.Lost != 0 {
+		t.Fatalf("a smashed frame must count as neither torn nor lost: %+v", v)
 	}
-	if len(v.Failures) != 1 || v.Failures[0].Path != tt.path(2) {
-		t.Fatalf("failures = %v, want one undecodable account", v.Failures)
-	}
-	if len(v.IDs) != 2 {
-		t.Fatalf("ids = %v, want the two intact accounts", v.IDs)
+	if len(v.Corruptions) != 1 || v.Corruptions[0].Path != tt.path(2) {
+		t.Fatalf("corruptions = %v, want one undecodable account", v.Corruptions)
 	}
 }
 
@@ -111,8 +107,8 @@ func TestTxnTestDetectsLostAck(t *testing.T) {
 		}
 		f.Close()
 	}
-	v := tt.Verify(m.FS)
-	if !v.LostAcked {
+	v := tt.Check(m.FS)
+	if v.Lost != 1 || v.Torn != 0 {
 		t.Fatalf("lost ack not flagged: %+v", v)
 	}
 }
@@ -145,11 +141,10 @@ func TestTxnTestDirtyLogRollsForwardBeforeNextCommit(t *testing.T) {
 	if err := tt.Commit(m.FS); err != nil {
 		t.Fatal(err)
 	}
-	v := tt.Verify(m.FS)
-	cleanVerdict(t, v)
-	if v.IDs[0] != tt.LastAcked {
-		t.Fatalf("accounts at id %d, want acked id %d", v.IDs[0], tt.LastAcked)
+	if tt.LastAttempt != tt.LastAcked {
+		t.Fatalf("attempt %d past acked %d after a completed commit", tt.LastAttempt, tt.LastAcked)
 	}
+	cleanVerdict(t, tt, tt.Check(m.FS))
 }
 
 // Recover is the crash run's roll-forward step: a published, half-applied

@@ -59,16 +59,6 @@ func (mt *MemTest) Name() string { return "memtest" }
 // Setup implements Workload; memTest builds its tree lazily in Step.
 func (mt *MemTest) Setup(fsys *fs.FS) error { return nil }
 
-// Check implements Workload by wrapping Verify: memTest's oracle diff
-// reports detected corruption; a missing oracle file is corruption too
-// (Verify already masks the in-flight op).
-func (mt *MemTest) Check(fsys *fs.FS) Verdict {
-	return Verdict{
-		Checked:     len(mt.oracle) + len(mt.links),
-		Corruptions: mt.Verify(fsys),
-	}
-}
-
 // --- TxnTest as a Workload ---
 
 // Name implements Workload.
@@ -90,18 +80,32 @@ func (tt *TxnTest) Recover(fsys *fs.FS) (quarantined int, err error) {
 	return st.Quarantined, err
 }
 
-// Check implements Workload: classify the accounts of a recovered (and
-// rolled-forward, see Recover) tree. Mixed ids are a torn commit, a
-// consistent-but-pre-ack id is a lost acked commit; whether either
-// conviction stands is the crash run's recovery-clean rule to decide.
-func (tt *TxnTest) Check(fsys *fs.FS) Verdict {
-	tv := tt.Verify(fsys)
-	v := Verdict{Checked: tt.Accounts, Corruptions: tv.Failures}
-	if tv.Mixed {
-		v.Torn++
+// WriteClose is every workload's write to a file the caller has open:
+// data at off, an fsync when sync is set (the write-through runs), then
+// Close. On an error the file is left open: a Close there would be one
+// more simulated syscall, a flush under the fsync-on-close policies.
+func WriteClose(fsys *fs.FS, f *fs.File, data []byte, off int64, sync bool) error {
+	if _, err := f.WriteAt(data, off); err != nil {
+		return err
 	}
-	if tv.LostAcked {
-		v.Lost++
+	if sync {
+		if err := fsys.Fsync(f); err != nil {
+			return err
+		}
 	}
-	return v
+	return f.Close()
+}
+
+// readN is every workload's online read: Open, ReadAt of the n bytes the
+// oracle expects, Close.
+func readN(fsys *fs.FS, path string, n int) ([]byte, error) {
+	f, err := fsys.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]byte, n)
+	if _, err := f.ReadAt(buf, 0); err != nil {
+		return nil, err
+	}
+	return buf, f.Close()
 }

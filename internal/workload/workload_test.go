@@ -1,11 +1,15 @@
 package workload
 
 import (
+	"encoding/binary"
 	"fmt"
+	"strings"
 	"testing"
 
+	"rio/internal/fs"
 	"rio/internal/machine"
 	"rio/internal/sim"
+	"rio/internal/warmreboot"
 )
 
 // Compile-time interface checks: every workload the scenario engine can
@@ -485,5 +489,55 @@ func TestScanGoldenLostGeneration(t *testing.T) {
 	v := sc.Check(m.FS)
 	if v.Lost == 0 && len(v.Corruptions) == 0 {
 		t.Fatalf("generation rollback not detected: %+v", v)
+	}
+}
+
+// A segment whose inode size field was smashed to -1 on disk survives a
+// cold boot (fsck checks pointers, not sizes). Check must report it as a
+// corruption; sizing a buffer from the field panicked the checker.
+func TestScanSmashedSizeIsCorruption(t *testing.T) {
+	opt := machine.DefaultOptions(fs.DefaultPolicy(fs.PolicyUFSWTWrite))
+	opt.FastPath = true
+	m, err := machine.New(opt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := NewScan(57, 1, 8)
+	sc.WriteThrough = true
+	if err := sc.Setup(m.FS); err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.doAppend(m.FS, 0); err != nil {
+		t.Fatal(err)
+	}
+	st, err := m.FS.Stat(sc.path(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.FS.Sync()
+
+	sector := int(m.FS.SB.InodeStart+int64(st.Ino)/fs.InodesPerBlock) * fs.SectorsPerBlock
+	blk := make([]byte, fs.BlockSize)
+	if _, err := m.Disk.Read(sector, blk); err != nil {
+		t.Fatal(err)
+	}
+	off := int(st.Ino)%fs.InodesPerBlock*fs.InodeSize + 8 // Inode.Size
+	binary.LittleEndian.PutUint64(blk[off:], ^uint64(0))
+	if _, err := m.Disk.Write(sector, blk); err != nil {
+		t.Fatal(err)
+	}
+	m.Kernel.Panic("crash after the inode was smashed")
+	m.CrashFinish()
+	if _, err := warmreboot.Cold(m, 57); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := m.FS.Stat(sc.path(0)); err != nil || st.Size != -1 {
+		t.Fatalf("smashed size did not survive the cold boot: %+v, %v", st, err)
+	}
+
+	v := sc.Check(m.FS)
+	if len(v.Corruptions) != 1 || v.Corruptions[0].Path != sc.path(0) ||
+		!strings.Contains(v.Corruptions[0].Detail, "implausible size -1") {
+		t.Fatalf("smashed size not reported as one corruption: %+v", v)
 	}
 }
