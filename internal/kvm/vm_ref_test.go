@@ -1,7 +1,6 @@
 package kvm
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -191,8 +190,9 @@ type Twin struct {
 }
 
 // Exec runs proc on both VMs and reports the first difference between
-// them: exception, register file, PC, step count, memory, MMU statistics
-// and, when tracing, the tracer's tail.
+// them: exception, register file, PC, step count, the whole MMU (its
+// statistics, TLB, page table, frame flags and memory) and, when tracing,
+// the tracer's tail.
 func (tw Twin) Exec(proc string, args ...uint64) error {
 	return tw.diff(tw.Fast.Exec(proc, args...), ExecRef(tw.Ref, proc, args...))
 }
@@ -210,10 +210,9 @@ func (tw Twin) diff(fast, ref *Exception) error {
 		return fmt.Errorf("Steps: fast %d, ref %d", a.Steps, b.Steps)
 	case a.MMU.Stats != b.MMU.Stats:
 		return fmt.Errorf("mmu.Stats: fast %+v, ref %+v", a.MMU.Stats, b.MMU.Stats)
-	}
-	am, bm := a.MMU.Mem, b.MMU.Mem
-	if !bytes.Equal(am.Slice(0, am.Size()), bm.Slice(0, bm.Size())) {
-		return fmt.Errorf("memory differs")
+	case !reflect.DeepEqual(a.MMU, b.MMU):
+		// The rest of the MMU: TLB, page table, frame flags and memory.
+		return fmt.Errorf("MMU state differs")
 	}
 	if (a.Trace == nil) != (b.Trace == nil) {
 		return fmt.Errorf("tracing on one twin only")
