@@ -47,15 +47,7 @@ func BuildText() *kvm.Text {
 	a.And(6, 6, 7)
 	a.BneL(6, 5, "bcopy_tail")
 	a.MovI(6, 8)
-	a.Label("bcopy_loop8")
-	a.Sub(7, 3, 4) // remaining
-	a.BltL(7, 6, "bcopy_tail")
-	a.Add(8, 2, 4)
-	a.Ld(9, 8, 0)
-	a.Add(8, 1, 4)
-	a.St(8, 0, 9)
-	a.AddI(4, 4, 8)
-	a.JmpL("bcopy_loop8")
+	a.CopyLoop() // while len-i >= 8: copy the word at i; i += 8
 	a.Label("bcopy_tail")
 	a.Sub(7, 3, 4)
 	a.BleL(7, 5, "bcopy_done")

@@ -238,10 +238,3 @@ func (a *Asm) MustAssemble() *Text {
 	}
 	return t
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

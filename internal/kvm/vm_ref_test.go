@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rio/internal/mem"
+	"rio/internal/mmu"
 )
 
 // The reference interpreter: the run loop as it stood before the fast one
@@ -183,6 +184,18 @@ func (v *VM) refRun() *Exception {
 	}
 }
 
+// CopyLoops lists the addresses at which run finds the word-copy loop in
+// t. (Exported for the kvm_test package, which checks the kernel's text.)
+func CopyLoops(t *Text) []int {
+	var at []int
+	for pc := range t.words {
+		if isCopyLoop(t.words, pc) {
+			at = append(at, pc)
+		}
+	}
+	return at
+}
+
 // Twin is a pair of identically built VMs, one run on the fast loop and one
 // on the reference; Check compares everything an Exec can change.
 type Twin struct {
@@ -320,6 +333,118 @@ func TestRunMatchesReference(t *testing.T) {
 	}
 	corpus("random text", "fuzz", 400, 0xF0CC, randomText, true)
 	corpus("mutated text", "main", 600, 0xBEEF, mutatedText, false)
+	copyLoopCorpus(t)
+}
+
+// copyText is a procedure "copy"(dst=r1, src=r2, len=r3) around the
+// word-copy loop: i = 0, the stride r6 = 8 unless it is left stale, the
+// loop, return. A flip of 0..511 flips that bit of the loop's eight words.
+func copyText(staleStride bool, flip int) *Text {
+	a := NewAsm()
+	a.Proc("copy")
+	a.MovI(4, 0)
+	if !staleStride {
+		a.MovI(6, 8)
+	}
+	loop := a.Here()
+	a.CopyLoop()
+	a.Ret()
+	text := a.MustAssemble()
+	if flip >= 0 {
+		text.FlipBit(loop+flip/64, uint(flip%64))
+	}
+	return text
+}
+
+// copyVM is a VM for copyText over eight frames: the stack in virtual page
+// 0; virtual pages 1, 2 on frames 1, 2 and 65, 66 on frames 3, 4 — 1 and
+// 65, 2 and 66 share a TLB slot — each pair followed by an unmapped page;
+// virtual pages 4, 5 on frames 5, 6; frame 6 a Rio-protected file-cache
+// frame. The bits of mode switch on EnforceProtection, MapAllThroughTLB
+// and CodePatching.
+func copyVM(text *Text, mode int) *VM {
+	const p = mem.PageSize
+	u := mmu.New(mem.New(8 * p))
+	for _, m := range [][2]int{{0, 0}, {1, 1}, {2, 2}, {65, 3}, {66, 4}, {4, 5}, {5, 6}} {
+		u.Map(uint64(m[0]), m[1], true)
+	}
+	for a := uint64(0); a < 8*p; a += 8 {
+		u.Mem.SetWord64(a, a*0x9e3779b97f4a7c15+1)
+	}
+	u.Mem.Frame(6).FileCache = true
+	u.SetFrameProtection(6, true)
+	u.EnforceProtection, u.MapAllThroughTLB, u.CodePatching = mode&1 != 0, mode&2 != 0, mode&4 != 0
+	v := New(text, u)
+	v.SetStack(p, p/2)
+	return v
+}
+
+// copyLoopCorpus holds the word-copy loop's native run to the reference:
+// every copy below under each protection mode, traced (which must switch
+// the native run off), and with the budget expiring at each of the eight
+// offsets of an early and of a late iteration; then with stale strides;
+// then with each bit of the loop flipped, which must switch it off too.
+func copyLoopCorpus(t *testing.T) {
+	const p = mem.PageSize
+	k := mmu.PhysToKSEG
+	copies := []struct {
+		name          string
+		dst, src, len uint64
+	}{
+		{"shared TLB slot, crossing pages", 65*p + 64, p + 64, p + 512},
+		{"shared TLB slot, other way", p + 64, 65*p + 128, p},
+		{"same page", p + 4096, p, 2048},
+		{"same page, other way", p, p + 4096, 2048},
+		{"KSEG to virtual", 2*p + 8, k(5*p + 64), 3000},
+		{"virtual to KSEG", k(7 * p), p + 512, p},
+		{"load trap, unmapped page", k(7 * p), 3*p - 256, 600},
+		{"store trap, unmapped page", 67*p - 128, p, 512},
+		{"store trap, protected frame through KSEG", k(6*p - 64), p, 512},
+		{"store trap, protected frame", 5*p - 64, p, 512},
+		{"overlap, dst = src+8", p + 8, p, 4096},
+		{"overlap, dst = src-8", k(7 * p), k(7*p + 8), 4096},
+		{"misaligned", p + 4, 2 * p, 64},
+		{"shorter than a word", p, 2 * p, 7},
+		{"negative length", p, 2 * p, 1<<63 + 64},
+	}
+	exec := func(what string, text *Text, mode int, dress func(Twin), i int) {
+		c := copies[i%len(copies)]
+		tw := Twin{Fast: copyVM(text.Clone(), mode), Ref: copyVM(text.Clone(), mode)}
+		dress(tw)
+		for run := 0; run < 2; run++ { // the second on stale registers and a warm TLB
+			if err := tw.Exec("copy", c.dst, c.src, c.len); err != nil {
+				t.Fatalf("copy loop, %s, %s, mode %d, run %d: %v", c.name, what, mode, run, err)
+			}
+		}
+	}
+	budget := func(b uint64) func(Twin) {
+		return func(tw Twin) { tw.Fast.Budget, tw.Ref.Budget = b, b }
+	}
+	for i := range copies {
+		for mode := 0; mode < 8; mode++ {
+			exec("default budget", copyText(false, -1), mode, budget(0), i)
+			exec("traced", copyText(false, -1), mode, func(tw Twin) {
+				tw.Fast.Trace, tw.Ref.Trace = NewTracer(16), NewTracer(16)
+			}, i)
+			for _, iter := range []uint64{2, 40} {
+				for off := uint64(0); off < 8; off++ {
+					// Two prologue instructions, then iter whole iterations.
+					exec(fmt.Sprintf("budget ends at offset %d of iteration %d", off, iter),
+						copyText(false, -1), mode, budget(2+8*iter+off), i)
+				}
+			}
+		}
+	}
+	for s, stride := range []uint64{8, 0, 1, 7, 9, 16, 24, 1 << 12, ^uint64(7), 1 << 63, 1<<63 - 1} {
+		for i := range copies {
+			exec(fmt.Sprintf("stride r6 = %#x", stride), copyText(true, -1), 3,
+				func(tw Twin) { tw.Fast.Reg[6], tw.Ref.Reg[6] = stride, stride }, i+s)
+		}
+	}
+	for flip := 0; flip < 64*len(copyLoop); flip++ {
+		exec(fmt.Sprintf("bit %d of loop word %d flipped", flip%64, flip/64), copyText(false, flip), flip%8,
+			func(tw Twin) { tw.dress(uint64(flip)|uint64(flip)<<8, "copy") }, flip)
+	}
 }
 
 // TestDecodeFieldsMatchesLayout checks the loop's field extraction, for

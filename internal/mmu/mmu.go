@@ -20,6 +20,7 @@
 package mmu
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"rio/internal/mem"
@@ -339,6 +340,92 @@ func (u *MMU) Load64Pair(addr uint64) (lo, hi uint64, trap *Trap) {
 		u.Stats.TLBHits++
 	}
 	return u.Mem.Word64(phys), u.Mem.Word64(phys + 8), nil
+}
+
+// CopyWords copies k words forward, word i from src+8i to dst+8i. It is k
+// × (Load64(src+8i); Store64(dst+8i)) in every observable respect — words,
+// traps, Stats, TLB — and returns the number of words stored, the last
+// word loaded, and the trap that stopped it (Write tells a store trap,
+// after word n was loaded, from a load trap, before it was).
+//
+// The first word of a run goes through Load64 and Store64. The rest of the
+// run, while both addresses stay in the pages that word translated, would
+// repeat those two translations exactly — same PTEs, same protection, no
+// trap — so it is booked rather than performed: a TLB hit per access, or a
+// miss per access when the two virtual pages share a TLB slot and evict
+// each other (each refill writes back the entry it displaced). The words
+// still move one at a time, so overlapping ranges copy as the loop does.
+func (u *MMU) CopyWords(dst, src uint64, k int) (n int, last uint64, trap *Trap) {
+	for n < k {
+		s, d := src+8*uint64(n), dst+8*uint64(n)
+		w, trap := u.Load64(s)
+		if trap != nil {
+			return n, last, trap
+		}
+		last = w
+		ps := u.resident(s) // before the store can evict s's TLB entry
+		if trap := u.Store64(d, w); trap != nil {
+			return n, last, trap
+		}
+		pd := u.resident(d)
+		n++
+		run := min(k-n, wordsLeft(s), wordsLeft(d))
+		if run == 0 {
+			continue
+		}
+		from := u.Mem.Slice(ps+8, 8*run)
+		to := u.Mem.Slice(pd+8, 8*run)
+		for i := 0; i < 8*run; i += 8 {
+			last = binary.LittleEndian.Uint64(from[i:])
+			binary.LittleEndian.PutUint64(to[i:], last)
+		}
+		u.bookRun(s, d, uint64(run))
+		n += run
+	}
+	return n, last, nil
+}
+
+// wordsLeft is the number of aligned words after addr in addr's page.
+func wordsLeft(addr uint64) int {
+	return int(mem.PageSize-8-addr&(mem.PageSize-1)) / 8
+}
+
+// resident is the physical address of addr, whose page the last access
+// translated: a KSEG address, or a virtual one whose TLB entry that access
+// used or filled.
+func (u *MMU) resident(addr uint64) uint64 {
+	if IsKSEG(addr) {
+		return KSEGToPhys(addr)
+	}
+	vpage := addr >> mem.PageShift
+	return mem.FrameBase(u.tlb[vpage%tlbEntries].frame) + addr&(mem.PageSize-1)
+}
+
+// bookRun charges the Stats of n more load/store pairs in the pages of s
+// and d, as Load64 and Store64 would.
+func (u *MMU) bookRun(s, d, n uint64) {
+	st := &u.Stats
+	vs, vd := s>>mem.PageShift, d>>mem.PageShift
+	thrash := !IsKSEG(s) && !IsKSEG(d) && vs != vd && vs%tlbEntries == vd%tlbEntries
+	lookup := &st.TLBHits
+	if thrash {
+		lookup = &st.TLBMisses
+	}
+	if IsKSEG(s) {
+		st.KSEGLoads += n
+	} else {
+		st.VirtLoads += n
+		*lookup += n
+	}
+	if u.CodePatching {
+		st.ProtChecks += n
+	}
+	if IsKSEG(d) {
+		st.KSEGStores += n
+	} else {
+		st.VirtStores += n
+		*lookup += n
+	}
 }
 
 // Store64 writes a little-endian 64-bit word, aligned.

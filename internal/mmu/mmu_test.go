@@ -2,6 +2,7 @@ package mmu
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -333,6 +334,100 @@ func TestLoad64PairIsTwoLoads(t *testing.T) {
 		}
 		if pair.Stats != twice.Stats {
 			t.Fatalf("%#x: stats %+v, two loads %+v", a, pair.Stats, twice.Stats)
+		}
+	}
+}
+
+// copyWordsRef is CopyWords' definition: the per-word loop.
+func copyWordsRef(u *MMU, dst, src uint64, k int) (n int, last uint64, trap *Trap) {
+	for ; n < k; n++ {
+		w, trap := u.Load64(src + 8*uint64(n))
+		if trap != nil {
+			return n, last, trap
+		}
+		last = w
+		if trap := u.Store64(dst+8*uint64(n), w); trap != nil {
+			return n, last, trap
+		}
+	}
+	return n, last, nil
+}
+
+// TestCopyWordsIsWordLoop holds CopyWords to its definition on twin MMUs
+// over random layouts — virtual pages that share a TLB slot, unmapped and
+// read-only pages, Rio-protected frames under each protection mode — and
+// random copies between virtual and KSEG addresses: overlapping, crossing
+// pages, misaligned, off the end of memory and of the address space. After
+// every call both must agree on the words done, the trap and its side, the
+// last word, and the whole MMU.
+func TestCopyWordsIsWordLoop(t *testing.T) {
+	const frames, p = 8, mem.PageSize
+	seed := uint64(0xC0B1)
+	rnd := func(n uint64) uint64 {
+		seed = seed*6364136223846793005 + 1442695040888963407
+		return (seed >> 17) % n
+	}
+	vpages := []uint64{1, 2, 3, 65, 66, 129, 4} // 1, 65, 129 share a TLB slot; so do 2, 66
+	for layout := 0; layout < 300; layout++ {
+		mk := func(s uint64) *MMU {
+			saved := seed
+			seed = s
+			u := newMMU(frames)
+			u.EnforceProtection, u.MapAllThroughTLB, u.CodePatching = rnd(2) == 0, rnd(2) == 0, rnd(3) == 0
+			for _, vp := range vpages {
+				if rnd(5) != 0 {
+					u.Map(vp, int(rnd(frames)), rnd(6) != 0)
+				}
+			}
+			for f := 0; f < frames; f++ {
+				if rnd(3) == 0 {
+					u.SetFrameProtection(f, true)
+				}
+			}
+			for a := uint64(0); a < frames*p; a += 8 {
+				u.Mem.SetWord64(a, a*0x9e3779b97f4a7c15+s)
+			}
+			seed = saved
+			return u
+		}
+		s := rnd(1 << 40)
+		bulk, ref := mk(s), mk(s)
+		addr := func() uint64 {
+			off := 8 * rnd(p/8)
+			if rnd(3) == 0 {
+				off = p - 8*rnd(40) // near the end of a page
+			}
+			if rnd(25) == 0 {
+				off += 1 + rnd(7) // misaligned
+			}
+			switch rnd(8) {
+			case 0, 1, 2:
+				return PhysToKSEG(rnd(frames)*p + off)
+			case 3:
+				return ^uint64(0) - 8*rnd(16) - 7 // wraps to virtual page 0
+			default:
+				return vpages[rnd(uint64(len(vpages)))]*p + off
+			}
+		}
+		for call := 0; call < 20; call++ {
+			src, dst := addr(), addr()
+			switch rnd(6) {
+			case 0:
+				dst = src + 8
+			case 1:
+				dst = src - 8
+			}
+			k := int(rnd(3 * p / 8))
+			n, last, trap := bulk.CopyWords(dst, src, k)
+			wn, wlast, wtrap := copyWordsRef(ref, dst, src, k)
+			if n != wn || last != wlast || (trap == nil) != (wtrap == nil) || trap != nil && *trap != *wtrap {
+				t.Fatalf("layout %d call %d: CopyWords(%#x, %#x, %d) = %d, %#x, %v; word loop %d, %#x, %v",
+					layout, call, dst, src, k, n, last, trap, wn, wlast, wtrap)
+			}
+			if !reflect.DeepEqual(bulk, ref) {
+				t.Fatalf("layout %d call %d: CopyWords(%#x, %#x, %d): MMU differs from the word loop's (stats %+v, %+v)",
+					layout, call, dst, src, k, bulk.Stats, ref.Stats)
+			}
 		}
 	}
 }
