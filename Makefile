@@ -22,7 +22,7 @@ test:
 
 # The race gate: the one list of packages that run under the detector
 # (scripts/check.sh calls this target). crashtest's scheduler fans the
-# real mini-campaigns across goroutines and is the slow one (~4 min);
+# real mini-campaigns across goroutines and is the slow one (~3 min);
 # scenario runs its three kinds on it — the crash kind as a crashtest
 # campaign, the fleet crash run among the others;
 # warmreboot, disk, ioretry, machine and kvm are what a campaign worker
@@ -60,7 +60,7 @@ crash-recovery:
 	@echo "crash-recovery: output matches golden"
 
 # Table 1, full size: 50 crashing runs per (fault type, system) cell,
-# 39 cells, seed 1996 (≈ 4 min on one core). The double-fault table is
+# 39 cells, seed 1996 (≈ 2½ min on one core). The double-fault table is
 # the same campaign with storage faults and second crashes:
 # `go run ./cmd/rioscn scenarios/full/table1-diskfaults.json`.
 crash-table1:

@@ -363,8 +363,11 @@ func (k *Kernel) NewLockID() LockID {
 // equivalents.
 func (k *Kernel) Steps() uint64 { return k.VM.Steps + k.SyntheticSteps }
 
-// stepsForCopy is the instruction-equivalent of copying n bytes with the
-// interpreted bcopy (word loop + tail), used by fast-path accounting.
+// stepsForCopy is the fast path's charge for copying n bytes. It is not
+// what the interpreted bcopy retires: that is 8 steps per word and per
+// tail byte, not 7, so an 8 KB copy retires 8 204 steps against 7 182
+// charged. Correcting it moves simulated time and every golden with it
+// (ROADMAP item 3 lists it with the other fast-path charges).
 func stepsForCopy(n int) uint64 {
 	return 14 + 7*uint64(n/8) + 7*uint64(n%8)
 }

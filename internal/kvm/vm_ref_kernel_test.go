@@ -41,8 +41,8 @@ func faultedKernel(t *testing.T, ft fault.Type, seed uint64) (*machine.Machine, 
 		t.Fatal(err)
 	}
 	if seed%2 == 0 {
-		// Half the machines run with the file's frame open, so sanctioned
-		// and wild stores land; the other half trap on it.
+		// Machines of even seed run with the file's frame open, so
+		// sanctioned and wild stores land; the others trap on it.
 		m.MMU.SetFrameProtection(buf.Frame, false)
 	}
 	scratch := m.Kernel.Heap.AllocatedBlocks()[0][0] // the ballast procedures' block

@@ -370,9 +370,6 @@ func (u *MMU) CopyWords(dst, src uint64, k int) (n int, last uint64, trap *Trap)
 		pd := u.resident(d)
 		n++
 		run := min(k-n, wordsLeft(s), wordsLeft(d))
-		if run == 0 {
-			continue
-		}
 		from := u.Mem.Slice(ps+8, 8*run)
 		to := u.Mem.Slice(pd+8, 8*run)
 		for i := 0; i < 8*run; i += 8 {

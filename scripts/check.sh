@@ -20,7 +20,7 @@ go test ./...
 # The race detector over every package that runs real goroutines or owns
 # buffers they reuse — the list, and why each package is on it, is the
 # Makefile's `race` target. It re-runs the real mini-campaigns under
-# -race, so it is the slowest step (~4 min for crashtest alone).
+# -race, so it is the slowest step (~3 min for crashtest alone).
 make race
 # Double-fault campaign golden: a small fixed-seed Table 1 campaign with
 # storage faults and second crashes (the spec testdata/crash-recovery.json,
