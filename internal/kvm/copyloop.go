@@ -2,8 +2,8 @@ package kvm
 
 import "rio/internal/mmu"
 
-// copyLoop is the kernel's word-copy loop, bcopy's inner loop and nearly
-// all of the instructions a crash run interprets: while r3-r4 >= r6
+// copyLoop is the kernel's word-copy loop, bcopy's inner loop and three
+// quarters of the instructions a crash run interprets: while r3-r4 >= r6
 // (signed), copy the word at r2+r4 to r1+r4 and step r4 by 8; then go on
 // at the instruction after the loop. Its words are position-independent,
 // so one definition serves both sides: Asm.CopyLoop emits it and run

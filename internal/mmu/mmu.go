@@ -353,8 +353,9 @@ func (u *MMU) Load64Pair(addr uint64) (lo, hi uint64, trap *Trap) {
 // repeat those two translations exactly — same PTEs, same protection, no
 // trap — so it is booked rather than performed: a TLB hit per access, or a
 // miss per access when the two virtual pages share a TLB slot and evict
-// each other (each refill writes back the entry it displaced). The words
-// still move one at a time, so overlapping ranges copy as the loop does.
+// each other (each refill restores the entry the other access displaced,
+// so the TLB ends as the first word left it). The words still move one at
+// a time, so overlapping ranges copy as the loop does.
 func (u *MMU) CopyWords(dst, src uint64, k int) (n int, last uint64, trap *Trap) {
 	for n < k {
 		s, d := src+8*uint64(n), dst+8*uint64(n)
