@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"rio/internal/perf"
 )
 
 // TestCostLedger pins what an op costs in *simulated* terms: for each op
@@ -117,6 +119,45 @@ func TestCostLedger(t *testing.T) {
 		before.Syscalls, before.KernelSteps = 0, 0
 		record(fmt.Sprintf("warm-reboot-d%d", dirty), 1, ws.Elapsed(), before, ws.Stats())
 	}
+
+	// Table 2 at BenchmarkTable2Perf's reduced scale: one row per
+	// configuration, then the two overhead pairs. Only the simulated
+	// times are pinned; each workload runs on a fresh machine.
+	pin := func(name, cols string) {
+		got := fmt.Sprintf("%s: ops=1 %s", name, cols)
+		if testing.Verbose() {
+			fmt.Println(got)
+		}
+		if got != want[name] {
+			t.Errorf("simulated Table 2 time of %s moved:\n got  %s\n want %s", name, got, want[name])
+		}
+		delete(want, name)
+	}
+	cfg := perf.DefaultConfig()
+	cfg.CpRm.TreeBytes = 1 << 20
+	cfg.Sdet.OpsPerScript = 60
+	cfg.Andrew.TreeBytes = 200 << 10
+	rows, err := cfg.RunTable2()
+	check(err)
+	for _, r := range rows {
+		slug := strings.Trim(strings.Map(func(c rune) rune {
+			if c >= 'a' && c <= 'z' || c >= '0' && c <= '9' {
+				return c
+			}
+			return '-'
+		}, strings.ToLower(r.Spec.Label)), "-")
+		for strings.Contains(slug, "--") {
+			slug = strings.ReplaceAll(slug, "--", "-")
+		}
+		pin("table2-"+slug, fmt.Sprintf("cp_ns=%d rm_ns=%d sdet_ns=%d andrew_ns=%d",
+			r.CpRmCp, r.CpRmRm, r.Sdet, r.Andrew))
+	}
+	without, with, err := cfg.ProtectionOverhead()
+	check(err)
+	pin("table2-protection-overhead", fmt.Sprintf("without_ns=%d with_ns=%d", without, with))
+	tlb, patched, err := cfg.CodePatchingOverhead()
+	check(err)
+	pin("table2-code-patching", fmt.Sprintf("tlb_ns=%d patched_ns=%d", tlb, patched))
 
 	for name := range want {
 		t.Errorf("testdata/cost-ledger.golden has a row this test does not measure: %s", name)
