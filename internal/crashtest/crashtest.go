@@ -252,11 +252,8 @@ func setupStatic(m *machine.Machine) error {
 	}
 	for i := 0; i < nStatic; i++ {
 		for _, b := range []bool{false, true} {
-			f, err := m.FS.Create(staticPath(i, b))
-			if err != nil {
-				return err
-			}
-			if err := workload.WriteClose(m.FS, f, staticContent(i), 0, false); err != nil {
+			op := workload.Op{Kind: workload.OpCreate, Path: staticPath(i, b), Data: staticContent(i)}
+			if _, err := workload.Apply(m.FS, op); err != nil {
 				return err
 			}
 		}

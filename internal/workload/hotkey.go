@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -39,16 +40,10 @@ type HotKey struct {
 	ver   []uint64 // acked version per key; 0 = never written
 	steps int
 
-	inFlight *hkOp
+	inFlight Op
 
 	// ReadMismatches counts online read-side mismatches.
 	ReadMismatches int
-}
-
-// hkOp is the one in-flight update.
-type hkOp struct {
-	key int
-	ver uint64
 }
 
 const (
@@ -108,12 +103,7 @@ func (hk *HotKey) frame(k int, ver uint64) []byte {
 }
 
 // Setup creates /hot.
-func (hk *HotKey) Setup(fsys *fs.FS) error {
-	if err := fsys.Mkdir("/hot"); err != nil && err != fs.ErrExists {
-		return err
-	}
-	return nil
-}
+func (hk *HotKey) Setup(fsys *fs.FS) error { return mkdirs(fsys, "/hot") }
 
 // Step updates or reads one popularity-picked key.
 func (hk *HotKey) Step(fsys *fs.FS) error {
@@ -128,46 +118,36 @@ func (hk *HotKey) Step(fsys *fs.FS) error {
 // doUpdate rewrites key k at its next version.
 func (hk *HotKey) doUpdate(fsys *fs.FS, k int) error {
 	ver := hk.ver[k] + 1
-	hk.inFlight = &hkOp{key: k, ver: ver}
-	f, err := fsys.Open(hk.path(k))
-	if err == fs.ErrNotFound {
-		f, err = fsys.Create(hk.path(k))
-	}
-	if err != nil {
-		return err
-	}
-	if err := WriteClose(fsys, f, hk.frame(k, ver), 0, hk.WriteThrough); err != nil {
+	op := Op{Kind: OpPut, Path: hk.path(k), Data: hk.frame(k, ver), Sync: hk.WriteThrough}
+	if _, err := do(fsys, &hk.inFlight, op); err != nil {
 		return err
 	}
 	hk.ver[k] = ver
-	hk.inFlight = nil
 	return nil
 }
 
 // doRead reads key k and verifies it online against the acked version.
+// The read is the op in flight: it masks nothing, so a failed update's
+// record does not outlive it.
 func (hk *HotKey) doRead(fsys *fs.FS, k int) error {
-	hk.inFlight = nil
 	want := hk.frame(k, hk.ver[k])
-	got, err := readN(fsys, hk.path(k), len(want))
+	r, err := do(fsys, &hk.inFlight, Op{Kind: OpReadN, Path: hk.path(k), N: len(want)})
 	if err != nil {
 		return err
 	}
-	for j := range want {
-		if got[j] != want[j] {
-			hk.ReadMismatches++
-			break
-		}
+	if !bytes.Equal(r.Data, want) {
+		hk.ReadMismatches++
 	}
 	return nil
 }
 
 // Check implements Workload: every written key must decode at its
-// acked version (or the in-flight one), byte-exact.
+// acked version (or the in-flight one, one past it), byte-exact.
 func (hk *HotKey) Check(fsys *fs.FS) Verdict {
 	var v Verdict
 	fl := hk.inFlight
 	for k := 0; k < hk.Keys; k++ {
-		keyInFlight := fl != nil && fl.key == k
+		keyInFlight := fl.Kind == OpPut && fl.Path == hk.path(k)
 		if hk.ver[k] == 0 && !keyInFlight {
 			continue
 		}
@@ -187,7 +167,7 @@ func (hk *HotKey) Check(fsys *fs.FS) Verdict {
 			}
 		case ver == hk.ver[k]:
 			// acked state intact
-		case keyInFlight && ver == fl.ver:
+		case keyInFlight && ver == hk.ver[k]+1:
 			// in-flight update landed whole; fine
 		case ver < hk.ver[k]:
 			v.Lost++

@@ -44,34 +44,34 @@ func masks(t *testing.T, w Workload, m *machine.Machine, set func(bool)) {
 func TestMailSpoolInFlightMasking(t *testing.T) {
 	for _, c := range []struct {
 		name  string
-		crash func(t *testing.T, ms *MailSpool, m *machine.Machine) *spoolOp
+		crash func(t *testing.T, ms *MailSpool, m *machine.Machine) Op
 	}{
-		{"create", func(t *testing.T, ms *MailSpool, m *machine.Machine) *spoolOp {
+		{"create", func(t *testing.T, ms *MailSpool, m *machine.Machine) Op {
 			id := ms.next
 			overwrite(t, m, ms.tmpPath(id), ms.frame(id)[:40], 0)
-			return &spoolOp{id: id, phase: spWrite}
+			return Op{Kind: OpCreate, Path: ms.tmpPath(id), Data: ms.frame(id)}
 		}},
-		{"rename", func(t *testing.T, ms *MailSpool, m *machine.Machine) *spoolOp {
+		{"rename", func(t *testing.T, ms *MailSpool, m *machine.Machine) Op {
 			id := ms.next
 			overwrite(t, m, ms.tmpPath(id), ms.frame(id), 0)
 			overwrite(t, m, ms.newPath(id), ms.frame(id), 0)
-			return &spoolOp{id: id, phase: spRename}
+			return Op{Kind: OpRename, Path: ms.tmpPath(id), Path2: ms.newPath(id)}
 		}},
 		// The consume's read shares its unlink's mask: the message may
 		// be present or gone.
-		{"read", func(t *testing.T, ms *MailSpool, m *machine.Machine) *spoolOp {
+		{"read", func(t *testing.T, ms *MailSpool, m *machine.Machine) Op {
 			id := ms.live[0]
 			if err := m.FS.Unlink(ms.newPath(id)); err != nil {
 				t.Fatal(err)
 			}
-			return &spoolOp{id: id, phase: spUnlink}
+			return Op{Kind: OpReadN, Path: ms.newPath(id), N: len(ms.frame(id))}
 		}},
-		{"unlink", func(t *testing.T, ms *MailSpool, m *machine.Machine) *spoolOp {
+		{"unlink", func(t *testing.T, ms *MailSpool, m *machine.Machine) Op {
 			id := ms.live[len(ms.live)-1]
 			if err := m.FS.Unlink(ms.newPath(id)); err != nil {
 				t.Fatal(err)
 			}
-			return &spoolOp{id: id, phase: spUnlink}
+			return Op{Kind: OpUnlink, Path: ms.newPath(id)}
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -79,7 +79,7 @@ func TestMailSpoolInFlightMasking(t *testing.T) {
 			m := runClean(t, ms, 300)
 			fl := c.crash(t, ms, m)
 			masks(t, ms, m, func(on bool) {
-				ms.inFlight = nil
+				ms.inFlight = Op{}
 				if on {
 					ms.inFlight = fl
 				}
@@ -109,9 +109,9 @@ func TestHotKeyInFlightMasking(t *testing.T) {
 			}
 			c.crash(t, hk, m, k)
 			masks(t, hk, m, func(on bool) {
-				hk.inFlight = nil
+				hk.inFlight = Op{}
 				if on {
-					hk.inFlight = &hkOp{key: k, ver: hk.ver[k] + 1}
+					hk.inFlight = Op{Kind: OpPut, Path: hk.path(k), Data: hk.frame(k, hk.ver[k]+1)}
 				}
 			})
 		})
@@ -121,21 +121,21 @@ func TestHotKeyInFlightMasking(t *testing.T) {
 func TestMetaCacheInFlightMasking(t *testing.T) {
 	for _, c := range []struct {
 		name  string
-		crash func(t *testing.T, mc *MetaCache, m *machine.Machine, i int) *mcOp
+		crash func(t *testing.T, mc *MetaCache, m *machine.Machine, i int) Op
 	}{
-		{"source-put", func(t *testing.T, mc *MetaCache, m *machine.Machine, i int) *mcOp {
-			ver := mc.srcVer[i] + 1
-			overwrite(t, m, mc.srcPath(i), mc.srcFrame(i, ver)[:mcSrcHeader+8], 0)
-			return &mcOp{file: i, ver: ver, phase: mcSrc}
+		{"source-put", func(t *testing.T, mc *MetaCache, m *machine.Machine, i int) Op {
+			img := mc.srcFrame(i, mc.srcVer[i]+1)
+			overwrite(t, m, mc.srcPath(i), img[:mcSrcHeader+8], 0)
+			return Op{Kind: OpPut, Path: mc.srcPath(i), Data: img}
 		}},
-		{"cache-put", func(t *testing.T, mc *MetaCache, m *machine.Machine, i int) *mcOp {
+		{"cache-put", func(t *testing.T, mc *MetaCache, m *machine.Machine, i int) Op {
 			overwrite(t, m, mc.cachePath(i), mc.entryFrame(i, mc.srcVer[i]+1)[:mcEntryLen/2], 0)
-			return &mcOp{file: i, ver: mc.srcVer[i], phase: mcCache}
+			return Op{Kind: OpPut, Path: mc.cachePath(i), Data: mc.entryFrame(i, mc.srcVer[i])}
 		}},
 		// An unlink caught part way may leave the entry's blocks zeroed.
-		{"evict", func(t *testing.T, mc *MetaCache, m *machine.Machine, i int) *mcOp {
+		{"evict", func(t *testing.T, mc *MetaCache, m *machine.Machine, i int) Op {
 			overwrite(t, m, mc.cachePath(i), make([]byte, mcEntryLen), 0)
-			return &mcOp{file: i, ver: uint64(mc.cacheVer[i]), phase: mcCache}
+			return Op{Kind: OpUnlink, Path: mc.cachePath(i)}
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -147,7 +147,7 @@ func TestMetaCacheInFlightMasking(t *testing.T) {
 			}
 			fl := c.crash(t, mc, m, i)
 			masks(t, mc, m, func(on bool) {
-				mc.inFlight = nil
+				mc.inFlight = Op{}
 				if on {
 					mc.inFlight = fl
 				}
@@ -159,25 +159,27 @@ func TestMetaCacheInFlightMasking(t *testing.T) {
 func TestScanInFlightMasking(t *testing.T) {
 	for _, c := range []struct {
 		name  string
-		crash func(t *testing.T, sc *Scan, m *machine.Machine, seg int) *scanOp
+		crash func(t *testing.T, sc *Scan, m *machine.Machine, seg int) Op
 	}{
-		{"append", func(t *testing.T, sc *Scan, m *machine.Machine, seg int) *scanOp {
-			b := sc.batches[seg]
-			overwrite(t, m, sc.path(seg), sc.batchFrame(seg, sc.gen[seg], b)[:40], int64(scanHeader+b*sc.blen(seg)))
-			return &scanOp{seg: seg, phase: scAppend}
+		{"append", func(t *testing.T, sc *Scan, m *machine.Machine, seg int) Op {
+			op := Op{Kind: OpWrite, Path: sc.path(seg), Off: int64(scanHeader + sc.batches[seg]*sc.blen(seg)),
+				Data: sc.batchFrame(seg, sc.gen[seg], sc.batches[seg])}
+			overwrite(t, m, op.Path, op.Data[:40], op.Off)
+			return op
 		}},
-		{"compact-unlink", func(t *testing.T, sc *Scan, m *machine.Machine, seg int) *scanOp {
+		{"compact-unlink", func(t *testing.T, sc *Scan, m *machine.Machine, seg int) Op {
 			if err := m.FS.Unlink(sc.path(seg)); err != nil {
 				t.Fatal(err)
 			}
-			return &scanOp{seg: seg, phase: scCompact}
+			return Op{Kind: OpUnlink, Path: sc.path(seg)}
 		}},
-		{"compact-create", func(t *testing.T, sc *Scan, m *machine.Machine, seg int) *scanOp {
+		{"compact-create", func(t *testing.T, sc *Scan, m *machine.Machine, seg int) Op {
 			if err := m.FS.Unlink(sc.path(seg)); err != nil {
 				t.Fatal(err)
 			}
-			overwrite(t, m, sc.path(seg), sc.headerFrame(seg, sc.gen[seg]+1), 0)
-			return &scanOp{seg: seg, phase: scCompact}
+			op := Op{Kind: OpCreate, Path: sc.path(seg), Data: sc.headerFrame(seg, sc.gen[seg]+1)}
+			overwrite(t, m, op.Path, op.Data, 0)
+			return op
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -185,7 +187,7 @@ func TestScanInFlightMasking(t *testing.T) {
 			m := runClean(t, sc, 200)
 			fl := c.crash(t, sc, m, 1)
 			masks(t, sc, m, func(on bool) {
-				sc.inFlight = nil
+				sc.inFlight = Op{}
 				if on {
 					sc.inFlight = fl
 				}

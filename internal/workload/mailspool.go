@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -41,23 +42,11 @@ type MailSpool struct {
 	dead  []uint64 // consumed ids (bounded; for resurrection checks)
 	steps int
 
-	inFlight *spoolOp
+	inFlight Op
 
 	// ReadMismatches counts online consume-side payload mismatches.
 	ReadMismatches int
 }
-
-// spoolOp is the one in-flight spool operation.
-type spoolOp struct {
-	id    uint64
-	phase int // spWrite, spRename, spUnlink
-}
-
-const (
-	spWrite = iota
-	spRename
-	spUnlink
-)
 
 const (
 	spoolMagic  = 0x52696f53706f6f6c // "RioSpool"
@@ -102,12 +91,7 @@ func (ms *MailSpool) frame(id uint64) []byte {
 
 // Setup creates the spool directories.
 func (ms *MailSpool) Setup(fsys *fs.FS) error {
-	for _, d := range []string{"/spool", "/spool/tmp", "/spool/new"} {
-		if err := fsys.Mkdir(d); err != nil && err != fs.ErrExists {
-			return err
-		}
-	}
-	return nil
+	return mkdirs(fsys, "/spool", "/spool/tmp", "/spool/new")
 }
 
 // Step delivers, consumes, or rescans.
@@ -127,21 +111,15 @@ func (ms *MailSpool) Step(fsys *fs.FS) error {
 // delivery is acked only after the rename returns.
 func (ms *MailSpool) doDeliver(fsys *fs.FS) error {
 	id := ms.next
-	ms.inFlight = &spoolOp{id: id, phase: spWrite}
-	f, err := fsys.Create(ms.tmpPath(id))
-	if err != nil {
+	op := Op{Kind: OpCreate, Path: ms.tmpPath(id), Data: ms.frame(id), Sync: ms.WriteThrough}
+	if _, err := do(fsys, &ms.inFlight, op); err != nil {
 		return err
 	}
-	if err := WriteClose(fsys, f, ms.frame(id), 0, ms.WriteThrough); err != nil {
-		return err
-	}
-	ms.inFlight.phase = spRename
-	if err := fsys.Rename(ms.tmpPath(id), ms.newPath(id)); err != nil {
+	if _, err := do(fsys, &ms.inFlight, Op{Kind: OpRename, Path: op.Path, Path2: ms.newPath(id)}); err != nil {
 		return err
 	}
 	ms.next = id + 1
 	ms.live = append(ms.live, id)
-	ms.inFlight = nil
 	return nil
 }
 
@@ -153,19 +131,15 @@ func (ms *MailSpool) doConsume(fsys *fs.FS) error {
 	}
 	i := ms.rng.Intn(len(ms.live))
 	id := ms.live[i]
-	ms.inFlight = &spoolOp{id: id, phase: spUnlink}
 	want := ms.frame(id)
-	got, err := readN(fsys, ms.newPath(id), len(want))
+	r, err := do(fsys, &ms.inFlight, Op{Kind: OpReadN, Path: ms.newPath(id), N: len(want)})
 	if err != nil {
 		return err
 	}
-	for j := range want {
-		if got[j] != want[j] {
-			ms.ReadMismatches++
-			break
-		}
+	if !bytes.Equal(r.Data, want) {
+		ms.ReadMismatches++
 	}
-	if err := fsys.Unlink(ms.newPath(id)); err != nil {
+	if _, err := do(fsys, &ms.inFlight, Op{Kind: OpUnlink, Path: ms.newPath(id)}); err != nil {
 		return err
 	}
 	ms.live = append(ms.live[:i], ms.live[i+1:]...)
@@ -173,18 +147,17 @@ func (ms *MailSpool) doConsume(fsys *fs.FS) error {
 	if len(ms.dead) > spoolDead {
 		ms.dead = ms.dead[len(ms.dead)-spoolDead:]
 	}
-	ms.inFlight = nil
 	return nil
 }
 
 // doRescan lists new/ and checks the live count online, the periodic
 // queue scan every spool daemon runs.
 func (ms *MailSpool) doRescan(fsys *fs.FS) error {
-	ents, err := fsys.ReadDir("/spool/new")
+	r, err := Apply(fsys, Op{Kind: OpReadDir, Path: "/spool/new"})
 	if err != nil {
 		return err
 	}
-	if len(ents) != len(ms.live) {
+	if len(r.Ents) != len(ms.live) {
 		ms.ReadMismatches++
 	}
 	return nil
@@ -193,7 +166,10 @@ func (ms *MailSpool) doRescan(fsys *fs.FS) error {
 // Check implements Workload.
 func (ms *MailSpool) Check(fsys *fs.FS) Verdict {
 	v := Verdict{Checked: len(ms.live)}
+	// A delivery in flight works on its tmp/ path, a consume (read or
+	// unlink) on its new/ path.
 	fl := ms.inFlight
+	touches := func(id uint64) bool { return fl.Path == ms.tmpPath(id) || fl.Path == ms.newPath(id) }
 
 	// Index what is actually on disk (sorted; ReadDir order is not part
 	// of the oracle).
@@ -203,7 +179,7 @@ func (ms *MailSpool) Check(fsys *fs.FS) Verdict {
 	// Every acked-delivered, unconsumed message must be in new/ and
 	// byte-exact.
 	for _, id := range ms.live {
-		if fl != nil && fl.id == id && fl.phase == spUnlink {
+		if fl.Path == ms.newPath(id) {
 			continue // consume in flight: present or gone, both fine
 		}
 		if !inNew[id] {
@@ -220,7 +196,7 @@ func (ms *MailSpool) Check(fsys *fs.FS) Verdict {
 	// tmp/ must hold at most the one in-flight delivery; a message in
 	// both tmp/ and new/ is a torn rename.
 	for _, id := range sortedIDs(inTmp) {
-		inFlightHere := fl != nil && fl.id == id && (fl.phase == spWrite || fl.phase == spRename)
+		inFlightHere := fl.Path == ms.tmpPath(id)
 		if inNew[id] && !inFlightHere {
 			v.Torn++
 			v.Corruptions = append(v.Corruptions, Corruption{ms.tmpPath(id),
@@ -235,7 +211,7 @@ func (ms *MailSpool) Check(fsys *fs.FS) Verdict {
 
 	// Consumed messages must stay consumed.
 	for _, id := range ms.dead {
-		if fl != nil && fl.id == id {
+		if touches(id) {
 			continue
 		}
 		if inNew[id] {
@@ -259,7 +235,7 @@ func (ms *MailSpool) Check(fsys *fs.FS) Verdict {
 		if liveSet[id] || deadSet[id] {
 			continue // dead handled above
 		}
-		if fl != nil && fl.id == id {
+		if touches(id) {
 			continue // delivery in flight: landing early is fine
 		}
 		v.Corruptions = append(v.Corruptions, Corruption{ms.newPath(id),

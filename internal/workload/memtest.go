@@ -13,55 +13,6 @@ import (
 	"rio/internal/sim"
 )
 
-// OpKind labels memTest operations.
-type OpKind int
-
-const (
-	OpCreate OpKind = iota
-	OpAppend
-	OpOverwrite
-	OpRead
-	OpDelete
-	OpMkdir
-	OpStat
-	OpSymlink
-)
-
-func (k OpKind) String() string {
-	switch k {
-	case OpCreate:
-		return "create"
-	case OpAppend:
-		return "append"
-	case OpOverwrite:
-		return "overwrite"
-	case OpRead:
-		return "read"
-	case OpDelete:
-		return "delete"
-	case OpMkdir:
-		return "mkdir"
-	case OpStat:
-		return "stat"
-	case OpSymlink:
-		return "symlink"
-	default:
-		return "?"
-	}
-}
-
-// OpRecord describes one memTest operation; the record of the op in flight
-// when a crash hits tells Check which byte range is indeterminate.
-type OpRecord struct {
-	Kind OpKind
-	Path string
-	Off  int64
-	Len  int64
-	// PrevSize is the file size before an append/overwrite (the verifier
-	// accepts any size between PrevSize and the post-op size).
-	PrevSize int64
-}
-
 // Corruption describes one verified mismatch between the oracle and the
 // recovered file system.
 type Corruption struct {
@@ -91,9 +42,9 @@ type MemTest struct {
 	steps     int
 	total     int
 
-	// InFlight is the op that was executing when the last Step returned
-	// an error (nil after every successful Step).
-	InFlight *OpRecord
+	// inFlight is the op that was executing when the last Step returned
+	// an error (the zero Op after every successful Step).
+	inFlight Op
 
 	// ReadMismatches counts online read verification failures (data
 	// returned to the "application" that disagreed with the oracle).
@@ -143,7 +94,7 @@ func (mt *MemTest) removeName(p string) {
 }
 
 // Step executes the next operation against fsys. On a crash the error is
-// returned and InFlight records the interrupted op.
+// returned and inFlight records the interrupted op.
 func (mt *MemTest) Step(fsys *fs.FS) error {
 	mt.steps++
 	r := mt.rng.Float64()
@@ -179,20 +130,13 @@ func (mt *MemTest) doCreate(fsys *fs.FS) error {
 		return mt.doDelete(fsys)
 	}
 	name := fmt.Sprintf("%s/mt%06d", mt.dirPath(), mt.steps)
-	size := mt.pickSize()
-	data := mt.content(size)
-	mt.InFlight = &OpRecord{Kind: OpCreate, Path: name, Len: int64(size)}
-	f, err := fsys.Create(name)
-	if err != nil {
-		return err
-	}
-	if err := WriteClose(fsys, f, data, 0, mt.WriteThrough); err != nil {
+	data := mt.content(mt.pickSize())
+	if _, err := do(fsys, &mt.inFlight, Op{Kind: OpCreate, Path: name, Data: data, Sync: mt.WriteThrough}); err != nil {
 		return err
 	}
 	mt.oracle[name] = data
 	mt.addName(name)
-	mt.total += size
-	mt.InFlight = nil
+	mt.total += len(data)
 	return nil
 }
 
@@ -214,21 +158,7 @@ func (mt *MemTest) doAppend(fsys *fs.FS) error {
 	if path == "" {
 		return mt.doCreate(fsys)
 	}
-	old := mt.oracle[path]
-	data := mt.content(mt.pickSize())
-	mt.InFlight = &OpRecord{Kind: OpAppend, Path: path,
-		Off: int64(len(old)), Len: int64(len(data)), PrevSize: int64(len(old))}
-	f, err := fsys.Open(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteClose(fsys, f, data, int64(len(old)), mt.WriteThrough); err != nil {
-		return err
-	}
-	mt.oracle[path] = append(append([]byte{}, old...), data...)
-	mt.total += len(data)
-	mt.InFlight = nil
-	return nil
+	return mt.write(fsys, path, len(mt.oracle[path]), mt.content(mt.pickSize()))
 }
 
 func (mt *MemTest) doOverwrite(fsys *fs.FS) error {
@@ -240,22 +170,22 @@ func (mt *MemTest) doOverwrite(fsys *fs.FS) error {
 	if len(old) == 0 {
 		return mt.doAppend(fsys)
 	}
-	off := int64(mt.rng.Intn(len(old)))
-	n := mt.rng.Range(1, len(old)-int(off))
-	data := mt.content(n)
-	mt.InFlight = &OpRecord{Kind: OpOverwrite, Path: path,
-		Off: off, Len: int64(n), PrevSize: int64(len(old))}
-	f, err := fsys.Open(path)
-	if err != nil {
+	off := mt.rng.Intn(len(old))
+	return mt.write(fsys, path, off, mt.content(mt.rng.Range(1, len(old)-off)))
+}
+
+// write writes data at off of path and folds it into the oracle.
+func (mt *MemTest) write(fsys *fs.FS, path string, off int, data []byte) error {
+	op := Op{Kind: OpWrite, Path: path, Off: int64(off), Data: data, Sync: mt.WriteThrough}
+	if _, err := do(fsys, &mt.inFlight, op); err != nil {
 		return err
 	}
-	if err := WriteClose(fsys, f, data, off, mt.WriteThrough); err != nil {
-		return err
-	}
-	fresh := append([]byte{}, old...)
+	old := mt.oracle[path]
+	fresh := make([]byte, max(len(old), off+len(data)))
+	copy(fresh, old)
 	copy(fresh[off:], data)
+	mt.total += len(fresh) - len(old)
 	mt.oracle[path] = fresh
-	mt.InFlight = nil
 	return nil
 }
 
@@ -265,15 +195,13 @@ func (mt *MemTest) doRead(fsys *fs.FS) error {
 		return mt.doCreate(fsys)
 	}
 	want := mt.oracle[path]
-	mt.InFlight = &OpRecord{Kind: OpRead, Path: path}
-	buf, err := readN(fsys, path, len(want))
+	r, err := do(fsys, &mt.inFlight, Op{Kind: OpReadN, Path: path, N: len(want)})
 	if err != nil {
 		return err
 	}
-	if !bytes.Equal(buf, want) {
+	if !bytes.Equal(r.Data, want) {
 		mt.ReadMismatches++
 	}
-	mt.InFlight = nil
 	return nil
 }
 
@@ -282,14 +210,12 @@ func (mt *MemTest) doDelete(fsys *fs.FS) error {
 	if path == "" {
 		return mt.doCreate(fsys)
 	}
-	mt.InFlight = &OpRecord{Kind: OpDelete, Path: path}
-	if err := fsys.Unlink(path); err != nil {
+	if _, err := do(fsys, &mt.inFlight, Op{Kind: OpUnlink, Path: path}); err != nil {
 		return err
 	}
 	mt.total -= len(mt.oracle[path])
 	delete(mt.oracle, path)
 	mt.removeName(path)
-	mt.InFlight = nil
 	return nil
 }
 
@@ -298,12 +224,10 @@ func (mt *MemTest) doMkdir(fsys *fs.FS) error {
 		return mt.doStat(fsys)
 	}
 	name := fmt.Sprintf("%s/d%03d", mt.dirPath(), len(mt.dirs))
-	mt.InFlight = &OpRecord{Kind: OpMkdir, Path: name}
-	if err := fsys.Mkdir(name); err != nil {
+	if _, err := do(fsys, &mt.inFlight, Op{Kind: OpMkdir, Path: name}); err != nil {
 		return err
 	}
 	mt.dirs = append(mt.dirs, name)
-	mt.InFlight = nil
 	return nil
 }
 
@@ -313,8 +237,7 @@ func (mt *MemTest) doMkdir(fsys *fs.FS) error {
 func (mt *MemTest) doSymlink(fsys *fs.FS) error {
 	if len(mt.linkNames) > 12 {
 		link := mt.linkNames[mt.rng.Intn(len(mt.linkNames))]
-		mt.InFlight = &OpRecord{Kind: OpDelete, Path: link}
-		if err := fsys.Unlink(link); err != nil {
+		if _, err := do(fsys, &mt.inFlight, Op{Kind: OpUnlink, Path: link}); err != nil {
 			return err
 		}
 		delete(mt.links, link)
@@ -325,7 +248,6 @@ func (mt *MemTest) doSymlink(fsys *fs.FS) error {
 				break
 			}
 		}
-		mt.InFlight = nil
 		return nil
 	}
 	target := mt.pickFile()
@@ -333,20 +255,18 @@ func (mt *MemTest) doSymlink(fsys *fs.FS) error {
 		return mt.doCreate(fsys)
 	}
 	name := fmt.Sprintf("%s/mtln%06d", mt.dirPath(), mt.steps)
-	mt.InFlight = &OpRecord{Kind: OpSymlink, Path: name}
-	if err := fsys.Symlink(target, name); err != nil {
+	if _, err := do(fsys, &mt.inFlight, Op{Kind: OpSymlink, Path: name, Path2: target}); err != nil {
 		return err
 	}
 	mt.links[name] = target
 	mt.linkNames = append(mt.linkNames, name)
-	mt.InFlight = nil
 	// Online check: read through the link and compare to the oracle.
 	want := mt.oracle[target]
-	buf, err := readN(fsys, name, len(want))
+	r, err := Apply(fsys, Op{Kind: OpReadN, Path: name, N: len(want)})
 	if err != nil {
 		return err
 	}
-	if !bytes.Equal(buf, want) {
+	if !bytes.Equal(r.Data, want) {
 		mt.ReadMismatches++
 	}
 	return nil
@@ -357,15 +277,13 @@ func (mt *MemTest) doStat(fsys *fs.FS) error {
 	if path == "" {
 		return mt.doCreate(fsys)
 	}
-	mt.InFlight = &OpRecord{Kind: OpStat, Path: path}
-	st, err := fsys.Stat(path)
+	r, err := do(fsys, &mt.inFlight, Op{Kind: OpStat, Path: path})
 	if err != nil {
 		return err
 	}
-	if st.Size != int64(len(mt.oracle[path])) {
+	if r.Info.Size != int64(len(mt.oracle[path])) {
 		mt.ReadMismatches++
 	}
-	mt.InFlight = nil
 	return nil
 }
 
@@ -376,11 +294,12 @@ func (mt *MemTest) doStat(fsys *fs.FS) error {
 // restored one. Every mismatch is a detected corruption.
 func (mt *MemTest) Check(fsys *fs.FS) Verdict {
 	var out []Corruption
-	inflight := func(path string) *OpRecord {
-		if mt.InFlight != nil && mt.InFlight.Path == path {
-			return mt.InFlight
+	fl := mt.inFlight
+	inflight := func(path string) OpKind { // the kind of the op in flight on path
+		if fl.Path == path {
+			return fl.Kind
 		}
-		return nil
+		return 0
 	}
 
 	// Verification reads go through the real cache and I/O stack, so
@@ -393,8 +312,8 @@ func (mt *MemTest) Check(fsys *fs.FS) Verdict {
 	sort.Strings(paths)
 	for _, path := range paths {
 		want := mt.oracle[path]
-		fl := inflight(path)
-		if fl != nil && fl.Kind == OpDelete {
+		kind := inflight(path)
+		if kind == OpUnlink {
 			continue // may be gone or present; both fine
 		}
 		got, err := fsys.ReadFile(path)
@@ -402,15 +321,14 @@ func (mt *MemTest) Check(fsys *fs.FS) Verdict {
 			out = append(out, Corruption{path, "unreadable: " + err.Error()})
 			continue
 		}
-		// Size check.
+		// An in-flight write masks its byte range, and the file may end
+		// anywhere from its acked size to the end of the write.
 		size := int64(len(got))
 		okSize := size == int64(len(want))
-		if fl != nil && (fl.Kind == OpAppend || fl.Kind == OpOverwrite) {
-			lo, hi := fl.PrevSize, int64(len(want))
-			if fl.Off+fl.Len > hi {
-				hi = fl.Off + fl.Len
-			}
-			okSize = size >= lo && size <= hi
+		var lo, hi int64 = -1, -1
+		if kind == OpWrite {
+			lo, hi = fl.Off, fl.Off+int64(len(fl.Data))
+			okSize = size >= int64(len(want)) && size <= max(int64(len(want)), hi)
 		}
 		if !okSize {
 			out = append(out, Corruption{path,
@@ -418,11 +336,6 @@ func (mt *MemTest) Check(fsys *fs.FS) Verdict {
 			continue
 		}
 		n := min(size, int64(len(want)))
-		// Byte compare, masking the in-flight range.
-		var lo, hi int64 = -1, -1
-		if fl != nil && (fl.Kind == OpAppend || fl.Kind == OpOverwrite) {
-			lo, hi = fl.Off, fl.Off+fl.Len
-		}
 		for i := int64(0); i < n; i++ {
 			if i >= lo && i < hi {
 				continue
@@ -444,7 +357,7 @@ func (mt *MemTest) Check(fsys *fs.FS) Verdict {
 	sort.Strings(links)
 	for _, link := range links {
 		target := mt.links[link]
-		if fl := inflight(link); fl != nil {
+		if inflight(link) != 0 {
 			continue // creation or deletion was in flight; either state is fine
 		}
 		got, err := fsys.Readlink(link)
@@ -479,8 +392,7 @@ func (mt *MemTest) Check(fsys *fs.FS) Verdict {
 				if _, ok := mt.links[p]; ok {
 					continue
 				}
-				fl := inflight(p)
-				if fl != nil && (fl.Kind == OpSymlink || fl.Kind == OpDelete) {
+				if k := inflight(p); k == OpSymlink || k == OpUnlink {
 					continue
 				}
 				if isMemTestPath(p) {
@@ -490,8 +402,7 @@ func (mt *MemTest) Check(fsys *fs.FS) Verdict {
 			}
 			seen[p] = true
 			if _, ok := mt.oracle[p]; !ok {
-				fl := inflight(p)
-				if fl != nil && fl.Kind == OpCreate {
+				if inflight(p) == OpCreate {
 					continue // create was in flight; existing is fine
 				}
 				if !isMemTestPath(p) {

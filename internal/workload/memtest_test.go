@@ -35,7 +35,7 @@ func TestMemTestRunsClean(t *testing.T) {
 	if mt.ReadMismatches != 0 {
 		t.Fatalf("read mismatches on a healthy system: %d", mt.ReadMismatches)
 	}
-	if mt.InFlight != nil {
+	if mt.inFlight.Kind != 0 {
 		t.Fatal("in-flight op after clean steps")
 	}
 	if bad := mt.Check(m.FS).Corruptions; len(bad) != 0 {
@@ -140,7 +140,7 @@ func TestMemTestInFlightMasking(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Simulate a crash mid-append: pick a file, set InFlight manually and
+	// Simulate a crash mid-append: pick a file, set inFlight manually and
 	// write half the data.
 	var victim string
 	for p, c := range mt.oracle {
@@ -150,8 +150,7 @@ func TestMemTestInFlightMasking(t *testing.T) {
 		}
 	}
 	old := mt.oracle[victim]
-	mt.InFlight = &OpRecord{Kind: OpAppend, Path: victim,
-		Off: int64(len(old)), Len: 20, PrevSize: int64(len(old))}
+	mt.inFlight = Op{Kind: OpWrite, Path: victim, Off: int64(len(old)), Data: make([]byte, 20)}
 	f, _ := m.FS.Open(victim)
 	f.WriteAt([]byte("partialpar"), int64(len(old))) // 10 of 20 bytes
 	f.Close()
@@ -178,7 +177,7 @@ func TestMemTestInFlightDelete(t *testing.T) {
 		victim = p
 		break
 	}
-	mt.InFlight = &OpRecord{Kind: OpDelete, Path: victim}
+	mt.inFlight = Op{Kind: OpUnlink, Path: victim}
 	// Deleted or not — both acceptable.
 	if bad := mt.Check(m.FS).Corruptions; len(bad) != 0 {
 		t.Fatalf("in-flight delete (still present): %v", bad)
@@ -246,13 +245,5 @@ func TestMemTestWriteThroughMode(t *testing.T) {
 	}
 	if bad := mt.Check(m.FS).Corruptions; len(bad) != 0 {
 		t.Fatalf("verify: %v", bad)
-	}
-}
-
-func TestOpKindStrings(t *testing.T) {
-	for k := OpCreate; k <= OpStat; k++ {
-		if k.String() == "?" {
-			t.Fatalf("missing name for op %d", int(k))
-		}
 	}
 }

@@ -51,26 +51,14 @@ type MetaCache struct {
 	cacheVer []int64
 	steps    int
 
-	// inFlight is the op interrupted by a crash: phase distinguishes
-	// the source rewrite from the cache fill.
-	inFlight *mcOp
+	// inFlight is the op interrupted by a crash: a write to the source
+	// or to the cache entry.
+	inFlight Op
 
 	// ReadMismatches counts online lookup failures (a hit whose digest
 	// disagreed with the payload just read).
 	ReadMismatches int
 }
-
-// mcOp records one in-flight metacache operation.
-type mcOp struct {
-	file  int
-	ver   uint64 // version being written
-	phase int    // mcSrc or mcCache
-}
-
-const (
-	mcSrc = iota
-	mcCache
-)
 
 const (
 	mcSrcMagic   = 0x52696f4d63537263 // "RioMcSrc"
@@ -134,18 +122,12 @@ func (mc *MetaCache) entryFrame(i int, ver uint64) []byte {
 	return binary.BigEndian.AppendUint64(buf, sim.FNV1a64(buf[8:]))
 }
 
-// writeFile rewrites path with img in place (fixed-size frames) and
-// fsyncs when the workload runs write-through. Frames never shrink, so
-// Open-or-Create plus a full-image WriteAt is an exact replacement.
-func (mc *MetaCache) writeFile(fsys *fs.FS, path string, img []byte) error {
-	f, err := fsys.Open(path)
-	if err == fs.ErrNotFound {
-		f, err = fsys.Create(path)
-	}
-	if err != nil {
-		return err
-	}
-	return WriteClose(fsys, f, img, 0, mc.WriteThrough)
+// put rewrites path with img in place, fsyncing when the workload runs
+// write-through. Frames are fixed-size per file and never shrink, so a
+// put of the full image is an exact replacement.
+func (mc *MetaCache) put(fsys *fs.FS, path string, img []byte) error {
+	_, err := do(fsys, &mc.inFlight, Op{Kind: OpPut, Path: path, Data: img, Sync: mc.WriteThrough})
+	return err
 }
 
 // Setup creates the two directories. Files appear on first update.
@@ -153,13 +135,7 @@ func (mc *MetaCache) Setup(fsys *fs.FS) error {
 	for i := range mc.cacheVer {
 		mc.cacheVer[i] = -1
 	}
-	if err := fsys.Mkdir("/src"); err != nil && err != fs.ErrExists {
-		return err
-	}
-	if err := fsys.Mkdir("/mcache"); err != nil && err != fs.ErrExists {
-		return err
-	}
-	return nil
+	return mkdirs(fsys, "/src", "/mcache")
 }
 
 // Step executes one operation: update (rewrite source, refill cache),
@@ -183,17 +159,19 @@ func (mc *MetaCache) Step(fsys *fs.FS) error {
 // between the two leaves a detectably stale entry, not a lying one.
 func (mc *MetaCache) doUpdate(fsys *fs.FS, i int) error {
 	ver := mc.srcVer[i] + 1
-	mc.inFlight = &mcOp{file: i, ver: ver, phase: mcSrc}
-	if err := mc.writeFile(fsys, mc.srcPath(i), mc.srcFrame(i, ver)); err != nil {
+	if err := mc.put(fsys, mc.srcPath(i), mc.srcFrame(i, ver)); err != nil {
 		return err
 	}
 	mc.srcVer[i] = ver
-	mc.inFlight.phase = mcCache
-	if err := mc.writeFile(fsys, mc.cachePath(i), mc.entryFrame(i, ver)); err != nil {
+	return mc.fill(fsys, i, ver)
+}
+
+// fill writes file i's cache entry for source version ver.
+func (mc *MetaCache) fill(fsys *fs.FS, i int, ver uint64) error {
+	if err := mc.put(fsys, mc.cachePath(i), mc.entryFrame(i, ver)); err != nil {
 		return err
 	}
 	mc.cacheVer[i] = int64(ver)
-	mc.inFlight = nil
 	return nil
 }
 
@@ -212,14 +190,7 @@ func (mc *MetaCache) doLookup(fsys *fs.FS, i int) error {
 	srcVer := binary.BigEndian.Uint64(src[8:])
 	ent, err := mc.readFrame(fsys, mc.cachePath(i))
 	if err == fs.ErrNotFound || (err == nil && binary.BigEndian.Uint64(ent[8:]) != srcVer) {
-		// Miss or stale: refill, the derived-cache slow path.
-		mc.inFlight = &mcOp{file: i, ver: srcVer, phase: mcCache}
-		if werr := mc.writeFile(fsys, mc.cachePath(i), mc.entryFrame(i, srcVer)); werr != nil {
-			return werr
-		}
-		mc.cacheVer[i] = int64(srcVer)
-		mc.inFlight = nil
-		return nil
+		return mc.fill(fsys, i, srcVer) // miss or stale: the derived-cache slow path
 	}
 	if err != nil {
 		return err
@@ -237,23 +208,21 @@ func (mc *MetaCache) doEvict(fsys *fs.FS, i int) error {
 	if mc.cacheVer[i] < 0 {
 		return mc.doLookup(fsys, i)
 	}
-	mc.inFlight = &mcOp{file: i, ver: uint64(mc.cacheVer[i]), phase: mcCache}
-	if err := fsys.Unlink(mc.cachePath(i)); err != nil {
+	if _, err := do(fsys, &mc.inFlight, Op{Kind: OpUnlink, Path: mc.cachePath(i)}); err != nil {
 		return err
 	}
 	mc.cacheVer[i] = -1
-	mc.inFlight = nil
 	return nil
 }
 
 // readFrame reads a whole file; the caller decodes it. An empty file
 // holds no frame and is unreadable, like a missing one.
 func (mc *MetaCache) readFrame(fsys *fs.FS, path string) ([]byte, error) {
-	b, err := fsys.ReadFile(path)
-	if err == nil && len(b) == 0 {
+	r, err := Apply(fsys, Op{Kind: OpReadFile, Path: path})
+	if err == nil && len(r.Data) == 0 {
 		err = errors.New("empty file")
 	}
-	return b, err
+	return r.Data, err
 }
 
 // Check implements Workload: every source must decode at its acked (or
@@ -265,19 +234,19 @@ func (mc *MetaCache) Check(fsys *fs.FS) Verdict {
 	var v Verdict
 	fl := mc.inFlight
 	for i := 0; i < mc.Files; i++ {
-		if mc.srcVer[i] == 0 && (fl == nil || fl.file != i) {
+		srcInFlight := fl.Path == mc.srcPath(i)
+		cacheInFlight := fl.Path == mc.cachePath(i)
+		if mc.srcVer[i] == 0 && !srcInFlight && !cacheInFlight {
 			continue // never created
 		}
 		v.Checked++
-		srcInFlight := fl != nil && fl.file == i && fl.phase == mcSrc
-		cacheInFlight := fl != nil && fl.file == i && fl.phase == mcCache
 
 		// Source file.
 		curVer := mc.srcVer[i] // post-crash authoritative version, refined below
 		src, err := mc.readFrame(fsys, mc.srcPath(i))
 		okVers := map[uint64]bool{mc.srcVer[i]: true}
 		if srcInFlight {
-			okVers[fl.ver] = true
+			okVers[mc.srcVer[i]+1] = true
 			delete(okVers, 0)
 		}
 		switch {

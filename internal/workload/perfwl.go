@@ -77,20 +77,12 @@ func MakeTree(root string, targetBytes int, seed uint64) *Tree {
 
 // BuildTree materialises the tree on the file system.
 func BuildTree(fsys *fs.FS, t *Tree) error {
-	for _, d := range t.Dirs {
-		if err := fsys.Mkdir(d); err != nil && err != fs.ErrExists {
-			return err
-		}
+	if err := mkdirs(fsys, t.Dirs...); err != nil {
+		return err
 	}
 	for _, tf := range t.Files {
-		f, err := fsys.Create(tf.Path)
-		if err != nil {
-			return err
-		}
-		if err := writeChunked(f, kernel.FillBytes(tf.Size, tf.Seed), fs.BlockSize); err != nil {
-			return err
-		}
-		if err := f.Close(); err != nil {
+		op := Op{Kind: OpCreate, Path: tf.Path, Data: kernel.FillBytes(tf.Size, tf.Seed), Chunk: fs.BlockSize}
+		if _, err := Apply(fsys, op); err != nil {
 			return err
 		}
 	}
@@ -151,50 +143,37 @@ func (w *CpRm) Run(m *machine.Machine) (cp, rm sim.Duration, err error) {
 		walk = append(walk, byDir[d]...)
 	}
 
-	// Timed phase 1: recursive copy.
+	// Timed phase 1: recursive copy (tree.Dirs[0] is the root).
 	t0 := m.Engine.Clock.Now()
-	if err := m.FS.Mkdir("/dst"); err != nil {
-		return 0, 0, err
-	}
-	for _, d := range tree.Dirs[1:] {
-		if err := m.FS.Mkdir("/dst" + d[len("/src"):]); err != nil {
+	for _, d := range tree.Dirs {
+		if _, err := Apply(m.FS, Op{Kind: OpMkdir, Path: "/dst" + d[len("/src"):]}); err != nil {
 			return 0, 0, err
 		}
 	}
 	for _, tf := range walk {
-		data, err := m.FS.ReadFile(tf.Path)
+		r, err := Apply(m.FS, Op{Kind: OpReadFile, Path: tf.Path})
 		if err != nil {
 			return 0, 0, err
 		}
-		dst := "/dst" + tf.Path[len("/src"):]
-		f, err := m.FS.Create(dst)
-		if err != nil {
+		dst := Op{Kind: OpCreate, Path: "/dst" + tf.Path[len("/src"):], Data: r.Data, Chunk: fs.BlockSize}
+		if _, err := Apply(m.FS, dst); err != nil {
 			return 0, 0, err
 		}
-		if err := writeChunked(f, data, fs.BlockSize); err != nil {
-			return 0, 0, err
-		}
-		if err := f.Close(); err != nil {
-			return 0, 0, err
-		}
-		w.userCPU(m, 1, len(data))
+		w.userCPU(m, 1, len(r.Data))
 	}
 	t1 := m.Engine.Clock.Now()
 
 	// Timed phase 2: recursive remove of the copy.
 	for _, tf := range walk {
-		if err := m.FS.Unlink("/dst" + tf.Path[len("/src"):]); err != nil {
+		if _, err := Apply(m.FS, Op{Kind: OpUnlink, Path: "/dst" + tf.Path[len("/src"):]}); err != nil {
 			return 0, 0, err
 		}
 		w.userCPU(m, 1, 0)
 	}
-	for i := len(tree.Dirs) - 1; i >= 1; i-- {
-		if err := m.FS.Rmdir("/dst" + tree.Dirs[i][len("/src"):]); err != nil {
+	for i := len(tree.Dirs) - 1; i >= 0; i-- {
+		if _, err := Apply(m.FS, Op{Kind: OpRmdir, Path: "/dst" + tree.Dirs[i][len("/src"):]}); err != nil {
 			return 0, 0, err
 		}
-	}
-	if err := m.FS.Rmdir("/dst"); err != nil {
-		return 0, 0, err
 	}
 	t2 := m.Engine.Clock.Now()
 	return t1.Sub(t0), t2.Sub(t1), nil
@@ -234,7 +213,7 @@ func (w *Sdet) Run(m *machine.Machine) (sim.Duration, error) {
 	scripts := make([]*script, w.Scripts)
 	for i := range scripts {
 		dir := fmt.Sprintf("/sdet%d", i)
-		if err := m.FS.Mkdir(dir); err != nil {
+		if _, err := Apply(m.FS, Op{Kind: OpMkdir, Path: dir}); err != nil {
 			return 0, err
 		}
 		scripts[i] = &script{dir: dir}
@@ -259,6 +238,8 @@ func (w *Sdet) Run(m *machine.Machine) (sim.Duration, error) {
 func (w *Sdet) step(m *machine.Machine, rng *sim.Rand, dir string, files *[]string) error {
 	switch p := rng.Float64(); {
 	case p < 0.30 || len(*files) == 0: // create a file
+		// Create on its own: the size and seed are drawn only once it
+		// succeeds, so a name that exists draws nothing.
 		name := fmt.Sprintf("%s/w%05d", dir, rng.Intn(1<<20))
 		f, err := m.FS.Create(name)
 		if err == fs.ErrExists {
@@ -267,48 +248,36 @@ func (w *Sdet) step(m *machine.Machine, rng *sim.Rand, dir string, files *[]stri
 		if err != nil {
 			return err
 		}
-		if err := writeChunked(f, kernel.FillBytes(rng.Range(500, 12000), rng.Uint64()|1), fs.BlockSize); err != nil {
-			return err
-		}
-		if err := f.Close(); err != nil {
+		op := Op{Data: kernel.FillBytes(rng.Range(500, 12000), rng.Uint64()|1), Chunk: fs.BlockSize}
+		if err := writeClose(m.FS, f, op); err != nil {
 			return err
 		}
 		*files = append(*files, name)
 	case p < 0.50: // edit: append to a file
 		name := (*files)[rng.Intn(len(*files))]
-		f, err := m.FS.Open(name)
-		if err != nil {
-			return err
-		}
-		st, err := m.FS.Stat(name)
-		if err != nil {
-			return err
-		}
-		if _, err := f.WriteAt(kernel.FillBytes(rng.Range(100, 4000), rng.Uint64()|1), st.Size); err != nil {
-			return err
-		}
-		if err := f.Close(); err != nil {
+		op := Op{Kind: OpAppend, Path: name, Data: kernel.FillBytes(rng.Range(100, 4000), rng.Uint64()|1)}
+		if _, err := Apply(m.FS, op); err != nil {
 			return err
 		}
 	case p < 0.70: // read a file
 		name := (*files)[rng.Intn(len(*files))]
-		if _, err := m.FS.ReadFile(name); err != nil {
+		if _, err := Apply(m.FS, Op{Kind: OpReadFile, Path: name}); err != nil {
 			return err
 		}
 	case p < 0.85: // scan the directory (ls -l)
-		ents, err := m.FS.ReadDir(dir)
+		r, err := Apply(m.FS, Op{Kind: OpReadDir, Path: dir})
 		if err != nil {
 			return err
 		}
-		for _, e := range ents {
-			if _, err := m.FS.Stat(dir + "/" + e.Name); err != nil {
+		for _, e := range r.Ents {
+			if _, err := Apply(m.FS, Op{Kind: OpStat, Path: dir + "/" + e.Name}); err != nil {
 				return err
 			}
 		}
 	default: // delete a file
 		i := rng.Intn(len(*files))
 		name := (*files)[i]
-		if err := m.FS.Unlink(name); err != nil {
+		if _, err := Apply(m.FS, Op{Kind: OpUnlink, Path: name}); err != nil {
 			return err
 		}
 		(*files)[i] = (*files)[len(*files)-1]
@@ -339,24 +308,6 @@ func DefaultAndrew() *Andrew {
 	}
 }
 
-// writeChunked writes data chunk bytes at a time: fs.BlockSize as cp(1)
-// does — chunked writing is what separates write-through-on-write (sync
-// per chunk) from write-through-on-close (one batched flush) — or small
-// chunks as compilers and assemblers emit output, the many small
-// write(2) calls that make the "sync" mount so painful on Andrew.
-func writeChunked(f *fs.File, data []byte, chunk int) error {
-	for off := 0; off < len(data); off += chunk {
-		end := off + chunk
-		if end > len(data) {
-			end = len(data)
-		}
-		if _, err := f.WriteAt(data[off:end], int64(off)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Run executes the five phases and returns the total elapsed time.
 func (w *Andrew) Run(m *machine.Machine) (sim.Duration, error) {
 	tree := MakeTree("/andrew-src", w.TreeBytes, w.Seed)
@@ -366,35 +317,25 @@ func (w *Andrew) Run(m *machine.Machine) (sim.Duration, error) {
 	if err := m.FS.DropCaches(); err != nil {
 		return 0, err
 	}
-	if err := m.FS.Mkdir("/tmp"); err != nil {
+	if _, err := Apply(m.FS, Op{Kind: OpMkdir, Path: "/tmp"}); err != nil {
 		return 0, err
 	}
 	t0 := m.Engine.Clock.Now()
+	dst := func(src string) string { return "/andrew" + src[len("/andrew-src"):] }
 
-	// Phase 1: mkdir.
-	if err := m.FS.Mkdir("/andrew"); err != nil {
-		return 0, err
-	}
-	for _, d := range tree.Dirs[1:] {
-		if err := m.FS.Mkdir("/andrew" + d[len("/andrew-src"):]); err != nil {
+	// Phase 1: mkdir (tree.Dirs[0] is the root).
+	for _, d := range tree.Dirs {
+		if _, err := Apply(m.FS, Op{Kind: OpMkdir, Path: dst(d)}); err != nil {
 			return 0, err
 		}
 	}
 	// Phase 2: copy.
 	for _, tf := range tree.Files {
-		data, err := m.FS.ReadFile(tf.Path)
+		r, err := Apply(m.FS, Op{Kind: OpReadFile, Path: tf.Path})
 		if err != nil {
 			return 0, err
 		}
-		dst := "/andrew" + tf.Path[len("/andrew-src"):]
-		f, err := m.FS.Create(dst)
-		if err != nil {
-			return 0, err
-		}
-		if err := writeChunked(f, data, fs.BlockSize); err != nil {
-			return 0, err
-		}
-		if err := f.Close(); err != nil {
+		if _, err := Apply(m.FS, Op{Kind: OpCreate, Path: dst(tf.Path), Data: r.Data, Chunk: fs.BlockSize}); err != nil {
 			return 0, err
 		}
 		m.Engine.Clock.Advance(w.UserCPUPerFile)
@@ -402,7 +343,7 @@ func (w *Andrew) Run(m *machine.Machine) (sim.Duration, error) {
 	// Phase 3: stat everything (find/ls/du).
 	for pass := 0; pass < 2; pass++ {
 		for _, tf := range tree.Files {
-			if _, err := m.FS.Stat("/andrew" + tf.Path[len("/andrew-src"):]); err != nil {
+			if _, err := Apply(m.FS, Op{Kind: OpStat, Path: dst(tf.Path)}); err != nil {
 				return 0, err
 			}
 			m.Engine.Clock.Advance(w.UserCPUPerFile / 4)
@@ -410,7 +351,7 @@ func (w *Andrew) Run(m *machine.Machine) (sim.Duration, error) {
 	}
 	// Phase 4: read everything (grep/wc).
 	for _, tf := range tree.Files {
-		if _, err := m.FS.ReadFile("/andrew" + tf.Path[len("/andrew-src"):]); err != nil {
+		if _, err := Apply(m.FS, Op{Kind: OpReadFile, Path: dst(tf.Path)}); err != nil {
 			return 0, err
 		}
 		m.Engine.Clock.Advance(w.UserCPUPerFile / 2)
@@ -421,71 +362,41 @@ func (w *Andrew) Run(m *machine.Machine) (sim.Duration, error) {
 	// the temporaries.
 	var objs []string
 	for i, tf := range tree.Files {
-		src := "/andrew" + tf.Path[len("/andrew-src"):]
-		data, err := m.FS.ReadFile(src)
+		r, err := Apply(m.FS, Op{Kind: OpReadFile, Path: dst(tf.Path)})
 		if err != nil {
 			return 0, err
 		}
-		m.Engine.Clock.Advance(sim.Duration(len(data)) * w.CompileCPUPerByte)
+		n := len(r.Data)
+		m.Engine.Clock.Advance(sim.Duration(n) * w.CompileCPUPerByte)
 
 		tmpI := fmt.Sprintf("/tmp/cc%04d.i", i)
 		tmpS := fmt.Sprintf("/tmp/cc%04d.s", i)
-		for _, tmp := range []struct {
-			path string
-			size int
-		}{
-			{tmpI, len(data) + len(data)/4}, // preprocessed source
-			{tmpS, len(data) / 2},           // assembly
-		} {
-			f, err := m.FS.Create(tmp.path)
-			if err != nil {
-				return 0, err
-			}
-			if err := writeChunked(f, kernel.FillBytes(tmp.size, sim.Mix(tf.Seed, uint64(len(tmp.path)))), 2048); err != nil {
-				return 0, err
-			}
-			if err := f.Close(); err != nil {
-				return 0, err
-			}
-		}
-
 		obj := fmt.Sprintf("/andrew/obj%04d.o", i)
-		f, err := m.FS.Create(obj)
-		if err != nil {
-			return 0, err
-		}
-		if err := writeChunked(f, kernel.FillBytes(len(data)*6/10, sim.Mix(tf.Seed, 0xb1)), 2048); err != nil {
-			return 0, err
-		}
-		if err := f.Close(); err != nil {
-			return 0, err
-		}
-		if err := m.FS.Unlink(tmpI); err != nil {
-			return 0, err
-		}
-		if err := m.FS.Unlink(tmpS); err != nil {
-			return 0, err
+		for _, op := range []Op{
+			{Kind: OpCreate, Path: tmpI, Data: kernel.FillBytes(n+n/4, sim.Mix(tf.Seed, uint64(len(tmpI)))), Chunk: 2048},
+			{Kind: OpCreate, Path: tmpS, Data: kernel.FillBytes(n/2, sim.Mix(tf.Seed, uint64(len(tmpS)))), Chunk: 2048},
+			{Kind: OpCreate, Path: obj, Data: kernel.FillBytes(n*6/10, sim.Mix(tf.Seed, 0xb1)), Chunk: 2048},
+			{Kind: OpUnlink, Path: tmpI},
+			{Kind: OpUnlink, Path: tmpS},
+		} {
+			if _, err := Apply(m.FS, op); err != nil {
+				return 0, err
+			}
 		}
 		objs = append(objs, obj)
 	}
 	// Link.
 	totalObj := 0
 	for _, o := range objs {
-		data, err := m.FS.ReadFile(o)
+		r, err := Apply(m.FS, Op{Kind: OpReadFile, Path: o})
 		if err != nil {
 			return 0, err
 		}
-		totalObj += len(data)
+		totalObj += len(r.Data)
 	}
 	m.Engine.Clock.Advance(sim.Duration(totalObj) * w.CompileCPUPerByte / 4)
-	f, err := m.FS.Create("/andrew/a.out")
-	if err != nil {
-		return 0, err
-	}
-	if err := writeChunked(f, kernel.FillBytes(totalObj/2, 0xa0a7), fs.BlockSize); err != nil {
-		return 0, err
-	}
-	if err := f.Close(); err != nil {
+	out := Op{Kind: OpCreate, Path: "/andrew/a.out", Data: kernel.FillBytes(totalObj/2, 0xa0a7), Chunk: fs.BlockSize}
+	if _, err := Apply(m.FS, out); err != nil {
 		return 0, err
 	}
 	return m.Engine.Clock.Now().Sub(t0), nil

@@ -42,22 +42,11 @@ type Scan struct {
 	batches []int    // acked batch count in the current generation
 	steps   int
 
-	inFlight *scanOp
+	inFlight Op
 
 	// ReadMismatches counts online scan-side frame failures.
 	ReadMismatches int
 }
-
-// scanOp is the one in-flight segment mutation.
-type scanOp struct {
-	seg   int
-	phase int // scAppend (batch write) or scCompact (unlink+new header)
-}
-
-const (
-	scAppend = iota
-	scCompact
-)
 
 const (
 	scanMagic  = 0x52696f5363616e30 // "RioScan0"
@@ -113,15 +102,12 @@ func (sc *Scan) batchFrame(seg int, gen uint64, b int) []byte {
 
 // Setup creates /scan and generation-1 headers for every segment.
 func (sc *Scan) Setup(fsys *fs.FS) error {
-	if err := fsys.Mkdir("/scan"); err != nil && err != fs.ErrExists {
+	if err := mkdirs(fsys, "/scan"); err != nil {
 		return err
 	}
 	for seg := 0; seg < sc.Segments; seg++ {
-		f, err := fsys.Create(sc.path(seg))
-		if err != nil {
-			return err
-		}
-		if err := WriteClose(fsys, f, sc.headerFrame(seg, 1), 0, true); err != nil {
+		op := Op{Kind: OpCreate, Path: sc.path(seg), Data: sc.headerFrame(seg, 1), Sync: true}
+		if _, err := Apply(fsys, op); err != nil {
 			return err
 		}
 		sc.gen[seg] = 1
@@ -146,28 +132,23 @@ func (sc *Scan) Step(fsys *fs.FS) error {
 // doAppend appends the next batch frame to seg.
 func (sc *Scan) doAppend(fsys *fs.FS, seg int) error {
 	b := sc.batches[seg]
-	off := int64(scanHeader + b*sc.blen(seg))
-	sc.inFlight = &scanOp{seg: seg, phase: scAppend}
-	f, err := fsys.Open(sc.path(seg))
-	if err != nil {
-		return err
-	}
-	if err := WriteClose(fsys, f, sc.batchFrame(seg, sc.gen[seg], b), off, sc.WriteThrough); err != nil {
+	op := Op{Kind: OpWrite, Path: sc.path(seg), Off: int64(scanHeader + b*sc.blen(seg)),
+		Data: sc.batchFrame(seg, sc.gen[seg], b), Sync: sc.WriteThrough}
+	if _, err := do(fsys, &sc.inFlight, op); err != nil {
 		return err
 	}
 	sc.batches[seg] = b + 1
-	sc.inFlight = nil
 	return nil
 }
 
 // doScan reads the whole segment sequentially and validates every
 // frame online.
 func (sc *Scan) doScan(fsys *fs.FS, seg int) error {
-	buf, err := readN(fsys, sc.path(seg), scanHeader+sc.batches[seg]*sc.blen(seg))
+	r, err := Apply(fsys, Op{Kind: OpReadN, Path: sc.path(seg), N: scanHeader + sc.batches[seg]*sc.blen(seg)})
 	if err != nil {
 		return err
 	}
-	if d := sc.decodeSegment(seg, buf, sc.gen[seg], sc.batches[seg], -1); d != "" {
+	if d := sc.decodeSegment(seg, r.Data, sc.gen[seg], sc.batches[seg], -1); d != "" {
 		sc.ReadMismatches++
 	}
 	return nil
@@ -177,20 +158,15 @@ func (sc *Scan) doScan(fsys *fs.FS, seg int) error {
 // the next generation.
 func (sc *Scan) doCompact(fsys *fs.FS, seg int) error {
 	gen := sc.gen[seg] + 1
-	sc.inFlight = &scanOp{seg: seg, phase: scCompact}
-	if err := fsys.Unlink(sc.path(seg)); err != nil {
+	if _, err := do(fsys, &sc.inFlight, Op{Kind: OpUnlink, Path: sc.path(seg)}); err != nil {
 		return err
 	}
-	f, err := fsys.Create(sc.path(seg))
-	if err != nil {
-		return err
-	}
-	if err := WriteClose(fsys, f, sc.headerFrame(seg, gen), 0, sc.WriteThrough); err != nil {
+	op := Op{Kind: OpCreate, Path: sc.path(seg), Data: sc.headerFrame(seg, gen), Sync: sc.WriteThrough}
+	if _, err := do(fsys, &sc.inFlight, op); err != nil {
 		return err
 	}
 	sc.gen[seg] = gen
 	sc.batches[seg] = 0
-	sc.inFlight = nil
 	return nil
 }
 
@@ -202,8 +178,9 @@ func (sc *Scan) Check(fsys *fs.FS) Verdict {
 	fl := sc.inFlight
 	for seg := 0; seg < sc.Segments; seg++ {
 		v.Checked++
-		appendHere := fl != nil && fl.seg == seg && fl.phase == scAppend
-		compactHere := fl != nil && fl.seg == seg && fl.phase == scCompact
+		here := fl.Path == sc.path(seg)
+		appendHere := here && fl.Kind == OpWrite
+		compactHere := here && (fl.Kind == OpUnlink || fl.Kind == OpCreate)
 
 		buf, err := fsys.ReadFile(sc.path(seg))
 		if err == fs.ErrNotFound {

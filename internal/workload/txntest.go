@@ -107,7 +107,7 @@ func (tt *TxnTest) record(id uint64) txn.Record {
 // Setup creates the account directory and commits the baseline id so
 // Check always has a floor to check against.
 func (tt *TxnTest) Setup(fsys *fs.FS) error {
-	if err := fsys.Mkdir(txnAcctDir); err != nil && err != fs.ErrExists {
+	if err := mkdirs(fsys, txnAcctDir); err != nil {
 		return err
 	}
 	return tt.Commit(fsys)

@@ -79,33 +79,3 @@ func (tt *TxnTest) Recover(fsys *fs.FS) (quarantined int, err error) {
 	st, err := txn.NewLog(fsys).Recover()
 	return st.Quarantined, err
 }
-
-// WriteClose is every workload's write to a file the caller has open:
-// data at off, an fsync when sync is set (the write-through runs), then
-// Close. On an error the file is left open: a Close there would be one
-// more simulated syscall, a flush under the fsync-on-close policies.
-func WriteClose(fsys *fs.FS, f *fs.File, data []byte, off int64, sync bool) error {
-	if _, err := f.WriteAt(data, off); err != nil {
-		return err
-	}
-	if sync {
-		if err := fsys.Fsync(f); err != nil {
-			return err
-		}
-	}
-	return f.Close()
-}
-
-// readN is every workload's online read: Open, ReadAt of the n bytes the
-// oracle expects, Close.
-func readN(fsys *fs.FS, path string, n int) ([]byte, error) {
-	f, err := fsys.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, n)
-	if _, err := f.ReadAt(buf, 0); err != nil {
-		return nil, err
-	}
-	return buf, f.Close()
-}
