@@ -183,12 +183,21 @@ func (mc *MetaCache) doLookup(fsys *fs.FS, i int) error {
 	if mc.srcVer[i] == 0 {
 		return mc.doUpdate(fsys, i)
 	}
+	// A frame too short for a field read below is undecodable: it counts
+	// one mismatch and ends the step.
+	undecodable := func() error { mc.ReadMismatches++; return nil }
 	src, err := mc.readFrame(fsys, mc.srcPath(i))
 	if err != nil {
 		return err
 	}
+	if len(src) < 16 {
+		return undecodable()
+	}
 	srcVer := binary.BigEndian.Uint64(src[8:])
 	ent, err := mc.readFrame(fsys, mc.cachePath(i))
+	if err == nil && len(ent) < 16 {
+		return undecodable()
+	}
 	if err == fs.ErrNotFound || (err == nil && binary.BigEndian.Uint64(ent[8:]) != srcVer) {
 		return mc.fill(fsys, i, srcVer) // miss or stale: the derived-cache slow path
 	}
@@ -196,7 +205,13 @@ func (mc *MetaCache) doLookup(fsys *fs.FS, i int) error {
 		return err
 	}
 	// Hit: the recorded digest must match the bytes we just read.
+	if len(src) < mcSrcHeader || len(ent) < mcEntryLen-8 { // the digest ends at the checksum
+		return undecodable()
+	}
 	plen := int(binary.BigEndian.Uint32(src[16:]))
+	if len(src) < mcSrcHeader+plen {
+		return undecodable()
+	}
 	if sim.FNV1a64(src[mcSrcHeader:mcSrcHeader+plen]) != binary.BigEndian.Uint64(ent[20:]) {
 		mc.ReadMismatches++
 	}

@@ -261,6 +261,48 @@ func TestMetaCacheStaleEntryIsMiss(t *testing.T) {
 	}
 }
 
+// An online lookup whose source or cache entry holds a frame too short
+// for the fields it reads counts one mismatch and ends the step; it used
+// to slice past the frame and panic the run.
+func TestMetaCacheLookupShortFrame(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		cache bool // cut the cache entry, not the source
+		n     int  // bytes of the frame left
+	}{
+		{"source-header", false, 12},
+		{"source-payload", false, mcSrcHeader + 8},
+		{"entry-version", true, 12},
+		{"entry-digest", true, 20},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			mc := NewMetaCache(25, 8, 0.8)
+			m := runClean(t, mc, 300)
+			i := 0
+			for mc.srcVer[i] == 0 || mc.cacheVer[i] != int64(mc.srcVer[i]) {
+				i++
+			}
+			path, img := mc.srcPath(i), mc.srcFrame(i, mc.srcVer[i])
+			if c.cache {
+				path, img = mc.cachePath(i), mc.entryFrame(i, mc.srcVer[i])
+			}
+			if err := m.FS.Unlink(path); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Apply(m.FS, Op{Kind: OpCreate, Path: path, Data: img[:c.n]}); err != nil {
+				t.Fatal(err)
+			}
+			before := mc.ReadMismatches
+			if err := mc.doLookup(m.FS, i); err != nil {
+				t.Fatal(err)
+			}
+			if mc.ReadMismatches != before+1 {
+				t.Fatalf("short frame counted %d mismatches, want 1", mc.ReadMismatches-before)
+			}
+		})
+	}
+}
+
 // --- mailspool ---
 
 func TestMailSpoolCleanRun(t *testing.T) {
