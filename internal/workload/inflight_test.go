@@ -114,6 +114,11 @@ func TestHotKeyInFlightMasking(t *testing.T) {
 					hk.inFlight = Op{Kind: OpPut, Path: hk.path(k), Data: hk.frame(k, hk.ver[k]+1)}
 				}
 			})
+			// A read in flight masks nothing.
+			hk.inFlight = Op{Kind: OpReadN, Path: hk.path(k)}
+			if hk.Check(m.FS).Clean() {
+				t.Fatal("a read in flight masked a rewritten key")
+			}
 		})
 	}
 }
