@@ -12,8 +12,8 @@ import (
 )
 
 // TestDocsNameRealCommands keeps the docs' command lines honest: every
-// ./cmd/<x> or ./examples/<x> that README.md, DESIGN.md or the verify
-// skill names must exist, and every -flag a `go run` of one is shown with
+// ./cmd/<x> or ./examples/<x> that README.md, DESIGN.md, EXPERIMENTS.md
+// or the verify skill names must exist, and every -flag a `go run` of one is shown with
 // must be a flag that binary's source defines. A binary that registers
 // flags under computed names (riolint: one per analyzer) is checked for
 // existence only.
@@ -22,7 +22,7 @@ func TestDocsNameRealCommands(t *testing.T) {
 	mention := regexp.MustCompile(`(go run )?\./((?:cmd|examples)/[a-z0-9]+)([^` + "`" + `|#>;&\n]*)`)
 	flagTok := regexp.MustCompile(`^--?([a-z][a-z0-9-]*)`)
 	sources := map[string]string{} // dir -> its concatenated .go source
-	for _, doc := range []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
