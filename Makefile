@@ -23,8 +23,9 @@ test:
 # The race gate: the one list of packages that run under the detector
 # (scripts/check.sh calls this target). crashtest's scheduler fans the
 # real mini-campaigns across goroutines and is the slow one (~3 min);
-# scenario runs its three kinds on it — the crash kind as a crashtest
-# campaign, the fleet crash run among the others;
+# scenario runs its crash, server and fleet kinds on it — the crash kind
+# as a crashtest campaign, the fleet crash run among the others (the perf
+# kind is simulated time on one goroutine);
 # warmreboot, disk, ioretry, machine and kvm are what a campaign worker
 # recycles and spends its time in; server and wire are where real
 # goroutines share state (shard queues, metrics, close/drain, pooled
@@ -89,8 +90,9 @@ crash-fleet:
 # through rioscn twice — once at 1 worker, once at 4 — and diff the
 # canonical JSON reports byte-for-byte. Proves the tentpole guarantee
 # (any campaign cell reproduces byte-identically at any worker count)
-# on every spec the repo ships — the txn hunt and the five-kind fleet
-# campaign among them — and exits nonzero if any scenario breaches its
+# on every spec the repo ships — the txn hunt, the five-kind fleet
+# campaign and Table 2 (scenarios/table2.json, the perf kind) among
+# them — and exits nonzero if any scenario breaches its
 # zero gates (lost acked writes, torn commits, stale reads, aborted
 # recoveries). The -workers 4 reports land in scenario-reports/,
 # uploaded as a CI artifact.

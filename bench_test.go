@@ -3,7 +3,6 @@
 //
 //	BenchmarkTable1Campaign    — Table 1 (crash tests; reports corruption %)
 //	BenchmarkTable2Perf        — Table 2 (reports simulated seconds + speedups)
-//	BenchmarkProtectionOverhead— in-text §4: protection is essentially free
 //	BenchmarkCodePatching      — in-text §2.1: software checks cost 20-50%
 //	BenchmarkRioWrite / BenchmarkWriteThroughWrite — the microscopic view of
 //	  the Table 2 gap: one 8 KB durable write on each system
@@ -81,20 +80,6 @@ func BenchmarkTable2Row(b *testing.B) {
 		if _, err := cfg.RunRow(spec); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkProtectionOverhead reports the simulated cost of Rio's
-// protection on cp+rm (paper: ~0%, 24s vs 25s).
-func BenchmarkProtectionOverhead(b *testing.B) {
-	cfg := perf.DefaultConfig()
-	cfg.CpRm.TreeBytes = 1 << 20
-	for i := 0; i < b.N; i++ {
-		without, with, err := cfg.ProtectionOverhead()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(100*(float64(with)/float64(without)-1), "protection_overhead_pct")
 	}
 }
 

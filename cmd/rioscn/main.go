@@ -2,7 +2,7 @@
 // fault × topology specs (internal/scenario) whose plans — single-machine
 // crash runs, crash-under-load runs against the sharded riod server, or
 // replicated-fleet runs — are issued into the one campaign scheduler
-// (internal/crashtest).
+// (internal/crashtest), or Table 2's performance runs (perf kind).
 //
 // Usage:
 //
@@ -18,7 +18,9 @@
 // memtest crash scenario is a cut of the paper's Table 1 campaign, so
 // rioscn also prints it in Table 1's layout: the table, MTTF, protection
 // traps, the recovery table under disk_faults and the protected system's
-// crash kinds.
+// crash kinds. A perf scenario (scenarios/table2.json) has no crash
+// columns: rioscn prints it in Table 2's layout instead, with Rio's
+// speedups, protection's cost and the code-patching ablation.
 // The JSON bytes are a pure function of the spec: identical at any
 // -workers value, which scripts/check.sh verifies by diffing -workers
 // 1 against -workers 4. Timing never enters the JSON artifact.

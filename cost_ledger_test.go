@@ -121,8 +121,9 @@ func TestCostLedger(t *testing.T) {
 	}
 
 	// Table 2 at BenchmarkTable2Perf's reduced scale: one row per
-	// configuration, then the two overhead pairs. Only the simulated
-	// times are pinned; each workload runs on a fresh machine.
+	// configuration, then the two overhead pairs (protection's is the two
+	// Rio rows' cp+rm). Only the simulated times are pinned; each workload
+	// runs on a fresh machine.
 	pin := func(name, cols string) {
 		got := fmt.Sprintf("%s: ops=1 %s", name, cols)
 		if testing.Verbose() {
@@ -152,9 +153,8 @@ func TestCostLedger(t *testing.T) {
 		pin("table2-"+slug, fmt.Sprintf("cp_ns=%d rm_ns=%d sdet_ns=%d andrew_ns=%d",
 			r.CpRmCp, r.CpRmRm, r.Sdet, r.Andrew))
 	}
-	without, with, err := cfg.ProtectionOverhead()
-	check(err)
-	pin("table2-protection-overhead", fmt.Sprintf("without_ns=%d with_ns=%d", without, with))
+	r := perf.ComputeRatios(rows)
+	pin("table2-protection-overhead", fmt.Sprintf("without_ns=%d with_ns=%d", r.CpRmNoProt, r.CpRmProt))
 	tlb, patched, err := cfg.CodePatchingOverhead()
 	check(err)
 	pin("table2-code-patching", fmt.Sprintf("tlb_ns=%d patched_ns=%d", tlb, patched))

@@ -31,9 +31,6 @@ type Config struct {
 
 	Costs      fs.Costs
 	DiskParams disk.Params
-
-	// Progress, if non-nil, receives a line per completed cell.
-	Progress func(string)
 }
 
 // DefaultConfig returns the standard scaled-down configuration.
@@ -89,8 +86,9 @@ func (r Row) CpRm() sim.Duration { return r.CpRmCp + r.CpRmRm }
 // newMachine builds a perf machine for a policy: fast-path kernel, no
 // checksum maintenance, caches large enough that reliability policy — not
 // capacity — decides all disk traffic, as in the paper (80 MB UBC vs
-// smaller working sets).
-func (c Config) newMachine(pol fs.Policy) (*machine.Machine, error) {
+// smaller working sets). codePatching swaps the TLB protection scheme for
+// software checks on every kernel store (the §2.1 ablation).
+func (c Config) newMachine(pol fs.Policy, codePatching bool) (*machine.Machine, error) {
 	opt := machine.DefaultOptions(pol)
 	opt.FastPath = true
 	opt.Checksums = false
@@ -103,6 +101,7 @@ func (c Config) newMachine(pol fs.Policy) (*machine.Machine, error) {
 	opt.NInodes = 4096
 	opt.Costs = c.Costs
 	opt.DiskParams = c.DiskParams
+	opt.CodePatching = codePatching
 	return machine.New(opt, nil)
 }
 
@@ -111,7 +110,7 @@ func (c Config) newMachine(pol fs.Policy) (*machine.Machine, error) {
 func (c Config) RunRow(spec RowSpec) (Row, error) {
 	row := Row{Spec: spec}
 
-	m, err := c.newMachine(spec.Policy)
+	m, err := c.newMachine(spec.Policy, false)
 	if err != nil {
 		return row, err
 	}
@@ -121,7 +120,7 @@ func (c Config) RunRow(spec RowSpec) (Row, error) {
 	}
 	row.CpRmCp, row.CpRmRm = cp, rm
 
-	m, err = c.newMachine(spec.Policy)
+	m, err = c.newMachine(spec.Policy, false)
 	if err != nil {
 		return row, err
 	}
@@ -130,17 +129,13 @@ func (c Config) RunRow(spec RowSpec) (Row, error) {
 		return row, fmt.Errorf("%s/sdet: %w", spec.Label, err)
 	}
 
-	m, err = c.newMachine(spec.Policy)
+	m, err = c.newMachine(spec.Policy, false)
 	if err != nil {
 		return row, err
 	}
 	row.Andrew, err = c.Andrew.Run(m)
 	if err != nil {
 		return row, fmt.Errorf("%s/andrew: %w", spec.Label, err)
-	}
-	if c.Progress != nil {
-		c.Progress(fmt.Sprintf("%-30s cp+rm=%v (%v+%v) sdet=%v andrew=%v",
-			spec.Label, row.CpRm(), row.CpRmCp, row.CpRmRm, row.Sdet, row.Andrew))
 	}
 	return row, nil
 }
@@ -181,6 +176,10 @@ type Ratios struct {
 	VsUFS               [3]float64
 	VsDelayed           [3]float64
 	VsMFS               [3]float64
+
+	// CpRmNoProt and CpRmProt are the two Rio rows' cp+rm: protection's
+	// cost (§4: 24 s vs 25 s, "essentially no overhead").
+	CpRmNoProt, CpRmProt sim.Duration
 }
 
 // ComputeRatios derives the headline speedups from a full table.
@@ -203,38 +202,9 @@ func ComputeRatios(rows []Row) Ratios {
 		VsUFS:               div(byLabel["UFS"], rio),
 		VsDelayed:           div(byLabel["UFS, delayed data+metadata"], rio),
 		VsMFS:               div(byLabel["Memory File System"], rio),
+		CpRmNoProt:          byLabel["Rio without protection"].CpRm(),
+		CpRmProt:            rio.CpRm(),
 	}
-}
-
-// ProtectionOverhead measures the paper's claim that Rio's protection adds
-// essentially no overhead: it returns cp+rm time without and with
-// protection. (§4: 24s vs 25s.)
-func (c Config) ProtectionOverhead() (without, with sim.Duration, err error) {
-	noProt := fs.DefaultPolicy(fs.PolicyRio)
-	noProt.Protect = false
-	prot := fs.DefaultPolicy(fs.PolicyRio)
-	prot.Protect = true
-
-	m, err := c.newMachine(noProt)
-	if err != nil {
-		return 0, 0, err
-	}
-	cp, rm, err := c.CpRm.Run(m)
-	if err != nil {
-		return 0, 0, err
-	}
-	without = cp + rm
-
-	m, err = c.newMachine(prot)
-	if err != nil {
-		return 0, 0, err
-	}
-	cp, rm, err = c.CpRm.Run(m)
-	if err != nil {
-		return 0, 0, err
-	}
-	with = cp + rm
-	return without, with, nil
 }
 
 // CodePatchingOverhead measures the §2.1 ablation: protecting via software
@@ -248,20 +218,7 @@ func (c Config) CodePatchingOverhead() (tlb, patched sim.Duration, err error) {
 	prot.Protect = true
 
 	run := func(codePatching bool) (sim.Duration, error) {
-		opt := machine.DefaultOptions(prot)
-		opt.FastPath = true
-		opt.Checksums = false
-		opt.Seed = c.Seed
-		opt.MemPages = 3072
-		opt.DataCap = 2048
-		opt.MetaCap = 512
-		opt.RegistryFrames = 24
-		opt.DiskBlocks = 8192
-		opt.NInodes = 4096
-		opt.Costs = c.Costs
-		opt.DiskParams = c.DiskParams
-		opt.CodePatching = codePatching
-		m, err := machine.New(opt, nil)
+		m, err := c.newMachine(prot, codePatching)
 		if err != nil {
 			return 0, err
 		}
@@ -297,4 +254,38 @@ func (c Config) CodePatchingOverhead() (tlb, patched sim.Duration, err error) {
 		return 0, 0, err
 	}
 	return tlb, patched, nil
+}
+
+// Table is a completed Table 2 reproduction: the eight rows and the
+// code-patching probe's two times.
+type Table struct {
+	Rows         []Row
+	TLB, Patched sim.Duration
+}
+
+// String renders t in the paper's Table 2 layout, followed by Rio's
+// speedups against the paper's bands, protection's cost on cp+rm and the
+// code-patching ablation.
+func (t Table) String() string {
+	var b strings.Builder
+	b.WriteString("Table 2: Performance Comparison (simulated seconds)\n\n")
+	b.WriteString(Format(t.Rows))
+	b.WriteString("\n")
+	r := ComputeRatios(t.Rows)
+	show := func(name string, v [3]float64, paper string) {
+		fmt.Fprintf(&b, "Rio speedup %-28s cp+rm %5.1fx  Sdet %5.1fx  Andrew %5.1fx   (paper: %s)\n",
+			name, v[0], v[1], v[2], paper)
+	}
+	show("vs write-through-on-write:", r.VsWriteThroughWrite, "4-22x band")
+	show("vs write-through-on-close:", r.VsWriteThroughClose, "4-22x band")
+	show("vs default UFS:", r.VsUFS, "2-14x band")
+	show("vs delayed UFS (no-order):", r.VsDelayed, "1-3x band")
+	show("vs memory file system:", r.VsMFS, "~1x")
+	b.WriteString("\n")
+	pct := func(from, to sim.Duration) float64 { return 100 * (float64(to)/float64(from) - 1) }
+	fmt.Fprintf(&b, "Protection overhead on cp+rm: %v -> %v (+%.1f%%; paper: ~0%%, 24s vs 25s)\n",
+		r.CpRmNoProt, r.CpRmProt, pct(r.CpRmNoProt, r.CpRmProt))
+	fmt.Fprintf(&b, "Code-patching ablation (copy stream): %v -> %v (+%.1f%%; paper: 20-50%%)\n",
+		t.TLB, t.Patched, pct(t.TLB, t.Patched))
+	return b.String()
 }

@@ -117,9 +117,18 @@ func TestTable2Shape(t *testing.T) {
 
 func TestProtectionEssentiallyFree(t *testing.T) {
 	cfg := smallConfig()
-	without, with, err := cfg.ProtectionOverhead()
-	if err != nil {
-		t.Fatal(err)
+	var rows []Row
+	for _, spec := range Rows()[6:] { // Rio without and with protection
+		row, err := cfg.RunRow(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, row)
+	}
+	r := ComputeRatios(rows)
+	without, with := r.CpRmNoProt, r.CpRmProt
+	if without != rows[0].CpRm() || with != rows[1].CpRm() {
+		t.Fatalf("ratios carry %v -> %v, the rows' cp+rm is %v -> %v", without, with, rows[0].CpRm(), rows[1].CpRm())
 	}
 	overhead := float64(with)/float64(without) - 1
 	if overhead < 0 || overhead > 0.05 {

@@ -15,6 +15,7 @@ func FuzzParseScenario(f *testing.F) {
 	f.Add([]byte(`{"name":"f","kind":"fleet","runs":5,"topology":{"nodes":3,"shards":2,"replicas":2,"fleet_faults":["os-crash"]}}`))
 	f.Add([]byte(`{"name":"d","kind":"crash","runs":6,"workload":{"name":"scan","segments":2,"batches_per_seg":4},"faults":{"disk_faults":true,"count":10}}`))
 	f.Add([]byte(`{"name":"x","kind":"crash","runs":1,"workload":{"name":"metacache","files":8,"skew":0.9},"schedule":{"warmup_ops":10,"max_ops":50}}`))
+	f.Add([]byte(`{"name":"p","kind":"perf","seed":1,"runs":1}`))
 	f.Add([]byte(`{"name":"../../x","kind":"crash","runs":1}`))
 	f.Add([]byte(`{"name":".x","kind":"fleet","runs":1}`))
 	f.Add([]byte(`{`))

@@ -6,17 +6,20 @@ import (
 	"strings"
 
 	"rio/internal/crashtest"
+	"rio/internal/perf"
 )
 
 // Cell is one aggregated row of a scenario report: a (system × fault)
 // pair for crash scenarios, the one crash-under-load row for server
-// scenarios, a fleet fault kind for fleet scenarios. Its counters are
-// crashtest's Tally — for the crash kind, the campaign's own cell tally —
-// plus the server and fleet kinds' traffic and reaction columns. Cells
-// are folded in attempt order, so their bytes are independent of the
-// worker count. Wall-clock timing deliberately lives in a json-excluded field:
-// the JSON report is the determinism artifact (diffed across worker
-// counts), the latency table is not.
+// scenarios, a fleet fault kind for fleet scenarios, a Table 2
+// configuration or the code-patching ablation for perf scenarios. Its
+// counters are crashtest's Tally — for the crash kind, the campaign's
+// own cell tally — plus the server and fleet kinds' traffic and
+// reaction columns and the perf kind's simulated times. Cells are
+// folded in attempt order, so their bytes are independent of the
+// worker count. Wall-clock timing deliberately lives in a json-excluded
+// field: the JSON report is the determinism artifact (diffed across
+// worker counts), the latency table is not.
 type Cell struct {
 	Label string `json:"label"`
 	crashtest.Tally
@@ -33,6 +36,16 @@ type Cell struct {
 	Repairs    int    `json:"repairs,omitempty"`
 	Redirects  uint64 `json:"redirects,omitempty"`
 	Retries    uint64 `json:"retries,omitempty"`
+
+	// Simulated times in ns (perf kind): a Table 2 configuration's cp,
+	// rm, Sdet and Andrew, or the code-patching probe under TLB
+	// protection and under software checks.
+	CpNs      int64 `json:"cp_ns,omitempty"`
+	RmNs      int64 `json:"rm_ns,omitempty"`
+	SdetNs    int64 `json:"sdet_ns,omitempty"`
+	AndrewNs  int64 `json:"andrew_ns,omitempty"`
+	TLBNs     int64 `json:"tlb_ns,omitempty"`
+	PatchedNs int64 `json:"patched_ns,omitempty"`
 
 	// ElapsedNs is wall-clock time spent on this cell's plans, summed
 	// in fold order. Excluded from the JSON artifact: timing may differ
@@ -68,6 +81,9 @@ type Result struct {
 	// Campaign is the crash kind's campaign report, for renderers of
 	// Table 1's own layout; nil for the other kinds.
 	Campaign *crashtest.Report `json:"-"`
+	// Perf is the perf kind's Table 2, which Table renders; nil for the
+	// other kinds.
+	Perf *perf.Table `json:"-"`
 
 	// ElapsedNs is the scenario's total wall time (json-excluded, see
 	// Cell.ElapsedNs).
@@ -131,8 +147,12 @@ func (r *Result) JSON() ([]byte, error) {
 }
 
 // Table renders the aligned corruption table (no timing — see
-// LatencyTable).
+// LatencyTable); a perf scenario, which has no crash columns, in Table 2's
+// own layout.
 func (r *Result) Table() string {
+	if r.Perf != nil {
+		return r.Perf.String()
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "scenario %s (kind=%s", r.Name, r.Kind)
 	if r.Workload != "" {

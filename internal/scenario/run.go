@@ -9,6 +9,7 @@ import (
 	"rio/internal/crashtest"
 	"rio/internal/kernel"
 	"rio/internal/machine"
+	"rio/internal/perf"
 	"rio/internal/server"
 	"rio/internal/sim"
 	"rio/internal/wire"
@@ -53,6 +54,8 @@ func (r *Runner) Run(spec *Spec) (*Result, error) {
 		return r.runServer(spec)
 	case KindFleet:
 		return r.runFleet(spec)
+	case KindPerf:
+		return r.runPerf(spec)
 	}
 	return nil, fmt.Errorf("scenario: unknown kind %q", spec.Kind)
 }
@@ -366,4 +369,34 @@ func (r *Runner) runFleet(spec *Spec) (*Result, error) {
 				spec.Name, o.Attempt, c.Label, res.Acked, res.Lost, res.Stale, res.Promotions))
 		}
 	})
+}
+
+// --- perf kind ---
+
+// runPerf runs Table 2 and then the code-patching ablation on
+// perf.DefaultConfig's workloads and machines at the spec's seed: one cell
+// per configuration, one for the ablation. Every time is simulated and no
+// wall time is kept, so the report is the same at any worker count and
+// there is no latency table.
+func (r *Runner) runPerf(spec *Spec) (*Result, error) {
+	cfg := perf.DefaultConfig()
+	cfg.Seed = spec.Seed
+	rows, err := cfg.RunTable2()
+	if err != nil {
+		return nil, err
+	}
+	tlb, patched, err := cfg.CodePatchingOverhead()
+	if err != nil {
+		return nil, err
+	}
+	out := &Result{Name: spec.Name, Kind: spec.Kind, Seed: spec.Seed, Runs: spec.Runs,
+		Perf: &perf.Table{Rows: rows, TLB: tlb, Patched: patched}}
+	for _, row := range rows {
+		out.Cells = append(out.Cells, Cell{Label: row.Spec.Label, CpNs: int64(row.CpRmCp),
+			RmNs: int64(row.CpRmRm), SdetNs: int64(row.Sdet), AndrewNs: int64(row.Andrew)})
+	}
+	out.Cells = append(out.Cells, Cell{Label: "Code patching (copy stream)",
+		TLBNs: int64(tlb), PatchedNs: int64(patched)})
+	out.finish()
+	return out, nil
 }

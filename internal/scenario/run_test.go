@@ -7,6 +7,7 @@ import (
 
 	"rio/internal/crashtest"
 	"rio/internal/fault"
+	"rio/internal/perf"
 )
 
 // mustRun parses, runs at the given worker count, and returns the
@@ -145,6 +146,43 @@ func TestFleetScenarioWorkerInvariance(t *testing.T) {
 	}
 	if res.Cells[1].Promotions != 0 {
 		t.Fatalf("os-crash: promotions recorded: %+v", res.Cells[1])
+	}
+}
+
+// TestPerfSpecIsTable2 pins the perf kind's compile: one cell per Table 2
+// configuration and one for the code-patching ablation, each carrying
+// exactly the simulated times perf.DefaultConfig measures at the spec's
+// seed.
+func TestPerfSpecIsTable2(t *testing.T) {
+	if testing.Short() {
+		t.Skip("Table 2 runs twice")
+	}
+	_, res := mustRun(t, `{"name":"t2","kind":"perf","seed":7,"runs":1}`, 1)
+	cfg := perf.DefaultConfig()
+	cfg.Seed = 7
+	rows, err := cfg.RunTable2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tlb, patched, err := cfg.CodePatchingOverhead()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Cells) != len(rows)+1 || len(rows) != 8 {
+		t.Fatalf("%d cells for %d rows, want 9", len(res.Cells), len(rows))
+	}
+	for i, row := range rows {
+		c := res.Cells[i]
+		if c.Label != row.Spec.Label || c.CpNs != int64(row.CpRmCp) || c.RmNs != int64(row.CpRmRm) ||
+			c.SdetNs != int64(row.Sdet) || c.AndrewNs != int64(row.Andrew) {
+			t.Fatalf("cell %d is %+v, perf measures %+v", i, c, row)
+		}
+	}
+	if c := res.Cells[8]; c.TLBNs != int64(tlb) || c.PatchedNs != int64(patched) || tlb == 0 {
+		t.Fatalf("code-patching cell %+v, perf measures %v -> %v", c, tlb, patched)
+	}
+	if err := res.Gate(); err != nil {
+		t.Fatalf("perf scenario breached the gate: %v", err)
 	}
 }
 

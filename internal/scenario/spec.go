@@ -1,14 +1,16 @@
 // Package scenario is the declarative campaign surface: a small,
 // bounds-checked spec describing workload × fault plan × crash/kill
-// schedule × topology, compiled into runs of one of three kinds — a
+// schedule × topology, compiled into runs of one of four kinds — a
 // single-machine crash campaign (crashtest.RunCampaign, Table 1's
 // driver), crash-under-load runs against the sharded server,
 // replicated-fleet runs — that all issue into the one campaign
-// scheduler (crashtest.Scheduler). The spec alone determines the report
-// bytes: every seed in the compiled campaign derives from the spec's
-// seed via sim.Mix, and the scheduler folds results in attempt order — so
-// `rioscn -workers 1` and `-workers 8` emit identical JSON, and any
-// campaign cell is reproducible from the spec file alone.
+// scheduler (crashtest.Scheduler), or Table 2's performance runs
+// (perf.Config.RunTable2, simulated time). The spec alone determines
+// the report bytes: every seed in the compiled campaign derives from
+// the spec's seed via sim.Mix, and the scheduler folds results in
+// attempt order — so `rioscn -workers 1` and `-workers 8` emit
+// identical JSON, and any campaign cell is reproducible from the spec
+// file alone.
 package scenario
 
 import (
@@ -31,6 +33,7 @@ const (
 	KindCrash  = "crash"  // single-machine fault-injection campaign
 	KindServer = "server" // sharded riod crash-under-load
 	KindFleet  = "fleet"  // replicated fleet machine-loss campaign
+	KindPerf   = "perf"   // Table 2 and the code-patching ablation
 )
 
 // Spec is one scenario. The zero value of every optional field means
@@ -41,12 +44,13 @@ type Spec struct {
 	// (-json-dir DIR/<name>.json), so it is required and restricted to
 	// [A-Za-z0-9._-] with no leading dot.
 	Name string `json:"name"`
-	// Kind picks the plan's run: crash, server, or fleet.
+	// Kind picks the plan's run: crash, server, fleet, or perf.
 	Kind string `json:"kind"`
 	// Seed roots every derived stream. 0 is a valid seed.
 	Seed uint64 `json:"seed"`
 	// Runs is the crash kind's crashing runs per (system, fault) cell,
 	// as in Table 1, and the server and fleet kinds' number of plans.
+	// A perf spec measures once: runs is 1.
 	Runs int `json:"runs"`
 
 	Workload WorkloadSpec `json:"workload"`
@@ -186,15 +190,18 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("scenario: name %q is a file name: only [A-Za-z0-9._-], no leading dot", s.Name)
 	}
 	switch s.Kind {
-	case KindCrash, KindServer, KindFleet:
+	case KindCrash, KindServer, KindFleet, KindPerf:
 	default:
-		return fmt.Errorf("scenario: unknown kind %q (want crash, server, or fleet)", s.Kind)
+		return fmt.Errorf("scenario: unknown kind %q (want crash, server, fleet, or perf)", s.Kind)
 	}
 	if s.Runs <= 0 {
 		return fmt.Errorf("scenario: runs must be positive")
 	}
 	if s.Runs > maxRuns {
 		return fmt.Errorf("scenario: runs %d exceeds %d", s.Runs, maxRuns)
+	}
+	if s.Kind == KindPerf && s.Runs != 1 {
+		return fmt.Errorf("scenario: perf scenarios are simulated time and measure once; runs must be 1, not %d", s.Runs)
 	}
 	if err := s.Workload.validate(s.Kind); err != nil {
 		return err
@@ -239,6 +246,12 @@ func boundObj(name string, v *int, def, max int) error {
 }
 
 func (w *WorkloadSpec) validate(kind string) error {
+	if kind == KindPerf {
+		if *w != (WorkloadSpec{}) {
+			return fmt.Errorf("scenario: perf scenarios run Table 2's own workloads; workload must be empty")
+		}
+		return nil
+	}
 	if kind == KindFleet {
 		if w.Name != "" {
 			return fmt.Errorf("scenario: fleet scenarios use the built-in replication workload; workload.name must be empty")
@@ -347,7 +360,7 @@ func (sc *ScheduleSpec) validate(kind string) error {
 				sc.CrashAt, sc.OutageOps, sc.MaxOps)
 		}
 		return nil
-	default: // fleet: the campaign derives its own write counts
+	default: // fleet derives its own write counts; perf runs Table 2's
 		if sc.WarmupOps != 0 || sc.MaxOps != 0 || sc.CrashAt != 0 || sc.OutageOps != 0 {
 			return fmt.Errorf("scenario: schedule fields apply only to crash/server scenarios")
 		}
@@ -392,6 +405,11 @@ func (t *TopologySpec) validate(kind, wl string) error {
 			return fmt.Errorf("scenario: server scenarios take only topology.shards")
 		}
 		return boundObj("topology.shards", &t.Shards, 4, maxTopology)
+	case KindPerf:
+		if len(t.Systems) > 0 || t.Shards != 0 || t.Nodes != 0 || t.Replicas != 0 || len(t.FleetFaults) > 0 {
+			return fmt.Errorf("scenario: perf scenarios run Table 2's own machines; topology must be empty")
+		}
+		return nil
 	default: // fleet
 		if len(t.Systems) > 0 {
 			return fmt.Errorf("scenario: topology.systems applies only to crash scenarios")

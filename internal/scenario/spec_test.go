@@ -63,6 +63,13 @@ func TestParseRejects(t *testing.T) {
 		{"long name", `{"name":"` + strings.Repeat("x", 200) + `","kind":"crash","runs":1}`},
 		{"name escapes the report dir", `{"name":"../../x","kind":"crash","runs":1}`},
 		{"hidden name", `{"name":".x","kind":"crash","runs":1}`},
+		{"perf runs 2", `{"name":"t","kind":"perf","runs":2}`},
+		{"perf with workload", `{"name":"t","kind":"perf","runs":1,"workload":{"name":"memtest"}}`},
+		{"perf with workload size", `{"name":"t","kind":"perf","runs":1,"workload":{"bytes":4096}}`},
+		{"perf with faults", `{"name":"t","kind":"perf","runs":1,"faults":{"types":["pointer"]}}`},
+		{"perf with schedule", `{"name":"t","kind":"perf","runs":1,"schedule":{"max_ops":50}}`},
+		{"perf with systems", `{"name":"t","kind":"perf","runs":1,"topology":{"systems":["rio-prot"]}}`},
+		{"perf with shards", `{"name":"t","kind":"perf","runs":1,"topology":{"shards":2}}`},
 	}
 	for _, tc := range cases {
 		if _, err := Parse([]byte(tc.in)); err == nil {

@@ -25,10 +25,10 @@
 //	rep, _ := sys.WarmReboot()
 //	data, _ := sys.ReadFile("/notes") // intact
 //
-// The two headline experiments are exposed directly: RunCrashCampaign
-// reproduces Table 1 (corruption rates across 13 fault types on three
-// systems) and RunPerfTable reproduces Table 2 (workload times across
-// eight file-system configurations).
+// RunCrashCampaign reproduces Table 1 (corruption rates across 13 fault
+// types on three systems). Table 2 (workload times across eight
+// file-system configurations) runs as a scenario spec:
+// `go run ./cmd/rioscn scenarios/table2.json`.
 package rio
 
 import (

@@ -308,36 +308,6 @@ func TestMiniCrashCampaign(t *testing.T) {
 	}
 }
 
-func TestPerfTableSmall(t *testing.T) {
-	if testing.Short() {
-		t.Skip("perf table is slow")
-	}
-	res, err := RunPerfTable(PerfOptions{Scale: 0.25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 8 {
-		t.Fatalf("%d rows", len(res.Rows))
-	}
-	sp := res.Speedups()
-	if sp.VsWriteThroughWrite[0] < 2 {
-		t.Fatalf("write-through speedup %.1f implausibly low", sp.VsWriteThroughWrite[0])
-	}
-	if !strings.Contains(res.Table(), "Rio with protection") {
-		t.Fatal("table malformed")
-	}
-}
-
-func TestProtectionOverheadAPI(t *testing.T) {
-	w, p, err := ProtectionOverhead(PerfOptions{Scale: 0.25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p < w || float64(p) > 1.1*float64(w) {
-		t.Fatalf("overhead out of band: %v -> %v", w, p)
-	}
-}
-
 func TestSymlinkPublicAPI(t *testing.T) {
 	sys, _ := New(Config{})
 	sys.WriteFile("/target", []byte("linked data"))

@@ -36,7 +36,9 @@ make crash-recovery
 # second crashes in the warm reboot and the txn roll-forward) and the
 # fleet campaign (fleet-all-kinds: two plans of each fault kind,
 # including the pairwise partition that probes for stale reads from a
-# deposed primary). rioscn exits nonzero if any scenario loses an acked
-# write, tears a commit, serves a stale read, or aborts a recovery. The
-# -workers 4 reports land in scenario-reports/, uploaded as a CI artifact.
+# deposed primary) and Table 2 (table2, the perf kind: eight
+# configurations' simulated times and the code-patching ablation).
+# rioscn exits nonzero if any scenario loses an acked write, tears a
+# commit, serves a stale read, or aborts a recovery. The -workers 4
+# reports land in scenario-reports/, uploaded as a CI artifact.
 make scenarios
