@@ -333,21 +333,46 @@ func TestRunMatchesReference(t *testing.T) {
 	}
 	corpus("random text", "fuzz", 400, 0xF0CC, randomText, true)
 	corpus("mutated text", "main", 600, 0xBEEF, mutatedText, false)
-	copyLoopCorpus(t)
+	copyLoopCorpus(t, 8)
+	copyLoopCorpus(t, 1)
 }
 
-// copyText is a procedure "copy"(dst=r1, src=r2, len=r3) around the
-// word-copy loop: i = 0, the stride r6 = 8 unless it is left stale, the
-// loop, return. A flip of 0..511 flips that bit of the loop's eight words.
-func copyText(staleStride bool, flip int) *Text {
+// byteLoop is bcopy's byte tail as the kernel emits it: while r3-r4 > r5
+// (signed), copy the byte at r2+r4 to r1+r4 and step r4 by 1.
+var byteLoop = [...]Instr{
+	{Op: OpSub, Rd: 7, Rs1: 3, Rs2: 4},
+	{Op: OpBle, Rs1: 7, Rs2: 5, Imm: 6},
+	{Op: OpAdd, Rd: 8, Rs1: 2, Rs2: 4},
+	{Op: OpLdB, Rd: 9, Rs1: 8},
+	{Op: OpAdd, Rd: 8, Rs1: 1, Rs2: 4},
+	{Op: OpStB, Rs1: 8, Rs2: 9},
+	{Op: OpAddI, Rd: 4, Rs1: 4, Imm: 1},
+	{Op: OpJmp, Imm: -8},
+}
+
+// copyText is a procedure "copy"(dst=r1, src=r2, len=r3) around the copy
+// loop of the given width, as bcopy sets it up: i = 0, then the loop's
+// bound (r6 = 8 for the word loop, r5 = 0 for the byte loop) unless it is
+// left stale, the loop, return. A flip of 0..511 flips that bit of the
+// loop's eight words.
+func copyText(width int, staleBound bool, flip int) *Text {
 	a := NewAsm()
 	a.Proc("copy")
 	a.MovI(4, 0)
-	if !staleStride {
+	if !staleBound && width == 8 {
 		a.MovI(6, 8)
 	}
+	if !staleBound && width == 1 {
+		a.MovI(5, 0)
+	}
 	loop := a.Here()
-	a.CopyLoop()
+	if width == 8 {
+		a.CopyLoop()
+	} else {
+		for _, in := range byteLoop {
+			a.emit(in)
+		}
+	}
 	a.Ret()
 	text := a.MustAssemble()
 	if flip >= 0 {
@@ -379,33 +404,81 @@ func copyVM(text *Text, mode int) *VM {
 	return v
 }
 
-// copyLoopCorpus holds the word-copy loop's native run to the reference:
-// every copy below under each protection mode, traced (which must switch
-// the native run off), and with the budget expiring at each of the eight
-// offsets of an early and of a late iteration; then with stale strides;
-// then with each bit of the loop flipped, which must switch it off too.
-func copyLoopCorpus(t *testing.T) {
-	const p = mem.PageSize
-	k := mmu.PhysToKSEG
-	copies := []struct {
-		name          string
-		dst, src, len uint64
-	}{
-		{"shared TLB slot, crossing pages", 65*p + 64, p + 64, p + 512},
-		{"shared TLB slot, other way", p + 64, 65*p + 128, p},
-		{"same page", p + 4096, p, 2048},
-		{"same page, other way", p, p + 4096, 2048},
-		{"KSEG to virtual", 2*p + 8, k(5*p + 64), 3000},
-		{"virtual to KSEG", k(7 * p), p + 512, p},
-		{"load trap, unmapped page", k(7 * p), 3*p - 256, 600},
-		{"store trap, unmapped page", 67*p - 128, p, 512},
-		{"store trap, protected frame through KSEG", k(6*p - 64), p, 512},
-		{"store trap, protected frame", 5*p - 64, p, 512},
-		{"overlap, dst = src+8", p + 8, p, 4096},
-		{"overlap, dst = src-8", k(7 * p), k(7*p + 8), 4096},
-		{"misaligned", p + 4, 2 * p, 64},
-		{"shorter than a word", p, 2 * p, 7},
-		{"negative length", p, 2 * p, 1<<63 + 64},
+// copyCase is one copy a loop corpus runs.
+type copyCase struct {
+	name          string
+	dst, src, len uint64
+}
+
+// wordCopies and byteCopies are the copies the two loops' corpora run on
+// copyVM: in both directions between virtual pages that share a TLB slot
+// and within one page, between KSEG and virtual addresses both ways, into
+// load and store traps as a copy crosses onto an unmapped page, a
+// protected frame or off the end of memory, overlapping by one element
+// either way, and lengths a faulted register file leaves: negative, and
+// r3-r4 at MinInt64+1 and MaxInt64.
+var (
+	wordCopies = func() []copyCase {
+		const p = mem.PageSize
+		k := mmu.PhysToKSEG
+		return []copyCase{
+			{"shared TLB slot, crossing pages", 65*p + 64, p + 64, p + 512},
+			{"shared TLB slot, other way", p + 64, 65*p + 128, p},
+			{"same page", p + 4096, p, 2048},
+			{"same page, other way", p, p + 4096, 2048},
+			{"KSEG to virtual", 2*p + 8, k(5*p + 64), 3000},
+			{"virtual to KSEG", k(7 * p), p + 512, p},
+			{"load trap, unmapped page", k(7 * p), 3*p - 256, 600},
+			{"store trap, unmapped page", 67*p - 128, p, 512},
+			{"store trap, protected frame through KSEG", k(6*p - 64), p, 512},
+			{"store trap, protected frame", 5*p - 64, p, 512},
+			{"overlap, dst = src+8", p + 8, p, 4096},
+			{"overlap, dst = src-8", k(7 * p), k(7*p + 8), 4096},
+			{"misaligned", p + 4, 2 * p, 64},
+			{"shorter than a word", p, 2 * p, 7},
+			{"negative length", p, 2 * p, 1<<63 + 64},
+		}
+	}()
+	byteCopies = func() []copyCase {
+		const p = mem.PageSize
+		k := mmu.PhysToKSEG
+		return []copyCase{
+			{"shared TLB slot, crossing pages", 65*p + 61, p + 67, p + 300},
+			{"shared TLB slot, other way", p + 5, 65*p + 130, p},
+			{"same page", p + 4097, p + 1, 2000},
+			{"same page, other way", p + 3, p + 4099, 2000},
+			{"KSEG to virtual, crossing frames", 2*p + 9, k(5*p - 1000), 3000},
+			{"virtual to KSEG, crossing pages", k(6*p + 3), p + 8000, 1000},
+			{"load trap, unmapped page", k(7 * p), 3*p - 255, 600},
+			{"load trap, unmapped page, into KSEG", 66*p + 1, 3*p - 100, 300},
+			{"load trap, off the end of memory", 2*p + 1, k(8*p - 100), 300},
+			{"store trap, unmapped page", 67*p - 127, p + 1, 512},
+			{"store trap, unmapped page, from KSEG", 3*p - 77, k(4*p + 1), 512},
+			{"store trap, off the end of memory", k(8*p - 50), p + 3, 200},
+			{"store trap, protected frame through KSEG", k(6*p - 63), p, 512},
+			{"store trap, protected frame", 5*p - 63, p + 3, 512},
+			{"overlap, dst = src+1", p + 9, p + 8, 4096},
+			{"overlap, dst = src+1, crossing pages", p + 8000, p + 7999, 400},
+			{"overlap, src = dst+1", k(7 * p), k(7*p + 1), 4096},
+			{"aligned", p, 2 * p, 64},
+			{"one byte", p + 1, 2*p + 1, 1},
+			{"empty", p + 1, 2*p + 1, 0},
+			{"negative length", p + 1, 2 * p, 1<<63 + 64},
+			{"r3-r4 at MinInt64+1", p + 1, 2 * p, 1<<63 + 1},
+			{"r3-r4 at MaxInt64", p + 1, 2*p + 1, 1<<63 - 1},
+		}
+	}()
+)
+
+// copyLoopCorpus holds a copy loop's native run to the reference: every
+// copy under each protection mode, traced (which must switch the native run
+// off), and with the budget expiring at each of the eight offsets of an
+// early and of a late iteration; then with stale bounds; then with each
+// bit of the loop flipped, which must switch it off too.
+func copyLoopCorpus(t *testing.T, width int) {
+	copies, boundReg := wordCopies, 6
+	if width == 1 {
+		copies, boundReg = byteCopies, 5
 	}
 	exec := func(what string, text *Text, mode int, dress func(Twin), i int) {
 		c := copies[i%len(copies)]
@@ -413,7 +486,7 @@ func copyLoopCorpus(t *testing.T) {
 		dress(tw)
 		for run := 0; run < 2; run++ { // the second on stale registers and a warm TLB
 			if err := tw.Exec("copy", c.dst, c.src, c.len); err != nil {
-				t.Fatalf("copy loop, %s, %s, mode %d, run %d: %v", c.name, what, mode, run, err)
+				t.Fatalf("width-%d copy loop, %s, %s, mode %d, run %d: %v", width, c.name, what, mode, run, err)
 			}
 		}
 	}
@@ -422,27 +495,28 @@ func copyLoopCorpus(t *testing.T) {
 	}
 	for i := range copies {
 		for mode := 0; mode < 8; mode++ {
-			exec("default budget", copyText(false, -1), mode, budget(0), i)
-			exec("traced", copyText(false, -1), mode, func(tw Twin) {
+			exec("default budget", copyText(width, false, -1), mode, budget(0), i)
+			exec("traced", copyText(width, false, -1), mode, func(tw Twin) {
 				tw.Fast.Trace, tw.Ref.Trace = NewTracer(16), NewTracer(16)
 			}, i)
 			for _, iter := range []uint64{2, 40} {
 				for off := uint64(0); off < 8; off++ {
 					// Two prologue instructions, then iter whole iterations.
 					exec(fmt.Sprintf("budget ends at offset %d of iteration %d", off, iter),
-						copyText(false, -1), mode, budget(2+8*iter+off), i)
+						copyText(width, false, -1), mode, budget(2+8*iter+off), i)
 				}
 			}
 		}
 	}
-	for s, stride := range []uint64{8, 0, 1, 7, 9, 16, 24, 1 << 12, ^uint64(7), 1 << 63, 1<<63 - 1} {
+	bounds := []uint64{8, 0, 1, 7, 9, 16, 24, 1 << 12, ^uint64(7), ^uint64(0), 1 << 63, 1<<63 + 1, 1<<63 - 1}
+	for s, bound := range bounds {
 		for i := range copies {
-			exec(fmt.Sprintf("stride r6 = %#x", stride), copyText(true, -1), 3,
-				func(tw Twin) { tw.Fast.Reg[6], tw.Ref.Reg[6] = stride, stride }, i+s)
+			exec(fmt.Sprintf("bound r%d = %#x", boundReg, bound), copyText(width, true, -1), 3,
+				func(tw Twin) { tw.Fast.Reg[boundReg], tw.Ref.Reg[boundReg] = bound, bound }, i+s)
 		}
 	}
-	for flip := 0; flip < 64*len(copyLoop); flip++ {
-		exec(fmt.Sprintf("bit %d of loop word %d flipped", flip%64, flip/64), copyText(false, flip), flip%8,
+	for flip := 0; flip < 64*8; flip++ {
+		exec(fmt.Sprintf("bit %d of loop word %d flipped", flip%64, flip/64), copyText(width, false, flip), flip%8,
 			func(tw Twin) { tw.dress(uint64(flip)|uint64(flip)<<8, "copy") }, flip)
 	}
 }

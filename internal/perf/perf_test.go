@@ -78,10 +78,16 @@ func TestTable2Shape(t *testing.T) {
 		}
 	}
 	// "1-3 times as fast as an optimized system that risks losing 30
-	// seconds of data and metadata"
+	// seconds of data and metadata". Sdet alone may fall short of 1×: it
+	// measures 0.95× (EXPERIMENTS.md, Table 2 Discussion), below the
+	// paper's 1.1×, so its floor is 0.8; cp+rm and Andrew hold the paper's.
 	for i, v := range r.VsDelayed {
-		if v < 0.8 || v > 4 {
-			t.Errorf("vs delayed UFS, workload %d: %.1fx outside [0.8,4]", i, v)
+		lo := 1.0
+		if i == 1 {
+			lo = 0.8
+		}
+		if v < lo || v > 4 {
+			t.Errorf("vs delayed UFS, workload %d: %.2fx outside [%.1f,4]", i, v, lo)
 		}
 	}
 	// "performs as fast as a memory file system" (within ~20%)
