@@ -47,17 +47,9 @@ func BuildText() *kvm.Text {
 	a.And(6, 6, 7)
 	a.BneL(6, 5, "bcopy_tail")
 	a.MovI(6, 8)
-	a.CopyLoop() // while len-i >= 8: copy the word at i; i += 8
+	a.CopyLoop(8) // while len-i >= 8: copy the word at i; i += 8
 	a.Label("bcopy_tail")
-	a.Sub(7, 3, 4)
-	a.BleL(7, 5, "bcopy_done")
-	a.Add(8, 2, 4)
-	a.LdB(9, 8, 0)
-	a.Add(8, 1, 4)
-	a.StB(8, 0, 9)
-	a.AddI(4, 4, 1)
-	a.JmpL("bcopy_tail")
-	a.Label("bcopy_done")
+	a.CopyLoop(1) // while len-i > 0: copy the byte at i; i += 1
 	a.Ret()
 
 	// bzero(dst=r1, len=r2).

@@ -208,8 +208,8 @@ func (v *VM) pop(pc int) (uint64, *Exception) {
 // writes them back on every way out, and they are written back before an
 // entry hook or an intrinsic runs — the only other code that can observe
 // them mid-run. (Tracer.record sees only the entry it is handed.) An
-// unmutated word-copy loop runs natively (runCopyLoop) unless tracing,
-// which needs every instruction.
+// unmutated copy loop runs natively (copyIdioms) unless tracing, which
+// needs every instruction.
 func (v *VM) run() *Exception {
 	budget := v.Budget
 	if budget == 0 {
@@ -217,7 +217,6 @@ func (v *VM) run() *Exception {
 	}
 	words, u, r := v.Text.words, v.MMU, &v.Reg
 	pc, steps := v.pc, v.Steps
-	copyHead := copyLoopWords[0]
 	for n := uint64(0); ; n++ {
 		if n >= budget {
 			return v.stop(pc, steps, &Exception{Kind: ExcBudget, PC: pc})
@@ -227,13 +226,15 @@ func (v *VM) run() *Exception {
 				Reason: "pc outside kernel text"})
 		}
 		word := words[pc]
-		if word == copyHead && v.Trace == nil && isCopyLoop(words, pc) {
-			// The word-copy loop, whole iterations at a time; the budget
-			// keeps room for the instruction at pc, interpreted next.
-			done, exc := runCopyLoop(u, r, pc, (budget-n-1)/8)
-			n, steps = n+done, steps+done
-			if exc != nil {
-				return v.stop(exc.PC, steps, exc)
+		if word == copyHead && v.Trace == nil {
+			if c := copyIdiomAt(words, pc); c != nil {
+				// A copy loop, whole iterations at a time; the budget
+				// keeps room for the instruction at pc, interpreted next.
+				done, exc := c.run(u, r, pc, (budget-n-1)/copyLen)
+				n, steps = n+done, steps+done
+				if exc != nil {
+					return v.stop(exc.PC, steps, exc)
+				}
 			}
 		}
 		op, rd, rs1, rs2, imm := decodeFields(word)

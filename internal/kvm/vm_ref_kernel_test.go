@@ -1,6 +1,7 @@
 package kvm_test
 
 import (
+	"maps"
 	"testing"
 
 	"rio/internal/fault"
@@ -56,13 +57,22 @@ func faultedKernel(t *testing.T, ft fault.Type, seed uint64) (*machine.Machine, 
 }
 
 // TestBcopyRunsTheCopyLoop fails when the kernel's bcopy stops containing
-// the word-copy loop the interpreter runs natively — which would switch
-// that off without changing any result, only the host time.
+// the two copy loops the interpreter runs natively — the word loop, and
+// the byte loop at its exit, which both the tail and unaligned copies take
+// — which would switch that off without changing any result, only the
+// host time.
 func TestBcopyRunsTheCopyLoop(t *testing.T) {
 	text := kernel.BuildText()
 	bcopy := text.MustProc("bcopy")
-	if at := kvm.CopyLoops(text); len(at) != 1 || at[0] < bcopy.Entry || at[0] >= bcopy.End {
-		t.Fatalf("word-copy loop at %v, want once in bcopy [%d, %d):\n%s",
+	at := kvm.CopyLoops(text)
+	word := -1
+	for pc, width := range at {
+		if width == 8 {
+			word = pc
+		}
+	}
+	if want := map[int]int{word: 8, word + 8: 1}; word < bcopy.Entry || word+16 >= bcopy.End || !maps.Equal(at, want) {
+		t.Fatalf("copy loops (address: width) %v, want the word loop and the byte loop after it in bcopy [%d, %d):\n%s",
 			at, bcopy.Entry, bcopy.End, text.Disassemble(bcopy.Entry, bcopy.End))
 	}
 }

@@ -184,13 +184,14 @@ func (v *VM) refRun() *Exception {
 	}
 }
 
-// CopyLoops lists the addresses at which run finds the word-copy loop in
-// t. (Exported for the kvm_test package, which checks the kernel's text.)
-func CopyLoops(t *Text) []int {
-	var at []int
+// CopyLoops maps each address at which run finds a copy loop in t to the
+// loop's width. (Exported for the kvm_test package, which checks the
+// kernel's text.)
+func CopyLoops(t *Text) map[int]int {
+	at := map[int]int{}
 	for pc := range t.words {
-		if isCopyLoop(t.words, pc) {
-			at = append(at, pc)
+		if c := copyIdiomAt(t.words, pc); c != nil {
+			at[pc] = c.width
 		}
 	}
 	return at
@@ -333,46 +334,25 @@ func TestRunMatchesReference(t *testing.T) {
 	}
 	corpus("random text", "fuzz", 400, 0xF0CC, randomText, true)
 	corpus("mutated text", "main", 600, 0xBEEF, mutatedText, false)
-	copyLoopCorpus(t, 8)
-	copyLoopCorpus(t, 1)
+	for i := range copyIdioms {
+		copyLoopCorpus(t, &copyIdioms[i])
+	}
 }
 
-// byteLoop is bcopy's byte tail as the kernel emits it: while r3-r4 > r5
-// (signed), copy the byte at r2+r4 to r1+r4 and step r4 by 1.
-var byteLoop = [...]Instr{
-	{Op: OpSub, Rd: 7, Rs1: 3, Rs2: 4},
-	{Op: OpBle, Rs1: 7, Rs2: 5, Imm: 6},
-	{Op: OpAdd, Rd: 8, Rs1: 2, Rs2: 4},
-	{Op: OpLdB, Rd: 9, Rs1: 8},
-	{Op: OpAdd, Rd: 8, Rs1: 1, Rs2: 4},
-	{Op: OpStB, Rs1: 8, Rs2: 9},
-	{Op: OpAddI, Rd: 4, Rs1: 4, Imm: 1},
-	{Op: OpJmp, Imm: -8},
-}
-
-// copyText is a procedure "copy"(dst=r1, src=r2, len=r3) around the copy
-// loop of the given width, as bcopy sets it up: i = 0, then the loop's
-// bound (r6 = 8 for the word loop, r5 = 0 for the byte loop) unless it is
-// left stale, the loop, return. A flip of 0..511 flips that bit of the
-// loop's eight words.
-func copyText(width int, staleBound bool, flip int) *Text {
+// copyText is a procedure "copy"(dst=r1, src=r2, len=r3) around copy loop
+// c, set up as bcopy sets it up: i = 0, then c's bound at its value for
+// "while a whole element is left" (r6 = 8 for the word loop, r5 = 0 for
+// the byte loop) unless it is left stale, the loop, return. A flip of
+// 0..511 flips that bit of the loop's eight words.
+func copyText(c *copyIdiom, staleBound bool, flip int) *Text {
 	a := NewAsm()
 	a.Proc("copy")
 	a.MovI(4, 0)
-	if !staleBound && width == 8 {
-		a.MovI(6, 8)
-	}
-	if !staleBound && width == 1 {
-		a.MovI(5, 0)
+	if !staleBound {
+		a.MovI(int(c.bound), int32(c.width)-int32(c.margin))
 	}
 	loop := a.Here()
-	if width == 8 {
-		a.CopyLoop()
-	} else {
-		for _, in := range byteLoop {
-			a.emit(in)
-		}
-	}
+	a.CopyLoop(c.width)
 	a.Ret()
 	text := a.MustAssemble()
 	if flip >= 0 {
@@ -475,18 +455,18 @@ var (
 // off), and with the budget expiring at each of the eight offsets of an
 // early and of a late iteration; then with stale bounds; then with each
 // bit of the loop flipped, which must switch it off too.
-func copyLoopCorpus(t *testing.T, width int) {
-	copies, boundReg := wordCopies, 6
+func copyLoopCorpus(t *testing.T, c *copyIdiom) {
+	width, boundReg, copies := c.width, int(c.bound), wordCopies
 	if width == 1 {
-		copies, boundReg = byteCopies, 5
+		copies = byteCopies
 	}
 	exec := func(what string, text *Text, mode int, dress func(Twin), i int) {
-		c := copies[i%len(copies)]
+		cp := copies[i%len(copies)]
 		tw := Twin{Fast: copyVM(text.Clone(), mode), Ref: copyVM(text.Clone(), mode)}
 		dress(tw)
 		for run := 0; run < 2; run++ { // the second on stale registers and a warm TLB
-			if err := tw.Exec("copy", c.dst, c.src, c.len); err != nil {
-				t.Fatalf("width-%d copy loop, %s, %s, mode %d, run %d: %v", width, c.name, what, mode, run, err)
+			if err := tw.Exec("copy", cp.dst, cp.src, cp.len); err != nil {
+				t.Fatalf("width-%d copy loop, %s, %s, mode %d, run %d: %v", width, cp.name, what, mode, run, err)
 			}
 		}
 	}
@@ -495,15 +475,15 @@ func copyLoopCorpus(t *testing.T, width int) {
 	}
 	for i := range copies {
 		for mode := 0; mode < 8; mode++ {
-			exec("default budget", copyText(width, false, -1), mode, budget(0), i)
-			exec("traced", copyText(width, false, -1), mode, func(tw Twin) {
+			exec("default budget", copyText(c, false, -1), mode, budget(0), i)
+			exec("traced", copyText(c, false, -1), mode, func(tw Twin) {
 				tw.Fast.Trace, tw.Ref.Trace = NewTracer(16), NewTracer(16)
 			}, i)
 			for _, iter := range []uint64{2, 40} {
 				for off := uint64(0); off < 8; off++ {
 					// Two prologue instructions, then iter whole iterations.
 					exec(fmt.Sprintf("budget ends at offset %d of iteration %d", off, iter),
-						copyText(width, false, -1), mode, budget(2+8*iter+off), i)
+						copyText(c, false, -1), mode, budget(2+8*iter+off), i)
 				}
 			}
 		}
@@ -511,12 +491,12 @@ func copyLoopCorpus(t *testing.T, width int) {
 	bounds := []uint64{8, 0, 1, 7, 9, 16, 24, 1 << 12, ^uint64(7), ^uint64(0), 1 << 63, 1<<63 + 1, 1<<63 - 1}
 	for s, bound := range bounds {
 		for i := range copies {
-			exec(fmt.Sprintf("bound r%d = %#x", boundReg, bound), copyText(width, true, -1), 3,
+			exec(fmt.Sprintf("bound r%d = %#x", boundReg, bound), copyText(c, true, -1), 3,
 				func(tw Twin) { tw.Fast.Reg[boundReg], tw.Ref.Reg[boundReg] = bound, bound }, i+s)
 		}
 	}
-	for flip := 0; flip < 64*8; flip++ {
-		exec(fmt.Sprintf("bit %d of loop word %d flipped", flip%64, flip/64), copyText(width, false, flip), flip%8,
+	for flip := 0; flip < 64*copyLen; flip++ {
+		exec(fmt.Sprintf("bit %d of loop word %d flipped", flip%64, flip/64), copyText(c, false, flip), flip%8,
 			func(tw Twin) { tw.dress(uint64(flip)|uint64(flip)<<8, "copy") }, flip)
 	}
 }

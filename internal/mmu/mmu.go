@@ -342,40 +342,52 @@ func (u *MMU) Load64Pair(addr uint64) (lo, hi uint64, trap *Trap) {
 	return u.Mem.Word64(phys), u.Mem.Word64(phys + 8), nil
 }
 
-// CopyWords copies k words forward, word i from src+8i to dst+8i. It is k
-// × (Load64(src+8i); Store64(dst+8i)) in every observable respect — words,
-// traps, Stats, TLB — and returns the number of words stored, the last
+// CopyWords copies k words of width bytes, 8 or 1, forward: word i from
+// src+width·i to dst+width·i. It is k × (load; store) in every observable
+// respect — words, traps, Stats, TLB — where a width-8 word goes through
+// Load64 and Store64, alignment traps included, and a width-1 word through
+// LoadByte and StoreByte. It returns the number of words stored, the last
 // word loaded, and the trap that stopped it (Write tells a store trap,
 // after word n was loaded, from a load trap, before it was).
 //
-// The first word of a run goes through Load64 and Store64. The rest of the
+// The first word of a run goes through those accessors. The rest of the
 // run, while both addresses stay in the pages that word translated, would
-// repeat those two translations exactly — same PTEs, same protection, no
+// repeat its two translations exactly — same PTEs, same protection, no
 // trap — so it is booked rather than performed: a TLB hit per access, or a
 // miss per access when the two virtual pages share a TLB slot and evict
 // each other (each refill restores the entry the other access displaced,
 // so the TLB ends as the first word left it). The words still move one at
 // a time, so overlapping ranges copy as the loop does.
-func (u *MMU) CopyWords(dst, src uint64, k int) (n int, last uint64, trap *Trap) {
+func (u *MMU) CopyWords(dst, src uint64, k, width int) (n int, last uint64, trap *Trap) {
+	w := uint64(width)
 	for n < k {
-		s, d := src+8*uint64(n), dst+8*uint64(n)
-		w, trap := u.Load64(s)
+		s, d := src+w*uint64(n), dst+w*uint64(n)
+		v, trap := u.loadWord(s, width)
 		if trap != nil {
 			return n, last, trap
 		}
-		last = w
+		last = v
 		ps := u.resident(s) // before the store can evict s's TLB entry
-		if trap := u.Store64(d, w); trap != nil {
+		if trap := u.storeWord(d, v, width); trap != nil {
 			return n, last, trap
 		}
 		pd := u.resident(d)
 		n++
-		run := min(k-n, wordsLeft(s), wordsLeft(d))
-		from := u.Mem.Slice(ps+8, 8*run)
-		to := u.Mem.Slice(pd+8, 8*run)
-		for i := 0; i < 8*run; i += 8 {
-			last = binary.LittleEndian.Uint64(from[i:])
-			binary.LittleEndian.PutUint64(to[i:], last)
+		run := min(k-n, wordsLeft(s, w), wordsLeft(d, w))
+		from := u.Mem.Slice(ps+w, width*run)
+		to := u.Mem.Slice(pd+w, width*run)
+		if width == 8 {
+			for i := 0; i < 8*run; i += 8 {
+				last = binary.LittleEndian.Uint64(from[i:])
+				binary.LittleEndian.PutUint64(to[i:], last)
+			}
+		} else if run > 0 {
+			// Not copy(), which is memmove: an overlapping copy smears
+			// forward, byte by byte, as the loop does.
+			for i := range run {
+				to[i] = from[i]
+			}
+			last = uint64(to[run-1])
 		}
 		u.bookRun(s, d, uint64(run))
 		n += run
@@ -383,9 +395,26 @@ func (u *MMU) CopyWords(dst, src uint64, k int) (n int, last uint64, trap *Trap)
 	return n, last, nil
 }
 
-// wordsLeft is the number of aligned words after addr in addr's page.
-func wordsLeft(addr uint64) int {
-	return int(mem.PageSize-8-addr&(mem.PageSize-1)) / 8
+// loadWord and storeWord are the accessors of a CopyWords word.
+func (u *MMU) loadWord(addr uint64, width int) (uint64, *Trap) {
+	if width == 8 {
+		return u.Load64(addr)
+	}
+	b, trap := u.LoadByte(addr)
+	return uint64(b), trap
+}
+
+func (u *MMU) storeWord(addr, v uint64, width int) *Trap {
+	if width == 8 {
+		return u.Store64(addr, v)
+	}
+	return u.StoreByte(addr, byte(v))
+}
+
+// wordsLeft is the number of whole words of w bytes after the one at addr
+// in addr's page.
+func wordsLeft(addr, w uint64) int {
+	return int((mem.PageSize - w - addr&(mem.PageSize-1)) / w)
 }
 
 // resident is the physical address of addr, whose page the last access

@@ -339,14 +339,27 @@ func TestLoad64PairIsTwoLoads(t *testing.T) {
 }
 
 // copyWordsRef is CopyWords' definition: the per-word loop.
-func copyWordsRef(u *MMU, dst, src uint64, k int) (n int, last uint64, trap *Trap) {
+func copyWordsRef(u *MMU, dst, src uint64, k, width int) (n int, last uint64, trap *Trap) {
+	w := uint64(width)
 	for ; n < k; n++ {
-		w, trap := u.Load64(src + 8*uint64(n))
+		s, d := src+w*uint64(n), dst+w*uint64(n)
+		if width == 1 {
+			b, trap := u.LoadByte(s)
+			if trap != nil {
+				return n, last, trap
+			}
+			last = uint64(b)
+			if trap := u.StoreByte(d, b); trap != nil {
+				return n, last, trap
+			}
+			continue
+		}
+		v, trap := u.Load64(s)
 		if trap != nil {
 			return n, last, trap
 		}
-		last = w
-		if trap := u.Store64(dst+8*uint64(n), w); trap != nil {
+		last = v
+		if trap := u.Store64(d, v); trap != nil {
 			return n, last, trap
 		}
 	}
@@ -356,10 +369,11 @@ func copyWordsRef(u *MMU, dst, src uint64, k int) (n int, last uint64, trap *Tra
 // TestCopyWordsIsWordLoop holds CopyWords to its definition on twin MMUs
 // over random layouts — virtual pages that share a TLB slot, unmapped and
 // read-only pages, Rio-protected frames under each protection mode — and
-// random copies between virtual and KSEG addresses: overlapping, crossing
-// pages, misaligned, off the end of memory and of the address space. After
-// every call both must agree on the words done, the trap and its side, the
-// last word, and the whole MMU.
+// random copies of words and of bytes between virtual and KSEG addresses:
+// overlapping by one word either way, crossing pages, misaligned, off the
+// end of memory and of the address space. After every call both must
+// agree on the words done, the trap and its side, the last word, and the
+// whole MMU.
 func TestCopyWordsIsWordLoop(t *testing.T) {
 	const frames, p = 8, mem.PageSize
 	seed := uint64(0xC0B1)
@@ -410,23 +424,33 @@ func TestCopyWordsIsWordLoop(t *testing.T) {
 			}
 		}
 		for call := 0; call < 20; call++ {
+			width := 8
+			if call%2 == 1 {
+				width = 1
+			}
 			src, dst := addr(), addr()
+			if width == 1 {
+				src, dst = src+rnd(8), dst+rnd(8)
+			}
 			switch rnd(6) {
 			case 0:
-				dst = src + 8
+				dst = src + uint64(width)
 			case 1:
-				dst = src - 8
+				dst = src - uint64(width)
 			}
 			k := int(rnd(3 * p / 8))
-			n, last, trap := bulk.CopyWords(dst, src, k)
-			wn, wlast, wtrap := copyWordsRef(ref, dst, src, k)
+			if width == 1 {
+				k = int(rnd(2 * p))
+			}
+			n, last, trap := bulk.CopyWords(dst, src, k, width)
+			wn, wlast, wtrap := copyWordsRef(ref, dst, src, k, width)
 			if n != wn || last != wlast || (trap == nil) != (wtrap == nil) || trap != nil && *trap != *wtrap {
-				t.Fatalf("layout %d call %d: CopyWords(%#x, %#x, %d) = %d, %#x, %v; word loop %d, %#x, %v",
-					layout, call, dst, src, k, n, last, trap, wn, wlast, wtrap)
+				t.Fatalf("layout %d call %d: CopyWords(%#x, %#x, %d, %d) = %d, %#x, %v; word loop %d, %#x, %v",
+					layout, call, dst, src, k, width, n, last, trap, wn, wlast, wtrap)
 			}
 			if !reflect.DeepEqual(bulk, ref) {
-				t.Fatalf("layout %d call %d: CopyWords(%#x, %#x, %d): MMU differs from the word loop's (stats %+v, %+v)",
-					layout, call, dst, src, k, bulk.Stats, ref.Stats)
+				t.Fatalf("layout %d call %d: CopyWords(%#x, %#x, %d, %d): MMU differs from the word loop's (stats %+v, %+v)",
+					layout, call, dst, src, k, width, bulk.Stats, ref.Stats)
 			}
 		}
 	}
