@@ -61,7 +61,7 @@ crash-recovery:
 	@echo "crash-recovery: output matches golden"
 
 # Table 1, full size: 50 crashing runs per (fault type, system) cell,
-# 39 cells, seed 1996 (≈ 2½ min on one core). The double-fault table is
+# 39 cells, seed 1996 (≈ 1½ min on one core). The double-fault table is
 # the same campaign with storage faults and second crashes:
 # `go run ./cmd/rioscn scenarios/full/table1-diskfaults.json`.
 crash-table1:
