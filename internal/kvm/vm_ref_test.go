@@ -456,6 +456,9 @@ var (
 // early and of a late iteration; then with stale bounds; then with each
 // bit of the loop flipped, which must switch it off too.
 func copyLoopCorpus(t *testing.T, c *copyIdiom) {
+	if c.words[0] != copyHead {
+		t.Fatalf("width-%d copy loop starts %#x; run looks for copyHead, %#x", c.width, c.words[0], copyHead)
+	}
 	width, boundReg, copies := c.width, int(c.bound), wordCopies
 	if width == 1 {
 		copies = byteCopies
