@@ -3,7 +3,7 @@
 # scenario suite (scripts/check.sh is the single source of truth for the
 # sequence; the race package list lives here, under `race`).
 
-.PHONY: check build lint test race bench crash-recovery crash-recovery-golden cost-ledger-golden crash-table1 crash-txn crash-fleet scenarios loc
+.PHONY: check build lint test race bench crash-recovery crash-recovery-golden cost-ledger-golden crash-table1 crash-txn crash-fleet scenarios scenarios-golden loc
 
 check:
 	sh scripts/check.sh
@@ -86,23 +86,29 @@ crash-txn:
 crash-fleet:
 	go run ./cmd/rioscn scenarios/full/fleet-all-kinds.json
 
-# Scenario suite smoke: run every checked-in scenario (scenarios/*.json)
-# through rioscn twice — once at 1 worker, once at 4 — and diff the
-# canonical JSON reports byte-for-byte. Proves the tentpole guarantee
-# (any campaign cell reproduces byte-identically at any worker count)
-# on every spec the repo ships — the txn hunt, the five-kind fleet
-# campaign and Table 2 (scenarios/table2.json, the perf kind) among
-# them — and exits nonzero if any scenario breaches its
-# zero gates (lost acked writes, torn commits, stale reads, aborted
-# recoveries). The -workers 4 reports land in scenario-reports/,
-# uploaded as a CI artifact.
+# Scenario suite: run every checked-in scenario (scenarios/*.json)
+# through rioscn twice — once at 1 worker, once at 4 — and diff both sets
+# of canonical JSON reports byte-for-byte against the golden copies
+# checked in under scenario-reports/. Proves the engine's guarantee (any
+# campaign cell reproduces byte-identically at any worker count) on every
+# spec the repo ships — the txn hunt, the seven-kind fleet campaign and
+# Table 2 (scenarios/table2.json, the perf kind) among them — pins every
+# report, and exits nonzero if any scenario breaches its zero gates (lost
+# acked writes, torn commits, stale reads, aborted recoveries). A failing
+# run leaves its reports in scenario-reports-w1/ and -w4/. Regenerate the
+# golden with `make scenarios-golden` after an intentional change.
 scenarios:
-	rm -rf scenario-reports scenario-reports-w1
+	rm -rf scenario-reports-w1 scenario-reports-w4
 	go run ./cmd/rioscn -workers 1 -quiet -no-timing -json-dir scenario-reports-w1 scenarios >/dev/null
-	go run ./cmd/rioscn -workers 4 -quiet -json-dir scenario-reports scenarios
-	diff -r scenario-reports-w1 scenario-reports
-	rm -rf scenario-reports-w1
-	@echo "scenarios: reports byte-identical at -workers 1 and -workers 4"
+	go run ./cmd/rioscn -workers 4 -quiet -json-dir scenario-reports-w4 scenarios
+	diff -r scenario-reports scenario-reports-w1
+	diff -r scenario-reports scenario-reports-w4
+	rm -rf scenario-reports-w1 scenario-reports-w4
+	@echo "scenarios: reports match scenario-reports/ at -workers 1 and -workers 4"
+
+scenarios-golden:
+	rm -rf scenario-reports
+	go run ./cmd/rioscn -workers 4 -quiet -no-timing -json-dir scenario-reports scenarios >/dev/null
 
 crash-recovery-golden:
 	$(CRASH_RECOVERY) > testdata/crash-recovery.golden

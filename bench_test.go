@@ -35,9 +35,8 @@ func BenchmarkTable1Campaign(b *testing.B) {
 			crashtest.RioNoProt: "rio_noprot_corrupt_pct",
 			crashtest.RioProt:   "rio_prot_corrupt_pct",
 		} {
-			crashes, corrupted := rep.Totals(s)
-			if crashes > 0 {
-				b.ReportMetric(100*float64(corrupted)/float64(crashes), name)
+			if t := rep.Sum(s); t.Crashes > 0 {
+				b.ReportMetric(100*float64(t.Corrupted)/float64(t.Crashes), name)
 			}
 		}
 	}

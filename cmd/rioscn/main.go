@@ -22,8 +22,8 @@
 // columns: rioscn prints it in Table 2's layout instead, with Rio's
 // speedups, protection's cost and the code-patching ablation.
 // The JSON bytes are a pure function of the spec: identical at any
-// -workers value, which scripts/check.sh verifies by diffing -workers
-// 1 against -workers 4. Timing never enters the JSON artifact.
+// -workers value, which `make scenarios` checks at -workers 1 and 4
+// against the checked-in scenario-reports/. Timing never enters them.
 //
 // Exit status is non-zero when any scenario fails its zero gates:
 // silently lost acked writes, torn commits, stale reads, aborted
@@ -180,21 +180,21 @@ func printTable1(rep *crashtest.Report, timing bool) {
 	fmt.Print(rep.Table())
 	fmt.Println()
 	for _, sys := range crashtest.Systems {
-		crashes, corrupted := rep.Totals(sys)
+		t := rep.Sum(sys)
 		rate := 0.0
-		if crashes > 0 {
-			rate = 100 * float64(corrupted) / float64(crashes)
+		if t.Crashes > 0 {
+			rate = 100 * float64(t.Corrupted) / float64(t.Crashes)
 		}
 		mttf := "unbounded at this sample size"
-		if y := crashtest.MTTFYears(corrupted, crashes); y > 0 {
+		if y := crashtest.MTTFYears(t.Corrupted, t.Crashes); y > 0 {
 			mttf = fmt.Sprintf("%.1f years", y)
 		}
 		fmt.Printf("%-12s %d of %d crashes corrupted data (%.1f%%); MTTF at 1 crash/2 months: %s\n",
-			sys, corrupted, crashes, rate, mttf)
+			sys, t.Corrupted, t.Crashes, rate, mttf)
 	}
 	fmt.Println()
 	fmt.Printf("Rio protection trapped an illegal file-cache store in %d crashes\n",
-		rep.ProtectionInvocations(crashtest.RioProt))
+		rep.Sum(crashtest.RioProt).Protection)
 	fmt.Println()
 	if rep.Config.Run.DiskFaults {
 		fmt.Println("Recovery under storage faults + second crash (totals per system):")

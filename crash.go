@@ -183,12 +183,13 @@ type CampaignResult struct {
 // Table renders the result in the paper's Table 1 layout.
 func (r *CampaignResult) Table() string { return r.rep.Table() }
 
-// CampaignSummary is campaign-level observability: totals, rates, and
-// throughput. Counting fields are deterministic for a given seed and
-// config; WallTime, RunsPerSec, and SpeculativeRuns depend on the host
-// and worker count. The double-fault recovery totals (Interrupted,
-// Aborted, Quarantined, Salvaged, VolumeLost) stay zero here: double-fault
-// campaigns run as scenario specs.
+// CampaignSummary is campaign-level observability: one crashtest.Tally,
+// every cell's summed once in Table 1 order, with Runs (its Attempts) =
+// Crashes + Discarded + Errors, plus rates and throughput. Counting
+// fields are deterministic for a given seed and config; WallTime,
+// RunsPerSec, and SpeculativeRuns depend on the host and worker count.
+// The double-fault counters (Interrupted, Aborted, Quarantined, Salvaged,
+// VolumeLost) stay zero here: double-fault campaigns run as scenario specs.
 type CampaignSummary = crashtest.Summary
 
 // Summary returns the campaign's aggregate statistics.

@@ -232,24 +232,14 @@ func (c *campaign) summarize(rep *Report, workers, speculative int) Summary {
 		Seed:            c.cfg.Seed,
 		RunsPerCell:     c.cfg.RunsPerCell,
 		Workers:         workers,
+		Cells:           len(c.cfg.Systems) * len(c.cfg.Faults),
 		WallTime:        c.clock.Now().Sub(c.epoch),
 		SpeculativeRuns: speculative,
 	}
-	for _, bySys := range rep.Cells {
-		for _, cell := range bySys {
-			s.Cells++
-			s.Runs += cell.Attempts
-			s.Crashes += cell.Crashes
-			s.Discarded += cell.Discarded
-			s.Errors += cell.Errors
-			s.Corrupted += cell.Corrupted
-			s.Interrupted += cell.Interrupted
-			s.Aborted += cell.Aborted
-			s.Quarantined += cell.Quarantined
-			s.Salvaged += cell.Salvaged
-			s.VolumeLost += cell.VolumeLost
-		}
+	for _, sys := range Systems {
+		s.Add(rep.Sum(sys))
 	}
+	s.Runs = s.Attempts
 	if s.Runs > 0 {
 		s.DiscardRate = float64(s.Discarded) / float64(s.Runs)
 		s.ErrorRate = float64(s.Errors) / float64(s.Runs)

@@ -235,6 +235,34 @@ func TestCampaignSummaryAccounting(t *testing.T) {
 	}
 }
 
+// TestTallyAddCoversEveryCounter sets each of Tally's fields in turn and
+// adds it twice, then an empty tally: every counter must read 2 and
+// LastError must survive the empty one. A counter added to Tally but not
+// to Add fails here instead of going missing from every total.
+func TestTallyAddCoversEveryCounter(t *testing.T) {
+	typ := reflect.TypeOf(Tally{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		var one, want, sum Tally
+		switch f.Type.Kind() {
+		case reflect.Int:
+			reflect.ValueOf(&one).Elem().Field(i).SetInt(1)
+			reflect.ValueOf(&want).Elem().Field(i).SetInt(2)
+		case reflect.String:
+			reflect.ValueOf(&one).Elem().Field(i).SetString("x")
+			want = one
+		default:
+			t.Fatalf("Tally.%s is a %v: teach Add, and this test, how to sum it", f.Name, f.Type)
+		}
+		sum.Add(one)
+		sum.Add(one)
+		sum.Add(Tally{})
+		if sum != want {
+			t.Errorf("Tally.%s: Add gives %+v, want %+v", f.Name, sum, want)
+		}
+	}
+}
+
 func TestReportJSONExport(t *testing.T) {
 	cfg := CampaignConfig{
 		Seed:        5,

@@ -12,9 +12,9 @@ import (
 )
 
 // Tally is the crash-run counters of one campaign cell, the one
-// declaration of them: Table 1's Cell and every scenario report's cell
-// embed it, and only Cell.fold folds a crash run into it. Its counts are
-// deterministic for a given campaign seed and config.
+// declaration of them: Table 1's cells and Summary and the scenario
+// reports' cells and totals carry one, and only Add sums tallies. Its
+// counts are deterministic for a given campaign seed and config.
 type Tally struct {
 	Crashes   int `json:"crashes"`   // runs that crashed (counted toward RunsPerCell)
 	Discarded int `json:"discarded"` // runs that survived MaxOps (discarded, as in paper)
@@ -55,6 +55,44 @@ type Tally struct {
 	Attempts int `json:"attempts"`
 }
 
+// Count books one run and reports whether it crashed: a failed run is
+// an error only, so Attempts == Crashes + Discarded + Errors holds.
+func (t *Tally) Count(err error, crashed bool) bool {
+	t.Attempts++
+	switch {
+	case err != nil:
+		t.Errors++
+		t.LastError = err.Error()
+	case !crashed:
+		t.Discarded++
+	default:
+		t.Crashes++
+		return true
+	}
+	return false
+}
+
+// Add sums o into t: every counter, and LastError when o has one.
+// Callers add in a fixed order (Table 1's, or a report's cell order), so
+// the last error is the same at any worker count.
+func (t *Tally) Add(o Tally) {
+	dst, src := t.counters(), o.counters()
+	for i := range dst {
+		*dst[i] += *src[i]
+	}
+	if o.LastError != "" {
+		t.LastError = o.LastError
+	}
+}
+
+// counters lists every int field of the tally, for Add.
+func (t *Tally) counters() []*int {
+	return []*int{&t.Crashes, &t.Discarded, &t.Corrupted, &t.Checksum, &t.Protection,
+		&t.Interrupted, &t.TxnInterrupted, &t.Aborted, &t.Quarantined, &t.Salvaged, &t.VolumeLost,
+		&t.Checked, &t.Corruptions, &t.Lost, &t.Torn, &t.TornMasked, &t.LostMasked,
+		&t.Errors, &t.Attempts}
+}
+
 // Cell aggregates one (system, fault) cell of Table 1. Its JSON form is
 // the report's: self-describing (names, not enum ordinals) so downstream
 // tooling survives reordering. Elapsed is host wall time and is excluded
@@ -80,19 +118,11 @@ func (d Millis) MarshalJSON() ([]byte, error) {
 // attempt order: the campaign's determinism guarantee rests on every
 // worker count folding the same attempt prefix.
 func (cell *Cell) fold(o Outcome[WorkloadResult]) {
-	cell.Attempts++
 	cell.Elapsed += Millis(o.Elapsed)
-	if o.Err != nil {
-		cell.Errors++
-		cell.LastError = o.Err.Error()
+	if !cell.Count(o.Err, o.Res.Crashed) {
 		return
 	}
 	res := &o.Res
-	if !res.Crashed {
-		cell.Discarded++
-		return
-	}
-	cell.Crashes++
 	cell.ByKind[res.CrashKind]++
 	count := func(n *int, b bool) {
 		if b {
@@ -116,26 +146,19 @@ func (cell *Cell) fold(o Outcome[WorkloadResult]) {
 	cell.LostMasked += res.LostMasked
 }
 
-// Summary is campaign-level observability. Counting fields are
-// deterministic for a given seed and config at any worker count; timing
-// fields (WallTime, RunsPerSec) and SpeculativeRuns depend on the host
-// and scheduling and are excluded from the determinism guarantee.
+// Summary is campaign-level observability: the cells' tallies summed,
+// with Runs the runs merged into cells (the tally's Attempts). Counting
+// fields are deterministic for a given seed and config at any worker
+// count; timing fields (WallTime, RunsPerSec) and SpeculativeRuns depend
+// on the host and scheduling and are excluded from the determinism
+// guarantee.
 type Summary struct {
 	Seed        uint64 `json:"seed"`
 	RunsPerCell int    `json:"runs_per_cell"`
 	Workers     int    `json:"workers"`
 	Cells       int    `json:"cells"`
-	Runs        int    `json:"runs"` // runs merged into cells
-	Crashes     int    `json:"crashes"`
-	Discarded   int    `json:"discarded"`
-	Errors      int    `json:"errors"`
-	Corrupted   int    `json:"corrupted"`
-	// Double-fault recovery totals (zero unless Run.DiskFaults was on).
-	Interrupted int `json:"recovery_interrupted,omitempty"`
-	Aborted     int `json:"recovery_aborted,omitempty"`
-	Quarantined int `json:"quarantined_pages,omitempty"`
-	Salvaged    int `json:"salvaged_pages,omitempty"`
-	VolumeLost  int `json:"volume_lost,omitempty"`
+	Runs        int    `json:"runs"`
+	Tally
 	// DiscardRate / ErrorRate are fractions of merged runs.
 	DiscardRate float64       `json:"discard_rate"`
 	ErrorRate   float64       `json:"error_rate"`
@@ -154,22 +177,16 @@ type Report struct {
 	Summary Summary
 }
 
-// Totals sums a system's column.
-func (r *Report) Totals(sys System) (crashes, corrupted int) {
-	for _, c := range r.Cells[sys] {
-		crashes += c.Crashes
-		corrupted += c.Corrupted
+// Sum is a system's column of the table: its cells' tallies added in
+// fault order.
+func (r *Report) Sum(sys System) Tally {
+	var t Tally
+	for _, ft := range fault.AllTypes {
+		if c := r.Cells[sys][ft]; c != nil {
+			t.Add(c.Tally)
+		}
 	}
-	return
-}
-
-// ProtectionInvocations counts protection-trap crashes for a system.
-func (r *Report) ProtectionInvocations(sys System) int {
-	n := 0
-	for _, c := range r.Cells[sys] {
-		n += c.Protection
-	}
-	return n
+	return t
 }
 
 // tableColWidth fits the widest entry, the totals-row "NN of NNN (NN.N%)".
@@ -197,13 +214,13 @@ func (r *Report) Table() string {
 	}
 	fmt.Fprintf(&b, "%-22s", "Total")
 	for _, sys := range Systems {
-		crashes, corrupted := r.Totals(sys)
+		t := r.Sum(sys)
 		pct := 0.0
-		if crashes > 0 {
-			pct = 100 * float64(corrupted) / float64(crashes)
+		if t.Crashes > 0 {
+			pct = 100 * float64(t.Corrupted) / float64(t.Crashes)
 		}
 		fmt.Fprintf(&b, " %*s", tableColWidth,
-			fmt.Sprintf("%d of %d (%.1f%%)", corrupted, crashes, pct))
+			fmt.Sprintf("%d of %d (%.1f%%)", t.Corrupted, t.Crashes, pct))
 	}
 	b.WriteByte('\n')
 	return b.String()
@@ -220,15 +237,9 @@ func (r *Report) RecoveryTable() string {
 	fmt.Fprintf(&b, "%-12s %12s %12s %12s %12s %12s\n", "System",
 		"interrupted", "aborted", "quarantined", "salvaged", "volume-lost")
 	for _, sys := range Systems {
-		var in, ab, q, sv, vl int
-		for _, c := range r.Cells[sys] {
-			in += c.Interrupted
-			ab += c.Aborted
-			q += c.Quarantined
-			sv += c.Salvaged
-			vl += c.VolumeLost
-		}
-		fmt.Fprintf(&b, "%-12s %12d %12d %12d %12d %12d\n", sys, in, ab, q, sv, vl)
+		t := r.Sum(sys)
+		fmt.Fprintf(&b, "%-12s %12d %12d %12d %12d %12d\n", sys,
+			t.Interrupted, t.Aborted, t.Quarantined, t.Salvaged, t.VolumeLost)
 	}
 	return b.String()
 }

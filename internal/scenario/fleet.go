@@ -130,7 +130,7 @@ type fleetResult struct {
 	Repairs    int
 	Redirects  uint64
 	Retries    uint64
-	Err        string
+	Err        error
 }
 
 // fleetRetryRounds bounds how many tick-and-retry rounds one write (or
@@ -152,7 +152,7 @@ func runFleetPlan(p fleetPlan) (res fleetResult) {
 	res = fleetResult{Plan: p}
 	defer func() {
 		if r := recover(); r != nil {
-			res.Err = fmt.Sprintf("fleet run panic (seed=%d kind=%v): %v", p.Seed, p.Kind, r)
+			res.Err = fmt.Errorf("fleet run panic (seed=%d kind=%v): %v", p.Seed, p.Kind, r)
 		}
 	}()
 
@@ -160,7 +160,7 @@ func runFleetPlan(p fleetPlan) (res fleetResult) {
 		Nodes: p.Nodes, Shards: p.Shards, Replicas: p.Replicas, Seed: p.Seed,
 	})
 	if err != nil {
-		res.Err = err.Error()
+		res.Err = err
 		return res
 	}
 	cl := f.Client(nil)
@@ -256,7 +256,7 @@ func runFleetPlan(p fleetPlan) (res fleetResult) {
 		n := f.Node(route0.Primary)
 		n.CrashNode()
 		if err := n.WarmbootNode(); err != nil {
-			res.Err = "warmboot: " + err.Error()
+			res.Err = fmt.Errorf("warmboot: %w", err)
 			return res
 		}
 		ticks(1)

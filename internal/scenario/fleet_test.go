@@ -71,8 +71,8 @@ func TestFleetRunOneEachKind(t *testing.T) {
 	for i := range fleetFaultNames {
 		p := fleetPlanFor(1996, i)
 		res := runFleetPlan(p)
-		if res.Err != "" {
-			t.Fatalf("%v: harness error: %s", p.Kind, res.Err)
+		if res.Err != nil {
+			t.Fatalf("%v: harness error: %v", p.Kind, res.Err)
 		}
 		if res.Lost != 0 {
 			t.Fatalf("%v: lost %d acked writes (acked=%d)", p.Kind, res.Lost, res.Acked)

@@ -12,18 +12,17 @@ import (
 // Cell is one aggregated row of a scenario report: a (system × fault)
 // pair for crash scenarios, the one crash-under-load row for server
 // scenarios, a fleet fault kind for fleet scenarios, a Table 2
-// configuration or the code-patching ablation for perf scenarios. Its
-// counters are crashtest's Tally — for the crash kind, the campaign's
-// own cell tally — plus the server and fleet kinds' traffic and
-// reaction columns and the perf kind's simulated times. Cells are
-// folded in attempt order, so their bytes are independent of the
-// worker count. Wall-clock timing deliberately lives in a json-excluded
-// field: the JSON report is the determinism artifact (diffed across
-// worker counts), the latency table is not.
+// configuration or the code-patching ablation for perf scenarios. It
+// carries only its kind's columns: a crashtest.Tally (for the crash kind,
+// the campaign's own cell tally) unless perf, stale reads if fleet, the
+// traffic, reaction or simulated-time columns its fold sets. Cells are
+// folded in attempt order, so their bytes are independent of the worker
+// count. Wall-clock timing deliberately lives in a json-excluded field:
+// the JSON report is the determinism artifact, the latency table is not.
 type Cell struct {
 	Label string `json:"label"`
-	crashtest.Tally
-	Stale int `json:"stale"` // fleet: deposed-primary stale reads (zero gate)
+	*crashtest.Tally
+	*StaleReads
 
 	// Traffic columns (server/fleet kinds).
 	Acked   int `json:"acked,omitempty"`
@@ -53,19 +52,26 @@ type Cell struct {
 	ElapsedNs int64 `json:"-"`
 }
 
-// Totals sums the gate columns across cells.
-type Totals struct {
-	Runs        int `json:"runs"`
-	Checked     int `json:"checked"`
-	Corrupted   int `json:"corrupted"`
-	Corruptions int `json:"corruptions"`
-	Lost        int `json:"lost"`
-	Torn        int `json:"torn"`
-	Stale       int `json:"stale"`
-	Errors      int `json:"errors"`
+// StaleReads is the fleet kind's own zero gate: reads a deposed primary
+// served with bytes that contradict acked state.
+type StaleReads struct {
+	Stale int `json:"stale"`
+}
 
-	TxnRecoveryInterrupted int `json:"txn_recovery_interrupted,omitempty"`
-	RecoveryAborted        int `json:"recovery_aborted,omitempty"`
+// count is the stale reads, 0 for a kind without the column.
+func (s *StaleReads) count() int {
+	if s == nil {
+		return 0
+	}
+	return s.Stale
+}
+
+// Totals is the cells' tallies summed in cell order, and the fleet
+// kind's stale reads; Runs is the tally's Attempts.
+type Totals struct {
+	Runs int `json:"runs"`
+	crashtest.Tally
+	*StaleReads
 }
 
 // Result is one scenario's complete report.
@@ -76,7 +82,8 @@ type Result struct {
 	Seed     uint64 `json:"seed"`
 	Runs     int    `json:"runs"`
 	Cells    []Cell `json:"cells"`
-	Totals   Totals `json:"totals"`
+	// Totals is nil for the perf kind, which counts no crashes.
+	Totals *Totals `json:"totals,omitempty"`
 
 	// Campaign is the crash kind's campaign report, for renderers of
 	// Table 1's own layout; nil for the other kinds.
@@ -92,20 +99,14 @@ type Result struct {
 
 // finish computes Totals from the folded cells.
 func (r *Result) finish() {
-	t := Totals{}
-	for i := range r.Cells {
-		c := &r.Cells[i]
-		t.Runs += c.Attempts
-		t.Checked += c.Checked
-		t.Corrupted += c.Corrupted
-		t.Corruptions += c.Corruptions
-		t.Lost += c.Lost
-		t.Torn += c.Torn
-		t.Stale += c.Stale
-		t.Errors += c.Errors
-		t.TxnRecoveryInterrupted += c.TxnInterrupted
-		t.RecoveryAborted += c.Aborted
+	t := &Totals{}
+	for _, c := range r.Cells {
+		t.Add(*c.Tally)
+		if c.StaleReads != nil {
+			t.StaleReads = &StaleReads{Stale: t.count() + c.Stale}
+		}
 	}
+	t.Runs = t.Attempts
 	r.Totals = t
 }
 
@@ -114,6 +115,9 @@ func (r *Result) finish() {
 // crash run must end restored-or-quarantined), or harness errors.
 // Detected corruption is NOT gated — measuring it is the experiment.
 func (r *Result) Gate() error {
+	if r.Totals == nil {
+		return nil
+	}
 	var bad []string
 	if r.Totals.Lost > 0 {
 		bad = append(bad, fmt.Sprintf("%d acked writes silently lost", r.Totals.Lost))
@@ -121,11 +125,11 @@ func (r *Result) Gate() error {
 	if r.Totals.Torn > 0 {
 		bad = append(bad, fmt.Sprintf("%d torn commits", r.Totals.Torn))
 	}
-	if r.Totals.Stale > 0 {
-		bad = append(bad, fmt.Sprintf("%d stale reads", r.Totals.Stale))
+	if n := r.Totals.count(); n > 0 {
+		bad = append(bad, fmt.Sprintf("%d stale reads", n))
 	}
-	if r.Totals.RecoveryAborted > 0 {
-		bad = append(bad, fmt.Sprintf("%d aborted recoveries", r.Totals.RecoveryAborted))
+	if r.Totals.Aborted > 0 {
+		bad = append(bad, fmt.Sprintf("%d aborted recoveries", r.Totals.Aborted))
 	}
 	if r.Totals.Errors > 0 {
 		bad = append(bad, fmt.Sprintf("%d harness errors", r.Totals.Errors))
@@ -161,20 +165,15 @@ func (r *Result) Table() string {
 	fmt.Fprintf(&b, ", seed=%d, runs=%d)\n", r.Seed, r.Runs)
 	fmt.Fprintf(&b, "%-34s %5s %6s %5s %8s %6s %5s %5s %6s %7s\n",
 		"cell", "runs", "crash", "disc", "checked", "corru", "lost", "torn", "stale", "errors")
-	row := func(label string, c *Cell) {
+	row := func(label string, t *crashtest.Tally, stale int) {
 		fmt.Fprintf(&b, "%-34s %5d %6d %5d %8d %6d %5d %5d %6d %7d\n",
-			label, c.Attempts, c.Crashes, c.Discarded, c.Checked, c.Corruptions,
-			c.Lost, c.Torn, c.Stale, c.Errors)
+			label, t.Attempts, t.Crashes, t.Discarded, t.Checked, t.Corruptions,
+			t.Lost, t.Torn, stale, t.Errors)
 	}
-	tot := Cell{Stale: r.Totals.Stale}
-	tot.Attempts, tot.Checked, tot.Corruptions = r.Totals.Runs, r.Totals.Checked, r.Totals.Corruptions
-	tot.Lost, tot.Torn, tot.Errors = r.Totals.Lost, r.Totals.Torn, r.Totals.Errors
-	for i := range r.Cells {
-		row(r.Cells[i].Label, &r.Cells[i])
-		tot.Crashes += r.Cells[i].Crashes
-		tot.Discarded += r.Cells[i].Discarded
+	for _, c := range r.Cells {
+		row(c.Label, c.Tally, c.count())
 	}
-	row("total", &tot)
+	row("total", &r.Totals.Tally, r.Totals.count())
 	return b.String()
 }
 

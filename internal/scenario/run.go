@@ -165,7 +165,7 @@ func (r *Runner) runCrash(spec *Spec) (*Result, error) {
 		for _, ft := range rep.Config.Faults {
 			c := rep.Cells[sys][ft]
 			out.Cells = append(out.Cells, Cell{Label: sys.String() + "/" + ft.String(),
-				Tally: c.Tally, ElapsedNs: int64(c.Elapsed)})
+				Tally: &c.Tally, ElapsedNs: int64(c.Elapsed)})
 		}
 	}
 	out.finish()
@@ -175,46 +175,41 @@ func (r *Runner) runCrash(spec *Spec) (*Result, error) {
 
 // --- server kind ---
 
-// serverPlanOutcome is one crash-under-load run's tally.
+// serverPlanOutcome is one crash-under-load run: its traffic, and its
+// read-back verdict as a tally.
 type serverPlanOutcome struct {
-	acked   int
-	unacked int
-	lost    int
-	corrupt int
-	checked int
+	acked, unacked int
+	crashtest.Tally
 }
 
 func (r *Runner) runServer(spec *Spec) (*Result, error) {
 	out := &Result{Name: spec.Name, Kind: spec.Kind, Workload: spec.Workload.Name,
 		Seed: spec.Seed, Runs: spec.Runs,
-		Cells: []Cell{{Label: fmt.Sprintf("server/%d-shards/crash-under-load", spec.Topology.Shards)}}}
+		Cells: []Cell{{Label: fmt.Sprintf("server/%d-shards/crash-under-load", spec.Topology.Shards),
+			Tally: &crashtest.Tally{}}}}
 
 	c := &out.Cells[0]
 	plan := func(i int, _ *machine.Storage) (serverPlanOutcome, error) {
 		return runServerPlan(spec, sim.Mix(spec.Seed, serverPlanSalt, uint64(i)))
 	}
 	return runPlans(r, spec, out, plan, func(o crashtest.Outcome[serverPlanOutcome]) {
-		c.Attempts++
-		c.Crashes++ // every server plan crashes a shard by schedule
-		c.ElapsedNs += int64(o.Elapsed)
-		if o.Err != nil {
-			c.Errors++
-			c.LastError = o.Err.Error()
-			return
-		}
-		c.Acked += o.Res.acked
-		c.Unacked += o.Res.unacked
-		c.Lost += o.Res.lost
-		c.Corruptions += o.Res.corrupt
-		c.Checked += o.Res.checked
-		if o.Res.corrupt > 0 {
-			c.Corrupted++
-		}
-		if r.Progress != nil {
+		c.foldServer(o)
+		if o.Err == nil && r.Progress != nil {
 			r.Progress(fmt.Sprintf("%s plan %03d: acked=%d unacked=%d lost=%d",
-				spec.Name, o.Attempt, o.Res.acked, o.Res.unacked, o.Res.lost))
+				spec.Name, o.Attempt, o.Res.acked, o.Res.unacked, o.Res.Lost))
 		}
 	})
+}
+
+// foldServer folds one crash-under-load plan into the cell: every plan
+// crashes a shard by schedule, so one that did not fail is a crash.
+func (c *Cell) foldServer(o crashtest.Outcome[serverPlanOutcome]) {
+	c.ElapsedNs += int64(o.Elapsed)
+	if c.Count(o.Err, true) {
+		c.Add(o.Res.Tally)
+		c.Acked += o.Res.acked
+		c.Unacked += o.Res.unacked
+	}
 }
 
 // serverPayload derives the bytes of write op `op` to key `key`. The
@@ -296,17 +291,18 @@ func runServerPlan(spec *Spec, seed uint64) (o serverPlanOutcome, err error) {
 	}
 	sort.Strings(paths)
 	for _, p := range paths {
-		o.checked++
+		o.Checked++
 		var key int
 		fmt.Sscanf(p, "/k%04d", &key)
 		want := serverPayload(seed, key, acked[p])
 		resp := s.Do(&wire.Request{Op: wire.OpRead, Shard: -1, Path: p})
 		if resp.Status != wire.StatusOK {
-			o.lost++
+			o.Lost++
 			continue
 		}
 		if string(resp.Data) != string(want) {
-			o.corrupt++
+			o.Corruptions++
+			o.Corrupted = 1
 		}
 	}
 	return o, nil
@@ -333,7 +329,8 @@ func (r *Runner) runFleet(spec *Spec) (*Result, error) {
 	for k, name := range fleetFaultNames {
 		if slices.Contains(kinds, fleetFault(k)) {
 			cellOf[k] = len(out.Cells)
-			out.Cells = append(out.Cells, Cell{Label: "fleet/" + name})
+			out.Cells = append(out.Cells, Cell{Label: "fleet/" + name,
+				Tally: &crashtest.Tally{}, StaleReads: &StaleReads{}})
 		}
 	}
 
@@ -341,34 +338,36 @@ func (r *Runner) runFleet(spec *Spec) (*Result, error) {
 		p := fleetPlanFor(spec.Seed, i)
 		p.Kind = kinds[i%len(kinds)]
 		p.Nodes, p.Shards, p.Replicas = spec.Topology.Nodes, spec.Topology.Shards, spec.Topology.Replicas
-		return runFleetPlan(p), nil
+		res := runFleetPlan(p)
+		return res, res.Err
 	}
 	return runPlans(r, spec, out, plan, func(o crashtest.Outcome[fleetResult]) {
 		res := &o.Res
 		c := &out.Cells[cellOf[res.Plan.Kind]]
-		c.Attempts++
-		c.Crashes++ // every fleet plan injects its fault
-		c.ElapsedNs += int64(o.Elapsed)
-		if res.Err != "" {
-			c.Errors++
-			c.LastError = res.Err
-		} else {
-			c.Checked += res.Acked
-			c.Acked += res.Acked
-			c.Unacked += res.Unacked
-			c.Lost += res.Lost
-			c.Stale += res.Stale
-			c.Promotions += res.Promotions
-			c.Reconfigs += res.Reconfigs
-			c.Repairs += res.Repairs
-			c.Redirects += res.Redirects
-			c.Retries += res.Retries
-		}
+		c.foldFleet(o)
 		if r.Progress != nil {
 			r.Progress(fmt.Sprintf("%s plan %03d %s: acked=%d lost=%d stale=%d promo=%d",
 				spec.Name, o.Attempt, c.Label, res.Acked, res.Lost, res.Stale, res.Promotions))
 		}
 	})
+}
+
+// foldFleet folds one fleet plan into its kind's cell: every plan
+// injects its fault, so one that did not fail is a crash.
+func (c *Cell) foldFleet(o crashtest.Outcome[fleetResult]) {
+	c.ElapsedNs += int64(o.Elapsed)
+	if res := &o.Res; c.Count(o.Err, true) {
+		c.Checked += res.Acked
+		c.Acked += res.Acked
+		c.Unacked += res.Unacked
+		c.Lost += res.Lost
+		c.Stale += res.Stale
+		c.Promotions += res.Promotions
+		c.Reconfigs += res.Reconfigs
+		c.Repairs += res.Repairs
+		c.Redirects += res.Redirects
+		c.Retries += res.Retries
+	}
 }
 
 // --- perf kind ---
@@ -397,6 +396,5 @@ func (r *Runner) runPerf(spec *Spec) (*Result, error) {
 	}
 	out.Cells = append(out.Cells, Cell{Label: "Code patching (copy stream)",
 		TLBNs: int64(tlb), PatchedNs: int64(patched)})
-	out.finish()
 	return out, nil
 }

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -181,6 +182,15 @@ func TestPerfSpecIsTable2(t *testing.T) {
 	if c := res.Cells[8]; c.TLBNs != int64(tlb) || c.PatchedNs != int64(patched) || tlb == 0 {
 		t.Fatalf("code-patching cell %+v, perf measures %v -> %v", c, tlb, patched)
 	}
+	// A perf report counts no crashes: no tally, no stale reads, no totals.
+	for _, c := range res.Cells {
+		if c.Tally != nil || c.StaleReads != nil {
+			t.Fatalf("perf cell %q carries crash columns: %+v", c.Label, c)
+		}
+	}
+	if res.Totals != nil {
+		t.Fatalf("perf report has totals: %+v", res.Totals)
+	}
 	if err := res.Gate(); err != nil {
 		t.Fatalf("perf scenario breached the gate: %v", err)
 	}
@@ -217,5 +227,25 @@ func TestTableAndLatency(t *testing.T) {
 	tbl := res.Table()
 	if tbl == "" || res.LatencyTable() != "" {
 		t.Fatalf("table %q, latency without clock should be empty: %q", tbl, res.LatencyTable())
+	}
+}
+
+// TestErroredPlanIsAnErrorOnly feeds the server and fleet folds a plan
+// that failed: it is booked as one error and nothing else, so a cell
+// keeps Attempts == Crashes + Discarded + Errors on every kind, as a
+// crash campaign's does.
+func TestErroredPlanIsAnErrorOnly(t *testing.T) {
+	boom := errors.New("boom")
+	srv := Cell{Tally: &crashtest.Tally{}}
+	srv.foldServer(crashtest.Outcome[serverPlanOutcome]{Err: boom,
+		Res: serverPlanOutcome{acked: 3, Tally: crashtest.Tally{Checked: 3, Lost: 1}}})
+	fl := Cell{Tally: &crashtest.Tally{}, StaleReads: &StaleReads{}}
+	fl.foldFleet(crashtest.Outcome[fleetResult]{Err: boom, Res: fleetResult{Acked: 3, Stale: 1, Err: boom}})
+	want := crashtest.Tally{Errors: 1, LastError: "boom", Attempts: 1}
+	for _, c := range []Cell{srv, fl} {
+		if *c.Tally != want || c.Acked != 0 || c.count() != 0 {
+			t.Errorf("errored plan folds to %+v, acked %d, stale %d; want %+v and nothing else",
+				*c.Tally, c.Acked, c.count(), want)
+		}
 	}
 }

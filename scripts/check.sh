@@ -28,10 +28,11 @@ make race
 # Every "simulated behaviour is byte-identical" argument in DESIGN §7b
 # rests on this diff, so it is part of the gate.
 make crash-recovery
-# Scenario suite smoke: every checked-in scenario runs at -workers 1
-# and -workers 4 and the canonical JSON reports must diff clean — the
-# scenario engine's byte-identical-at-any-worker-count guarantee,
-# enforced on real specs. The specs include the torn-commit hunt
+# Scenario suite: every checked-in scenario runs at -workers 1 and
+# -workers 4 and both sets of canonical JSON reports must match the
+# golden copies in scenario-reports/ — the scenario engine's
+# byte-identical-at-any-worker-count guarantee, enforced on real specs,
+# and every report pinned. The specs include the torn-commit hunt
 # (txn-hunt: every fault type on both Rio systems, storage faults and
 # second crashes in the warm reboot and the txn roll-forward) and the
 # fleet campaign (fleet-all-kinds: two plans of each fault kind,
@@ -39,6 +40,7 @@ make crash-recovery
 # deposed primary) and Table 2 (table2, the perf kind: eight
 # configurations' simulated times and the code-patching ablation).
 # rioscn exits nonzero if any scenario loses an acked write, tears a
-# commit, serves a stale read, or aborts a recovery. The -workers 4
-# reports land in scenario-reports/, uploaded as a CI artifact.
+# commit, serves a stale read, or aborts a recovery. On a mismatch the
+# fresh reports stay in scenario-reports-w1/ and -w4/, uploaded as a CI
+# artifact.
 make scenarios
