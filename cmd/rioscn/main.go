@@ -7,6 +7,7 @@
 // Usage:
 //
 //	rioscn [-workers N] [-json-dir DIR] [-quiet] [-no-timing] path...
+//	rioscn -cell 'system/fault' -attempt N spec.json
 //
 // Each path is a scenario file or a directory of *.json scenarios
 // (run in sorted name order; sub-directories are not entered, which is
@@ -27,16 +28,21 @@
 //
 // Exit status is non-zero when any scenario fails its zero gates:
 // silently lost acked writes, torn commits, stale reads, aborted
-// recoveries, or harness errors. Detected corruption does not fail the
-// gate — measuring it is the experiment. Two scenarios with one name
-// would write one report file: rioscn exits 2 before running either.
+// recoveries, or harness errors; stderr then names a -cell replay per
+// breaching crash cell. Detected corruption does not fail the gate —
+// measuring it is the experiment. Two scenarios with one name would
+// write one report file: rioscn exits 2 before running either. -cell
+// instead re-runs one crash run, traced (crashtest.Replay), and prints
+// its post-mortem and verdict.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -79,6 +85,8 @@ func main() {
 	jsonDir := flag.String("json-dir", "", "write each scenario's canonical JSON report to this directory")
 	quiet := flag.Bool("quiet", false, "suppress per-plan progress")
 	noTiming := flag.Bool("no-timing", false, "skip the wall-clock latency table")
+	cell := flag.String("cell", "", "replay one run of this `system/fault` cell of the one crash spec given, traced")
+	attempt := flag.Int("attempt", 0, "the attempt within -cell to replay")
 	flag.Parse()
 
 	if flag.NArg() == 0 {
@@ -126,6 +134,9 @@ func main() {
 		}
 		fileOf[specs[i].Name] = file
 	}
+	if *cell != "" || *attempt != 0 {
+		os.Exit(replay(specs, *cell, *attempt))
+	}
 
 	failed := 0
 	for i, spec := range specs {
@@ -160,6 +171,12 @@ func main() {
 		}
 		if err := res.Gate(); err != nil {
 			fmt.Fprintln(os.Stderr, "rioscn: FAIL:", err)
+			for _, c := range res.Cells {
+				if i := slices.IndexFunc(c.Convictions, crashtest.Conviction.Breaches); i >= 0 {
+					fmt.Fprintf(os.Stderr, "rioscn: replay with: go run ./cmd/rioscn -cell '%s' -attempt %d %s\n",
+						c.Label, c.Convictions[i].Attempt, file)
+				}
+			}
 			failed++
 		}
 	}
@@ -168,6 +185,27 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("%d scenarios: zero acked-write loss, zero torn commits, zero stale reads, zero aborted recoveries\n", len(files))
+}
+
+// replay re-runs one crash run of the one spec given and prints its
+// post-mortem and verdict; input that names no run exits 2.
+func replay(specs []*scenario.Spec, cell string, attempt int) int {
+	if len(specs) != 1 {
+		fmt.Fprintln(os.Stderr, "rioscn: -cell replays a run of exactly one spec")
+		return 2
+	}
+	o, pm, err := scenario.Replay(specs[0], cell, attempt)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "rioscn:", err)
+		return 2
+	}
+	fmt.Printf("%s %s attempt %d: run seed %d, crashed %v\n", specs[0].Name, cell, attempt, o.Res.Seed, o.Res.Crashed)
+	if pm != nil {
+		fmt.Printf("\npost-mortem at the crash, before recovery:\n%s\n", pm.Format())
+	}
+	js, _ := json.MarshalIndent(crashtest.Convict(o), "", "  ")
+	fmt.Printf("conviction (null: none): %s\n", js)
+	return 0
 }
 
 // printTable1 prints a memtest crash campaign in the layout of the

@@ -148,25 +148,10 @@ func (c *campaign) emit(line string) {
 // Summary.WallTime/RunsPerSec/SpeculativeRuns) reflect the host and are
 // outside that guarantee.
 func RunCampaign(cfg CampaignConfig) (*Report, error) {
-	if len(cfg.Systems) == 0 {
-		cfg.Systems = Systems
-	}
-	if len(cfg.Faults) == 0 {
-		cfg.Faults = fault.AllTypes
-	}
+	cfg.defaults()
 	clock := cfg.clock
 	if clock == nil {
 		clock = hostClock{}
-	}
-	runner := cfg.runner
-	if runner == nil {
-		mk := cfg.WorkloadFactory
-		if mk == nil {
-			mk = memTest(cfg.Run.MemTestBytes)
-		}
-		runner = func(st *machine.Storage, sys System, ft fault.Type, run RunConfig) (WorkloadResult, error) {
-			return RunWorkloadOne(st, sys, ft, run, mk)
-		}
 	}
 	c := &campaign{cfg: cfg, clock: clock, epoch: clock.Now()}
 	sched := NewScheduler[WorkloadResult](cfg.Workers, clock.Now)
@@ -199,9 +184,7 @@ func RunCampaign(cfg CampaignConfig) (*Report, error) {
 					Attempts: cfg.RunsPerCell * maxAttemptsFactor,
 					Window:   window,
 					Run: func(attempt int, st *machine.Storage) (WorkloadResult, error) {
-						run := cfg.Run
-						run.Seed = RunSeed(cfg.Seed, sys, ft, attempt)
-						return runner(st, sys, ft, run)
+						return cfg.run(st, sys, ft, attempt, nil)
 					},
 					Fold: func(o Outcome[WorkloadResult]) bool {
 						cell.fold(o)
@@ -224,6 +207,53 @@ func RunCampaign(cfg CampaignConfig) (*Report, error) {
 
 	rep.Summary = c.summarize(rep, sched.Workers, speculative)
 	return rep, err
+}
+
+// defaults fills what cfg leaves empty with Table 1's: all three
+// systems, all thirteen fault types, memTest.
+func (cfg *CampaignConfig) defaults() {
+	if len(cfg.Systems) == 0 {
+		cfg.Systems = Systems
+	}
+	if len(cfg.Faults) == 0 {
+		cfg.Faults = fault.AllTypes
+	}
+	if cfg.WorkloadFactory == nil {
+		cfg.WorkloadFactory = memTest(cfg.Run.MemTestBytes)
+	}
+}
+
+// run is attempt `attempt` of cell (sys, ft), as RunCampaign issues it and
+// Replay re-runs it; a non-nil pm traces it and receives its post-mortem.
+func (cfg *CampaignConfig) run(st *machine.Storage, sys System, ft fault.Type, attempt int, pm **machine.Postmortem) (WorkloadResult, error) {
+	run := cfg.Run
+	run.Seed = RunSeed(cfg.Seed, sys, ft, attempt)
+	if cfg.runner != nil {
+		return cfg.runner(st, sys, ft, run)
+	}
+	return runWorkload(st, sys, ft, run, cfg.WorkloadFactory, pm)
+}
+
+// Replay re-runs attempt `attempt` of the campaign's cell labelled cell
+// ("<system>/<fault>"), traced, on fresh storage: the outcome is the one
+// RunCampaign folds for it, pm the post-mortem taken at the crash before
+// recovery (nil without a crash). An error is a cell the campaign lacks
+// or an attempt outside a cell's budget, not the run's own Err.
+func Replay(cfg CampaignConfig, cell string, attempt int) (o Outcome[WorkloadResult], pm *machine.Postmortem, err error) {
+	cfg.defaults()
+	if n := cfg.RunsPerCell * maxAttemptsFactor; attempt < 0 || attempt >= n {
+		return o, nil, fmt.Errorf("crashtest: attempt %d is outside a cell's attempts 0..%d", attempt, n-1)
+	}
+	for _, sys := range cfg.Systems {
+		for _, ft := range cfg.Faults {
+			if sys.String()+"/"+ft.String() == cell {
+				o.Attempt = attempt
+				o.Res, o.Err = cfg.run(nil, sys, ft, attempt, &pm)
+				return o, pm, nil
+			}
+		}
+	}
+	return o, nil, fmt.Errorf("crashtest: the campaign has no cell %q", cell)
 }
 
 // summarize fills the campaign-level summary from the merged cells.

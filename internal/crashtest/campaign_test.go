@@ -281,9 +281,10 @@ func TestReportJSONExport(t *testing.T) {
 	var back struct {
 		Summary Summary `json:"summary"`
 		Cells   []struct {
-			System, Fault string
-			Crashes       int
-			ByKind        map[string]int `json:"by_kind"`
+			System, Fault              string
+			Crashes, Corrupted, Errors int
+			ByKind                     map[string]int `json:"by_kind"`
+			Convictions                []Conviction
 		} `json:"cells"`
 		Table string `json:"table"`
 	}
@@ -306,6 +307,16 @@ func TestReportJSONExport(t *testing.T) {
 	for _, c := range back.Cells {
 		if c.Crashes > 0 && len(c.ByKind) == 0 {
 			t.Fatalf("cell %s/%s has crashes but no kind breakdown", c.System, c.Fault)
+		}
+		// One record per corrupted or failed run, in attempt order.
+		if len(c.Convictions) != c.Corrupted+c.Errors {
+			t.Fatalf("cell %s/%s: %d records for %d corrupted and %d failed runs",
+				c.System, c.Fault, len(c.Convictions), c.Corrupted, c.Errors)
+		}
+		for i := 1; i < len(c.Convictions); i++ {
+			if c.Convictions[i].Attempt <= c.Convictions[i-1].Attempt {
+				t.Fatalf("cell %s/%s: records out of attempt order: %+v", c.System, c.Fault, c.Convictions)
+			}
 		}
 	}
 }

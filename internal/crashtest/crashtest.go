@@ -3,7 +3,7 @@
 // often file data is corrupted. It holds the one crash run
 // (RunWorkloadOne), the one campaign engine every campaign and scenario
 // issues its runs into (Scheduler), and the Table 1 campaign over the
-// paper's three columns:
+// paper's three columns, any of whose runs Replay re-runs traced:
 //
 //	disk-based write-through — fsync after every write, cold reboot + fsck
 //	Rio without protection   — no reliability writes, warm reboot
@@ -95,6 +95,8 @@ const (
 	// vmBudget is the instruction budget of one interpreted kernel entry
 	// in a crash run: a faulted kernel that retires this many is hung.
 	vmBudget = 400_000
+	// A replay's tracer ring and the execution tail its post-mortem prints.
+	traceRing, traceTail = 4096, 40
 )
 
 // DefaultRunConfig returns the standard parameters, scaled from the paper
@@ -295,7 +297,13 @@ func RunOne(st *machine.Storage, sys System, ft fault.Type, cfg RunConfig) (Work
 // salts mixed in — so a run is replayable from (sys, fault, cfg) alone.
 // The machine is built on st (nil: new storage), which a campaign hands
 // from run to run; the result does not depend on what st held before.
-func RunWorkloadOne(st *machine.Storage, sys System, ft fault.Type, cfg RunConfig, mk WorkloadFactory) (res WorkloadResult, err error) {
+func RunWorkloadOne(st *machine.Storage, sys System, ft fault.Type, cfg RunConfig, mk WorkloadFactory) (WorkloadResult, error) {
+	return runWorkload(st, sys, ft, cfg, mk, nil)
+}
+
+// runWorkload is RunWorkloadOne; a non-nil pm traces the run and gets
+// the post-mortem taken at the crash, before recovery.
+func runWorkload(st *machine.Storage, sys System, ft fault.Type, cfg RunConfig, mk WorkloadFactory, pm **machine.Postmortem) (res WorkloadResult, err error) {
 	// Fault injection drives the simulator into states no normal workload
 	// reaches; a simulator-level panic must surface as a harness error on
 	// this one run, not kill a 2000-run campaign.
@@ -317,6 +325,9 @@ func RunWorkloadOne(st *machine.Storage, sys System, ft fault.Type, cfg RunConfi
 	m, err := buildMachine(st, sys, cfg)
 	if err != nil {
 		return res, err
+	}
+	if pm != nil {
+		m.EnableTrace(traceRing)
 	}
 	if err := setupStatic(m); err != nil {
 		return res, fmt.Errorf("crashtest: static setup: %w", err)
@@ -351,7 +362,9 @@ func RunWorkloadOne(st *machine.Storage, sys System, ft fault.Type, cfg RunConfi
 	if !res.Crashed {
 		return res, nil // discarded by the campaign
 	}
-
+	if pm != nil {
+		*pm, _ = m.BuildPostmortem(traceTail) // crashed and traced: cannot fail
+	}
 	m.CrashFinish()
 
 	// Double-fault mode: recovery runs against a faulty disk. The plan is

@@ -105,6 +105,48 @@ type Cell struct {
 	// execution this is the cell's CPU cost, not campaign wall time.
 	Elapsed Millis                   `json:"elapsed_ms"`
 	ByKind  map[kernel.CrashKind]int `json:"by_kind,omitempty"`
+	// Convictions is one record per convicting run, in attempt order.
+	Convictions []Conviction `json:"convictions,omitempty"`
+}
+
+// Conviction names a run that corrupted data (an aborted recovery or a
+// lost volume among it), lost or tore acked state, or failed: enough to
+// Replay it.
+type Conviction struct {
+	Attempt    int      `json:"attempt"`
+	Seed       uint64   `json:"seed"`
+	CrashKind  string   `json:"crash_kind,omitempty"`
+	OpsToCrash int      `json:"ops_to_crash,omitempty"`
+	Lost       int      `json:"lost,omitempty"`
+	Torn       int      `json:"torn,omitempty"`
+	Aborted    bool     `json:"recovery_aborted,omitempty"`
+	Error      string   `json:"error,omitempty"`
+	Details    []string `json:"details,omitempty"` // the first maxDetails corruptions
+}
+
+// Breaches reports whether the run breached a zero gate (Lost, Torn, an
+// aborted recovery, a harness error), not only corrupted detectably.
+func (cv Conviction) Breaches() bool { return cv.Lost+cv.Torn > 0 || cv.Aborted || cv.Error != "" }
+
+const maxDetails = 3 // corruptions a record keeps
+
+// Convict returns the record of a run, nil when it convicted nothing.
+func Convict(o Outcome[WorkloadResult]) *Conviction {
+	res, v := &o.Res, &o.Res.Verdict
+	if o.Err == nil && !res.Corrupted && v.Lost+v.Torn == 0 {
+		return nil
+	}
+	cv := &Conviction{Attempt: o.Attempt, Seed: res.Seed, Lost: v.Lost, Torn: v.Torn, Aborted: res.RecoveryAborted}
+	if res.Crashed {
+		cv.CrashKind, cv.OpsToCrash = res.CrashKind.String(), res.OpsToCrash
+	}
+	if o.Err != nil {
+		cv.Error = o.Err.Error()
+	}
+	for _, c := range v.Corruptions[:min(maxDetails, len(v.Corruptions))] {
+		cv.Details = append(cv.Details, c.String())
+	}
+	return cv
 }
 
 // Millis is a duration whose JSON form is fractional milliseconds.
@@ -119,6 +161,9 @@ func (d Millis) MarshalJSON() ([]byte, error) {
 // worker count folding the same attempt prefix.
 func (cell *Cell) fold(o Outcome[WorkloadResult]) {
 	cell.Elapsed += Millis(o.Elapsed)
+	if cv := Convict(o); cv != nil {
+		cell.Convictions = append(cell.Convictions, *cv)
+	}
 	if !cell.Count(o.Err, o.Res.Crashed) {
 		return
 	}

@@ -46,6 +46,9 @@ type Cell struct {
 	TLBNs     int64 `json:"tlb_ns,omitempty"`
 	PatchedNs int64 `json:"patched_ns,omitempty"`
 
+	// Convictions (crash kind) are the campaign cell's own records.
+	Convictions []crashtest.Conviction `json:"convictions,omitempty"`
+
 	// ElapsedNs is wall-clock time spent on this cell's plans, summed
 	// in fold order. Excluded from the JSON artifact: timing may differ
 	// across worker counts, the report may not.

@@ -128,16 +128,13 @@ func compileWorkload(w WorkloadSpec) crashtest.WorkloadFactory {
 
 // --- crash kind ---
 
-// runCrash compiles the spec into a crash campaign — its systems × fault
-// types are the cells, runs the crashing runs each wants — and runs it on
-// crashtest.RunCampaign, the driver Table 1 runs on.
-func (r *Runner) runCrash(spec *Spec) (*Result, error) {
-	total := r.elapsed()
+// crashCampaign compiles a crash spec into its campaign: its systems ×
+// fault types are the cells, runs the crashing runs each wants. runCrash
+// runs it and Replay re-runs one of its runs.
+func crashCampaign(spec *Spec) crashtest.CampaignConfig {
 	cfg := crashtest.CampaignConfig{
 		Seed:        spec.Seed,
 		RunsPerCell: spec.Runs,
-		Workers:     r.Workers,
-		Progress:    r.Progress,
 		Run: crashtest.RunConfig{
 			WarmupOps:    spec.Schedule.WarmupOps,
 			MaxOps:       spec.Schedule.MaxOps,
@@ -155,6 +152,15 @@ func (r *Runner) runCrash(spec *Spec) (*Result, error) {
 		ft, _ := faultByName(name)
 		cfg.Faults = append(cfg.Faults, ft)
 	}
+	return cfg
+}
+
+// runCrash runs the spec's campaign on crashtest.RunCampaign, the driver
+// Table 1 runs on.
+func (r *Runner) runCrash(spec *Spec) (*Result, error) {
+	total := r.elapsed()
+	cfg := crashCampaign(spec)
+	cfg.Workers, cfg.Progress = r.Workers, r.Progress
 	rep, err := crashtest.RunCampaign(cfg)
 	if err != nil {
 		return nil, err
@@ -165,12 +171,20 @@ func (r *Runner) runCrash(spec *Spec) (*Result, error) {
 		for _, ft := range rep.Config.Faults {
 			c := rep.Cells[sys][ft]
 			out.Cells = append(out.Cells, Cell{Label: sys.String() + "/" + ft.String(),
-				Tally: &c.Tally, ElapsedNs: int64(c.Elapsed)})
+				Tally: &c.Tally, Convictions: c.Convictions, ElapsedNs: int64(c.Elapsed)})
 		}
 	}
 	out.finish()
 	out.ElapsedNs = total()
 	return out, nil
+}
+
+// Replay re-runs one run of the crash spec's campaign, on crashtest.Replay.
+func Replay(spec *Spec, cell string, attempt int) (o crashtest.Outcome[crashtest.WorkloadResult], pm *machine.Postmortem, err error) {
+	if spec.Kind != KindCrash {
+		return o, nil, fmt.Errorf("scenario %s: a %s spec has no crash runs to replay", spec.Name, spec.Kind)
+	}
+	return crashtest.Replay(crashCampaign(spec), cell, attempt)
 }
 
 // --- server kind ---
