@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"rio/internal/crashtest"
+	"rio/internal/fs"
 	"rio/internal/perf"
 )
 
@@ -60,7 +61,7 @@ func BenchmarkTable2Perf(b *testing.B) {
 		b.ReportMetric(r.VsDelayed[0], "speedup_vs_delayed_cprm")
 		b.ReportMetric(r.VsMFS[0], "ratio_vs_mfs_cprm")
 		for _, row := range rows {
-			if row.Spec.Label == "Rio with protection" {
+			if row.Spec == fs.Configs[fs.RioProt] {
 				b.ReportMetric(row.CpRm().Seconds(), "rio_cprm_sim_s")
 			}
 		}
@@ -74,7 +75,7 @@ func BenchmarkTable2Row(b *testing.B) {
 	cfg.CpRm.TreeBytes = 1 << 20
 	cfg.Sdet.OpsPerScript = 60
 	cfg.Andrew.TreeBytes = 200 << 10
-	spec := perf.Rows()[7] // Rio with protection
+	spec := fs.Configs[fs.RioProt]
 	for i := 0; i < b.N; i++ {
 		if _, err := cfg.RunRow(spec); err != nil {
 			b.Fatal(err)

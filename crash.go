@@ -2,6 +2,7 @@ package rio
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"rio/internal/crashtest"
@@ -30,31 +31,21 @@ const (
 	FaultSync         FaultType = "synchronization"
 )
 
-// FaultTypes lists all thirteen models.
+// FaultTypes lists all thirteen models: each is its fault.AllTypes name
+// with spaces turned into hyphens.
 func FaultTypes() []FaultType {
-	return []FaultType{
-		FaultKernelText, FaultKernelHeap, FaultKernelStack,
-		FaultDestReg, FaultSrcReg, FaultDeleteBranch, FaultDeleteRandom,
-		FaultInit, FaultPointer, FaultAlloc, FaultCopyOverrun,
-		FaultOffByOne, FaultSync,
+	fts := make([]FaultType, len(fault.AllTypes))
+	for i, ft := range fault.AllTypes {
+		fts[i] = FaultType(strings.ReplaceAll(ft.String(), " ", "-"))
 	}
-}
-
-var faultMap = map[FaultType]fault.Type{
-	FaultKernelText: fault.TextFlip, FaultKernelHeap: fault.HeapFlip,
-	FaultKernelStack: fault.StackFlip, FaultDestReg: fault.DestReg,
-	FaultSrcReg: fault.SrcReg, FaultDeleteBranch: fault.DeleteBranch,
-	FaultDeleteRandom: fault.DeleteRandom, FaultInit: fault.Init,
-	FaultPointer: fault.Pointer, FaultAlloc: fault.Alloc,
-	FaultCopyOverrun: fault.CopyOverrun, FaultOffByOne: fault.OffByOne,
-	FaultSync: fault.Sync,
+	return fts
 }
 
 // InjectFault applies the paper's standard dose (20 faults) of the given
 // model to the running system. The system must have been built with
 // Config.Interpreted so the faults act on live kernel code.
 func (s *System) InjectFault(t FaultType) error {
-	ft, ok := faultMap[t]
+	ft, ok := fault.ByName(string(t))
 	if !ok {
 		return fmt.Errorf("rio: unknown fault type %q", t)
 	}
@@ -226,7 +217,7 @@ func RunCrashCampaign(opts CampaignOptions) (*CampaignResult, error) {
 // happened. system is 0 (disk write-through), 1 (Rio without protection),
 // or 2 (Rio with protection).
 func CrashOnce(system int, t FaultType, seed uint64) (CrashRunResult, error) {
-	ft, ok := faultMap[t]
+	ft, ok := fault.ByName(string(t))
 	if !ok {
 		return CrashRunResult{}, fmt.Errorf("rio: unknown fault type %q", t)
 	}

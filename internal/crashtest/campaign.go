@@ -2,6 +2,8 @@ package crashtest
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -244,14 +246,13 @@ func Replay(cfg CampaignConfig, cell string, attempt int) (o Outcome[WorkloadRes
 	if n := cfg.RunsPerCell * maxAttemptsFactor; attempt < 0 || attempt >= n {
 		return o, nil, fmt.Errorf("crashtest: attempt %d is outside a cell's attempts 0..%d", attempt, n-1)
 	}
-	for _, sys := range cfg.Systems {
-		for _, ft := range cfg.Faults {
-			if sys.String()+"/"+ft.String() == cell {
-				o.Attempt = attempt
-				o.Res, o.Err = cfg.run(nil, sys, ft, attempt, &pm)
-				return o, pm, nil
-			}
-		}
+	sysName, ftName, _ := strings.Cut(cell, "/")
+	sys, sysOK := SystemByName(sysName)
+	ft, ftOK := fault.ByName(ftName)
+	if sysOK && ftOK && slices.Contains(cfg.Systems, sys) && slices.Contains(cfg.Faults, ft) {
+		o.Attempt = attempt
+		o.Res, o.Err = cfg.run(nil, sys, ft, attempt, &pm)
+		return o, pm, nil
 	}
 	return o, nil, fmt.Errorf("crashtest: the campaign has no cell %q", cell)
 }

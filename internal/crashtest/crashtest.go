@@ -29,7 +29,8 @@ import (
 	"rio/internal/workload"
 )
 
-// System selects a Table 1 column.
+// System selects a Table 1 column. Its value is a coordinate of every
+// run seed (RunSeed), so the columns keep 0, 1 and 2.
 type System int
 
 const (
@@ -38,7 +39,22 @@ const (
 	RioProt
 )
 
-var systemNames = [...]string{"disk-based", "rio-noprot", "rio-prot"}
+// systemNames are the columns' crash spellings; systemConfigs the rows of
+// fs.Configs they mount.
+var (
+	systemNames   = [...]string{"disk-based", "rio-noprot", "rio-prot"}
+	systemConfigs = [...]fs.ConfigID{fs.UFSWTWrite, fs.RioNoProt, fs.RioProt}
+)
+
+// SystemByName resolves a column from its crash spelling.
+func SystemByName(name string) (System, bool) {
+	for _, sys := range Systems {
+		if systemNames[sys] == name {
+			return sys, true
+		}
+	}
+	return 0, false
+}
 
 func (s System) String() string {
 	if s >= 0 && int(s) < len(systemNames) {
@@ -46,6 +62,9 @@ func (s System) String() string {
 	}
 	return fmt.Sprintf("System(%d)", int(s))
 }
+
+// Config is the row of fs.Configs the column mounts.
+func (s System) Config() fs.Config { return fs.Configs[systemConfigs[s]] }
 
 // MarshalText makes a System its name in JSON.
 func (s System) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
@@ -210,18 +229,10 @@ func staticContent(i int) []byte {
 
 // buildMachine assembles the system under test on st.
 func buildMachine(st *machine.Storage, sys System, cfg RunConfig) (*machine.Machine, error) {
-	var pol fs.Policy
-	switch sys {
-	case DiskWT:
-		pol = fs.DefaultPolicy(fs.PolicyUFSWTWrite)
-	case RioNoProt:
-		pol = fs.DefaultPolicy(fs.PolicyRio)
-		pol.Protect = false
-	case RioProt:
-		pol = fs.DefaultPolicy(fs.PolicyRio)
-		pol.Protect = true
+	if sys < 0 || int(sys) >= len(systemConfigs) {
+		return nil, fmt.Errorf("crashtest: no system %v", sys)
 	}
-	opt := machine.DefaultOptions(pol)
+	opt := machine.DefaultOptions(sys.Config().Policy)
 	opt.FastPath = false // faults act on interpreted kernel code
 	opt.Checksums = true
 	opt.Seed = cfg.Seed

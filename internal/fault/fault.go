@@ -19,6 +19,7 @@ package fault
 
 import (
 	"fmt"
+	"strings"
 
 	"rio/internal/kernel"
 	"rio/internal/kvm"
@@ -66,6 +67,18 @@ func (t Type) String() string {
 		return typeNames[t]
 	}
 	return fmt.Sprintf("Type(%d)", int(t))
+}
+
+// ByName resolves a fault model from its name, spelled with spaces as
+// String gives it ("kernel text") or with hyphens as rio does
+// ("kernel-text").
+func ByName(name string) (Type, bool) {
+	for _, t := range AllTypes {
+		if s := t.String(); name == s || name == strings.ReplaceAll(s, " ", "-") {
+			return t, true
+		}
+	}
+	return 0, false
 }
 
 // MarshalText makes a Type its name in JSON.

@@ -23,7 +23,7 @@ type ClientStats struct {
 //
 // Not safe for concurrent use — one client per load goroutine.
 type Client struct {
-	tr      Transport
+	tr      *MemTransport
 	shards  int
 	view    map[int]string // shard -> primary address
 	refresh func() *Table  // coordinator's current table

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"rio"
 	"rio/internal/wire"
@@ -23,19 +22,17 @@ type Config struct {
 	Shards int
 	// Seed drives placement and every machine's randomness.
 	Seed uint64
-	// MissThreshold is consecutive missed heartbeats before a node is
-	// declared dead (default 3).
-	MissThreshold int
 
 	Policy   rio.Policy
 	MemoryMB int
 	DiskMB   int
 
-	TailLen     int
-	ReplRetries int
-	RetryDelay  time.Duration
-	Sleep       func(time.Duration)
+	TailLen int
 }
+
+// missThreshold is consecutive missed heartbeats before a node is
+// declared dead.
+const missThreshold = 3
 
 func (c Config) withDefaults() Config {
 	if c.Nodes <= 0 {
@@ -52,9 +49,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.MissThreshold <= 0 {
-		c.MissThreshold = 3
 	}
 	if c.TailLen <= 0 {
 		c.TailLen = defaultTailLen
@@ -110,8 +104,7 @@ func New(cfg Config) (*Fleet, error) {
 		n := NewNode(NodeConfig{
 			ID: id, Shards: cfg.Shards, Seed: cfg.Seed,
 			Policy: cfg.Policy, MemoryMB: cfg.MemoryMB, DiskMB: cfg.DiskMB,
-			Transport: f.tr, TailLen: cfg.TailLen, ReplRetries: cfg.ReplRetries,
-			RetryDelay: cfg.RetryDelay, Sleep: cfg.Sleep,
+			Transport: f.tr, TailLen: cfg.TailLen,
 		})
 		f.nodes[id] = n
 		f.nodeIDs = append(f.nodeIDs, id)
@@ -278,7 +271,7 @@ func (f *Fleet) Tick() {
 		if !ok {
 			f.missed[id]++
 			f.met.MissedHeartbeats++
-			if f.missed[id] >= f.cfg.MissThreshold {
+			if f.missed[id] >= missThreshold {
 				f.dead[id] = true
 				f.met.DeclaredDead++
 			}

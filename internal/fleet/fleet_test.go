@@ -259,7 +259,7 @@ func TestFleetSurvivesPrimaryKill(t *testing.T) {
 	}
 	victim := f.Table().Routes[0].Primary
 	f.Kill(victim)
-	for i := 0; i < 4; i++ { // MissThreshold=3 to declare, one more to repair
+	for i := 0; i < 4; i++ { // missThreshold=3 to declare, one more to repair
 		f.Tick()
 	}
 	if got := f.Table().Routes[0].Primary; got == victim {
@@ -366,10 +366,10 @@ func TestFleetSurvivesBackupKill(t *testing.T) {
 	}
 
 	// The primary does not speak for its backup, so eviction waits for
-	// the coordinator's own MissThreshold missed heartbeats; repair
+	// the coordinator's own missThreshold missed heartbeats; repair
 	// (snapshot onto the spare) follows in the same tick. Then the same
 	// write acks.
-	for i := 0; i < f.cfg.MissThreshold; i++ {
+	for i := 0; i < missThreshold; i++ {
 		f.Tick()
 	}
 	mustWrite(t, cl, p0, fill(8, 3))
@@ -419,7 +419,7 @@ func TestFleetRevivedEmptyPrimaryPromotesBackup(t *testing.T) {
 	acked := mustWriteKeys(t, cl, "/pre", 4)
 	rt := f.Table().Routes[0]
 	f.Kill(rt.Primary)
-	for i := 0; i < f.cfg.MissThreshold-1; i++ {
+	for i := 0; i < missThreshold-1; i++ {
 		f.Tick()
 	}
 	f.Revive(rt.Primary)
@@ -439,13 +439,13 @@ func TestFleetRevivedEmptyPrimaryPromotesBackup(t *testing.T) {
 	replicasAgree(t, f)
 }
 
-// repairedWithin ticks MissThreshold+2 times and then requires that the
+// repairedWithin ticks missThreshold+2 times and then requires that the
 // fleet evicted and repaired a backup by snapshot, that the degraded
 // write now acks, and that every acked write reads back from both
 // replicas.
 func repairedWithin(t *testing.T, f *Fleet, cl *Client, degraded *wire.Request, acked map[string][]byte) {
 	t.Helper()
-	for i := 0; i < f.cfg.MissThreshold+2; i++ {
+	for i := 0; i < missThreshold+2; i++ {
 		f.Tick()
 	}
 	if m := f.Metrics(); m.Reconfigs == 0 || m.Repairs == 0 {
@@ -654,10 +654,10 @@ func TestFleetAppendRetryIdempotent(t *testing.T) {
 	if resp.Status != wire.StatusAgain {
 		t.Fatalf("degraded append: got %v (%s), want StatusAgain", resp.Status, resp.Msg)
 	}
-	// Eviction waits for the coordinator's own MissThreshold missed
+	// Eviction waits for the coordinator's own missThreshold missed
 	// heartbeats (the primary does not speak for its backup); repair onto
 	// the spare follows in the same tick.
-	for i := 0; i < f.cfg.MissThreshold; i++ {
+	for i := 0; i < missThreshold; i++ {
 		f.Tick()
 	}
 	resp, err = cl.Do(req)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"rio"
 	"rio/internal/server"
@@ -23,12 +22,13 @@ const (
 )
 
 // Replication bounds. The tail ring is the in-flight window: a backup
-// more than tailLen batches behind cannot be caught up by replay and
-// needs a snapshot; a primary retries each frame replRetries times
-// before answering the write StatusAgain.
+// more than defaultTailLen batches behind cannot be caught up by replay
+// and needs a snapshot; a primary retries each frame replRetries times
+// before answering the write StatusAgain. The in-process transport fails
+// at once, so a retry does not wait.
 const (
-	defaultTailLen     = 64
-	defaultReplRetries = 3
+	defaultTailLen = 64
+	replRetries    = 3
 )
 
 // NodeConfig boots one fleet machine.
@@ -38,23 +38,13 @@ type NodeConfig struct {
 	Seed             uint64
 	Policy           rio.Policy
 	MemoryMB, DiskMB int
-	Transport        Transport
+	Transport        *MemTransport
 	TailLen          int
-	ReplRetries      int
-	// RetryDelay and Sleep are the bounded-retry backoff seam for
-	// replication sends. The in-process transport fails instantly, so
-	// the defaults (zero delay, no sleep) keep campaigns wall-clock
-	// free; a TCP fleet sets both.
-	RetryDelay time.Duration
-	Sleep      func(time.Duration)
 }
 
 func (c NodeConfig) withDefaults() NodeConfig {
 	if c.TailLen <= 0 {
 		c.TailLen = defaultTailLen
-	}
-	if c.ReplRetries <= 0 {
-		c.ReplRetries = defaultReplRetries
 	}
 	return c
 }
@@ -351,10 +341,6 @@ func (n *Node) movedTo(req *wire.Request, shard int) *wire.Response {
 	return &wire.Response{ID: req.ID, Status: wire.StatusMoved, Msg: addr}
 }
 
-// mutating reports whether op changes filesystem state and must be
-// replicated before the client may be acknowledged.
-func mutating(op wire.Op) bool { return op.Mutates() }
-
 // serveClient runs one client op against the local primary replica for
 // its path's shard: execute locally, replicate the executed op to every
 // active backup, and only then acknowledge — the ack is the fleet's
@@ -405,7 +391,7 @@ func (n *Node) serveClient(req *wire.Request) *wire.Response {
 		return fail(wire.StatusAgain, fmt.Sprintf("node %s shard %d down (awaiting warmboot)", n.cfg.ID, shard))
 	}
 
-	if !mutating(req.Op) {
+	if !req.Op.Mutates() {
 		if resp := n.readFence(r, req); resp != nil {
 			return resp
 		}
@@ -507,12 +493,9 @@ func (n *Node) readFence(r *replica, req *wire.Request) *wire.Response {
 // replicated data frame and stays out of the ReplSent count.
 func (n *Node) replicateTo(r *replica, b string, frame []byte, fence bool) (ok, fenced bool) {
 	req := &wire.Request{Op: wire.OpReplBatch, Shard: int32(r.shard), Data: frame}
-	for attempt := 0; attempt <= n.cfg.ReplRetries; attempt++ {
+	for attempt := 0; attempt <= replRetries; attempt++ {
 		if attempt > 0 {
 			n.count(func(m *NodeMetrics) { m.ReplRetries++ })
-			if n.cfg.Sleep != nil && n.cfg.RetryDelay > 0 {
-				n.cfg.Sleep(n.cfg.RetryDelay << (attempt - 1))
-			}
 		}
 		resp, err := n.cfg.Transport.Send(n.cfg.ID, b, req)
 		if err != nil {

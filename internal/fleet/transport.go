@@ -7,15 +7,6 @@ import (
 	"rio/internal/wire"
 )
 
-// Transport carries one request from one fleet participant to another
-// and returns the response. "from" matters: partitions are between
-// pairs of participants, and a link that is down fails the send with
-// ErrUnreachable — the caller's bounded retry and the coordinator's
-// failure detection are built on exactly that signal.
-type Transport interface {
-	Send(from, to string, req *wire.Request) (*wire.Response, error)
-}
-
 // ErrUnreachable is the transport's typed send failure: the peer's
 // machine is dead or the link is partitioned. Callers retry or reroute;
 // only the coordinator's own missed heartbeats judge the peer.
@@ -117,9 +108,14 @@ func (t *MemTransport) Rejoin(node string) {
 	t.mu.Unlock()
 }
 
-// Send implements Transport. The target serves the request
-// synchronously on the caller's goroutine; reachability is evaluated
-// per send, so a kill or cut lands between any two requests exactly.
+// Send carries one request from one fleet participant to another and
+// returns the response. The target serves the request synchronously on
+// the caller's goroutine. "from" matters: partitions are between pairs
+// of participants, and a link that is down fails the send with
+// ErrUnreachable — the caller's bounded retry and the coordinator's
+// failure detection are built on exactly that signal. Reachability is
+// evaluated per send, so a kill or cut lands between any two requests
+// exactly.
 func (t *MemTransport) Send(from, to string, req *wire.Request) (*wire.Response, error) {
 	t.mu.Lock()
 	n, ok := t.nodes[to]

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -50,7 +51,7 @@ func readFile(t *testing.T, m *machine.Machine, path string) []byte {
 func TestCreateWriteReadSmall(t *testing.T) {
 	for _, kind := range []fs.PolicyKind{fs.PolicyRio, fs.PolicyUFS, fs.PolicyMFS, fs.PolicyUFSWTWrite} {
 		m := boot(t, kind)
-		data := []byte("hello from the " + kind.String() + " configuration")
+		data := []byte(fmt.Sprintf("hello from the kind-%d configuration", kind))
 		writeFile(t, m, "/hello.txt", data)
 		if got := readFile(t, m, "/hello.txt"); !bytes.Equal(got, data) {
 			t.Fatalf("%v: got %q", kind, got)

@@ -765,7 +765,7 @@ func (fl *File) WriteAt(data []byte, off int64) (int, error) {
 	case f.Pol.asyncDataOnThreshold():
 		nonSeq := fl.lastEnd != 0 && off != fl.lastEnd
 		fl.pending += len(data)
-		if nonSeq || fl.pending >= f.Pol.AsyncDataThreshold {
+		if nonSeq || fl.pending >= asyncDataThreshold {
 			f.asyncFlushData(fl.Ino)
 			fl.pending = 0
 		}
@@ -867,7 +867,7 @@ func (f *FS) WriteInoAt(ino uint32, data []byte, off int64) (int, error) {
 			return written, err
 		}
 	case f.Pol.asyncDataOnThreshold():
-		if len(data) >= f.Pol.AsyncDataThreshold {
+		if len(data) >= asyncDataThreshold {
 			f.asyncFlushData(ino)
 		}
 	}

@@ -2,8 +2,8 @@ package fs
 
 import "rio/internal/sim"
 
-// PolicyKind selects one of the eight file-system configurations of
-// Table 2.
+// PolicyKind selects a write-back behaviour. The eight configurations of
+// Table 2 (Configs) use seven: Rio's two rows differ only in protection.
 type PolicyKind int
 
 const (
@@ -34,27 +34,6 @@ const (
 	PolicyRio
 )
 
-func (k PolicyKind) String() string {
-	switch k {
-	case PolicyMFS:
-		return "memory-fs"
-	case PolicyUFSDelayed:
-		return "ufs-delayed"
-	case PolicyAdvFS:
-		return "advfs-journal"
-	case PolicyUFS:
-		return "ufs"
-	case PolicyUFSWTClose:
-		return "ufs-wt-close"
-	case PolicyUFSWTWrite:
-		return "ufs-wt-write"
-	case PolicyRio:
-		return "rio"
-	default:
-		return "?"
-	}
-}
-
 // Policy configures write-back behaviour.
 type Policy struct {
 	Kind PolicyKind
@@ -66,15 +45,15 @@ type Policy struct {
 	// UpdatePeriod is the update daemon interval (0 disables; the classic
 	// value is 30 s).
 	UpdatePeriod sim.Duration
-
-	// AsyncDataThreshold is PolicyUFS's accumulation threshold before
-	// asynchronously writing a file's dirty data (64 KB in Digital Unix).
-	AsyncDataThreshold int
 }
+
+// asyncDataThreshold is PolicyUFS's accumulation threshold before
+// asynchronously writing a file's dirty data (64 KB in Digital Unix).
+const asyncDataThreshold = 64 << 10
 
 // DefaultPolicy returns the standard configuration for a kind.
 func DefaultPolicy(kind PolicyKind) Policy {
-	p := Policy{Kind: kind, AsyncDataThreshold: 64 << 10}
+	p := Policy{Kind: kind}
 	switch kind {
 	case PolicyMFS, PolicyRio:
 		// no daemon: nothing to flush for reliability
@@ -85,6 +64,60 @@ func DefaultPolicy(kind PolicyKind) Policy {
 		p.Protect = true
 	}
 	return p
+}
+
+// Config is one of the eight file-system configurations of Table 2: the
+// policy it mounts and the names it goes by.
+type Config struct {
+	Policy    Policy
+	Name      string // its rio.Policy spelling (the -policy flags)
+	Label     string // Table 2's Configuration column
+	Permanent string // Table 2's Data Permanent column
+}
+
+// ConfigID names a row of Configs.
+type ConfigID int
+
+// The rows of Configs, in Table 2's order.
+const (
+	MFS ConfigID = iota
+	UFSDelayed
+	AdvFS
+	UFS
+	UFSWTClose
+	UFSWTWrite
+	RioNoProt
+	RioProt
+)
+
+// Configs is the one table of the eight configurations: Table 2 times
+// every row, Table 1 crashes UFSWTWrite, RioNoProt and RioProt, and rio
+// mounts a row by its Name.
+var Configs = [...]Config{
+	MFS:        {mount(PolicyMFS, false), "mfs", "Memory File System", "never"},
+	UFSDelayed: {mount(PolicyUFSDelayed, false), "ufs-delayed", "UFS, delayed data+metadata", "0-30s, async"},
+	AdvFS:      {mount(PolicyAdvFS, false), "advfs", "AdvFS (log metadata)", "0-30s, async"},
+	UFS:        {mount(PolicyUFS, false), "ufs", "UFS", "data 64KB async, meta sync"},
+	UFSWTClose: {mount(PolicyUFSWTClose, false), "ufs-wt-close", "UFS write-through on close", "after close"},
+	UFSWTWrite: {mount(PolicyUFSWTWrite, false), "ufs-wt-write", "UFS write-through on write", "after write"},
+	RioNoProt:  {mount(PolicyRio, false), "rio-noprotect", "Rio without protection", "after write"},
+	RioProt:    {mount(PolicyRio, true), "rio", "Rio with protection", "after write"},
+}
+
+func mount(kind PolicyKind, protect bool) Policy {
+	p := DefaultPolicy(kind)
+	p.Protect = protect
+	return p
+}
+
+// ConfigNamed returns the row of Configs whose Name is name.
+func ConfigNamed(name string) (Config, bool) {
+	for _, c := range Configs {
+		if c.Name == name {
+			return c, true
+		}
+	}
+	return Config{}, false
 }
 
 // metaSync reports whether metadata mutations must reach disk

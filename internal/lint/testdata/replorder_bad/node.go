@@ -17,7 +17,7 @@ type node struct {
 func (n *node) persistSeq() error    { return nil }
 func (n *node) confirmPeers(r *resp) {}
 func (n *node) readFence() *resp     { return nil }
-func (n *node) mutating(op int) bool { return op != 0 }
+func (n *node) Mutates(op int) bool  { return op != 0 }
 
 func Exec(op int) *resp { return &resp{} }
 
@@ -47,7 +47,7 @@ func (n *node) persistEarly(op int) *resp {
 // serveUnfenced branches on mutability but never fences: a deposed
 // primary serves stale reads.
 func (n *node) serveUnfenced(op int) *resp {
-	if !n.mutating(op) { // want replorder "never calls readFence"
+	if !n.Mutates(op) { // want replorder "never calls readFence"
 		return Exec(op)
 	}
 	return n.apply(op)
@@ -67,7 +67,7 @@ func (n *node) apply(op int) *resp {
 
 // fenceLate fences only after the read already executed.
 func (n *node) fenceLate(op int) *resp {
-	if n.mutating(op) {
+	if n.Mutates(op) {
 		return nil
 	}
 	r := Exec(op)
@@ -96,7 +96,7 @@ func (n *node) promote(e uint64) {
 // a fast path that acks before replication. The fence comes first in the
 // source but belongs to the read branch: it excuses nothing here.
 func (n *node) serveEarlyAck(fast bool, op int) *resp {
-	if !n.mutating(op) {
+	if !n.Mutates(op) {
 		if f := n.readFence(); f != nil {
 			return f
 		}
@@ -119,7 +119,7 @@ func (n *node) serveEarlyAck(fast bool, op int) *resp {
 // and persisted above the write path's Exec. The read branch's Exec comes
 // first in the source and is not the op being sequenced.
 func (n *node) serveEarlyPersist(op int) *resp {
-	if !n.mutating(op) {
+	if !n.Mutates(op) {
 		if f := n.readFence(); f != nil {
 			return f
 		}

@@ -16,7 +16,7 @@ type node struct {
 func (n *node) persistSeq() error    { return nil }
 func (n *node) confirmPeers(r *resp) {}
 func (n *node) readFence() *resp     { return nil }
-func (n *node) mutating(op int) bool { return op != 0 }
+func (n *node) Mutates(op int) bool  { return op != 0 }
 
 func Exec(op int) *resp { return &resp{} }
 
@@ -26,7 +26,7 @@ func (n *node) serveClient(op int) *resp {
 	if f := n.readFence(); f != nil {
 		return f
 	}
-	if !n.mutating(op) {
+	if !n.Mutates(op) {
 		return Exec(op)
 	}
 	r := Exec(op)
@@ -87,7 +87,7 @@ func (n *node) replBatch(e uint64, ops []int) *resp {
 // serveBranched is fleet.Node.serveClient's real shape: the fence and the
 // read's Exec inside the !mutating branch, the write path after it.
 func (n *node) serveBranched(op int) *resp {
-	if !n.mutating(op) {
+	if !n.Mutates(op) {
 		if f := n.readFence(); f != nil {
 			return f
 		}

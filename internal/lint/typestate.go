@@ -155,7 +155,7 @@ var Replorder = typestate(&protocol{
 		{name: "confirm", calls: []string{"confirmPeers", "replicateTo"}},
 		{name: "fence", calls: []string{"readFence"}},
 		{name: "persist", calls: []string{"persistSeq"}},
-		{name: "mutating", calls: []string{"mutating"}},
+		{name: "mutating", calls: []string{"Mutates"}},
 		{name: "advance", field: "seq"},
 		{name: "adopt", field: "epoch", skipLoads: true},
 		{name: "ack", returnOf: "exec", unless: "Status"},

@@ -246,10 +246,5 @@ func (m *Machine) Elapsed() sim.Duration {
 
 // String describes the configuration.
 func (m *Machine) String() string {
-	prot := ""
-	if m.Opt.protectionOn() {
-		prot = "+protection"
-	}
-	return fmt.Sprintf("machine(%s%s, %d pages, %d blocks)",
-		m.Opt.Policy.Kind, prot, m.Opt.MemPages, m.Opt.DiskBlocks)
+	return fmt.Sprintf("machine(%+v, %d pages, %d blocks)", m.Opt.Policy, m.Opt.MemPages, m.Opt.DiskBlocks)
 }

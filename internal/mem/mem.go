@@ -34,9 +34,6 @@ type Frame struct {
 	// WriteProtected is Rio's protection bit. When protection is enforced
 	// (see mmu), stores to a protected frame trap.
 	WriteProtected bool
-	// Changing marks a sanctioned write in progress: the buffer cannot be
-	// classified by its checksum if the machine crashes now.
-	Changing bool
 	// Registry marks the frame as part of the Rio registry area, which is
 	// protected like file-cache frames.
 	Registry bool

@@ -45,35 +45,10 @@ func DefaultConfig() Config {
 	}
 }
 
-// RowSpec describes one Table 2 row.
-type RowSpec struct {
-	Label     string
-	Permanent string // the "Data Permanent" column
-	Policy    fs.Policy
-}
-
-// Rows lists the eight configurations in the paper's order.
-func Rows() []RowSpec {
-	mk := func(kind fs.PolicyKind) fs.Policy { return fs.DefaultPolicy(kind) }
-	rioNoProt := mk(fs.PolicyRio)
-	rioNoProt.Protect = false
-	rioProt := mk(fs.PolicyRio)
-	rioProt.Protect = true
-	return []RowSpec{
-		{"Memory File System", "never", mk(fs.PolicyMFS)},
-		{"UFS, delayed data+metadata", "0-30s, async", mk(fs.PolicyUFSDelayed)},
-		{"AdvFS (log metadata)", "0-30s, async", mk(fs.PolicyAdvFS)},
-		{"UFS", "data 64KB async, meta sync", mk(fs.PolicyUFS)},
-		{"UFS write-through on close", "after close", mk(fs.PolicyUFSWTClose)},
-		{"UFS write-through on write", "after write", mk(fs.PolicyUFSWTWrite)},
-		{"Rio without protection", "after write", rioNoProt},
-		{"Rio with protection", "after write", rioProt},
-	}
-}
-
-// Row is one measured Table 2 row.
+// Row is one measured Table 2 row: a configuration of fs.Configs and its
+// times.
 type Row struct {
-	Spec   RowSpec
+	Spec   fs.Config
 	CpRmCp sim.Duration
 	CpRmRm sim.Duration
 	Sdet   sim.Duration
@@ -107,7 +82,7 @@ func (c Config) newMachine(pol fs.Policy, codePatching bool) (*machine.Machine, 
 
 // RunRow measures all three workloads for one configuration, each on a
 // fresh machine.
-func (c Config) RunRow(spec RowSpec) (Row, error) {
+func (c Config) RunRow(spec fs.Config) (Row, error) {
 	row := Row{Spec: spec}
 
 	m, err := c.newMachine(spec.Policy, false)
@@ -140,10 +115,10 @@ func (c Config) RunRow(spec RowSpec) (Row, error) {
 	return row, nil
 }
 
-// RunTable2 measures every configuration.
+// RunTable2 measures every configuration, in Table 2's order.
 func (c Config) RunTable2() ([]Row, error) {
 	var rows []Row
-	for _, spec := range Rows() {
+	for _, spec := range fs.Configs {
 		row, err := c.RunRow(spec)
 		if err != nil {
 			return rows, err
@@ -184,11 +159,12 @@ type Ratios struct {
 
 // ComputeRatios derives the headline speedups from a full table.
 func ComputeRatios(rows []Row) Ratios {
-	byLabel := map[string]Row{}
+	byConfig := map[fs.Config]Row{}
 	for _, r := range rows {
-		byLabel[r.Spec.Label] = r
+		byConfig[r.Spec] = r
 	}
-	rio := byLabel["Rio with protection"]
+	at := func(id fs.ConfigID) Row { return byConfig[fs.Configs[id]] }
+	rio := at(fs.RioProt)
 	div := func(a, b Row) [3]float64 {
 		return [3]float64{
 			float64(a.CpRm()) / float64(b.CpRm()),
@@ -197,12 +173,12 @@ func ComputeRatios(rows []Row) Ratios {
 		}
 	}
 	return Ratios{
-		VsWriteThroughWrite: div(byLabel["UFS write-through on write"], rio),
-		VsWriteThroughClose: div(byLabel["UFS write-through on close"], rio),
-		VsUFS:               div(byLabel["UFS"], rio),
-		VsDelayed:           div(byLabel["UFS, delayed data+metadata"], rio),
-		VsMFS:               div(byLabel["Memory File System"], rio),
-		CpRmNoProt:          byLabel["Rio without protection"].CpRm(),
+		VsWriteThroughWrite: div(at(fs.UFSWTWrite), rio),
+		VsWriteThroughClose: div(at(fs.UFSWTClose), rio),
+		VsUFS:               div(at(fs.UFS), rio),
+		VsDelayed:           div(at(fs.UFSDelayed), rio),
+		VsMFS:               div(at(fs.MFS), rio),
+		CpRmNoProt:          at(fs.RioNoProt).CpRm(),
 		CpRmProt:            rio.CpRm(),
 	}
 }
@@ -214,11 +190,8 @@ func ComputeRatios(rows []Row) Ratios {
 // write a large file in 8 KB chunks, overwrite it, read it back — entirely
 // in the Rio file cache, no disk time to mask the per-store checks.
 func (c Config) CodePatchingOverhead() (tlb, patched sim.Duration, err error) {
-	prot := fs.DefaultPolicy(fs.PolicyRio)
-	prot.Protect = true
-
 	run := func(codePatching bool) (sim.Duration, error) {
-		m, err := c.newMachine(prot, codePatching)
+		m, err := c.newMachine(fs.Configs[fs.RioProt].Policy, codePatching)
 		if err != nil {
 			return 0, err
 		}

@@ -23,7 +23,7 @@ func smallConfig() Config {
 }
 
 func TestRowsCoverTable2(t *testing.T) {
-	rows := Rows()
+	rows := fs.Configs
 	if len(rows) != 8 {
 		t.Fatalf("Table 2 has 8 rows, got %d", len(rows))
 	}
@@ -44,7 +44,7 @@ func TestRowsCoverTable2(t *testing.T) {
 
 func TestRunRowSmall(t *testing.T) {
 	cfg := smallConfig()
-	row, err := cfg.RunRow(Rows()[0]) // MFS
+	row, err := cfg.RunRow(fs.Configs[fs.MFS])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,19 +99,15 @@ func TestTable2Shape(t *testing.T) {
 
 	// Ordering within each workload column: MFS fastest-ish, WT-write
 	// slowest.
-	byLabel := map[string]Row{}
-	for _, row := range rows {
-		byLabel[row.Spec.Label] = row
-	}
 	for _, get := range []func(Row) sim.Duration{
 		func(r Row) sim.Duration { return r.CpRm() },
 		func(r Row) sim.Duration { return r.Sdet },
 		func(r Row) sim.Duration { return r.Andrew },
 	} {
-		mfs := get(byLabel["Memory File System"])
-		ufs := get(byLabel["UFS"])
-		wtw := get(byLabel["UFS write-through on write"])
-		rio := get(byLabel["Rio with protection"])
+		mfs := get(rows[fs.MFS])
+		ufs := get(rows[fs.UFS])
+		wtw := get(rows[fs.UFSWTWrite])
+		rio := get(rows[fs.RioProt])
 		if !(wtw > ufs && ufs > mfs) {
 			t.Errorf("ordering broken: wtw=%v ufs=%v mfs=%v", wtw, ufs, mfs)
 		}
@@ -124,7 +120,7 @@ func TestTable2Shape(t *testing.T) {
 func TestProtectionEssentiallyFree(t *testing.T) {
 	cfg := smallConfig()
 	var rows []Row
-	for _, spec := range Rows()[6:] { // Rio without and with protection
+	for _, spec := range []fs.Config{fs.Configs[fs.RioNoProt], fs.Configs[fs.RioProt]} {
 		row, err := cfg.RunRow(spec)
 		if err != nil {
 			t.Fatal(err)
@@ -156,7 +152,7 @@ func TestCodePatchingCostly(t *testing.T) {
 
 func TestFormatTable(t *testing.T) {
 	cfg := smallConfig()
-	row, err := cfg.RunRow(Rows()[6]) // Rio without protection
+	row, err := cfg.RunRow(fs.Configs[fs.RioNoProt])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,11 +165,11 @@ func TestFormatTable(t *testing.T) {
 
 func TestDeterministicRows(t *testing.T) {
 	cfg := smallConfig()
-	a, err := cfg.RunRow(Rows()[3])
+	a, err := cfg.RunRow(fs.Configs[fs.UFS])
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := cfg.RunRow(Rows()[3])
+	b, err := cfg.RunRow(fs.Configs[fs.UFS])
 	if err != nil {
 		t.Fatal(err)
 	}

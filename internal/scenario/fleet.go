@@ -136,7 +136,7 @@ type fleetResult struct {
 // fleetRetryRounds bounds how many tick-and-retry rounds one write (or
 // verify read) gets before it is scored unacked/lost. Each round is a
 // full client attempt budget plus one coordinator tick, so the budget
-// covers detection (MissThreshold ticks) and repair with slack.
+// covers detection (missThreshold ticks) and repair with slack.
 const fleetRetryRounds = 8
 
 // runFleetPlan executes one fleet crash plan. It answers the question
@@ -289,7 +289,7 @@ func runFleetPlan(p fleetPlan) (res fleetResult) {
 		ticks(4)
 	case reviveEmpty:
 		f.Kill(route0.Primary)
-		ticks(2) // one short of the default MissThreshold
+		ticks(2) // one short of the coordinator's missThreshold
 		f.Revive(route0.Primary)
 		ticks(4)
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"rio/internal/crashtest"
+	"rio/internal/fault"
 	"rio/internal/kernel"
 	"rio/internal/machine"
 	"rio/internal/perf"
@@ -145,11 +146,11 @@ func crashCampaign(spec *Spec) crashtest.CampaignConfig {
 		WorkloadFactory: compileWorkload(spec.Workload),
 	}
 	for _, name := range spec.Topology.Systems {
-		sys, _ := systemByName(name) // Validate already resolved
+		sys, _ := crashtest.SystemByName(name) // Validate already resolved
 		cfg.Systems = append(cfg.Systems, sys)
 	}
 	for _, name := range spec.Faults.Types {
-		ft, _ := faultByName(name)
+		ft, _ := fault.ByName(name)
 		cfg.Faults = append(cfg.Faults, ft)
 	}
 	return cfg

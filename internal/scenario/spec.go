@@ -319,9 +319,9 @@ func (f *FaultSpec) validate(kind string) error {
 	}
 	seen := make(map[fault.Type]bool)
 	for _, name := range f.Types {
-		ft, err := faultByName(name)
-		if err != nil {
-			return err
+		ft, ok := fault.ByName(name)
+		if !ok {
+			return fmt.Errorf("scenario: unknown fault type %q", name)
 		}
 		if seen[ft] {
 			return fmt.Errorf("scenario: faults.types lists %q twice", name)
@@ -387,9 +387,9 @@ func (t *TopologySpec) validate(kind, wl string) error {
 		}
 		seen := make(map[crashtest.System]bool)
 		for _, name := range t.Systems {
-			sys, err := systemByName(name)
-			if err != nil {
-				return err
+			sys, ok := crashtest.SystemByName(name)
+			if !ok {
+				return fmt.Errorf("scenario: unknown system %q", name)
 			}
 			if seen[sys] {
 				return fmt.Errorf("scenario: topology.systems lists %q twice", name)
@@ -437,24 +437,4 @@ func (t *TopologySpec) validate(kind, wl string) error {
 		}
 		return nil
 	}
-}
-
-// faultByName resolves a crashtest fault-type name.
-func faultByName(name string) (fault.Type, error) {
-	for _, ft := range fault.AllTypes {
-		if ft.String() == name {
-			return ft, nil
-		}
-	}
-	return 0, fmt.Errorf("scenario: unknown fault type %q", name)
-}
-
-// systemByName resolves a Table 1 column name.
-func systemByName(name string) (crashtest.System, error) {
-	for _, sys := range crashtest.Systems {
-		if sys.String() == name {
-			return sys, nil
-		}
-	}
-	return 0, fmt.Errorf("scenario: unknown system %q", name)
 }

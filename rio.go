@@ -65,34 +65,23 @@ const (
 )
 
 func (p Policy) internal() (fs.Policy, error) {
-	switch p {
-	case PolicyRio, "":
-		return fs.DefaultPolicy(fs.PolicyRio), nil
-	case PolicyRioNoProtect:
-		pol := fs.DefaultPolicy(fs.PolicyRio)
-		pol.Protect = false
-		return pol, nil
-	case PolicyMFS:
-		return fs.DefaultPolicy(fs.PolicyMFS), nil
-	case PolicyUFSDelayed:
-		return fs.DefaultPolicy(fs.PolicyUFSDelayed), nil
-	case PolicyAdvFS:
-		return fs.DefaultPolicy(fs.PolicyAdvFS), nil
-	case PolicyUFS:
-		return fs.DefaultPolicy(fs.PolicyUFS), nil
-	case PolicyUFSWTClose:
-		return fs.DefaultPolicy(fs.PolicyUFSWTClose), nil
-	case PolicyUFSWTWrite:
-		return fs.DefaultPolicy(fs.PolicyUFSWTWrite), nil
-	default:
+	if p == "" {
+		p = PolicyRio
+	}
+	c, ok := fs.ConfigNamed(string(p))
+	if !ok {
 		return fs.Policy{}, fmt.Errorf("rio: unknown policy %q", p)
 	}
+	return c.Policy, nil
 }
 
-// Policies lists every supported policy name.
+// Policies lists every supported policy name, in Table 2's order.
 func Policies() []Policy {
-	return []Policy{PolicyRio, PolicyRioNoProtect, PolicyMFS, PolicyUFSDelayed,
-		PolicyAdvFS, PolicyUFS, PolicyUFSWTClose, PolicyUFSWTWrite}
+	ps := make([]Policy, len(fs.Configs))
+	for i, c := range fs.Configs {
+		ps[i] = Policy(c.Name)
+	}
+	return ps
 }
 
 // Config configures a simulated machine. The zero value is a Rio machine

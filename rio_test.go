@@ -3,8 +3,14 @@ package rio
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"slices"
 	"strings"
 	"testing"
+
+	"rio/internal/crashtest"
+	"rio/internal/fault"
+	"rio/internal/fs"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -244,14 +250,94 @@ func TestCrashOnce(t *testing.T) {
 	}
 }
 
-func TestFaultTypesComplete(t *testing.T) {
-	if len(FaultTypes()) != 13 {
-		t.Fatalf("%d fault types, want 13", len(FaultTypes()))
-	}
-	for _, ft := range FaultTypes() {
-		if _, ok := faultMap[ft]; !ok {
-			t.Fatalf("fault %q unmapped", ft)
+// TestCrashOnceRefusesUnknownSystem: a system outside Table 1's three
+// columns is an error, not a run on some default machine.
+func TestCrashOnceRefusesUnknownSystem(t *testing.T) {
+	for _, sys := range []int{-1, 3, 5} {
+		if res, err := CrashOnce(sys, FaultCopyOverrun, 77); err == nil {
+			t.Errorf("system %d: ran (%+v), want an error", sys, res)
 		}
+	}
+}
+
+// TestConfigurationTable holds every name of a configuration or a fault
+// to fs.Configs and fault.AllTypes: each row mounts its policy under its
+// rio name, the crash columns and the Table 2 rows are rows of the table,
+// each fault resolves from both spellings, and unknown names are refused.
+func TestConfigurationTable(t *testing.T) {
+	var names []Policy
+	for i, c := range fs.Configs {
+		names = append(names, Policy(c.Name))
+		sys, err := New(Config{Policy: Policy(c.Name)})
+		if err != nil {
+			t.Fatalf("row %d %q: %v", i, c.Name, err)
+		}
+		m := sys.Machine()
+		if m.Opt.Policy != c.Policy || m.Cache.Protect != c.Policy.Protect {
+			t.Errorf("row %q mounts %+v (cache protection %v), want %+v",
+				c.Name, m.Opt.Policy, m.Cache.Protect, c.Policy)
+		}
+	}
+	consts := []Policy{PolicyMFS, PolicyUFSDelayed, PolicyAdvFS, PolicyUFS,
+		PolicyUFSWTClose, PolicyUFSWTWrite, PolicyRioNoProtect, PolicyRio}
+	if !slices.Equal(names, consts) || !slices.Equal(Policies(), consts) {
+		t.Errorf("rows are named %v, Policies() is %v, want %v", names, Policies(), consts)
+	}
+	if sys, err := New(Config{}); err != nil || sys.Machine().Opt.Policy != fs.Configs[fs.RioProt].Policy {
+		t.Errorf("the zero Config does not mount Rio with protection (%v)", err)
+	}
+
+	// Table 1's columns, in CrashOnce's numbering.
+	for sys, want := range []Policy{PolicyUFSWTWrite, PolicyRioNoProtect, PolicyRio} {
+		if got := crashtest.Systems[sys].Config(); got.Name != string(want) {
+			t.Errorf("crash column %v mounts %q, want %q", crashtest.Systems[sys], got.Name, want)
+		}
+		if back, ok := crashtest.SystemByName(crashtest.Systems[sys].String()); !ok || int(back) != sys {
+			t.Errorf("crash column %v resolves to %v, %v", crashtest.Systems[sys], back, ok)
+		}
+	}
+	// Table 2's rows, as the checked-in report labels them.
+	raw, err := os.ReadFile("scenario-reports/table2.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep struct {
+		Cells []struct{ Label string }
+	}
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Cells) < len(fs.Configs) {
+		t.Fatalf("table2 report has %d cells", len(rep.Cells))
+	}
+	for i, c := range fs.Configs {
+		if rep.Cells[i].Label != c.Label {
+			t.Errorf("Table 2 row %d is %q, the table's %q", i, rep.Cells[i].Label, c.Label)
+		}
+	}
+
+	consts13 := []FaultType{FaultKernelText, FaultKernelHeap, FaultKernelStack,
+		FaultDestReg, FaultSrcReg, FaultDeleteBranch, FaultDeleteRandom,
+		FaultInit, FaultPointer, FaultAlloc, FaultCopyOverrun, FaultOffByOne, FaultSync}
+	if !slices.Equal(FaultTypes(), consts13) {
+		t.Errorf("FaultTypes() = %v, want %v", FaultTypes(), consts13)
+	}
+	for i, ft := range fault.AllTypes {
+		for _, name := range []string{ft.String(), string(FaultTypes()[i])} {
+			if got, ok := fault.ByName(name); !ok || got != ft {
+				t.Errorf("%q resolves to %v, %v; want %v", name, got, ok, ft)
+			}
+		}
+	}
+
+	if _, err := New(Config{Policy: "rio-prot"}); err == nil {
+		t.Error("unknown policy name accepted")
+	}
+	if _, ok := crashtest.SystemByName("rio"); ok {
+		t.Error("unknown system name accepted")
+	}
+	if _, ok := fault.ByName("kernel_text"); ok {
+		t.Error("unknown fault name accepted")
 	}
 }
 
