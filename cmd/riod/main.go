@@ -9,7 +9,7 @@
 // Usage:
 //
 //	riod [-addr :7979] [-shards 4] [-policy rio] [-seed 1]
-//	     [-queue 128] [-batch 32] [-mem MB] [-disk MB] [-pprof host:port]
+//	     [-queue 128] [-mem MB] [-disk MB] [-pprof host:port]
 //
 // -pprof serves net/http/pprof on the given address (loopback
 // recommended) for profiling the serving path under live load:
@@ -46,7 +46,6 @@ func main() {
 	policy := flag.String("policy", "rio", "file-system policy per shard")
 	seed := flag.Uint64("seed", 1, "base seed (shard i boots with sim.Mix(seed, i))")
 	queue := flag.Int("queue", 128, "per-shard queue depth (full queue answers EAGAIN)")
-	batch := flag.Int("batch", 32, "max requests per shard drain cycle")
 	memMB := flag.Int("mem", 16, "memory per shard, MB")
 	diskMB := flag.Int("disk", 32, "disk per shard, MB")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (empty = off)")
@@ -66,7 +65,6 @@ func main() {
 	srv, err := server.New(server.Config{
 		Shards:     *shards,
 		QueueDepth: *queue,
-		MaxBatch:   *batch,
 		Policy:     rio.Policy(*policy),
 		Seed:       *seed,
 		MemoryMB:   *memMB,

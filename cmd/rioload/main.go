@@ -74,7 +74,6 @@ type loadConfig struct {
 	MemMB    int
 	DiskMB   int
 	Queue    int
-	Batch    int
 
 	CrashShard int
 	CrashAt    time.Duration
@@ -135,7 +134,6 @@ func run() int {
 	flag.IntVar(&cfg.MemMB, "mem", 16, "memory per shard, MB (memory mode)")
 	flag.IntVar(&cfg.DiskMB, "disk", 32, "disk per shard, MB (memory mode)")
 	flag.IntVar(&cfg.Queue, "queue", 128, "per-shard queue depth (memory mode)")
-	flag.IntVar(&cfg.Batch, "batch", 32, "max batch per drain (memory mode)")
 	flag.IntVar(&cfg.CrashShard, "crash-shard", -1, "crash this shard mid-run (-1 = no crash)")
 	flag.DurationVar(&cfg.CrashAt, "crash-at", 2*time.Second, "when to crash, measured from run start")
 	flag.DurationVar(&cfg.CrashDown, "crash-down", 500*time.Millisecond, "outage length before the warm reboot")
@@ -196,7 +194,7 @@ func runServer(cfg loadConfig) (*runResult, error) {
 	if cfg.Net == "memory" {
 		var err error
 		srv, err = server.New(server.Config{
-			Shards: cfg.Shards, QueueDepth: cfg.Queue, MaxBatch: cfg.Batch,
+			Shards: cfg.Shards, QueueDepth: cfg.Queue,
 			Policy: rio.Policy(cfg.Policy), Seed: cfg.Seed,
 			MemoryMB: cfg.MemMB, DiskMB: cfg.DiskMB,
 		})
@@ -295,9 +293,7 @@ func runFleet(cfg loadConfig) (*runResult, error) {
 	// A fleet client routes for itself and is not safe to share, so
 	// every stream is its own client and -pipeline only multiplies them.
 	open := func(int) stream {
-		cl := f.Client(time.Sleep)
-		cl.RetryDelay = time.Millisecond
-		return cl
+		return f.Client(func() { time.Sleep(time.Millisecond) })
 	}
 
 	// Coordinator heartbeat loop: the fleet's failure detector under

@@ -12,7 +12,7 @@ func smoke() loadConfig {
 	return loadConfig{
 		Net: "memory", Shards: 4, Clients: 4, Pipeline: 4, Duration: 300 * time.Millisecond,
 		Writes: 0.5, Keys: 96, Size: 8192, Seed: 1, Policy: "rio", MemMB: 4, DiskMB: 8,
-		Queue: 128, Batch: 32, CrashShard: 0, CrashAt: 100 * time.Millisecond, CrashDown: 50 * time.Millisecond,
+		Queue: 128, CrashShard: 0, CrashAt: 100 * time.Millisecond, CrashDown: 50 * time.Millisecond,
 		Peers: 3, Replicas: 2,
 	}
 }

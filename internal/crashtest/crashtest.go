@@ -140,9 +140,9 @@ type WorkloadFactory func(seed uint64, writeThrough bool) workload.Workload
 // the file system's (TxnTest: the txn log roll-forward). The crash run
 // calls Recover once the machine is back up and before Check, still
 // under the double-fault disk plan. A Recover the machine's crash point
-// halts (kernel.ErrCrashPoint) is the second crash: the crash run calls it
-// again, and it must converge. quarantined counts records it refused as
-// damaged.
+// halts (kernel.ErrCrashPoint) is the second crash: CrashPoint.Restart
+// calls it again, and it must converge. quarantined counts records it
+// refused as damaged.
 type recoverer interface {
 	Recover(fsys *fs.FS) (quarantined int, err error)
 }
@@ -445,9 +445,10 @@ func recoverMachine(m *machine.Machine, sys System, cfg RunConfig, w workload.Wo
 		warmAt = int(sim.Mix(cfg.Seed, recoveryCrashSalt) % recoveryCrashWindow)
 		txnAt = int(sim.Mix(cfg.Seed, txnRecoverySalt)%txnRecoveryWindow) - 1
 	}
+	cp := m.Kernel.CrashPoint
 	var rep *warmreboot.Report
 	var err error
-	res.RecoveryInterrupted, err = restart(m, warmAt, func() (err error) {
+	res.RecoveryInterrupted, err = cp.Restart(warmAt, func() (err error) {
 		rep, err = warmreboot.Restore(m, image)
 		return err
 	})
@@ -469,7 +470,7 @@ func recoverMachine(m *machine.Machine, sys System, cfg RunConfig, w workload.Wo
 	if !ok {
 		return ""
 	}
-	res.TxnRecoveryInterrupted, err = restart(m, txnAt, func() (err error) {
+	res.TxnRecoveryInterrupted, err = cp.Restart(txnAt, func() (err error) {
 		res.TxnQuarantined, err = rw.Recover(m.FS)
 		return err
 	})
@@ -478,18 +479,4 @@ func recoverMachine(m *machine.Machine, sys System, cfg RunConfig, w workload.Wo
 		return w.Name() + " roll-forward failed: " + err.Error()
 	}
 	return ""
-}
-
-// restart runs one recovery phase with the machine's crash point armed at
-// boundary at (at < 0: disarmed). A phase the crash point halts is the
-// second crash: it runs again, disarmed, from the state it started from,
-// and must complete.
-func restart(m *machine.Machine, at int, phase func() error) (interrupted bool, err error) {
-	cp := m.Kernel.CrashPoint
-	cp.Arm(at)
-	if err = phase(); err != kernel.ErrCrashPoint {
-		return false, err
-	}
-	cp.Disarm()
-	return true, phase()
 }

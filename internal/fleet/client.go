@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"fmt"
-	"time"
 
 	"rio/internal/server"
 	"rio/internal/txn"
@@ -27,26 +26,24 @@ type Client struct {
 	shards  int
 	view    map[int]string // shard -> primary address
 	refresh func() *Table  // coordinator's current table
-	sleep   func(time.Duration)
+	pause   func()         // between attempts; nil: none
 
 	// MaxAttempts bounds the whole retry loop per Do (default 16).
 	MaxAttempts int
-	// RetryDelay spaces attempts when sleep is set.
-	RetryDelay time.Duration
 
 	Stats ClientStats
 }
 
 // Client returns a routing client bootstrapped from the fleet's current
-// table. sleep may be nil (no backoff — the in-process campaign wants
-// attempt-bounded, wall-clock-free retries).
-func (f *Fleet) Client(sleep func(time.Duration)) *Client {
+// table. pause spaces retry attempts; it may be nil (no backoff — the
+// in-process campaign wants attempt-bounded, wall-clock-free retries).
+func (f *Fleet) Client(pause func()) *Client {
 	c := &Client{
 		tr:          f.tr,
 		shards:      f.cfg.Shards,
 		view:        make(map[int]string),
 		refresh:     f.Table,
-		sleep:       sleep,
+		pause:       pause,
 		MaxAttempts: 16,
 	}
 	c.adopt(f.Table())
@@ -96,8 +93,8 @@ func (c *Client) Do(req *wire.Request) (*wire.Response, error) {
 	for attempt := 0; attempt < c.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			c.Stats.Retries++
-			if c.sleep != nil && c.RetryDelay > 0 {
-				c.sleep(c.RetryDelay)
+			if c.pause != nil {
+				c.pause()
 			}
 		}
 		addr := c.view[shard]

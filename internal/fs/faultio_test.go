@@ -107,3 +107,28 @@ func TestFsckToleratesFaultyDisk(t *testing.T) {
 		t.Fatalf("transients should all clear within retry bound: %v", rep)
 	}
 }
+
+// TestUnreadableBitmapReadsAllocated: an allocation-bitmap block still
+// unreadable after its retries reads as all allocated, not all free, so
+// unlinking a file is no double free of its own blocks and a new file is
+// given no block another file holds.
+func TestUnreadableBitmapReadsAllocated(t *testing.T) {
+	m := boot(t, fs.PolicyUFS)
+	keep := bytes.Repeat([]byte("k"), 2*fs.BlockSize)
+	writeFile(t, m, "/gone", keep)
+	writeFile(t, m, "/keep", keep)
+	m.FS.Unmount()
+	if err := m.Boot(nil); err != nil { // a fresh cache: the bitmap is read again
+		t.Fatal(err)
+	}
+	readFile(t, m, "/keep")                                      // caches the root, both inodes and /keep's blocks
+	m.Disk.SetFaultPlan(&disk.FaultPlan{Seed: 3, LatentRate: 1}) // every uncached read fails
+	if err := m.FS.Unlink("/gone"); err != nil || m.FS.Stats.ReadFailures == 0 {
+		t.Fatalf("unlink over an unreadable bitmap: %v (%d read failures)", err, m.FS.Stats.ReadFailures)
+	}
+	m.Disk.SetFaultPlan(nil)
+	writeFile(t, m, "/new", bytes.Repeat([]byte("n"), 2*fs.BlockSize))
+	if got := readFile(t, m, "/keep"); !bytes.Equal(got, keep) {
+		t.Fatal("a new file was given blocks /keep holds")
+	}
+}

@@ -23,7 +23,7 @@ type Stats struct {
 	MetaUpdates   uint64
 	Fsyncs        uint64
 	DaemonRuns    uint64
-	ReadFailures  uint64 // block reads that failed after retries (served as zeroes)
+	ReadFailures  uint64 // block reads that failed after retries (served as zeroes; a bitmap block all-allocated)
 	WriteFailures uint64 // block writes/commits lost after retries
 	DcacheHits    uint64 // name lookups answered by the dcache
 	DcacheMisses  uint64 // name lookups that scanned directory blocks
@@ -334,7 +334,17 @@ func (f *FS) readBlockSync(block int64) []byte {
 		// Unreadable even after retries (latent sector, or budget-bounded
 		// transients): serve zeroes, the same contract as the checkBlock
 		// panic path. The loss is visible to checksums and the oracle.
+		// An allocation-bitmap block is served all-allocated instead:
+		// zeroes would read every block it covers as free, so balloc
+		// would hand out blocks files still hold and bfree would refuse
+		// theirs as double frees. Its free blocks leak until the next
+		// fsck rebuilds the bitmap.
 		f.Stats.ReadFailures++
+		if block >= f.SB.BitmapStart && block < f.SB.DataStart {
+			for i := range buf {
+				buf[i] = 0xFF
+			}
+		}
 	}
 	return buf
 }

@@ -73,38 +73,6 @@ func (c *Crash) Error() string {
 // ErrCrashed is returned by kernel operations attempted after a crash.
 var ErrCrashed = errors.New("kernel: machine has crashed")
 
-// ErrCrashPoint reports that a protocol halted at the armed crash point: a
-// simulated second crash, after which the caller restarts the protocol.
-var ErrCrashPoint = errors.New("kernel: halted at the armed crash point")
-
-// CrashPoint is the one crash-injection hook: a count of the protocol
-// boundaries passed, one of which may be armed. A protocol calls Point at
-// each boundary and, when it reports true, stops with ErrCrashPoint. The
-// zero value is disarmed; a nil CrashPoint never halts.
-type CrashPoint struct {
-	count, halt int // halt: the armed boundary + 1, or 0
-}
-
-// Point counts one boundary and reports whether it is the armed one.
-func (p *CrashPoint) Point() bool {
-	if p == nil {
-		return false
-	}
-	p.count++
-	return p.count == p.halt
-}
-
-// Arm zeroes the count and arms boundary i, counted from 0: the i-th Point
-// from now halts. A negative i arms nothing.
-func (p *CrashPoint) Arm(i int) { *p = CrashPoint{halt: max(i+1, 0)} }
-
-// Disarm zeroes the count and arms nothing.
-func (p *CrashPoint) Disarm() { *p = CrashPoint{} }
-
-// Count returns the boundaries passed since the last Arm or Disarm: after an
-// uninterrupted pass, the number of places it can halt.
-func (p *CrashPoint) Count() int { return p.count }
-
 // Kernel is the simulated kernel runtime.
 type Kernel struct {
 	Mem   *mem.Memory

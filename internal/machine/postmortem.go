@@ -95,8 +95,19 @@ type Postmortem struct {
 	// StoreHisto counts recent stores by target class.
 	StoreHisto map[StoreClass]int
 	// FileCacheStores lists recent stores that hit file-cache or registry
-	// frames — the stores Rio's protection exists to stop.
+	// frames — the stores Rio's protection exists to stop — one line per
+	// run of consecutive such stores by one procedure into one page of one
+	// class, so a stray store stands apart from a copy loop's.
 	FileCacheStores []string
+}
+
+// storeRun is consecutive traced stores by one procedure into one page of
+// one target class.
+type storeRun struct {
+	proc        string
+	class       StoreClass
+	first, last kvm.TraceEntry
+	n           int
 }
 
 // Format renders the report.
@@ -152,18 +163,32 @@ func (m *Machine) BuildPostmortem(tailLen int) (*Postmortem, error) {
 	if proc, ok := m.Text.ProcAt(c.PC); ok {
 		p.Proc = proc.Name
 	}
+	var runs []storeRun
 	for _, e := range tr.Stores() {
 		class := m.ClassifyStore(e.Addr)
 		p.StoreHisto[class]++
-		if class == StoreMeta || class == StoreUBC || class == StoreRegistry {
-			proc := "?"
-			if pr, ok := m.Text.ProcAt(e.PC); ok {
-				proc = pr.Name
-			}
-			p.FileCacheStores = append(p.FileCacheStores,
-				fmt.Sprintf("step %d, %s pc=%d: [%#x] = %#x (%s)",
-					e.Seq, proc, e.PC, e.Addr, e.Val, class))
+		if class != StoreMeta && class != StoreUBC && class != StoreRegistry {
+			continue
 		}
+		proc := "?"
+		if pr, ok := m.Text.ProcAt(e.PC); ok {
+			proc = pr.Name
+		}
+		if r := len(runs) - 1; r >= 0 && runs[r].proc == proc && runs[r].class == class &&
+			runs[r].last.Addr/mem.PageSize == e.Addr/mem.PageSize {
+			runs[r].last, runs[r].n = e, runs[r].n+1
+			continue
+		}
+		runs = append(runs, storeRun{proc, class, e, e, 1})
+	}
+	for _, r := range runs {
+		line := fmt.Sprintf("step %d, %s pc=%d: [%#x] = %#x (%s)",
+			r.first.Seq, r.proc, r.first.PC, r.first.Addr, r.first.Val, r.class)
+		if r.n > 1 {
+			line = fmt.Sprintf("steps %d-%d, %s: %d stores, [%#x] to [%#x] (%s)",
+				r.first.Seq, r.last.Seq, r.proc, r.n, r.first.Addr, r.last.Addr, r.class)
+		}
+		p.FileCacheStores = append(p.FileCacheStores, line)
 	}
 	return p, nil
 }

@@ -88,6 +88,34 @@ func TestPostmortemAfterInjectedCrash(t *testing.T) {
 	t.Skip("no seed crashed within budget")
 }
 
+// TestPostmortemCollapsesCopyRuns: a copy loop's stores into one page of
+// the registry are one line of the post-mortem, and a store by another
+// procedure stands on its own line after it.
+func TestPostmortemCollapsesCopyRuns(t *testing.T) {
+	opt := machine.DefaultOptions(fs.Configs[fs.RioNoProt].Policy)
+	opt.FastPath = false
+	m, err := machine.New(opt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.EnableTrace(4096)
+	dst := mmu.PhysToKSEG(mem.FrameBase(m.Reg.Frames()[0]))
+	if err := m.Kernel.BCopy(dst, m.Kernel.StageIn(make([]byte, 256)), 256); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Kernel.BZero(dst+1024, 1); err != nil {
+		t.Fatal(err)
+	}
+	m.Kernel.Panic("injected test crash")
+	pm, err := m.BuildPostmortem(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := pm.FileCacheStores; len(got) != 2 || !strings.Contains(got[0], "bcopy: 32 stores") || !strings.Contains(got[1], "bzero pc=") {
+		t.Fatalf("file-cache stores, want a bcopy run and one bzero store:\n%s", strings.Join(got, "\n"))
+	}
+}
+
 func TestClassifyStore(t *testing.T) {
 	m := tracedMachine(t, 3)
 	// Heap.

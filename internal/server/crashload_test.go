@@ -90,7 +90,14 @@ func TestCrashUnderLoadNoAckedWriteLost(t *testing.T) {
 	}
 
 	// Controller: crash shard 2 partway through, hold the outage long
-	// enough for clients to slam into it, then warm-reboot.
+	// enough for clients to slam into it, then warm-reboot. Closed-loop
+	// clients can all end up parked on the down shard, so the controller
+	// also writes to each healthy shard itself inside the outage window:
+	// their progress then does not hang on how the clients were scheduled.
+	var probes [shards]string
+	for i := range probes {
+		probes[i] = pathOnShard(t, s, i, "outage-probe")
+	}
 	wg.Add(1)
 	var duringOutage [shards]uint64
 	go func() {
@@ -104,6 +111,15 @@ func TestCrashUnderLoadNoAckedWriteLost(t *testing.T) {
 		}
 		crashed.Store(true)
 		before := s.Metrics()
+		for i, p := range probes {
+			if i == crashShard {
+				continue
+			}
+			if r := s.Do(&wire.Request{ID: 9100 + uint64(i), Op: wire.OpWrite, Path: p,
+				Data: []byte("probe")}); r.Status != wire.StatusOK {
+				t.Errorf("shard %d during the outage: %+v", i, r)
+			}
+		}
 		time.Sleep(20 * time.Millisecond) // outage window under live load
 		after := s.Metrics()
 		for i := 0; i < shards; i++ {
@@ -121,18 +137,14 @@ func TestCrashUnderLoadNoAckedWriteLost(t *testing.T) {
 		t.Fatal("controller did not complete the crash/warmboot cycle")
 	}
 
-	// (2) Outage isolation: the healthy shards made progress while
+	// (2) Outage isolation: every healthy shard made progress while
 	// shard 2 was down. (The down shard may also count ops — it is
 	// answering EAGAIN — the requirement is that healthy shards never
 	// stalled.)
-	var healthyProgress uint64
 	for i := 0; i < shards; i++ {
-		if i != crashShard {
-			healthyProgress += duringOutage[i]
+		if i != crashShard && duringOutage[i] == 0 {
+			t.Fatalf("healthy shard %d served zero requests during the outage: %v", i, duringOutage)
 		}
-	}
-	if healthyProgress == 0 {
-		t.Fatalf("healthy shards served zero requests during the outage: %v", duringOutage)
 	}
 
 	// (3) The outage was actually felt (otherwise the test proved

@@ -45,9 +45,6 @@ type Config struct {
 	// full queue answers wire.StatusAgain instead of blocking — load
 	// shedding, not buffering, is the overload response.
 	QueueDepth int
-	// MaxBatch bounds how many queued requests one drain cycle hands
-	// the shard goroutine (default 32).
-	MaxBatch int
 	// Policy, Seed, MemoryMB, DiskMB configure each shard's machine.
 	// Shard i boots with seed sim.Mix(Seed, i) via rio.NewShards.
 	Policy   rio.Policy
@@ -84,9 +81,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 128
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 32
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -497,6 +491,10 @@ func (s *Server) Metrics() Metrics {
 	return m
 }
 
+// batchLimit bounds how many queued requests one drain cycle hands the
+// shard goroutine.
+const batchLimit = 32
+
 // run is the shard goroutine: drain a batch, serve it, repeat, until
 // the channel closes — then serve what remains and exit. The batch
 // size and the queue depth observed at each wakeup are recorded so the
@@ -512,7 +510,7 @@ func (s *Server) Metrics() Metrics {
 // serving it immediately is strictly better than yielding on the off
 // chance a second request materializes.
 func (sh *shard) run(cfg Config) {
-	batch := make([]task, 0, cfg.MaxBatch)
+	batch := make([]task, 0, batchLimit)
 	for {
 		if cfg.testGate != nil {
 			cfg.testGate(sh.id)
@@ -523,7 +521,7 @@ func (sh *shard) run(cfg Config) {
 		}
 		depth := len(sh.ch)
 		yielded := false
-		if depth > 0 && depth < cfg.MaxBatch {
+		if depth > 0 && depth < batchLimit {
 			runtime.Gosched()
 			yielded = true
 		}
@@ -535,7 +533,7 @@ func (sh *shard) run(cfg Config) {
 		sh.mu.Unlock()
 		batch = append(batch[:0], t)
 	drain:
-		for len(batch) < cfg.MaxBatch {
+		for len(batch) < batchLimit {
 			select {
 			case t, ok := <-sh.ch:
 				if !ok {

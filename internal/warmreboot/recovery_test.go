@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
+	"time"
 
 	"rio/internal/disk"
 	"rio/internal/fs"
@@ -55,11 +57,7 @@ func logicalState(t *testing.T, fsys *fs.FS) string {
 	}
 	walk("/")
 	sort.Strings(lines)
-	out := ""
-	for _, l := range lines {
-		out += l + "\n"
-	}
-	return out
+	return strings.Join(lines, "\n")
 }
 
 // crashedRioMachine builds a Rio machine with a dirty file cache, crashes
@@ -80,61 +78,24 @@ func crashedRioMachine(t *testing.T, seed uint64) (*machine.Machine, []byte, []b
 	return m, dump, m.Disk.Snapshot()
 }
 
-// haltEveryPoint runs pass once uninterrupted to count its crash points N
-// and take the tree it recovers, then arms each point 0..N in turn: a pass
-// halted there must restart, disarmed, to that same tree, and the pass
-// armed at N must complete without halting. reset puts back the disk of
-// the crash before each pass. It returns N.
-func haltEveryPoint(t *testing.T, m *machine.Machine, reset func(), pass func() error) int {
-	t.Helper()
-	cp := m.Kernel.CrashPoint
-	defer cp.Disarm()
-	reset()
-	cp.Disarm()
-	if err := pass(); err != nil {
-		t.Fatalf("uninterrupted pass: %v", err)
-	}
-	n, want := cp.Count(), logicalState(t, m.FS)
-	for k := 0; k <= n; k++ {
-		reset()
-		cp.Arm(k)
-		err := pass()
-		if k < n {
-			if err != kernel.ErrCrashPoint {
-				t.Fatalf("armed at point %d of %d: err = %v, want ErrCrashPoint", k, n, err)
-			}
-			cp.Disarm()
-			err = pass() // restart from the same image: the idempotent second pass
-		}
-		if err != nil {
-			t.Fatalf("point %d of %d: %v", k, n, err)
-		}
-		if got := logicalState(t, m.FS); got != want {
-			t.Fatalf("halted at point %d of %d, the restart diverges from the uninterrupted pass:\ngot:\n%swant:\n%s", k, n, got, want)
-		}
-	}
-	return n
-}
-
 // TestRecoveryIdempotentAfterInterruption is the satellite's contract:
 // crash the warm reboot at every crash point, rerun it from the same dump,
 // and require the final file-system state to be byte-identical to an
 // uninterrupted pass.
 func TestRecoveryIdempotentAfterInterruption(t *testing.T) {
 	m, dump, diskSnap := crashedRioMachine(t, 1996)
-	rep, err := FromDump(m, dump)
+	var rep *Report // the last pass's: armed at N, uninterrupted
+	start := time.Now()
+	n, err := kernel.EachPoint(func() (*kernel.CrashPoint, func() error) {
+		m.Disk.Restore(diskSnap)
+		return m.Kernel.CrashPoint, func() (err error) { rep, err = FromDump(m, dump); return err }
+	}, func() string { return logicalState(t, m.FS) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.VolumeLost || rep.DataRestored == 0 {
-		t.Fatalf("reference recovery degenerate: %v", rep)
-	}
-	n := haltEveryPoint(t, m, func() { m.Disk.Restore(diskSnap) }, func() error {
-		_, err := FromDump(m, dump)
-		return err
-	})
-	if n < 3 {
-		t.Fatalf("too few crash points (%d) to exercise interruption", n)
+	t.Logf("%d crash points, %d µs per point", n, time.Since(start).Microseconds()/int64(n+1))
+	if n < 3 || rep.VolumeLost || rep.DataRestored == 0 {
+		t.Fatalf("%d crash points, too few to exercise interruption, or a degenerate recovery: %v", n, rep)
 	}
 }
 
@@ -220,20 +181,16 @@ func TestRecoverySurvivesDoubleFault(t *testing.T) {
 		m, dump, _ := crashedRioMachine(t, seed+100)
 		plan := disk.DefaultFaultPlan(seed * 1373)
 		m.Disk.SetFaultPlan(&plan)
-		m.Kernel.CrashPoint.Arm(int(seed)) // early interruption
-		_, err := FromDump(m, dump)
-		if err != nil && err != kernel.ErrCrashPoint {
-			t.Fatalf("seed %d: first attempt: %v", seed, err)
+		var rep *Report
+		interrupted, err := m.Kernel.CrashPoint.Restart(int(seed), func() (err error) { // early interruption
+			rep, err = FromDump(m, dump)
+			return err
+		})
+		if err != nil || !interrupted {
+			t.Fatalf("seed %d: interrupted %v, err %v", seed, interrupted, err)
 		}
-		if err == kernel.ErrCrashPoint {
-			m.Kernel.CrashPoint.Disarm()
-			rep, err := FromDump(m, dump)
-			if err != nil {
-				t.Fatalf("seed %d: restart aborted: %v", seed, err)
-			}
-			if rep.VolumeLost {
-				continue
-			}
+		if rep.VolumeLost {
+			continue // a destroyed superblock is a reported outcome
 		}
 		m.Disk.SetFaultPlan(nil)
 		_ = logicalState(t, m.FS)
@@ -316,20 +273,21 @@ func TestWarmReusesMachineScratch(t *testing.T) {
 	// The held dump (with the disk of its crash) still recovers cycle 1's
 	// state, restartably, on this machine whose scratch now holds cycle
 	// 3's image.
-	m.Disk.Restore(heldDisk)
-	ref, err := FromDump(m, held)
+	var ref *Report // the last pass's: armed at N, uninterrupted
+	start := time.Now()
+	n, err := kernel.EachPoint(func() (*kernel.CrashPoint, func() error) {
+		m.Disk.Restore(heldDisk)
+		return m.Kernel.CrashPoint, func() (err error) { ref, err = FromDump(m, held); return err }
+	}, func() string { return logicalState(t, m.FS) })
 	if err != nil || ref.VolumeLost {
 		t.Fatalf("recovery from held dump: %v, %v", ref, err)
 	}
+	t.Logf("%d crash points, %d µs per point", n, time.Since(start).Microseconds()/int64(n+1))
 	for path, want := range heldFiles {
 		if got := get(t, m, path); !bytes.Equal(got, want) {
 			t.Fatalf("held dump: %s differs after recovery", path)
 		}
 	}
-	haltEveryPoint(t, m, func() { m.Disk.Restore(heldDisk) }, func() error {
-		_, err := FromDump(m, held)
-		return err
-	})
 	m.Disk.Restore(heldDisk)
 	if rep, err := FromDump(m, held[:len(held)/2]); err != nil || rep.SkippedInvalid+rep.BadEntries == 0 {
 		t.Fatalf("truncated held dump: %v, %v", rep, err)

@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"fmt"
 	"testing"
+	"time"
 
 	"rio/internal/kernel"
 	"rio/internal/machine"
@@ -113,31 +115,36 @@ func TestTxnTestDetectsLostAck(t *testing.T) {
 	}
 }
 
-// An interrupted commit that left a published record behind must be
-// rolled forward by the next Commit, not published over: the mid state
-// with only some accounts rewritten would otherwise become permanent.
-func TestTxnTestDirtyLogRollsForwardBeforeNextCommit(t *testing.T) {
-	m := newRio(t)
-	tt := NewTxnTest(7, 3)
+// halfApplied is a commit that published its record and applied it to
+// account 0 only before it stopped: the accounts disagree (a torn mid
+// state), but the record is still published.
+func halfApplied(t *testing.T) (*machine.Machine, *TxnTest) {
+	t.Helper()
+	m, tt := newRio(t), NewTxnTest(7, 3)
 	if err := tt.Setup(m.FS); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a commit that published and half-applied, then errored:
-	// publish the record, apply it to account 0 only, keep the log.
 	tt.LastAttempt++
-	id := tt.LastAttempt
-	rec := tt.record(id)
+	rec := tt.record(tt.LastAttempt)
 	l := txn.NewLog(m.FS)
 	if err := l.Publish([]txn.Record{rec}); err != nil {
 		t.Fatal(err)
 	}
-	one := txn.Record{ID: id, Ops: rec.Ops[:1]}
-	if err := l.Apply(&one); err != nil {
+	if err := l.Apply(&txn.Record{ID: rec.ID, Ops: rec.Ops[:1]}); err != nil {
 		t.Fatal(err)
 	}
-	tt.dirty = true
-	// The accounts now disagree (torn mid state), but the record is
-	// still published; the next commit must converge, not tear.
+	if v := tt.Check(m.FS); v.Torn != 1 {
+		t.Fatalf("half-applied record not seen as torn: %+v", v)
+	}
+	return m, tt
+}
+
+// An interrupted commit that left a published record behind must be
+// rolled forward by the next Commit, not published over: the mid state
+// with only some accounts rewritten would otherwise become permanent.
+func TestTxnTestDirtyLogRollsForwardBeforeNextCommit(t *testing.T) {
+	m, tt := halfApplied(t)
+	tt.dirty = true // the commit errored after publishing: the log is kept
 	if err := tt.Commit(m.FS); err != nil {
 		t.Fatal(err)
 	}
@@ -149,54 +156,26 @@ func TestTxnTestDirtyLogRollsForwardBeforeNextCommit(t *testing.T) {
 
 // Recover is the crash run's roll-forward step: a published, half-applied
 // record must converge to all-new whether or not a second crash halts the
-// roll-forward at one of its crash points 0..N (N counted by an
-// uninterrupted pass; armed at N, it completes without halting).
+// roll-forward at one of its crash points.
 func TestTxnTestRecoverRestartsAfterSecondCrash(t *testing.T) {
-	halfApplied := func() (*machine.Machine, *TxnTest) {
-		m := newRio(t)
-		tt := NewTxnTest(7, 3)
-		if err := tt.Setup(m.FS); err != nil {
-			t.Fatal(err)
-		}
-		tt.LastAttempt++
-		rec := tt.record(tt.LastAttempt)
-		l := txn.NewLog(m.FS)
-		if err := l.Publish([]txn.Record{rec}); err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Apply(&txn.Record{ID: rec.ID, Ops: rec.Ops[:1]}); err != nil {
-			t.Fatal(err)
-		}
-		if v := tt.Check(m.FS); v.Torn != 1 {
-			t.Fatalf("half-applied record not seen as torn before recovery: %+v", v)
-		}
-		return m, tt
-	}
-	m, tt := halfApplied()
-	m.Kernel.CrashPoint.Disarm()
-	if _, err := tt.Recover(m.FS); err != nil {
+	var (
+		m           *machine.Machine
+		tt          *TxnTest
+		quarantined int
+	)
+	start := time.Now()
+	n, err := kernel.EachPoint(func() (*kernel.CrashPoint, func() error) {
+		m, tt = halfApplied(t)
+		return m.Kernel.CrashPoint, func() (err error) { quarantined, err = tt.Recover(m.FS); return err }
+	}, func() string { return fmt.Sprintf("%+v, quarantined %d", tt.Check(m.FS), quarantined) })
+	if err != nil {
 		t.Fatal(err)
 	}
-	n := m.Kernel.CrashPoint.Count()
-	for k := 0; k <= n; k++ {
-		m, tt := halfApplied()
-		cp := m.Kernel.CrashPoint
-		cp.Arm(k)
-		quarantined, err := tt.Recover(m.FS)
-		if k < n {
-			if err != kernel.ErrCrashPoint {
-				t.Fatalf("armed at point %d of %d: err = %v, want ErrCrashPoint", k, n, err)
-			}
-			cp.Disarm()
-			quarantined, err = tt.Recover(m.FS)
-		}
-		if err != nil || quarantined != 0 {
-			t.Fatalf("point %d of %d: quarantined=%d err=%v", k, n, quarantined, err)
-		}
-		if v := tt.Check(m.FS); !v.Clean() || v.Checked != 3 {
-			t.Fatalf("point %d of %d: verdict after roll-forward: %+v", k, n, v)
-		}
+	t.Logf("%d crash points, %d µs per point", n, time.Since(start).Microseconds()/int64(n+1))
+	if quarantined != 0 {
+		t.Fatalf("roll-forward quarantined %d records", quarantined)
 	}
+	cleanVerdict(t, tt, tt.Check(m.FS))
 }
 
 func TestTxnTestDeterministicContent(t *testing.T) {
