@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"rio/internal/cache"
 	"rio/internal/fs"
 	"rio/internal/kernel"
 	"rio/internal/machine"
@@ -371,6 +372,82 @@ func TestUFSMetadataSynchronous(t *testing.T) {
 	m.FS.Mkdir("/newdir")
 	if m.Disk.Stats.Writes == before {
 		t.Fatal("UFS metadata update did not reach disk synchronously")
+	}
+}
+
+// TestUpdateDaemonSchedule pins when the update daemon runs: never before
+// mount + UpdatePeriod, once at the first syscall at or after that time,
+// next UpdatePeriod after that syscall (not after mount + 2·UpdatePeriod),
+// and never after Unmount. Each run queues every dirty buffer and, on a
+// journaling mount, recycles the journal.
+func TestUpdateDaemonSchedule(t *testing.T) {
+	for _, kind := range []fs.PolicyKind{fs.PolicyUFSDelayed, fs.PolicyAdvFS} {
+		m := boot(t, kind)
+		clock := m.Engine.Clock
+		period := m.FS.Pol.UpdatePeriod
+		if period != 30*sim.Second {
+			t.Fatalf("%v: update period %v, want 30s", kind, period)
+		}
+		mounted := clock.Now()
+		runs := uint64(0)
+		// step advances the clock to at, makes one read-only syscall and
+		// checks whether the daemon ran in it.
+		step := func(what string, at sim.Time, wantRun bool) {
+			t.Helper()
+			clock.AdvanceTo(at)
+			dirty := 0
+			for _, ck := range []cache.Kind{cache.Meta, cache.Data} {
+				for _, b := range m.Cache.DirtyBufs(ck) {
+					if b.Block >= 0 {
+						dirty++
+					}
+				}
+			}
+			async, head := m.FS.Stats.AsyncWrites, m.FS.JournalHead()
+			if _, err := m.FS.Stat("/"); err != nil {
+				t.Fatal(err)
+			}
+			wantAsync := async
+			if wantRun {
+				runs++
+				wantAsync += uint64(dirty)
+				if dirty == 0 {
+					t.Fatalf("%v %s: nothing dirty for the daemon to queue", kind, what)
+				}
+			}
+			if m.FS.Stats.DaemonRuns != runs {
+				t.Fatalf("%v %s: DaemonRuns %d, want %d", kind, what, m.FS.Stats.DaemonRuns, runs)
+			}
+			if m.FS.Stats.AsyncWrites != wantAsync {
+				t.Fatalf("%v %s: AsyncWrites %d, want %d", kind, what, m.FS.Stats.AsyncWrites, wantAsync)
+			}
+			if kind == fs.PolicyAdvFS {
+				start := m.FS.SB.JournalStart
+				if wantRun && m.FS.JournalHead() != start {
+					t.Fatalf("%v %s: journal head %d after a run, want %d", kind, what, m.FS.JournalHead(), start)
+				}
+				if !wantRun && m.FS.JournalHead() != head {
+					t.Fatalf("%v %s: journal head moved %d -> %d without a run", kind, what, head, m.FS.JournalHead())
+				}
+			}
+		}
+		writeFile(t, m, "/a", kernel.FillBytes(fs.BlockSize, 1))
+		step("just before mount+30s", mounted.Add(period-sim.Millisecond), false)
+		if clock.Now() >= mounted.Add(period) {
+			t.Fatalf("%v: the syscall before the deadline ended past it", kind)
+		}
+		step("first syscall after mount+30s", mounted.Add(period+2*sim.Second), true)
+		ran := clock.Now()
+		writeFile(t, m, "/b", kernel.FillBytes(fs.BlockSize, 2))
+		step("after mount+60s", mounted.Add(2*period+sim.Second), false)
+		step("just before run+30s", ran.Add(period-sim.Millisecond), false)
+		if clock.Now() >= ran.Add(period) {
+			t.Fatalf("%v: the syscall before the second deadline ended past it", kind)
+		}
+		step("at run+30s", ran.Add(period), true)
+		m.FS.Unmount()
+		writeFile(t, m, "/c", kernel.FillBytes(fs.BlockSize, 3))
+		step("after Unmount", clock.Now().Add(3*period), false)
 	}
 }
 
