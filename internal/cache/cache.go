@@ -552,14 +552,6 @@ func (c *Cache) MarkClean(b *Buf) error {
 	})
 }
 
-// SetDiskBlock updates the buffer's disk address (data block allocation).
-func (c *Cache) SetDiskBlock(b *Buf, block int64) error {
-	b.Block = block
-	return c.Reg.Mutate(b.Slot, func(e *registry.Entry) {
-		e.Block = block
-	})
-}
-
 // Remove drops a buffer from the cache without writing it back. The caller
 // is responsible for any required flush. It bumps b.Gen, so a write-back
 // completion queued before the removal finds its generation stale and

@@ -367,18 +367,6 @@ func TestMarkCleanClearsRegistryFlag(t *testing.T) {
 	}
 }
 
-func TestSetDiskBlock(t *testing.T) {
-	e := newEnv(t, false, 8, 8)
-	b, _ := e.c.InsertData(1, 0, -1, nil, 0)
-	if err := e.c.SetDiskBlock(b, 123); err != nil {
-		t.Fatal(err)
-	}
-	ent, _ := e.r.Get(b.Slot)
-	if ent.Block != 123 || b.Block != 123 {
-		t.Fatal("disk block not recorded")
-	}
-}
-
 func TestAllAndLen(t *testing.T) {
 	e := newEnv(t, false, 8, 8)
 	e.c.InsertMeta(1, nil)

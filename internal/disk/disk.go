@@ -65,22 +65,13 @@ type Stats struct {
 	RandWrites   uint64
 }
 
-// Request is a queued asynchronous write.
-type Request struct {
-	Sector int
-	Data   []byte // len multiple of SectorSize
-	Done   func() // optional completion callback
-}
-
 // Disk is a simulated disk. Contents persist until Format is called; they
 // survive simulated crashes and reboots (modulo torn in-flight sectors).
 type Disk struct {
-	params  Params
-	data    []byte
-	Stats   Stats
-	last    int // last accessed sector, for sequentiality
-	queue   []Request
-	started bool // head of queue is mid-transfer (tearable on crash)
+	params Params
+	data   []byte
+	Stats  Stats
+	last   int // last accessed sector, for sequentiality
 	// blank means every byte of data is known to be zero: set by New,
 	// Recycle and Format, dropped by anything that stores to the platters.
 	// It saves the first Format of a disk from zeroing 16 MB twice.
@@ -104,7 +95,7 @@ func New(capacity int, params Params) *Disk {
 }
 
 // Recycle returns a new disk of d's capacity on d's storage, zeroed: no
-// contents, queue, fault plan, latent sectors or statistics carry over, so
+// contents, fault plan, latent sectors or statistics carry over, so
 // it is indistinguishable from New's. d must not be used again. A crash
 // campaign builds each run's disk from the last one's instead of paging in
 // 16 MB of fresh memory per run.
@@ -141,8 +132,8 @@ func (d *Disk) checkRange(sector, sectors int) {
 }
 
 // AccessTime returns the simulated service time for n bytes at sector,
-// without performing any I/O. Higher layers use it to model asynchronous
-// queues whose content is applied later via Commit.
+// without performing any I/O. The file system prices its asynchronous
+// write queue with it and applies each write later via Commit.
 func (d *Disk) AccessTime(sector, n int) sim.Duration {
 	return d.accessTime(sector, n)
 }
@@ -245,72 +236,13 @@ func (d *Disk) Write(sector int, buf []byte) (sim.Duration, error) {
 	return t, nil
 }
 
-// Enqueue adds an asynchronous write to the device queue. The data slice is
-// copied. Call Service to retire queued writes; a crash with a non-empty
-// queue loses the queue and may tear the in-flight sector.
-func (d *Disk) Enqueue(req Request) {
-	if len(req.Data)%SectorSize != 0 {
-		panic("disk: queued write length not a sector multiple")
-	}
-	d.checkRange(req.Sector, len(req.Data)/SectorSize)
-	cp := make([]byte, len(req.Data))
-	copy(cp, req.Data)
-	req.Data = cp
-	d.queue = append(d.queue, req)
-	d.started = d.started || len(d.queue) == 1
-}
-
-// QueueLen returns the number of writes still queued.
-func (d *Disk) QueueLen() int { return len(d.queue) }
-
-// Service retires up to max queued writes (all of them if max < 0),
-// returning the total simulated service time. The file-system layer decides
-// when the queue drains (idle time, sync, update daemon). On a write
-// failure the failed request stays at the head of the queue — a later
-// Service call retries it — and the error is returned with the time spent
-// so far.
-func (d *Disk) Service(max int) (sim.Duration, error) {
-	var total sim.Duration
-	for len(d.queue) > 0 && max != 0 {
-		req := d.queue[0]
-		t, err := d.Write(req.Sector, req.Data)
-		total += t
-		if err != nil {
-			d.started = true
-			return total, err
-		}
-		d.queue = d.queue[1:]
-		if req.Done != nil {
-			req.Done()
-		}
-		if max > 0 {
-			max--
-		}
-	}
-	d.started = len(d.queue) > 0
-	return total, nil
-}
-
-// Crash models a system crash: all queued writes are lost, and if a write
-// was in flight its first sector is torn (overwritten with garbage), the
-// same vulnerability window a real disk has.
-func (d *Disk) Crash(rng *sim.Rand) {
-	if d.started && len(d.queue) > 0 {
-		d.Tear(d.queue[0].Sector, rng)
-	}
-	d.queue = nil
-	d.started = false
-}
-
-// Format zeroes the disk and clears the queue. Writing every sector also
+// Format zeroes the disk. Writing every sector also
 // heals any latent sector errors, as a full-surface rewrite would.
 func (d *Disk) Format() {
 	if !d.blank {
 		clear(d.data)
 		d.blank = true
 	}
-	d.queue = nil
-	d.started = false
 	d.last = -1 << 30
 	d.latent = nil
 	if d.plan != nil {

@@ -90,93 +90,10 @@ func TestTransferTimeScalesWithSize(t *testing.T) {
 	}
 }
 
-func TestAsyncQueueServicing(t *testing.T) {
-	d := newDisk(16)
-	done := 0
-	d.Enqueue(Request{Sector: 1, Data: sector(7), Done: func() { done++ }})
-	d.Enqueue(Request{Sector: 2, Data: sector(8), Done: func() { done++ }})
-	if d.QueueLen() != 2 {
-		t.Fatalf("queue len = %d", d.QueueLen())
-	}
-	busy, _ := d.Service(-1)
-	if busy <= 0 {
-		t.Fatal("no busy time charged")
-	}
-	if done != 2 || d.QueueLen() != 0 {
-		t.Fatalf("done=%d queue=%d", done, d.QueueLen())
-	}
-	buf := make([]byte, SectorSize)
-	d.Read(1, buf)
-	if buf[0] != 7 {
-		t.Fatal("queued write not applied")
-	}
-}
-
-func TestEnqueueCopiesData(t *testing.T) {
-	d := newDisk(4)
-	data := sector(1)
-	d.Enqueue(Request{Sector: 0, Data: data})
-	data[0] = 99 // caller mutates after enqueue
-	d.Service(-1)
-	buf := make([]byte, SectorSize)
-	d.Read(0, buf)
-	if buf[0] != 1 {
-		t.Fatal("Enqueue did not copy data")
-	}
-}
-
-func TestServiceLimit(t *testing.T) {
-	d := newDisk(16)
-	for i := 0; i < 5; i++ {
-		d.Enqueue(Request{Sector: i, Data: sector(byte(i))})
-	}
-	d.Service(2)
-	if d.QueueLen() != 3 {
-		t.Fatalf("queue len = %d after Service(2)", d.QueueLen())
-	}
-}
-
-func TestCrashDropsQueueAndTearsInFlight(t *testing.T) {
-	d := newDisk(16)
-	d.Write(1, sector(0x11)) // committed data
-	d.Enqueue(Request{Sector: 1, Data: sector(0x22)})
-	d.Enqueue(Request{Sector: 2, Data: sector(0x33)})
-	d.Crash(sim.NewRand(42))
-	if d.QueueLen() != 0 {
-		t.Fatal("crash left queue")
-	}
-	buf := make([]byte, SectorSize)
-	d.Read(1, buf)
-	// In-flight sector torn: neither old nor new value.
-	if bytes.Equal(buf, sector(0x11)) || bytes.Equal(buf, sector(0x22)) {
-		t.Fatal("in-flight sector not torn")
-	}
-	// Sector 2 write simply lost; old contents (zero) remain.
-	d.Read(2, buf)
-	if !bytes.Equal(buf, sector(0)) {
-		t.Fatal("queued-but-not-started write altered disk")
-	}
-}
-
-func TestCrashWithEmptyQueueHarmless(t *testing.T) {
-	d := newDisk(4)
-	d.Write(0, sector(5))
-	d.Crash(sim.NewRand(1))
-	buf := make([]byte, SectorSize)
-	d.Read(0, buf)
-	if !bytes.Equal(buf, sector(5)) {
-		t.Fatal("crash with empty queue altered committed data")
-	}
-}
-
 func TestFormat(t *testing.T) {
 	d := newDisk(4)
 	d.Write(0, sector(9))
-	d.Enqueue(Request{Sector: 1, Data: sector(1)})
 	d.Format()
-	if d.QueueLen() != 0 {
-		t.Fatal("Format left queue")
-	}
 	buf := make([]byte, SectorSize)
 	d.Read(0, buf)
 	if !bytes.Equal(buf, sector(0)) {
@@ -186,19 +103,16 @@ func TestFormat(t *testing.T) {
 
 // TestFormatZeroesAfterEveryKindOfStore: Format may skip its clear only on
 // a disk nothing has stored to since New, Recycle or the last Format. Each
-// way a byte can reach the platters — Write, Commit, a serviced queue, a
-// torn sector, a crash tearing the in-flight write, Restore — must make the
-// next Format zero the disk; and a blank disk must stay blank through
-// Formats, reads and queued-but-unserviced writes.
+// way a byte can reach the platters — Write, Commit, a torn sector,
+// Restore — must make the next Format zero the disk; and a blank disk must
+// stay blank through Formats and reads.
 func TestFormatZeroesAfterEveryKindOfStore(t *testing.T) {
 	blank := make([]byte, 8*SectorSize)
 	full := bytes.Repeat([]byte{7}, len(blank))
 	stores := map[string]func(d *Disk){
 		"Write":   func(d *Disk) { d.Write(3, sector(1)) },
 		"Commit":  func(d *Disk) { d.Commit(3, sector(2)) },
-		"Service": func(d *Disk) { d.Enqueue(Request{Sector: 3, Data: sector(3)}); d.Service(-1) },
 		"Tear":    func(d *Disk) { d.Tear(3, sim.NewRand(1)) },
-		"Crash":   func(d *Disk) { d.Enqueue(Request{Sector: 3, Data: sector(4)}); d.Crash(sim.NewRand(1)) },
 		"Restore": func(d *Disk) { d.Restore(full) },
 	}
 	for name, store := range stores {
@@ -225,7 +139,6 @@ func TestRecycleIsNew(t *testing.T) {
 	old.SetFaultPlan(&plan)
 	old.Read(2, make([]byte, SectorSize)) // plants a latent sector
 	old.Write(5, sector(0xee))
-	old.Enqueue(Request{Sector: 1, Data: sector(1)})
 	if old.LatentSectors() == 0 || old.FaultStats.Total() == 0 {
 		t.Fatal("old disk has no fault state to lose")
 	}
@@ -237,9 +150,9 @@ func TestRecycleIsNew(t *testing.T) {
 		t.Fatal("recycled disk is not blank")
 	}
 	if d.Stats != fresh.Stats || d.FaultStats != fresh.FaultStats || d.Params() != params ||
-		d.QueueLen() != 0 || d.LatentSectors() != 0 || d.FaultPlanActive() {
-		t.Fatalf("recycled disk carries state over: %+v %+v queue=%d latent=%d plan=%v",
-			d.Stats, d.FaultStats, d.QueueLen(), d.LatentSectors(), d.FaultPlanActive())
+		d.LatentSectors() != 0 || d.FaultPlanActive() {
+		t.Fatalf("recycled disk carries state over: %+v %+v latent=%d plan=%v",
+			d.Stats, d.FaultStats, d.LatentSectors(), d.FaultPlanActive())
 	}
 	// The head position is fresh too: the first access pays what it pays
 	// on a new disk.

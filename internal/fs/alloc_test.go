@@ -30,7 +30,7 @@ func newAllocFS(t *testing.T) *FS {
 		t.Fatal(err)
 	}
 	c := cache.New(k, reg, 160, 384)
-	f, err := Mount(k, c, d, sim.NewEngine(nil), DefaultPolicy(PolicyRio), DefaultCosts())
+	f, err := Mount(k, c, d, sim.NewClock(), DefaultPolicy(PolicyRio), DefaultCosts())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,6 @@ type FS struct {
 	C     *cache.Cache
 	D     *disk.Disk
 	Clock *sim.Clock
-	Eng   *sim.Engine
 	Pol   Policy
 	Costs Costs
 	SB    Superblock
@@ -64,7 +63,7 @@ type FS struct {
 	lastSteps   uint64
 	lastToggles uint64
 	lastChecks  uint64
-	daemonEv    *sim.Event
+	daemonAt    sim.Time // when the update daemon is next due (see Tick)
 	journalHead int64
 	inoHint     uint32
 	blkHint     int64
@@ -175,14 +174,14 @@ func (f *FS) writable() error {
 func (f *FS) Degraded() bool { return f.Retry != nil && f.Retry.Degraded() }
 
 // Mount attaches a formatted disk. The cache must be freshly constructed;
-// Mount installs its write-back callback and schedules the update daemon
-// according to the policy.
-func Mount(k *kernel.Kernel, c *cache.Cache, d *disk.Disk, eng *sim.Engine, pol Policy, costs Costs) (*FS, error) {
+// Mount installs its write-back callback and, under a policy with an
+// update daemon, makes it due one UpdatePeriod from now.
+func Mount(k *kernel.Kernel, c *cache.Cache, d *disk.Disk, clock *sim.Clock, pol Policy, costs Costs) (*FS, error) {
 	f := &FS{
-		K: k, C: c, D: d, Eng: eng, Clock: eng.Clock,
+		K: k, C: c, D: d, Clock: clock,
 		Pol: pol, Costs: costs,
 	}
-	f.Retry = ioretry.New(ioretry.DefaultPolicy(), eng.Clock)
+	f.Retry = ioretry.New(ioretry.DefaultPolicy(), clock)
 	blk := f.readBlockSync(0)
 	if err := f.SB.unmarshal(blk); err != nil {
 		return nil, err
@@ -202,9 +201,7 @@ func Mount(k *kernel.Kernel, c *cache.Cache, d *disk.Disk, eng *sim.Engine, pol 
 		f.bmFree[i] = -1 // unknown until the bitmap block is first scanned
 	}
 	c.WriteBack = f.writeBackBuf
-	if pol.UpdatePeriod > 0 {
-		f.scheduleDaemon()
-	}
+	f.daemonAt = clock.Now().Add(pol.UpdatePeriod)
 	f.mounted = true
 	// Baseline the CPU counters so mount-time work isn't charged twice.
 	f.lastSteps = k.Steps()
@@ -247,9 +244,7 @@ func (f *FS) beginOp() {
 
 func (f *FS) endOp() {
 	f.chargeCPU()
-	if f.Eng != nil {
-		f.Eng.RunUntil(f.Clock.Now())
-	}
+	f.Tick()
 }
 
 // --- block I/O ---
@@ -456,13 +451,16 @@ func (f *FS) OnPanic() {
 
 // --- update daemon ---
 
-func (f *FS) scheduleDaemon() {
-	f.daemonEv = f.Eng.After(f.Pol.UpdatePeriod, "update-daemon", func() {
-		f.runUpdateDaemon()
-		if f.mounted {
-			f.scheduleDaemon()
-		}
-	})
+// Tick runs the update daemon if it is due, and makes it due again one
+// UpdatePeriod from now. Every syscall ends with a Tick, so the daemon runs
+// at most once per syscall, at the first one that ends at or after its
+// deadline; a test that advances the clock between syscalls calls it too.
+func (f *FS) Tick() {
+	if !f.mounted || f.Pol.UpdatePeriod <= 0 || f.Clock.Now() < f.daemonAt {
+		return
+	}
+	f.runUpdateDaemon()
+	f.daemonAt = f.Clock.Now().Add(f.Pol.UpdatePeriod)
 }
 
 // runUpdateDaemon flushes all dirty buffers asynchronously, like update(8)

@@ -66,8 +66,8 @@ func TestAsyncCommitCallbacksOnlyOnCommit(t *testing.T) {
 	m := boot(t, fs.PolicyUFSDelayed)
 	writeFile(t, m, "/f", kernel.FillBytes(fs.BlockSize, 9))
 	// Force the daemon now.
-	m.Engine.Clock.Advance(31 * sim.Second)
-	m.Engine.RunUntil(m.Engine.Clock.Now())
+	m.Clock.Advance(31 * sim.Second)
+	m.FS.Tick()
 	if m.FS.PendingWrites() == 0 {
 		t.Fatal("daemon queued nothing")
 	}
@@ -77,7 +77,7 @@ func TestAsyncCommitCallbacksOnlyOnCommit(t *testing.T) {
 		t.Fatal("buffers marked clean before commit")
 	}
 	// Let the queue complete, then settle: now they are clean.
-	m.Engine.Clock.Advance(5 * sim.Second)
+	m.Clock.Advance(5 * sim.Second)
 	m.FS.CrashIO(m.Rng)
 	dirtyAfter := len(m.FS.C.DirtyBufs(0)) + len(m.FS.C.DirtyBufs(1))
 	if dirtyAfter != 0 {
@@ -88,8 +88,8 @@ func TestAsyncCommitCallbacksOnlyOnCommit(t *testing.T) {
 func TestCrashIODropsUncommittedAndTears(t *testing.T) {
 	m := boot(t, fs.PolicyUFSDelayed)
 	writeFile(t, m, "/f", kernel.FillBytes(fs.BlockSize, 3))
-	m.Engine.Clock.Advance(31 * sim.Second)
-	m.Engine.RunUntil(m.Engine.Clock.Now())
+	m.Clock.Advance(31 * sim.Second)
+	m.FS.Tick()
 	pend := m.FS.PendingWrites()
 	if pend == 0 {
 		t.Fatal("nothing queued")
@@ -211,10 +211,10 @@ func TestUFSThresholdFlush(t *testing.T) {
 func TestElapsedMonotonicAcrossPolicies(t *testing.T) {
 	for _, kind := range []fs.PolicyKind{fs.PolicyMFS, fs.PolicyUFS, fs.PolicyRio, fs.PolicyAdvFS} {
 		m := boot(t, kind)
-		last := m.Engine.Clock.Now()
+		last := m.Clock.Now()
 		for i := 0; i < 30; i++ {
 			writeFile(t, m, "/f"+itoa(i), kernel.FillBytes(1000, uint64(i+1)))
-			now := m.Engine.Clock.Now()
+			now := m.Clock.Now()
 			if now < last {
 				t.Fatalf("%v: time went backwards", kind)
 			}
@@ -229,8 +229,8 @@ func TestPendingDrainOnSyncRead(t *testing.T) {
 	m := boot(t, fs.PolicyUFSDelayed)
 	data := kernel.FillBytes(fs.BlockSize, 5)
 	writeFile(t, m, "/f", data)
-	m.Engine.Clock.Advance(31 * sim.Second) // daemon queues
-	m.Engine.RunUntil(m.Engine.Clock.Now())
+	m.Clock.Advance(31 * sim.Second) // daemon queues
+	m.FS.Tick()
 	if err := m.FS.DropCaches(); err != nil { // forces sync writes + read path
 		t.Fatal(err)
 	}
@@ -253,8 +253,8 @@ func TestDirtyFlagMatchesRegistry(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			writeFile(t, m, "/a"+itoa(i), data)
 		}
-		m.Engine.Clock.Advance(31 * sim.Second)
-		m.Engine.RunUntil(m.Engine.Clock.Now())
+		m.Clock.Advance(31 * sim.Second)
+		m.FS.Tick()
 		for i := 0; i < 4; i++ {
 			writeFile(t, m, "/b"+itoa(i), data)
 		}

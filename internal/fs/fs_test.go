@@ -383,7 +383,7 @@ func TestUFSMetadataSynchronous(t *testing.T) {
 func TestUpdateDaemonSchedule(t *testing.T) {
 	for _, kind := range []fs.PolicyKind{fs.PolicyUFSDelayed, fs.PolicyAdvFS} {
 		m := boot(t, kind)
-		clock := m.Engine.Clock
+		clock := m.Clock
 		period := m.FS.Pol.UpdatePeriod
 		if period != 30*sim.Second {
 			t.Fatalf("%v: update period %v, want 30s", kind, period)
@@ -465,8 +465,8 @@ func TestUpdateDaemonFlushes(t *testing.T) {
 	m := boot(t, fs.PolicyUFSDelayed)
 	writeFile(t, m, "/f", kernel.FillBytes(fs.BlockSize, 2))
 	// Run simulated time past the 30s daemon period.
-	m.Engine.Clock.Advance(31 * sim.Second)
-	m.Engine.RunUntil(m.Engine.Clock.Now())
+	m.Clock.Advance(31 * sim.Second)
+	m.FS.Tick()
 	m.FS.CrashIO(m.Rng) // drain queue deterministically
 	if m.FS.Stats.DaemonRuns == 0 {
 		t.Fatal("daemon never ran")

@@ -1125,9 +1125,6 @@ func (f *FS) Unmount() {
 		return
 	}
 	f.mounted = false
-	if f.daemonEv != nil {
-		f.Eng.Cancel(f.daemonEv)
-	}
 	if !f.Pol.neverWrite() {
 		for _, kind := range []cacheKind{cacheMeta, cacheData} {
 			for _, b := range f.C.DirtyBufs(kind) {

@@ -19,12 +19,6 @@ import (
 	"rio/internal/sim"
 )
 
-// Clock is the slice of sim.Clock a Retrier needs. A nil clock is
-// allowed (delays are skipped), which keeps unit tests trivial.
-type Clock interface {
-	Advance(d sim.Duration)
-}
-
 // Policy bounds the retry loop and the mount's tolerance for failure.
 type Policy struct {
 	// MaxRetries is the number of re-attempts after the first failure
@@ -66,22 +60,18 @@ type Stats struct {
 // tracks its error budget. Not safe for concurrent use — neither is the
 // simulated machine it serves.
 type Retrier struct {
-	Pol       Policy
-	Clock     Clock
-	Stats     Stats
-	spent     int
-	degraded  bool
-	onDegrade func()
+	Pol      Policy
+	Clock    *sim.Clock // backoff delays advance it; nil skips them
+	Stats    Stats
+	spent    int
+	degraded bool
 }
 
-// New returns a Retrier with the given policy. clk may be nil.
-func New(pol Policy, clk Clock) *Retrier {
+// New returns a Retrier with the given policy. clk may be nil, which keeps
+// unit tests trivial.
+func New(pol Policy, clk *sim.Clock) *Retrier {
 	return &Retrier{Pol: pol, Clock: clk}
 }
-
-// OnDegrade registers a callback invoked exactly once, at the moment the
-// budget is exhausted and the mount flips to degraded mode.
-func (r *Retrier) OnDegrade(fn func()) { r.onDegrade = fn }
 
 // Degraded reports whether the error budget is exhausted: the mount
 // should refuse new mutations and serve reads best-effort.
@@ -119,11 +109,8 @@ func (r *Retrier) backoff(n int) {
 func (r *Retrier) charge() {
 	r.Stats.Failures++
 	r.spent++
-	if r.Pol.Budget > 0 && r.spent >= r.Pol.Budget && !r.degraded {
+	if r.Pol.Budget > 0 && r.spent >= r.Pol.Budget {
 		r.degraded = true
-		if r.onDegrade != nil {
-			r.onDegrade()
-		}
 	}
 }
 

@@ -132,18 +132,6 @@ func TestZeroBudgetNeverDegrades(t *testing.T) {
 	}
 }
 
-func TestOnDegradeFiresOnce(t *testing.T) {
-	r := New(Policy{MaxRetries: 0, Budget: 1}, nil)
-	fired := 0
-	r.OnDegrade(func() { fired++ })
-	terr := transientErr(t)
-	r.Do(func() error { return terr })
-	r.Do(func() error { return terr })
-	if fired != 1 {
-		t.Fatalf("OnDegrade fired %d times", fired)
-	}
-}
-
 // TestAgainstRealFaultyDisk drives a Retrier over an actual disk with a
 // moderate transient rate and checks every write eventually lands.
 func TestAgainstRealFaultyDisk(t *testing.T) {

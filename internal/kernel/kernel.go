@@ -106,10 +106,8 @@ type Kernel struct {
 	// Reusable bulk-op scratch space. The kernel models a single CPU, so
 	// every bulk operation completes its copy before the next one starts
 	// and one buffer serves them all — the steady-state read/write path
-	// stops allocating per block. The zero buffer backs BZero and must
-	// never be written.
+	// stops allocating per block.
 	bulkBuf []byte
-	zeroBuf []byte
 }
 
 // scratchBytes returns a reusable n-byte scratch slice (contents
@@ -119,15 +117,6 @@ func (k *Kernel) scratchBytes(n int) []byte {
 		k.bulkBuf = make([]byte, n)
 	}
 	return k.bulkBuf[:n]
-}
-
-// zeroBytes returns n zero bytes. Callers must treat the slice as
-// read-only; it is shared across all BZero calls.
-func (k *Kernel) zeroBytes(n int) []byte {
-	if cap(k.zeroBuf) < n {
-		k.zeroBuf = make([]byte, n)
-	}
-	return k.zeroBuf[:n]
 }
 
 // MinMemory is the smallest memory a kernel can boot in: the fixed layout
@@ -409,22 +398,6 @@ func (k *Kernel) BCopy(dst, src uint64, n int) error {
 	return k.Exec("bcopy", dst, src, uint64(n))
 }
 
-// BZero zeroes n bytes at dst.
-func (k *Kernel) BZero(dst uint64, n int) error {
-	if k.crash != nil {
-		return ErrCrashed
-	}
-	if k.FastPath {
-		k.SyntheticSteps += stepsForCopy(n)
-		k.chargePatchChecks(n)
-		if trap := k.MMU.WriteBytes(dst, k.zeroBytes(n)); trap != nil {
-			return k.crashFromException(&kvm.Exception{Kind: kvm.ExcTrap, Trap: trap})
-		}
-		return nil
-	}
-	return k.Exec("bzero", dst, uint64(n))
-}
-
 // Cksum computes the kernel's rolling checksum of [addr, addr+n). The Go
 // fast path reproduces the interpreted result bit for bit.
 func (k *Kernel) Cksum(addr uint64, n int) (uint64, error) {
@@ -561,22 +534,6 @@ func cksumBytesRef(b []byte) uint64 {
 // when bytes move straight from a protected cache frame to the wire
 // buffer with no staging hop.
 func (k *Kernel) ChargeCopy(n int) { k.SyntheticSteps += stepsForCopy(n) }
-
-// Fill writes the xorshift pattern seeded by seed over [dst, dst+n).
-func (k *Kernel) Fill(dst uint64, n int, seed uint64) error {
-	if k.crash != nil {
-		return ErrCrashed
-	}
-	if k.FastPath {
-		k.SyntheticSteps += 14 + 12*uint64(n)
-		k.chargePatchChecks(n * 8) // byte loop: one store per byte
-		if trap := k.MMU.WriteBytes(dst, FillBytes(n, seed)); trap != nil {
-			return k.crashFromException(&kvm.Exception{Kind: kvm.ExcTrap, Trap: trap})
-		}
-		return nil
-	}
-	return k.Exec("fill", dst, uint64(n), seed)
-}
 
 // FillBytes is the reference implementation of the kernel fill pattern:
 // an xorshift64 chain over the pattern state, seeded once. (The chain is

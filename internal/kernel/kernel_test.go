@@ -97,18 +97,15 @@ func TestBCopyKSEGDestination(t *testing.T) {
 }
 
 func TestBZero(t *testing.T) {
-	for _, fast := range []bool{false, true} {
-		k := boot(t)
-		k.FastPath = fast
-		k.Mem.WriteAt(HeapPhys(HeapBase+100), []byte{1, 2, 3, 4, 5})
-		if err := k.BZero(HeapBase+100, 5); err != nil {
-			t.Fatal(err)
-		}
-		got := make([]byte, 5)
-		k.Mem.ReadAt(HeapPhys(HeapBase+100), got)
-		if !bytes.Equal(got, make([]byte, 5)) {
-			t.Fatalf("fast=%v: not zeroed: %v", fast, got)
-		}
+	k := boot(t)
+	k.Mem.WriteAt(HeapPhys(HeapBase+100), []byte{1, 2, 3, 4, 5})
+	if err := k.Exec("bzero", HeapBase+100, 5); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 5)
+	k.Mem.ReadAt(HeapPhys(HeapBase+100), got)
+	if !bytes.Equal(got, make([]byte, 5)) {
+		t.Fatalf("not zeroed: %v", got)
 	}
 }
 
@@ -139,23 +136,16 @@ func TestCksumDetectsChange(t *testing.T) {
 	}
 }
 
+// TestFillModesAgree: the interpreted fill and its Go reference, FillBytes,
+// write the same pattern.
 func TestFillModesAgree(t *testing.T) {
-	slow := boot(t)
-	fast := bootFast(t)
-	if err := slow.Fill(HeapBase+256, 200, 12345); err != nil {
+	k := boot(t)
+	if err := k.Exec("fill", HeapBase+256, 200, 12345); err != nil {
 		t.Fatal(err)
 	}
-	if err := fast.Fill(HeapBase+256, 200, 12345); err != nil {
-		t.Fatal(err)
-	}
-	a := make([]byte, 200)
-	b := make([]byte, 200)
-	slow.Mem.ReadAt(HeapPhys(HeapBase+256), a)
-	fast.Mem.ReadAt(HeapPhys(HeapBase+256), b)
-	if !bytes.Equal(a, b) {
-		t.Fatal("fill modes disagree")
-	}
-	if !bytes.Equal(a, FillBytes(200, 12345)) {
+	got := make([]byte, 200)
+	k.Mem.ReadAt(HeapPhys(HeapBase+256), got)
+	if !bytes.Equal(got, FillBytes(200, 12345)) {
 		t.Fatal("reference FillBytes disagrees with vm")
 	}
 }

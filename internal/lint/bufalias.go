@@ -24,7 +24,7 @@ import (
 //
 // Rules, tracked through calls via the Program's summaries:
 //
-//   - A pooled alias (anything reaching kernel bulkBuf/zeroBuf,
+//   - A pooled alias (anything reaching kernel bulkBuf,
 //     fs readBuf or image scratch, or the fs block pool, directly or
 //     through a function that returns one) must not be stored in a
 //     field, global, or other heap location, sent on a channel, or
@@ -70,7 +70,6 @@ var Bufalias = &Analyzer{
 // (with scratchFields: see isPoolField).
 var poolFields = map[string]bool{
 	"bulkBuf":   true, // kernel bulk scratch
-	"zeroBuf":   true, // kernel zero page
 	"blockPool": true, // fs recycled block buffers
 	"frameBufs": true, // server recycled wire-frame buffers (zero-copy reads)
 }

@@ -81,7 +81,7 @@ type Machine struct {
 	Reg    *registry.Registry
 	Cache  *cache.Cache
 	FS     *fs.FS
-	Engine *sim.Engine
+	Clock  *sim.Clock
 	Rng    *sim.Rand
 	Text   *kvm.Text
 
@@ -189,8 +189,8 @@ func (m *Machine) Boot(text *kvm.Text) error {
 	c.Checksums = m.Opt.Checksums
 	m.Cache = c
 
-	m.Engine = sim.NewEngine(nil)
-	fsys, err := fs.Mount(m.Kernel, c, m.Disk, m.Engine, m.Opt.Policy, m.Opt.Costs)
+	m.Clock = sim.NewClock()
+	fsys, err := fs.Mount(m.Kernel, c, m.Disk, m.Clock, m.Opt.Policy, m.Opt.Costs)
 	if err != nil {
 		return err
 	}
@@ -241,7 +241,7 @@ func (m *Machine) CrashFinish() {
 
 // Elapsed returns the simulated time since boot.
 func (m *Machine) Elapsed() sim.Duration {
-	return sim.Duration(m.Engine.Clock.Now())
+	return sim.Duration(m.Clock.Now())
 }
 
 // String describes the configuration.

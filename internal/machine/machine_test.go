@@ -74,7 +74,7 @@ func TestMemoryBoardTransplant(t *testing.T) {
 	recipient.Text = donor.Text
 	recipient.MMU = donor.MMU
 	recipient.Kernel = donor.Kernel
-	recipient.Engine = donor.Engine
+	recipient.Clock = donor.Clock
 	recipient.FS = donor.FS
 	rep, err := warmreboot.Warm(recipient)
 	if err != nil {
@@ -108,13 +108,13 @@ func TestRioIdleWriteback(t *testing.T) {
 	// Idle time passes; the daemon flushes in the background, and the
 	// writes complete (buffers are only marked clean at completion — a
 	// crash mid-queue must leave them dirty for warm reboot).
-	m.Engine.Clock.Advance(11 * sim.Second)
-	m.Engine.RunUntil(m.Engine.Clock.Now())
+	m.Clock.Advance(11 * sim.Second)
+	m.FS.Tick()
 	if m.FS.Stats.DaemonRuns == 0 {
 		t.Fatal("idle writeback daemon never ran")
 	}
-	m.Engine.Clock.Advance(2 * sim.Second) // queue drains
-	m.FS.CrashIO(m.Rng)                    // settle completions deterministically
+	m.Clock.Advance(2 * sim.Second) // queue drains
+	m.FS.CrashIO(m.Rng)             // settle completions deterministically
 
 	// Crash + warm reboot: fewer dirty buffers to restore, data intact.
 	m.Kernel.Panic("crash after idle flush")

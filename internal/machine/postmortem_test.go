@@ -103,7 +103,7 @@ func TestPostmortemCollapsesCopyRuns(t *testing.T) {
 	if err := m.Kernel.BCopy(dst, m.Kernel.StageIn(make([]byte, 256)), 256); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Kernel.BZero(dst+1024, 1); err != nil {
+	if err := m.Kernel.Exec("bzero", dst+1024, 1); err != nil {
 		t.Fatal(err)
 	}
 	m.Kernel.Panic("injected test crash")

@@ -32,9 +32,8 @@ func sameMachine(a, b *machine.Machine) error {
 		return fmt.Errorf("disk stats: %+v %+v vs %+v %+v",
 			a.Disk.Stats, a.Disk.FaultStats, b.Disk.Stats, b.Disk.FaultStats)
 	}
-	if a.Disk.LatentSectors() != b.Disk.LatentSectors() || a.Disk.QueueLen() != b.Disk.QueueLen() ||
-		a.Disk.FaultPlanActive() != b.Disk.FaultPlanActive() {
-		return fmt.Errorf("disk fault state or queue differs")
+	if a.Disk.LatentSectors() != b.Disk.LatentSectors() || a.Disk.FaultPlanActive() != b.Disk.FaultPlanActive() {
+		return fmt.Errorf("disk fault state differs")
 	}
 	if a.Elapsed() != b.Elapsed() {
 		return fmt.Errorf("simulated clocks differ: %v vs %v", a.Elapsed(), b.Elapsed())

@@ -189,13 +189,6 @@ func (u *MMU) flushFrame(frame int) {
 	}
 }
 
-// FlushTLB invalidates the whole TLB.
-func (u *MMU) FlushTLB() {
-	for i := range u.tlb {
-		u.tlb[i].valid = false
-	}
-}
-
 // frameProtected reports whether Rio protection currently forbids stores to
 // the frame.
 func (u *MMU) frameProtected(frame int) bool {

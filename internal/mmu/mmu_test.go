@@ -277,18 +277,6 @@ func TestMapBadFramePanics(t *testing.T) {
 	u.Map(0, 5, true)
 }
 
-func TestFlushTLB(t *testing.T) {
-	u := newMMU(1)
-	u.Map(0, 0, true)
-	u.LoadByte(0)
-	u.FlushTLB()
-	before := u.Stats.TLBMisses
-	u.LoadByte(0)
-	if u.Stats.TLBMisses != before+1 {
-		t.Fatal("FlushTLB did not invalidate entries")
-	}
-}
-
 // TestLoad64PairIsTwoLoads holds the pair load to its definition: on twin
 // MMUs, Load64Pair(a) and Load64(a) + Load64(a+8) return the same words or
 // the same trap, and leave identical Stats — in one page, straddling two,

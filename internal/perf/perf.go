@@ -197,7 +197,7 @@ func (c Config) CodePatchingOverhead() (tlb, patched sim.Duration, err error) {
 		}
 		const totalBytes = 12 << 20
 		chunk := make([]byte, fs.BlockSize)
-		t0 := m.Engine.Clock.Now()
+		t0 := m.Clock.Now()
 		f, err := m.FS.Create("/stream")
 		if err != nil {
 			return 0, err
@@ -217,7 +217,7 @@ func (c Config) CodePatchingOverhead() (tlb, patched sim.Duration, err error) {
 		if err := f.Close(); err != nil {
 			return 0, err
 		}
-		return m.Engine.Clock.Now().Sub(t0), nil
+		return m.Clock.Now().Sub(t0), nil
 	}
 
 	if tlb, err = run(false); err != nil {

@@ -1,6 +1,6 @@
 // Package sim provides the deterministic simulation substrate shared by the
-// rest of the Rio reproduction: a simulated clock, a discrete-event queue,
-// and a seeded pseudo-random number generator.
+// rest of the Rio reproduction: a simulated clock, a seeded pseudo-random
+// number generator, and Mix, which derives a seed from coordinates.
 //
 // Everything in the simulator that would be non-deterministic on real
 // hardware — time, scheduling, fault placement, workload content — is driven
@@ -83,7 +83,3 @@ func (c *Clock) AdvanceTo(t Time) {
 		c.now = t
 	}
 }
-
-// Reset rewinds the clock to zero. Used when a simulated machine reboots and
-// a fresh timeline begins.
-func (c *Clock) Reset() { c.now = 0 }

@@ -22,10 +22,6 @@ func TestClockAdvance(t *testing.T) {
 	if c.Now() != Time(9*Second) {
 		t.Fatalf("clock at %d, want 9s", c.Now())
 	}
-	c.Reset()
-	if c.Now() != 0 {
-		t.Fatalf("reset clock at %d, want 0", c.Now())
-	}
 }
 
 func TestClockBackwardsPanics(t *testing.T) {
@@ -191,114 +187,5 @@ func TestRandFork(t *testing.T) {
 		if c2.Uint64() != c3.Uint64() {
 			t.Fatal("Fork is not deterministic")
 		}
-	}
-}
-
-func TestEngineOrdering(t *testing.T) {
-	e := NewEngine(nil)
-	var order []string
-	e.Schedule(Time(30), "c", func() { order = append(order, "c") })
-	e.Schedule(Time(10), "a", func() { order = append(order, "a") })
-	e.Schedule(Time(20), "b", func() { order = append(order, "b") })
-	e.Drain()
-	if got := len(order); got != 3 {
-		t.Fatalf("fired %d events, want 3", got)
-	}
-	if order[0] != "a" || order[1] != "b" || order[2] != "c" {
-		t.Fatalf("order = %v", order)
-	}
-	if e.Clock.Now() != Time(30) {
-		t.Fatalf("clock at %d after drain, want 30", e.Clock.Now())
-	}
-}
-
-func TestEngineEqualTimeFIFO(t *testing.T) {
-	e := NewEngine(nil)
-	var order []int
-	for i := 0; i < 10; i++ {
-		i := i
-		e.Schedule(Time(5), "tie", func() { order = append(order, i) })
-	}
-	e.Drain()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("equal-time events fired out of order: %v", order)
-		}
-	}
-}
-
-func TestEngineCancel(t *testing.T) {
-	e := NewEngine(nil)
-	fired := false
-	ev := e.Schedule(Time(10), "x", func() { fired = true })
-	e.Cancel(ev)
-	if !ev.Cancelled() {
-		t.Fatal("event not marked cancelled")
-	}
-	e.Drain()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	e.Cancel(ev) // double-cancel is a no-op
-	e.Cancel(nil)
-}
-
-func TestEngineRunUntil(t *testing.T) {
-	e := NewEngine(nil)
-	var fired []Time
-	for _, at := range []Time{5, 15, 25} {
-		at := at
-		e.Schedule(at, "t", func() { fired = append(fired, at) })
-	}
-	e.RunUntil(Time(20))
-	if len(fired) != 2 {
-		t.Fatalf("fired %d events before deadline, want 2", len(fired))
-	}
-	if e.Clock.Now() != Time(20) {
-		t.Fatalf("clock at %d, want 20", e.Clock.Now())
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", e.Pending())
-	}
-}
-
-func TestEngineNestedScheduling(t *testing.T) {
-	e := NewEngine(nil)
-	count := 0
-	var tick func()
-	tick = func() {
-		count++
-		if count < 5 {
-			e.After(10, "tick", tick)
-		}
-	}
-	e.After(10, "tick", tick)
-	e.Drain()
-	if count != 5 {
-		t.Fatalf("count = %d, want 5", count)
-	}
-	if e.Clock.Now() != Time(50) {
-		t.Fatalf("clock at %d, want 50", e.Clock.Now())
-	}
-}
-
-func TestEnginePastSchedulePanics(t *testing.T) {
-	e := NewEngine(nil)
-	e.Clock.Advance(100)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("scheduling in the past did not panic")
-		}
-	}()
-	e.Schedule(Time(50), "past", func() {})
-}
-
-func TestEngineReset(t *testing.T) {
-	e := NewEngine(nil)
-	e.Schedule(Time(10), "x", func() {})
-	e.Clock.Advance(5)
-	e.Reset()
-	if e.Pending() != 0 || e.Clock.Now() != 0 {
-		t.Fatalf("reset left pending=%d now=%d", e.Pending(), e.Clock.Now())
 	}
 }

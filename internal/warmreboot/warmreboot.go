@@ -214,7 +214,7 @@ func Restore(m *machine.Machine, im Image) (*Report, error) {
 	// commit retries transient device errors; a block that stays
 	// unwritable is quarantined (MetaFailed) and the pass continues —
 	// fsck repairs whatever inconsistency the missing block leaves.
-	retry := ioretry.New(ioretry.DefaultPolicy(), m.Engine.Clock)
+	retry := ioretry.New(ioretry.DefaultPolicy(), m.Clock)
 	for _, e := range metaDirty {
 		// Block 0 is the superblock, which is never cached: a registry
 		// entry claiming it is corrupt, and restoring it would destroy

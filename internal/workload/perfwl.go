@@ -112,7 +112,7 @@ func DefaultCpRm() *CpRm {
 }
 
 func (w *CpRm) userCPU(m *machine.Machine, files, bytes int) {
-	m.Engine.Clock.Advance(sim.Duration(files)*w.UserCPUPerFile +
+	m.Clock.Advance(sim.Duration(files)*w.UserCPUPerFile +
 		sim.Duration(bytes)*w.UserCPUPerByte)
 }
 
@@ -144,7 +144,7 @@ func (w *CpRm) Run(m *machine.Machine) (cp, rm sim.Duration, err error) {
 	}
 
 	// Timed phase 1: recursive copy (tree.Dirs[0] is the root).
-	t0 := m.Engine.Clock.Now()
+	t0 := m.Clock.Now()
 	for _, d := range tree.Dirs {
 		if _, err := Apply(m.FS, Op{Kind: OpMkdir, Path: "/dst" + d[len("/src"):]}); err != nil {
 			return 0, 0, err
@@ -161,7 +161,7 @@ func (w *CpRm) Run(m *machine.Machine) (cp, rm sim.Duration, err error) {
 		}
 		w.userCPU(m, 1, len(r.Data))
 	}
-	t1 := m.Engine.Clock.Now()
+	t1 := m.Clock.Now()
 
 	// Timed phase 2: recursive remove of the copy.
 	for _, tf := range walk {
@@ -175,7 +175,7 @@ func (w *CpRm) Run(m *machine.Machine) (cp, rm sim.Duration, err error) {
 			return 0, 0, err
 		}
 	}
-	t2 := m.Engine.Clock.Now()
+	t2 := m.Clock.Now()
 	return t1.Sub(t0), t2.Sub(t1), nil
 }
 
@@ -204,7 +204,7 @@ func DefaultSdet() *Sdet {
 // multi-user system) and returns the makespan.
 func (w *Sdet) Run(m *machine.Machine) (sim.Duration, error) {
 	rng := sim.NewRand(w.Seed)
-	t0 := m.Engine.Clock.Now()
+	t0 := m.Clock.Now()
 	type script struct {
 		dir   string
 		files []string
@@ -226,13 +226,13 @@ func (w *Sdet) Run(m *machine.Machine) (sim.Duration, error) {
 				continue
 			}
 			s.n++
-			m.Engine.Clock.Advance(w.ThinkTime)
+			m.Clock.Advance(w.ThinkTime)
 			if err := w.step(m, rng, s.dir, &s.files); err != nil {
 				return 0, err
 			}
 		}
 	}
-	return m.Engine.Clock.Now().Sub(t0), nil
+	return m.Clock.Now().Sub(t0), nil
 }
 
 func (w *Sdet) step(m *machine.Machine, rng *sim.Rand, dir string, files *[]string) error {
@@ -320,7 +320,7 @@ func (w *Andrew) Run(m *machine.Machine) (sim.Duration, error) {
 	if _, err := Apply(m.FS, Op{Kind: OpMkdir, Path: "/tmp"}); err != nil {
 		return 0, err
 	}
-	t0 := m.Engine.Clock.Now()
+	t0 := m.Clock.Now()
 	dst := func(src string) string { return "/andrew" + src[len("/andrew-src"):] }
 
 	// Phase 1: mkdir (tree.Dirs[0] is the root).
@@ -338,7 +338,7 @@ func (w *Andrew) Run(m *machine.Machine) (sim.Duration, error) {
 		if _, err := Apply(m.FS, Op{Kind: OpCreate, Path: dst(tf.Path), Data: r.Data, Chunk: fs.BlockSize}); err != nil {
 			return 0, err
 		}
-		m.Engine.Clock.Advance(w.UserCPUPerFile)
+		m.Clock.Advance(w.UserCPUPerFile)
 	}
 	// Phase 3: stat everything (find/ls/du).
 	for pass := 0; pass < 2; pass++ {
@@ -346,7 +346,7 @@ func (w *Andrew) Run(m *machine.Machine) (sim.Duration, error) {
 			if _, err := Apply(m.FS, Op{Kind: OpStat, Path: dst(tf.Path)}); err != nil {
 				return 0, err
 			}
-			m.Engine.Clock.Advance(w.UserCPUPerFile / 4)
+			m.Clock.Advance(w.UserCPUPerFile / 4)
 		}
 	}
 	// Phase 4: read everything (grep/wc).
@@ -354,7 +354,7 @@ func (w *Andrew) Run(m *machine.Machine) (sim.Duration, error) {
 		if _, err := Apply(m.FS, Op{Kind: OpReadFile, Path: dst(tf.Path)}); err != nil {
 			return 0, err
 		}
-		m.Engine.Clock.Advance(w.UserCPUPerFile / 2)
+		m.Clock.Advance(w.UserCPUPerFile / 2)
 	}
 	// Phase 5: compile — CPU-heavy, but also I/O-chatty: each cc run
 	// emits preprocessor and assembler temporaries (written in small
@@ -367,7 +367,7 @@ func (w *Andrew) Run(m *machine.Machine) (sim.Duration, error) {
 			return 0, err
 		}
 		n := len(r.Data)
-		m.Engine.Clock.Advance(sim.Duration(n) * w.CompileCPUPerByte)
+		m.Clock.Advance(sim.Duration(n) * w.CompileCPUPerByte)
 
 		tmpI := fmt.Sprintf("/tmp/cc%04d.i", i)
 		tmpS := fmt.Sprintf("/tmp/cc%04d.s", i)
@@ -394,10 +394,10 @@ func (w *Andrew) Run(m *machine.Machine) (sim.Duration, error) {
 		}
 		totalObj += len(r.Data)
 	}
-	m.Engine.Clock.Advance(sim.Duration(totalObj) * w.CompileCPUPerByte / 4)
+	m.Clock.Advance(sim.Duration(totalObj) * w.CompileCPUPerByte / 4)
 	out := Op{Kind: OpCreate, Path: "/andrew/a.out", Data: kernel.FillBytes(totalObj/2, 0xa0a7), Chunk: fs.BlockSize}
 	if _, err := Apply(m.FS, out); err != nil {
 		return 0, err
 	}
-	return m.Engine.Clock.Now().Sub(t0), nil
+	return m.Clock.Now().Sub(t0), nil
 }
