@@ -30,40 +30,34 @@ import (
 //
 //	magic u32 | epoch u64 | seq u64 | nops u32 | nops×(u32 len, op bytes) | fnv64
 //
-// Each op is one wire.AppendRequest encoding — the exact request the
-// primary executed, with append offsets already resolved to absolute so
-// the backup's execution cannot diverge. The trailing FNV-1a 64 covers
+// nops is 0 (a fence) or 1. The op is one wire.AppendRequest encoding —
+// the exact request the primary executed, with append offsets already
+// resolved to absolute so the backup's execution cannot diverge. The trailing FNV-1a 64 covers
 // everything before it: replication crosses machines, and a frame that
 // arrives damaged must be refused, not applied.
 const frameMagic uint32 = 0x52464C31 // "RFL1"
 
-// Batch is one replication unit: the ops a primary executed under one
-// sequence number.
+// Batch is one replication unit: the op a primary executed under one
+// sequence number, or none — a fence probe, which carries only (epoch,
+// seq): a backup applies nothing and just answers the epoch check.
 type Batch struct {
 	Epoch uint64
 	Seq   uint64
-	Ops   []*wire.Request
+	Op    *wire.Request // nil: a fence
 }
 
-// maxFrameOps bounds ops per frame; with the wire's per-op bounds this
-// keeps any frame under wire.MaxData with room to spare.
-const maxFrameOps = 64
-
 // EncodeBatch renders b as a checksummed frame. It fails rather than
-// emit a frame larger than wire.MaxData — callers split batches first.
-// A zero-op batch is a fence probe: it carries only (epoch, seq), and a
-// backup applies nothing — it just answers the epoch check.
+// emit a frame larger than wire.MaxData.
 func EncodeBatch(b *Batch) ([]byte, error) {
-	if len(b.Ops) > maxFrameOps {
-		return nil, fmt.Errorf("fleet: batch of %d ops (want 0..%d)", len(b.Ops), maxFrameOps)
-	}
 	buf := make([]byte, 0, 256)
 	buf = binary.BigEndian.AppendUint32(buf, frameMagic)
 	buf = binary.BigEndian.AppendUint64(buf, b.Epoch)
 	buf = binary.BigEndian.AppendUint64(buf, b.Seq)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(b.Ops)))
-	for _, op := range b.Ops {
-		enc := wire.AppendRequest(nil, op)
+	if b.Op == nil {
+		buf = binary.BigEndian.AppendUint32(buf, 0)
+	} else {
+		buf = binary.BigEndian.AppendUint32(buf, 1)
+		enc := wire.AppendRequest(nil, b.Op)
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(enc)))
 		buf = append(buf, enc...)
 	}
@@ -94,19 +88,19 @@ func DecodeBatch(buf []byte) (*Batch, error) {
 	if c.Err != nil {
 		return nil, fmt.Errorf("fleet: frame header: %w", c.Err)
 	}
-	if nops > maxFrameOps {
+	if nops > 1 {
 		return nil, fmt.Errorf("fleet: frame declares %d ops", nops)
 	}
-	for i := uint32(0); i < nops; i++ {
+	if nops == 1 {
 		enc := c.Bytes32(wire.MaxData, true)
 		if c.Err != nil {
-			return nil, fmt.Errorf("fleet: frame op %d declares a length it cannot have: %w", i, c.Err)
+			return nil, fmt.Errorf("fleet: frame op declares a length it cannot have: %w", c.Err)
 		}
 		op, err := wire.DecodeRequest(enc)
 		if err != nil {
-			return nil, fmt.Errorf("fleet: frame op %d: %w", i, err)
+			return nil, fmt.Errorf("fleet: frame op: %w", err)
 		}
-		b.Ops = append(b.Ops, op)
+		b.Op = op
 	}
 	if err := c.Finish(); err != nil {
 		return nil, fmt.Errorf("fleet: frame: %w", err)

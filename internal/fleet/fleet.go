@@ -26,8 +26,6 @@ type Config struct {
 	Policy   rio.Policy
 	MemoryMB int
 	DiskMB   int
-
-	TailLen int
 }
 
 // missThreshold is consecutive missed heartbeats before a node is
@@ -49,9 +47,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.TailLen <= 0 {
-		c.TailLen = defaultTailLen
 	}
 	return c
 }
@@ -104,7 +99,7 @@ func New(cfg Config) (*Fleet, error) {
 		n := NewNode(NodeConfig{
 			ID: id, Shards: cfg.Shards, Seed: cfg.Seed,
 			Policy: cfg.Policy, MemoryMB: cfg.MemoryMB, DiskMB: cfg.DiskMB,
-			Transport: f.tr, TailLen: cfg.TailLen,
+			Transport: f.tr,
 		})
 		f.nodes[id] = n
 		f.nodeIDs = append(f.nodeIDs, id)
@@ -307,7 +302,7 @@ func (f *Fleet) Tick() {
 		var keep []string
 		for _, b := range r.Backups {
 			st, held := replicaOf(now[b], r.Shard)
-			behind := known && held && head.Seq > st.Seq+uint64(f.cfg.TailLen)
+			behind := known && held && head.Seq > st.Seq+defaultTailLen
 			if !f.dead[b] && !empty(b) && !behind {
 				keep = append(keep, b)
 			}

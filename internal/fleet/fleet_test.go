@@ -76,10 +76,7 @@ func fill(n int, salt byte) []byte {
 }
 
 func TestBatchRoundTrip(t *testing.T) {
-	b := &Batch{Epoch: 3, Seq: 41, Ops: []*wire.Request{
-		{ID: 1, Op: wire.OpWrite, Shard: -1, Offset: 128, Path: "/a/b", Data: []byte("payload")},
-		{ID: 2, Op: wire.OpMkdir, Shard: -1, Path: "/dir"},
-	}}
+	b := &Batch{Epoch: 3, Seq: 41, Op: &wire.Request{ID: 1, Op: wire.OpWrite, Shard: -1, Offset: 128, Path: "/a/b", Data: []byte("payload")}}
 	frame, err := EncodeBatch(b)
 	if err != nil {
 		t.Fatal(err)
@@ -88,11 +85,11 @@ func TestBatchRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Epoch != 3 || got.Seq != 41 || len(got.Ops) != 2 {
+	if got.Epoch != 3 || got.Seq != 41 || got.Op == nil {
 		t.Fatalf("decoded %+v", got)
 	}
-	if got.Ops[0].Path != "/a/b" || !bytes.Equal(got.Ops[0].Data, []byte("payload")) {
-		t.Fatalf("op 0 mangled: %+v", got.Ops[0])
+	if got.Op.Path != "/a/b" || got.Op.Offset != 128 || !bytes.Equal(got.Op.Data, []byte("payload")) {
+		t.Fatalf("op mangled: %+v", got.Op)
 	}
 	// Any flipped byte must fail the checksum (or a structural check) —
 	// replication crosses machines and damaged frames must never apply.
@@ -121,7 +118,7 @@ func TestFenceFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Epoch != 9 || got.Seq != 1234 || len(got.Ops) != 0 {
+	if got.Epoch != 9 || got.Seq != 1234 || got.Op != nil {
 		t.Fatalf("fence frame round trip: %+v", got)
 	}
 	for i := 0; i < len(frame); i++ {
@@ -153,6 +150,25 @@ func TestBatchRejectsOversizedOpLength(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "declares") {
 		t.Fatalf("want the protocol-maximum error, got: %v", err)
+	}
+}
+
+// A frame carries one op at most. One that declares two, each a valid
+// request behind a valid checksum, is refused.
+func TestBatchRejectsTwoOps(t *testing.T) {
+	enc := wire.AppendRequest(nil, &wire.Request{ID: 1, Op: wire.OpMkdir, Shard: -1, Path: "/dir"})
+	body := binary.BigEndian.AppendUint32(nil, frameMagic)
+	body = binary.BigEndian.AppendUint64(body, 3)  // epoch
+	body = binary.BigEndian.AppendUint64(body, 41) // seq
+	body = binary.BigEndian.AppendUint32(body, 2)  // nops
+	for i := 0; i < 2; i++ {
+		body = binary.BigEndian.AppendUint32(body, uint32(len(enc)))
+		body = append(body, enc...)
+	}
+	h := fnv.New64a()
+	h.Write(body)
+	if _, err := DecodeBatch(binary.BigEndian.AppendUint64(body, h.Sum64())); err == nil || !strings.Contains(err.Error(), "declares 2 ops") {
+		t.Fatalf("two-op frame: %v, want it refused", err)
 	}
 }
 
@@ -489,8 +505,8 @@ func TestFleetDivergedBackupRepaired(t *testing.T) {
 // reported seq shows the coordinator how far behind it is; it is
 // evicted and repaired by snapshot.
 func TestFleetLaggingBackupRepaired(t *testing.T) {
-	const tail = 4
-	f, err := New(Config{Nodes: 3, Shards: 1, Replicas: 2, Seed: 1996, TailLen: tail})
+	const tail = defaultTailLen
+	f, err := New(Config{Nodes: 3, Shards: 1, Replicas: 2, Seed: 1996})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -909,10 +925,7 @@ func seal(body []byte) []byte {
 // one. All must be refused with an error: no panic, and no allocation
 // sized by a count nothing backs.
 func TestDecodersRefuseHostileInput(t *testing.T) {
-	frame, err := EncodeBatch(&Batch{Epoch: 3, Seq: 41, Ops: []*wire.Request{
-		{ID: 1, Op: wire.OpWrite, Shard: -1, Path: "/a/b", Data: []byte("payload")},
-		{ID: 2, Op: wire.OpMkdir, Shard: -1, Path: "/dir"},
-	}})
+	frame, err := EncodeBatch(&Batch{Epoch: 3, Seq: 41, Op: &wire.Request{ID: 1, Op: wire.OpWrite, Shard: -1, Path: "/a/b", Data: []byte("payload")}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,14 +39,6 @@ type NodeConfig struct {
 	Policy           rio.Policy
 	MemoryMB, DiskMB int
 	Transport        *MemTransport
-	TailLen          int
-}
-
-func (c NodeConfig) withDefaults() NodeConfig {
-	if c.TailLen <= 0 {
-		c.TailLen = defaultTailLen
-	}
-	return c
 }
 
 // Node is one machine of the fleet: a replica (primary or backup) for
@@ -104,7 +96,7 @@ type replica struct {
 // NewNode boots a node with no replicas; the coordinator installs them
 // (fresh at fleet boot, by snapshot on rejoin).
 func NewNode(cfg NodeConfig) *Node {
-	return &Node{cfg: cfg.withDefaults(), reps: make(map[int]*replica)}
+	return &Node{cfg: cfg, reps: make(map[int]*replica)}
 }
 
 // ID returns the node's fleet-wide name (its client-visible address in
@@ -196,10 +188,10 @@ func (r *replica) loadSeq() error {
 }
 
 // tailAppend retains frame in the replay window.
-func (r *replica) tailAppend(seq uint64, frame []byte, limit int) {
+func (r *replica) tailAppend(seq uint64, frame []byte) {
 	r.tail = append(r.tail, tailEnt{seq: seq, frame: frame})
-	if len(r.tail) > limit {
-		r.tail = r.tail[len(r.tail)-limit:]
+	if len(r.tail) > defaultTailLen {
+		r.tail = r.tail[len(r.tail)-defaultTailLen:]
 	}
 }
 
@@ -402,7 +394,7 @@ func (n *Node) serveClient(req *wire.Request) *wire.Response {
 	// can still be too large to replicate (a MaxData write plus the batch
 	// header), and executing one would leave the primary a seq ahead of a
 	// tail entry that does not exist.
-	frame, err := EncodeBatch(&Batch{Epoch: r.epoch, Seq: r.seq + 1, Ops: []*wire.Request{req}})
+	frame, err := EncodeBatch(&Batch{Epoch: r.epoch, Seq: r.seq + 1, Op: req})
 	if err != nil {
 		return fail(wire.StatusInvalid, "cannot be replicated: "+err.Error())
 	}
@@ -419,7 +411,7 @@ func (n *Node) serveClient(req *wire.Request) *wire.Response {
 	if err := r.persistSeq(); err != nil {
 		return fail(wire.StatusIO, "persist seq: "+err.Error())
 	}
-	r.tailAppend(r.seq, frame, n.cfg.TailLen)
+	r.tailAppend(r.seq, frame)
 
 	// Ack-after-replicate: every active backup must hold the frame
 	// before the client hears OK. A peer that cannot be reached within
@@ -585,7 +577,7 @@ func (n *Node) serveReplBatch(req *wire.Request) *wire.Response {
 			return fail(wire.StatusIO, "persist epoch: "+err.Error())
 		}
 	}
-	if len(b.Ops) == 0 {
+	if b.Op == nil {
 		// A read fence: the sender only needed the epoch check above.
 		// Answer with our position and leave seq/tail untouched.
 		return &wire.Response{ID: req.ID, Status: wire.StatusOK, Size: int64(r.seq)}
@@ -598,30 +590,29 @@ func (n *Node) serveReplBatch(req *wire.Request) *wire.Response {
 		return &wire.Response{ID: req.ID, Status: wire.StatusAgain, Size: int64(r.seq),
 			Msg: fmt.Sprintf("shard %d gap: have seq %d, got %d", r.shard, r.seq, b.Seq)}
 	}
-	for _, op := range b.Ops {
-		opResp := server.Exec(r.sys, op)
-		if crashed, why := r.sys.Crashed(); crashed {
-			r.down = true
-			return fail(wire.StatusAgain, fmt.Sprintf("shard %d crashed applying frame: %s", r.shard, why))
-		}
-		if opResp.Status != wire.StatusOK {
-			// The primary executed this op successfully; a typed refusal
-			// here means the replicas have diverged. Drop the replica and
-			// refuse the frame: the next heartbeat reports the shard
-			// missing, and the coordinator evicts us and repairs us by
-			// snapshot, rather than paper over it.
-			n.mu.Lock()
-			delete(n.reps, r.shard)
-			n.mu.Unlock()
-			return fail(wire.StatusIO, fmt.Sprintf(
-				"shard %d replica diverged applying %v %s (dropped): %s", r.shard, op.Op, op.Path, opResp.Msg))
-		}
+	op := b.Op
+	opResp := server.Exec(r.sys, op)
+	if crashed, why := r.sys.Crashed(); crashed {
+		r.down = true
+		return fail(wire.StatusAgain, fmt.Sprintf("shard %d crashed applying frame: %s", r.shard, why))
+	}
+	if opResp.Status != wire.StatusOK {
+		// The primary executed this op successfully; a typed refusal
+		// here means the replicas have diverged. Drop the replica and
+		// refuse the frame: the next heartbeat reports the shard
+		// missing, and the coordinator evicts us and repairs us by
+		// snapshot, rather than paper over it.
+		n.mu.Lock()
+		delete(n.reps, r.shard)
+		n.mu.Unlock()
+		return fail(wire.StatusIO, fmt.Sprintf(
+			"shard %d replica diverged applying %v %s (dropped): %s", r.shard, op.Op, op.Path, opResp.Msg))
 	}
 	r.seq = b.Seq
 	if err := r.persistSeq(); err != nil {
 		return fail(wire.StatusIO, "persist seq: "+err.Error())
 	}
-	r.tailAppend(r.seq, req.Data, n.cfg.TailLen)
+	r.tailAppend(r.seq, req.Data)
 	n.count(func(m *NodeMetrics) { m.ReplApplied++ })
 	return &wire.Response{ID: req.ID, Status: wire.StatusOK, Size: int64(r.seq)}
 }

@@ -94,8 +94,8 @@ var seeds = []seed{
 		old: "\t\tif resp := n.readFence(r, req); resp != nil {\n\t\t\treturn resp\n\t\t}\n", new: ""},
 	{name: "7 ack before replication",
 		file: "internal/fleet/node.go", function: "serveClient", analyzer: "replorder", substring: "acked before every active backup confirmed",
-		old: "\tr.tailAppend(r.seq, frame, n.cfg.TailLen)\n",
-		new: "\tr.tailAppend(r.seq, frame, n.cfg.TailLen)\n\tif len(r.backups) == 0 {\n\t\treturn resp\n\t}\n"},
+		old: "\tr.tailAppend(r.seq, frame)\n",
+		new: "\tr.tailAppend(r.seq, frame)\n\tif len(r.backups) == 0 {\n\t\treturn resp\n\t}\n"},
 	{name: "8 persist before exec",
 		file: "internal/fleet/node.go", function: "serveClient", analyzer: "replorder", substring: "persisted before the op executed",
 		old: clientExec + clientPersist, new: clientPersist + clientExec},
