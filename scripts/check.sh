@@ -1,11 +1,13 @@
 #!/bin/sh
-# Tier-1 gate: build, vet, riolint, full test suite, the race gate, the
-# goldens and the scenario suite. Run via `make check` or directly.
+# Tier-1 gate: build, gofmt, vet, riolint, full test suite, the race gate,
+# the goldens and the scenario suite. Run via `make check` or directly.
 set -eux
 
 cd "$(dirname "$0")/.."
 
 go build ./...
+# Every Go file is gofmt-clean; the trace shows the ones that are not.
+test -z "$(gofmt -l .)"
 go vet ./...
 # riolint enforces the invariants vet can't see: deterministic iteration,
 # no host clock/randomness in sim packages, paired protection windows,
