@@ -236,8 +236,8 @@ func (d *Disk) Write(sector int, buf []byte) (sim.Duration, error) {
 	return t, nil
 }
 
-// Format zeroes the disk. Writing every sector also
-// heals any latent sector errors, as a full-surface rewrite would.
+// Format zeroes the disk. Writing every sector also heals any latent
+// sector errors, as a full-surface rewrite would.
 func (d *Disk) Format() {
 	if !d.blank {
 		clear(d.data)

@@ -32,9 +32,9 @@ import (
 //
 // nops is 0 (a fence) or 1. The op is one wire.AppendRequest encoding —
 // the exact request the primary executed, with append offsets already
-// resolved to absolute so the backup's execution cannot diverge. The trailing FNV-1a 64 covers
-// everything before it: replication crosses machines, and a frame that
-// arrives damaged must be refused, not applied.
+// resolved to absolute so the backup's execution cannot diverge. The
+// trailing FNV-1a 64 covers everything before it: replication crosses
+// machines, and a frame that arrives damaged must be refused, not applied.
 const frameMagic uint32 = 0x52464C31 // "RFL1"
 
 // Batch is one replication unit: the op a primary executed under one
