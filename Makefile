@@ -26,18 +26,21 @@ test:
 # scenario runs its crash, server and fleet kinds on it — the crash kind
 # as a crashtest campaign, the fleet crash run among the others (the perf
 # kind is simulated time on one goroutine);
-# warmreboot, disk, ioretry, machine and kvm are what a campaign worker
-# recycles and spends its time in; server and wire are where real
-# goroutines share state (shard queues, metrics, close/drain, pooled
-# request frames — TestTCPIngressOwnershipRace needs the detector); txn
-# and workload ride the shard goroutines and the campaign workers; fleet
+# warmreboot, disk, mem, mmu, ioretry, machine and kvm are what a campaign
+# worker recycles and spends its time in (mem and mmu hold the per-run
+# stored and scrambled frame state on each worker's Storage); server and
+# wire are where real goroutines share state (shard queues, metrics,
+# close/drain, pooled request frames — TestTCPIngressOwnershipRace needs
+# the detector); txn and workload ride the shard goroutines and the
+# campaign workers; fleet
 # runs replica locks, the in-process transport and the coordinator's tick
 # concurrently; fs and cache own the reused image scratch and block pool
 # every one of those goroutines' mounts writes through; rioload kills and
 # revives a fleet machine under live load while the coordinator ticks on
 # its own goroutine, with nothing serializing the fault against a round.
 RACE_PKGS = ./internal/crashtest/... ./internal/scenario/... ./internal/warmreboot/... ./internal/disk/... \
-	./internal/ioretry/... ./internal/machine/... ./internal/kvm/... \
+	./internal/mem/... ./internal/mmu/... ./internal/ioretry/... \
+	./internal/machine/... ./internal/kvm/... \
 	./internal/server/... ./internal/wire/... ./internal/txn/... \
 	./internal/workload/... ./internal/fleet/... ./internal/fs/... ./internal/cache/... \
 	./cmd/rioload/...

@@ -25,6 +25,10 @@ import (
 // SectorSize is the simulated sector size in bytes.
 const SectorSize = 512
 
+// extentSize is the grain at which a disk records which of its bytes a
+// store reached: 8 KB, a file-system block.
+const extentSize = 8192
+
 // Params configures the disk performance model. The defaults approximate a
 // 1996 fast-SCSI drive like those on the DEC 3000/600.
 type Params struct {
@@ -72,10 +76,10 @@ type Disk struct {
 	data   []byte
 	Stats  Stats
 	last   int // last accessed sector, for sequentiality
-	// blank means every byte of data is known to be zero: set by New,
-	// Recycle and Format, dropped by anything that stores to the platters.
-	// It saves the first Format of a disk from zeroing 16 MB twice.
-	blank bool
+	// written marks each extent of data that platters handed out for a
+	// store since New, Recycle or the last Format; every other byte is
+	// zero. Format and Recycle clear only the marked extents.
+	written []bool
 
 	// Fault injection (see fault.go). plan == nil means a perfect disk.
 	plan       *FaultPlan
@@ -91,31 +95,47 @@ func New(capacity int, params Params) *Disk {
 	if n <= 0 {
 		panic("disk: capacity smaller than one sector")
 	}
-	return blankDisk(make([]byte, n*SectorSize), params)
+	size := n * SectorSize
+	return blankDisk(make([]byte, size), make([]bool, (size+extentSize-1)/extentSize), params)
 }
 
 // Recycle returns a new disk of d's capacity on d's storage, zeroed: no
 // contents, fault plan, latent sectors or statistics carry over, so
 // it is indistinguishable from New's. d must not be used again. A crash
 // campaign builds each run's disk from the last one's instead of paging in
-// 16 MB of fresh memory per run.
+// 16 MB of fresh memory per run; only the extents the last run wrote are
+// cleared.
 func (d *Disk) Recycle(params Params) *Disk {
-	clear(d.data)
-	return blankDisk(d.data, params)
+	d.erase()
+	return blankDisk(d.data, d.written, params)
 }
 
-// blankDisk is a disk on all-zero data.
-func blankDisk(data []byte, params Params) *Disk {
+// blankDisk is a disk on all-zero data, no extent of it written.
+func blankDisk(data []byte, written []bool, params Params) *Disk {
 	if params.BytesPerSecond <= 0 {
 		panic("disk: non-positive transfer rate")
 	}
-	return &Disk{params: params, data: data, last: -1 << 30, blank: true}
+	return &Disk{params: params, data: data, written: written, last: -1 << 30}
 }
 
-// platters returns data for a store into it.
-func (d *Disk) platters() []byte {
-	d.blank = false
-	return d.data
+// platters returns [off, off+n) of data for a store into it, and marks the
+// extents it spans written. Every store to the platters takes its bytes
+// from here.
+func (d *Disk) platters(off, n int) []byte {
+	for e := off / extentSize; e <= (off+n-1)/extentSize; e++ {
+		d.written[e] = true
+	}
+	return d.data[off : off+n]
+}
+
+// erase zeroes the written extents, after which none is.
+func (d *Disk) erase() {
+	for e, w := range d.written {
+		if w {
+			clear(d.data[e*extentSize : min((e+1)*extentSize, len(d.data))])
+		}
+	}
+	clear(d.written)
 }
 
 // NumSectors returns the disk capacity in sectors.
@@ -152,7 +172,7 @@ func (d *Disk) Commit(sector int, data []byte) error {
 	if err != nil {
 		return err
 	}
-	copy(d.platters()[target*SectorSize:], data)
+	copy(d.platters(target*SectorSize, len(data)), data)
 	d.clearLatent(target, ns)
 	d.last = sector + ns
 	d.Stats.Writes++
@@ -166,7 +186,7 @@ func (d *Disk) Tear(sector int, rng *sim.Rand) {
 	d.checkRange(sector, 1)
 	torn := make([]byte, SectorSize)
 	rng.Bytes(torn)
-	copy(d.platters()[sector*SectorSize:], torn)
+	copy(d.platters(sector*SectorSize, SectorSize), torn)
 }
 
 // accessTime returns the simulated service time for n bytes at sector.
@@ -229,7 +249,7 @@ func (d *Disk) Write(sector int, buf []byte) (sim.Duration, error) {
 	if err != nil {
 		return t, err
 	}
-	copy(d.platters()[target*SectorSize:], buf)
+	copy(d.platters(target*SectorSize, len(buf)), buf)
 	d.clearLatent(target, ns)
 	d.Stats.Writes++
 	d.Stats.BytesWritten += uint64(len(buf))
@@ -239,10 +259,7 @@ func (d *Disk) Write(sector int, buf []byte) (sim.Duration, error) {
 // Format zeroes the disk. Writing every sector also heals any latent
 // sector errors, as a full-surface rewrite would.
 func (d *Disk) Format() {
-	if !d.blank {
-		clear(d.data)
-		d.blank = true
-	}
+	d.erase()
 	d.last = -1 << 30
 	d.latent = nil
 	if d.plan != nil {
@@ -262,5 +279,5 @@ func (d *Disk) Restore(snap []byte) {
 	if len(snap) != len(d.data) {
 		panic("disk: snapshot size mismatch")
 	}
-	copy(d.platters(), snap)
+	copy(d.platters(0, len(snap)), snap)
 }

@@ -2,9 +2,12 @@ package mem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 	"testing/quick"
+
+	"rio/internal/sim"
 )
 
 func TestNewSizing(t *testing.T) {
@@ -265,5 +268,176 @@ func TestWord64IsEightBytes(t *testing.T) {
 				t.Errorf("%s at %#x stored bytes before panicking", name, addr)
 			}
 		}
+	}
+}
+
+// eagerScramble is Scramble before it was lazy: every byte of memory
+// written in one pass. It is the oracle the lazy stream is held to.
+func eagerScramble(data []byte, seed uint64) {
+	x := seed
+	for i := range data {
+		x += 0x9e3779b97f4a7c15
+		z := x
+		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+		data[i] = byte(z ^ (z >> 31))
+	}
+}
+
+// touchScript scrambles m with seed, over a store to frames 6 and 7, then
+// drives it through every accessor in a seeded random order, and holds
+// each read to the eager stream plus the stores made so far. It returns
+// the bytes m must hold and the frames the script accessed.
+func touchScript(t *testing.T, m *Memory, seed uint64) (want []byte, touched []bool) {
+	t.Helper()
+	const size = 8 * PageSize
+	m.WriteAt(7*PageSize-3, []byte("stored before the scramble"))
+	m.Frame(6).FileCache = true
+	m.Scramble(seed)
+	if *m.Frame(6) != (Frame{}) {
+		t.Fatal("Scramble did not clear frame flags")
+	}
+	want = make([]byte, size)
+	eagerScramble(want, seed)
+	touched = make([]bool, m.NumFrames())
+
+	rng := sim.NewRand(seed)
+	// Accesses stay in frames 0-5, so frames 6 and 7 are never touched,
+	// and start near frame boundaries half of the time.
+	at := func(n int) uint64 {
+		a := rng.Intn(6*PageSize - n + 1)
+		if rng.Bool() {
+			a = min(max(rng.Intn(6)*PageSize+rng.Intn(16)-8, 0), 6*PageSize-n)
+		}
+		for f := a / PageSize; n > 0 && f <= (a+n-1)/PageSize; f++ {
+			touched[f] = true
+		}
+		return uint64(a)
+	}
+	same := func(op string, addr uint64, got []byte) {
+		t.Helper()
+		if !bytes.Equal(got, want[addr:addr+uint64(len(got))]) {
+			t.Fatalf("%s at %#x+%d reads other bytes than the eager stream", op, addr, len(got))
+		}
+	}
+	// A word across frames 2 and 3 after only frame 2 was written out:
+	// the store must write frame 3's stream out first.
+	same("Byte", 2*PageSize, []byte{m.Byte(2 * PageSize)})
+	m.SetWord64(3*PageSize-4, 0x0102030405060708)
+	binary.LittleEndian.PutUint64(want[3*PageSize-4:], 0x0102030405060708)
+	touched[2], touched[3] = true, true
+	for step := 0; step < 400; step++ {
+		switch rng.Intn(9) {
+		case 0:
+			addr := at(1)
+			same("Byte", addr, []byte{m.Byte(addr)})
+		case 1:
+			addr := at(8)
+			same("Word64", addr, binary.LittleEndian.AppendUint64(nil, m.Word64(addr)))
+		case 2:
+			buf := make([]byte, rng.Intn(2*PageSize))
+			addr := at(len(buf))
+			m.ReadAt(addr, buf)
+			same("ReadAt", addr, buf)
+		case 3:
+			n := rng.Intn(2 * PageSize)
+			addr := at(n)
+			same("View", addr, m.View(addr, n))
+		case 4:
+			n := rng.Intn(2*PageSize) + 1
+			addr := at(n)
+			s := m.Slice(addr, n)
+			same("Slice", addr, s)
+			i := rng.Intn(n)
+			s[i]++
+			want[addr+uint64(i)]++
+		case 5:
+			addr, b := at(1), byte(rng.Uint64())
+			m.SetByte(addr, b)
+			want[addr] = b
+		case 6:
+			addr, v := at(8), rng.Uint64()
+			m.SetWord64(addr, v)
+			binary.LittleEndian.PutUint64(want[addr:], v)
+		case 7:
+			buf := make([]byte, rng.Intn(2*PageSize))
+			rng.Bytes(buf)
+			addr := at(len(buf))
+			m.WriteAt(addr, buf)
+			copy(want[addr:], buf)
+		case 8:
+			addr, bit := at(1), uint(rng.Intn(8))
+			m.FlipBit(addr, bit)
+			want[addr] ^= 1 << bit
+		}
+	}
+	if touched[6] || touched[7] {
+		t.Fatal("the script reached frames 6 and 7")
+	}
+	return want, touched
+}
+
+// TestLazyScrambleMatchesEager: every access after Scramble, through any
+// accessor and in any order, sees the bytes the eager loop would have
+// written, and the frames that may be nonzero are those accessed since
+// the scramble or stored to before it. Recycling after a partial fill
+// leaves no byte and no mark behind, the store from before the scramble
+// included.
+func TestLazyScrambleMatchesEager(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		m := New(8 * PageSize)
+		want, touched := touchScript(t, m, seed)
+		for f := range touched {
+			if got := m.Stored(f); got != (touched[f] || f >= 6) {
+				t.Fatalf("seed %d: frame %d stored %v, accessed %v", seed, f, got, touched[f])
+			}
+		}
+		if !bytes.Equal(m.Dump(), want) {
+			t.Fatalf("seed %d: Dump differs from the eager stream", seed)
+		}
+
+		m = New(8 * PageSize)
+		touchScript(t, m, seed)
+		m = m.Recycle()
+		if !bytes.Equal(m.Dump(), make([]byte, 8*PageSize)) {
+			t.Fatalf("seed %d: recycled after a partial fill, memory is not zeroed", seed)
+		}
+		for f := 0; f < m.NumFrames(); f++ {
+			if m.Stored(f) {
+				t.Fatalf("seed %d: recycled memory has frame %d stored", seed, f)
+			}
+		}
+	}
+}
+
+// TestOnlyStoresMarkFrames: on a memory that was never scrambled, reading
+// marks no frame stored, and each store accessor marks exactly the frames
+// it wrote to.
+func TestOnlyStoresMarkFrames(t *testing.T) {
+	m := New(6 * PageSize)
+	m.Byte(10)
+	m.Word64(PageSize - 4)
+	m.ReadAt(0, make([]byte, 3*PageSize))
+	m.View(PageSize, 2*PageSize)
+	m.Dump()
+	for f := 0; f < m.NumFrames(); f++ {
+		if m.Stored(f) {
+			t.Fatalf("a read marked frame %d stored", f)
+		}
+	}
+	m.SetByte(FrameBase(1)+5, 1)
+	m.SetByte(FrameBase(2), 1)
+	m.SetWord64(3*PageSize-4, 1) // frame 2, stored, and frame 3
+	m.FlipBit(FrameBase(5), 0)
+	m.Slice(FrameBase(4), 0)
+	m.WriteAt(FrameBase(4)-1, nil)
+	want := []bool{false, true, true, true, false, true}
+	for f, w := range want {
+		if m.Stored(f) != w {
+			t.Fatalf("frame %d stored %v, want %v", f, m.Stored(f), w)
+		}
+	}
+	m.Slice(FrameBase(4), 1)
+	if !m.Stored(4) {
+		t.Fatal("a Slice did not mark its frame stored")
 	}
 }

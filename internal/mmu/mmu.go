@@ -367,7 +367,7 @@ func (u *MMU) CopyWords(dst, src uint64, k, width int) (n int, last uint64, trap
 		pd := u.resident(d)
 		n++
 		run := min(k-n, wordsLeft(s, w), wordsLeft(d, w))
-		from := u.Mem.Slice(ps+w, width*run)
+		from := u.Mem.View(ps+w, width*run)
 		to := u.Mem.Slice(pd+w, width*run)
 		if width == 8 {
 			for i := 0; i < 8*run; i += 8 {
@@ -498,7 +498,7 @@ func (u *MMU) ViewBytes(addr uint64, n int) ([]byte, *Trap) {
 		return nil, trap
 	}
 	u.countLoad(addr)
-	return u.Mem.Slice(phys, n), nil
+	return u.Mem.View(phys, n), nil
 }
 
 // WriteBytes copies buf to addr, page by page, with protection checks per

@@ -299,3 +299,35 @@ func TestWarmAllocBudget(t *testing.T) {
 		t.Fatalf("Warm allocates %.2f objects per restored page, budget %.1f", per, budget)
 	}
 }
+
+// storedFrames lists the frames of m's memory marked stored.
+func storedFrames(m *machine.Machine) []int {
+	var out []int
+	for f := 0; f < m.Mem.NumFrames(); f++ {
+		if m.Mem.Stored(f) {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// TestCaptureLeavesStoredFramesAlone: Capture only reads the crashed
+// memory, so the frames marked stored — the ones the next Recycle clears —
+// are the ones the run stored to, not all of memory.
+func TestCaptureLeavesStoredFramesAlone(t *testing.T) {
+	for _, c := range sparseCorpus {
+		t.Run(c.name, func(t *testing.T) {
+			m := smallMachine(t)
+			c.build(t, m)
+			crash(m)
+			before := storedFrames(m)
+			if len(before) == m.Mem.NumFrames() {
+				t.Fatal("every frame is stored before Capture: the check would prove nothing")
+			}
+			Capture(m)
+			if after := storedFrames(m); fmt.Sprint(after) != fmt.Sprint(before) {
+				t.Fatalf("Capture changed the stored frames from %v to %v", before, after)
+			}
+		})
+	}
+}

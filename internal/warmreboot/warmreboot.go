@@ -116,29 +116,29 @@ func (im Image) page(frame uint32) []byte {
 }
 
 // Capture is the warm reboot's "dump physical memory" step, taken before
-// anything reinitialises: it parses the registry where it lies in the
-// crashed machine's memory and copies into the machine's dump area, each at
-// its own offset, the registry's frames and the frames that readable
-// entries name — what Restore reads, not all of memory (under half of it
-// on a machine whose cache is full, far less in a campaign run). The
-// rest of the dump area keeps whatever an earlier recovery on the same
-// storage left there; see readable for why that is never read. The Image is
-// valid until the next Capture on the machine's storage; a caller that
-// holds a dump across in-place reboots (the UPS path) takes its own copy
-// with Mem.Dump and uses FromDump.
+// anything reinitialises: it copies into the machine's dump area, each at
+// its own offset, the registry's frames, parses the registry there, and
+// copies the frames that readable entries name — what Restore reads, not
+// all of memory (under half of it on a machine whose cache is full, far
+// less in a campaign run). It only reads the crashed memory, so the frames
+// marked stored stay as they were. The rest of the dump area keeps
+// whatever an earlier recovery on the same storage left there; see
+// readable for why that is never read. The Image is valid until the next
+// Capture on the machine's storage; a caller that holds a dump across
+// in-place reboots (the UPS path) takes its own copy with Mem.Dump and
+// uses FromDump.
 func Capture(m *machine.Machine) Image {
-	live := m.Mem.Slice(0, m.Mem.Size())
 	regFrames := m.Reg.Frames()
 	im := Image{dump: m.DumpArea()}
-	im.entries, im.bad = registry.Parse(live, regFrames)
-	nframes := m.Mem.NumFrames()
 	keep := func(frame int) {
 		base := mem.FrameBase(frame)
-		copy(im.dump[base:base+mem.PageSize], live[base:])
+		m.Mem.ReadAt(base, im.dump[base:base+mem.PageSize])
 	}
 	for _, f := range regFrames {
 		keep(f)
 	}
+	im.entries, im.bad = registry.Parse(im.dump, regFrames)
+	nframes := m.Mem.NumFrames()
 	for _, e := range im.entries {
 		if readable(e, nframes) {
 			keep(int(e.Frame))
