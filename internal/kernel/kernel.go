@@ -13,6 +13,7 @@
 package kernel
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -446,23 +447,16 @@ func (k *Kernel) CksumTrusted(addr uint64, n int) (uint64, error) {
 	return k.cksumGo(addr, n)
 }
 
-// Powers of the checksum base, 31^1 .. 31^8 mod 2^64, for the unrolled
-// fast path below.
+// Powers of the checksum base mod 2^64 for the word fold below: 31^2 and
+// 31^4 join its lanes, 31^8 .. 31^32 its words. 31^16 and up exceed an
+// untyped constant's range, so they are computed with wrapping uint64
+// arithmetic (which is exactly the arithmetic the hash is defined in).
 const (
-	ckP1 = 31
-	ckP2 = ckP1 * 31
-	ckP3 = ckP2 * 31
-	ckP4 = ckP3 * 31
-	ckP5 = ckP4 * 31
-	ckP6 = ckP5 * 31
-	ckP7 = ckP6 * 31
-	ckP8 = ckP7 * 31
+	ckP2 = 31 * 31
+	ckP4 = ckP2 * ckP2
+	ckP8 = ckP4 * ckP4
 )
 
-// Lane-combining powers for the 32-byte fold: 31^16, 31^24, 31^32 mod
-// 2^64. These exceed an untyped constant's range, so they are computed
-// with wrapping uint64 arithmetic (which is exactly the arithmetic the
-// hash is defined in).
 var ckP16, ckP24, ckP32 uint64
 
 func init() {
@@ -474,48 +468,45 @@ func init() {
 
 // CksumBytes computes the kernel checksum of b. The hash is the classic
 // base-31 polynomial (h = h*31 + c per byte); because all arithmetic is
-// mod 2^64, the serial recurrence folds into wider strides with
-// precomputed powers of 31. The main loop takes 32 bytes per step: four
-// independent 8-byte dot products (pure ILP, no chain) combined as
-// h*31^32 + d0*31^24 + d1*31^16 + d2*31^8 + d3, so the loop-carried
-// dependency is one multiply per 32 bytes instead of one per byte. The
-// result is bit-identical to cksumBytesRef — registry checksums and
-// golden crash transcripts depend on that, and TestCksumBytesUnrolled
-// holds the two implementations together.
+// mod 2^64, the serial recurrence folds into wider strides with powers of
+// 31. The main loop reads 32 bytes as four little-endian words. Four zero
+// words, the common case (metadata blocks, short files and fresh pages end
+// in zeros), cost one multiply: h*31^32. Otherwise each word w folds to
+// b0*31^7 + ... + b7 by SWAR arithmetic — byte pairs in 16-bit lanes,
+// then quads in 32-bit lanes, then the two halves — where no lane can
+// overflow, so the fold is exact; the words combine as
+// h*31^32 + d0*31^24 + d1*31^16 + d2*31^8 + d3, one loop-carried multiply
+// per 32 bytes. The tail goes byte by byte. The result is bit-identical
+// to cksumBytesRef — registry checksums and golden crash transcripts
+// depend on that, and TestCksumBytesUnrolled holds the two together.
 func CksumBytes(b []byte) uint64 {
 	var h uint64
 	for len(b) >= 32 {
-		d0 := uint64(b[0])*ckP7 + uint64(b[1])*ckP6 +
-			uint64(b[2])*ckP5 + uint64(b[3])*ckP4 +
-			uint64(b[4])*ckP3 + uint64(b[5])*ckP2 +
-			uint64(b[6])*ckP1 + uint64(b[7])
-		d1 := uint64(b[8])*ckP7 + uint64(b[9])*ckP6 +
-			uint64(b[10])*ckP5 + uint64(b[11])*ckP4 +
-			uint64(b[12])*ckP3 + uint64(b[13])*ckP2 +
-			uint64(b[14])*ckP1 + uint64(b[15])
-		d2 := uint64(b[16])*ckP7 + uint64(b[17])*ckP6 +
-			uint64(b[18])*ckP5 + uint64(b[19])*ckP4 +
-			uint64(b[20])*ckP3 + uint64(b[21])*ckP2 +
-			uint64(b[22])*ckP1 + uint64(b[23])
-		d3 := uint64(b[24])*ckP7 + uint64(b[25])*ckP6 +
-			uint64(b[26])*ckP5 + uint64(b[27])*ckP4 +
-			uint64(b[28])*ckP3 + uint64(b[29])*ckP2 +
-			uint64(b[30])*ckP1 + uint64(b[31])
-		h = h*ckP32 + d0*ckP24 + d1*ckP16 + d2*ckP8 + d3
+		w0 := binary.LittleEndian.Uint64(b)
+		w1 := binary.LittleEndian.Uint64(b[8:])
+		w2 := binary.LittleEndian.Uint64(b[16:])
+		w3 := binary.LittleEndian.Uint64(b[24:])
+		h *= ckP32
+		if w0|w1|w2|w3 != 0 {
+			h += cksumWord(w0)*ckP24 + cksumWord(w1)*ckP16 + cksumWord(w2)*ckP8 + cksumWord(w3)
+		}
 		b = b[32:]
-	}
-	for len(b) >= 8 {
-		h = h*ckP8 +
-			uint64(b[0])*ckP7 + uint64(b[1])*ckP6 +
-			uint64(b[2])*ckP5 + uint64(b[3])*ckP4 +
-			uint64(b[4])*ckP3 + uint64(b[5])*ckP2 +
-			uint64(b[6])*ckP1 + uint64(b[7])
-		b = b[8:]
 	}
 	for _, c := range b {
 		h = h*31 + uint64(c)
 	}
 	return h
+}
+
+// cksumWord is the checksum of the little-endian bytes b0..b7 of w as a
+// hash that starts at zero: b0*31^7 + b1*31^6 + ... + b7. Pairs first,
+// b0*31 + b1 < 2^13 in each 16-bit lane; then quads, pair*31^2 + pair
+// < 2^23 in each 32-bit lane; then quad*31^4 + quad.
+func cksumWord(w uint64) uint64 {
+	const m16, m32 = 0x00ff00ff00ff00ff, 0x0000ffff0000ffff
+	w = (w&m16)*31 + (w>>8)&m16
+	w = (w&m32)*ckP2 + (w>>16)&m32
+	return (w&0xffffffff)*ckP4 + w>>32
 }
 
 // cksumBytesRef is the reference byte-serial implementation, kept as the

@@ -349,8 +349,12 @@ func (u *MMU) Load64Pair(addr uint64) (lo, hi uint64, trap *Trap) {
 // trap — so it is booked rather than performed: a TLB hit per access, or a
 // miss per access when the two virtual pages share a TLB slot and evict
 // each other (each refill restores the entry the other access displaced,
-// so the TLB ends as the first word left it). The words still move one at
-// a time, so overlapping ranges copy as the loop does.
+// so the TLB ends as the first word left it). The run's bytes move with
+// copy() (memmove) unless its destination starts inside its source, after
+// the source's start: only that forward overlap makes the word loop read
+// words it has already stored, so only there the bytes move one at a time
+// and smear as the loop does. Physical addresses decide, not virtual ones:
+// two virtual pages may map one frame.
 func (u *MMU) CopyWords(dst, src uint64, k, width int) (n int, last uint64, trap *Trap) {
 	w := uint64(width)
 	for n < k {
@@ -367,19 +371,23 @@ func (u *MMU) CopyWords(dst, src uint64, k, width int) (n int, last uint64, trap
 		pd := u.resident(d)
 		n++
 		run := min(k-n, wordsLeft(s, w), wordsLeft(d, w))
+		if run == 0 {
+			continue
+		}
 		from := u.Mem.View(ps+w, width*run)
 		to := u.Mem.Slice(pd+w, width*run)
-		if width == 8 {
-			for i := 0; i < 8*run; i += 8 {
-				last = binary.LittleEndian.Uint64(from[i:])
-				binary.LittleEndian.PutUint64(to[i:], last)
-			}
-		} else if run > 0 {
-			// Not copy(), which is memmove: an overlapping copy smears
-			// forward, byte by byte, as the loop does.
-			for i := range run {
+		if pd <= ps || pd >= ps+w*uint64(run) {
+			copy(to, from)
+		} else {
+			// Bytes smear as words do: pd−ps is a multiple of the width,
+			// so a byte is read after its store exactly when its word is.
+			for i := range to {
 				to[i] = from[i]
 			}
+		}
+		if width == 8 {
+			last = binary.LittleEndian.Uint64(to[8*(run-1):])
+		} else {
 			last = uint64(to[run-1])
 		}
 		u.bookRun(s, d, uint64(run))

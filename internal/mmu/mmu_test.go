@@ -443,3 +443,51 @@ func TestCopyWordsIsWordLoop(t *testing.T) {
 		}
 	}
 }
+
+// TestCopyWordsOverlapIsWordLoop holds CopyWords' memmove rule to the word
+// loop on twin MMUs where the two could differ, for words and for bytes:
+// a destination j words after the source (a forward overlap, where the
+// loop smears) and j words before it (a backward one, where memmove and
+// the loop agree), for j = 1, 2 and the run's length − 1, through KSEG
+// and through one virtual page; and the same offsets between two virtual
+// pages mapped to one frame, which overlap only physically.
+func TestCopyWordsOverlapIsWordLoop(t *testing.T) {
+	const frames, p, k, off = 8, mem.PageSize, 64, 1024
+	mk := func() *MMU {
+		u := newMMU(frames)
+		u.Map(1, 2, true)
+		u.Map(2, 2, true) // aliases page 1
+		u.Map(3, 5, true)
+		for a := uint64(0); a < frames*p; a += 8 {
+			u.Mem.SetWord64(a, a*0x9e3779b97f4a7c15)
+		}
+		return u
+	}
+	for _, width := range []int{8, 1} {
+		w := uint64(width)
+		for _, j := range []uint64{1, 2, k - 2} { // the run after the first word is k−1 words
+			for _, c := range []struct {
+				name     string
+				src, dst uint64
+			}{
+				{"kseg", PhysToKSEG(2*p + off), PhysToKSEG(2*p + off)},
+				{"virtual", 3*p + off, 3*p + off},
+				{"alias", 1*p + off, 2*p + off},
+			} {
+				for _, dst := range []uint64{c.dst + w*j, c.dst - w*j} {
+					bulk, ref := mk(), mk()
+					n, last, trap := bulk.CopyWords(dst, c.src, k, width)
+					wn, wlast, wtrap := copyWordsRef(ref, dst, c.src, k, width)
+					if n != wn || last != wlast || trap != nil || wtrap != nil {
+						t.Fatalf("%s: CopyWords(%#x, %#x, %d, %d) = %d, %#x, %v; word loop %d, %#x, %v",
+							c.name, dst, c.src, k, width, n, last, trap, wn, wlast, wtrap)
+					}
+					if !reflect.DeepEqual(bulk, ref) {
+						t.Fatalf("%s: CopyWords(%#x, %#x, %d, %d): MMU differs from the word loop's",
+							c.name, dst, c.src, k, width)
+					}
+				}
+			}
+		}
+	}
+}

@@ -8,6 +8,8 @@ cd "$(dirname "$0")/.."
 go build ./...
 # Every Go file is gofmt-clean; the trace shows the ones that are not.
 test -z "$(gofmt -l .)"
+# The pairs script (alternating parent/change benchmark runs) parses.
+sh -n scripts/pairs.sh
 go vet ./...
 # riolint enforces the invariants vet can't see: deterministic iteration,
 # no host clock/randomness in sim packages, paired protection windows,
