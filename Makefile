@@ -3,7 +3,7 @@
 # scenario suite (scripts/check.sh is the single source of truth for the
 # sequence; the race package list lives here, under `race`).
 
-.PHONY: check build lint test race bench crash-recovery crash-recovery-golden cost-ledger-golden crash-table1 crash-txn crash-fleet scenarios scenarios-golden loc
+.PHONY: check build lint test race bench crash-recovery crash-recovery-golden cost-ledger-golden crash-table1 crash-txn crash-fleet scenarios scenarios-golden corpus corpus-golden loc
 
 check:
 	sh scripts/check.sh
@@ -116,9 +116,33 @@ scenarios-golden:
 crash-recovery-golden:
 	$(CRASH_RECOVERY) > testdata/crash-recovery.golden
 
+# The disk-fault corpus: twelve big campaigns, one per workload with and
+# without storage faults (scenarios/full/corpus, seed 4242, 4 runs a cell,
+# ~25 s on two CPUs). Five of them breach a zero gate today (CHANGES.md
+# FOUND lines), so rioscn's exit 1 is accepted; exit 2 is not, and neither
+# is any difference of the reports or the stdout from the golden copies
+# in testdata/corpus-reports/ (kept out of scenario-reports/, which `make
+# scenarios` diffs whole). A mismatch leaves the fresh copies in
+# corpus-reports-fresh/. `make corpus-golden` rewrites the golden after
+# an intended change. $(call corpus-run,DIR) writes the reports and the
+# stdout into DIR.
+corpus-run = rm -rf $(1) && mkdir $(1) && go build -o .corpus-rioscn ./cmd/rioscn && \
+	{ ./.corpus-rioscn -workers 2 -quiet -no-timing -json-dir $(1) scenarios/full/corpus \
+		> $(1)/stdout.txt || [ $$? -eq 1 ]; }; s=$$?; rm -f .corpus-rioscn; exit $$s
+
+corpus:
+	$(call corpus-run,corpus-reports-fresh)
+	diff -r testdata/corpus-reports corpus-reports-fresh
+	rm -rf corpus-reports-fresh
+	@echo "corpus: reports match testdata/corpus-reports/"
+
+corpus-golden:
+	$(call corpus-run,testdata/corpus-reports)
+
 # The simulated-cost golden TestCostLedger compares exactly: regenerate
-# after an intended change to the cost model (fs.Costs, the disk model,
-# the kernel routines' step counts), never after a host-side speed-up.
+# after an intended change to the cost model (fs's CPU costs,
+# disk.ServiceTime, the kernel routines' step counts), never after a
+# host-side speed-up.
 cost-ledger-golden:
 	go test -run '^TestCostLedger$$' -v . | grep '^[a-z0-9-]*: ops=' > testdata/cost-ledger.golden
 

@@ -13,8 +13,9 @@ import (
 // TestCostLedger pins what an op costs in *simulated* terms: for each op
 // below, on a seed-1 Rio machine, the deltas of System.Elapsed() and of
 // the Stats() counters over n calls must equal testdata/cost-ledger.golden
-// exactly. The simulated clock is the cost model (fs.Costs, the disk
-// model, the kernel's step counts); host-side speed-ups must not move it.
+// exactly. The simulated clock is the cost model (fs's CPU costs,
+// disk.ServiceTime, the kernel's step counts); host-side speed-ups must
+// not move it.
 // After an intended change to the model, `make cost-ledger-golden`.
 func TestCostLedger(t *testing.T) {
 	check := func(err error) {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"rio/internal/crashtest"
-	"rio/internal/disk"
 	"rio/internal/fault"
 	"rio/internal/warmreboot"
 )
@@ -128,7 +127,7 @@ func (s *System) ColdReboot() error {
 // AttachUPS adds an uninterruptible power supply with a swap disk sized to
 // hold a full memory dump — the paper's one-line answer to power outages.
 func (s *System) AttachUPS() error {
-	return s.m.AttachSwap(disk.DefaultParams())
+	return s.m.AttachSwap()
 }
 
 // PowerFail simulates a power outage. With a UPS attached the machine

@@ -64,7 +64,7 @@ func TestDocsNameRealCommands(t *testing.T) {
 // docsLineCeiling bounds the lines of DESIGN.md, EXPERIMENTS.md and
 // README.md together. Like the allocation budgets it only ever goes down:
 // a change that adds doc lines deletes as many elsewhere.
-const docsLineCeiling = 2146
+const docsLineCeiling = 2145
 
 // TestDocsLineCeiling fails when the three docs grow past docsLineCeiling.
 func TestDocsLineCeiling(t *testing.T) {

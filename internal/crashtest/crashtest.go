@@ -77,7 +77,6 @@ type RunConfig struct {
 	Seed         uint64
 	WarmupOps    int // ops before injection
 	MaxOps       int // ops after injection before the run is discarded
-	FaultCount   int // faults injected per run (paper: 20)
 	MemTestBytes int // memTest file-set budget (RunOne's workload)
 
 	// DiskFaults turns the run into a double-fault experiment: recovery
@@ -125,7 +124,6 @@ func DefaultRunConfig(seed uint64) RunConfig {
 		Seed:         seed,
 		WarmupOps:    30,
 		MaxOps:       250,
-		FaultCount:   fault.DefaultCount,
 		MemTestBytes: 1 << 21, // 2 MB file set
 	}
 }
@@ -352,7 +350,7 @@ func runWorkload(st *machine.Storage, sys System, ft fault.Type, cfg RunConfig, 
 		}
 	}
 
-	if err := fault.Inject(m, ft, cfg.FaultCount, faultRng); err != nil {
+	if err := fault.Inject(m, ft, fault.DefaultCount, faultRng); err != nil {
 		return res, err
 	}
 

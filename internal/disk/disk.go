@@ -29,33 +29,33 @@ const SectorSize = 512
 // store reached: 8 KB, a file-system block.
 const extentSize = 8192
 
-// Params configures the disk performance model. The defaults approximate a
-// 1996 fast-SCSI drive like those on the DEC 3000/600.
-type Params struct {
-	// Positioning is the average seek + rotational latency charged for a
+// The performance model: a 1996 fast-SCSI drive like those on the DEC
+// 3000/600, the one machine the paper times every configuration on.
+const (
+	// positioning is the average seek + rotational latency charged for a
 	// non-sequential access.
-	Positioning sim.Duration
-	// SequentialThreshold: an access within this many sectors after the
-	// previous one counts as sequential and pays TrackSwitch instead of
-	// Positioning.
-	SequentialThreshold int
-	// TrackSwitch is the (small) cost charged for sequential access.
-	TrackSwitch sim.Duration
-	// BytesPerSecond is the media transfer rate.
-	BytesPerSecond int64
-	// FixedOverhead is per-request controller/command overhead.
-	FixedOverhead sim.Duration
-}
+	positioning = 10 * sim.Millisecond
+	// sequentialThreshold: an access within this many sectors after the
+	// previous one counts as sequential and pays trackSwitch instead of
+	// positioning.
+	sequentialThreshold = 64
+	// trackSwitch is the (small) cost charged for sequential access.
+	trackSwitch = 1 * sim.Millisecond
+	// bytesPerSecond is the media transfer rate, 5 MB/s.
+	bytesPerSecond = 5 << 20
+	// fixedOverhead is per-request controller/command overhead.
+	fixedOverhead = 500 * sim.Microsecond
+)
 
-// DefaultParams returns the 1996-era default model.
-func DefaultParams() Params {
-	return Params{
-		Positioning:         10 * sim.Millisecond,
-		SequentialThreshold: 64,
-		TrackSwitch:         1 * sim.Millisecond,
-		BytesPerSecond:      5 << 20, // 5 MB/s
-		FixedOverhead:       500 * sim.Microsecond,
+// ServiceTime is the simulated time the drive takes to transfer n bytes,
+// sequentially (seq) or after a seek: the one formula that prices every
+// disk access, the disk's own and the file system's queued writes alike.
+func ServiceTime(seq bool, n int) sim.Duration {
+	pos := positioning
+	if seq {
+		pos = trackSwitch
 	}
+	return fixedOverhead + pos + sim.Duration(int64(n)*int64(sim.Second)/bytesPerSecond)
 }
 
 // Stats counts disk activity.
@@ -72,10 +72,9 @@ type Stats struct {
 // Disk is a simulated disk. Contents persist until Format is called; they
 // survive simulated crashes and reboots (modulo torn in-flight sectors).
 type Disk struct {
-	params Params
-	data   []byte
-	Stats  Stats
-	last   int // last accessed sector, for sequentiality
+	data  []byte
+	Stats Stats
+	last  int // last accessed sector, for sequentiality
 	// written marks each extent of data that platters handed out for a
 	// store since New, Recycle or the last Format; every other byte is
 	// zero. Format and Recycle clear only the marked extents.
@@ -88,15 +87,14 @@ type Disk struct {
 	FaultStats FaultStats
 }
 
-// New returns a disk with capacity bytes (rounded down to whole sectors),
-// using params for the latency model.
-func New(capacity int, params Params) *Disk {
+// New returns a disk with capacity bytes (rounded down to whole sectors).
+func New(capacity int) *Disk {
 	n := capacity / SectorSize
 	if n <= 0 {
 		panic("disk: capacity smaller than one sector")
 	}
 	size := n * SectorSize
-	return blankDisk(make([]byte, size), make([]bool, (size+extentSize-1)/extentSize), params)
+	return blankDisk(make([]byte, size), make([]bool, (size+extentSize-1)/extentSize))
 }
 
 // Recycle returns a new disk of d's capacity on d's storage, zeroed: no
@@ -105,17 +103,14 @@ func New(capacity int, params Params) *Disk {
 // campaign builds each run's disk from the last one's instead of paging in
 // 16 MB of fresh memory per run; only the extents the last run wrote are
 // cleared.
-func (d *Disk) Recycle(params Params) *Disk {
+func (d *Disk) Recycle() *Disk {
 	d.erase()
-	return blankDisk(d.data, d.written, params)
+	return blankDisk(d.data, d.written)
 }
 
 // blankDisk is a disk on all-zero data, no extent of it written.
-func blankDisk(data []byte, written []bool, params Params) *Disk {
-	if params.BytesPerSecond <= 0 {
-		panic("disk: non-positive transfer rate")
-	}
-	return &Disk{params: params, data: data, written: written, last: -1 << 30}
+func blankDisk(data []byte, written []bool) *Disk {
+	return &Disk{data: data, written: written, last: -1 << 30}
 }
 
 // platters returns [off, off+n) of data for a store into it, and marks the
@@ -141,9 +136,6 @@ func (d *Disk) erase() {
 // NumSectors returns the disk capacity in sectors.
 func (d *Disk) NumSectors() int { return len(d.data) / SectorSize }
 
-// Params returns the latency model in use.
-func (d *Disk) Params() Params { return d.params }
-
 func (d *Disk) checkRange(sector, sectors int) {
 	if sector < 0 || sectors < 0 || sector+sectors > d.NumSectors() {
 		panic(fmt.Sprintf("disk: access [%d,+%d) out of range (disk has %d sectors)",
@@ -152,10 +144,9 @@ func (d *Disk) checkRange(sector, sectors int) {
 }
 
 // AccessTime returns the simulated service time for n bytes at sector,
-// without performing any I/O. The file system prices its asynchronous
-// write queue with it and applies each write later via Commit.
+// without performing any I/O: what a Read or Write there would take now.
 func (d *Disk) AccessTime(sector, n int) sim.Duration {
-	return d.accessTime(sector, n)
+	return ServiceTime(d.sequential(sector), n)
 }
 
 // Commit applies data at sector without charging service time: it is the
@@ -189,17 +180,11 @@ func (d *Disk) Tear(sector int, rng *sim.Rand) {
 	copy(d.platters(sector*SectorSize, SectorSize), torn)
 }
 
-// accessTime returns the simulated service time for n bytes at sector.
-func (d *Disk) accessTime(sector, n int) sim.Duration {
-	t := d.params.FixedOverhead
+// sequential reports whether an access at sector follows the last one
+// closely enough to skip positioning.
+func (d *Disk) sequential(sector int) bool {
 	gap := sector - d.last
-	if gap >= 0 && gap <= d.params.SequentialThreshold {
-		t += d.params.TrackSwitch
-	} else {
-		t += d.params.Positioning
-	}
-	t += sim.Duration(int64(n) * int64(sim.Second) / d.params.BytesPerSecond)
-	return t
+	return gap >= 0 && gap <= sequentialThreshold
 }
 
 // Read copies sectors [sector, sector+len(buf)/SectorSize) into buf and
@@ -214,7 +199,7 @@ func (d *Disk) Read(sector int, buf []byte) (sim.Duration, error) {
 	}
 	ns := len(buf) / SectorSize
 	d.checkRange(sector, ns)
-	t := d.accessTime(sector, len(buf))
+	t := d.AccessTime(sector, len(buf))
 	d.last = sector + ns
 	d.Stats.Reads++
 	d.Stats.BusyTime += t
@@ -236,9 +221,9 @@ func (d *Disk) Write(sector int, buf []byte) (sim.Duration, error) {
 	}
 	ns := len(buf) / SectorSize
 	d.checkRange(sector, ns)
-	t := d.accessTime(sector, len(buf))
-	gap := sector - d.last
-	if gap >= 0 && gap <= d.params.SequentialThreshold {
+	seq := d.sequential(sector)
+	t := ServiceTime(seq, len(buf))
+	if seq {
 		d.Stats.SeqWrites++
 	} else {
 		d.Stats.RandWrites++

@@ -8,7 +8,7 @@ import (
 )
 
 func newDisk(sectors int) *Disk {
-	return New(sectors*SectorSize, DefaultParams())
+	return New(sectors * SectorSize)
 }
 
 func sector(b byte) []byte {
@@ -77,11 +77,16 @@ func TestLatencySequentialVsRandom(t *testing.T) {
 	if d.Stats.SeqWrites != 1 || d.Stats.RandWrites != 2 {
 		t.Fatalf("seq/rand = %d/%d", d.Stats.SeqWrites, d.Stats.RandWrites)
 	}
+	// Every access is priced by ServiceTime: 0.5 ms overhead, 1 ms track
+	// switch or 10 ms positioning, 512 B at 5 MB/s.
+	seq, far := ServiceTime(true, SectorSize), ServiceTime(false, SectorSize)
+	if t1 != far || t2 != seq || t3 != far || far != 10_597_656 || seq != 1_597_656 {
+		t.Fatalf("service times %v %v %v; ServiceTime seq %d far %d", t1, t2, t3, seq, far)
+	}
 }
 
 func TestTransferTimeScalesWithSize(t *testing.T) {
-	p := DefaultParams()
-	d := New(1<<20, p)
+	d := New(1 << 20)
 	small, _ := d.Write(0, sector(0))
 	d.last = -1 << 30 // reset sequentiality
 	big, _ := d.Write(0, make([]byte, 64*SectorSize))
@@ -116,7 +121,7 @@ func TestFormatZeroesAfterEveryKindOfStore(t *testing.T) {
 		"Restore": func(d *Disk) { d.Restore(full) },
 	}
 	for name, store := range stores {
-		for _, d := range []*Disk{newDisk(8), newDisk(8).Recycle(DefaultParams())} {
+		for _, d := range []*Disk{newDisk(8), newDisk(8).Recycle()} {
 			d.Format() // blank before, blank after: nothing to clear
 			d.Read(0, make([]byte, SectorSize))
 			store(d)
@@ -143,13 +148,11 @@ func TestRecycleIsNew(t *testing.T) {
 		t.Fatal("old disk has no fault state to lose")
 	}
 
-	params := DefaultParams()
-	params.Positioning *= 2
-	d, fresh := old.Recycle(params), New(8*SectorSize, params)
+	d, fresh := old.Recycle(), New(8*SectorSize)
 	if !bytes.Equal(d.Snapshot(), fresh.Snapshot()) {
 		t.Fatal("recycled disk is not blank")
 	}
-	if d.Stats != fresh.Stats || d.FaultStats != fresh.FaultStats || d.Params() != params ||
+	if d.Stats != fresh.Stats || d.FaultStats != fresh.FaultStats ||
 		d.LatentSectors() != 0 || d.FaultPlanActive() {
 		t.Fatalf("recycled disk carries state over: %+v %+v latent=%d plan=%v",
 			d.Stats, d.FaultStats, d.LatentSectors(), d.FaultPlanActive())
@@ -192,8 +195,8 @@ func TestStatsAccounting(t *testing.T) {
 
 func TestBadConstructionPanics(t *testing.T) {
 	for _, f := range []func(){
-		func() { New(0, DefaultParams()) },
-		func() { New(SectorSize, Params{}) }, // zero transfer rate
+		func() { New(0) },
+		func() { New(SectorSize - 1) },
 	} {
 		func() {
 			defer func() {

@@ -13,11 +13,17 @@ import (
 	"rio/internal/sim"
 )
 
-// newAllocFS hand-builds a mounted FS for white-box allocator tests
-// (importing internal/machine here would be an import cycle).
+// newAllocFS hand-builds a mounted Rio FS for white-box allocator tests.
 func newAllocFS(t *testing.T) *FS {
 	t.Helper()
-	d := disk.New(2048*BlockSize, disk.DefaultParams())
+	return newTestFS(t, DefaultPolicy(PolicyRio))
+}
+
+// newTestFS hand-builds an FS mounted under pol (importing
+// internal/machine here would be an import cycle).
+func newTestFS(t *testing.T, pol Policy) *FS {
+	t.Helper()
+	d := disk.New(2048 * BlockSize)
 	if _, err := Mkfs(d, 256, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +36,7 @@ func newAllocFS(t *testing.T) *FS {
 		t.Fatal(err)
 	}
 	c := cache.New(k, reg, 160, 384)
-	f, err := Mount(k, c, d, sim.NewClock(), DefaultPolicy(PolicyRio), DefaultCosts())
+	f, err := Mount(k, c, d, sim.NewClock(), pol)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,6 @@ type FS struct {
 	D     *disk.Disk
 	Clock *sim.Clock
 	Pol   Policy
-	Costs Costs
 	SB    Superblock
 
 	Stats Stats
@@ -176,11 +175,8 @@ func (f *FS) Degraded() bool { return f.Retry != nil && f.Retry.Degraded() }
 // Mount attaches a formatted disk. The cache must be freshly constructed;
 // Mount installs its write-back callback and, under a policy with an
 // update daemon, makes it due one UpdatePeriod from now.
-func Mount(k *kernel.Kernel, c *cache.Cache, d *disk.Disk, clock *sim.Clock, pol Policy, costs Costs) (*FS, error) {
-	f := &FS{
-		K: k, C: c, D: d, Clock: clock,
-		Pol: pol, Costs: costs,
-	}
+func Mount(k *kernel.Kernel, c *cache.Cache, d *disk.Disk, clock *sim.Clock, pol Policy) (*FS, error) {
+	f := &FS{K: k, C: c, D: d, Clock: clock, Pol: pol}
 	f.Retry = ioretry.New(ioretry.DefaultPolicy(), clock)
 	blk := f.readBlockSync(0)
 	if err := f.SB.unmarshal(blk); err != nil {
@@ -222,20 +218,20 @@ func maxT(a, b sim.Time) sim.Time {
 // chargeCPU converts kernel work since the last charge into simulated time.
 func (f *FS) chargeCPU() {
 	steps := f.K.Steps()
-	d := sim.Duration(int64(steps-f.lastSteps) * f.Costs.StepNs)
+	d := sim.Duration(int64(steps-f.lastSteps) * stepNs)
 	f.lastSteps = steps
 	tog := f.K.MMU.Stats.ProtToggle
-	d += sim.Duration(tog-f.lastToggles) * f.Costs.ProtToggle
+	d += sim.Duration(tog-f.lastToggles) * protToggleCost
 	f.lastToggles = tog
 	chk := f.K.MMU.Stats.ProtChecks
-	d += sim.Duration(chk-f.lastChecks) * f.Costs.PatchCheck
+	d += sim.Duration(chk-f.lastChecks) * patchCheckCost
 	f.lastChecks = chk
 	f.Clock.Advance(d)
 }
 
 func (f *FS) beginOp() {
 	f.Stats.Syscalls++
-	f.Clock.Advance(f.Costs.Syscall)
+	f.Clock.Advance(syscallCost)
 	// Run a slice of the kernel's background machinery (scheduler,
 	// accounting, polling) — see kernel.BackgroundTick. Errors here are
 	// crashes; the syscall body will observe them.
@@ -368,19 +364,6 @@ func (f *FS) writeBufSync(block int64, b *cache.Buf) {
 	}
 }
 
-// price computes the service time of one block transfer.
-func (f *FS) price(seq bool) sim.Duration {
-	p := f.D.Params()
-	t := p.FixedOverhead
-	if seq {
-		t += p.TrackSwitch
-	} else {
-		t += p.Positioning
-	}
-	t += sim.Duration(int64(BlockSize) * int64(sim.Second) / p.BytesPerSecond)
-	return t
-}
-
 // writeBufAsync queues a write of b's current contents to block (its own
 // disk address, or the journal head): the caller does not wait, the disk
 // timeline absorbs the service time, and the content lands at the next
@@ -401,7 +384,7 @@ func (f *FS) writeBufAsync(block int64, b *cache.Buf, onCommit func()) {
 	cp := f.getPooledBlock()
 	f.C.ContentsAt(b, 0, cp)
 	start := maxT(f.Clock.Now(), f.diskFree)
-	f.diskFree = start.Add(f.price(seq))
+	f.diskFree = start.Add(disk.ServiceTime(seq, BlockSize))
 	f.lastIO = block
 	//riolint:bufalias sanctioned custody transfer: the pending queue owns this private copy until drainPending releases it back to the pool
 	f.pending = append(f.pending, asyncWrite{block: block, data: cp, done: f.diskFree, onCommit: onCommit})

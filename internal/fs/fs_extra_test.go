@@ -108,16 +108,20 @@ func TestCrashIODropsUncommittedAndTears(t *testing.T) {
 func TestJournalWrapAround(t *testing.T) {
 	opt := machine.DefaultOptions(fs.DefaultPolicy(fs.PolicyAdvFS))
 	opt.FastPath = true
-	opt.JournalBlocks = 4 // tiny journal to force wrap
 	m, err := machine.New(opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 30; i++ {
+	size := m.FS.SB.NBlocks - m.FS.SB.JournalStart
+	if size != fs.JournalBlocks {
+		t.Fatalf("journal is %d blocks, want %d", size, fs.JournalBlocks)
+	}
+	// Each create journals its inode and directory blocks: two wraps.
+	for i := 0; i < fs.JournalBlocks; i++ {
 		writeFile(t, m, "/f"+itoa(i), []byte("x"))
 	}
-	if m.FS.Stats.JournalWrites < 30 {
-		t.Fatalf("only %d journal writes", m.FS.Stats.JournalWrites)
+	if int64(m.FS.Stats.JournalWrites) <= size {
+		t.Fatalf("%d journal writes never wrap a %d-block journal", m.FS.Stats.JournalWrites, size)
 	}
 	// Volume still consistent after heavy journal churn.
 	m.FS.Unmount()

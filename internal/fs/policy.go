@@ -165,28 +165,23 @@ func (p Policy) panicFlushes() bool {
 	return p.Kind != PolicyRio && p.Kind != PolicyMFS
 }
 
-// Costs parameterises the CPU side of the performance model. All the disk
-// costs live in disk.Params.
-type Costs struct {
-	// StepNs is nanoseconds per retired kernel instruction
+// The CPU side of the performance model, the paper's DEC 3000/600 (175 MHz
+// Alpha 21064); the disk side is disk.ServiceTime.
+const (
+	// stepNs is nanoseconds per retired kernel instruction
 	// (instruction-equivalents in fast mode).
-	StepNs int64
-	// Syscall is the fixed per-system-call overhead.
-	Syscall sim.Duration
-	// ProtToggle is the cost of one protection open/close (a PTE update
-	// plus TLB shootdown, in-kernel — no syscall, which is why Rio's
-	// protection is so much cheaper than user-level mprotect schemes).
-	ProtToggle sim.Duration
-	// PatchCheck is the per-store cost of the code-patching ablation.
-	PatchCheck sim.Duration
-}
+	stepNs = 6
+	// syscallCost is the fixed per-system-call overhead.
+	syscallCost = 20 * sim.Microsecond
+	// protToggleCost is the cost of one protection open/close (a PTE
+	// update plus TLB shootdown, in-kernel — no syscall, which is why
+	// Rio's protection is so much cheaper than user-level mprotect
+	// schemes).
+	protToggleCost = 500 * sim.Nanosecond
+	// patchCheckCost is the per-store cost of the code-patching ablation
+	// (~3 inserted instructions per store).
+	patchCheckCost = 16 * sim.Nanosecond
+)
 
-// DefaultCosts approximates the paper's DEC 3000/600 (175 MHz Alpha 21064).
-func DefaultCosts() Costs {
-	return Costs{
-		StepNs:     6,
-		Syscall:    20 * sim.Microsecond,
-		ProtToggle: 500 * sim.Nanosecond,
-		PatchCheck: 16 * sim.Nanosecond, // ~3 inserted instructions per store
-	}
-}
+// JournalBlocks is the size of the AdvFS policy's journal region.
+const JournalBlocks = 64

@@ -24,7 +24,7 @@ func faultyOp(n int, err error) func() error {
 // driving a tiny disk with a saturating fault plan.
 func transientErr(t *testing.T) error {
 	t.Helper()
-	d := disk.New(4*disk.SectorSize, disk.DefaultParams())
+	d := disk.New(4 * disk.SectorSize)
 	d.SetFaultPlan(&disk.FaultPlan{Seed: 1, TransientWrite: 1})
 	_, err := d.Write(0, make([]byte, disk.SectorSize))
 	if !disk.IsTransient(err) {
@@ -35,7 +35,7 @@ func transientErr(t *testing.T) error {
 
 func latentErr(t *testing.T) error {
 	t.Helper()
-	d := disk.New(4*disk.SectorSize, disk.DefaultParams())
+	d := disk.New(4 * disk.SectorSize)
 	d.SetFaultPlan(&disk.FaultPlan{Seed: 1, LatentRate: 1})
 	_, err := d.Read(0, make([]byte, disk.SectorSize))
 	if !disk.IsLatent(err) {
@@ -135,7 +135,7 @@ func TestZeroBudgetNeverDegrades(t *testing.T) {
 // TestAgainstRealFaultyDisk drives a Retrier over an actual disk with a
 // moderate transient rate and checks every write eventually lands.
 func TestAgainstRealFaultyDisk(t *testing.T) {
-	d := disk.New(256*disk.SectorSize, disk.DefaultParams())
+	d := disk.New(256 * disk.SectorSize)
 	d.SetFaultPlan(&disk.FaultPlan{Seed: 9, TransientWrite: 0.3, TransientRead: 0.3})
 	clk := &sim.Clock{}
 	r := New(Policy{MaxRetries: 8, BaseDelay: sim.Millisecond, MaxDelay: 16 * sim.Millisecond, Budget: 0}, clk)

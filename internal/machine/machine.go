@@ -27,16 +27,10 @@ type Options struct {
 	DiskBlocks int64
 	// NInodes is the inode-table capacity.
 	NInodes int64
-	// JournalBlocks reserves a journal region (used by the AdvFS policy).
-	JournalBlocks int64
-	// RegistryFrames is the size of the Rio registry area.
-	RegistryFrames int
 	// MetaCap / DataCap bound the buffer cache and UBC, in pages.
 	MetaCap, DataCap int
 
-	Policy     fs.Policy
-	Costs      fs.Costs
-	DiskParams disk.Params
+	Policy fs.Policy
 
 	// FastPath runs bulk kernel operations as Go copies (perf runs);
 	// crash campaigns leave it false so faults act on interpreted code.
@@ -55,18 +49,14 @@ type Options struct {
 // campaigns.
 func DefaultOptions(pol fs.Policy) Options {
 	return Options{
-		MemPages:       768,
-		DiskBlocks:     2048,
-		NInodes:        1024,
-		JournalBlocks:  0,
-		RegistryFrames: 5, // 640 entries >= MetaCap+DataCap
-		MetaCap:        160,
-		DataCap:        384,
-		Policy:         pol,
-		Costs:          fs.DefaultCosts(),
-		DiskParams:     disk.DefaultParams(),
-		Checksums:      true,
-		Seed:           1,
+		MemPages:   768,
+		DiskBlocks: 2048,
+		NInodes:    1024,
+		MetaCap:    160,
+		DataCap:    384,
+		Policy:     pol,
+		Checksums:  true,
+		Seed:       1,
 	}
 }
 
@@ -117,16 +107,17 @@ func NewOn(st *Storage, opt Options, text *kvm.Text) (*Machine, error) {
 	if st == nil {
 		st = new(Storage)
 	}
-	if opt.Policy.Kind == fs.PolicyAdvFS && opt.JournalBlocks == 0 {
-		opt.JournalBlocks = 64
+	var journal int64
+	if opt.Policy.Kind == fs.PolicyAdvFS {
+		journal = fs.JournalBlocks
 	}
 	memBytes, diskBytes := opt.MemPages*mem.PageSize, int(opt.DiskBlocks)*fs.BlockSize
 	if st.disk != nil && st.disk.NumSectors()*disk.SectorSize == diskBytes {
-		st.disk = st.disk.Recycle(opt.DiskParams)
+		st.disk = st.disk.Recycle()
 	} else {
-		st.disk = disk.New(diskBytes, opt.DiskParams)
+		st.disk = disk.New(diskBytes)
 	}
-	if _, err := fs.Mkfs(st.disk, opt.NInodes, opt.JournalBlocks); err != nil {
+	if _, err := fs.Mkfs(st.disk, opt.NInodes, journal); err != nil {
 		return nil, err
 	}
 	if st.mem != nil && st.mem.Size() == memBytes {
@@ -146,6 +137,12 @@ func NewOn(st *Storage, opt Options, text *kvm.Text) (*Machine, error) {
 		return nil, err
 	}
 	return m, nil
+}
+
+// registryFrames sizes the Rio registry area: one entry for every page
+// the two caches can hold, and a frame to spare.
+func (o Options) registryFrames() int {
+	return (o.MetaCap+o.DataCap)/(mem.PageSize/registry.EntrySize) + 1
 }
 
 // protectionOn reports whether this configuration enforces Rio protection.
@@ -178,7 +175,7 @@ func (m *Machine) Boot(text *kvm.Text) error {
 	m.Kernel.FastPath = m.Opt.FastPath
 	m.Kernel.CrashPoint = &m.storage().crash
 
-	reg, err := registry.New(m.Kernel, m.Opt.RegistryFrames, m.Opt.protectionOn())
+	reg, err := registry.New(m.Kernel, m.Opt.registryFrames(), m.Opt.protectionOn())
 	if err != nil {
 		return err
 	}
@@ -190,7 +187,7 @@ func (m *Machine) Boot(text *kvm.Text) error {
 	m.Cache = c
 
 	m.Clock = sim.NewClock()
-	fsys, err := fs.Mount(m.Kernel, c, m.Disk, m.Clock, m.Opt.Policy, m.Opt.Costs)
+	fsys, err := fs.Mount(m.Kernel, c, m.Disk, m.Clock, m.Opt.Policy)
 	if err != nil {
 		return err
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"rio/internal/disk"
 	"rio/internal/fs"
 	"rio/internal/kernel"
 	"rio/internal/machine"
@@ -252,10 +251,10 @@ func TestUPSPowerFailureRecovery(t *testing.T) {
 	// disk on a power outage; the dump plus the ordinary warm-reboot
 	// restore makes Rio survive power loss too.
 	m := rioMachine(t)
-	if err := m.AttachSwap(disk.DefaultParams()); err != nil {
+	if err := m.AttachSwap(); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AttachSwap(disk.DefaultParams()); err == nil {
+	if err := m.AttachSwap(); err == nil {
 		t.Fatal("double attach allowed")
 	}
 	data := kernel.FillBytes(3*fs.BlockSize, 71)

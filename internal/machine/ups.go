@@ -15,11 +15,11 @@ import (
 
 // AttachSwap adds a swap disk large enough to hold a full memory dump.
 // Returns an error if one is already attached.
-func (m *Machine) AttachSwap(params disk.Params) error {
+func (m *Machine) AttachSwap() error {
 	if m.Swap != nil {
 		return fmt.Errorf("machine: swap disk already attached")
 	}
-	m.Swap = disk.New(m.Mem.Size(), params)
+	m.Swap = disk.New(m.Mem.Size())
 	return nil
 }
 

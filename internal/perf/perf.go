@@ -4,9 +4,9 @@
 // performance claims (protection is essentially free; code patching costs
 // 20-50%).
 //
-// Absolute times come from a parameterised 1996-era cost model
-// (disk.DefaultParams, fs.DefaultCosts) — the reproduction target is the
-// paper's *shape*: Rio runs at memory-file-system speed, 4-22x the
+// Absolute times come from the one 1996-era cost model of the simulated
+// DEC 3000/600 (fs's CPU costs, disk.ServiceTime) — the reproduction target
+// is the paper's *shape*: Rio runs at memory-file-system speed, 4-22x the
 // write-through systems, 2-14x default UFS, and 1-3x the delayed-write
 // UFS, while providing write-through reliability.
 package perf
@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"strings"
 
-	"rio/internal/disk"
 	"rio/internal/fs"
 	"rio/internal/machine"
 	"rio/internal/sim"
@@ -28,20 +27,15 @@ type Config struct {
 	CpRm   *workload.CpRm
 	Sdet   *workload.Sdet
 	Andrew *workload.Andrew
-
-	Costs      fs.Costs
-	DiskParams disk.Params
 }
 
 // DefaultConfig returns the standard scaled-down configuration.
 func DefaultConfig() Config {
 	return Config{
-		Seed:       1,
-		CpRm:       workload.DefaultCpRm(),
-		Sdet:       workload.DefaultSdet(),
-		Andrew:     workload.DefaultAndrew(),
-		Costs:      fs.DefaultCosts(),
-		DiskParams: disk.DefaultParams(),
+		Seed:   1,
+		CpRm:   workload.DefaultCpRm(),
+		Sdet:   workload.DefaultSdet(),
+		Andrew: workload.DefaultAndrew(),
 	}
 }
 
@@ -71,11 +65,8 @@ func (c Config) newMachine(pol fs.Policy, codePatching bool) (*machine.Machine, 
 	opt.MemPages = 3072 // 24 MB
 	opt.DataCap = 2048  // 16 MB UBC
 	opt.MetaCap = 512
-	opt.RegistryFrames = 24 // 3072 entries >= MetaCap+DataCap
-	opt.DiskBlocks = 8192   // 64 MB disk
+	opt.DiskBlocks = 8192 // 64 MB disk
 	opt.NInodes = 4096
-	opt.Costs = c.Costs
-	opt.DiskParams = c.DiskParams
 	opt.CodePatching = codePatching
 	return machine.New(opt, nil)
 }

@@ -71,14 +71,16 @@ func fleetFaultByName(name string) (fleetFault, error) {
 	return 0, fmt.Errorf("scenario: unknown fleet fault kind %q", name)
 }
 
+// A fleet crash run's fleet: fleetNodes machines, each shard on
+// fleetReplicas of them.
+const fleetNodes, fleetReplicas = 3, 2
+
 // fleetPlan is one run's complete script — fault kind, write counts,
 // seed — derived from (campaign seed, index) alone.
 type fleetPlan struct {
-	Seed     uint64
-	Nodes    int
-	Shards   int
-	Replicas int
-	Kind     fleetFault
+	Seed   uint64
+	Shards int
+	Kind   fleetFault
 	// PreWrites writes are acked before the fault; PostWrites after the
 	// coordinator converges. Every acked write from both phases must
 	// read back byte-equal at the end.
@@ -92,9 +94,7 @@ func fleetPlanFor(campaignSeed uint64, i int) fleetPlan {
 	s := sim.Mix(campaignSeed, fleetPlanSalt, uint64(i))
 	return fleetPlan{
 		Seed:       s,
-		Nodes:      3,
 		Shards:     2,
-		Replicas:   2,
 		Kind:       fleetFault(i % len(fleetFaultNames)),
 		PreWrites:  4 + int(sim.Mix(s, 1)%5),
 		PostWrites: 4 + int(sim.Mix(s, 2)%5),
@@ -157,7 +157,7 @@ func runFleetPlan(p fleetPlan) (res fleetResult) {
 	}()
 
 	f, err := fleet.New(fleet.Config{
-		Nodes: p.Nodes, Shards: p.Shards, Replicas: p.Replicas, Seed: p.Seed,
+		Nodes: fleetNodes, Shards: p.Shards, Replicas: fleetReplicas, Seed: p.Seed,
 	})
 	if err != nil {
 		res.Err = err

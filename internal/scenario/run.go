@@ -96,6 +96,9 @@ func runPlans[R any](r *Runner, spec *Spec, out *Result, plan func(i int, st *ma
 	return out, nil
 }
 
+// hotkeyEpochLen is the hotkey workload's steps per flash crowd.
+const hotkeyEpochLen = 100
+
 // compileWorkload turns the workload spec into a per-run factory; nil
 // for memtest, Table 1's own workload, which the campaign sizes from
 // RunConfig.MemTestBytes.
@@ -116,7 +119,7 @@ func compileWorkload(w WorkloadSpec) crashtest.WorkloadFactory {
 			ms.WriteThrough = writeThrough
 			return ms
 		case "hotkey":
-			hk := workload.NewHotKey(seed, w.Keys, w.Skew, w.EpochLen)
+			hk := workload.NewHotKey(seed, w.Keys, w.Skew, hotkeyEpochLen)
 			hk.WriteThrough = writeThrough
 			return hk
 		default: // scan (Validate guarantees the name set)
@@ -139,8 +142,7 @@ func crashCampaign(spec *Spec) crashtest.CampaignConfig {
 		Run: crashtest.RunConfig{
 			WarmupOps:    spec.Schedule.WarmupOps,
 			MaxOps:       spec.Schedule.MaxOps,
-			FaultCount:   spec.Faults.Count,
-			MemTestBytes: spec.Workload.Bytes,
+			MemTestBytes: crashtest.DefaultRunConfig(0).MemTestBytes,
 			DiskFaults:   spec.Faults.DiskFaults,
 		},
 		WorkloadFactory: compileWorkload(spec.Workload),
@@ -352,7 +354,7 @@ func (r *Runner) runFleet(spec *Spec) (*Result, error) {
 	plan := func(i int, _ *machine.Storage) (fleetResult, error) {
 		p := fleetPlanFor(spec.Seed, i)
 		p.Kind = kinds[i%len(kinds)]
-		p.Nodes, p.Shards, p.Replicas = spec.Topology.Nodes, spec.Topology.Shards, spec.Topology.Replicas
+		p.Shards = spec.Topology.Shards
 		res := runFleetPlan(p)
 		return res, res.Err
 	}

@@ -63,9 +63,9 @@ type Spec struct {
 // workload uses are consulted; Validate rejects mis-sized ones.
 type WorkloadSpec struct {
 	// Name: memtest, txntest, metacache, mailspool, hotkey, or scan.
+	// memtest's file set is crashtest.DefaultRunConfig's, hotkey's flash
+	// crowds rotate every hotkeyEpochLen steps.
 	Name string `json:"name"`
-	// Bytes is memtest's file-set budget.
-	Bytes int `json:"bytes,omitempty"`
 	// Accounts is txntest's account count.
 	Accounts int `json:"accounts,omitempty"`
 	// Files is metacache's source-file count.
@@ -76,20 +76,17 @@ type WorkloadSpec struct {
 	Keys int `json:"keys,omitempty"`
 	// Skew is the zipf exponent for metacache/hotkey/server streams.
 	Skew float64 `json:"skew,omitempty"`
-	// EpochLen is hotkey's steps-per-flash-crowd.
-	EpochLen int `json:"epoch_len,omitempty"`
 	// Segments and BatchesPerSeg size the scan workload.
 	Segments      int `json:"segments,omitempty"`
 	BatchesPerSeg int `json:"batches_per_seg,omitempty"`
 }
 
-// FaultSpec is the crash kind's fault plan.
+// FaultSpec is the crash kind's fault plan. Each run injects
+// fault.DefaultCount faults, the paper's 20.
 type FaultSpec struct {
 	// Types restricts the injected fault types (crashtest names, e.g.
 	// "kernel text"). Empty = all of fault.AllTypes.
 	Types []string `json:"types,omitempty"`
-	// Count is faults injected per run (default: crashtest.DefaultRunConfig's).
-	Count int `json:"count,omitempty"`
 	// DiskFaults turns on double-fault mode: recovery runs against a
 	// faulty disk and a second crash interrupts the warm reboot.
 	DiskFaults bool `json:"disk_faults,omitempty"`
@@ -115,11 +112,9 @@ type TopologySpec struct {
 	// "rio-noprot", "rio-prot"). Empty = all three (txntest: the two
 	// rio columns).
 	Systems []string `json:"systems,omitempty"`
-	// Shards is the server/fleet shard count.
+	// Shards is the server/fleet shard count. A fleet has fleetNodes
+	// machines and fleetReplicas replicas of each shard.
 	Shards int `json:"shards,omitempty"`
-	// Nodes and Replicas size the fleet.
-	Nodes    int `json:"nodes,omitempty"`
-	Replicas int `json:"replicas,omitempty"`
 	// FleetFaults restricts the fleet kind's fault kinds
 	// ("kill-primary", "partition-primary", "kill-backup", "os-crash",
 	// "partition-pair"). Empty = all five.
@@ -135,7 +130,6 @@ const (
 	maxRuns     = 100_000
 	maxOps      = 1_000_000
 	maxObjects  = 1 << 20 // files/keys/accounts/segments/queue
-	maxBytes    = 1 << 30
 	maxSkew     = 8.0
 	maxTopology = 64
 )
@@ -268,9 +262,6 @@ func (w *WorkloadSpec) validate(kind string) error {
 	if kind == KindServer && w.Name != "memtest" && w.Name != "hotkey" {
 		return fmt.Errorf("scenario: server scenarios drive a key stream; workload must be hotkey (or memtest for defaults), not %q", w.Name)
 	}
-	if err := boundObj("workload.bytes", &w.Bytes, crashtest.DefaultRunConfig(0).MemTestBytes, maxBytes); err != nil {
-		return err
-	}
 	if err := boundObj("workload.accounts", &w.Accounts, 8, maxObjects); err != nil {
 		return err
 	}
@@ -281,9 +272,6 @@ func (w *WorkloadSpec) validate(kind string) error {
 		return err
 	}
 	if err := boundObj("workload.keys", &w.Keys, 48, maxObjects); err != nil {
-		return err
-	}
-	if err := boundObj("workload.epoch_len", &w.EpochLen, 100, maxOps); err != nil {
 		return err
 	}
 	if err := boundObj("workload.segments", &w.Segments, 3, 4096); err != nil {
@@ -303,16 +291,10 @@ func (w *WorkloadSpec) validate(kind string) error {
 
 func (f *FaultSpec) validate(kind string) error {
 	if kind != KindCrash {
-		if len(f.Types) > 0 || f.Count != 0 || f.DiskFaults {
+		if len(f.Types) > 0 || f.DiskFaults {
 			return fmt.Errorf("scenario: faults apply only to crash scenarios")
 		}
 		return nil
-	}
-	if f.Count == 0 {
-		f.Count = crashtest.DefaultRunConfig(0).FaultCount
-	}
-	if f.Count < 0 || f.Count > 10_000 {
-		return fmt.Errorf("scenario: faults.count %d out of bounds [1,10000]", f.Count)
 	}
 	if len(f.Types) > len(fault.AllTypes) {
 		return fmt.Errorf("scenario: faults.types lists %d entries, only %d exist", len(f.Types), len(fault.AllTypes))
@@ -371,7 +353,7 @@ func (sc *ScheduleSpec) validate(kind string) error {
 func (t *TopologySpec) validate(kind, wl string) error {
 	switch kind {
 	case KindCrash:
-		if t.Shards != 0 || t.Nodes != 0 || t.Replicas != 0 || len(t.FleetFaults) > 0 {
+		if t.Shards != 0 || len(t.FleetFaults) > 0 {
 			return fmt.Errorf("scenario: crash scenarios take only topology.systems")
 		}
 		if len(t.Systems) == 0 {
@@ -401,12 +383,12 @@ func (t *TopologySpec) validate(kind, wl string) error {
 		}
 		return nil
 	case KindServer:
-		if len(t.Systems) > 0 || t.Nodes != 0 || t.Replicas != 0 || len(t.FleetFaults) > 0 {
+		if len(t.Systems) > 0 || len(t.FleetFaults) > 0 {
 			return fmt.Errorf("scenario: server scenarios take only topology.shards")
 		}
 		return boundObj("topology.shards", &t.Shards, 4, maxTopology)
 	case KindPerf:
-		if len(t.Systems) > 0 || t.Shards != 0 || t.Nodes != 0 || t.Replicas != 0 || len(t.FleetFaults) > 0 {
+		if len(t.Systems) > 0 || t.Shards != 0 || len(t.FleetFaults) > 0 {
 			return fmt.Errorf("scenario: perf scenarios run Table 2's own machines; topology must be empty")
 		}
 		return nil
@@ -414,17 +396,8 @@ func (t *TopologySpec) validate(kind, wl string) error {
 		if len(t.Systems) > 0 {
 			return fmt.Errorf("scenario: topology.systems applies only to crash scenarios")
 		}
-		if err := boundObj("topology.nodes", &t.Nodes, 3, maxTopology); err != nil {
-			return err
-		}
 		if err := boundObj("topology.shards", &t.Shards, 2, maxTopology); err != nil {
 			return err
-		}
-		if err := boundObj("topology.replicas", &t.Replicas, 2, maxTopology); err != nil {
-			return err
-		}
-		if t.Replicas > t.Nodes {
-			return fmt.Errorf("scenario: replicas %d exceed nodes %d", t.Replicas, t.Nodes)
 		}
 		if len(t.FleetFaults) > len(fleetFaultNames) {
 			return fmt.Errorf("scenario: topology.fleet_faults lists %d entries, only %d exist",

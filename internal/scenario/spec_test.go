@@ -20,9 +20,6 @@ func TestParseMinimalCrashSpec(t *testing.T) {
 	if s.Schedule.WarmupOps == 0 || s.Schedule.MaxOps == 0 {
 		t.Fatalf("schedule defaults not filled: %+v", s.Schedule)
 	}
-	if s.Faults.Count == 0 {
-		t.Fatal("fault count default not filled")
-	}
 }
 
 func TestParseRejects(t *testing.T) {
@@ -50,7 +47,7 @@ func TestParseRejects(t *testing.T) {
 		{"fleet zero runs", `{"name":"t","kind":"fleet"}`},
 		{"fleet with workload", `{"name":"t","kind":"fleet","runs":1,"workload":{"name":"memtest"}}`},
 		{"fleet bad kind", `{"name":"t","kind":"fleet","runs":1,"topology":{"fleet_faults":["meteor"]}}`},
-		{"fleet replicas exceed nodes", `{"name":"t","kind":"fleet","runs":1,"topology":{"nodes":2,"replicas":3}}`},
+		{"fleet sized by hand", `{"name":"t","kind":"fleet","runs":1,"topology":{"nodes":2,"replicas":3}}`},
 		{"server with systems", `{"name":"t","kind":"server","runs":1,"topology":{"systems":["rio-prot"]}}`},
 		{"server workload", `{"name":"t","kind":"server","runs":1,"workload":{"name":"mailspool"}}`},
 		{"server outage too long", `{"name":"t","kind":"server","runs":1,"schedule":{"max_ops":100,"crash_at":50,"outage_ops":60}}`},
@@ -58,14 +55,15 @@ func TestParseRejects(t *testing.T) {
 		{"crash with crash_at", `{"name":"t","kind":"crash","runs":1,"schedule":{"crash_at":5}}`},
 		{"txntest on disk", `{"name":"t","kind":"crash","runs":1,"workload":{"name":"txntest"},"topology":{"systems":["disk-based"]}}`},
 		{"skew out of range", `{"name":"t","kind":"crash","runs":1,"workload":{"name":"hotkey","skew":99}}`},
-		{"negative bytes", `{"name":"t","kind":"crash","runs":1,"workload":{"bytes":-5}}`},
-		{"faults on fleet", `{"name":"t","kind":"fleet","runs":1,"faults":{"count":5}}`},
+		{"memtest sized by hand", `{"name":"t","kind":"crash","runs":1,"workload":{"bytes":4096}}`},
+		{"fault dose by hand", `{"name":"t","kind":"crash","runs":1,"faults":{"count":5}}`},
+		{"faults on fleet", `{"name":"t","kind":"fleet","runs":1,"faults":{"disk_faults":true}}`},
 		{"long name", `{"name":"` + strings.Repeat("x", 200) + `","kind":"crash","runs":1}`},
 		{"name escapes the report dir", `{"name":"../../x","kind":"crash","runs":1}`},
 		{"hidden name", `{"name":".x","kind":"crash","runs":1}`},
 		{"perf runs 2", `{"name":"t","kind":"perf","runs":2}`},
 		{"perf with workload", `{"name":"t","kind":"perf","runs":1,"workload":{"name":"memtest"}}`},
-		{"perf with workload size", `{"name":"t","kind":"perf","runs":1,"workload":{"bytes":4096}}`},
+		{"perf with workload size", `{"name":"t","kind":"perf","runs":1,"workload":{"keys":4096}}`},
 		{"perf with faults", `{"name":"t","kind":"perf","runs":1,"faults":{"types":["pointer"]}}`},
 		{"perf with schedule", `{"name":"t","kind":"perf","runs":1,"schedule":{"max_ops":50}}`},
 		{"perf with systems", `{"name":"t","kind":"perf","runs":1,"topology":{"systems":["rio-prot"]}}`},

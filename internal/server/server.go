@@ -62,11 +62,11 @@ type Config struct {
 	WriteTimeout time.Duration
 
 	// DrainTimeout bounds how long Close waits for the drain. Zero
-	// means wait forever (the historical behaviour). When the bound
-	// expires — a shard goroutine wedged mid-batch, or a connection
-	// that never hangs up — every request still sitting in a shard
-	// queue is answered wire.StatusTimeout and Close returns; a wedged
-	// goroutine itself cannot be killed and is abandoned.
+	// means wait forever. When the bound expires — a shard goroutine
+	// wedged mid-batch, or a connection that never hangs up — every
+	// request still sitting in a shard queue is answered
+	// wire.StatusTimeout and Close returns; a wedged goroutine itself
+	// cannot be killed and is abandoned.
 	DrainTimeout time.Duration
 
 	// testGate, when set, is called by a shard goroutine before each

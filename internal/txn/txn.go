@@ -394,7 +394,7 @@ func (e *CheckError) Unwrap() error { return e.Err }
 // recurs identically on every retry, as opposed to resource pressure
 // (ErrNoSpace, ErrNoInodes), a degraded mount (ErrReadOnly), or crash
 // fallout — all of which a later recovery might not see. Callers must
-// rule out a crash first (Options.Crashed): after a kernel panic the fs
+// rule out a crash first (l.fs.K.Crashed()): after a kernel panic the fs
 // serves zeroes and unwinds with arbitrary-looking errors, including
 // these sentinels.
 func deterministic(err error) bool {

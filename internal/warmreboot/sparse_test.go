@@ -15,13 +15,13 @@ import (
 )
 
 // smallMachine is a Rio machine small enough that a test can fill its file
-// cache and then crash recovery at every crash point: 64 data pages, 48 metadata
-// buffers, a two-frame registry.
+// cache and then crash recovery at every crash point: 64 data pages and 64
+// metadata buffers, which a two-frame registry covers.
 func smallMachine(t *testing.T) *machine.Machine {
 	t.Helper()
 	opt := machine.DefaultOptions(fs.DefaultPolicy(fs.PolicyRio))
 	opt.MemPages, opt.DiskBlocks, opt.NInodes = 256, 512, 256
-	opt.RegistryFrames, opt.MetaCap, opt.DataCap = 2, 48, 64
+	opt.MetaCap, opt.DataCap = 64, 64
 	opt.FastPath = true
 	m, err := machine.New(opt, nil)
 	if err != nil {
@@ -269,7 +269,7 @@ func TestWarmAllocBudget(t *testing.T) {
 	pol := fs.DefaultPolicy(fs.PolicyRio)
 	opt := machine.DefaultOptions(pol)
 	opt.MemPages, opt.DiskBlocks = 2048, 4096
-	opt.RegistryFrames, opt.MetaCap, opt.DataCap = 8, 256, 700
+	opt.MetaCap, opt.DataCap = 256, 700
 	opt.FastPath = true
 	m, err := machine.New(opt, nil)
 	if err != nil {

@@ -14,7 +14,6 @@ func perfMachine(t *testing.T, kind fs.PolicyKind) *machine.Machine {
 	opt.MemPages = 1536
 	opt.DataCap = 768
 	opt.MetaCap = 256
-	opt.RegistryFrames = 9
 	opt.DiskBlocks = 4096
 	opt.NInodes = 2048
 	m, err := machine.New(opt, nil)

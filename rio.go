@@ -124,10 +124,9 @@ func (c Config) options() (machine.Options, error) {
 	} else {
 		opt.DiskBlocks = 4096
 	}
-	// Size the caches and registry to the memory.
+	// Size the caches to the memory.
 	opt.DataCap = opt.MemPages / 3
 	opt.MetaCap = opt.MemPages / 8
-	opt.RegistryFrames = (opt.DataCap+opt.MetaCap)/128 + 1
 	return opt, nil
 }
 

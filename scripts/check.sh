@@ -1,6 +1,7 @@
 #!/bin/sh
 # Tier-1 gate: build, gofmt, vet, riolint, full test suite, the race gate,
-# the goldens and the scenario suite. Run via `make check` or directly.
+# the goldens, the scenario suite and the disk-fault corpus. Run via `make
+# check` or directly.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -48,3 +49,9 @@ make crash-recovery
 # fresh reports stay in scenario-reports-w1/ and -w4/, uploaded as a CI
 # artifact.
 make scenarios
+# Disk-fault corpus: the twelve campaigns of scenarios/full/corpus,
+# diffed against testdata/corpus-reports/ (reports and stdout). Five of
+# them breach a zero gate today, so rioscn's exit 1 passes and exit 2
+# fails; on a mismatch the fresh reports stay in corpus-reports-fresh/,
+# uploaded as a CI artifact.
+make corpus
