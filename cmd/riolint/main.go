@@ -1,12 +1,13 @@
-// Command riolint runs the repo's static-analysis suite: eight analyzers
+// Command riolint runs the repo's static-analysis suite: seven analyzers
 // enforcing the determinism, protection-discipline, commit-ordering,
-// buffer-aliasing, replication-ordering, and wire-bounds invariants the
-// compiler cannot see (see internal/lint and DESIGN.md "Enforced
-// invariants"). The three ordering analyzers (protpair, commitorder,
-// replorder) are rows of one typestate table; they and bufalias and
-// wirebounds share a call graph and per-function dataflow summaries built
-// once per run from the whole module, whatever the patterns select: the
-// patterns choose which packages are reported on, not what a call reaches.
+// buffer-aliasing and replication-ordering invariants the compiler cannot
+// see (see internal/lint and DESIGN.md "Enforced invariants"). The three
+// ordering analyzers (protpair, commitorder, replorder) are rows of one
+// typestate table; they and bufalias share a call graph and per-function
+// dataflow summaries built once per run from the whole module, whatever
+// the patterns select: the patterns choose which packages are reported
+// on, not what a call reaches. Decode bounds are not linted: wire.Cursor
+// enforces them and each decoder's hostile-input tests hold them.
 //
 // Usage:
 //
@@ -21,9 +22,6 @@
 // Flags:
 //
 //	-json        emit findings plus per-analyzer wall time as JSON
-//	-maporder, -walltime, -protpair, -seedflow, -commitorder,
-//	-bufalias, -replorder, -wirebounds
-//	             enable/disable individual analyzers (all default true)
 //
 // Exit status: 0 clean, 1 diagnostics reported, 2 load/usage error.
 package main
@@ -46,18 +44,7 @@ func main() {
 
 func run() int {
 	jsonOut := flag.Bool("json", false, "emit diagnostics as JSON")
-	enabled := map[string]*bool{}
-	for _, a := range lint.All() {
-		enabled[a.Name] = flag.Bool(a.Name, true, "run the "+a.Name+" analyzer ("+a.Doc+")")
-	}
 	flag.Parse()
-
-	var analyzers []*lint.Analyzer
-	for _, a := range lint.All() {
-		if *enabled[a.Name] {
-			analyzers = append(analyzers, a)
-		}
-	}
 
 	patterns := flag.Args()
 	if len(patterns) == 0 {
@@ -92,7 +79,7 @@ func run() int {
 			program = append(program, p)
 		}
 	}
-	diags, times := lint.RunTimed(loader.Fset, program, selected, analyzers)
+	diags, times := lint.RunTimed(loader.Fset, program, selected, lint.All())
 	// Print file paths relative to the working directory, as go vet does.
 	for i := range diags {
 		if rel, err := filepath.Rel(cwd, diags[i].Pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {

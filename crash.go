@@ -51,7 +51,7 @@ func (s *System) InjectFault(t FaultType) error {
 	if !s.cfg.Interpreted {
 		return fmt.Errorf("rio: fault injection requires Config.Interpreted")
 	}
-	return fault.Inject(s.m, ft, fault.DefaultCount, s.m.Rng.Fork())
+	return fault.Inject(s.m, ft, s.m.Rng.Fork())
 }
 
 // Crash halts the machine immediately (as a kernel panic with the given

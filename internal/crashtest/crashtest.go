@@ -350,7 +350,7 @@ func runWorkload(st *machine.Storage, sys System, ft fault.Type, cfg RunConfig, 
 		}
 	}
 
-	if err := fault.Inject(m, ft, fault.DefaultCount, faultRng); err != nil {
+	if err := fault.Inject(m, ft, faultRng); err != nil {
 		return res, err
 	}
 

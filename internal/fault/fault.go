@@ -84,11 +84,11 @@ func ByName(name string) (Type, bool) {
 // MarshalText makes a Type its name in JSON.
 func (t Type) MarshalText() ([]byte, error) { return []byte(t.String()), nil }
 
-// DefaultCount is how many faults one run injects (the paper injects 20
-// per run to raise the odds that one is triggered).
-const DefaultCount = 20
+// Count is how many faults one run injects (the paper injects 20 per run
+// to raise the odds that one is triggered).
+const Count = 20
 
-// Inject applies count faults of type t to a booted machine. Text faults
+// Inject applies Count faults of type t to a booted machine. Text faults
 // mutate m.Text immediately; behavioural faults arm runtime hooks whose
 // cadence is scaled to this simulator's call volumes (the paper's "every
 // 1000-4000 calls ≈ every 15 seconds" on a real kernel).
@@ -98,8 +98,8 @@ const DefaultCount = 20
 // text size: the paper's 20 faults land in millions of instructions, most
 // never executed before the crash, while every instruction here runs on
 // every operation.
-func Inject(m *machine.Machine, t Type, count int, rng *sim.Rand) error {
-	structural := count
+func Inject(m *machine.Machine, t Type, rng *sim.Rand) error {
+	structural := Count
 	if max := 1 + m.Text.Len()/64; structural > max {
 		structural = max
 	}
@@ -109,14 +109,14 @@ func Inject(m *machine.Machine, t Type, count int, rng *sim.Rand) error {
 		for pc := range all {
 			all[pc] = pc
 		}
-		for i := 0; i < count; i++ {
+		for i := 0; i < Count; i++ {
 			m.Text.FlipBit(pickPC(m, rng, all), uint(rng.Intn(64)))
 		}
 	case HeapFlip:
 		// Target live kernel objects (buffer headers, allocator chain),
 		// as in a real kernel whose heap is dense with such structures.
 		blocks := m.Kernel.Heap.AllocatedBlocks()
-		for i := 0; i < count; i++ {
+		for i := 0; i < Count; i++ {
 			var addr uint64
 			if len(blocks) > 0 && rng.Float64() < 0.8 {
 				b := blocks[rng.Intn(len(blocks))]

@@ -55,7 +55,7 @@ func TestTextMutatingFaultsChangeText(t *testing.T) {
 	for _, ft := range []Type{TextFlip, DestReg, SrcReg, DeleteBranch, DeleteRandom, Init, Pointer, OffByOne} {
 		m := newMachine(t)
 		before := textWords(m)
-		if err := Inject(m, ft, DefaultCount, sim.NewRand(7)); err != nil {
+		if err := Inject(m, ft, sim.NewRand(7)); err != nil {
 			t.Fatalf("%v: %v", ft, err)
 		}
 		if diffCount(before, textWords(m)) == 0 {
@@ -69,7 +69,7 @@ func TestStructuralDensityCap(t *testing.T) {
 	// a kernel this size.
 	m := newMachine(t)
 	before := textWords(m)
-	if err := Inject(m, DeleteRandom, 20, sim.NewRand(3)); err != nil {
+	if err := Inject(m, DeleteRandom, sim.NewRand(3)); err != nil {
 		t.Fatal(err)
 	}
 	n := diffCount(before, textWords(m))
@@ -81,7 +81,7 @@ func TestStructuralDensityCap(t *testing.T) {
 func TestDeleteBranchOnlyNopsBranches(t *testing.T) {
 	m := newMachine(t)
 	before := textWords(m)
-	Inject(m, DeleteBranch, DefaultCount, sim.NewRand(11))
+	Inject(m, DeleteBranch, sim.NewRand(11))
 	for i := range before {
 		if before[i] != m.Text.Word(i) {
 			was := kvm.Decode(before[i])
@@ -96,7 +96,7 @@ func TestDeleteBranchOnlyNopsBranches(t *testing.T) {
 func TestOffByOneSwapsRelationalOps(t *testing.T) {
 	m := newMachine(t)
 	before := textWords(m)
-	Inject(m, OffByOne, DefaultCount, sim.NewRand(13))
+	Inject(m, OffByOne, sim.NewRand(13))
 	changed := 0
 	for i := range before {
 		if before[i] != m.Text.Word(i) {
@@ -115,7 +115,7 @@ func TestOffByOneSwapsRelationalOps(t *testing.T) {
 
 func TestInitNopsPrologues(t *testing.T) {
 	m := newMachine(t)
-	Inject(m, Init, DefaultCount, sim.NewRand(17))
+	Inject(m, Init, sim.NewRand(17))
 	// At least one procedure's full prologue is NOPed.
 	found := false
 	for _, p := range m.Text.Procs() {
@@ -138,7 +138,7 @@ func TestInitNopsPrologues(t *testing.T) {
 func TestPointerDeletesDefBeforeUse(t *testing.T) {
 	m := newMachine(t)
 	before := textWords(m)
-	Inject(m, Pointer, DefaultCount, sim.NewRand(19))
+	Inject(m, Pointer, sim.NewRand(19))
 	// Every change must be a NOPed instruction that previously wrote a
 	// register used as a base by a later memory access in the same proc.
 	for i := range before {
@@ -159,7 +159,7 @@ func TestHeapFlipChangesHeapMemory(t *testing.T) {
 	m := newMachine(t)
 	// Snapshot the heap frames.
 	before := m.Mem.Dump()
-	Inject(m, HeapFlip, DefaultCount, sim.NewRand(23))
+	Inject(m, HeapFlip, sim.NewRand(23))
 	after := m.Mem.Dump()
 	diff := 0
 	for i := range before {
@@ -167,33 +167,33 @@ func TestHeapFlipChangesHeapMemory(t *testing.T) {
 			diff++
 		}
 	}
-	if diff == 0 || diff > DefaultCount {
+	if diff == 0 || diff > Count {
 		t.Fatalf("heap flip changed %d bytes", diff)
 	}
 }
 
 func TestBehaviouralFaultsArmHooks(t *testing.T) {
 	m := newMachine(t)
-	Inject(m, Alloc, DefaultCount, sim.NewRand(29))
+	Inject(m, Alloc, sim.NewRand(29))
 	if m.Kernel.Heap.PrematureFree == nil {
 		t.Fatal("allocation fault not armed")
 	}
 
 	m2 := newMachine(t)
-	Inject(m2, CopyOverrun, DefaultCount, sim.NewRand(31))
+	Inject(m2, CopyOverrun, sim.NewRand(31))
 	bcopy := m2.Text.MustProc("bcopy")
 	if m2.Kernel.VM.EntryHooks[bcopy.Entry] == nil {
 		t.Fatal("copy overrun not armed")
 	}
 
 	m3 := newMachine(t)
-	Inject(m3, Sync, DefaultCount, sim.NewRand(37))
+	Inject(m3, Sync, sim.NewRand(37))
 	if m3.Kernel.Locks.ElideAcquire == nil || m3.Kernel.Locks.ElideRelease == nil {
 		t.Fatal("sync fault not armed")
 	}
 
 	m4 := newMachine(t)
-	Inject(m4, StackFlip, DefaultCount, sim.NewRand(41))
+	Inject(m4, StackFlip, sim.NewRand(41))
 	if len(m4.Kernel.VM.EntryHooks) == 0 {
 		t.Fatal("stack flip not armed")
 	}
@@ -247,8 +247,8 @@ func TestInjectionDeterminism(t *testing.T) {
 	for _, ft := range []Type{TextFlip, DestReg, Pointer, OffByOne} {
 		m1 := newMachine(t)
 		m2 := newMachine(t)
-		Inject(m1, ft, DefaultCount, sim.NewRand(99))
-		Inject(m2, ft, DefaultCount, sim.NewRand(99))
+		Inject(m1, ft, sim.NewRand(99))
+		Inject(m2, ft, sim.NewRand(99))
 		if diffCount(textWords(m1), textWords(m2)) != 0 {
 			t.Fatalf("%v injection not deterministic", ft)
 		}
@@ -257,7 +257,7 @@ func TestInjectionDeterminism(t *testing.T) {
 
 func TestUnknownTypeErrors(t *testing.T) {
 	m := newMachine(t)
-	if err := Inject(m, Type(99), 1, sim.NewRand(1)); err == nil {
+	if err := Inject(m, Type(99), sim.NewRand(1)); err == nil {
 		t.Fatal("unknown fault type accepted")
 	}
 }

@@ -487,12 +487,7 @@ installed:
 		if uint64(pull.Size) <= at || len(pull.Data) == 0 {
 			return nil // caught up
 		}
-		c := wire.Cursor{Buf: pull.Data}
-		for c.Off < len(c.Buf) {
-			frame := c.Bytes32(wire.MaxData, true)
-			if c.Err != nil {
-				return fmt.Errorf("fleet: tail pull: %w", c.Err)
-			}
+		err = eachTailFrame(pull.Data, func(frame []byte) error {
 			resp, err := f.tr.Send(CoordName, cand,
 				&wire.Request{Op: wire.OpReplBatch, Shard: shard, Data: frame})
 			if err != nil {
@@ -502,6 +497,32 @@ installed:
 				return fmt.Errorf("fleet: tail replay: %s", resp.Msg)
 			}
 			at = uint64(resp.Size)
+			return nil
+		})
+		if err != nil {
+			return err
 		}
 	}
+}
+
+// eachTailFrame splits a tail pull's Data — u32-length-prefixed
+// replication frames, as serveReplPull packs them — and hands each frame,
+// a view of data, to fn in order, stopping at fn's first error. A tail
+// with no frames, or a length beyond wire.MaxData or the bytes left, is
+// refused before fn sees that frame.
+func eachTailFrame(data []byte, fn func(frame []byte) error) error {
+	if len(data) == 0 {
+		return fmt.Errorf("fleet: tail pull carries no frames")
+	}
+	c := wire.Cursor{Buf: data}
+	for c.Off < len(c.Buf) {
+		frame := c.Bytes32(wire.MaxData, true)
+		if c.Err != nil {
+			return fmt.Errorf("fleet: tail pull: %w", c.Err)
+		}
+		if err := fn(frame); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"reflect"
@@ -133,8 +134,8 @@ func TestFenceFrameRoundTrip(t *testing.T) {
 // A frame op that declares more bytes than wire.MaxData must be refused
 // by the protocol-maximum check before any slice is sized from the wire
 // — even when the frame's checksum is valid, so this is not corruption
-// but a malicious or buggy peer. Regression test for the missing bound
-// the wirebounds analyzer flagged here.
+// but a malicious or buggy peer. Regression test for a decoder that
+// checked the bytes left but had no maximum.
 func TestBatchRejectsOversizedOpLength(t *testing.T) {
 	body := binary.BigEndian.AppendUint32(nil, frameMagic)
 	body = binary.BigEndian.AppendUint64(body, 3)  // epoch
@@ -148,7 +149,7 @@ func TestBatchRejectsOversizedOpLength(t *testing.T) {
 	if err == nil {
 		t.Fatal("op declaring more than wire.MaxData bytes decoded without error")
 	}
-	if !strings.Contains(err.Error(), "declares") {
+	if !errors.Is(err, wire.ErrTooLong) {
 		t.Fatalf("want the protocol-maximum error, got: %v", err)
 	}
 }
@@ -937,6 +938,9 @@ func TestDecodersRefuseHostileInput(t *testing.T) {
 		{Shard: 0, Role: RolePrimary, Epoch: 7, Seq: 99},
 		{Shard: 1, Role: RoleBackup, Epoch: 1, Seq: 3},
 	})
+	tail := binary.BigEndian.AppendUint32(nil, uint32(len(frame)))
+	tail = append(tail, frame...)
+	splitTail := func(b []byte) error { return eachTailFrame(b, func([]byte) error { return nil }) }
 
 	f := testFleet(t, 2, 1, 2)
 	mustWrite(t, f.Client(nil), "/d/file", []byte("snap"))
@@ -963,6 +967,7 @@ func TestDecodersRefuseHostileInput(t *testing.T) {
 		{"snapshot", snap[:len(snap)-8], true, func(b []byte) error { return dst.InstallSnapshot(0, b) }},
 		{"table", table, false, func(b []byte) error { _, err := DecodeTable(b); return err }},
 		{"status", status, false, func(b []byte) error { _, err := DecodeStatus(b); return err }},
+		{"tail", tail, false, splitTail},
 	}
 	for _, d := range decoders {
 		wrap := func(b []byte) []byte {
@@ -986,7 +991,7 @@ func TestDecodersRefuseHostileInput(t *testing.T) {
 
 	// A count with nothing behind it: the largest the decoder admits, and
 	// one past it. Both refused; the first without building 65 536 entries.
-	for _, d := range decoders[2:] {
+	for _, d := range decoders[2:4] {
 		lying := binary.BigEndian.AppendUint32(nil, 1<<16)
 		if err := d.decode(lying); err == nil {
 			t.Fatalf("%s: %d entries decoded from 4 bytes", d.name, 1<<16)
@@ -1006,5 +1011,10 @@ func TestDecodersRefuseHostileInput(t *testing.T) {
 	binary.BigEndian.PutUint32(over[20:], 1)
 	if err := dst.InstallSnapshot(0, seal(over)); err == nil {
 		t.Fatal("snapshot record declaring 2 GB decoded")
+	}
+	// A tail frame one past wire.MaxData: refused by the maximum, whatever
+	// bytes follow.
+	if err := splitTail(binary.BigEndian.AppendUint32(nil, wire.MaxData+1)); !errors.Is(err, wire.ErrTooLong) {
+		t.Fatalf("tail frame declaring wire.MaxData+1 bytes: %v, want wire.ErrTooLong", err)
 	}
 }

@@ -152,7 +152,9 @@ func (n *Node) InstallSnapshot(shard int, blob []byte) error {
 	for i := uint32(0); i < nrec; i++ {
 		kind := c.U8()
 		path := c.Str16(maxStr)
-		//riolint:wirebounds a record is a whole file with no protocol maximum of its own; Take bounds it by the checksummed blob's remaining bytes, themselves ≤ wire.MaxData
+		// A record is a whole file with no protocol maximum of its own;
+		// Take bounds it by the checksummed blob's remaining bytes,
+		// themselves ≤ wire.MaxData.
 		data := c.Take(int(c.U32()))
 		if c.Err != nil {
 			return fmt.Errorf("fleet: snapshot record %d: %w", i, c.Err)

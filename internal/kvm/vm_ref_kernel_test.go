@@ -38,7 +38,7 @@ func faultedKernel(t *testing.T, ft fault.Type, seed uint64) (*machine.Machine, 
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := fault.Inject(m, ft, fault.DefaultCount, sim.NewRand(sim.Mix(seed, uint64(ft)))); err != nil {
+	if err := fault.Inject(m, ft, sim.NewRand(sim.Mix(seed, uint64(ft)))); err != nil {
 		t.Fatal(err)
 	}
 	if seed%2 == 0 {

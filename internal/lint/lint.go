@@ -1,6 +1,6 @@
 // Package lint is riolint's engine: a stdlib-only static-analysis
 // framework (go/ast + go/types; no x/tools, honoring the repo's
-// stdlib-only rule) plus the eight analyzers that encode invariants this
+// stdlib-only rule) plus the seven analyzers that encode invariants this
 // codebase has been burned by. The compiler cannot see Rio's safety
 // arguments — that every file-cache store happens inside a brief
 // write-permission window (the paper's §3 protection discipline), that
@@ -12,8 +12,8 @@
 // Three kinds of analyzer share the engine. maporder, walltime and
 // seedflow pattern-match one body at a time. protpair, commitorder and
 // replorder are rows of one typestate table (typestate.go): verbs, the
-// rules that order them, one event walk and one evaluator. bufalias and
-// wirebounds follow values. The last two kinds consult a Program — the
+// rules that order them, one event walk and one evaluator. bufalias
+// follows values. The last two kinds consult a Program — the
 // call graph of every package loaded plus per-function dataflow summaries
 // (interproc.go) — so a pooled buffer leaked three calls from the pool is
 // still seen, and a helper that reaches one verb is that verb at its call.
@@ -41,9 +41,11 @@
 //   - replorder: the fleet's exec -> persist -> replicate -> ack
 //     ordering on the write path, fenced reads, and persisted epoch
 //     adoption (the PR-7 review bug class).
-//   - wirebounds: every decoded wire/RFL1/RSN1 length is checked against
-//     its protocol maximum and the remaining buffer before any
-//     allocation or slice.
+//
+// Decode bounds need no analyzer: wire.Cursor checks every length
+// against the bytes left and, in Str16/Bytes32, the protocol maximum,
+// and each decoder's hostile-input tests refuse the inputs that would
+// break either check.
 //
 // A finding is silenced with a suppression comment naming the
 // analyzer's directive and a mandatory reason:
@@ -55,7 +57,6 @@
 //	//riolint:commitorder <why this protocol verb legitimately runs early>
 //	//riolint:bufalias <why this custody transfer of a pooled buffer is sanctioned>
 //	//riolint:replorder <why this replication verb legitimately reorders>
-//	//riolint:wirebounds <why this decoded length needs no protocol maximum>
 //
 // The comment attaches to the line it sits on, or, as a standalone
 // comment, to the line directly below it. A reason is required: a bare
@@ -96,7 +97,7 @@ type Analyzer struct {
 
 // All returns the full riolint suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Maporder, Walltime, Protpair, Seedflow, Commitorder, Bufalias, Replorder, Wirebounds}
+	return []*Analyzer{Maporder, Walltime, Protpair, Seedflow, Commitorder, Bufalias, Replorder}
 }
 
 // A Pass hands one analyzer one package plus a reporting callback.

@@ -134,11 +134,6 @@ func TestReplorderFixtures(t *testing.T) {
 	checkFixture(t, Replorder, "replorder_clean")
 }
 
-func TestWireboundsFixtures(t *testing.T) {
-	checkFixture(t, Wirebounds, "wirebounds_bad")
-	checkFixture(t, Wirebounds, "wirebounds_clean")
-}
-
 // TestDirectiveFixtures locks the diagnostics riolint raises about its
 // own //riolint: comments (the "riolint" pseudo-analyzer): an unknown
 // directive, a directive with no reason, a suppression that suppresses

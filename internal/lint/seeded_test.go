@@ -9,8 +9,8 @@ import (
 	"testing"
 )
 
-// A seed is one canonical ordering bug, written as a one-hunk edit of the
-// real function an analyzer guards. old must occur exactly once in file.
+// A seed is one canonical bug, written as a one-hunk edit of the real
+// function an analyzer guards. old must occur exactly once in file.
 type seed struct {
 	name               string
 	file, old, new     string
@@ -67,6 +67,13 @@ const (
 		return fail(wire.StatusIO, "persist seq: "+err.Error())
 	}
 `
+	// The head of fs.(*FS).lookup's directory scan, verbatim: seed 12
+	// keeps a dirent's name, a view of the scanned block, past the scan.
+	lookupScan = `	var found uint32
+	err = f.dirScan(dirIno, &dir, func(d direntView, _ int64, _ int) bool {
+		if string(d.name) == name {
+			found = d.ino
+`
 )
 
 var seeds = []seed{
@@ -99,10 +106,25 @@ var seeds = []seed{
 	{name: "8 persist before exec",
 		file: "internal/fleet/node.go", function: "serveClient", analyzer: "replorder", substring: "persisted before the op executed",
 		old: clientExec + clientPersist, new: clientPersist + clientExec},
+	{name: "9 victims removed in map order",
+		file: "internal/cache/cache.go", function: "DropFileData", analyzer: "maporder", substring: "iteration order of map c.data is random",
+		old: "\tslices.SortFunc(victims, func(a, b *Buf) int { return cmp.Compare(a.FileBlock, b.FileBlock) })\n",
+		new: "\t_, _ = slices.SortFunc[[]*Buf, *Buf], cmp.Compare[int64]\n"},
+	{name: "10 run seed by arithmetic",
+		file: "internal/crashtest/campaign.go", function: "RunSeed", analyzer: "seedflow", substring: "seed arithmetic campaignSeed + uint64(attempt)",
+		old: "\treturn sim.Mix(campaignSeed, uint64(sys), uint64(ft), uint64(attempt))\n",
+		new: "\t_ = sim.Mix\n\treturn campaignSeed + uint64(attempt)\n"},
+	{name: "11 host clock in progress",
+		file: "internal/crashtest/campaign.go", function: "noteMerged", analyzer: "walltime", substring: "time.Now reads the host clock",
+		old: "\tnow := c.clock.Now().UnixNano()\n", new: "\tnow := time.Now().UnixNano()\n"},
+	{name: "12 dirent name kept past its scan",
+		file: "internal/fs/ops.go", function: "lookup", analyzer: "bufalias", substring: "stored in keep, which outlives the callback",
+		old: lookupScan, new: strings.NewReplacer("\tvar found uint32\n", "\tvar found uint32\n\tvar keep []byte\n\t_ = keep\n",
+			"\t\t\tfound = d.ino\n", "\t\t\tfound = d.ino\n\t\t\tkeep = d.name\n").Replace(lookupScan)},
 }
 
 // TestSeededProtocolBugsConvict tests the gate on what it guards: each
-// canonical ordering bug is seeded, in memory, into the real function its
+// canonical bug is seeded, in memory, into the real function its
 // analyzer exists for, and the full suite must convict it there. Seeds in
 // different functions share a round; a round is one module type-check.
 func TestSeededProtocolBugsConvict(t *testing.T) {

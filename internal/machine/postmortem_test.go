@@ -58,7 +58,7 @@ func TestPostmortemAfterInjectedCrash(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := fault.Inject(m, fault.Pointer, fault.DefaultCount, sim.NewRand(seed)); err != nil {
+		if err := fault.Inject(m, fault.Pointer, sim.NewRand(seed)); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 150 && m.Crashed() == nil; i++ {

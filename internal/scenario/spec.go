@@ -82,7 +82,7 @@ type WorkloadSpec struct {
 }
 
 // FaultSpec is the crash kind's fault plan. Each run injects
-// fault.DefaultCount faults, the paper's 20.
+// fault.Count faults, the paper's 20.
 type FaultSpec struct {
 	// Types restricts the injected fault types (crashtest names, e.g.
 	// "kernel text"). Empty = all of fault.AllTypes.

@@ -342,6 +342,21 @@ func TestParseRejectsOversize(t *testing.T) {
 			t.Fatalf("oversize %s: %.0f allocations before the refusal", c.name, n)
 		}
 	}
+	// A sealed record one past each maximum: its checksum holds and every
+	// length is backed by bytes, so only the limit itself refuses it.
+	mkdirs := make([]Op, MaxOps+1)
+	for i := range mkdirs {
+		mkdirs[i] = Op{Kind: OpMkdir, Path: "/d"}
+	}
+	for _, rec := range []Record{
+		{ID: 10, Ops: mkdirs},
+		{ID: 11, Ops: []Op{{Kind: OpWrite, Path: "/x", Data: make([]byte, MaxDataLen+1)}}},
+		{ID: 12, Ops: []Op{{Kind: OpMkdir, Path: "/" + strings.Repeat("p", MaxPathLen)}}},
+	} {
+		if got := ParseAll(AppendRecord(nil, &rec)); len(got) != 0 {
+			t.Fatalf("record %d past a maximum parsed", rec.ID)
+		}
+	}
 	for _, tail := range [][]byte{{0}, buf[:8], bytes.Repeat([]byte{0xff}, 64)} {
 		got := ParseAll(append(append([]byte(nil), buf...), tail...))
 		if len(got) != 1 || got[0].ID != 9 {

@@ -3,15 +3,18 @@ package wire
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 )
 
 // FuzzDecodeRequest is the serving edge's safety net, mirroring
-// registry.FuzzParse on the recovery edge: DecodeRequest consumes bytes
-// straight off a TCP socket from an arbitrary peer and must be total —
-// any input either decodes to a well-formed request or returns an
-// error. It must never Go-panic, and a lying length prefix must never
-// make it allocate past the frame it was handed.
+// registry.TestParseTotalOnHostileInputs on the recovery edge:
+// DecodeRequest consumes bytes straight off a TCP socket from an
+// arbitrary peer and must be total — any input either decodes to a
+// well-formed request or returns an error. It must never Go-panic, and a
+// lying length prefix must never make it allocate past the frame it was
+// handed. Both fuzzers cut the input's capacity to its length, so a read
+// past the input panics instead of reading the bytes after it.
 func FuzzDecodeRequest(f *testing.F) {
 	for _, r := range []*Request{
 		{ID: 1, Op: OpOpen, Shard: -1, Path: "/a"},
@@ -35,6 +38,7 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		data = data[:len(data):len(data)]
 		r, err := DecodeRequest(data) // must return, never panic
 		// The in-place decoder is the same parser: same verdict, same
 		// fields, and a Data that is a view of the input, not a copy.
@@ -86,8 +90,16 @@ func FuzzDecodeResponse(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0x41}, 40))
+	// Every strict prefix of a response, and fields one past their limits.
+	full := AppendResponse(nil, &Response{ID: 6, Status: StatusOK, Data: []byte("payload"), Msg: "m"})
+	for n := range full {
+		f.Add(full[:n])
+	}
+	f.Add(AppendResponse(nil, &Response{ID: 7, Status: StatusOK, Data: make([]byte, MaxData+1)}))
+	f.Add(AppendResponse(nil, &Response{ID: 8, Status: StatusInvalid, Msg: strings.Repeat("m", MaxMsg+1)}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		data = data[:len(data):len(data)]
 		r, err := DecodeResponse(data)
 		if err != nil {
 			return
@@ -95,6 +107,9 @@ func FuzzDecodeResponse(f *testing.F) {
 		if len(r.Data)+len(r.Msg) > len(data) {
 			t.Fatalf("decoded fields total %d bytes from a %d-byte input",
 				len(r.Data)+len(r.Msg), len(data))
+		}
+		if len(r.Data) > MaxData || len(r.Msg) > MaxMsg {
+			t.Fatalf("decoded field exceeds protocol limit: data %d msg %d", len(r.Data), len(r.Msg))
 		}
 		if re := AppendResponse(nil, r); !bytes.Equal(re, data) {
 			t.Fatalf("re-encode mismatch:\n in  %x\n out %x", data, re)

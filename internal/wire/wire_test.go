@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -70,14 +71,16 @@ func TestResponseRoundTrip(t *testing.T) {
 }
 
 // Every strict prefix of a valid encoding must decode to ErrTruncated
-// (or a length error), never succeed and never panic.
+// (or a length error), never succeed and never panic. Each prefix has no
+// spare capacity, so a length used without checking the bytes left
+// panics rather than quietly reading the bytes after the prefix.
 func TestDecodeRequestTruncations(t *testing.T) {
 	full := AppendRequest(nil, &Request{
 		ID: 7, Op: OpMv, Shard: -1, Path: "/old/name", Path2: "/new/name",
 		Data: []byte("x"),
 	})
 	for n := 0; n < len(full); n++ {
-		if _, err := DecodeRequest(full[:n]); err == nil {
+		if _, err := DecodeRequest(full[:n:n]); err == nil {
 			t.Fatalf("prefix of %d/%d bytes decoded without error", n, len(full))
 		}
 	}
@@ -98,6 +101,18 @@ func TestDecodeRequestOversizeLengths(t *testing.T) {
 	buf2 := AppendRequest(nil, &Request{ID: 1, Op: OpRead, Len: MaxData + 1, Path: "/x"})
 	if _, err := DecodeRequest(buf2); !errors.Is(err, ErrTooLong) {
 		t.Fatalf("oversize read len: got %v, want ErrTooLong", err)
+	}
+	// A field one past its maximum, every byte of it present: only the
+	// limit refuses it.
+	long := "/" + strings.Repeat("p", MaxPath)
+	for name, r := range map[string]*Request{
+		"path":  {ID: 1, Op: OpOpen, Path: long},
+		"path2": {ID: 1, Op: OpMv, Path: "/x", Path2: long},
+		"data":  {ID: 1, Op: OpWrite, Path: "/x", Data: make([]byte, MaxData+1)},
+	} {
+		if _, err := DecodeRequest(AppendRequest(nil, r)); !errors.Is(err, ErrTooLong) {
+			t.Fatalf("oversize %s: got %v, want ErrTooLong", name, err)
+		}
 	}
 }
 

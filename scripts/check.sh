@@ -14,9 +14,10 @@ sh -n scripts/pairs.sh
 go vet ./...
 # riolint enforces the invariants vet can't see: deterministic iteration,
 # no host clock/randomness in sim packages, paired protection windows,
-# sim.Mix-only seed derivation, pooled-buffer aliasing windows, the
-# fleet's exec→persist→replicate→ack ordering, and bounds-checked wire
-# decodes. A finding fails the gate; fix it or suppress with a reasoned
+# sim.Mix-only seed derivation, pooled-buffer aliasing windows, and the
+# fleet's exec→persist→replicate→ack ordering. Decode bounds are not
+# linted: wire.Cursor enforces them and each decoder's hostile-input
+# tests hold them. A finding fails the gate; fix it or suppress with a reasoned
 # //riolint: comment (see DESIGN.md). The -json report (findings plus
 # per-analyzer wall time) lands in riolint.json, uploaded as a CI
 # artifact; on failure the findings are echoed to the log.
